@@ -19,18 +19,27 @@ import (
 // B >= 2*ceil(log2(n+1)) because u*n + v < n^2 <= 2^B), then the weight in
 // B-bit little-endian chunks (zero chunks when every kept weight is
 // exactly 1). Each vertex relays every record it learns to every neighbor
-// exactly once; receivers deduplicate. After the round budget expires the
-// evaluating vertices reconstruct the collected graph and solve locally.
+// exactly once; receivers deduplicate by id in a node-local hash set.
+// After the round budget expires the roots reconstruct the collected
+// graph and solve locally; no other vertex reconstructs anything.
 //
 // Who evaluates depends on the collection mode. With full collection
-// (Keep == nil) every vertex learns its entire connected component, so
-// the minimum-id vertex of each component detects that it is the root and
-// evaluates Eval on its component — disconnected instances (e.g. the MDS
-// family's all-zeros graph) are handled by summing the per-component
-// values, which is exact for component-additive quantities like the
-// domination number. With a Keep filter the collected records no longer
-// witness connectivity, so the graph must be connected and vertex 0 is
-// the sole root, evaluating Eval on the full filtered collection.
+// (Keep == nil) every vertex learns its entire connected component, and
+// the minimum-id vertex of each component is its root, evaluating Eval on
+// that component — disconnected instances (e.g. the MDS family's
+// all-zeros graph) are handled by summing the per-component values, which
+// is exact for component-additive quantities like the domination number.
+// Root election runs a union-find over the vertex's own records: a vertex
+// that they join to a smaller id is not a root and outputs the zero value
+// without reconstructing anything. Any other vertex reconstructs its
+// collected graph, finds its component there and evaluates it if no
+// smaller id shares it (a reconstruction error makes it a non-root, as
+// before). The election is exact even when drops leave a vertex a partial,
+// disconnected view: records that join it to a smaller id join it in the
+// reconstruction too, whatever else the vertex knows.
+// With a Keep filter the collected records no longer witness
+// connectivity, so the graph must be connected and vertex 0 is the sole
+// root, evaluating Eval on the full filtered collection.
 //
 // The budget frame*(T + n + 2) + 4, with T the number of kept records,
 // dominates the classic pipelined-flooding bound frame*(T + D): a record
@@ -63,7 +72,10 @@ type collectOutput struct {
 // CollectFactory builds the gossip program for g and returns the node
 // factory together with the round budget baked into it. bandwidth must be
 // the BandwidthBits the simulation will run with (0 selects the default),
-// because the frame layout depends on it.
+// because the frame layout depends on it. The factory owns the state of
+// every node it creates, allocated once: it can drive several Runs one
+// after another, but must not drive concurrent Runs (the same rule as
+// congest.Arena).
 func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Factory, int, error) {
 	n := g.N()
 	if n == 0 {
@@ -85,8 +97,13 @@ func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Fa
 	}
 	frame := 1 + wchunks
 	budget := frame*(records+n+2) + 4
+	slab := newCollectSlab[collectNode, congest.Message](n, records, g.Degree)
 	factory := func(local congest.Local) congest.Node {
-		return newCollectNode(local, n, bandwidth, budget, wchunks, spec)
+		c := slab.node(local.ID)
+		c.bw, c.budget, c.wchunks = bandwidth, budget, wchunks
+		c.recordStore, c.links, c.outbox = slab.state(local.ID, len(local.Neighbors))
+		c.seed(local, spec, slab.parent)
+		return c
 	}
 	return factory, budget, nil
 }
@@ -148,21 +165,15 @@ func CollectTotal(res *congest.Result) (int64, error) {
 	return total, nil
 }
 
-type collectRecord struct {
-	u, v int
-	w    int64
-}
-
 // collectCore is the record store and root-evaluation logic shared by the
 // gossip collect program and its retransmitting variant: which edges this
-// vertex knows, deduplication, and the end-of-budget reconstruct-and-solve.
+// vertex knows, and the end-of-budget root election and evaluation.
 type collectCore struct {
-	local   congest.Local
-	n       int
-	spec    CollectSpec
-	records []collectRecord
-	known   map[int64]bool
-	out     collectOutput
+	recordStore
+	local  congest.Local
+	spec   CollectSpec
+	parent []int32 // union-find scratch, shared by the run's nodes
+	out    collectOutput
 }
 
 type collectNode struct {
@@ -171,96 +182,51 @@ type collectNode struct {
 	budget  int
 	wchunks int
 
-	nbrIdx map[int]int
-
-	// Per-neighbor send cursor: which record, and which chunk of its frame.
-	sendRec   []int
-	sendChunk []int
-	// Per-neighbor receive reassembly: pending edge id and accumulated
-	// weight chunks (rcvChunk = 0 means no frame in flight).
-	rcvKey   []int64
-	rcvW     []int64
-	rcvChunk []int
-
+	links  []linkState
 	outbox []congest.Message
 }
 
-func newCollectNode(local congest.Local, n, bw, budget, wchunks int, spec CollectSpec) *collectNode {
-	c := &collectNode{
-		collectCore: newCollectCore(local, n, spec),
-		bw:          bw,
-		budget:      budget,
-		wchunks:     wchunks,
-		nbrIdx:      make(map[int]int, len(local.Neighbors)),
-		sendRec:     make([]int, len(local.Neighbors)),
-		sendChunk:   make([]int, len(local.Neighbors)),
-		rcvKey:      make([]int64, len(local.Neighbors)),
-		rcvW:        make([]int64, len(local.Neighbors)),
-		rcvChunk:    make([]int, len(local.Neighbors)),
-		outbox:      make([]congest.Message, 0, len(local.Neighbors)),
-	}
-	for i, nbr := range local.Neighbors {
-		c.nbrIdx[nbr] = i
-	}
-	return c
-}
-
-// newCollectCore seeds the record store with the vertex's incident kept
-// edges (canonical u < v orientation).
-func newCollectCore(local congest.Local, n int, spec CollectSpec) collectCore {
-	c := collectCore{
-		local: local,
-		n:     n,
-		spec:  spec,
-		known: make(map[int64]bool),
-	}
+// seed sets up the vertex's core around its empty record store and
+// learns its incident kept edges (canonical u < v orientation).
+func (c *collectCore) seed(local congest.Local, spec CollectSpec, parent []int32) {
+	c.local, c.spec, c.parent = local, spec, parent
 	for i, nbr := range local.Neighbors {
 		u, v, w := local.ID, nbr, local.EdgeWeights[i]
 		if u > v {
 			u, v = v, u
 		}
 		if spec.Keep == nil || spec.Keep(u, v, w) {
-			c.learn(u, v, w)
+			c.learn(int64(u)*int64(c.n)+int64(v), w)
 		}
-	}
-	return c
-}
-
-func (c *collectCore) key(u, v int) int64 { return int64(u)*int64(c.n) + int64(v) }
-
-func (c *collectCore) learn(u, v int, w int64) {
-	k := c.key(u, v)
-	if !c.known[k] {
-		c.known[k] = true
-		c.records = append(c.records, collectRecord{u: u, v: v, w: w})
 	}
 }
 
 // Round ingests the per-neighbor frame streams and emits the next chunk of
 // each neighbor's stream; at the budget the roots reconstruct and evaluate.
 func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
+	next := 0
 	for _, msg := range inbox {
-		i, ok := c.nbrIdx[msg.From]
-		if !ok {
+		i := linkIndex(c.local.Neighbors, msg.From, next)
+		if i < 0 {
 			continue
 		}
-		if c.rcvChunk[i] == 0 {
-			u := int(msg.Payload) / c.n
-			v := int(msg.Payload) % c.n
+		next = i + 1
+		l := &c.links[i]
+		if l.rcvChunk == 0 {
 			if c.wchunks == 0 {
-				c.learn(u, v, 1)
+				c.learn(msg.Payload, 1)
 			} else {
-				c.rcvKey[i] = msg.Payload
-				c.rcvW[i] = 0
-				c.rcvChunk[i] = 1
+				l.rcvKey = msg.Payload
+				l.rcvW = 0
+				l.rcvChunk = 1
 			}
 			continue
 		}
-		c.rcvW[i] |= msg.Payload << uint(c.bw*(c.rcvChunk[i]-1))
-		c.rcvChunk[i]++
-		if c.rcvChunk[i] > c.wchunks {
-			c.learn(int(c.rcvKey[i])/c.n, int(c.rcvKey[i])%c.n, c.rcvW[i])
-			c.rcvChunk[i] = 0
+		l.rcvW |= msg.Payload << uint(c.bw*(l.rcvChunk-1))
+		l.rcvChunk++
+		if l.rcvChunk > c.wchunks {
+			c.learn(l.rcvKey, l.rcvW)
+			l.rcvChunk = 0
 		}
 	}
 	if round >= c.budget {
@@ -270,35 +236,39 @@ func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Mess
 	mask := int64(1)<<uint(c.bw) - 1
 	c.outbox = c.outbox[:0]
 	for i, nbr := range c.local.Neighbors {
-		if c.sendRec[i] >= len(c.records) {
+		l := &c.links[i]
+		if l.sendRec >= len(c.records) {
 			continue
 		}
-		rec := c.records[c.sendRec[i]]
-		var payload int64
-		if c.sendChunk[i] == 0 {
-			payload = c.key(rec.u, rec.v)
-		} else {
-			payload = rec.w >> uint(c.bw*(c.sendChunk[i]-1)) & mask
+		rec := c.records[l.sendRec]
+		payload := rec.key
+		if l.sendChunk > 0 {
+			payload = rec.w >> uint(c.bw*(l.sendChunk-1)) & mask
 		}
 		c.outbox = append(c.outbox, congest.Message{To: nbr, Payload: payload})
-		c.sendChunk[i]++
-		if c.sendChunk[i] > c.wchunks {
-			c.sendChunk[i] = 0
-			c.sendRec[i]++
+		l.sendChunk++
+		if l.sendChunk > c.wchunks {
+			l.sendChunk = 0
+			l.sendRec++
 		}
 	}
 	return c.outbox, false
 }
 
 // finish decides root status and evaluates. Under filtered collection
-// vertex 0 is the sole root and evaluates the whole collection; under full
-// collection the vertex checks whether it is the minimum id of its
-// component (fully known from the collected records) and evaluates the
-// induced component subgraph.
+// vertex 0 is the sole root and evaluates the whole collection. Under full
+// collection a vertex other than 0 first asks the union-find whether its
+// records join it to a smaller id, and stops there if so; otherwise it
+// reconstructs the collected graph, checks whether it is the minimum id of
+// its component there and evaluates the induced component subgraph.
 func (c *collectCore) finish() {
+	if c.spec.Keep == nil && c.local.ID != 0 && c.joinsSmallerID(c.local.ID, c.parent) {
+		return
+	}
 	collected := graph.New(c.n)
 	for _, rec := range c.records {
-		if err := collected.AddWeightedEdge(rec.u, rec.v, rec.w); err != nil {
+		u, v := c.decode(rec.key)
+		if err := collected.AddWeightedEdge(u, v, rec.w); err != nil {
 			if c.local.ID == 0 {
 				c.out = collectOutput{root: true, err: fmt.Errorf("reconstructing collected graph: %w", err)}
 			}
@@ -324,5 +294,14 @@ func (c *collectCore) finish() {
 	c.out.value, c.out.err = c.spec.Eval(component)
 }
 
+// nonRootOutput is the zero collectOutput, boxed once so that non-roots
+// hand it out without allocating.
+var nonRootOutput interface{} = collectOutput{}
+
 // Output returns the root's collectOutput (zero value elsewhere).
-func (c *collectCore) Output() interface{} { return c.out }
+func (c *collectCore) Output() interface{} {
+	if !c.out.root {
+		return nonRootOutput
+	}
+	return c.out
+}

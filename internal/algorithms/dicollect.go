@@ -19,19 +19,25 @@ import (
 // is exactly 1 — zero- and alpha-weighted arcs, as in the directed Steiner
 // family, force a weight chunk). Both endpoints of an arc know it at
 // wakeup; every vertex relays every record it learns to every link
-// neighbor exactly once, and receivers deduplicate.
+// neighbor exactly once, and receivers deduplicate by id in a node-local
+// hash set. After the round budget expires the roots reconstruct the
+// collected digraph and solve locally; no other vertex reconstructs.
 //
 // Who evaluates depends on the collection mode. With full collection
 // (Keep == nil) every vertex learns its entire weakly-connected component
-// (links are full duplex, so records flow against arc direction too); the
-// minimum-id vertex of each weak component detects that it is the root and
-// evaluates Eval on the induced component sub-digraph — disconnected
-// instances are handled by summing the per-component values, exact for
-// component-additive quantities. With a Keep filter the collected records
-// no longer witness connectivity, so the digraph must be weakly connected
-// and vertex 0 is the sole root. Reconstruction carries arcs and their
-// weights but not remote vertex weights (like the undirected collect), so
-// Eval must not depend on non-default vertex weights.
+// (links are full duplex, so records flow against arc direction too), and
+// the minimum-id vertex of each weak component is its root, evaluating
+// Eval on the induced component sub-digraph — disconnected instances are
+// handled by summing the per-component values, exact for
+// component-additive quantities. Root election is the undirected one: a
+// union-find over the vertex's own records, read as undirected edges,
+// rules out every vertex they join to a smaller id, and only the others
+// reconstruct and check their weak component. With a Keep filter the
+// collected records no longer witness connectivity, so the digraph must
+// be weakly connected and vertex 0 is the sole root. Reconstruction
+// carries arcs and their weights but not remote vertex weights (like the
+// undirected collect), so Eval must not depend on non-default vertex
+// weights.
 //
 // The budget frame*(T + n + 2) + 4, with T the number of kept records,
 // dominates the pipelined-flooding bound frame*(T + D) exactly as in the
@@ -55,7 +61,8 @@ type DiCollectSpec struct {
 // DiCollectFactory builds the directed gossip program for d and returns
 // the node factory together with the round budget baked into it. bandwidth
 // must be the BandwidthBits the simulation will run with (0 selects the
-// default), because the frame layout depends on it.
+// default), because the frame layout depends on it. Like CollectFactory's,
+// the factory owns its nodes' state and must not drive concurrent Runs.
 func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dicongest.Factory, int, error) {
 	n := d.N()
 	if n == 0 {
@@ -98,8 +105,22 @@ func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dico
 	}
 	frame := 1 + wchunks
 	budget := frame*(records+n+2) + 4
+	// A vertex links to each distinct in- or out-neighbor once: at most
+	// OutDegree + InDegree links.
+	slab := newCollectSlab[diCollectNode, dicongest.Message](n, records,
+		func(v int) int { return d.OutDegree(v) + d.InDegree(v) })
 	factory := func(local dicongest.Local) dicongest.Node {
-		return newDiCollectNode(local, n, bandwidth, budget, wchunks, spec)
+		c := slab.node(local.ID)
+		c.local, c.bw, c.budget, c.wchunks, c.spec = local, bandwidth, budget, wchunks, spec
+		c.recordStore, c.links, c.outbox = slab.state(local.ID, len(local.Neighbors))
+		c.parent = slab.parent
+		for i, to := range local.OutNeighbors {
+			c.consider(local.ID, to, local.OutWeights[i])
+		}
+		for i, from := range local.InNeighbors {
+			c.consider(from, local.ID, local.InWeights[i])
+		}
+		return c
 	}
 	return factory, budget, nil
 }
@@ -143,106 +164,52 @@ type diCollectOutput struct {
 	err   error
 }
 
-type diCollectRecord struct {
-	from, to int
-	w        int64
-}
-
 type diCollectNode struct {
+	recordStore
 	local   dicongest.Local
-	n       int
 	bw      int
 	budget  int
 	wchunks int
 	spec    DiCollectSpec
+	parent  []int32 // union-find scratch, shared by the run's nodes
 
-	nbrIdx  map[int]int
-	records []diCollectRecord
-	known   map[int64]bool
-
-	// Per-neighbor send cursor: which record, and which chunk of its frame.
-	sendRec   []int
-	sendChunk []int
-	// Per-neighbor receive reassembly: pending arc id and accumulated
-	// weight chunks (rcvChunk = 0 means no frame in flight).
-	rcvKey   []int64
-	rcvW     []int64
-	rcvChunk []int
-
+	links  []linkState
 	outbox []dicongest.Message
 	out    diCollectOutput
 }
 
-func newDiCollectNode(local dicongest.Local, n, bw, budget, wchunks int, spec DiCollectSpec) *diCollectNode {
-	c := &diCollectNode{
-		local:     local,
-		n:         n,
-		bw:        bw,
-		budget:    budget,
-		wchunks:   wchunks,
-		spec:      spec,
-		nbrIdx:    make(map[int]int, len(local.Neighbors)),
-		known:     make(map[int64]bool),
-		sendRec:   make([]int, len(local.Neighbors)),
-		sendChunk: make([]int, len(local.Neighbors)),
-		rcvKey:    make([]int64, len(local.Neighbors)),
-		rcvW:      make([]int64, len(local.Neighbors)),
-		rcvChunk:  make([]int, len(local.Neighbors)),
-		outbox:    make([]dicongest.Message, 0, len(local.Neighbors)),
-	}
-	for i, nbr := range local.Neighbors {
-		c.nbrIdx[nbr] = i
-	}
-	for i, to := range local.OutNeighbors {
-		c.consider(local.ID, to, local.OutWeights[i])
-	}
-	for i, from := range local.InNeighbors {
-		c.consider(from, local.ID, local.InWeights[i])
-	}
-	return c
-}
-
 func (c *diCollectNode) consider(from, to int, w int64) {
 	if c.spec.Keep == nil || c.spec.Keep(from, to, w) {
-		c.learn(from, to, w)
-	}
-}
-
-func (c *diCollectNode) key(from, to int) int64 { return int64(from)*int64(c.n) + int64(to) }
-
-func (c *diCollectNode) learn(from, to int, w int64) {
-	k := c.key(from, to)
-	if !c.known[k] {
-		c.known[k] = true
-		c.records = append(c.records, diCollectRecord{from: from, to: to, w: w})
+		c.learn(int64(from)*int64(c.n)+int64(to), w)
 	}
 }
 
 // Round ingests the per-neighbor frame streams and emits the next chunk of
 // each neighbor's stream; at the budget the roots reconstruct and evaluate.
 func (c *diCollectNode) Round(round int, inbox []dicongest.Incoming) ([]dicongest.Message, bool) {
+	next := 0
 	for _, msg := range inbox {
-		i, ok := c.nbrIdx[msg.From]
-		if !ok {
+		i := linkIndex(c.local.Neighbors, msg.From, next)
+		if i < 0 {
 			continue
 		}
-		if c.rcvChunk[i] == 0 {
-			from := int(msg.Payload) / c.n
-			to := int(msg.Payload) % c.n
+		next = i + 1
+		l := &c.links[i]
+		if l.rcvChunk == 0 {
 			if c.wchunks == 0 {
-				c.learn(from, to, 1)
+				c.learn(msg.Payload, 1)
 			} else {
-				c.rcvKey[i] = msg.Payload
-				c.rcvW[i] = 0
-				c.rcvChunk[i] = 1
+				l.rcvKey = msg.Payload
+				l.rcvW = 0
+				l.rcvChunk = 1
 			}
 			continue
 		}
-		c.rcvW[i] |= msg.Payload << uint(c.bw*(c.rcvChunk[i]-1))
-		c.rcvChunk[i]++
-		if c.rcvChunk[i] > c.wchunks {
-			c.learn(int(c.rcvKey[i])/c.n, int(c.rcvKey[i])%c.n, c.rcvW[i])
-			c.rcvChunk[i] = 0
+		l.rcvW |= msg.Payload << uint(c.bw*(l.rcvChunk-1))
+		l.rcvChunk++
+		if l.rcvChunk > c.wchunks {
+			c.learn(l.rcvKey, l.rcvW)
+			l.rcvChunk = 0
 		}
 	}
 	if round >= c.budget {
@@ -252,35 +219,40 @@ func (c *diCollectNode) Round(round int, inbox []dicongest.Incoming) ([]diconges
 	mask := int64(1)<<uint(c.bw) - 1
 	c.outbox = c.outbox[:0]
 	for i, nbr := range c.local.Neighbors {
-		if c.sendRec[i] >= len(c.records) {
+		l := &c.links[i]
+		if l.sendRec >= len(c.records) {
 			continue
 		}
-		rec := c.records[c.sendRec[i]]
-		var payload int64
-		if c.sendChunk[i] == 0 {
-			payload = c.key(rec.from, rec.to)
-		} else {
-			payload = rec.w >> uint(c.bw*(c.sendChunk[i]-1)) & mask
+		rec := c.records[l.sendRec]
+		payload := rec.key
+		if l.sendChunk > 0 {
+			payload = rec.w >> uint(c.bw*(l.sendChunk-1)) & mask
 		}
 		c.outbox = append(c.outbox, dicongest.Message{To: nbr, Payload: payload})
-		c.sendChunk[i]++
-		if c.sendChunk[i] > c.wchunks {
-			c.sendChunk[i] = 0
-			c.sendRec[i]++
+		l.sendChunk++
+		if l.sendChunk > c.wchunks {
+			l.sendChunk = 0
+			l.sendRec++
 		}
 	}
 	return c.outbox, false
 }
 
 // finish decides root status and evaluates. Under filtered collection
-// vertex 0 is the sole root and evaluates the whole collection; under full
-// collection the vertex checks whether it is the minimum id of its weak
-// component (fully known from the collected records) and evaluates the
-// induced component sub-digraph.
+// vertex 0 is the sole root and evaluates the whole collection. Under full
+// collection a vertex other than 0 first asks the union-find whether its
+// records join it to a smaller id, and stops there if so; otherwise it
+// reconstructs the collected digraph, checks whether it is the minimum id
+// of its weak component there and evaluates the induced component
+// sub-digraph.
 func (c *diCollectNode) finish() {
+	if c.spec.Keep == nil && c.local.ID != 0 && c.joinsSmallerID(c.local.ID, c.parent) {
+		return
+	}
 	collected := graph.NewDigraph(c.n)
 	for _, rec := range c.records {
-		if err := collected.AddWeightedArc(rec.from, rec.to, rec.w); err != nil {
+		from, to := c.decode(rec.key)
+		if err := collected.AddWeightedArc(from, to, rec.w); err != nil {
 			if c.local.ID == 0 {
 				c.out = diCollectOutput{root: true, err: fmt.Errorf("reconstructing collected digraph: %w", err)}
 			}
@@ -306,5 +278,14 @@ func (c *diCollectNode) finish() {
 	c.out.value, c.out.err = c.spec.Eval(component)
 }
 
+// nonRootDiOutput is the zero diCollectOutput, boxed once so that
+// non-roots hand it out without allocating.
+var nonRootDiOutput interface{} = diCollectOutput{}
+
 // Output returns the root's diCollectOutput (zero value elsewhere).
-func (c *diCollectNode) Output() interface{} { return c.out }
+func (c *diCollectNode) Output() interface{} {
+	if !c.out.root {
+		return nonRootDiOutput
+	}
+	return c.out
+}

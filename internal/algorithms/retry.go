@@ -68,7 +68,8 @@ func CollectRetryRoundsCap(n int) int {
 // returns the node factory together with the round budget baked into it.
 // bandwidth must be the BandwidthBits the simulation will run with
 // (0 selects CollectRetryMinBandwidth); it must leave room for the edge
-// id beside the three header bits.
+// id beside the three header bits. Like CollectFactory's, the factory owns
+// its nodes' state and must not drive concurrent Runs.
 func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Factory, int, error) {
 	n := g.N()
 	if n == 0 {
@@ -91,8 +92,19 @@ func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (conge
 	}
 	frame := 1 + wchunks
 	budget := RetryBudgetFactor * (frame*(records+n+2) + 4)
+	slab := newCollectSlab[collectRetryNode, congest.Message](n, records, g.Degree)
 	factory := func(local congest.Local) congest.Node {
-		return newCollectRetryNode(local, n, cw, budget, wchunks, spec)
+		c := slab.node(local.ID)
+		c.cw, c.budget, c.wchunks = cw, budget, wchunks
+		c.recordStore, c.links, c.outbox = slab.state(local.ID, len(local.Neighbors))
+		c.seed(local, spec, slab.parent)
+		for i := range c.links {
+			// lastAcc starts opposite the first data sequence bit, so the
+			// ack on a frame sent before anything was accepted cannot
+			// advance the neighbor's stream.
+			c.links[i].lastAcc = 1
+		}
+		return c
 	}
 	return factory, budget, nil
 }
@@ -103,50 +115,12 @@ type collectRetryNode struct {
 	budget  int
 	wchunks int
 
-	nbrIdx map[int]int
-	// Sender state per neighbor: stream cursor plus the alternating bit
-	// of the chunk in flight.
-	sendRec   []int
-	sendChunk []int
-	curSeq    []byte
-	// Receiver state per neighbor: the sequence bit expected next, the
-	// last one accepted (echoed as the ack on every outgoing frame), and
-	// the frame reassembly registers.
-	expSeq   []byte
-	lastAcc  []byte
-	rcvKey   []int64
-	rcvW     []int64
-	rcvChunk []int
-
+	// Per neighbor: the sender's stream cursor and the alternating bit of
+	// the chunk in flight (curSeq); the receiver's sequence bit expected
+	// next (expSeq), the last one accepted (lastAcc, echoed as the ack on
+	// every outgoing frame) and the frame reassembly registers.
+	links  []linkState
 	outbox []congest.Message
-}
-
-func newCollectRetryNode(local congest.Local, n, cw, budget, wchunks int, spec CollectSpec) *collectRetryNode {
-	deg := len(local.Neighbors)
-	c := &collectRetryNode{
-		collectCore: newCollectCore(local, n, spec),
-		cw:          cw,
-		budget:      budget,
-		wchunks:     wchunks,
-		nbrIdx:      make(map[int]int, deg),
-		sendRec:     make([]int, deg),
-		sendChunk:   make([]int, deg),
-		curSeq:      make([]byte, deg),
-		expSeq:      make([]byte, deg),
-		lastAcc:     make([]byte, deg),
-		rcvKey:      make([]int64, deg),
-		rcvW:        make([]int64, deg),
-		rcvChunk:    make([]int, deg),
-		outbox:      make([]congest.Message, 0, deg),
-	}
-	for i, nbr := range local.Neighbors {
-		c.nbrIdx[nbr] = i
-		// lastAcc starts opposite the first data sequence bit, so the ack
-		// on a frame sent before anything was accepted cannot advance the
-		// neighbor's stream.
-		c.lastAcc[i] = 1
-	}
-	return c
 }
 
 // Round ingests frames (acks advance our streams, fresh data chunks feed
@@ -154,11 +128,14 @@ func newCollectRetryNode(local congest.Local, n, cw, budget, wchunks int, spec C
 // retransmitted until acknowledged, or a pure-ack frame when the stream
 // is drained. At the budget the roots reconstruct and evaluate.
 func (c *collectRetryNode) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
+	next := 0
 	for _, msg := range inbox {
-		i, ok := c.nbrIdx[msg.From]
-		if !ok {
+		i := linkIndex(c.local.Neighbors, msg.From, next)
+		if i < 0 {
 			continue
 		}
+		next = i + 1
+		l := &c.links[i]
 		ack := byte(msg.Payload & 1)
 		seq := byte(msg.Payload >> 1 & 1)
 		hasData := msg.Payload>>2&1 == 1
@@ -169,35 +146,35 @@ func (c *collectRetryNode) Round(round int, inbox []congest.Incoming) ([]congest
 		// delivery, so flip the bit and advance the cursor. Stale acks
 		// (from retransmitted or delayed frames) carry the old bit and
 		// cannot advance the stream twice.
-		if c.sendRec[i] < len(c.records) && ack == c.curSeq[i] {
-			c.curSeq[i] ^= 1
-			c.sendChunk[i]++
-			if c.sendChunk[i] > c.wchunks {
-				c.sendChunk[i] = 0
-				c.sendRec[i]++
+		if l.sendRec < len(c.records) && ack == l.curSeq {
+			l.curSeq ^= 1
+			l.sendChunk++
+			if l.sendChunk > c.wchunks {
+				l.sendChunk = 0
+				l.sendRec++
 			}
 		}
 
-		if !hasData || seq != c.expSeq[i] {
+		if !hasData || seq != l.expSeq {
 			continue // pure ack, or a duplicate of an accepted chunk
 		}
-		c.lastAcc[i] = seq
-		c.expSeq[i] ^= 1
-		if c.rcvChunk[i] == 0 {
+		l.lastAcc = seq
+		l.expSeq ^= 1
+		if l.rcvChunk == 0 {
 			if c.wchunks == 0 {
-				c.learn(int(chunk)/c.n, int(chunk)%c.n, 1)
+				c.learn(chunk, 1)
 			} else {
-				c.rcvKey[i] = chunk
-				c.rcvW[i] = 0
-				c.rcvChunk[i] = 1
+				l.rcvKey = chunk
+				l.rcvW = 0
+				l.rcvChunk = 1
 			}
 			continue
 		}
-		c.rcvW[i] |= chunk << uint(c.cw*(c.rcvChunk[i]-1))
-		c.rcvChunk[i]++
-		if c.rcvChunk[i] > c.wchunks {
-			c.learn(int(c.rcvKey[i])/c.n, int(c.rcvKey[i])%c.n, c.rcvW[i])
-			c.rcvChunk[i] = 0
+		l.rcvW |= chunk << uint(c.cw*(l.rcvChunk-1))
+		l.rcvChunk++
+		if l.rcvChunk > c.wchunks {
+			c.learn(l.rcvKey, l.rcvW)
+			l.rcvChunk = 0
 		}
 	}
 	if round >= c.budget {
@@ -207,16 +184,15 @@ func (c *collectRetryNode) Round(round int, inbox []congest.Incoming) ([]congest
 	mask := int64(1)<<uint(c.cw) - 1
 	c.outbox = c.outbox[:0]
 	for i, nbr := range c.local.Neighbors {
-		payload := int64(c.lastAcc[i])
-		if c.sendRec[i] < len(c.records) {
-			rec := c.records[c.sendRec[i]]
-			var chunk int64
-			if c.sendChunk[i] == 0 {
-				chunk = c.key(rec.u, rec.v)
-			} else {
-				chunk = rec.w >> uint(c.cw*(c.sendChunk[i]-1)) & mask
+		l := &c.links[i]
+		payload := int64(l.lastAcc)
+		if l.sendRec < len(c.records) {
+			rec := c.records[l.sendRec]
+			chunk := rec.key
+			if l.sendChunk > 0 {
+				chunk = rec.w >> uint(c.cw*(l.sendChunk-1)) & mask
 			}
-			payload |= chunk<<retryHeaderBits | 1<<2 | int64(c.curSeq[i])<<1
+			payload |= chunk<<retryHeaderBits | 1<<2 | int64(l.curSeq)<<1
 		}
 		c.outbox = append(c.outbox, congest.Message{To: nbr, Payload: payload})
 	}
