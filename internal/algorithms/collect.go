@@ -32,14 +32,22 @@ import (
 // Root election runs a union-find over the vertex's own records: a vertex
 // that they join to a smaller id is not a root and outputs the zero value
 // without reconstructing anything. Any other vertex reconstructs its
-// collected graph, finds its component there and evaluates it if no
-// smaller id shares it (a reconstruction error makes it a non-root, as
-// before). The election is exact even when drops leave a vertex a partial,
+// collected graph (a reconstruction error makes it a non-root, as
+// before). If the union-find joined all n vertices, the vertex is 0 and
+// its component is the whole collected graph, which it evaluates as
+// rebuilt; otherwise it finds its component in the reconstruction and
+// evaluates the induced component subgraph if no smaller id shares it.
+// The election is exact even when drops leave a vertex a partial,
 // disconnected view: records that join it to a smaller id join it in the
 // reconstruction too, whatever else the vertex knows.
 // With a Keep filter the collected records no longer witness
 // connectivity, so the graph must be connected and vertex 0 is the sole
 // root, evaluating Eval on the full filtered collection.
+//
+// Memory: a factory carves every node's state from a Workspace and its
+// roots rebuild into the workspace's graph, so a factory built on a warm
+// workspace (CollectSpec.Workspace) allocates no node state. Without one
+// the factory allocates a workspace of its own.
 //
 // The budget frame*(T + n + 2) + 4, with T the number of kept records,
 // dominates the classic pipelined-flooding bound frame*(T + D): a record
@@ -58,8 +66,16 @@ type CollectSpec struct {
 	// Eval runs at each root on its collected graph: the root's connected
 	// component (reindexed, full collection) or the whole filtered
 	// collection (Keep != nil). The per-root values are combined by
-	// CollectTotal.
+	// CollectTotal. A spanning or filtered collection is passed as
+	// rebuilt in the workspace, whose adjacency lists follow the order the
+	// root learned its records, so Eval must depend only on the graph's
+	// vertices, edges and weights, and must neither modify the graph nor
+	// keep it past its return.
 	Eval func(collected *graph.Graph) (int64, error)
+	// Workspace, if non-nil, supplies the factory's node state and the
+	// roots' reconstruction graph (see Workspace for its ownership rule);
+	// nil allocates fresh memory for the factory.
+	Workspace *Workspace
 }
 
 // collectOutput is a root's Output value (zero value at non-roots).
@@ -72,10 +88,11 @@ type collectOutput struct {
 // CollectFactory builds the gossip program for g and returns the node
 // factory together with the round budget baked into it. bandwidth must be
 // the BandwidthBits the simulation will run with (0 selects the default),
-// because the frame layout depends on it. The factory owns the state of
-// every node it creates, allocated once: it can drive several Runs one
-// after another, but must not drive concurrent Runs (the same rule as
-// congest.Arena).
+// because the frame layout depends on it. The factory carves the state of
+// every node it creates from spec.Workspace (a fresh one if nil): it can
+// drive several Runs one after another, but must not drive concurrent
+// Runs (the same rule as congest.Arena), nor run once another factory has
+// been built on its workspace.
 func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Factory, int, error) {
 	n := g.N()
 	if n == 0 {
@@ -91,13 +108,15 @@ func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Fa
 	if int64(n)*int64(n)-1 > maxPayload {
 		return nil, 0, fmt.Errorf("bandwidth %d cannot carry edge ids of an n=%d graph", bandwidth, n)
 	}
-	records, wchunks, err := frameLayout(g, spec.Keep, bandwidth)
-	if err != nil {
-		return nil, 0, err
+	records, wchunks, neg, ok := frameLayout(n, g.Neighbors, canonical(spec.Keep), bandwidth)
+	if !ok {
+		return nil, 0, negativeEdge(neg)
 	}
 	frame := 1 + wchunks
 	budget := frame*(records+n+2) + 4
-	slab := newCollectSlab[collectNode, congest.Message](n, records, g.Degree)
+	spec.Workspace = orNewWorkspace(spec.Workspace)
+	ws := spec.Workspace
+	slab := newCollectSlab(ws, &ws.collectNodes, &ws.outbox, n, records, g.Degree)
 	factory := func(local congest.Local) congest.Node {
 		c := slab.node(local.ID)
 		c.bw, c.budget, c.wchunks = bandwidth, budget, wchunks
@@ -108,35 +127,52 @@ func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Fa
 	return factory, budget, nil
 }
 
-// frameLayout scans the kept edge set and derives the frame shape: the
-// record count T, and the number of chunkBits-wide weight chunks (zero
-// when every kept weight is exactly 1). Shared by CollectFactory and
-// CollectRetryFactory, whose chunks are bandwidth minus the retry header.
-func frameLayout(g *graph.Graph, keep func(u, v int, w int64) bool, chunkBits int) (records, wchunks int, err error) {
+// frameLayout derives the frame shape of an n-vertex instance from its
+// kept records — (u, h.To, h.Weight) for every h in nbrs(u) that keep
+// accepts (nil keeps all) — straight from the adjacency lists: the record
+// count T, and the number of chunkBits-wide weight chunks (zero when
+// every kept weight is exactly 1). A negative weight cannot be encoded:
+// ok = false names the first kept negative record in ascending (u, v)
+// order. Shared by the three collect factories; collect-retry's chunks
+// are bandwidth minus the retry header.
+func frameLayout(n int, nbrs func(u int) []graph.Half, keep func(u, v int, w int64) bool, chunkBits int) (records, wchunks int, neg graph.Arc, ok bool) {
 	var maxW int64
 	weighted := false
-	for _, e := range g.Edges() {
-		if keep != nil && !keep(e.U, e.V, e.Weight) {
-			continue
+	for u := 0; u < n; u++ {
+		neg.From = -1
+		for _, h := range nbrs(u) {
+			switch {
+			case keep != nil && !keep(u, h.To, h.Weight):
+			case h.Weight < 0:
+				if neg.From < 0 || h.To < neg.To {
+					neg = graph.Arc{From: u, To: h.To, Weight: h.Weight}
+				}
+			default:
+				records++
+				weighted = weighted || h.Weight != 1
+				maxW = max(maxW, h.Weight)
+			}
 		}
-		if e.Weight < 0 {
-			return 0, 0, fmt.Errorf("collect cannot encode negative weight %d on edge {%d,%d}", e.Weight, e.U, e.V)
-		}
-		records++
-		if e.Weight != 1 {
-			weighted = true
-		}
-		if e.Weight > maxW {
-			maxW = e.Weight
+		if neg.From >= 0 {
+			return 0, 0, neg, false
 		}
 	}
 	if weighted {
-		wchunks = (bits.Len64(uint64(maxW)) + chunkBits - 1) / chunkBits
-		if wchunks == 0 {
-			wchunks = 1
-		}
+		wchunks = max((bits.Len64(uint64(maxW))+chunkBits-1)/chunkBits, 1)
 	}
-	return records, wchunks, nil
+	return records, wchunks, graph.Arc{}, true
+}
+
+// canonical wraps a Keep filter for frameLayout over undirected adjacency
+// lists, which hold each edge at both endpoints: it keeps the u < v
+// orientation only.
+func canonical(keep func(u, v int, w int64) bool) func(u, v int, w int64) bool {
+	return func(u, v int, w int64) bool { return u < v && (keep == nil || keep(u, v, w)) }
+}
+
+// negativeEdge is the error for a kept edge frameLayout cannot encode.
+func negativeEdge(e graph.Arc) error {
+	return fmt.Errorf("collect cannot encode negative weight %d on edge {%d,%d}", e.Weight, e.From, e.To)
 }
 
 // CollectTotal sums the root values of a finished run: the single root's
@@ -171,8 +207,8 @@ func CollectTotal(res *congest.Result) (int64, error) {
 type collectCore struct {
 	recordStore
 	local  congest.Local
-	spec   CollectSpec
-	parent []int32 // union-find scratch, shared by the run's nodes
+	spec   CollectSpec // its Workspace is the factory's
+	parent []int32     // union-find scratch, shared by the run's nodes
 	out    collectOutput
 }
 
@@ -257,15 +293,22 @@ func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Mess
 
 // finish decides root status and evaluates. Under filtered collection
 // vertex 0 is the sole root and evaluates the whole collection. Under full
-// collection a vertex other than 0 first asks the union-find whether its
-// records join it to a smaller id, and stops there if so; otherwise it
-// reconstructs the collected graph, checks whether it is the minimum id of
-// its component there and evaluates the induced component subgraph.
+// collection the union-find first rules out a vertex its records join to
+// a smaller id; any other vertex reconstructs the collected graph. If the
+// union-find joined all n vertices, the reconstruction is the vertex's
+// component and it evaluates it directly; otherwise it checks whether it
+// is the minimum id of its component there and evaluates the induced
+// component subgraph.
 func (c *collectCore) finish() {
-	if c.spec.Keep == nil && c.local.ID != 0 && c.joinsSmallerID(c.local.ID, c.parent) {
-		return
+	spanning := false
+	if c.spec.Keep == nil {
+		var joined bool
+		if joined, spanning = c.elect(c.local.ID, c.parent); joined {
+			return
+		}
 	}
-	collected := graph.New(c.n)
+	collected := &c.spec.Workspace.graph
+	collected.Recycle(c.n)
 	for _, rec := range c.records {
 		u, v := c.decode(rec.key)
 		if err := collected.AddWeightedEdge(u, v, rec.w); err != nil {
@@ -280,6 +323,11 @@ func (c *collectCore) finish() {
 			c.out.root = true
 			c.out.value, c.out.err = c.spec.Eval(collected)
 		}
+		return
+	}
+	if spanning {
+		c.out.root = true
+		c.out.value, c.out.err = c.spec.Eval(collected)
 		return
 	}
 	comp, _ := collected.Components()

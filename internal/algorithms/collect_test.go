@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -147,5 +148,115 @@ func TestCollectRejectsBadInputs(t *testing.T) {
 	neg.MustAddWeightedEdge(0, 1, -5)
 	if _, _, err := CollectFactory(neg, 0, CollectSpec{}); err == nil {
 		t.Error("negative weight accepted")
+	}
+}
+
+// referenceLayout is the frame layout scan the collect factories ran
+// before frameLayout: over the sorted edge (arc) list, stopping at the
+// first kept negative weight.
+func referenceLayout(edges []graph.Arc, keep func(u, v int, w int64) bool, chunkBits int) (records, wchunks int, neg graph.Arc, ok bool) {
+	var maxW int64
+	weighted := false
+	for _, e := range edges {
+		if keep != nil && !keep(e.From, e.To, e.Weight) {
+			continue
+		}
+		if e.Weight < 0 {
+			return 0, 0, e, false
+		}
+		records++
+		if e.Weight != 1 {
+			weighted = true
+		}
+		if e.Weight > maxW {
+			maxW = e.Weight
+		}
+	}
+	if weighted {
+		wchunks = (bits.Len64(uint64(maxW)) + chunkBits - 1) / chunkBits
+		if wchunks == 0 {
+			wchunks = 1
+		}
+	}
+	return records, wchunks, graph.Arc{}, true
+}
+
+func TestFrameLayoutMatchesSortedScan(t *testing.T) {
+	// Random weights — unit, zero, wide and a few negative ones — under
+	// no filter and a hashed filter, on undirected and directed
+	// instances: the adjacency-order scan must give the sorted scan's
+	// shape and name the same negative record.
+	rng := rand.New(rand.NewSource(11))
+	weight := func() int64 {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			return -1 - rng.Int63n(9)
+		case r < 10:
+			return 1
+		case r < 12:
+			return 0
+		default:
+			return rng.Int63n(1 << uint(1+rng.Intn(50)))
+		}
+	}
+	filters := []func(u, v int, w int64) bool{nil, func(u, v int, w int64) bool { return (u*31+v*17)%3 != 0 }}
+	negatives, shapes := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(12)
+		p := 0.2 + 0.6*rng.Float64()
+		chunkBits := 1 + rng.Intn(40)
+		// Records are added in shuffled order, so adjacency lists are not
+		// sorted by neighbor.
+		var pairs [][2]int
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u != v && rng.Float64() < p {
+					pairs = append(pairs, [2]int{u, v})
+				}
+			}
+		}
+		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		g := graph.New(n)
+		d := graph.NewDigraph(n)
+		for _, e := range pairs {
+			d.MustAddWeightedArc(e[0], e[1], weight())
+			if e[0] < e[1] {
+				g.MustAddWeightedEdge(e[0], e[1], weight())
+			}
+		}
+		var edges []graph.Arc
+		for _, e := range g.Edges() {
+			edges = append(edges, graph.Arc{From: e.U, To: e.V, Weight: e.Weight})
+		}
+		for fi, keep := range filters {
+			for _, tc := range []struct {
+				name string
+				got  func() (int, int, graph.Arc, bool)
+				want func() (int, int, graph.Arc, bool)
+			}{
+				{"graph", func() (int, int, graph.Arc, bool) {
+					return frameLayout(n, g.Neighbors, canonical(keep), chunkBits)
+				}, func() (int, int, graph.Arc, bool) { return referenceLayout(edges, keep, chunkBits) }},
+				{"digraph", func() (int, int, graph.Arc, bool) {
+					return frameLayout(n, d.OutNeighbors, keep, chunkBits)
+				}, func() (int, int, graph.Arc, bool) { return referenceLayout(d.Arcs(), keep, chunkBits) }},
+			} {
+				gr, gw, gn, gok := tc.got()
+				wr, ww, wn, wok := tc.want()
+				if gr != wr || gw != ww || gn != wn || gok != wok {
+					t.Fatalf("trial %d %s filter %d: frameLayout (%d, %d, %+v, %v), sorted scan (%d, %d, %+v, %v)",
+						trial, tc.name, fi, gr, gw, gn, gok, wr, ww, wn, wok)
+				}
+				if wok {
+					shapes++
+				} else {
+					negatives++
+				}
+			}
+		}
+	}
+	t.Logf("%d shapes, %d negative records", shapes, negatives)
+	if negatives == 0 || shapes == 0 {
+		t.Errorf("%d shapes and %d negative records: the trials no longer exercise both", shapes, negatives)
 	}
 }

@@ -3,12 +3,16 @@ package algorithms
 import (
 	"math/bits"
 	"sort"
+
+	"congesthard/internal/congest"
+	"congesthard/internal/dicongest"
+	"congesthard/internal/graph"
 )
 
 // This file holds the node state shared by the three collect programs
 // (collect, collect-retry and the directed collect): the record store and
-// its open-addressing dedup set, union-find root election, and the slab a
-// factory carves every node's state from.
+// its open-addressing dedup set, union-find root election, and the
+// workspace a factory carves every node's state from.
 
 // collectRecord is one collected edge or arc: its id key u*n + v (from*n +
 // to for an arc) and its weight.
@@ -38,18 +42,21 @@ func (s *recordStore) decode(k int64) (u, v int) {
 	return int(k / int64(s.n)), int(k % int64(s.n))
 }
 
-// joinsSmallerID reports whether the records, read as undirected edges,
-// connect vertex id to a smaller id. Records the collected graph could not
-// hold — an endpoint out of range, or a self-loop — are skipped. parent is
-// union-find scratch of length n. Every set is represented by its minimum
-// member, so id joins a smaller id exactly when its representative is
-// below it; the scan stops as soon as that holds, which for most vertices
-// is at one of their own incident records, seeded first.
-func (s *recordStore) joinsSmallerID(id int, parent []int32) bool {
+// elect runs root election over the records, read as undirected edges.
+// Records the collected graph could not hold — an endpoint out of range,
+// or a self-loop — are skipped. parent is union-find scratch of length n.
+// Every set is represented by its minimum member, so id joins a smaller id
+// exactly when its representative is below it; the scan stops as soon as
+// that holds (joined), which for most vertices is at one of their own
+// incident records, seeded first. A scan that runs to the end reports
+// whether the records join all n vertices (spanning), which only vertex 0
+// can see: any other spanning id would have been joined to 0.
+func (s *recordStore) elect(id int, parent []int32) (joined, spanning bool) {
 	for i := range parent {
 		parent[i] = int32(i)
 	}
 	me := int32(id)
+	merges := 0
 	for _, rec := range s.records {
 		u, v := s.decode(rec.key)
 		if u < 0 || u >= s.n || v < 0 || u == v {
@@ -63,11 +70,12 @@ func (s *recordStore) joinsSmallerID(id int, parent []int32) bool {
 			ru, rv = rv, ru
 		}
 		parent[rv] = ru
+		merges++
 		if find(parent, me) < me {
-			return true
+			return true, false
 		}
 	}
-	return false
+	return false, merges == s.n-1
 }
 
 // find returns x's set representative, halving the path on the way.
@@ -161,10 +169,62 @@ func linkIndex(nbrs []int, from, hint int) int {
 	return -1
 }
 
-// collectSlab is the node state of one collect factory, allocated once
-// when the factory is built and carved per vertex each time the simulator
-// creates that vertex's node, so a run allocates nothing per node. N is
-// the node type and M the simulator's message type.
+// Workspace is reusable memory for the collect programs: the slab a
+// factory carves every node's state from (nodes, neighbor links, outboxes,
+// records, key sets and the union-find scratch of root election), and the
+// graph and digraph the roots rebuild their collection into. Hand one to
+// CollectSpec.Workspace or DiCollectSpec.Workspace and a factory built on
+// a warm workspace allocates no node state, and its roots rebuild without
+// allocating. The buffers grow to fit the largest instance seen and are
+// never shrunk; the zero value is ready to use.
+//
+// A workspace backs one live factory at a time: building a factory on it
+// hands the memory to that factory, so an earlier factory built on the
+// same workspace must no longer run, and the two must never run
+// concurrently (the same rule as congest.Arena). Results stay valid: a
+// Result holds copies of the root outputs, never workspace memory. Nor
+// may an Eval keep the graph it is passed, which belongs to the workspace
+// when it is a spanning collection (see CollectSpec.Eval).
+type Workspace struct {
+	linkOff []int
+	links   []linkState
+	recs    []collectRecord
+	keys    []uint64
+	parent  []int32
+
+	// The node and message buffers are typed per program.
+	collectNodes []collectNode
+	retryNodes   []collectRetryNode
+	diNodes      []diCollectNode
+	outbox       []congest.Message
+	diOutbox     []dicongest.Message
+
+	graph   graph.Graph
+	digraph graph.Digraph
+}
+
+// orNewWorkspace returns ws, or a fresh workspace if ws is nil.
+func orNewWorkspace(ws *Workspace) *Workspace {
+	if ws == nil {
+		return new(Workspace)
+	}
+	return ws
+}
+
+// fit returns *buf resized to length n, reallocating only when its
+// capacity is short; the contents are left as they were.
+func fit[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// collectSlab is one factory's view of its workspace: the node state of an
+// n-vertex instance, carved per vertex each time the simulator creates
+// that vertex's node. N is the node type and M the simulator's message
+// type.
 //
 // Carving clears the vertex's share, so a factory can drive several Runs
 // one after another; it must not drive concurrent Runs, since their nodes
@@ -185,24 +245,26 @@ type collectSlab[N, M any] struct {
 	parent []int32
 }
 
-// newCollectSlab sizes the slab for n vertices, each of which can learn at
-// most records records and has at most links(v) neighbor links.
-func newCollectSlab[N, M any](n, records int, links func(v int) int) *collectSlab[N, M] {
+// newCollectSlab carves ws for n vertices, each of which can learn at most
+// records records and has at most links(v) neighbor links. nodes and
+// outbox are ws's buffers of the program's node and message types.
+func newCollectSlab[N, M any](ws *Workspace, nodes *[]N, outbox *[]M, n, records int, links func(v int) int) *collectSlab[N, M] {
 	s := &collectSlab[N, M]{
 		n:        n,
 		records:  records,
 		setSlots: keySetSlots(records),
-		linkOff:  make([]int, n+1),
+		linkOff:  fit(&ws.linkOff, n+1),
 	}
+	s.linkOff[0] = 0
 	for v := 0; v < n; v++ {
 		s.linkOff[v+1] = s.linkOff[v] + links(v)
 	}
-	s.nodes = make([]N, n)
-	s.links = make([]linkState, s.linkOff[n])
-	s.outbox = make([]M, s.linkOff[n])
-	s.recs = make([]collectRecord, n*records)
-	s.keys = make([]uint64, n*s.setSlots)
-	s.parent = make([]int32, n)
+	s.nodes = fit(nodes, n)
+	s.links = fit(&ws.links, s.linkOff[n])
+	s.outbox = fit(outbox, s.linkOff[n])
+	s.recs = fit(&ws.recs, n*records)
+	s.keys = fit(&ws.keys, n*s.setSlots)
+	s.parent = fit(&ws.parent, n)
 	return s
 }
 

@@ -2,7 +2,6 @@ package algorithms
 
 import (
 	"fmt"
-	"math/bits"
 
 	"congesthard/internal/congest"
 	"congesthard/internal/dicongest"
@@ -32,12 +31,16 @@ import (
 // component-additive quantities. Root election is the undirected one: a
 // union-find over the vertex's own records, read as undirected edges,
 // rules out every vertex they join to a smaller id, and only the others
-// reconstruct and check their weak component. With a Keep filter the
-// collected records no longer witness connectivity, so the digraph must
-// be weakly connected and vertex 0 is the sole root. Reconstruction
-// carries arcs and their weights but not remote vertex weights (like the
-// undirected collect), so Eval must not depend on non-default vertex
-// weights.
+// reconstruct. A union-find that joined all n vertices means the vertex
+// is 0 and its weak component is the whole collected digraph, evaluated
+// as rebuilt — no underlying graph, components or induced copy; any other
+// survivor checks its weak component in the reconstruction. With a Keep
+// filter the collected records no longer witness connectivity, so the
+// digraph must be weakly connected and vertex 0 is the sole root.
+// Reconstruction carries arcs and their weights but not remote vertex
+// weights (like the undirected collect), so Eval must not depend on
+// non-default vertex weights. Node state and the reconstruction digraph
+// come from a Workspace, as in the undirected collect.
 //
 // The budget frame*(T + n + 2) + 4, with T the number of kept records,
 // dominates the pipelined-flooding bound frame*(T + D) exactly as in the
@@ -54,15 +57,22 @@ type DiCollectSpec struct {
 	// Eval runs at each root on its collected digraph: the root's weak
 	// component (reindexed ascending, so a spanning component keeps
 	// original ids) or the whole filtered collection (Keep != nil). The
-	// per-root values are combined by DiCollectTotal.
+	// per-root values are combined by DiCollectTotal. As with
+	// CollectSpec.Eval, a spanning or filtered collection is the
+	// workspace's rebuilt digraph: Eval must depend only on its vertices,
+	// arcs and weights, and must neither modify nor keep it.
 	Eval func(collected *graph.Digraph) (int64, error)
+	// Workspace, if non-nil, supplies the factory's node state and the
+	// roots' reconstruction digraph; nil allocates fresh memory.
+	Workspace *Workspace
 }
 
 // DiCollectFactory builds the directed gossip program for d and returns
 // the node factory together with the round budget baked into it. bandwidth
 // must be the BandwidthBits the simulation will run with (0 selects the
 // default), because the frame layout depends on it. Like CollectFactory's,
-// the factory owns its nodes' state and must not drive concurrent Runs.
+// the factory carves its nodes' state from spec.Workspace (a fresh one if
+// nil) and must not drive concurrent Runs.
 func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dicongest.Factory, int, error) {
 	n := d.N()
 	if n == 0 {
@@ -78,36 +88,17 @@ func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dico
 	if int64(n)*int64(n)-1 > maxPayload {
 		return nil, 0, fmt.Errorf("bandwidth %d cannot carry arc ids of an n=%d digraph", bandwidth, n)
 	}
-	records := 0
-	var maxW int64
-	weighted := false
-	for _, a := range d.Arcs() {
-		if spec.Keep != nil && !spec.Keep(a.From, a.To, a.Weight) {
-			continue
-		}
-		if a.Weight < 0 {
-			return nil, 0, fmt.Errorf("collect cannot encode negative weight %d on arc (%d,%d)", a.Weight, a.From, a.To)
-		}
-		records++
-		if a.Weight != 1 {
-			weighted = true
-		}
-		if a.Weight > maxW {
-			maxW = a.Weight
-		}
-	}
-	wchunks := 0
-	if weighted {
-		wchunks = (bits.Len64(uint64(maxW)) + bandwidth - 1) / bandwidth
-		if wchunks == 0 {
-			wchunks = 1
-		}
+	records, wchunks, neg, ok := frameLayout(n, d.OutNeighbors, spec.Keep, bandwidth)
+	if !ok {
+		return nil, 0, fmt.Errorf("collect cannot encode negative weight %d on arc (%d,%d)", neg.Weight, neg.From, neg.To)
 	}
 	frame := 1 + wchunks
 	budget := frame*(records+n+2) + 4
 	// A vertex links to each distinct in- or out-neighbor once: at most
 	// OutDegree + InDegree links.
-	slab := newCollectSlab[diCollectNode, dicongest.Message](n, records,
+	spec.Workspace = orNewWorkspace(spec.Workspace)
+	ws := spec.Workspace
+	slab := newCollectSlab(ws, &ws.diNodes, &ws.diOutbox, n, records,
 		func(v int) int { return d.OutDegree(v) + d.InDegree(v) })
 	factory := func(local dicongest.Local) dicongest.Node {
 		c := slab.node(local.ID)
@@ -170,8 +161,8 @@ type diCollectNode struct {
 	bw      int
 	budget  int
 	wchunks int
-	spec    DiCollectSpec
-	parent  []int32 // union-find scratch, shared by the run's nodes
+	spec    DiCollectSpec // its Workspace is the factory's
+	parent  []int32       // union-find scratch, shared by the run's nodes
 
 	links  []linkState
 	outbox []dicongest.Message
@@ -240,16 +231,22 @@ func (c *diCollectNode) Round(round int, inbox []dicongest.Incoming) ([]diconges
 
 // finish decides root status and evaluates. Under filtered collection
 // vertex 0 is the sole root and evaluates the whole collection. Under full
-// collection a vertex other than 0 first asks the union-find whether its
-// records join it to a smaller id, and stops there if so; otherwise it
-// reconstructs the collected digraph, checks whether it is the minimum id
-// of its weak component there and evaluates the induced component
-// sub-digraph.
+// collection the union-find first rules out a vertex its records join to
+// a smaller id; any other vertex reconstructs the collected digraph. If
+// the union-find joined all n vertices, the reconstruction is the
+// vertex's weak component and it evaluates it directly; otherwise it
+// checks whether it is the minimum id of its weak component there and
+// evaluates the induced component sub-digraph.
 func (c *diCollectNode) finish() {
-	if c.spec.Keep == nil && c.local.ID != 0 && c.joinsSmallerID(c.local.ID, c.parent) {
-		return
+	spanning := false
+	if c.spec.Keep == nil {
+		var joined bool
+		if joined, spanning = c.elect(c.local.ID, c.parent); joined {
+			return
+		}
 	}
-	collected := graph.NewDigraph(c.n)
+	collected := &c.spec.Workspace.digraph
+	collected.Recycle(c.n)
 	for _, rec := range c.records {
 		from, to := c.decode(rec.key)
 		if err := collected.AddWeightedArc(from, to, rec.w); err != nil {
@@ -264,6 +261,11 @@ func (c *diCollectNode) finish() {
 			c.out.root = true
 			c.out.value, c.out.err = c.spec.Eval(collected)
 		}
+		return
+	}
+	if spanning {
+		c.out.root = true
+		c.out.value, c.out.err = c.spec.Eval(collected)
 		return
 	}
 	comp, _ := collected.Underlying().Components()

@@ -14,80 +14,105 @@ import (
 	"congesthard/internal/graph"
 )
 
-// The tests in this file compare union-find root election against a
-// reference: the finish every vertex ran before it, which reconstructs the
-// whole collected graph at every vertex and reads root status off its
-// components. A probe wraps each node and, when the node finishes, runs
-// the reference on the same records, so the two decisions see identical
+// The tests in this file compare union-find root election and the
+// spanning shortcut against a reference: the finish every vertex ran
+// before them, which reconstructs the whole collected graph at every
+// vertex, reads root status off its components and evaluates the induced
+// component. A probe wraps each node and, when the node finishes, runs the
+// reference on the same records, so the two decisions see identical
 // views — including the partial and garbled views that drops and
-// blackouts leave behind.
+// blackouts leave behind. The probe also checks the shortcut's condition
+// itself: the union-find reports a spanning collection exactly at the
+// roots whose reference component is the whole graph.
+
+// shape is what the reference saw at a vertex: whether its records
+// rebuilt into a graph, and if so how many vertices its component there
+// has.
+type shape struct {
+	rebuilt bool
+	compN   int
+}
+
+// componentSize counts the vertices in v's component.
+func componentSize(comp []int, v int) int {
+	size := 0
+	for _, c := range comp {
+		if c == comp[v] {
+			size++
+		}
+	}
+	return size
+}
 
 // referenceFinish is the full-reconstruction finish of the undirected
 // collect programs.
-func referenceFinish(c *collectCore) collectOutput {
+func referenceFinish(c *collectCore) (collectOutput, shape) {
 	collected := graph.New(c.n)
 	for _, rec := range c.records {
 		u, v := c.decode(rec.key)
 		if err := collected.AddWeightedEdge(u, v, rec.w); err != nil {
 			if c.local.ID == 0 {
-				return collectOutput{root: true, err: fmt.Errorf("reconstructing collected graph: %w", err)}
+				return collectOutput{root: true, err: fmt.Errorf("reconstructing collected graph: %w", err)}, shape{}
 			}
-			return collectOutput{}
+			return collectOutput{}, shape{}
 		}
 	}
 	if c.spec.Keep != nil {
 		if c.local.ID != 0 {
-			return collectOutput{}
+			return collectOutput{}, shape{rebuilt: true}
 		}
 		value, err := c.spec.Eval(collected)
-		return collectOutput{root: true, value: value, err: err}
+		return collectOutput{root: true, value: value, err: err}, shape{rebuilt: true}
 	}
 	comp, _ := collected.Components()
+	sh := shape{rebuilt: true, compN: componentSize(comp, c.local.ID)}
 	mine := comp[c.local.ID]
 	for v := 0; v < c.local.ID; v++ {
 		if comp[v] == mine {
-			return collectOutput{}
+			return collectOutput{}, sh
 		}
 	}
 	component, _ := collected.InducedSubgraph(func(v int) bool { return comp[v] == mine })
 	value, err := c.spec.Eval(component)
-	return collectOutput{root: true, value: value, err: err}
+	return collectOutput{root: true, value: value, err: err}, sh
 }
 
 // referenceDiFinish is the full-reconstruction finish of the directed
 // collect program.
-func referenceDiFinish(c *diCollectNode) diCollectOutput {
+func referenceDiFinish(c *diCollectNode) (diCollectOutput, shape) {
 	collected := graph.NewDigraph(c.n)
 	for _, rec := range c.records {
 		from, to := c.decode(rec.key)
 		if err := collected.AddWeightedArc(from, to, rec.w); err != nil {
 			if c.local.ID == 0 {
-				return diCollectOutput{root: true, err: fmt.Errorf("reconstructing collected digraph: %w", err)}
+				return diCollectOutput{root: true, err: fmt.Errorf("reconstructing collected digraph: %w", err)}, shape{}
 			}
-			return diCollectOutput{}
+			return diCollectOutput{}, shape{}
 		}
 	}
 	if c.spec.Keep != nil {
 		if c.local.ID != 0 {
-			return diCollectOutput{}
+			return diCollectOutput{}, shape{rebuilt: true}
 		}
 		value, err := c.spec.Eval(collected)
-		return diCollectOutput{root: true, value: value, err: err}
+		return diCollectOutput{root: true, value: value, err: err}, shape{rebuilt: true}
 	}
 	comp, _ := collected.Underlying().Components()
+	sh := shape{rebuilt: true, compN: componentSize(comp, c.local.ID)}
 	mine := comp[c.local.ID]
 	for v := 0; v < c.local.ID; v++ {
 		if comp[v] == mine {
-			return diCollectOutput{}
+			return diCollectOutput{}, sh
 		}
 	}
 	component, _ := collected.InducedSubdigraph(func(v int) bool { return comp[v] == mine })
 	value, err := c.spec.Eval(component)
-	return diCollectOutput{root: true, value: value, err: err}
+	return diCollectOutput{root: true, value: value, err: err}, sh
 }
 
 // probe runs the reference finish next to a node's own, and also notes
-// what the naive rule "a smaller id appears among my records" would say.
+// what the naive rule "a smaller id appears among my records" would say
+// and whether the union-find found the records spanning.
 type probe[I, M any] struct {
 	inner interface {
 		Round(round int, inbox []I) ([]M, bool)
@@ -95,21 +120,25 @@ type probe[I, M any] struct {
 	}
 	store     *recordStore
 	id        int
-	reference func() outcome
+	reference func() (outcome, shape)
 	want      *expected
 }
 
 // expected is the reference outcome of one vertex, plus whether the naive
-// rule would have ruled the vertex out.
+// rule would have ruled the vertex out and what the union-find reported.
 type expected struct {
 	outcome
+	shape
 	naiveNonRoot bool
+	spanning     bool
 }
 
 func (p *probe[I, M]) Round(round int, inbox []I) ([]M, bool) {
 	out, done := p.inner.Round(round, inbox)
 	if done {
-		*p.want = expected{outcome: p.reference(), naiveNonRoot: smallerIDSeen(p.store, p.id)}
+		o, sh := p.reference()
+		_, spanning := p.store.elect(p.id, make([]int32, p.store.n))
+		*p.want = expected{outcome: o, shape: sh, naiveNonRoot: smallerIDSeen(p.store, p.id), spanning: spanning}
 	}
 	return out, done
 }
@@ -240,7 +269,24 @@ func electionDigraphs() []namedDigraph {
 			}
 		}
 	}
+	// A weakly connected digraph whose arcs alternate direction along a
+	// path, plus random chords: the spanning shortcut's case.
+	spanning := graph.NewDigraph(11)
+	for v := 0; v+1 < 11; v++ {
+		if v%2 == 0 {
+			spanning.MustAddArc(v, v+1)
+		} else {
+			spanning.MustAddArc(v+1, v)
+		}
+	}
+	chords := rand.New(rand.NewSource(23))
+	for i := 0; i < 8; i++ {
+		if u, v := chords.Intn(11), chords.Intn(11); u != v && !spanning.HasArc(u, v) {
+			spanning.MustAddArc(u, v)
+		}
+	}
 	return []namedDigraph{
+		{"spanning11", spanning},
 		{"random12", graph.RandomDigraph(12, 0.15, rng)},
 		{"random16", graph.RandomDigraph(16, 0.07, rng)},
 		{"disconnected", disc},
@@ -248,22 +294,61 @@ func electionDigraphs() []namedDigraph {
 	}
 }
 
+// coverage counts the cases the fixtures drive through the comparison.
+type coverage struct {
+	naiveWrong  int // reference roots the naive rule would rule out
+	shortcut    int // vertex-0 roots evaluated through the spanning shortcut
+	partialRoot int // roots whose component is not the whole graph
+	nonZeroRoot int // roots other than vertex 0
+	rejected    int // runs where vertex 0 rejected its records
+}
+
 // compareOutcomes fails on any vertex whose output differs from the
-// reference. It returns the number of reference roots the naive rule
-// would have ruled out, and whether vertex 0 rejected its records (the
-// only vertex whose output shows a failed reconstruction).
-func compareOutcomes(t *testing.T, name string, outputs []interface{}, want []expected) (naiveWrong int, rejected bool) {
+// reference, and on any vertex where the union-find's spanning verdict —
+// the condition of the shortcut — disagrees with the reference component:
+// a rebuilt root must be spanning exactly when its component holds all n
+// vertices, and no other vertex but 0 may be spanning.
+func compareOutcomes(t *testing.T, name string, outputs []interface{}, want []expected, cov *coverage) {
 	t.Helper()
+	n, rejected := len(outputs), false
 	for v, out := range outputs {
-		if got := outcomeOf(out); got != want[v].outcome {
-			t.Errorf("%s: vertex %d output %+v, reference %+v", name, v, got, want[v].outcome)
+		w := want[v]
+		if got := outcomeOf(out); got != w.outcome {
+			t.Errorf("%s: vertex %d output %+v, reference %+v", name, v, got, w.outcome)
 		}
-		if want[v].root && want[v].naiveNonRoot {
-			naiveWrong++
+		if w.root && w.rebuilt {
+			if w.spanning != (w.compN == n) {
+				t.Errorf("%s: root %d union-find spanning=%v, reference component of %d/%d vertices", name, v, w.spanning, w.compN, n)
+			}
+			switch {
+			case w.spanning:
+				cov.shortcut++
+			default:
+				cov.partialRoot++
+			}
+			if v != 0 {
+				cov.nonZeroRoot++
+			}
+		} else if v != 0 && w.spanning {
+			t.Errorf("%s: non-root %d reported spanning", name, v)
 		}
-		rejected = rejected || strings.HasPrefix(want[v].err, "reconstructing")
+		if w.root && w.naiveNonRoot {
+			cov.naiveWrong++
+		}
+		rejected = rejected || strings.HasPrefix(w.err, "reconstructing")
 	}
-	return naiveWrong, rejected
+	if rejected {
+		cov.rejected++
+	}
+}
+
+// check fails unless the fixtures exercised every case.
+func (cov coverage) check(t *testing.T) {
+	t.Helper()
+	t.Logf("%+v", cov)
+	if cov.naiveWrong == 0 || cov.shortcut == 0 || cov.partialRoot == 0 || cov.nonZeroRoot == 0 || cov.rejected == 0 {
+		t.Errorf("coverage %+v: the fixtures no longer exercise a wrong naive rule, the spanning shortcut, partial and non-zero roots, and rejected records", cov)
+	}
 }
 
 // undirectedProgram builds one of the two undirected collect programs.
@@ -285,13 +370,7 @@ var undirectedPrograms = []undirectedProgram{
 }
 
 func TestRootElectionMatchesReference(t *testing.T) {
-	naiveWrong, rejected := 0, 0
-	count := func(w int, r bool) {
-		naiveWrong += w
-		if r {
-			rejected++
-		}
-	}
+	var cov coverage
 	for _, ng := range electionGraphs() {
 		for _, prog := range undirectedPrograms {
 			for _, p := range electionPlans {
@@ -314,9 +393,9 @@ func TestRootElectionMatchesReference(t *testing.T) {
 						inner: node,
 						store: &core.recordStore,
 						id:    local.ID,
-						reference: func() outcome {
-							o := referenceFinish(core)
-							return newOutcome(o.root, o.value, o.err)
+						reference: func() (outcome, shape) {
+							o, sh := referenceFinish(core)
+							return newOutcome(o.root, o.value, o.err), sh
 						},
 						want: &want[local.ID],
 					}
@@ -326,24 +405,15 @@ func TestRootElectionMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				count(compareOutcomes(t, name, res.Outputs, want))
+				compareOutcomes(t, name, res.Outputs, want, &cov)
 			}
 		}
 	}
-	t.Logf("naive rule wrong at %d vertices; vertex 0 rejected its records in %d runs", naiveWrong, rejected)
-	if naiveWrong == 0 || rejected == 0 {
-		t.Errorf("the naive rule went wrong at %d vertices and vertex 0 rejected its records in %d runs; the fixtures no longer exercise both", naiveWrong, rejected)
-	}
+	cov.check(t)
 }
 
 func TestDiRootElectionMatchesReference(t *testing.T) {
-	naiveWrong, rejected := 0, 0
-	count := func(w int, r bool) {
-		naiveWrong += w
-		if r {
-			rejected++
-		}
-	}
+	var cov coverage
 	for _, nd := range electionDigraphs() {
 		for _, p := range electionPlans {
 			name := fmt.Sprintf("dicollect/%s/%s", nd.name, p.name)
@@ -358,9 +428,9 @@ func TestDiRootElectionMatchesReference(t *testing.T) {
 					inner: node,
 					store: &node.recordStore,
 					id:    local.ID,
-					reference: func() outcome {
-						o := referenceDiFinish(node)
-						return newOutcome(o.root, o.value, o.err)
+					reference: func() (outcome, shape) {
+						o, sh := referenceDiFinish(node)
+						return newOutcome(o.root, o.value, o.err), sh
 					},
 					want: &want[local.ID],
 				}
@@ -369,11 +439,8 @@ func TestDiRootElectionMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			count(compareOutcomes(t, name, res.Outputs, want))
+			compareOutcomes(t, name, res.Outputs, want, &cov)
 		}
 	}
-	t.Logf("naive rule wrong at %d vertices; vertex 0 rejected its records in %d runs", naiveWrong, rejected)
-	if naiveWrong == 0 || rejected == 0 {
-		t.Errorf("the naive rule went wrong at %d vertices and vertex 0 rejected its records in %d runs; the fixtures no longer exercise both", naiveWrong, rejected)
-	}
+	cov.check(t)
 }

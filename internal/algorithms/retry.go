@@ -68,8 +68,9 @@ func CollectRetryRoundsCap(n int) int {
 // returns the node factory together with the round budget baked into it.
 // bandwidth must be the BandwidthBits the simulation will run with
 // (0 selects CollectRetryMinBandwidth); it must leave room for the edge
-// id beside the three header bits. Like CollectFactory's, the factory owns
-// its nodes' state and must not drive concurrent Runs.
+// id beside the three header bits. Like CollectFactory's, the factory
+// carves its nodes' state from spec.Workspace and must not drive
+// concurrent Runs.
 func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Factory, int, error) {
 	n := g.N()
 	if n == 0 {
@@ -86,13 +87,15 @@ func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (conge
 		return nil, 0, fmt.Errorf("bandwidth %d cannot carry edge ids of an n=%d graph beside the %d retry header bits (need >= %d)",
 			bandwidth, n, retryHeaderBits, CollectRetryMinBandwidth(n))
 	}
-	records, wchunks, err := frameLayout(g, spec.Keep, cw)
-	if err != nil {
-		return nil, 0, err
+	records, wchunks, neg, ok := frameLayout(n, g.Neighbors, canonical(spec.Keep), cw)
+	if !ok {
+		return nil, 0, negativeEdge(neg)
 	}
 	frame := 1 + wchunks
 	budget := RetryBudgetFactor * (frame*(records+n+2) + 4)
-	slab := newCollectSlab[collectRetryNode, congest.Message](n, records, g.Degree)
+	spec.Workspace = orNewWorkspace(spec.Workspace)
+	ws := spec.Workspace
+	slab := newCollectSlab(ws, &ws.retryNodes, &ws.outbox, n, records, g.Degree)
 	factory := func(local congest.Local) congest.Node {
 		c := slab.node(local.ID)
 		c.cw, c.budget, c.wchunks = cw, budget, wchunks

@@ -45,6 +45,18 @@ func NewDigraph(n int) *Digraph {
 	return d
 }
 
+// Recycle makes d an arcless digraph on n vertices of weight 1, as
+// NewDigraph(n) would, but keeps the capacity of its vertex and adjacency
+// lists (see Graph.Recycle). It drops any snapshot, journal and undo log.
+func (d *Digraph) Recycle(n int) {
+	d.out = recycleAdj(d.out, n)
+	d.in = recycleAdj(d.in, n)
+	d.vw = recycleWeights(d.vw, n)
+	d.patched, d.patchSlack = nil, 0
+	d.journal, d.journalOn = d.journal[:0], false
+	d.undo, d.undoOn = d.undo[:0], false
+}
+
 // N returns the number of vertices.
 func (d *Digraph) N() int { return len(d.out) }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -131,5 +132,29 @@ func TestDigraphVertexWeights(t *testing.T) {
 	}
 	if err := d.SetVertexWeight(5, 1); err == nil {
 		t.Error("out-of-range vertex weight accepted")
+	}
+}
+
+func TestDigraphRecycleMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var d Digraph
+	for _, n := range []int{7, 13, 2, 13, 5} {
+		want := RandomDigraph(n, 0.3, rng)
+		d.Recycle(n)
+		for _, a := range want.Arcs() {
+			d.MustAddWeightedArc(a.From, a.To, a.Weight)
+		}
+		if fmt.Sprint(d.N(), d.Arcs()) != fmt.Sprint(want.N(), want.Arcs()) {
+			t.Fatalf("n=%d: recycled digraph %v, fresh %v", n, d.Arcs(), want.Arcs())
+		}
+		for v := 0; v < n; v++ {
+			if d.InDegree(v) != want.InDegree(v) || d.VertexWeight(v) != 1 {
+				t.Fatalf("n=%d: vertex %d in-degree %d weight %d, fresh %d and 1", n, v, d.InDegree(v), d.VertexWeight(v), want.InDegree(v))
+			}
+		}
+		d.FreezePatchable()
+		if err := d.SetVertexWeight(0, 3); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

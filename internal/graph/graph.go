@@ -70,6 +70,47 @@ func New(n int) *Graph {
 	return g
 }
 
+// Recycle makes g an edgeless graph on n vertices of weight 1, as New(n)
+// would, but keeps the capacity of its vertex and adjacency lists, so a
+// graph rebuilt over and over stops allocating once it has seen its
+// largest instance. It drops any snapshot, journal and undo log.
+func (g *Graph) Recycle(n int) {
+	g.adj = recycleAdj(g.adj, n)
+	g.vw = recycleWeights(g.vw, n)
+	g.csr.Store(nil)
+	g.patched, g.patchSlack = nil, 0
+	g.journal, g.journalOn = g.journal[:0], false
+	g.undo, g.undoOn = g.undo[:0], false
+	g.vwJournal, g.vwUndo = g.vwJournal[:0], g.vwUndo[:0]
+}
+
+// recycleAdj returns adj resized to n empty adjacency lists, reusing the
+// lists' storage, including that of lists beyond a previous shorter length.
+func recycleAdj(adj [][]Half, n int) [][]Half {
+	if cap(adj) < n {
+		grown := make([][]Half, n)
+		copy(grown, adj[:cap(adj)])
+		adj = grown
+	}
+	adj = adj[:n]
+	for v := range adj {
+		adj[v] = adj[v][:0]
+	}
+	return adj
+}
+
+// recycleWeights returns vw resized to n unit vertex weights.
+func recycleWeights(vw []int64, n int) []int64 {
+	if cap(vw) < n {
+		vw = make([]int64, n)
+	}
+	vw = vw[:n]
+	for i := range vw {
+		vw[i] = 1
+	}
+	return vw
+}
+
 // N returns the number of vertices.
 func (g *Graph) N() int { return len(g.adj) }
 

@@ -539,3 +539,43 @@ func TestStructuralHashesTrackSignatures(t *testing.T) {
 		cutToHash[cutSig] = cut
 	}
 }
+
+func TestRecycleMatchesNew(t *testing.T) {
+	// A graph recycled through larger and smaller sizes, frozen, journaled
+	// and reweighted in between, rebuilds to the same graph as a fresh
+	// one, and stops allocating once it has seen its largest instance.
+	rng := rand.New(rand.NewSource(5))
+	var g Graph
+	for _, n := range []int{6, 12, 3, 12, 1, 9} {
+		want := Gnp(n, 0.5, rng)
+		g.Recycle(n)
+		for _, e := range want.Edges() {
+			g.MustAddWeightedEdge(e.U, e.V, e.Weight)
+		}
+		if g.Signature() != want.Signature() {
+			t.Fatalf("n=%d: recycled graph %s, fresh %s", n, g.Signature(), want.Signature())
+		}
+		g.Freeze()
+		g.StartJournal()
+		g.MarkBase()
+		if n > 1 {
+			if err := g.SetVertexWeight(0, 7); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := Gnp(12, 0.5, rng)
+	edges := want.Edges()
+	allocs := testing.AllocsPerRun(10, func() {
+		g.Recycle(12)
+		for _, e := range edges {
+			g.MustAddWeightedEdge(e.U, e.V, e.Weight)
+		}
+	})
+	if g.Signature() != want.Signature() || len(g.Journal()) != 0 {
+		t.Errorf("recycled graph %s with %d journal entries, fresh %s", g.Signature(), len(g.Journal()), want.Signature())
+	}
+	if allocs > 0 {
+		t.Errorf("rebuilding a recycled graph allocates %.0f times, want 0", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package reduction
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"congesthard/internal/algorithms"
@@ -135,5 +136,77 @@ func TestDiCollectFactoryReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, &firstCopy) {
 		t.Error("later runs changed the first run's Result")
+	}
+}
+
+// TestCollectPoolHandsOutDistinctWorkspaces: a pair's decide returns its
+// workspace to the algorithm's pool once, however often it is called, so
+// two pairs prepared afterwards get distinct workspaces and can run at
+// the same time (go test -race flags a shared one).
+func TestCollectPoolHandsOutDistinctWorkspaces(t *testing.T) {
+	fam, err := mdslb.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := fam.AliceSide()
+	instance := func(x, y uint64) *graph.Graph {
+		bx, _ := comm.BitsFromUint64(4, x)
+		by, _ := comm.BitsFromUint64(4, y)
+		g, err := fam.Build(bx, by)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	run := func(alg Algorithm, g *graph.Graph) (func(*congest.Result) (bool, error), *congest.Result) {
+		factory, decide, err := alg.Prepare(g, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := congest.Run(g, factory, congest.Options{CutSide: side})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decide, res
+	}
+	gs := []*graph.Graph{instance(0b1010, 0b0110), instance(0b0001, 0b1000), instance(0b1111, 0b0011)}
+	want := make([]*congest.Result, len(gs))
+	for i, g := range gs {
+		_, want[i] = run(CollectMDS(fam), g)
+	}
+
+	alg := CollectMDS(fam)
+	decide, res := run(alg, gs[0])
+	for i := 0; i < 2; i++ {
+		if _, err := decide(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*congest.Result, len(gs))
+	var wg sync.WaitGroup
+	for i := 1; i < len(gs); i++ {
+		factory, decide, err := alg.Prepare(gs[i], 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := congest.Run(gs[i], factory, congest.Options{CutSide: side})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = res
+			if _, err := decide(res); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < len(gs); i++ {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("instance %d: pooled pair gave %+v, a fresh algorithm %+v", i, got[i], want[i])
+		}
 	}
 }

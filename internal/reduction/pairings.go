@@ -3,6 +3,7 @@ package reduction
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"congesthard/internal/algorithms"
 	"congesthard/internal/congest"
@@ -19,47 +20,129 @@ import (
 // (greedy dominating set, maximal-matching vertex cover), and the
 // Theorem 2.9-style sampling estimator on the weighted max-cut family.
 
-// collectAlgorithm runs the metered gossip collect program: eval computes
-// a component-additive quantity at each component root (the domination
-// number, a greedy set size) and answer turns the summed total into the
-// predicate decision.
-func collectAlgorithm(name string, exact bool, eval func(component *graph.Graph) (int64, error), answer func(total int64) bool) Algorithm {
+// workspacePool is a mutex-guarded free list of collect workspaces for
+// one algorithm value, each with the root eval it was created with: a
+// per-workspace eval owns its oracle's scratch, so two pairs running at
+// once never share one. A sweep holds at most one workspace per worker,
+// so the list grows to the sweep's concurrency and no further.
+type workspacePool[E any] struct {
+	newEval func() E
+
+	mu   sync.Mutex
+	free []pooledWorkspace[E]
+}
+
+// pooledWorkspace is a workspace and the root eval bound to it.
+type pooledWorkspace[E any] struct {
+	ws   *algorithms.Workspace
+	eval E
+}
+
+// get pops a free workspace, or creates one with a fresh eval.
+func (p *workspacePool[E]) get() pooledWorkspace[E] {
+	p.mu.Lock()
+	if k := len(p.free); k > 0 {
+		w := p.free[k-1]
+		p.free = p.free[:k-1]
+		p.mu.Unlock()
+		return w
+	}
+	p.mu.Unlock()
+	return pooledWorkspace[E]{ws: new(algorithms.Workspace), eval: p.newEval()}
+}
+
+// release hands a pair's workspace back to the pool the first time it is
+// called for that pair, and does nothing after that.
+func (p *workspacePool[E]) release(w *pooledWorkspace[E]) {
+	if w.ws == nil {
+		return
+	}
+	p.mu.Lock()
+	p.free = append(p.free, *w)
+	p.mu.Unlock()
+	w.ws = nil
+}
+
+// graphEval is an undirected collect program's root evaluation.
+type graphEval = func(collected *graph.Graph) (int64, error)
+
+// shared is the eval constructor of a stateless eval: every workspace
+// gets the same function.
+func shared[E any](eval E) func() E { return func() E { return eval } }
+
+// collectPairing describes a pooled collect algorithm.
+type collectPairing struct {
+	name  string
+	exact bool
+	// program builds the collect program: algorithms.CollectFactory or
+	// algorithms.CollectRetryFactory.
+	program func(g *graph.Graph, bandwidth int, spec algorithms.CollectSpec) (congest.Factory, int, error)
+	// newEval creates the root eval of one workspace; it computes a
+	// component-additive quantity at each component root (the domination
+	// number, a greedy set size) or, under a keep filter, a value of the
+	// whole collection.
+	newEval func() graphEval
+	// keep, if non-nil, builds the pair's Keep filter from its instance
+	// and seed.
+	keep func(g *graph.Graph, seed int64) func(u, v int, w int64) bool
+	// answer turns the summed root total into the predicate decision.
+	answer func(total int64) bool
+}
+
+// algorithm returns the pairing as an Algorithm whose pairs run on pooled
+// workspaces: Prepare takes a workspace from the pool for the pair's
+// factory and the pair's decide puts it back, so a warm sweep worker's
+// pairs allocate no collect node state. The factory must not run after
+// its decide, which has handed its memory to the next pair; a pair whose
+// run fails before decide simply drops its workspace.
+func (p collectPairing) algorithm() Algorithm {
+	pool := &workspacePool[graphEval]{newEval: p.newEval}
 	return Algorithm{
-		Name:  name,
-		Exact: exact,
+		Name:  p.name,
+		Exact: p.exact,
 		Prepare: func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
-			factory, _, err := algorithms.CollectFactory(g, bandwidth, algorithms.CollectSpec{Eval: eval})
+			w := pool.get()
+			spec := algorithms.CollectSpec{Eval: w.eval, Workspace: w.ws}
+			if p.keep != nil {
+				spec.Keep = p.keep(g, seed)
+			}
+			factory, _, err := p.program(g, bandwidth, spec)
 			if err != nil {
+				pool.release(&w)
 				return nil, nil, err
 			}
 			return factory, func(res *congest.Result) (bool, error) {
+				pool.release(&w)
 				total, err := algorithms.CollectTotal(res)
 				if err != nil {
 					return false, err
 				}
-				return answer(total), nil
+				return p.answer(total), nil
 			}, nil
 		},
 	}
 }
 
-// dominationNumber computes γ(g) exactly via the solver's decision
-// oracle. One arena-backed MDSOracle serves all n+1 size queries, so the
-// search allocates its solver scratch once per evaluation instead of
-// once per query — the eval runs inside every certified pair's collect
-// program, so this is certify-sweep hot.
-func dominationNumber(g *graph.Graph) (int64, error) {
+// dominationNumber returns a root eval computing γ(g) exactly via the
+// solver's decision oracle. Each eval owns one arena-backed MDSOracle,
+// which serves all n+1 size queries of every evaluation it runs, so a
+// warm workspace's search allocates no solver scratch — the eval runs
+// inside every certified pair's collect program, so this is certify-sweep
+// hot.
+func dominationNumber() graphEval {
 	var o solver.MDSOracle
-	for s := 0; s <= g.N(); s++ {
-		ok, err := o.HasDominatingSetOfSize(g, s)
-		if err != nil {
-			return 0, err
+	return func(g *graph.Graph) (int64, error) {
+		for s := 0; s <= g.N(); s++ {
+			ok, err := o.HasDominatingSetOfSize(g, s)
+			if err != nil {
+				return 0, err
+			}
+			if ok {
+				return int64(s), nil
+			}
 		}
-		if ok {
-			return int64(s), nil
-		}
+		return 0, fmt.Errorf("no dominating set up to n=%d", g.N())
 	}
-	return 0, fmt.Errorf("no dominating set up to n=%d", g.N())
 }
 
 // CollectMDS decides the Theorem 2.1 predicate exactly by collecting the
@@ -67,8 +150,12 @@ func dominationNumber(g *graph.Graph) (int64, error) {
 // (γ is component-additive): the O(m + D) upper bound the Ω̃(n²) lower
 // bound nearly matches. Certify reports zero mismatches.
 func CollectMDS(fam *mdslb.Family) Algorithm {
-	return collectAlgorithm("collect", true, dominationNumber,
-		func(total int64) bool { return total <= int64(fam.TargetSize()) })
+	return collectPairing{
+		name: "collect", exact: true,
+		program: algorithms.CollectFactory,
+		newEval: dominationNumber,
+		answer:  func(total int64) bool { return total <= int64(fam.TargetSize()) },
+	}.algorithm()
 }
 
 // CollectRetryMDS decides the same predicate as CollectMDS over the
@@ -81,23 +168,12 @@ func CollectMDS(fam *mdslb.Family) Algorithm {
 // — the retry budget exceeds the simulator's default guard on small
 // graphs.
 func CollectRetryMDS(fam *mdslb.Family) Algorithm {
-	return Algorithm{
-		Name:  "collect-retry",
-		Exact: true,
-		Prepare: func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
-			factory, _, err := algorithms.CollectRetryFactory(g, bandwidth, algorithms.CollectSpec{Eval: dominationNumber})
-			if err != nil {
-				return nil, nil, err
-			}
-			return factory, func(res *congest.Result) (bool, error) {
-				total, err := algorithms.CollectTotal(res)
-				if err != nil {
-					return false, err
-				}
-				return total <= int64(fam.TargetSize()), nil
-			}, nil
-		},
-	}
+	return collectPairing{
+		name: "collect-retry", exact: true,
+		program: algorithms.CollectRetryFactory,
+		newEval: dominationNumber,
+		answer:  func(total int64) bool { return total <= int64(fam.TargetSize()) },
+	}.algorithm()
 }
 
 // GreedyMDS collects the graph and answers with the sequential greedy
@@ -106,15 +182,18 @@ func CollectRetryMDS(fam *mdslb.Family) Algorithm {
 // flags the pairs where the approximation misdecides the exact predicate —
 // the gap the paper's Section 2.1 hardness separates.
 func GreedyMDS(fam *mdslb.Family) Algorithm {
-	return collectAlgorithm("greedy", false,
-		func(component *graph.Graph) (int64, error) {
+	return collectPairing{
+		name: "greedy", exact: false,
+		program: algorithms.CollectFactory,
+		newEval: shared(func(component *graph.Graph) (int64, error) {
 			set, _, err := algorithms.GreedyMDS(component)
 			if err != nil {
 				return 0, err
 			}
 			return int64(len(set)), nil
-		},
-		func(total int64) bool { return total <= int64(fam.TargetSize()) })
+		}),
+		answer: func(total int64) bool { return total <= int64(fam.TargetSize()) },
+	}.algorithm()
 }
 
 // MatchingMVC answers the MVC family predicate with the distributed
@@ -147,11 +226,19 @@ func SampledMaxCut(fam *maxcutlb.Family, p float64) (Algorithm, error) {
 		return Algorithm{}, fmt.Errorf("sampling probability %v out of (0,1]", p)
 	}
 	threshold := int64(math.Ceil(p * float64(fam.Target())))
-	return Algorithm{
-		Name:  fmt.Sprintf("sampled-maxcut(p=%.2f)", p),
-		Exact: p == 1,
-		Prepare: func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
-			keep := func(u, v int, w int64) bool {
+	return collectPairing{
+		name:    fmt.Sprintf("sampled-maxcut(p=%.2f)", p),
+		exact:   p == 1,
+		program: algorithms.CollectFactory,
+		newEval: shared(func(collected *graph.Graph) (int64, error) {
+			ok, err := solver.HasCutOfWeight(collected, threshold)
+			if err != nil || !ok {
+				return 0, err
+			}
+			return 1, nil
+		}),
+		keep: func(g *graph.Graph, seed int64) func(u, v int, w int64) bool {
+			return func(u, v int, w int64) bool {
 				if p == 1 {
 					return true
 				}
@@ -160,24 +247,7 @@ func SampledMaxCut(fam *maxcutlb.Family, p float64) (Algorithm, error) {
 				coin := splitmix64(uint64(seed) ^ splitmix64(uint64(u)*uint64(g.N())+uint64(v)))
 				return coin < uint64(p*float64(math.MaxUint64))
 			}
-			spec := algorithms.CollectSpec{
-				Keep: keep,
-				Eval: func(collected *graph.Graph) (int64, error) {
-					ok, err := solver.HasCutOfWeight(collected, threshold)
-					if err != nil || !ok {
-						return 0, err
-					}
-					return 1, nil
-				},
-			}
-			factory, _, err := algorithms.CollectFactory(g, bandwidth, spec)
-			if err != nil {
-				return nil, nil, err
-			}
-			return factory, func(res *congest.Result) (bool, error) {
-				total, err := algorithms.CollectTotal(res)
-				return total >= 1, err
-			}, nil
 		},
-	}, nil
+		answer: func(total int64) bool { return total >= 1 },
+	}.algorithm(), nil
 }

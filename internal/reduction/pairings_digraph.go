@@ -15,19 +15,28 @@ import (
 // path-walking heuristic that CertifyDigraph flags as not deciding the
 // predicate.
 
-// diCollectAlgorithm runs the metered directed gossip collect program:
-// eval computes a component-additive quantity at each weak-component root
-// and answer turns the summed total into the predicate decision.
-func diCollectAlgorithm(name string, exact bool, eval func(component *graph.Digraph) (int64, error), answer func(total int64) bool) DigraphAlgorithm {
+// digraphEval is the directed collect program's root evaluation.
+type digraphEval = func(collected *graph.Digraph) (int64, error)
+
+// diCollectAlgorithm runs the metered directed gossip collect program on
+// pooled workspaces, like collectPairing.algorithm: newEval creates the
+// root eval of one workspace, computing a component-additive quantity at
+// each weak-component root, and answer turns the summed total into the
+// predicate decision. The factory must not run after its decide.
+func diCollectAlgorithm(name string, exact bool, newEval func() digraphEval, answer func(total int64) bool) DigraphAlgorithm {
+	pool := &workspacePool[digraphEval]{newEval: newEval}
 	return DigraphAlgorithm{
 		Name:  name,
 		Exact: exact,
 		Prepare: func(d *graph.Digraph, bandwidth int, seed int64) (dicongest.Factory, func(*dicongest.Result) (bool, error), error) {
-			factory, _, err := algorithms.DiCollectFactory(d, bandwidth, algorithms.DiCollectSpec{Eval: eval})
+			w := pool.get()
+			factory, _, err := algorithms.DiCollectFactory(d, bandwidth, algorithms.DiCollectSpec{Eval: w.eval, Workspace: w.ws})
 			if err != nil {
+				pool.release(&w)
 				return nil, nil, err
 			}
 			return factory, func(res *dicongest.Result) (bool, error) {
+				pool.release(&w)
 				total, err := algorithms.DiCollectTotal(res)
 				if err != nil {
 					return false, err
@@ -47,15 +56,20 @@ func diCollectAlgorithm(name string, exact bool, eval func(component *graph.Digr
 func CollectHamPath(fam *hamlb.Family) DigraphAlgorithm {
 	n, start, end := fam.N(), fam.Start(), fam.End()
 	return diCollectAlgorithm("collect", true,
-		func(component *graph.Digraph) (int64, error) {
-			if component.N() != n {
-				return 0, nil
+		func() digraphEval {
+			// The decision API takes the single-word bitset search for
+			// 2 <= n <= 64 and the general search above that.
+			var o solver.HamiltonOracle
+			return func(component *graph.Digraph) (int64, error) {
+				if component.N() != n {
+					return 0, nil
+				}
+				found, err := o.HasDirectedHamiltonianPathFrom(component, start, end)
+				if err != nil || !found {
+					return 0, err
+				}
+				return 1, nil
 			}
-			_, found, err := solver.DirectedHamiltonianPathFrom(component, start, end)
-			if err != nil || !found {
-				return 0, err
-			}
-			return 1, nil
 		},
 		func(total int64) bool { return total >= 1 })
 }
@@ -69,7 +83,7 @@ func CollectHamPath(fam *hamlb.Family) DigraphAlgorithm {
 func GreedyHamPath(fam *hamlb.Family) DigraphAlgorithm {
 	n, start, end := fam.N(), fam.Start(), fam.End()
 	return diCollectAlgorithm("greedy-path", false,
-		func(component *graph.Digraph) (int64, error) {
+		shared(func(component *graph.Digraph) (int64, error) {
 			if component.N() != n {
 				return 0, nil
 			}
@@ -77,7 +91,7 @@ func GreedyHamPath(fam *hamlb.Family) DigraphAlgorithm {
 				return 1, nil
 			}
 			return 0, nil
-		},
+		}),
 		func(total int64) bool { return total >= 1 })
 }
 
@@ -116,7 +130,7 @@ func CollectDirSteiner(fam *kmdslb.DirSteinerFamily) DigraphAlgorithm {
 	n, root := fam.Inner.N(), fam.Inner.Root()
 	terminals := fam.Terminals()
 	return diCollectAlgorithm("collect", true,
-		func(component *graph.Digraph) (int64, error) {
+		shared(func(component *graph.Digraph) (int64, error) {
 			if component.N() != n {
 				return 0, nil
 			}
@@ -125,6 +139,6 @@ func CollectDirSteiner(fam *kmdslb.DirSteinerFamily) DigraphAlgorithm {
 				return 0, err
 			}
 			return 1, nil
-		},
+		}),
 		func(total int64) bool { return total >= 1 })
 }
