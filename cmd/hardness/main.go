@@ -20,13 +20,13 @@
 //	hardness -certify hamlb -alg collect        # directed (dicongest) pairing
 //	hardness -certify dir-steiner -alg collect -pairs 8
 //
-// Sweeps are sharded across GOMAXPROCS cores by default and report the
-// same pairs, seeds and first error as a serial walk (bit-identical
-// output). -workers caps the shard count; -serial forces the single
-// goroutine reference walk:
+// Sweeps run on one engine across GOMAXPROCS workers by default and
+// report the same pairs, seeds and first error at any worker count
+// (bit-identical output). -workers caps the worker count; -workers 1
+// walks the pairs in canonical order on one goroutine:
 //
 //	hardness -certify mds -alg collect -workers 2
-//	hardness -certify mds -alg collect -serial
+//	hardness -certify mds -alg collect -workers 1
 //
 // Certification runs accept a deterministic fault plan (-faults, see the
 // faults package for the format), a wall-clock deadline (-timeout) and
@@ -37,8 +37,8 @@
 //	hardness -certify mds -alg collect-retry -faults drop=0.01,seed=7 -timeout 30s
 //
 // -trace prints one line per simulated round (pair, round, messages sent,
-// delivered, dropped, live nodes); it forces the serial walk and skips
-// transcript replays so every pair traces exactly once:
+// delivered, dropped, live nodes); it runs one worker and skips
+// transcript replays so every pair traces exactly once, in order:
 //
 //	hardness -certify mds -alg collect -pairs 4 -trace | grep 'trace pair=0 '
 //
@@ -103,11 +103,10 @@ func main() {
 	certify := flag.String("certify", "", "certify a family with -alg ('mds', 'mvc', 'maxcut', 'hamlb', 'dir-steiner', or 'list')")
 	alg := flag.String("alg", "", "algorithm for -certify (mds: collect|collect-retry|greedy; mvc: matching; maxcut: sampled|exact; hamlb: collect|greedy-path; dir-steiner: collect)")
 	pairs := flag.Int("pairs", 0, "sampled (x,y) pairs for -certify; 0 = exhaustive over all 2^(2K) pairs (K <= 8)")
-	serial := flag.Bool("serial", false, "run -certify on a single goroutine (the sharded sweep's reference order)")
-	workers := flag.Int("workers", 0, "worker goroutines for the -certify sweep; 0 = GOMAXPROCS")
+	workers := flag.Int("workers", 0, "worker goroutines for the -certify sweep; 0 = GOMAXPROCS, 1 = canonical order")
 	faultSpec := flag.String("faults", "", "fault plan for -certify, e.g. 'drop=0.01,seed=7' or 'delay=2,crash=3@0,fail=1-2@5' (seed defaults to -seed)")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline for -certify; an interrupted sweep prints the partial report (0 = none)")
-	trace := flag.Bool("trace", false, "print one line per simulated round for -certify (implies -serial; disables transcript replays so each pair is traced once)")
+	trace := flag.Bool("trace", false, "print one line per simulated round for -certify (implies -workers 1; disables transcript replays so each pair is traced once)")
 	flag.Int64Var(&seed, "seed", 1, "seed for the randomized experiments")
 	flag.Parse()
 	if *certify != "" {
@@ -116,7 +115,7 @@ func main() {
 		// process exits 1 (the interrupted-run exit-code contract).
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		if err := runCertify(ctx, os.Stdout, *certify, *alg, *pairs, *faultSpec, *timeout, *serial, *workers, *trace); err != nil {
+		if err := runCertify(ctx, os.Stdout, *certify, *alg, *pairs, *faultSpec, *timeout, *workers, *trace); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -132,7 +131,7 @@ func main() {
 // registry (the CLI and the job server certify exactly the same wirings)
 // and runs one sweep under ctx, printing the report — partial if the
 // sweep was interrupted — to out.
-func runCertify(ctx context.Context, out io.Writer, famName, algName string, pairs int, faultSpec string, timeout time.Duration, serial bool, workers int, trace bool) error {
+func runCertify(ctx context.Context, out io.Writer, famName, algName string, pairs int, faultSpec string, timeout time.Duration, workers int, trace bool) error {
 	reg := serve.DefaultRegistry()
 	if famName == "list" {
 		for _, p := range reg.List() {
@@ -152,15 +151,14 @@ func runCertify(ctx context.Context, out io.Writer, famName, algName string, pai
 		Pairs:            pairs,
 		Seed:             seed,
 		TranscriptChecks: 1,
-		Serial:           serial,
 		Workers:          workers,
 	}
 	if trace {
-		// Round lines from sharded workers would interleave, and a
+		// Round lines from several workers would interleave, and a
 		// transcript replay simulates its pair a second time (double
-		// round lines) — force the serial reference walk and skip the
-		// replays so each pair traces exactly once, in canonical order.
-		cfg.Serial = true
+		// round lines) — run one worker and skip the replays so each
+		// pair traces exactly once, in canonical order.
+		cfg.Workers = 1
 		cfg.TranscriptChecks = 0
 		cfg.Trace = func(idx int, x, y comm.Bits) congest.Tracer {
 			return &lineTracer{out: out, idx: idx, x: x, y: y}

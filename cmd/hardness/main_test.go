@@ -22,7 +22,7 @@ func TestRunCertifyCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	err := runCertify(ctx, &buf, "mds", "greedy", 8, "", 0, false, 0, false)
+	err := runCertify(ctx, &buf, "mds", "greedy", 8, "", 0, 0, false)
 	if err == nil {
 		t.Fatal("cancelled certify returned nil error")
 	}
@@ -48,7 +48,7 @@ func TestRunCertifySignalInterrupt(t *testing.T) {
 	// collect-retry pairs (each a full ARQ collect run) is well over
 	// 100ms of work, so the 20ms signal always lands mid-sweep.
 	start := time.Now()
-	err := runCertify(ctx, &buf, "mds", "collect-retry", 4096, "", 0, false, 0, false)
+	err := runCertify(ctx, &buf, "mds", "collect-retry", 4096, "", 0, 0, false)
 	if err == nil {
 		t.Fatalf("signal-interrupted certify returned nil after %v; output:\n%s", time.Since(start), buf.String())
 	}
@@ -59,11 +59,11 @@ func TestRunCertifySignalInterrupt(t *testing.T) {
 }
 
 // TestRunCertifyTrace: -trace emits one greppable line per simulated
-// round, pairs appear in canonical serial order, and the summed rounds
+// round, pairs appear in canonical order, and the summed rounds
 // match the report the same run prints.
 func TestRunCertifyTrace(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runCertify(context.Background(), &buf, "mds", "collect", 4, "", 0, false, 0, true); err != nil {
+	if err := runCertify(context.Background(), &buf, "mds", "collect", 4, "", 0, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -101,7 +101,7 @@ func TestRunCertifyTrace(t *testing.T) {
 // the same set.
 func TestRunCertifyListMatchesRegistry(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runCertify(context.Background(), &buf, "list", "", 0, "", 0, false, 0, false); err != nil {
+	if err := runCertify(context.Background(), &buf, "list", "", 0, "", 0, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	got := strings.Fields(strings.TrimSpace(buf.String()))

@@ -26,8 +26,8 @@ func main() {
 
 	// 1. Certify the exact algorithm over all 2^(2K) = 256 pairs: every
 	// run is a real CONGEST simulation with the Alice-Bob cut metered.
-	// The sweep shards across GOMAXPROCS cores yet reports exactly what a
-	// serial walk would.
+	// The sweep runs across GOMAXPROCS workers yet reports exactly what
+	// a one-worker walk (Config.Workers = 1) would, in canonical order.
 	started := time.Now()
 	rep, err := reduction.Certify(fam, reduction.CollectMDS(fam), reduction.Config{Seed: 1, TranscriptChecks: 1})
 	if err != nil {

@@ -270,3 +270,38 @@ func TestSampledInputsHelper(t *testing.T) {
 		}
 	}
 }
+
+// brittleDeltaFamily's ApplyBit panics on its failAt-th call: late enough
+// to pass the delta spot check, so the panic breaks the delta walk.
+type brittleDeltaFamily struct {
+	hookDeltaFamily
+	failAt int64
+	calls  atomic.Int64
+}
+
+func (f *brittleDeltaFamily) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
+	if f.calls.Add(1) == f.failAt {
+		panic("applybit exploded")
+	}
+	return f.hookDeltaFamily.ApplyBit(g, player, bit, val)
+}
+
+func TestVerifyFallsBackWhenDeltaWalkBreaks(t *testing.T) {
+	// Verify's policy on a broken delta walk: the worker that panicked
+	// left pairs unvisited all over row-major order, so every pair is
+	// rebuilt instead — and the correct family still verifies. The spot
+	// check makes 2K = 6 ApplyBit calls; the 11th call is in the walk.
+	fam := &brittleDeltaFamily{hookDeltaFamily: hookDeltaFamily{hookFamily{k: 3}}, failAt: 11}
+	if err := Verify(fam); err != nil {
+		t.Fatalf("Verify after a broken delta walk: %v", err)
+	}
+	fam.calls.Store(0)
+	inputs, err := exhaustiveInputs(fam.K(), "VerifySampled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, res, delta := verifyPairs[*graph.Graph](context.Background(), fam, edgeKind, fam.AliceSide(), inputs, inputs, false)
+	if delta || res.Broken || res.First != -1 || res.Visited != len(inputs)*len(inputs) {
+		t.Fatalf("delta=%v result %+v, want a complete rebuild", delta, res)
+	}
+}

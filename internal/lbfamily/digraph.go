@@ -2,11 +2,7 @@ package lbfamily
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"congesthard/internal/comm"
 	"congesthard/internal/graph"
@@ -51,30 +47,19 @@ type DigraphOracleFamily interface {
 }
 
 // VerifyDigraph is Verify for directed families (exhaustive; K <= 12).
-// Families implementing DeltaDigraphFamily are verified delta-driven: each
-// worker walks its column shard in Gray-code order over x for fixed y,
-// toggling only the changed bit's arcs between pairs and maintaining the
-// structural hashes incrementally from the arc journal. Everything
-// observable — the checks, the first-error choice and its message — is
-// identical to the rebuild-every-pair path, which remains the transparent
-// fallback.
+// Families implementing DeltaDigraphFamily are verified delta-driven,
+// toggling only the changed bit's arcs between pairs; the checks, the
+// first-error choice and its message are those of the undirected
+// verifier, with "arcs" for "edges".
 func VerifyDigraph(fam DigraphFamily) error { return VerifyDigraphCtx(context.Background(), fam) }
 
-// VerifyDigraphCtx is VerifyDigraph with cancellation: when ctx fires
-// mid-sweep the workers drain promptly and the call returns a
-// *CancelledError carrying the completed/total pair counts. A panic
-// inside a worker is confined to its pair and surfaces as a *PanicError
-// naming the (x, y) pair.
+// VerifyDigraphCtx is VerifyDigraph with cancellation, like VerifyCtx.
 func VerifyDigraphCtx(ctx context.Context, fam DigraphFamily) error {
-	k := fam.K()
-	if k > 12 {
-		return fmt.Errorf("exhaustive verification limited to K <= 12, got %d (use VerifySampledDigraph)", k)
-	}
-	inputs := make([]comm.Bits, 0, 1<<uint(k))
-	if err := comm.AllBits(k, func(b comm.Bits) { inputs = append(inputs, b.Clone()) }); err != nil {
+	inputs, err := exhaustiveInputs(fam.K(), "VerifySampledDigraph")
+	if err != nil {
 		return err
 	}
-	return verifyDigraphOverMode(ctx, fam, inputs, inputs, false)
+	return verify(ctx, fam, arcKind, inputs, inputs, false)
 }
 
 // VerifySampledDigraph checks Definition 1.1 for a directed family on up
@@ -89,291 +74,7 @@ func VerifySampledDigraph(fam DigraphFamily, rng *rand.Rand, trials int) error {
 // VerifyDigraphCtx.
 func VerifySampledDigraphCtx(ctx context.Context, fam DigraphFamily, rng *rand.Rand, trials int) error {
 	inputs := sampledInputs(fam.K(), rng, trials)
-	return verifyDigraphOverMode(ctx, fam, inputs, inputs, false)
-}
-
-func verifyDigraphOverMode(ctx context.Context, fam DigraphFamily, xs, ys []comm.Bits, forceRebuild bool) error {
-	side := fam.AliceSide()
-	total := len(xs) * len(ys)
-	if total == 0 {
-		return nil
-	}
-	outcomes, completed, _ := collectDigraphOutcomes(ctx, fam, side, xs, ys, forceRebuild)
-	if err := sweepCancelled(ctx, completed, total); err != nil {
-		return err
-	}
-	return scanDigraphOutcomes(fam, side, xs, ys, outcomes)
-}
-
-// collectDigraphOutcomes is directed verification phase 1: it computes
-// every pair's outcome, delta-driven when the family opts in (and the
-// delta machinery encounters no unexpected failure), rebuilding every
-// instance otherwise. It also reports the number of pairs fully computed
-// (less than the total only under cancellation) and whether the delta
-// path produced the outcomes. A cancelled delta sweep does NOT fall back
-// to the rebuild path — the interruption is the caller's to report.
-func collectDigraphOutcomes(ctx context.Context, fam DigraphFamily, side []bool, xs, ys []comm.Bits, forceRebuild bool) ([]pairOutcome, int, bool) {
-	bobSide := make([]bool, len(side))
-	for i, a := range side {
-		bobSide[i] = !a
-	}
-	if !forceRebuild {
-		if df, ok := fam.(DeltaDigraphFamily); ok {
-			if outcomes, completed, ok := computeDigraphPairsDelta(ctx, df, side, bobSide, xs, ys); ok {
-				return outcomes, completed, true
-			}
-		}
-	}
-	total := len(xs) * len(ys)
-	outcomes, completed := computePairs(ctx, total, func(idx int64, out *pairOutcome) bool {
-		x, y := xs[idx/int64(len(ys))], ys[idx%int64(len(ys))]
-		d, err := fam.Build(x, y)
-		if err != nil {
-			out.buildErr = err
-			return false
-		}
-		out.n = d.N()
-		if out.n != len(side) {
-			return false
-		}
-		out.cutHash = d.CutHash(side)
-		out.aHash = d.HashWithin(side)
-		out.bHash = d.HashWithin(bobSide)
-		out.got, out.predErr = fam.Predicate(d)
-		return out.predErr == nil
-	})
-	return outcomes, completed, false
-}
-
-// digraphDeltaSurfaceConsistent is the directed analogue of
-// deltaSurfaceConsistent: BuildBase plus ApplyBit(val = true) over every
-// bit of both players must reproduce Build's all-ones instance — same
-// vertex count, same cut hash, same induced-side hashes — before the
-// delta path is trusted.
-func digraphDeltaSurfaceConsistent(df DeltaDigraphFamily, side, bobSide []bool) bool {
-	k := df.K()
-	ones := comm.OnesBits(k)
-	want, err := df.Build(ones, ones)
-	if err != nil || want == nil || want.N() != len(side) {
-		return false
-	}
-	d, err := df.BuildBase()
-	if err != nil || d == nil || d.N() != len(side) {
-		return false
-	}
-	for _, player := range [2]int{PlayerX, PlayerY} {
-		for i := 0; i < k; i++ {
-			if err := df.ApplyBit(d, player, i, true); err != nil {
-				return false
-			}
-		}
-	}
-	return d.CutHash(side) == want.CutHash(side) &&
-		d.HashWithin(side) == want.HashWithin(side) &&
-		d.HashWithin(bobSide) == want.HashWithin(bobSide)
-}
-
-// computeDigraphPairsDelta is the delta-driven directed phase 1: the base
-// instance is built once and cloned per worker (cheaper than rebuilding
-// the skeleton arc by arc); each worker claims columns (fixed y) and
-// walks x across each column in reflected Gray-code order, folding the
-// journaled arc deltas into incrementally maintained cut/side hashes. Any
-// unexpected failure of the delta machinery reports ok = false and the
-// caller transparently falls back to the rebuild path, whose error
-// reporting is the historical reference.
-func computeDigraphPairsDelta(ctx context.Context, df DeltaDigraphFamily, side, bobSide []bool, xs, ys []comm.Bits) ([]pairOutcome, int, bool) {
-	if !digraphDeltaSurfaceConsistent(df, side, bobSide) {
-		return nil, 0, false
-	}
-	base, err := df.BuildBase()
-	if err != nil || base == nil || base.N() != len(side) {
-		return nil, 0, false
-	}
-	total := len(xs) * len(ys)
-	order := walkOrder(xs, df.K())
-	outcomes := make([]pairOutcome, total)
-	var nextCol, minErr, completed atomic.Int64
-	minErr.Store(int64(total))
-	ok := atomic.Bool{}
-	ok.Store(true)
-	var wg sync.WaitGroup
-	for w := verifyWorkers(len(ys)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A panic outside predicate evaluation abandons the delta
-			// path; the rebuild fallback recomputes every pair with
-			// per-pair confinement.
-			defer func() {
-				if r := recover(); r != nil {
-					ok.Store(false)
-				}
-			}()
-			if !digraphDeltaWorker(ctx, df, base.Clone(), side, bobSide, xs, ys, order, outcomes, &nextCol, &minErr, &completed) {
-				ok.Store(false)
-			}
-		}()
-	}
-	wg.Wait()
-	return outcomes, int(completed.Load()), ok.Load()
-}
-
-// digraphDeltaWorker claims columns until none remain or ctx fires,
-// mirroring deltaWorker arc-for-edge. It reports false when the delta
-// machinery itself failed and the caller must fall back; cancellation is
-// NOT a failure.
-//
-//hardness:hotpath
-func digraphDeltaWorker(ctx context.Context, df DeltaDigraphFamily, d *graph.Digraph, side, bobSide []bool, xs, ys []comm.Bits, order []int, outcomes []pairOutcome, nextCol, minErr, completed *atomic.Int64) bool {
-	k := df.K()
-	d.FreezePatchable()
-	d.StartJournal()
-	curX, curY := comm.NewBits(k), comm.NewBits(k)
-	cutH := d.CutHash(side)
-	aH := d.HashWithin(side)
-	bH := d.HashWithin(bobSide)
-	n := d.N()
-	eval := df.Predicate
-	if of, ok := DigraphFamily(df).(DigraphOracleFamily); ok {
-		eval = of.NewDigraphPredicateOracle().Eval
-	}
-
-	// applyDiff toggles the bits on which cur and target differ and folds
-	// the journaled arc deltas into the three running hashes: O(1) per
-	// toggled arc, versus the O(|V|+|A| log |A|) rebuild-and-rehash per
-	// pair of the fallback path.
-	applyDiff := func(player int, cur, target comm.Bits) error {
-		var applyErr error
-		cur.ForEachDiff(target, func(i int) bool {
-			if err := df.ApplyBit(d, player, i, target.Get(i)); err != nil {
-				applyErr = err
-				return false
-			}
-			cur.Set(i, target.Get(i))
-			return true
-		})
-		if applyErr != nil {
-			return applyErr
-		}
-		// One toggle's journal: O(attached arcs), cannot block; the
-		// claiming loop checks ctx once per pair.
-		for _, a := range d.Journal() { //nolint:hardlint/ctxflow bounded per-toggle fold; ctx checked per pair
-			h := graph.ArcHash(a.From, a.To, a.W)
-			switch {
-			case side[a.From] != side[a.To]:
-				cutH ^= h
-			case side[a.From]:
-				aH ^= h
-			default:
-				bH ^= h
-			}
-		}
-		d.ClearJournal()
-		return nil
-	}
-
-	// evalInto runs the predicate with panic confinement: a panic becomes
-	// the pair's panicErr instead of abandoning the delta path, since it
-	// would recur identically under the rebuild fallback.
-	evalInto := func(out *pairOutcome) {
-		defer func() {
-			if r := recover(); r != nil {
-				out.panicErr = &PanicError{Value: r, Stack: debug.Stack()}
-			}
-		}()
-		out.got, out.predErr = eval(d)
-	}
-
-	for {
-		if ctx.Err() != nil {
-			return true // cancelled, not broken: keep the partial outcomes
-		}
-		yi := int(nextCol.Add(1) - 1)
-		if yi >= len(ys) {
-			return true
-		}
-		if err := applyDiff(PlayerY, curY, ys[yi]); err != nil {
-			return false
-		}
-		for _, xi := range order {
-			if ctx.Err() != nil {
-				return true
-			}
-			if err := applyDiff(PlayerX, curX, xs[xi]); err != nil {
-				return false
-			}
-			idx := int64(xi)*int64(len(ys)) + int64(yi)
-			out := &outcomes[idx]
-			out.n = n
-			out.cutHash, out.aHash, out.bHash = cutH, aH, bH
-			if idx > minErr.Load() {
-				continue // a pair earlier in row-major order already failed
-			}
-			evalInto(out)
-			if out.predErr != nil || out.panicErr != nil {
-				storeMin(minErr, idx)
-			}
-			completed.Add(1)
-		}
-	}
-}
-
-// scanDigraphOutcomes is directed verification phase 2: the serial
-// row-major pass, identical in order and messages to the historical
-// serial digraph verifier.
-func scanDigraphOutcomes(fam DigraphFamily, side []bool, xs, ys []comm.Bits, outcomes []pairOutcome) error {
-	f := fam.Func()
-	wantN := -1
-	var cutHash uint64
-	cutSeen := false
-	bByY := make([]uint64, len(ys))
-	bSeen := make([]bool, len(ys))
-	aByX := make([]uint64, len(xs))
-	aSeen := make([]bool, len(xs))
-	for xi, x := range xs {
-		for yi, y := range ys {
-			out := &outcomes[xi*len(ys)+yi]
-			if out.panicErr != nil {
-				// Checked before the structural conditions: a pair that
-				// panicked mid-compute has no meaningful n or hashes.
-				out.panicErr.X, out.panicErr.Y = x, y
-				return out.panicErr
-			}
-			if out.buildErr != nil {
-				return fmt.Errorf("build(%s,%s): %w", x, y, out.buildErr)
-			}
-			if wantN == -1 {
-				wantN = out.n
-				if len(side) != wantN {
-					return fmt.Errorf("AliceSide has %d entries for %d vertices", len(side), wantN)
-				}
-			}
-			if out.n != wantN {
-				return fmt.Errorf("condition 1 violated: vertex count %d != %d", out.n, wantN)
-			}
-			if !cutSeen {
-				cutHash = out.cutHash
-				cutSeen = true
-			} else if out.cutHash != cutHash {
-				return fmt.Errorf("cut arcs changed with input at (%s,%s)", x, y)
-			}
-			if bSeen[yi] && bByY[yi] != out.bHash {
-				return fmt.Errorf("condition 2 violated: G[V_B] changed with x at (%s,%s)", x, y)
-			}
-			bByY[yi], bSeen[yi] = out.bHash, true
-			if aSeen[xi] && aByX[xi] != out.aHash {
-				return fmt.Errorf("condition 3 violated: G[V_A] changed with y at (%s,%s)", x, y)
-			}
-			aByX[xi], aSeen[xi] = out.aHash, true
-			if out.predErr != nil {
-				return fmt.Errorf("predicate at (%s,%s): %w", x, y, out.predErr)
-			}
-			if want := f.Eval(x, y); out.got != want {
-				return fmt.Errorf("condition 4 violated at (x=%s, y=%s): P=%v but %s=%v", x, y, out.got, f.Name(), want)
-			}
-		}
-	}
-	return nil
+	return verify(ctx, fam, arcKind, inputs, inputs, false)
 }
 
 // MeasureDigraphStats builds the all-zeros instance of a directed family

@@ -1,6 +1,7 @@
 package lbfamily_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -230,22 +231,83 @@ func TestVerifySampledDigraph(t *testing.T) {
 }
 
 // TestDigraphDeltaVerifyAllocsPerPair is the directed analogue of
-// TestDeltaVerifyAllocsPerPair: delta-enabled exhaustive verification must
-// stay O(1) allocations per input pair (per-worker clone/oracle arenas
-// amortize to a few allocs per pair at k=2; rebuilds cost hundreds).
+// TestDeltaVerifyAllocsPerPair: each directed family's exhaustive
+// Verify is pinned near its measured allocation count.
 func TestDigraphDeltaVerifyAllocsPerPair(t *testing.T) {
-	fam, err := hamlb.New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := float64(int(1) << uint(2*fam.K()))
-	allocs := testing.AllocsPerRun(3, func() {
-		if err := lbfamily.VerifyDigraph(fam); err != nil {
+	for _, tc := range []struct {
+		measured int
+		newFam   func() (lbfamily.DigraphFamily, error)
+	}{
+		{710, func() (lbfamily.DigraphFamily, error) { return hamlb.New(2) }},
+		{689, func() (lbfamily.DigraphFamily, error) {
+			c, err := cover.Find(4, 12, 2, 7, 500)
+			if err != nil {
+				return nil, err
+			}
+			return kmdslb.NewDirSteiner(kmdslb.Params{Collection: c, R: 2})
+		}},
+	} {
+		fam, err := tc.newFam()
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if perPair := allocs / pairs; perPair > 16 {
-		t.Errorf("%s: %.1f allocs/pair (%.0f total for %.0f pairs), want <= 16",
-			fam.Name(), perPair, allocs, pairs)
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := lbfamily.VerifyDigraph(fam); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if pin := verifyAllocsPin(tc.measured); allocs > pin {
+			t.Errorf("%s: %.0f allocs per exhaustive Verify, want <= %.0f (measured %d)",
+				fam.Name(), allocs, pin, tc.measured)
+		}
+	}
+}
+
+// growingDigraph is a K=1 directed family that breaks Definition 1.1
+// condition 1: y = 1 adds a sixth vertex. With sideErr set it instead
+// fails to report its Alice side through AliceSideChecked.
+type growingDigraph struct{ sideErr error }
+
+func (g *growingDigraph) Name() string        { return "growing" }
+func (g *growingDigraph) K() int              { return 1 }
+func (g *growingDigraph) Func() comm.Function { return comm.Negation{F: comm.Disjointness{}} }
+func (g *growingDigraph) AliceSide() []bool   { return []bool{true, true, false, false, false} }
+
+func (g *growingDigraph) AliceSideChecked() ([]bool, error) { return g.AliceSide(), g.sideErr }
+
+func (g *growingDigraph) Build(x, y comm.Bits) (*graph.Digraph, error) {
+	n := 5
+	if y.Get(0) {
+		n = 6
+	}
+	d := graph.NewDigraph(n)
+	d.MustAddArc(1, 2)
+	if x.Get(0) {
+		d.MustAddArc(0, 1)
+	}
+	return d, nil
+}
+
+func (g *growingDigraph) Predicate(d *graph.Digraph) (bool, error) {
+	return d.HasArc(0, 1) && d.N() == 6, nil
+}
+
+// TestVerifyDigraphConditionOneNamesPair: the directed verifier reports
+// a vertex count that changes with the input exactly like the
+// undirected one, naming the first offending pair, and resolves the
+// Alice side through AliceSideChecked.
+func TestVerifyDigraphConditionOneNamesPair(t *testing.T) {
+	err := lbfamily.VerifyDigraph(&growingDigraph{})
+	if want := "condition 1 violated: vertex count 6 != 5 at (0,1)"; err == nil || err.Error() != want {
+		t.Fatalf("VerifyDigraph = %v, want %q", err, want)
+	}
+	if err := lbfamily.VerifySampledDigraph(&growingDigraph{}, rand.New(rand.NewSource(1)), 4); err == nil ||
+		!strings.Contains(err.Error(), "condition 1 violated") {
+		t.Fatalf("VerifySampledDigraph = %v, want a condition 1 violation", err)
+	}
+	sideErr := errors.New("no partition")
+	err = lbfamily.VerifyDigraph(&growingDigraph{sideErr: sideErr})
+	if !errors.Is(err, sideErr) || !strings.HasPrefix(err.Error(), "alice side: ") {
+		t.Fatalf("VerifyDigraph = %v, want the AliceSideChecked error", err)
 	}
 }

@@ -6,7 +6,8 @@ import (
 	"congesthard/internal/comm"
 )
 
-// CancelledError reports a verification sweep interrupted by its context.
+// CancelledError reports a sweep (verification or certification)
+// interrupted by its context.
 // Completed counts the input pairs whose outcomes were fully computed
 // before the workers drained; the sweep's verdict on the remaining pairs
 // is unknown. Unwrap yields the context's error, so errors.Is(err,
@@ -24,11 +25,11 @@ func (e *CancelledError) Error() string {
 // Unwrap exposes the underlying context error.
 func (e *CancelledError) Unwrap() error { return e.Err }
 
-// PanicError reports a panic recovered inside a verification worker while
-// computing one input pair. The panic is confined to that pair: the sweep
-// finishes its other pairs and the serial scan surfaces this error in the
-// usual first-failure row-major position, naming the (x, y) pair instead
-// of crashing the whole process.
+// PanicError reports a panic recovered inside a sweep worker while
+// computing one input pair — in the family's Build or ApplyBit, the
+// predicate, or a certified algorithm. The panic is confined to that
+// pair: the sweep reports it in the usual first-failure position,
+// naming the (x, y) pair instead of crashing the whole process.
 type PanicError struct {
 	X, Y  comm.Bits
 	Value interface{}

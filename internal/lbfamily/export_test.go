@@ -2,9 +2,10 @@ package lbfamily
 
 import (
 	"context"
-	"fmt"
+	"errors"
 
 	"congesthard/internal/comm"
+	"congesthard/internal/graph"
 )
 
 // OutcomeForTest is the exported projection of a pairOutcome, so external
@@ -17,65 +18,55 @@ type OutcomeForTest struct {
 	BuildErr, PredErr     error
 }
 
-// CollectOutcomesForTest runs verification phase 1 over xs × ys — in
-// delta-with-fallback mode (forceRebuild = false) or forced rebuild mode —
-// and returns the row-major outcomes plus whether the delta path produced
-// them.
-func CollectOutcomesForTest(fam Family, xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
-	side, err := familySide(fam)
+// collectForTest runs verification phase 1 over xs × ys — in
+// delta-with-fallback mode (rebuild = false) or forced rebuild mode —
+// and returns the row-major outcomes plus whether the delta path
+// produced them. The sweep's earliest build error or panic lands in
+// its pair's BuildErr.
+func collectForTest[G instance[G]](fam family[G], kd kind[G], xs, ys []comm.Bits, rebuild bool) ([]OutcomeForTest, bool, error) {
+	side, err := AliceSideOf(fam)
 	if err != nil {
 		return nil, false, err
 	}
-	outcomes, _, delta := collectOutcomes(context.Background(), fam, side, xs, ys, forceRebuild)
+	outcomes, res, delta := verifyPairs(context.Background(), fam, kd, side, xs, ys, rebuild)
 	views := make([]OutcomeForTest, len(outcomes))
 	for i, o := range outcomes {
 		views[i] = OutcomeForTest{
-			N: o.n, CutHash: o.cutHash, AHash: o.aHash, BHash: o.bHash,
-			Got: o.got, BuildErr: o.buildErr, PredErr: o.predErr,
+			N: o.n, CutHash: o.h.cut, AHash: o.h.a, BHash: o.h.b,
+			Got: o.got, PredErr: o.predErr,
+		}
+		if i == res.First && !errors.Is(res.Err, errPairFailed) {
+			views[i].BuildErr = res.Err
 		}
 	}
 	return views, delta, nil
+}
+
+// CollectOutcomesForTest is collectForTest for undirected families.
+func CollectOutcomesForTest(fam Family, xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
+	return collectForTest[*graph.Graph](fam, edgeKind, xs, ys, forceRebuild)
+}
+
+// CollectDigraphOutcomesForTest is collectForTest for directed families.
+func CollectDigraphOutcomesForTest(fam DigraphFamily, xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
+	return collectForTest[*graph.Digraph](fam, arcKind, xs, ys, forceRebuild)
 }
 
 // VerifyRebuild is Verify with the delta path disabled; differential tests
 // compare its first error byte for byte against the delta path's.
 func VerifyRebuild(fam Family) error {
-	k := fam.K()
-	if k > 12 {
-		return fmt.Errorf("exhaustive verification limited to K <= 12, got %d (use VerifySampled)", k)
-	}
-	inputs := make([]comm.Bits, 0, 1<<uint(k))
-	if err := comm.AllBits(k, func(b comm.Bits) { inputs = append(inputs, b.Clone()) }); err != nil {
+	inputs, err := exhaustiveInputs(fam.K(), "VerifySampled")
+	if err != nil {
 		return err
 	}
-	return verifyOverMode(context.Background(), fam, inputs, inputs, true)
+	return verify(context.Background(), fam, edgeKind, inputs, inputs, true)
 }
 
-// CollectDigraphOutcomesForTest is CollectOutcomesForTest for directed
-// families: phase 1 over xs × ys, delta-with-fallback or forced rebuild.
-func CollectDigraphOutcomesForTest(fam DigraphFamily, xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
-	outcomes, _, delta := collectDigraphOutcomes(context.Background(), fam, fam.AliceSide(), xs, ys, forceRebuild)
-	views := make([]OutcomeForTest, len(outcomes))
-	for i, o := range outcomes {
-		views[i] = OutcomeForTest{
-			N: o.n, CutHash: o.cutHash, AHash: o.aHash, BHash: o.bHash,
-			Got: o.got, BuildErr: o.buildErr, PredErr: o.predErr,
-		}
-	}
-	return views, delta, nil
-}
-
-// VerifyDigraphRebuild is VerifyDigraph with the delta path disabled;
-// differential tests compare its first error byte for byte against the
-// delta path's.
+// VerifyDigraphRebuild is VerifyRebuild for directed families.
 func VerifyDigraphRebuild(fam DigraphFamily) error {
-	k := fam.K()
-	if k > 12 {
-		return fmt.Errorf("exhaustive verification limited to K <= 12, got %d (use VerifySampledDigraph)", k)
-	}
-	inputs := make([]comm.Bits, 0, 1<<uint(k))
-	if err := comm.AllBits(k, func(b comm.Bits) { inputs = append(inputs, b.Clone()) }); err != nil {
+	inputs, err := exhaustiveInputs(fam.K(), "VerifySampledDigraph")
+	if err != nil {
 		return err
 	}
-	return verifyDigraphOverMode(context.Background(), fam, inputs, inputs, true)
+	return verify(context.Background(), fam, arcKind, inputs, inputs, true)
 }

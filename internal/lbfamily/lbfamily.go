@@ -10,6 +10,11 @@
 //     input bit can opt into DeltaFamily: verification then walks the input
 //     cube in Gray-code order and pays O(delta) per pair instead of
 //     rebuilding, re-freezing and re-hashing every G_{x,y} from scratch.
+//   - Sweep is the one engine every pair sweep runs on — Verify and
+//     VerifyDigraph here, Certify and CertifyDigraph in the reduction
+//     package: column claiming, worker-private delta instances, the
+//     earliest failure in the caller's report order, panic confinement
+//     and cancellation. One worker walks the pairs in order.
 //   - ImpliedLowerBound evaluates the Theorem 1.1 round bound
 //     Ω(CC(f) / (|E_cut| log n)) from the measured family parameters.
 //   - SimulateTwoParty runs a CONGEST algorithm on G_{x,y} with the cut
@@ -21,10 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"congesthard/internal/comm"
 	"congesthard/internal/congest"
@@ -156,10 +158,11 @@ func ImpliedLowerBound(stats Stats, f comm.Function) (float64, error) {
 //  3. symmetrically for x;
 //  4. Predicate(G_{x,y}) == f(x, y) for every pair.
 //
-// Families implementing DeltaFamily are verified delta-driven: each worker
-// walks its column shard in Gray-code order over x for fixed y, toggling
-// only the changed bit's edges between pairs. Everything observable — the
-// checks, the first-error choice and its message — is identical to the
+// The pairs run through the sweep engine (see Sweep), one column per
+// y. Families implementing DeltaFamily are verified delta-driven: each
+// worker walks its columns in Gray-code order over x, toggling only the
+// changed bit's edges between pairs. Everything observable — the checks,
+// the first-error choice and its message — is identical to the
 // rebuild-every-pair path, which remains the transparent fallback.
 func Verify(fam Family) error { return VerifyCtx(context.Background(), fam) }
 
@@ -170,15 +173,11 @@ func Verify(fam Family) error { return VerifyCtx(context.Background(), fam) }
 // worker is confined to its pair and surfaces as a *PanicError naming the
 // (x, y) pair.
 func VerifyCtx(ctx context.Context, fam Family) error {
-	k := fam.K()
-	if k > 12 {
-		return fmt.Errorf("exhaustive verification limited to K <= 12, got %d (use VerifySampled)", k)
-	}
-	inputs := make([]comm.Bits, 0, 1<<uint(k))
-	if err := comm.AllBits(k, func(b comm.Bits) { inputs = append(inputs, b.Clone()) }); err != nil {
+	inputs, err := exhaustiveInputs(fam.K(), "VerifySampled")
+	if err != nil {
 		return err
 	}
-	return verifyOverMode(ctx, fam, inputs, inputs, false)
+	return verify(ctx, fam, edgeKind, inputs, inputs, false)
 }
 
 // VerifySampled checks Definition 1.1 on up to trials distinct random
@@ -193,469 +192,7 @@ func VerifySampled(fam Family, rng *rand.Rand, trials int) error {
 // VerifySampledCtx is VerifySampled with cancellation, like VerifyCtx.
 func VerifySampledCtx(ctx context.Context, fam Family, rng *rand.Rand, trials int) error {
 	inputs := sampledInputs(fam.K(), rng, trials)
-	return verifyOverMode(ctx, fam, inputs, inputs, false)
-}
-
-// sampledInputs draws the shared sampled-verification input set: the
-// all-zeros and all-ones corners plus up to trials distinct random k-bit
-// strings (duplicates are discarded — re-running an identical input adds
-// no coverage). Both the undirected and directed sampled verifiers use it.
-func sampledInputs(k int, rng *rand.Rand, trials int) []comm.Bits {
-	ones := comm.OnesBits(k)
-	inputs := []comm.Bits{comm.NewBits(k), ones}
-	seen := map[string]bool{inputs[0].String(): true, ones.String(): true}
-	for i := 0; i < trials; i++ {
-		b := comm.RandomBits(k, rng)
-		if key := b.String(); !seen[key] {
-			seen[key] = true
-			inputs = append(inputs, b)
-		}
-	}
-	return inputs
-}
-
-// pairOutcome is the per-(x, y) result computed by a verification worker:
-// build/predicate errors, the vertex count, 64-bit structural hashes of the
-// cut and of the two induced sides, and the predicate's verdict. The cheap
-// serial pass over these outcomes reproduces exactly the checks (and error
-// messages) of the old serial verifier, in the same row-major order.
-type pairOutcome struct {
-	buildErr error
-	predErr  error
-	panicErr *PanicError
-	n        int
-	cutHash  uint64
-	aHash    uint64
-	bHash    uint64
-	got      bool
-}
-
-// verifyWorkers returns the worker count for a pair workload.
-func verifyWorkers(total int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > total {
-		w = total
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// computePairs runs compute for every pair index across a worker pool and
-// returns the recorded outcomes plus the number of pairs fully computed.
-// compute fills outcomes[idx] and reports whether the pair succeeded;
-// after a failure, workers skip pairs that come later in row-major order
-// (the serial scan never reads past the first failing pair, which is
-// always fully computed). A cancelled ctx stops workers from claiming new
-// pairs; in-flight pairs finish, so the completed count stays consistent.
-// A panic inside compute is confined to its pair and recorded as that
-// outcome's panicErr.
-func computePairs(ctx context.Context, total int, compute func(idx int64, out *pairOutcome) bool) ([]pairOutcome, int) {
-	outcomes := make([]pairOutcome, total)
-	var nextIdx, minErr, completed atomic.Int64
-	minErr.Store(int64(total))
-	var wg sync.WaitGroup
-	for w := verifyWorkers(total); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				idx := nextIdx.Add(1) - 1
-				if idx >= int64(total) {
-					return
-				}
-				if idx > minErr.Load() {
-					continue
-				}
-				if !safeCompute(compute, idx, &outcomes[idx]) {
-					storeMin(&minErr, idx)
-				}
-				completed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	return outcomes, int(completed.Load())
-}
-
-// safeCompute runs compute with panic confinement: a panic is recorded as
-// the pair's panicErr (with the stack captured at the panic site) and
-// treated as a pair failure rather than crashing the sweep.
-func safeCompute(compute func(idx int64, out *pairOutcome) bool, idx int64, out *pairOutcome) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			out.panicErr = &PanicError{Value: r, Stack: debug.Stack()}
-			ok = false
-		}
-	}()
-	return compute(idx, out)
-}
-
-// sweepCancelled translates an interrupted phase 1 into a CancelledError;
-// a sweep that computed every pair before the context fired is complete
-// and scans normally.
-func sweepCancelled(ctx context.Context, completed, total int) error {
-	if err := ctx.Err(); err != nil && completed < total {
-		return &CancelledError{Completed: completed, Total: total, Err: err}
-	}
-	return nil
-}
-
-func verifyOverMode(ctx context.Context, fam Family, xs, ys []comm.Bits, forceRebuild bool) error {
-	side, err := familySide(fam)
-	if err != nil {
-		return fmt.Errorf("alice side: %w", err)
-	}
-	total := len(xs) * len(ys)
-	if total == 0 {
-		return nil
-	}
-	outcomes, completed, _ := collectOutcomes(ctx, fam, side, xs, ys, forceRebuild)
-	if err := sweepCancelled(ctx, completed, total); err != nil {
-		return err
-	}
-	return scanOutcomes(fam, side, xs, ys, outcomes)
-}
-
-// familySide returns the family's Alice side, surfacing the underlying
-// build error for families (DerivedFamily) that must build an instance to
-// learn their partition.
-func familySide(fam Family) ([]bool, error) {
-	if checked, ok := fam.(interface{ AliceSideChecked() ([]bool, error) }); ok {
-		return checked.AliceSideChecked()
-	}
-	return fam.AliceSide(), nil
-}
-
-// collectOutcomes is verification phase 1: it computes every pair's
-// outcome, delta-driven when the family opts in (and the delta machinery
-// encounters no unexpected failure), rebuilding every instance otherwise.
-// It also reports the number of pairs fully computed (less than the total
-// only under cancellation) and whether the delta path produced the
-// outcomes. A cancelled delta sweep does NOT fall back to the rebuild
-// path — the interruption is the caller's to report.
-func collectOutcomes(ctx context.Context, fam Family, side []bool, xs, ys []comm.Bits, forceRebuild bool) ([]pairOutcome, int, bool) {
-	bobSide := make([]bool, len(side))
-	for i, a := range side {
-		bobSide[i] = !a
-	}
-	if !forceRebuild {
-		if df, ok := fam.(DeltaFamily); ok {
-			if outcomes, completed, ok := computePairsDelta(ctx, df, side, bobSide, xs, ys); ok {
-				return outcomes, completed, true
-			}
-		}
-	}
-	total := len(xs) * len(ys)
-	outcomes, completed := computePairs(ctx, total, func(idx int64, out *pairOutcome) bool {
-		x, y := xs[idx/int64(len(ys))], ys[idx%int64(len(ys))]
-		g, err := fam.Build(x, y)
-		if err != nil {
-			out.buildErr = err
-			return false
-		}
-		out.n = g.N()
-		if out.n != len(side) {
-			// Condition 1 violation; the serial pass reports it before
-			// any hash of this pair is consulted.
-			return false
-		}
-		out.cutHash = g.CutHash(side)
-		out.aHash = g.HashWithin(side)
-		out.bHash = g.HashWithin(bobSide)
-		out.got, out.predErr = fam.Predicate(g)
-		return out.predErr == nil
-	})
-	return outcomes, completed, false
-}
-
-// computePairsDelta is the delta-driven phase 1: each worker owns one
-// mutable instance graph built once from BuildBase, claims columns (fixed
-// y) and walks x across each column in Gray-code order, applying only the
-// changed bits through ApplyBit and folding the journaled edge deltas into
-// incrementally maintained cut/side hashes. Any unexpected failure of the
-// delta machinery (base build or ApplyBit error) reports ok = false and
-// the caller transparently falls back to the rebuild path, whose error
-// reporting is the historical reference.
-func computePairsDelta(ctx context.Context, df DeltaFamily, side, bobSide []bool, xs, ys []comm.Bits) ([]pairOutcome, int, bool) {
-	if !deltaSurfaceConsistent(df, side, bobSide) {
-		return nil, 0, false
-	}
-	total := len(xs) * len(ys)
-	order := walkOrder(xs, df.K())
-	outcomes := make([]pairOutcome, total)
-	var nextCol, minErr, completed atomic.Int64
-	minErr.Store(int64(total))
-	ok := atomic.Bool{}
-	ok.Store(true)
-	var wg sync.WaitGroup
-	for w := verifyWorkers(len(ys)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A panic outside predicate evaluation (BuildBase, ApplyBit,
-			// journal folding) abandons the delta path; the rebuild
-			// fallback recomputes every pair with per-pair confinement.
-			defer func() {
-				if r := recover(); r != nil {
-					ok.Store(false)
-				}
-			}()
-			if !deltaWorker(ctx, df, side, bobSide, xs, ys, order, outcomes, &nextCol, &minErr, &completed) {
-				ok.Store(false)
-			}
-		}()
-	}
-	wg.Wait()
-	return outcomes, int(completed.Load()), ok.Load()
-}
-
-// deltaSurfaceConsistent spot-checks the DeltaFamily contract before the
-// delta path is trusted: BuildBase plus ApplyBit(val = true) over every
-// bit of both players must reproduce Build's all-ones instance — same
-// vertex count, same cut hash, same induced-side hashes. This exercises
-// every bit's attached edges once for the cost of two builds; a family
-// whose ApplyBit disagrees with Build falls back to the rebuild path (as
-// does a family whose base build fails, so the rebuild path reports its
-// historical error).
-func deltaSurfaceConsistent(df DeltaFamily, side, bobSide []bool) bool {
-	k := df.K()
-	ones := comm.OnesBits(k)
-	want, err := df.Build(ones, ones)
-	if err != nil || want == nil || want.N() != len(side) {
-		return false
-	}
-	g, err := df.BuildBase()
-	if err != nil || g == nil || g.N() != len(side) {
-		return false
-	}
-	for _, player := range [2]int{PlayerX, PlayerY} {
-		for i := 0; i < k; i++ {
-			if err := df.ApplyBit(g, player, i, true); err != nil {
-				return false
-			}
-		}
-	}
-	return g.CutHash(side) == want.CutHash(side) &&
-		g.HashWithin(side) == want.HashWithin(side) &&
-		g.HashWithin(bobSide) == want.HashWithin(bobSide)
-}
-
-// deltaWorker claims columns until none remain or ctx fires. It reports
-// false when the delta machinery itself failed and the caller must fall
-// back; cancellation is NOT a failure (returning true keeps the partial
-// outcomes, which the caller reports as a CancelledError).
-//
-//hardness:hotpath
-func deltaWorker(ctx context.Context, df DeltaFamily, side, bobSide []bool, xs, ys []comm.Bits, order []int, outcomes []pairOutcome, nextCol, minErr, completed *atomic.Int64) bool {
-	k := df.K()
-	g, err := df.BuildBase()
-	if err != nil || g == nil || g.N() != len(side) {
-		return false
-	}
-	g.FreezePatchable()
-	g.StartJournal()
-	curX, curY := comm.NewBits(k), comm.NewBits(k)
-	cutH := g.CutHash(side)
-	aH := g.HashWithin(side)
-	bH := g.HashWithin(bobSide)
-	n := g.N()
-	eval := df.Predicate
-	if of, ok := Family(df).(OracleFamily); ok {
-		eval = of.NewPredicateOracle().Eval
-	}
-
-	// applyDiff toggles the bits on which cur and target differ and folds
-	// the journaled edge and vertex-weight deltas into the three running
-	// hashes: O(1) per delta, versus the O(|V|+|E|) rebuild-freeze-rehash
-	// per pair of the fallback path.
-	applyDiff := func(player int, cur, target comm.Bits) error {
-		var applyErr error
-		cur.ForEachDiff(target, func(i int) bool {
-			if err := df.ApplyBit(g, player, i, target.Get(i)); err != nil {
-				applyErr = err
-				return false
-			}
-			cur.Set(i, target.Get(i))
-			return true
-		})
-		if applyErr != nil {
-			return applyErr
-		}
-		// One toggle's journal: O(attached edges), cannot block; the
-		// claiming loop checks ctx once per pair.
-		for _, d := range g.Journal() { //nolint:hardlint/ctxflow bounded per-toggle fold; ctx checked per pair
-			h := graph.EdgeHash(d.U, d.V, d.W)
-			switch {
-			case side[d.U] != side[d.V]:
-				cutH ^= h
-			case side[d.U]:
-				aH ^= h
-			default:
-				bH ^= h
-			}
-		}
-		// Vertex weights contribute to the induced-side hashes only; the
-		// cut hash is a pure edge fold.
-		for _, d := range g.VertexJournal() { //nolint:hardlint/ctxflow bounded per-toggle fold; ctx checked per pair
-			h := graph.VertexHash(d.V, d.W)
-			if side[d.V] {
-				aH ^= h
-			} else {
-				bH ^= h
-			}
-		}
-		g.ClearJournal()
-		return nil
-	}
-
-	// evalInto runs the predicate with panic confinement: a panic becomes
-	// the pair's panicErr instead of abandoning the delta path, since it
-	// would recur identically under the rebuild fallback.
-	evalInto := func(out *pairOutcome) {
-		defer func() {
-			if r := recover(); r != nil {
-				out.panicErr = &PanicError{Value: r, Stack: debug.Stack()}
-			}
-		}()
-		out.got, out.predErr = eval(g)
-	}
-
-	for {
-		if ctx.Err() != nil {
-			return true // cancelled, not broken: keep the partial outcomes
-		}
-		yi := int(nextCol.Add(1) - 1)
-		if yi >= len(ys) {
-			return true
-		}
-		if err := applyDiff(PlayerY, curY, ys[yi]); err != nil {
-			return false
-		}
-		for _, xi := range order {
-			if ctx.Err() != nil {
-				return true
-			}
-			if err := applyDiff(PlayerX, curX, xs[xi]); err != nil {
-				return false
-			}
-			idx := int64(xi)*int64(len(ys)) + int64(yi)
-			out := &outcomes[idx]
-			out.n = n
-			out.cutHash, out.aHash, out.bHash = cutH, aH, bH
-			if idx > minErr.Load() {
-				continue // a pair earlier in row-major order already failed
-			}
-			evalInto(out)
-			if out.predErr != nil || out.panicErr != nil {
-				storeMin(minErr, idx)
-			}
-			completed.Add(1)
-		}
-	}
-}
-
-// walkOrder returns the sequence of xs indices a delta worker visits per
-// column. When xs is the canonical AllBits enumeration (xs[i] encodes the
-// integer i), the reflected Gray code i XOR i>>1 visits every input with
-// exactly one bit toggled between consecutive visits; otherwise (sampled
-// verification) the sample order is kept and each step toggles the
-// Hamming distance between consecutive samples.
-func walkOrder(xs []comm.Bits, k int) []int {
-	order := make([]int, len(xs))
-	if k <= 24 && len(xs) == 1<<uint(k) && canonicalCube(xs, k) {
-		for s := range order {
-			order[s] = s ^ (s >> 1)
-		}
-		return order
-	}
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-// canonicalCube reports whether xs[i] encodes the integer i for all i.
-func canonicalCube(xs []comm.Bits, k int) bool {
-	for i, x := range xs {
-		want, err := comm.BitsFromUint64(k, uint64(i))
-		if err != nil || !x.Equal(want) {
-			return false
-		}
-	}
-	return true
-}
-
-// scanOutcomes is verification phase 2: the serial row-major scan,
-// identical in order and messages to the historical serial verifier.
-func scanOutcomes(fam Family, side []bool, xs, ys []comm.Bits, outcomes []pairOutcome) error {
-	f := fam.Func()
-	wantN := -1
-	var cutHash uint64
-	cutSeen := false
-	bByY := make([]uint64, len(ys))
-	bSeen := make([]bool, len(ys))
-	aByX := make([]uint64, len(xs))
-	aSeen := make([]bool, len(xs))
-	for xi, x := range xs {
-		for yi, y := range ys {
-			out := &outcomes[xi*len(ys)+yi]
-			if out.panicErr != nil {
-				// Checked before the structural conditions: a pair that
-				// panicked mid-compute has no meaningful n or hashes.
-				out.panicErr.X, out.panicErr.Y = x, y
-				return out.panicErr
-			}
-			if out.buildErr != nil {
-				return fmt.Errorf("build(%s,%s): %w", x, y, out.buildErr)
-			}
-			if wantN == -1 {
-				wantN = out.n
-				if len(side) != wantN {
-					return fmt.Errorf("AliceSide has %d entries for %d vertices", len(side), wantN)
-				}
-			}
-			if out.n != wantN {
-				return fmt.Errorf("condition 1 violated: vertex count %d != %d at (%s,%s)", out.n, wantN, x, y)
-			}
-			if !cutSeen {
-				cutHash = out.cutHash
-				cutSeen = true
-			} else if out.cutHash != cutHash {
-				return fmt.Errorf("cut edges changed with input at (%s,%s)", x, y)
-			}
-			if bSeen[yi] && bByY[yi] != out.bHash {
-				return fmt.Errorf("condition 2 violated: G[V_B] changed with x at (%s,%s)", x, y)
-			}
-			bByY[yi], bSeen[yi] = out.bHash, true
-			if aSeen[xi] && aByX[xi] != out.aHash {
-				return fmt.Errorf("condition 3 violated: G[V_A] changed with y at (%s,%s)", x, y)
-			}
-			aByX[xi], aSeen[xi] = out.aHash, true
-			if out.predErr != nil {
-				return fmt.Errorf("predicate at (%s,%s): %w", x, y, out.predErr)
-			}
-			want := f.Eval(x, y)
-			if out.got != want {
-				return fmt.Errorf("condition 4 violated at (x=%s, y=%s): P=%v but %s=%v", x, y, out.got, f.Name(), want)
-			}
-		}
-	}
-	return nil
-}
-
-// storeMin lowers m to idx if idx is smaller.
-func storeMin(m *atomic.Int64, idx int64) {
-	for {
-		cur := m.Load()
-		if idx >= cur || m.CompareAndSwap(cur, idx) {
-			return
-		}
-	}
+	return verify(ctx, fam, edgeKind, inputs, inputs, false)
 }
 
 // SimulateTwoParty runs a CONGEST algorithm on G_{x,y} with Alice

@@ -43,8 +43,7 @@ func TestHotpathDirectiveSync(t *testing.T) {
 	}{
 		{"internal/congest/congest.go", "Run"},
 		{"internal/dicongest/dicongest.go", "Run"},
-		{"internal/lbfamily/lbfamily.go", "deltaWorker"},
-		{"internal/lbfamily/digraph.go", "digraphDeltaWorker"},
+		{"internal/lbfamily/sweep.go", "worker"},
 		{"internal/solver/independent.go", "recurse"},
 		{"internal/solver/mds.go", "recurse"},
 		{"internal/solver/maxcut.go", "recurse"},

@@ -20,7 +20,7 @@ func (p *pairTracer) ObserveRound(t congest.RoundTrace) { p.rounds++ }
 func TestCertifyThreadsTraceSerially(t *testing.T) {
 	fam := mdsFam(t)
 	tracers := map[int]*pairTracer{}
-	cfg := Config{Seed: 1, Serial: true, Trace: func(idx int, x, y comm.Bits) congest.Tracer {
+	cfg := Config{Seed: 1, Workers: 1, Trace: func(idx int, x, y comm.Bits) congest.Tracer {
 		tr := &pairTracer{}
 		tracers[idx] = tr
 		return tr
@@ -75,7 +75,7 @@ func TestCertifyDigraphFeedsSweepMetricsAndTrace(t *testing.T) {
 	sm := obs.MustSweepMetrics(reg)
 	traced := 0
 	tr := &pairTracer{}
-	cfg := Config{Seed: 1, Pairs: 6, Serial: true, Metrics: sm,
+	cfg := Config{Seed: 1, Pairs: 6, Workers: 1, Metrics: sm,
 		Trace: func(idx int, x, y comm.Bits) congest.Tracer {
 			traced++
 			return tr

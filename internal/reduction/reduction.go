@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime/debug"
 	"time"
 
 	"congesthard/internal/comm"
@@ -33,17 +32,17 @@ type Algorithm struct {
 
 // MaxExhaustiveCertifyK is the largest input length K for exhaustive
 // certification: all 2^(2K) pairs are simulated, so the cap bounds the
-// worst case at 65536 CONGEST runs. The sharded sweep amortizes that
-// over GOMAXPROCS workers holding reused instances and arenas (per-pair
-// cost is one delta toggle plus one arena-backed run), which is what
-// lifted the cap from the serial era's K = 6. It is shared by Certify
+// worst case at 65536 CONGEST runs. The sweep amortizes that over
+// GOMAXPROCS workers holding reused instances and arenas (per-pair cost
+// is one delta toggle plus one arena-backed run), which is what lifted
+// the cap from the single-goroutine era's K = 6. It is shared by Certify
 // and CertifyDigraph; beyond it, set Config.Pairs > 0 for sampled
 // certification, whose cost scales with Pairs/Workers instead of
 // 2^(2K)/Workers.
 const MaxExhaustiveCertifyK = 8
 
 // Config tunes Certify and CertifyDigraph. The zero value selects the
-// exhaustive sharded sweep: all 2^(2K) pairs, GOMAXPROCS workers, seed 0,
+// exhaustive sweep: all 2^(2K) pairs, GOMAXPROCS workers, seed 0,
 // the default bandwidth, no faults and no transcript checks.
 type Config struct {
 	// Pairs is the number of sampled (x, y) pairs; 0 selects exhaustive
@@ -54,7 +53,7 @@ type Config struct {
 	// pair's seed is a pure function of (Seed, idx), where idx is the
 	// pair's position in the canonical sweep order — never of the worker
 	// that happens to claim it — so the same Config produces bit-identical
-	// reports serial, sharded, and at any worker count.
+	// reports at any worker count.
 	Seed int64
 	// Bandwidth overrides the CONGEST bandwidth B (0 selects the default
 	// 2*ceil(log2(n+1))).
@@ -83,41 +82,33 @@ type Config struct {
 	MaxRounds int
 	// Progress, if non-nil, is called after every certified pair with the
 	// completed and total pair counts — the hook the serving layer uses
-	// to poll and stream per-pair job progress. Under the sharded sweep
-	// it is called from worker goroutines, but calls are serialized and
-	// completed is strictly increasing, so the hook itself needs no
-	// locking; keep it cheap and non-blocking, since it runs under the
-	// sweep's progress mutex.
+	// to poll and stream per-pair job progress. It is called from worker
+	// goroutines, but calls are serialized and completed is strictly
+	// increasing, so the hook itself needs no locking; keep it cheap and
+	// non-blocking, since it runs under the sweep's lock.
 	Progress func(completed, total int)
 	// Trace, if non-nil, is consulted before each pair's CONGEST run
 	// with the pair's canonical index and inputs; the returned tracer
 	// (the congest.Tracer interface both simulators share) observes
 	// that run's rounds, and returning nil skips tracing the pair.
 	// Purely observational: reports are bit-identical with or without
-	// it. Under the sharded sweep, tracers of different pairs run
-	// concurrently from worker goroutines — set Serial for a strictly
-	// ordered round stream. Transcript-checked pairs replay the run, so
-	// their rounds are observed twice; set TranscriptChecks to 0 for
-	// clean traces.
+	// it. Tracers of different pairs run concurrently from worker
+	// goroutines — set Workers to 1 for a strictly ordered round stream.
+	// Transcript-checked pairs replay the run, so their rounds are
+	// observed twice; set TranscriptChecks to 0 for clean traces.
 	Trace func(idx int, x, y comm.Bits) congest.Tracer
 	// Metrics, if non-nil, receives per-pair measurements as pairs
 	// complete: wall-clock latency, simulated rounds and cut bits land
 	// in the bundle's histograms (see obs.SweepMetrics). Purely
-	// observational and safe under the sharded sweep (the histograms
-	// are atomic). This is the one place certification reads the wall
-	// clock, and the reading never feeds results — only histograms.
+	// observational and safe across workers (the histograms are
+	// atomic). This is the one place certification reads the wall clock,
+	// and the reading never feeds results — only histograms.
 	Metrics *obs.SweepMetrics
-	// Serial runs the historical single-goroutine walk instead of the
-	// sharded sweep: one mutable delta instance (or per-pair rebuilds),
-	// pairs visited strictly in canonical order, no arena reuse. It is
-	// the differential-testing reference — the sharded sweep must produce
-	// a bit-identical Report — and the path whose partial reports are an
-	// exact prefix of the sweep order.
-	Serial bool
-	// Workers caps the sharded sweep's worker count; 0 selects
-	// GOMAXPROCS. Each worker holds a private instance (DeltaFamily base
-	// or per-pair rebuilds) and a private simulator arena, so memory
-	// scales linearly with Workers. Ignored when Serial is set.
+	// Workers caps the sweep's worker count; 0 selects GOMAXPROCS. Each
+	// worker holds a private instance (a DeltaFamily base clone, or
+	// per-pair rebuilds) and a private simulator arena, so memory scales
+	// linearly with Workers. One worker walks the pairs strictly in
+	// canonical order.
 	Workers int
 }
 
@@ -164,10 +155,10 @@ type Report struct {
 	// alongside a non-nil error and comes in two shapes:
 	//
 	//   - *lbfamily.PanicError: Pairs is the exact canonical-order prefix
-	//     preceding the panicked pair (sharded sweeps discard any
-	//     later pairs that finished, matching the serial walk);
+	//     preceding the panicked pair (later pairs that finished on
+	//     other workers are discarded);
 	//   - *lbfamily.CancelledError: Pairs holds the pairs certified
-	//     before ctx fired, in canonical order; under a sharded sweep the
+	//     before ctx fired, in canonical order; with several workers the
 	//     set may have gaps (workers stop mid-column), but the error's
 	//     Completed/Total always agree with len(Pairs)/Total.
 	//
@@ -181,15 +172,15 @@ type Report struct {
 // cfg.Pairs == 0 (K <= MaxExhaustiveCertifyK), sampled otherwise — with
 // the Alice/Bob cut metered, and reports per-pair {rounds, cut traffic,
 // output, correct} plus the aggregate rounds·B·|E_cut| budget against
-// CC(f). The sweep is sharded by Gray-code column across cfg.Workers
-// workers (GOMAXPROCS by default): for families implementing
-// lbfamily.DeltaFamily each worker holds a private base instance built
-// once from BuildBase and walks its claimed columns by ApplyBit toggles
-// (Hamming distance 1 between consecutive pairs of a column) with a
-// reused simulator arena, so steady-state allocations per pair are near
-// zero; other families rebuild each claimed G_{x,y} from scratch. Per-
-// pair seeds are keyed by canonical pair index, so the report is
-// bit-identical to the cfg.Serial reference walk at any worker count.
+// CC(f). The pairs run through lbfamily's sweep engine, one Gray-code
+// column per claim, across cfg.Workers workers (GOMAXPROCS by default):
+// for families implementing lbfamily.DeltaFamily each worker holds a
+// private instance (BuildBase once, Clone per further worker) walked by
+// ApplyBit toggles (Hamming distance 1 between consecutive pairs of a
+// column) with a reused simulator arena, so steady-state allocations per
+// pair are near zero; other families rebuild each claimed G_{x,y} from
+// scratch. Per-pair seeds are keyed by canonical pair index, so the
+// report is bit-identical at any worker count.
 func Certify(fam lbfamily.Family, alg Algorithm, cfg Config) (*Report, error) {
 	return CertifyCtx(context.Background(), fam, alg, cfg)
 }
@@ -198,197 +189,197 @@ func Certify(fam lbfamily.Family, alg Algorithm, cfg Config) (*Report, error) {
 // ctx fires mid-sweep, workers stop claiming pairs and the partial
 // report (the certified pairs, in canonical order) is returned alongside
 // a *lbfamily.CancelledError whose Completed/Total match the report; a
-// panic inside one pair's run is confined and returned as a
-// *lbfamily.PanicError naming the earliest failing (x, y) pair in
-// canonical order, with the report truncated to that pair's prefix
-// exactly as the serial walk would have left it. See Report for the
-// partial-report invariants.
+// panic inside one pair — in the algorithm, or in the family's Build or
+// ApplyBit — is confined and returned as a *lbfamily.PanicError naming
+// the earliest failing (x, y) pair in canonical order, with the report
+// truncated to that pair's prefix. See Report for the partial-report
+// invariants.
 func CertifyCtx(ctx context.Context, fam lbfamily.Family, alg Algorithm, cfg Config) (*Report, error) {
 	if alg.Prepare == nil {
 		return nil, fmt.Errorf("algorithm %q has no Prepare", alg.Name)
 	}
-	side, err := familySide(fam)
+	stats := func() (lbfamily.Stats, error) { return lbfamily.MeasureStats(fam) }
+	return certify(ctx, fam, stats, alg.Name, alg.Exact, cfg, func() simulate[*graph.Graph] {
+		arena := &congest.Arena{}
+		return func(g *graph.Graph, seed int64, replay bool, opts congest.Options) (congest.Metrics, bool, string, error) {
+			factory, decide, err := alg.Prepare(g, opts.BandwidthBits, seed)
+			if err != nil {
+				return congest.Metrics{}, false, "prepare", err
+			}
+			opts.Arena = arena
+			var res *congest.Result
+			if replay {
+				_, res, err = VerifySimulation(g, opts.CutSide, factory, opts)
+			} else {
+				res, err = congest.Run(g, factory, opts)
+			}
+			if err != nil {
+				return congest.Metrics{}, false, "run", err
+			}
+			output, err := decide(res)
+			return res.Metrics, output, "decide", err
+		}
+	})
+}
+
+// simulate is the one graph-kind-specific step of a certification: it
+// prepares the algorithm on a worker's instance g with the pair's seed,
+// runs it on the worker's arena under opts — replaying the transcript
+// when replay is set — and decides. On failure it names the failing
+// stage ("prepare", "run" or "decide").
+type simulate[G any] func(g G, seed int64, replay bool, opts congest.Options) (congest.Metrics, bool, string, error)
+
+// family is the part of Family and DigraphFamily a certification reads.
+type family[G any] interface {
+	Name() string
+	K() int
+	Func() comm.Function
+	Build(x, y comm.Bits) (G, error)
+	AliceSide() []bool
+}
+
+// certify is the one certification body behind CertifyCtx and
+// CertifyDigraphCtx. newSim makes a worker's simulator, with its own
+// arena, on the worker's first pair.
+func certify[G interface{ Clone() G }](ctx context.Context, fam family[G], stats func() (lbfamily.Stats, error),
+	name string, exact bool, cfg Config, newSim func() simulate[G]) (*Report, error) {
+	side, err := lbfamily.AliceSideOf(fam)
 	if err != nil {
 		return nil, fmt.Errorf("alice side: %w", err)
 	}
-	stats, err := lbfamily.MeasureStats(fam)
+	st, err := stats()
 	if err != nil {
 		return nil, err
 	}
-	if len(side) != stats.N {
-		return nil, fmt.Errorf("AliceSide has %d entries for %d vertices", len(side), stats.N)
+	if len(side) != st.N {
+		return nil, fmt.Errorf("AliceSide has %d entries for %d vertices", len(side), st.N)
 	}
 	bandwidth := cfg.Bandwidth
 	if bandwidth == 0 {
-		bandwidth = congest.DefaultBandwidth(stats.N)
+		bandwidth = congest.DefaultBandwidth(st.N)
 	}
 	xs, ys, exhaustive, err := certifyPairs(fam.K(), cfg)
 	if err != nil {
 		return nil, err
 	}
-
 	report := &Report{
 		Family:     fam.Name(),
-		Algorithm:  alg.Name,
-		Exact:      alg.Exact,
+		Algorithm:  name,
+		Exact:      exact,
 		Exhaustive: exhaustive,
-		Stats:      stats,
+		Stats:      st,
 		Bandwidth:  bandwidth,
 		Pairs:      make([]PairReport, len(xs)),
+		Total:      len(xs),
 	}
 	f := fam.Func()
-	// The transcript-checked pairs are the first cfg.TranscriptChecks
-	// canonical indices — a pure function of idx, not of visit order, so
-	// serial and sharded sweeps check (and replay) the same pairs.
-	runPair := func(arena *congest.Arena, idx int, g *graph.Graph, x, y comm.Bits) error {
-		factory, decide, err := alg.Prepare(g, bandwidth, pairSeed(cfg.Seed, idx))
-		if err != nil {
-			return fmt.Errorf("prepare (%s,%s): %w", x, y, err)
-		}
-		opts := congest.Options{BandwidthBits: bandwidth, MaxRounds: cfg.MaxRounds, CutSide: side, Faults: cfg.Faults, Arena: arena}
-		if cfg.Trace != nil {
-			opts.Trace = cfg.Trace(idx, x, y)
-		}
-		var started time.Time
-		if cfg.Metrics != nil {
-			started = time.Now() //nolint:hardlint/detrand wall-clock feeds observability histograms only, never certification results
-		}
-		var res *congest.Result
-		if idx < cfg.TranscriptChecks {
-			_, res, err = VerifySimulation(g, side, factory, opts)
-		} else {
-			res, err = congest.Run(g, factory, opts)
-		}
-		if err != nil {
-			return fmt.Errorf("run (%s,%s): %w", x, y, err)
-		}
-		output, err := decide(res)
-		if err != nil {
-			return fmt.Errorf("decide (%s,%s): %w", x, y, err)
-		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.ObservePair(time.Since(started).Seconds(), int64(res.Rounds), res.CutBits) //nolint:hardlint/detrand wall-clock feeds observability histograms only, never certification results
-		}
-		want := f.Eval(x, y)
-		report.Pairs[idx] = PairReport{
-			X: x.Clone(), Y: y.Clone(),
-			Rounds:      res.Rounds,
-			Messages:    res.Messages,
-			CutMessages: res.CutMessages,
-			CutBits:     res.CutBits,
-			Output:      output,
-			Want:        want,
-			Correct:     output == want,
-		}
-		return nil
-	}
 
-	report.Total = len(xs)
-	if cfg.Serial {
-		completed := 0
-		step := func(idx int, g *graph.Graph, x, y comm.Bits) error {
-			if err := ctx.Err(); err != nil {
-				return &lbfamily.CancelledError{Completed: completed, Total: report.Total, Err: err}
-			}
-			if err := safeStep(func() error { return runPair(nil, idx, g, x, y) }, x, y); err != nil {
-				return err
-			}
-			completed++
-			if cfg.Progress != nil {
-				cfg.Progress(completed, report.Total)
-			}
-			return nil
-		}
-		sweep := func() error {
-			if df, ok := fam.(lbfamily.DeltaFamily); ok && !cfg.ForceRebuild {
-				return certifyDelta(df, xs, ys, step)
-			}
-			for idx := range xs {
-				g, err := fam.Build(xs[idx], ys[idx])
-				if err != nil {
-					return fmt.Errorf("build (%s,%s): %w", xs[idx], ys[idx], err)
-				}
-				if err := step(idx, g, xs[idx], ys[idx]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := sweep(); err != nil {
-			return partialReport(report, completed, f, err)
-		}
-		report.Completed = completed
-		report.finalize(f)
-		return report, nil
-	}
-
-	// Sharded sweep (the default): workers claim Gray-code columns — for
-	// exhaustive sweeps a fixed-y block of 2^K consecutive canonical
-	// indices, for sampled sweeps single pairs — and certify them on
-	// worker-private instances with worker-private simulator arenas.
-	colLen := 1
+	// A column is a contiguous block of the canonical list: one fixed-y
+	// Gray column of 2^K pairs for exhaustive sweeps, a single pair for
+	// sampled ones.
+	rows := 1
 	if exhaustive {
-		colLen = len(xs) >> uint(fam.K()) // 2^K pairs per fixed-y column
+		rows = 1 << uint(fam.K())
 	}
-	cols := (len(xs) + colLen - 1) / colLen
-	workers := sweepWorkers(cfg, cols)
-	arenas := make([]*congest.Arena, workers)
-	for i := range arenas {
-		arenas[i] = &congest.Arena{}
-	}
-	plan := &sweepPlan[*graph.Graph]{
-		xs: xs, ys: ys, k: fam.K(), colLen: colLen, workers: workers,
-		run: func(worker, idx int, g *graph.Graph, x, y comm.Bits) error {
-			return runPair(arenas[worker], idx, g, x, y)
+	sims := make([]simulate[G], lbfamily.SweepWorkers(cfg.Workers, len(xs)/rows))
+	sw := lbfamily.Sweep[G]{
+		Cols: len(xs) / rows, Rows: rows, Workers: len(sims),
+		Pair: func(c, r int) (comm.Bits, comm.Bits, int) {
+			idx := c*rows + r
+			return xs[idx], ys[idx], idx
 		},
-		progress: cfg.Progress,
-	}
-	if df, ok := fam.(lbfamily.DeltaFamily); ok && !cfg.ForceRebuild {
-		instances := make([]*graph.Graph, workers)
-		for i := range instances {
-			if err := ctx.Err(); err != nil {
-				return partialReport(report, 0, f, &lbfamily.CancelledError{Total: report.Total, Err: err})
-			}
-			base, err := df.BuildBase()
+		Build: func(x, y comm.Bits) (G, error) {
+			g, err := fam.Build(x, y)
 			if err != nil {
-				return nil, fmt.Errorf("delta base build: %w", err)
+				err = fmt.Errorf("build (%s,%s): %w", x, y, err)
 			}
-			instances[i] = base
-		}
-		plan.instances = instances
-		plan.applyBit = df.ApplyBit
-	} else {
-		plan.build = fam.Build
+			return g, err
+		},
+		// The transcript-checked pairs are the first cfg.TranscriptChecks
+		// canonical indices — a pure function of idx, not of visit order.
+		Visit: func(w, idx int, g G, x, y comm.Bits) error {
+			opts := congest.Options{BandwidthBits: bandwidth, MaxRounds: cfg.MaxRounds, CutSide: side, Faults: cfg.Faults}
+			if cfg.Trace != nil {
+				opts.Trace = cfg.Trace(idx, x, y)
+			}
+			var started time.Time
+			if cfg.Metrics != nil {
+				started = time.Now() //nolint:hardlint/detrand wall-clock feeds observability histograms only, never certification results
+			}
+			if sims[w] == nil {
+				sims[w] = newSim()
+			}
+			m, output, stage, err := sims[w](g, pairSeed(cfg.Seed, idx), idx < cfg.TranscriptChecks, opts)
+			if err != nil {
+				return fmt.Errorf("%s (%s,%s): %w", stage, x, y, err)
+			}
+			if cfg.Metrics != nil {
+				cfg.Metrics.ObservePair(time.Since(started).Seconds(), int64(m.Rounds), m.CutBits) //nolint:hardlint/detrand wall-clock feeds observability histograms only, never certification results
+			}
+			want := f.Eval(x, y)
+			report.Pairs[idx] = PairReport{
+				X: x.Clone(), Y: y.Clone(),
+				Rounds:      m.Rounds,
+				Messages:    m.Messages,
+				CutMessages: m.CutMessages,
+				CutBits:     m.CutBits,
+				Output:      output,
+				Want:        want,
+				Correct:     output == want,
+			}
+			return nil
+		},
+		Progress: cfg.Progress,
 	}
-	return resolveSweep(report, plan.execute(ctx), ctx.Err(), f)
+	if df, ok := fam.(lbfamily.DeltaSource[G]); ok && !cfg.ForceRebuild {
+		sw.Delta = df
+	}
+	return resolve(report, sw.Run(ctx), ctx.Err(), f)
 }
 
-// safeStep runs one pair's certification with panic confinement: a panic
-// becomes a *lbfamily.PanicError naming the pair instead of crashing the
-// sweep and losing the pairs already certified.
-func safeStep(run func() error, x, y comm.Bits) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &lbfamily.PanicError{X: x.Clone(), Y: y.Clone(), Value: r, Stack: debug.Stack()}
+// resolve converts a finished sweep into the report/error contract:
+//
+//   - every pair certified → the finalized complete report;
+//   - an earliest failure whose predecessors all completed (always so
+//     unless ctx fired) → a *lbfamily.PanicError with the report
+//     truncated to the pairs before it, or a plain error alone with no
+//     report; later pairs that happened to finish are discarded;
+//   - a cancelled sweep → the certified pairs compacted in canonical
+//     order plus a *lbfamily.CancelledError whose Completed matches
+//     len(Pairs). A sweep that finished every pair before the context
+//     fired is complete, not cancelled.
+func resolve(report *Report, res lbfamily.SweepResult, ctxErr error, f comm.Function) (*Report, error) {
+	certified := func(idx int) bool { return report.Pairs[idx].X.Len() > 0 }
+	if res.First >= 0 {
+		prefix := true
+		for idx := 0; idx < res.First && prefix; idx++ {
+			prefix = certified(idx)
 		}
-	}()
-	return run()
-}
-
-// partialReport resolves an interrupted sweep: cancellations and confined
-// panics return the truncated-but-finalized report alongside the error
-// (the completed pairs' measurements are still valid Theorem 1.1 data);
-// any other failure returns no report, as before.
-func partialReport(report *Report, completed int, f comm.Function, err error) (*Report, error) {
-	var cerr *lbfamily.CancelledError
-	var perr *lbfamily.PanicError
-	if !errors.As(err, &cerr) && !errors.As(err, &perr) {
-		return nil, err
+		if prefix || ctxErr == nil {
+			var perr *lbfamily.PanicError
+			if !errors.As(res.Err, &perr) {
+				return nil, res.Err
+			}
+			report.Pairs = report.Pairs[:res.First]
+			report.Completed = res.First
+			report.finalize(f)
+			return report, res.Err
+		}
 	}
-	report.Pairs = report.Pairs[:completed]
-	report.Completed = completed
+	done := 0
+	for idx := range report.Pairs {
+		if certified(idx) {
+			report.Pairs[done] = report.Pairs[idx]
+			done++
+		}
+	}
+	report.Pairs = report.Pairs[:done]
+	report.Completed = done
 	report.finalize(f)
-	return report, err
+	if ctxErr != nil && done < report.Total {
+		return report, &lbfamily.CancelledError{Completed: done, Total: report.Total, Err: ctxErr}
+	}
+	return report, nil
 }
 
 // finalize computes the aggregate Theorem 1.1 accounting from the
@@ -420,7 +411,7 @@ func (r *Report) finalize(f comm.Function) {
 func certifyPairs(k int, cfg Config) (xs, ys []comm.Bits, exhaustive bool, err error) {
 	if cfg.Pairs <= 0 {
 		if k > MaxExhaustiveCertifyK {
-			return nil, nil, false, fmt.Errorf("exhaustive certification limited to K <= %d, got %d: 2^(2K) CONGEST runs exceed the sharded sweep's budget even across all cores; set Config.Pairs > 0 for sampled certification, which costs Pairs runs instead", MaxExhaustiveCertifyK, k)
+			return nil, nil, false, fmt.Errorf("exhaustive certification limited to K <= %d, got %d: 2^(2K) CONGEST runs exceed the sweep's budget even across all cores; set Config.Pairs > 0 for sampled certification, which costs Pairs runs instead", MaxExhaustiveCertifyK, k)
 		}
 		var inputs []comm.Bits
 		if err := comm.AllBits(k, func(b comm.Bits) { inputs = append(inputs, b.Clone()) }); err != nil {
@@ -465,43 +456,6 @@ func certifyPairs(k int, cfg Config) (xs, ys []comm.Bits, exhaustive bool, err e
 	return xs, ys, false, nil
 }
 
-// certifyDelta walks the pair list on a single mutable instance built once
-// from BuildBase, toggling only the bits on which consecutive pairs differ
-// — the Config.Serial reference walk; the sharded default runs the same
-// toggles on worker-private instances (see shard.go).
-func certifyDelta(df lbfamily.DeltaFamily, xs, ys []comm.Bits, runPair func(idx int, g *graph.Graph, x, y comm.Bits) error) error {
-	g, err := df.BuildBase()
-	if err != nil {
-		return fmt.Errorf("delta base build: %w", err)
-	}
-	k := df.K()
-	curX, curY := comm.NewBits(k), comm.NewBits(k)
-	applyDiff := func(player int, cur, target comm.Bits) error {
-		var applyErr error
-		cur.ForEachDiff(target, func(i int) bool {
-			if err := df.ApplyBit(g, player, i, target.Get(i)); err != nil {
-				applyErr = err
-				return false
-			}
-			cur.Set(i, target.Get(i))
-			return true
-		})
-		return applyErr
-	}
-	for idx := range xs {
-		if err := applyDiff(lbfamily.PlayerY, curY, ys[idx]); err != nil {
-			return fmt.Errorf("delta apply y at (%s,%s): %w", xs[idx], ys[idx], err)
-		}
-		if err := applyDiff(lbfamily.PlayerX, curX, xs[idx]); err != nil {
-			return fmt.Errorf("delta apply x at (%s,%s): %w", xs[idx], ys[idx], err)
-		}
-		if err := runPair(idx, g, xs[idx], ys[idx]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // splitmix64 is the package's shared bit mixer, used for per-pair seeds
 // and shared-randomness sampling coins.
 func splitmix64(x uint64) uint64 {
@@ -515,13 +469,4 @@ func splitmix64(x uint64) uint64 {
 // order.
 func pairSeed(seed int64, idx int) int64 {
 	return int64(splitmix64(uint64(seed) ^ splitmix64(uint64(idx))))
-}
-
-// familySide mirrors lbfamily's side resolution: DerivedFamily surfaces
-// its build error through AliceSideChecked.
-func familySide(fam lbfamily.Family) ([]bool, error) {
-	if checked, ok := fam.(interface{ AliceSideChecked() ([]bool, error) }); ok {
-		return checked.AliceSideChecked()
-	}
-	return fam.AliceSide(), nil
 }

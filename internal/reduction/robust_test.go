@@ -5,10 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"congesthard/internal/algorithms"
+	"congesthard/internal/comm"
 	"congesthard/internal/congest"
+	"congesthard/internal/constructions/hamlb"
+	"congesthard/internal/constructions/mdslb"
 	"congesthard/internal/dicongest"
 	"congesthard/internal/faults"
 	"congesthard/internal/graph"
@@ -123,12 +127,12 @@ func TestCertifyCtxCancelReturnsPartialReport(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Cancel during pair 5's Prepare: that pair still completes (the
-	// context is checked at step entry), pair 6 does not start. The
-	// Serial walk makes the cancellation point exact; the sharded
+	// context is checked before each pair), pair 6 does not start. One
+	// worker makes the cancellation point exact; the sharded
 	// equivalent (with relaxed pair-set assertions) lives in
 	// TestCertifyShardedCancelMidSweep.
 	alg := cancelAfterPrepares(CollectMDS(fam), 5, cancel)
-	rep, err := CertifyCtx(ctx, fam, alg, Config{Seed: 1, Serial: true})
+	rep, err := CertifyCtx(ctx, fam, alg, Config{Seed: 1, Workers: 1})
 
 	var cerr *lbfamily.CancelledError
 	if !errors.As(err, &cerr) {
@@ -188,9 +192,9 @@ func TestCertifyPanicNamesPairAndReturnsPartialReport(t *testing.T) {
 		}
 		return inner(g, bandwidth, seed)
 	}
-	// Serial pins the panic to the 7th pair of the walk; the sharded
+	// One worker pins the panic to the 7th pair of the walk; the sharded
 	// twin is TestCertifyShardedPanicNamesCanonicalFirstPair.
-	rep, err := Certify(fam, alg, Config{Seed: 1, Serial: true})
+	rep, err := Certify(fam, alg, Config{Seed: 1, Workers: 1})
 
 	var perr *lbfamily.PanicError
 	if !errors.As(err, &perr) {
@@ -227,7 +231,7 @@ func TestCertifyDigraphCtxCancelReturnsPartialReport(t *testing.T) {
 		}
 		return inner(d, bandwidth, seed)
 	}
-	rep, err := CertifyDigraphCtx(ctx, fam, alg, Config{Seed: 1, Serial: true})
+	rep, err := CertifyDigraphCtx(ctx, fam, alg, Config{Seed: 1, Workers: 1})
 
 	var cerr *lbfamily.CancelledError
 	if !errors.As(err, &cerr) {
@@ -272,5 +276,127 @@ func TestCertifyDigraphFaultsReplayStable(t *testing.T) {
 			repA.Pairs[i].Output != repB.Pairs[i].Output {
 			t.Errorf("pair %d not replay-stable under faults", i)
 		}
+	}
+}
+
+// explodingMDS is the MDS family with deliberate faults in its instance
+// surface: ApplyBit panics on the applyAt-th toggle (counted across all
+// worker instances) and Build panics on the pair (buildX, buildY).
+type explodingMDS struct {
+	*mdslb.Family
+	applyAt        int64
+	toggles        atomic.Int64
+	buildX, buildY string
+}
+
+func (f *explodingMDS) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
+	if f.toggles.Add(1) == f.applyAt {
+		panic("applybit exploded")
+	}
+	return f.Family.ApplyBit(g, player, bit, val)
+}
+
+func (f *explodingMDS) Build(x, y comm.Bits) (*graph.Graph, error) {
+	if x.String() == f.buildX && y.String() == f.buildY {
+		panic("build exploded")
+	}
+	return f.Family.Build(x, y)
+}
+
+// explodingHam is explodingMDS for the directed Hamiltonian path family.
+type explodingHam struct {
+	*hamlb.Family
+	applyAt        int64
+	toggles        atomic.Int64
+	buildX, buildY string
+}
+
+func (f *explodingHam) ApplyBit(d *graph.Digraph, player, bit int, val bool) error {
+	if f.toggles.Add(1) == f.applyAt {
+		panic("applybit exploded")
+	}
+	return f.Family.ApplyBit(d, player, bit, val)
+}
+
+func (f *explodingHam) Build(x, y comm.Bits) (*graph.Digraph, error) {
+	if x.String() == f.buildX && y.String() == f.buildY {
+		panic("build exploded")
+	}
+	return f.Family.Build(x, y)
+}
+
+// checkConfinedPanic asserts that a sweep whose instance surface panicked
+// returned a *lbfamily.PanicError naming one of its pairs, together with
+// the partial report of exactly the canonical pairs before that pair,
+// bit-identical to the same prefix of the full reference report. If
+// wantIdx >= 0 the named pair must be the one at that canonical index.
+func checkConfinedPanic(t *testing.T, label string, rep *Report, err error, full *Report, f comm.Function, msg string, wantIdx int) {
+	t.Helper()
+	var perr *lbfamily.PanicError
+	if !errors.As(err, &perr) {
+		t.Fatalf("%s: returned %v, want *lbfamily.PanicError", label, err)
+	}
+	if !strings.Contains(err.Error(), msg) || len(perr.Stack) == 0 {
+		t.Errorf("%s: error %q (stack %d bytes) does not describe the %q panic", label, err, len(perr.Stack), msg)
+	}
+	idx := -1
+	for i, p := range full.Pairs {
+		if p.X.Equal(perr.X) && p.Y.Equal(perr.Y) {
+			idx = i
+			break
+		}
+	}
+	if idx < 0 || (wantIdx >= 0 && idx != wantIdx) {
+		t.Fatalf("%s: panic names (%s,%s) at canonical index %d, want %d", label, perr.X, perr.Y, idx, wantIdx)
+	}
+	if rep == nil {
+		t.Fatalf("%s: no partial report", label)
+	}
+	prefix := *full
+	prefix.Pairs = full.Pairs[:idx]
+	prefix.Completed, prefix.Mismatches, prefix.MaxRounds, prefix.MaxCutBits = idx, 0, 0, 0
+	prefix.finalize(f)
+	reportsEqual(t, label, &prefix, rep)
+}
+
+func TestCertifyConfinesInstancePanics(t *testing.T) {
+	// A panic in the family's ApplyBit (delta path) or Build (rebuild
+	// path) is confined like a panic in the algorithm: the sweep returns
+	// a *lbfamily.PanicError naming the pair and the canonical-prefix
+	// partial report instead of crashing the process. At one worker the
+	// 10th toggle belongs to canonical pair 10 (each step of the first
+	// Gray column toggles one x bit).
+	full := referenceCertify(t, mdsFam(t), CollectMDS(mdsFam(t)), Config{Seed: 1})
+	bad := full.Pairs[37]
+	for _, workers := range []int{1, 4} {
+		fam := &explodingMDS{Family: mdsFam(t), applyAt: 10}
+		rep, err := Certify(fam, CollectMDS(fam.Family), Config{Seed: 1, Workers: workers})
+		wantIdx := -1
+		if workers == 1 {
+			wantIdx = 10
+		}
+		checkConfinedPanic(t, fmt.Sprintf("apply/workers=%d", workers), rep, err, full, fam.Func(), "applybit exploded", wantIdx)
+
+		fam = &explodingMDS{Family: mdsFam(t), buildX: bad.X.String(), buildY: bad.Y.String()}
+		rep, err = Certify(fam, CollectMDS(fam.Family), Config{Seed: 1, Workers: workers, ForceRebuild: true})
+		checkConfinedPanic(t, fmt.Sprintf("build/workers=%d", workers), rep, err, full, fam.Func(), "build exploded", 37)
+	}
+}
+
+func TestCertifyDigraphConfinesInstancePanics(t *testing.T) {
+	full := referenceCertifyDigraph(t, hamFam(t), CollectHamPath(hamFam(t)), Config{Seed: 1})
+	bad := full.Pairs[37]
+	for _, workers := range []int{1, 4} {
+		fam := &explodingHam{Family: hamFam(t), applyAt: 10}
+		rep, err := CertifyDigraph(fam, CollectHamPath(fam.Family), Config{Seed: 1, Workers: workers})
+		wantIdx := -1
+		if workers == 1 {
+			wantIdx = 10
+		}
+		checkConfinedPanic(t, fmt.Sprintf("apply/workers=%d", workers), rep, err, full, fam.Func(), "applybit exploded", wantIdx)
+
+		fam = &explodingHam{Family: hamFam(t), buildX: bad.X.String(), buildY: bad.Y.String()}
+		rep, err = CertifyDigraph(fam, CollectHamPath(fam.Family), Config{Seed: 1, Workers: workers, ForceRebuild: true})
+		checkConfinedPanic(t, fmt.Sprintf("build/workers=%d", workers), rep, err, full, fam.Func(), "build exploded", 37)
 	}
 }

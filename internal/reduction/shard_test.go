@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"congesthard/internal/comm"
 	"congesthard/internal/congest"
 	"congesthard/internal/dicongest"
 	"congesthard/internal/faults"
@@ -43,11 +44,108 @@ func reportsEqual(t *testing.T, label string, a, b *Report) {
 	}
 }
 
+// referenceCertify is the differential reference for the sweep engine,
+// kept deliberately naive: on one goroutine, in canonical order, each
+// pair's G_{x,y} is built from scratch, the algorithm is prepared on it
+// and run on the plain simulator — no delta instance, no arena — and
+// its decision taken. It honours Faults, MaxRounds and TranscriptChecks.
+func referenceCertify(t *testing.T, fam lbfamily.Family, alg Algorithm, cfg Config) *Report {
+	t.Helper()
+	stats, err := lbfamily.MeasureStats(fam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := fam.AliceSide()
+	return referenceSweep(t, fam.Name(), fam.K(), fam.Func(), stats, alg.Name, alg.Exact, cfg,
+		func(idx int, x, y comm.Bits, bandwidth int) (congest.Metrics, bool, error) {
+			g, err := fam.Build(x, y)
+			if err != nil {
+				return congest.Metrics{}, false, err
+			}
+			factory, decide, err := alg.Prepare(g, bandwidth, pairSeed(cfg.Seed, idx))
+			if err != nil {
+				return congest.Metrics{}, false, err
+			}
+			opts := congest.Options{BandwidthBits: bandwidth, MaxRounds: cfg.MaxRounds, CutSide: side, Faults: cfg.Faults}
+			var res *congest.Result
+			if idx < cfg.TranscriptChecks {
+				_, res, err = VerifySimulation(g, side, factory, opts)
+			} else {
+				res, err = congest.Run(g, factory, opts)
+			}
+			if err != nil {
+				return congest.Metrics{}, false, err
+			}
+			out, err := decide(res)
+			return res.Metrics, out, err
+		})
+}
+
+// referenceCertifyDigraph is referenceCertify for directed families.
+func referenceCertifyDigraph(t *testing.T, fam lbfamily.DigraphFamily, alg DigraphAlgorithm, cfg Config) *Report {
+	t.Helper()
+	stats, err := lbfamily.MeasureDigraphStats(fam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := fam.AliceSide()
+	return referenceSweep(t, fam.Name(), fam.K(), fam.Func(), stats, alg.Name, alg.Exact, cfg,
+		func(idx int, x, y comm.Bits, bandwidth int) (congest.Metrics, bool, error) {
+			d, err := fam.Build(x, y)
+			if err != nil {
+				return congest.Metrics{}, false, err
+			}
+			factory, decide, err := alg.Prepare(d, bandwidth, pairSeed(cfg.Seed, idx))
+			if err != nil {
+				return congest.Metrics{}, false, err
+			}
+			opts := dicongest.Options{BandwidthBits: bandwidth, MaxRounds: cfg.MaxRounds, CutSide: side, Faults: cfg.Faults}
+			var res *dicongest.Result
+			if idx < cfg.TranscriptChecks {
+				_, res, err = VerifyDigraphSimulation(d, side, factory, opts)
+			} else {
+				res, err = dicongest.Run(d, factory, opts)
+			}
+			if err != nil {
+				return congest.Metrics{}, false, err
+			}
+			out, err := decide(res)
+			return congest.Metrics(res.Metrics), out, err
+		})
+}
+
+// referenceSweep walks the canonical pair list in order, certifying
+// each pair with run, and assembles the report.
+func referenceSweep(t *testing.T, family string, k int, f comm.Function, stats lbfamily.Stats, alg string, exact bool, cfg Config,
+	run func(idx int, x, y comm.Bits, bandwidth int) (congest.Metrics, bool, error)) *Report {
+	t.Helper()
+	xs, ys, exhaustive, err := certifyPairs(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &Report{Family: family, Algorithm: alg, Exact: exact, Exhaustive: exhaustive, Stats: stats,
+		Bandwidth: cfg.Bandwidth, Completed: len(xs), Total: len(xs)}
+	if rep.Bandwidth == 0 {
+		rep.Bandwidth = congest.DefaultBandwidth(stats.N)
+	}
+	for idx := range xs {
+		m, out, err := run(idx, xs[idx], ys[idx], rep.Bandwidth)
+		if err != nil {
+			t.Fatalf("reference pair %d (%s,%s): %v", idx, xs[idx], ys[idx], err)
+		}
+		want := f.Eval(xs[idx], ys[idx])
+		rep.Pairs = append(rep.Pairs, PairReport{X: xs[idx], Y: ys[idx], Rounds: m.Rounds, Messages: m.Messages,
+			CutMessages: m.CutMessages, CutBits: m.CutBits, Output: out, Want: want, Correct: out == want})
+	}
+	rep.finalize(f)
+	return rep
+}
+
 func TestCertifyShardedMatchesSerial(t *testing.T) {
-	// The tentpole differential: the sharded sweep must reproduce the
-	// serial reference walk bit for bit — pair order, measurements,
-	// aggregates — across worker counts, with and without the delta
-	// builder, with transcript checks and fault plans active.
+	// The tentpole differential: the sweep engine must reproduce the
+	// naive reference loop bit for bit — pair order, measurements,
+	// aggregates — at one worker, three and GOMAXPROCS, with and without
+	// the delta builder, with transcript checks and fault plans active.
 	fam := mdsFam(t)
 	alg := CollectMDS(fam)
 	configs := []struct {
@@ -61,12 +159,7 @@ func TestCertifyShardedMatchesSerial(t *testing.T) {
 		{"sampled-faults", Config{Seed: 5, Pairs: 12, Faults: &faults.Plan{Seed: 7, DropProb: 0.01}}},
 	}
 	for _, tc := range configs {
-		serialCfg := tc.cfg
-		serialCfg.Serial = true
-		want, err := Certify(fam, alg, serialCfg)
-		if err != nil {
-			t.Fatalf("%s: serial reference failed: %v", tc.name, err)
-		}
+		want := referenceCertify(t, fam, alg, tc.cfg)
 		for _, workers := range []int{1, 3, 0} { // 0 = GOMAXPROCS
 			cfg := tc.cfg
 			cfg.Workers = workers
@@ -89,15 +182,11 @@ func TestCertifyDigraphShardedMatchesSerial(t *testing.T) {
 		{"exhaustive", Config{Seed: 2}},
 		{"exhaustive-rebuild", Config{Seed: 2, ForceRebuild: true}},
 		{"sampled-transcripts", Config{Seed: 6, Pairs: 16, TranscriptChecks: 3}},
+		{"sampled-faults", Config{Seed: 6, Pairs: 12, Faults: &faults.Plan{Seed: 7, DropProb: 0.01}}},
 	}
 	for _, tc := range configs {
-		serialCfg := tc.cfg
-		serialCfg.Serial = true
-		want, err := CertifyDigraph(fam, alg, serialCfg)
-		if err != nil {
-			t.Fatalf("%s: serial reference failed: %v", tc.name, err)
-		}
-		for _, workers := range []int{1, 4, 0} {
+		want := referenceCertifyDigraph(t, fam, alg, tc.cfg)
+		for _, workers := range []int{1, 3, 0} {
 			cfg := tc.cfg
 			cfg.Workers = workers
 			got, err := CertifyDigraph(fam, alg, cfg)
@@ -130,7 +219,7 @@ func seedRecordingAlg(alg Algorithm, mu *sync.Mutex, seeds map[uint64]int64) Alg
 
 func TestCertifyShardedPairSeedsMatchSerial(t *testing.T) {
 	// Seeds are keyed by canonical pair index, so the instance→seed map
-	// is identical between the serial walk and any sharded schedule. The
+	// is identical between the one-worker walk and any sharded schedule. The
 	// instance graph's structural hash identifies the pair: the family's
 	// encoding is injective in (x, y).
 	fam := mdsFam(t)
@@ -142,14 +231,14 @@ func TestCertifyShardedPairSeedsMatchSerial(t *testing.T) {
 		}
 		return seeds
 	}
-	want := record(Config{Seed: 3, Serial: true})
+	want := record(Config{Seed: 3, Workers: 1})
 	got := record(Config{Seed: 3, Workers: 5})
 	if len(want) != len(got) {
-		t.Fatalf("seed map sizes differ: serial %d, sharded %d", len(want), len(got))
+		t.Fatalf("seed map sizes differ: one worker %d, sharded %d", len(want), len(got))
 	}
 	for k, v := range want {
 		if got[k] != v {
-			t.Fatalf("pair seed diverged for instance %#x: serial %d, sharded %d", k, v, got[k])
+			t.Fatalf("pair seed diverged for instance %#x: one worker %d, sharded %d", k, v, got[k])
 		}
 	}
 }
@@ -207,7 +296,7 @@ func TestCertifyShardedCancelMidSweep(t *testing.T) {
 func TestCertifyShardedPanicNamesCanonicalFirstPair(t *testing.T) {
 	// Two pairs panic in different columns; the sharded sweep must
 	// report the canonical-order-first one and truncate the report to
-	// its exact prefix — bit-identical to the serial walk hitting the
+	// its exact prefix — bit-identical to the one-worker walk hitting the
 	// same first panic. The panicking pairs are recognized by their
 	// seeds, which are pure functions of (Seed, canonical index).
 	fam := mdsFam(t)
@@ -225,13 +314,13 @@ func TestCertifyShardedPanicNamesCanonicalFirstPair(t *testing.T) {
 		return alg
 	}
 
-	wantRep, wantErr := Certify(fam, withPanics(), Config{Seed: seed, Serial: true})
+	wantRep, wantErr := Certify(fam, withPanics(), Config{Seed: seed, Workers: 1})
 	var wantPerr *lbfamily.PanicError
 	if !errors.As(wantErr, &wantPerr) {
-		t.Fatalf("serial reference returned %v, want *lbfamily.PanicError", wantErr)
+		t.Fatalf("one-worker sweep returned %v, want *lbfamily.PanicError", wantErr)
 	}
 	if wantRep.Completed != 37 {
-		t.Fatalf("serial reference completed %d pairs, want 37 (panic at canonical index 37)", wantRep.Completed)
+		t.Fatalf("one-worker sweep completed %d pairs, want 37 (panic at canonical index 37)", wantRep.Completed)
 	}
 
 	gotRep, gotErr := Certify(fam, withPanics(), Config{Seed: seed, Workers: 4})
@@ -240,7 +329,7 @@ func TestCertifyShardedPanicNamesCanonicalFirstPair(t *testing.T) {
 		t.Fatalf("sharded sweep returned %v, want *lbfamily.PanicError", gotErr)
 	}
 	if gotPerr.X.String() != wantPerr.X.String() || gotPerr.Y.String() != wantPerr.Y.String() {
-		t.Errorf("sharded panic names (%s,%s), serial names (%s,%s): canonical-first selection broken",
+		t.Errorf("sharded panic names (%s,%s), one worker names (%s,%s): canonical-first selection broken",
 			gotPerr.X, gotPerr.Y, wantPerr.X, wantPerr.Y)
 	}
 	if !strings.Contains(gotErr.Error(), "prepare exploded") {

@@ -16,6 +16,12 @@
 //     a lower-bound family, reporting per-pair rounds, cut traffic and
 //     output correctness, and the aggregate rounds·B·|E_cut| budget against
 //     the communication complexity of f.
+//
+// Certify and CertifyDigraph are one generic body on lbfamily's sweep
+// engine (lbfamily.Sweep), the same engine Verify runs on; only the
+// simulator call depends on the graph kind. The report is bit-identical
+// at any Config.Workers, and Workers = 1 walks the pairs in canonical
+// order.
 package reduction
 
 import (
