@@ -138,3 +138,40 @@ func TestWitnessRejectsDisjoint(t *testing.T) {
 		t.Error("witness produced for disjoint inputs")
 	}
 }
+
+// TestWarmSteinerOracleAllocatesNothing pins the Verify hot path: once a
+// SteinerOracle has seen a k=2 instance, deciding the predicate on a YES
+// pair and on a NO pair allocates nothing.
+func TestWarmSteinerOracleAllocatesNothing(t *testing.T) {
+	f, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terminals, target := f.Terminals(), f.TargetEdges()
+	zero, ones := comm.NewBits(f.K()), comm.OnesBits(f.K())
+	var o solver.SteinerOracle
+	for _, tc := range []struct {
+		name string
+		x, y comm.Bits
+		want bool
+	}{
+		{"yes", ones, ones, true},
+		{"no", zero, zero, false},
+	} {
+		g, err := f.Build(tc.x, tc.y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Freeze()
+		var got bool
+		allocs := testing.AllocsPerRun(20, func() {
+			got, err = o.HasSteinerTreeWithEdges(g, terminals, target)
+		})
+		if err != nil || got != tc.want {
+			t.Fatalf("%s pair: got %v (err %v), want %v", tc.name, got, err, tc.want)
+		}
+		if allocs != 0 {
+			t.Errorf("%s pair: warm oracle allocates %.1f per call, want 0", tc.name, allocs)
+		}
+	}
+}

@@ -51,3 +51,73 @@ func FuzzHamiltonOracle(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSteinerOracle checks SteinerOracle against BruteSteinerTree on
+// unit-weight graphs of at most 20 vertices and 16 non-terminals. The
+// input is the vertex count, the terminal list (each byte reduced mod n,
+// duplicates kept; low non-terminals are appended as terminals until at
+// most 16 non-terminals remain), the edge budget (reduced into -1..n) and
+// an adjacency bit matrix over vertex pairs u < v. The oracle must answer
+// brute <= maxEdges, or false when brute finds the terminals unconnected,
+// on both its single-word and its bitset search, each on a cold oracle and
+// then a warm one.
+func FuzzSteinerOracle(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 2, 2}, uint8(3), []byte{0b101})
+	f.Add(uint8(3), []byte{0, 0}, uint8(1), []byte{})
+	f.Add(uint8(6), []byte{0, 5}, uint8(4), []byte{0xff, 0x0f})
+	f.Add(uint8(9), []byte{1, 3, 5, 7}, uint8(6), []byte{0x5a, 0x01, 0x80, 0x24, 0x42})
+	f.Add(uint8(20), []byte{0, 3, 6, 9, 12, 15, 18}, uint8(11), []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf1, 0x23, 0x45, 0x67, 0x89, 0x0f, 0xf0, 0x3c, 0xc3, 0x66, 0x99, 0x81, 0x18, 0x24})
+	f.Fuzz(func(t *testing.T, nRaw uint8, termBytes []byte, maxRaw uint8, edges []byte) {
+		n := 1 + int(nRaw)%20
+		g := graph.New(n)
+		bit := 0
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if bit/8 < len(edges) && edges[bit/8]>>(bit%8)&1 == 1 {
+					g.MustAddEdge(u, v)
+				}
+				bit++
+			}
+		}
+		isTerminal := make([]bool, n)
+		terminals := []int{}
+		for _, b := range termBytes {
+			v := int(b) % n
+			terminals = append(terminals, v)
+			isTerminal[v] = true
+		}
+		if len(terminals) == 0 {
+			terminals = append(terminals, 0)
+			isTerminal[0] = true
+		}
+		others := 0
+		for _, term := range isTerminal {
+			if !term {
+				others++
+			}
+		}
+		for v := 0; others > 16; v++ {
+			if !isTerminal[v] {
+				terminals = append(terminals, v)
+				isTerminal[v] = true
+				others--
+			}
+		}
+		maxEdges := int(maxRaw)%(n+2) - 1
+		brute, err := BruteSteinerTree(g, terminals)
+		want := err == nil && brute <= int64(maxEdges)
+		for _, wide := range []bool{false, true} {
+			var o SteinerOracle
+			for call := 0; call < 2; call++ { // the second call runs on warm scratch
+				got, err := o.decide(g, terminals, maxEdges, wide)
+				if err != nil {
+					t.Fatalf("oracle (n=%d terminals=%v maxEdges=%d wide=%v): %v", n, terminals, maxEdges, wide, err)
+				}
+				if got != want {
+					t.Fatalf("oracle call %d (wide=%v n=%d terminals=%v maxEdges=%d edges=%v): %v, brute %d (err %v)",
+						call, wide, n, terminals, maxEdges, g.Edges(), got, brute, err)
+				}
+			}
+		}
+	})
+}

@@ -10,7 +10,8 @@ import (
 // TestOraclesReusedAcrossSizesAgreeWithFreshCalls drives one oracle of
 // each kind across random graphs of varying sizes — the arena-reuse
 // pattern the verification workers rely on — and checks every verdict
-// against a freshly constructed package-level call.
+// against a freshly constructed package-level call, or for the Steiner
+// oracle against BruteSteinerTree.
 func TestOraclesReusedAcrossSizesAgreeWithFreshCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var mds MDSOracle
@@ -78,13 +79,13 @@ func TestOraclesReusedAcrossSizesAgreeWithFreshCalls(t *testing.T) {
 
 		terminals := []int{0, n - 1, n / 2}
 		maxEdges := 1 + rng.Intn(n)
-		gotST, errGot := steiner.HasSteinerTreeWithEdges(g, terminals, maxEdges)
-		wantST, errWant := HasSteinerTreeWithEdges(g, terminals, maxEdges)
-		if (errGot == nil) != (errWant == nil) {
-			t.Fatalf("trial %d: steiner errors diverge: %v vs %v", trial, errGot, errWant)
+		gotST, err := steiner.HasSteinerTreeWithEdges(g, terminals, maxEdges)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if errGot == nil && gotST != wantST {
-			t.Fatalf("trial %d: steiner oracle %v, fresh %v", trial, gotST, wantST)
+		brute, errBrute := BruteSteinerTree(g, terminals) // Gnp edges weigh 1
+		if wantST := errBrute == nil && brute <= int64(maxEdges); gotST != wantST {
+			t.Fatalf("trial %d: steiner oracle %v at %d edges, brute %d (err %v)", trial, gotST, maxEdges, brute, errBrute)
 		}
 	}
 }

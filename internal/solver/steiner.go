@@ -20,10 +20,8 @@ func SteinerTree(g *graph.Graph, terminals []int) (int64, error) {
 	if t > 14 {
 		return 0, fmt.Errorf("dreyfus-wagner limited to 14 terminals, got %d", t)
 	}
-	for _, v := range terminals {
-		if v < 0 || v >= n {
-			return 0, fmt.Errorf("terminal %d out of range", v)
-		}
+	if err := checkTerminals(n, terminals); err != nil {
+		return 0, err
 	}
 	const inf = int64(math.MaxInt64 / 4)
 	// All-pairs shortest paths by n Dijkstra runs.
@@ -93,152 +91,301 @@ func SteinerTree(g *graph.Graph, terminals []int) (int64, error) {
 }
 
 // HasSteinerTreeWithEdges reports whether g has a Steiner tree spanning all
-// terminals with at most maxEdges edges. It enumerates candidate Steiner
-// vertex sets: a tree with e edges has e+1 vertices, so at most
-// maxEdges+1-|terminals| non-terminals participate; for each subset of that
-// size the induced subgraph is checked for connectivity over the terminals.
-// Exact, with work bounded by C(#non-terminals, budget); it rejects
-// parameter combinations above ~10^7 subsets.
+// terminals with at most maxEdges edges. A tree with e edges has e+1
+// vertices, so at most maxEdges+1-d non-terminals join the d distinct
+// terminals; the decision searches for such a set of non-terminals that
+// connects every terminal (SteinerOracle documents the search). Exact; it
+// rejects parameter combinations whose unpruned search space, the subsets
+// of that many non-terminals, exceeds ~10^7.
 func HasSteinerTreeWithEdges(g *graph.Graph, terminals []int, maxEdges int) (bool, error) {
 	return new(SteinerOracle).HasSteinerTreeWithEdges(g, terminals, maxEdges)
 }
 
-// SteinerOracle is a reusable Steiner-tree decision evaluator: it owns the
-// terminal marks, candidate lists, bitmask adjacency and BFS scratch of
-// HasSteinerTreeWithEdges, so a worker holding one across many same-size
-// graphs does not allocate. The zero value is ready to use. Not safe for
-// concurrent use.
+// SteinerOracle is a reusable Steiner-tree decision evaluator. The search
+// grows reach, the component of terminals[0] in the subgraph induced by
+// the terminals and the chosen non-terminals, one non-terminal at a time:
+//
+//   - It branches only on non-terminals adjacent to reach: while a
+//     terminal is unreached, any tree that finishes the job adds one of
+//     them next. Reach is extended by flooding from the new vertex alone.
+//   - A candidate that fails is excluded from its later siblings, so each
+//     vertex set is visited at most once.
+//   - A terminal with no terminal neighbour needs a chosen neighbour of
+//     its own, and one new vertex covers at most maxCover unreached such
+//     terminals, so a branch is cut when maxCover·remaining falls short.
+//
+// Graphs of at most 64 vertices run on single-word masks, larger ones on
+// bitsets. The oracle owns the adjacency rows and per-depth state, so a
+// worker holding one across many same-size graphs does not allocate. The
+// zero value is ready to use. Not safe for concurrent use.
 type SteinerOracle struct {
-	capN       int
 	isTerminal []bool
-	others     []int
-	adjMask    []uint64
-	allowed    []bool
-	chosen     []int
-	scratch    *bfsScratch
-}
 
-func (o *SteinerOracle) grow(n int) {
-	if o.capN >= n {
-		return
-	}
-	o.capN = n
-	o.isTerminal = make([]bool, n)
-	o.others = make([]int, 0, n)
-	o.adjMask = make([]uint64, n)
-	o.allowed = make([]bool, n)
-	o.chosen = make([]int, 0, n)
-	o.scratch = newBFSScratch(n)
+	// n <= 64: adjacency rows and the terminal, isolated-terminal and
+	// non-terminal masks of the current graph.
+	adjMask            []uint64
+	term, iso, nonTerm uint64
+
+	// n > 64: the same on bitsets, plus per-depth reach, neighbourhood and
+	// excluded sets (three bitsets per depth, flat) and a flood stack.
+	adj                                  []bitset
+	termSet, isoSet, nonTermSet, isoLeft bitset
+	levels                               []uint64
+	stack                                []int
 }
 
 // HasSteinerTreeWithEdges is the arena-backed equivalent of the package
-// function: same enumeration order, same limits and error messages.
+// function, with the same limits and error messages.
 func (o *SteinerOracle) HasSteinerTreeWithEdges(g *graph.Graph, terminals []int, maxEdges int) (bool, error) {
+	return o.decide(g, terminals, maxEdges, g.N() > 64)
+}
+
+// decide runs the search on single-word masks, or on bitsets when wide is
+// set; tests force wide on small graphs.
+func (o *SteinerOracle) decide(g *graph.Graph, terminals []int, maxEdges int, wide bool) (bool, error) {
 	n := g.N()
-	o.grow(n)
+	if len(o.isTerminal) < n {
+		o.isTerminal = make([]bool, n)
+	}
 	isTerminal := o.isTerminal[:n]
 	for v := range isTerminal {
 		isTerminal[v] = false
 	}
+	distinct := 0
 	for _, v := range terminals {
 		if v < 0 || v >= n {
 			return false, fmt.Errorf("terminal %d out of range", v)
 		}
-		isTerminal[v] = true
+		if !isTerminal[v] {
+			isTerminal[v] = true
+			distinct++
+		}
 	}
-	budget := maxEdges + 1 - len(terminals)
+	budget := maxEdges + 1 - distinct
 	if budget < 0 {
 		return false, nil
 	}
-	others := o.others[:0]
-	for v := 0; v < n; v++ {
-		if !isTerminal[v] {
-			others = append(others, v)
-		}
+	others := n - distinct
+	if budget > others {
+		budget = others
 	}
-	o.others = others
-	if budget > len(others) {
-		budget = len(others)
-	}
-	if c := binomialSum(len(others), budget); c > 1e7 {
+	if c := binomialSum(others, budget); c > 1e7 {
 		return false, fmt.Errorf("steiner decision too large: ~%.0f subsets", c)
 	}
 	if len(terminals) == 0 {
 		return true, nil
 	}
-	if n <= 64 {
-		return o.hasSmall(g, terminals, budget), nil
+	if wide {
+		return o.hasWide(g, terminals[0], budget), nil
 	}
-	allowed := o.allowed[:n]
-	chosen := o.chosen[:0]
-	var try func(startIdx, remaining int) bool
-	try = func(startIdx, remaining int) bool {
-		for v := 0; v < n; v++ {
-			allowed[v] = isTerminal[v]
-		}
-		for _, v := range chosen {
-			allowed[v] = true
-		}
-		if len(terminals) == 0 || o.scratch.terminalsConnected(g, terminals, allowed) {
-			return true
-		}
-		if remaining == 0 {
-			return false
-		}
-		for i := startIdx; i < len(others); i++ {
-			chosen = append(chosen, others[i])
-			if try(i+1, remaining-1) {
-				return true
-			}
-			chosen = chosen[:len(chosen)-1]
-		}
-		return false
-	}
-	return try(0, budget), nil
+	return o.hasSmall(g, terminals[0], budget), nil
 }
 
-// hasSmall is the n <= 64 fast path: adjacency and reachability live in
-// single machine words, so each candidate-subset connectivity probe costs
-// O(reached vertices) word ops and allocates nothing. The enumeration
-// order matches the general path.
-func (o *SteinerOracle) hasSmall(g *graph.Graph, terminals []int, budget int) bool {
+// hasSmall is the n <= 64 search: every vertex set is one machine word.
+func (o *SteinerOracle) hasSmall(g *graph.Graph, start, budget int) bool {
 	n := g.N()
-	adjMask := o.adjMask[:n]
+	if len(o.adjMask) < n {
+		o.adjMask = make([]uint64, n)
+	}
+	adj := o.adjMask[:n]
+	o.term = 0
 	for v := 0; v < n; v++ {
-		adjMask[v] = 0
+		adj[v] = 0
 		for _, h := range g.Neighbors(v) {
-			adjMask[v] |= uint64(1) << uint(h.To)
+			adj[v] |= uint64(1) << uint(h.To)
+		}
+		if o.isTerminal[v] {
+			o.term |= uint64(1) << uint(v)
 		}
 	}
-	var termMask uint64
-	for _, t := range terminals {
-		termMask |= uint64(1) << uint(t)
+	o.iso = 0
+	for t := o.term; t != 0; t &= t - 1 {
+		if v := bits.TrailingZeros64(t); adj[v]&o.term == 0 {
+			o.iso |= uint64(1) << uint(v)
+		}
 	}
-	return o.trySmall(terminals[0], termMask, 0, budget, termMask)
+	o.nonTerm = (^uint64(0) >> uint(64-n)) &^ o.term
+	reach, nbr := o.floodSmall(uint64(1)<<uint(start), 0, start)
+	return o.searchSmall(reach, nbr, 0, budget)
 }
 
-func (o *SteinerOracle) trySmall(start int, termMask uint64, startIdx, remaining int, allowed uint64) bool {
-	reach := uint64(1) << uint(start)
-	frontier := reach
-	for frontier != 0 {
-		v := bits.TrailingZeros64(frontier)
-		frontier &= frontier - 1
-		add := o.adjMask[v] & allowed &^ reach
+// floodSmall adds to reach every terminal reachable from v (already in
+// reach) through unreached terminals, and folds the neighbourhoods of v and
+// of the added terminals into nbr.
+func (o *SteinerOracle) floodSmall(reach, nbr uint64, v int) (uint64, uint64) {
+	for pending := uint64(1) << uint(v); pending != 0; {
+		row := o.adjMask[bits.TrailingZeros64(pending)]
+		pending &= pending - 1
+		nbr |= row
+		add := row & o.term &^ reach
 		reach |= add
-		frontier |= add
+		pending |= add
 	}
-	if termMask&^reach == 0 {
+	return reach, nbr
+}
+
+// searchSmall reports whether at most remaining more non-terminals, none
+// of them in excluded, complete reach to a set connecting every terminal.
+// nbr is the union of the neighbourhoods of reach.
+func (o *SteinerOracle) searchSmall(reach, nbr, excluded uint64, remaining int) bool {
+	if o.term&^reach == 0 {
 		return true
 	}
 	if remaining == 0 {
 		return false
 	}
-	for i := startIdx; i < len(o.others); i++ {
-		if o.trySmall(start, termMask, i+1, remaining-1, allowed|uint64(1)<<uint(o.others[i])) {
+	free := o.nonTerm &^ reach &^ excluded
+	if iso := o.iso &^ reach; iso != 0 {
+		maxCover := 0
+		for f := free; f != 0; f &= f - 1 {
+			if c := bits.OnesCount64(o.adjMask[bits.TrailingZeros64(f)] & iso); c > maxCover {
+				maxCover = c
+			}
+		}
+		if maxCover*remaining < bits.OnesCount64(iso) {
+			return false
+		}
+	}
+	for cand := nbr & free; cand != 0; cand &= cand - 1 {
+		c := bits.TrailingZeros64(cand)
+		bit := uint64(1) << uint(c)
+		r, nb := o.floodSmall(reach|bit, nbr, c)
+		if o.searchSmall(r, nb, excluded, remaining-1) {
 			return true
+		}
+		excluded |= bit
+	}
+	return false
+}
+
+// hasWide is searchSmall's algorithm on bitsets, for graphs of any size.
+func (o *SteinerOracle) hasWide(g *graph.Graph, start, budget int) bool {
+	n := g.N()
+	words := (n + 63) / 64
+	if len(o.adj) < n || len(o.adj[0]) < words {
+		o.adj = make([]bitset, n)
+		for v := range o.adj {
+			o.adj[v] = newBitset(n)
+		}
+		o.termSet, o.isoSet, o.nonTermSet, o.isoLeft = newBitset(n), newBitset(n), newBitset(n), newBitset(n)
+		o.stack = make([]int, 0, n)
+	}
+	if need := (budget + 1) * 3 * words; len(o.levels) < need {
+		o.levels = make([]uint64, need)
+	}
+	term, iso, nonTerm := o.termSet[:words], o.isoSet[:words], o.nonTermSet[:words]
+	for w := range term {
+		term[w], iso[w], nonTerm[w] = 0, 0, 0
+	}
+	for v := 0; v < n; v++ {
+		row := o.adj[v][:words]
+		for w := range row {
+			row[w] = 0
+		}
+		for _, h := range g.Neighbors(v) {
+			row.set(h.To)
+		}
+		if o.isTerminal[v] {
+			term.set(v)
+		} else {
+			nonTerm.set(v)
+		}
+	}
+	for v := 0; v < n; v++ {
+		if o.isTerminal[v] && countAnd(o.adj[v][:words], term) == 0 {
+			iso.set(v)
+		}
+	}
+	reach, nbr, excluded := o.level(0, words)
+	for w := range reach {
+		reach[w], nbr[w], excluded[w] = 0, 0, 0
+	}
+	reach.set(start)
+	o.floodWide(reach, nbr, start, words)
+	return o.searchWide(0, budget, words)
+}
+
+// level returns the reach, neighbourhood and excluded bitsets of depth d.
+func (o *SteinerOracle) level(d, words int) (reach, nbr, excluded bitset) {
+	base := o.levels[d*3*words:]
+	return base[:words], base[words : 2*words], base[2*words : 3*words]
+}
+
+// floodWide is floodSmall on bitsets, updating reach and nbr in place.
+func (o *SteinerOracle) floodWide(reach, nbr bitset, v, words int) {
+	term := o.termSet[:words]
+	stack := append(o.stack[:0], v)
+	for len(stack) > 0 {
+		row := o.adj[stack[len(stack)-1]][:words]
+		stack = stack[:len(stack)-1]
+		for w := range row {
+			nbr[w] |= row[w]
+			for add := row[w] & term[w] &^ reach[w]; add != 0; add &= add - 1 {
+				stack = append(stack, w*64+bits.TrailingZeros64(add))
+			}
+			reach[w] |= row[w] & term[w]
+		}
+	}
+	o.stack = stack
+}
+
+// searchWide is searchSmall on the depth-d bitsets; a child's state is
+// written to depth d+1.
+func (o *SteinerOracle) searchWide(d, remaining, words int) bool {
+	reach, nbr, excluded := o.level(d, words)
+	term, nonTerm, isoLeft := o.termSet[:words], o.nonTermSet[:words], o.isoLeft[:words]
+	done, need := true, 0
+	for w := range reach {
+		if term[w]&^reach[w] != 0 {
+			done = false
+		}
+		isoLeft[w] = o.isoSet[w] &^ reach[w]
+		need += bits.OnesCount64(isoLeft[w])
+	}
+	if done {
+		return true
+	}
+	if remaining == 0 {
+		return false
+	}
+	if need > 0 {
+		maxCover := 0
+		for w := range reach {
+			for f := nonTerm[w] &^ reach[w] &^ excluded[w]; f != 0; f &= f - 1 {
+				if c := countAnd(o.adj[w*64+bits.TrailingZeros64(f)][:words], isoLeft); c > maxCover {
+					maxCover = c
+				}
+			}
+		}
+		if maxCover*remaining < need {
+			return false
+		}
+	}
+	childReach, childNbr, childExcluded := o.level(d+1, words)
+	for w := range reach {
+		for cand := nbr[w] & nonTerm[w] &^ reach[w] &^ excluded[w]; cand != 0; cand &= cand - 1 {
+			c := w*64 + bits.TrailingZeros64(cand)
+			copy(childReach, reach)
+			copy(childNbr, nbr)
+			copy(childExcluded, excluded)
+			childReach.set(c)
+			o.floodWide(childReach, childNbr, c, words)
+			if o.searchWide(d+1, remaining-1, words) {
+				return true
+			}
+			excluded.set(c)
 		}
 	}
 	return false
+}
+
+// countAnd returns |a ∩ b|.
+func countAnd(a, b bitset) int {
+	c := 0
+	for w := range a {
+		c += bits.OnesCount64(a[w] & b[w])
+	}
+	return c
 }
 
 func binomialSum(n, k int) float64 {
@@ -302,6 +449,9 @@ func IsSteinerTree(g *graph.Graph, terminals []int, edges []graph.Edge) (int64, 
 // weighted vertices are the set vertices S_i, ~S_i.
 func NodeWeightedSteinerEnum(g *graph.Graph, terminals []int) (int64, error) {
 	n := g.N()
+	if err := checkTerminals(n, terminals); err != nil {
+		return 0, err
+	}
 	var positive []int
 	for v := 0; v < n; v++ {
 		if g.VertexWeight(v) > 0 {
@@ -415,6 +565,9 @@ func HasDirectedSteinerWithin(d *graph.Digraph, root int, terminals []int, budge
 	if root < 0 || root >= d.N() {
 		return false, fmt.Errorf("root %d out of range", root)
 	}
+	if err := checkTerminals(d.N(), terminals); err != nil {
+		return false, err
+	}
 	var positive []graph.Arc
 	for _, a := range d.Arcs() {
 		if a.Weight > 0 {
@@ -475,6 +628,9 @@ func (o *DirSteinerOracle) HasDirectedSteinerWithin(d *graph.Digraph, root int, 
 	n := d.N()
 	if root < 0 || root >= n {
 		return false, fmt.Errorf("root %d out of range", root)
+	}
+	if err := checkTerminals(n, terminals); err != nil {
+		return false, err
 	}
 	o.grow(n)
 	o.positive = o.positive[:0]
@@ -541,8 +697,15 @@ func (o *DirSteinerOracle) allReachable(d *graph.Digraph, root int, terminals []
 	return true
 }
 
-func terminalsConnected(g *graph.Graph, terminals []int, allowed []bool) bool {
-	return newBFSScratch(g.N()).terminalsConnected(g, terminals, allowed)
+// checkTerminals returns the out-of-range error for the first terminal
+// outside [0, n), or nil.
+func checkTerminals(n int, terminals []int) error {
+	for _, v := range terminals {
+		if v < 0 || v >= n {
+			return fmt.Errorf("terminal %d out of range", v)
+		}
+	}
+	return nil
 }
 
 // bfsScratch holds reusable BFS buffers so that subset-enumeration solvers
@@ -589,6 +752,12 @@ func (s *bfsScratch) terminalsConnected(g *graph.Graph, terminals []int, allowed
 // the positive-weight arcs (zero-weight arcs are free; limit 22 positive
 // arcs). This covers the Section 4.4 directed Steiner instances.
 func DirectedSteinerEnum(d *graph.Digraph, root int, terminals []int) (int64, error) {
+	if root < 0 || root >= d.N() {
+		return 0, fmt.Errorf("root %d out of range", root)
+	}
+	if err := checkTerminals(d.N(), terminals); err != nil {
+		return 0, err
+	}
 	var positive []graph.Arc
 	for _, a := range d.Arcs() {
 		if a.Weight > 0 {

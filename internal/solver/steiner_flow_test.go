@@ -90,6 +90,119 @@ func TestIsSteinerTree(t *testing.T) {
 	}
 }
 
+// TestSteinerDecisionCountsDistinctTerminals pins that a repeated
+// terminal does not eat into the non-terminal budget: on the path 0-1-2
+// the terminals {0, 2, 2} need exactly the 2-edge path, and {0, 0} the
+// empty tree.
+func TestSteinerDecisionCountsDistinctTerminals(t *testing.T) {
+	g := graph.Path(3)
+	for _, tc := range []struct {
+		terminals []int
+		maxEdges  int
+		want      bool
+	}{
+		{[]int{0, 2, 2}, 2, true},
+		{[]int{0, 2, 2}, 1, false},
+		{[]int{0, 0}, 0, true},
+		{[]int{2, 0, 2, 0}, 2, true},
+	} {
+		brute, err := BruteSteinerTree(g, tc.terminals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := brute <= int64(tc.maxEdges); want != tc.want {
+			t.Fatalf("terminals %v: brute %d disagrees with the expected %v at %d edges", tc.terminals, brute, tc.want, tc.maxEdges)
+		}
+		for _, wide := range []bool{false, true} {
+			got, err := new(SteinerOracle).decide(g, tc.terminals, tc.maxEdges, wide)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Errorf("terminals %v, maxEdges %d (wide=%v): got %v, want %v", tc.terminals, tc.maxEdges, wide, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestSteinerOracleMultiWordAgreesWithBrute covers what the fuzzer's
+// graphs (one word) cannot: the bitset search on graphs of 65 to 80
+// vertices, with terminals and non-terminals on both sides of the word
+// boundary. Ten non-terminals keep BruteSteinerTree cheap; each terminal
+// links to one or two of them and rarely to another terminal, so the
+// cover bound is exercised. One oracle is reused across the varying sizes.
+func TestSteinerOracleMultiWordAgreesWithBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var o SteinerOracle
+	for trial := 0; trial < 12; trial++ {
+		n := 65 + rng.Intn(16)
+		perm := rng.Perm(n)
+		others, terminals := perm[:10], perm[10:]
+		g := graph.New(n)
+		for i, u := range others {
+			for _, v := range others[i+1:] {
+				if rng.Float64() < 0.25 {
+					g.MustAddEdge(u, v)
+				}
+			}
+		}
+		for i, u := range terminals {
+			a := rng.Intn(len(others))
+			g.MustAddEdge(u, others[a])
+			if rng.Intn(2) == 0 {
+				g.MustAddEdge(u, others[(a+1+rng.Intn(len(others)-1))%len(others)])
+			}
+			for _, v := range terminals[i+1:] {
+				if rng.Float64() < 0.02 {
+					g.MustAddEdge(u, v)
+				}
+			}
+		}
+		brute, errBrute := BruteSteinerTree(g, terminals)
+		for _, maxEdges := range []int{int(brute) - 1, int(brute), n - 1} {
+			got, err := o.HasSteinerTreeWithEdges(g, terminals, maxEdges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := errBrute == nil && brute <= int64(maxEdges); got != want {
+				t.Fatalf("trial %d (n=%d, maxEdges=%d): oracle %v, brute %d (err %v)", trial, n, maxEdges, got, brute, errBrute)
+			}
+		}
+	}
+}
+
+// TestSteinerTerminalOutOfRange checks that every Steiner entry point
+// rejects a terminal outside the graph with an error instead of a panic.
+func TestSteinerTerminalOutOfRange(t *testing.T) {
+	const want = "terminal 5 out of range"
+	g := graph.Path(3)
+	d := graph.NewDigraph(3)
+	d.MustAddWeightedArc(0, 1, 1)
+	var dirOracle DirSteinerOracle
+	for name, call := range map[string]func() error{
+		"HasSteinerTreeWithEdges": func() error { _, err := HasSteinerTreeWithEdges(g, []int{0, 5}, 2); return err },
+		"SteinerTree":             func() error { _, err := SteinerTree(g, []int{0, 5}); return err },
+		"NodeWeightedSteinerEnum": func() error { _, err := NodeWeightedSteinerEnum(g, []int{5}); return err },
+		"HasNodeSteinerWithin":    func() error { _, err := HasNodeSteinerWithin(g, []int{5}, 1); return err },
+		"HasDirectedSteinerWithin": func() error {
+			_, err := HasDirectedSteinerWithin(d, 0, []int{5}, 1)
+			return err
+		},
+		"DirSteinerOracle.HasDirectedSteinerWithin": func() error {
+			_, err := dirOracle.HasDirectedSteinerWithin(d, 0, []int{5}, 1)
+			return err
+		},
+		"DirectedSteinerEnum": func() error { _, err := DirectedSteinerEnum(d, 0, []int{5}); return err },
+	} {
+		if err := call(); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
+	}
+	if _, err := DirectedSteinerEnum(d, 3, nil); err == nil {
+		t.Error("DirectedSteinerEnum accepted an out-of-range root")
+	}
+}
+
 func TestNodeWeightedSteinerEnum(t *testing.T) {
 	// Terminals 0 and 2 (weight 0) joined either directly via vertex 1
 	// (weight 5) or via vertices 3,4 (weight 1 each).
