@@ -117,6 +117,41 @@ func TestTheorem22Exhaustive(t *testing.T) {
 	}
 }
 
+// TestWarmHamiltonOracleAllocatesNothing pins the Verify hot path: once
+// the family's predicate oracle has seen a k=2 instance, deciding it on a
+// YES pair and on a NO pair allocates nothing.
+func TestWarmHamiltonOracleAllocatesNothing(t *testing.T) {
+	f, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, ones := comm.NewBits(f.K()), comm.OnesBits(f.K())
+	o := f.NewDigraphPredicateOracle()
+	for _, tc := range []struct {
+		name string
+		x, y comm.Bits
+		want bool
+	}{
+		{"yes", ones, ones, true},
+		{"no", zero, zero, false},
+	} {
+		d, err := f.Build(tc.x, tc.y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bool
+		allocs := testing.AllocsPerRun(20, func() {
+			got, err = o.Eval(d)
+		})
+		if err != nil || got != tc.want {
+			t.Fatalf("%s pair: got %v (err %v), want %v", tc.name, got, err, tc.want)
+		}
+		if allocs != 0 {
+			t.Errorf("%s pair: warm oracle allocates %.1f per call, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // TestCycleFamilyClaim26 checks the cycle variant on a sample of inputs:
 // the cycle graph has a directed Hamiltonian cycle iff the path graph has
 // a directed Hamiltonian path iff DISJ = FALSE.

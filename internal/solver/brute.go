@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"math/bits"
 
 	"congesthard/internal/graph"
 )
@@ -224,4 +225,36 @@ func mstWeight(g *graph.Graph) int64 {
 		}
 	}
 	return total
+}
+
+// BruteDirectedHamiltonianPath reports whether d has a directed
+// Hamiltonian path starting at start and, if end >= 0, ending at end, by
+// the Held–Karp subset DP: reach[mask] is the set of vertices at which a
+// path from start covering exactly mask can end (limited to 16 vertices).
+func BruteDirectedHamiltonianPath(d *graph.Digraph, start, end int) (bool, error) {
+	n := d.N()
+	if n > 16 {
+		return false, fmt.Errorf("brute directed hamiltonian limited to 16 vertices, got %d", n)
+	}
+	if start < 0 || start >= n || end >= n {
+		return false, fmt.Errorf("endpoints out of range: start=%d end=%d n=%d", start, end, n)
+	}
+	full := 1<<uint(n) - 1
+	reach := make([]uint16, full+1)
+	reach[1<<uint(start)] = 1 << uint(start)
+	for mask := range reach {
+		for heads := reach[mask]; heads != 0; heads &= heads - 1 {
+			v := bits.TrailingZeros16(heads)
+			for _, h := range d.OutNeighbors(v) {
+				if mask>>uint(h.To)&1 == 0 {
+					reach[mask|1<<uint(h.To)] |= 1 << uint(h.To)
+				}
+			}
+		}
+	}
+	ends := uint16(full)
+	if end >= 0 {
+		ends = 1 << uint(end)
+	}
+	return reach[full]&ends != 0, nil
 }

@@ -40,13 +40,15 @@ func DirectedHamiltonianPathFrom(d *graph.Digraph, start, end int) ([]int, bool,
 // owns the backtracking search's scratch (visited bitset, BFS queue and
 // epoch marks, path stack), so a verification worker holding one across
 // many same-size digraphs pays no per-call allocation. For digraphs of at
-// most 64 vertices the decision variant additionally switches to a
-// single-word bitset search — adjacency rows, visited set, degree-death
-// tests and both reachability prunes are all word operations — which is
-// what makes the delta-driven hamlb verification several times faster
-// than its rebuild baseline. The package-level functions delegate to a
-// fresh oracle; the lower-bound-family delta workers keep one warm. The
-// zero value is ready to use. Not safe for concurrent use.
+// most 64 vertices the decision variant switches to a single-word bitset
+// search (ham64), bounded by a matching that gives every unvisited vertex
+// its own possible predecessor and is repaired in place as the path grows,
+// plus both reachability prunes as word-parallel floods; this is what
+// makes the delta-driven hamlb verification over an order of magnitude
+// faster than its rebuild baseline. The package-level functions
+// delegate to the general search, which stays the reference the oracle is
+// tested against; the lower-bound-family delta workers keep one oracle
+// warm. The zero value is ready to use. Not safe for concurrent use.
 type HamiltonOracle struct {
 	s hamSearch
 	b ham64
@@ -272,22 +274,34 @@ func (s *hamSearch) search(head int) bool {
 	return false
 }
 
-// ham64 is the n <= 64 single-word specialization of hamSearch: adjacency
-// is an array of 64-bit rows (out[v] = the set of heads of v's out-arcs,
-// in[v] = the set of tails of its in-arcs), so the degree-based death
-// tests and both reachability prunes of the general search become a
-// handful of word operations per expanded node instead of adjacency scans
-// and queue-based BFS. Verdicts match hamSearch exactly (the prunes are
-// the same necessary conditions; only the branch order differs, which
-// cannot change existence).
+// ham64 is the n <= 64 single-word specialization of hamSearch, bounded by
+// the assignment relaxation. Adjacency is an array of 64-bit rows (out[v] =
+// the set of heads of v's out-arcs, in[v] = the set of tails of its
+// in-arcs). At a node with head h and unvisited set U, a Hamiltonian
+// completion gives every u in U its own predecessor among the tails
+// T = ({h} ∪ U) \ {end}, so the search keeps a matching that saturates U
+// from T along arcs and prunes a step that leaves none. This implies the
+// general search's degree-death tests and forced-successor rule; the two
+// reachability prunes, which it does not imply, stay as word-parallel
+// floods. Verdicts match hamSearch exactly: both prune by necessary
+// conditions only.
+//
+// The matching lives in pred/succ and is repaired in place: stepping
+// h -> next drops tail h and head next, and at most one alternating-path
+// search re-saturates h's old partner. Only succ of the current tails and
+// pred of the current heads are meaningful; other entries are stale and
+// never read.
 type ham64 struct {
-	n    int
-	end  int
-	full uint64 // mask of the n valid vertex bits
-	out  [64]uint64
-	in   [64]uint64
-
+	n       int
+	end     int
+	full    uint64 // mask of the n valid vertex bits
+	notEnd  uint64 // full without end's bit (full when end < 0)
+	out     [64]uint64
+	in      [64]uint64
 	visited uint64
+	// pred[u] is the tail matched to head u, succ[t] the head matched to
+	// tail t; -1 marks an unmatched tail.
+	pred, succ [64]int8
 }
 
 // run decides whether d (2 <= n <= 64 vertices) has a directed
@@ -304,69 +318,83 @@ func (b *ham64) run(d *graph.Digraph, start, end int) bool {
 			inRow |= uint64(1) << uint(h.To)
 		}
 		b.out[v], b.in[v] = outRow, inRow
+		b.pred[v], b.succ[v] = -1, -1
 	}
 	if n == 64 {
 		b.full = ^uint64(0)
 	} else {
 		b.full = uint64(1)<<uint(n) - 1
 	}
+	b.notEnd = b.full
+	if end >= 0 {
+		if end == start {
+			return false // a path on n >= 2 vertices has distinct ends
+		}
+		b.notEnd &^= uint64(1) << uint(end)
+	}
 	b.visited = uint64(1) << uint(start)
-	return b.search(start, 1)
+	for m := b.full &^ b.visited; m != 0; m &= m - 1 {
+		var seen uint64
+		if !b.augment(bits.TrailingZeros64(m), b.notEnd, &seen) {
+			return false
+		}
+	}
+	return b.search(start, 1, true, true)
 }
 
-// search extends a partial path of the given length ending at head.
-func (b *ham64) search(head, depth int) bool {
+// augment matches the unmatched head a to a tail in tails, re-routing an
+// alternating path of matched heads if needed (Kuhn's search); seen holds
+// the heads already on the path. It changes nothing when it fails.
+func (b *ham64) augment(a int, tails uint64, seen *uint64) bool {
+	*seen |= uint64(1) << uint(a)
+	cand := b.in[a] & tails
+	for m := cand; m != 0; m &= m - 1 {
+		if t := bits.TrailingZeros64(m); b.succ[t] < 0 {
+			b.pred[a], b.succ[t] = int8(t), int8(a)
+			return true
+		}
+	}
+	for m := cand; m != 0; m &= m - 1 {
+		t := bits.TrailingZeros64(m)
+		if next := int(b.succ[t]); *seen>>uint(next)&1 == 0 && b.augment(next, tails, seen) {
+			b.pred[a], b.succ[t] = int8(t), int8(a)
+			return true
+		}
+	}
+	return false
+}
+
+// search extends a partial path of the given length ending at head; on
+// entry and on a false return the matching saturates the unvisited set
+// from the tails (head and the unvisited vertices, minus end). fwd and bwd say whether the forward
+// and backward reachability prunes must run; step clears them when the
+// parent's passing check already implies the child's.
+func (b *ham64) search(head, depth int, fwd, bwd bool) bool {
 	if depth == b.n {
 		return b.end < 0 || head == b.end
 	}
 	unvisited := b.full &^ b.visited
-	// Degree death tests + forced-successor detection (see
-	// hamSearch.feasible for the semantics being mirrored).
-	forced := -1
-	sinks := 0
-	for m := unvisited; m != 0; m &= m - 1 {
-		v := bits.TrailingZeros64(m)
-		if b.in[v]&unvisited == 0 {
-			if b.in[v]>>uint(head)&1 == 0 {
-				return false
-			}
-			if forced >= 0 {
-				return false // two vertices demand the same successor slot
-			}
-			forced = v
-		}
-		if b.out[v]&unvisited == 0 {
-			if b.end >= 0 {
-				if v != b.end {
-					return false
-				}
-			} else {
-				sinks++
-				if sinks > 1 {
-					return false
-				}
-			}
-		}
-	}
 	// Forward reachability: every unvisited vertex must be reachable from
 	// head through unvisited vertices.
-	reached := b.out[head] & unvisited
-	for frontier := reached; frontier != 0; {
-		var next uint64
-		for m := frontier; m != 0; m &= m - 1 {
-			next |= b.out[bits.TrailingZeros64(m)]
+	if fwd {
+		reached := b.out[head] & unvisited
+		for frontier := reached; frontier != 0 && reached != unvisited; {
+			var next uint64
+			for m := frontier; m != 0; m &= m - 1 {
+				next |= b.out[bits.TrailingZeros64(m)]
+			}
+			next &= unvisited &^ reached
+			reached |= next
+			frontier = next
 		}
-		next &= unvisited &^ reached
-		reached |= next
-		frontier = next
-	}
-	if reached != unvisited {
-		return false
+		if reached != unvisited {
+			return false
+		}
 	}
 	// Backward reachability to a fixed end.
-	if b.end >= 0 {
-		reached = uint64(1) << uint(b.end)
-		for frontier := reached; frontier != 0; {
+	if bwd && b.end >= 0 {
+		reached := uint64(1) << uint(b.end)
+		for frontier := reached; frontier != 0 && reached != unvisited; {
 			var next uint64
 			for m := frontier; m != 0; m &= m - 1 {
 				next |= b.in[bits.TrailingZeros64(m)]
@@ -379,26 +407,50 @@ func (b *ham64) search(head, depth int) bool {
 			return false
 		}
 	}
-	try := func(next int) bool {
-		if b.end >= 0 && next == b.end && depth != b.n-1 {
-			return false // reaching end early wastes it
-		}
-		bit := uint64(1) << uint(next)
-		b.visited |= bit
-		if b.search(next, depth+1) {
-			return true
-		}
-		b.visited &^= bit
-		return false
-	}
-	if forced >= 0 {
-		return try(forced)
-	}
+	// Increasing vertex order, as in the general search. Trying the matched
+	// successor first would skip some repairs, but it doubles the nodes
+	// expanded on hamlb's instances.
 	for m := b.out[head] & unvisited; m != 0; m &= m - 1 {
-		if try(bits.TrailingZeros64(m)) {
+		if b.step(head, bits.TrailingZeros64(m), unvisited, depth) {
 			return true
 		}
 	}
+	return false
+}
+
+// step tries the arc head -> next, repairing the matching for the child's
+// tails unvisited \ {end} (next included, head dropped) and heads
+// unvisited \ {next}.
+func (b *ham64) step(head, next int, unvisited uint64, depth int) bool {
+	if b.end >= 0 && next == b.end && depth != b.n-1 {
+		return false // reaching end early wastes it
+	}
+	if a := int(b.succ[head]); a != next {
+		// next's tail t is freed; head's partner a, if any, needs a new one.
+		t := b.pred[next]
+		b.succ[t] = -1
+		if a >= 0 {
+			var seen uint64
+			if !b.augment(a, unvisited&b.notEnd, &seen) {
+				b.succ[t] = int8(next)
+				return false
+			}
+		}
+	}
+	bit := uint64(1) << uint(next)
+	b.visited |= bit
+	// Every path from head into the unvisited set runs through next when
+	// next is head's only unvisited successor, and no unvisited path to end
+	// runs through next when next has no unvisited predecessor: then this
+	// node's passing check implies the child's.
+	fwd := b.out[head]&unvisited != bit
+	bwd := b.in[next]&unvisited != 0
+	if b.search(next, depth+1, fwd, bwd) {
+		return true
+	}
+	b.visited &^= bit
+	// The child's matching plus head -> next saturates this node again.
+	b.succ[head], b.pred[next] = int8(next), int8(head)
 	return false
 }
 

@@ -210,20 +210,22 @@ func TestIsHamiltonianCycleValidation(t *testing.T) {
 }
 
 // TestHamiltonOracleMatchesGeneralSearch cross-checks the oracle's n <= 64
-// bitset decision path against the general backtracking search on random
-// digraphs, for both fixed-end and free-end queries.
+// bitset decision path and the general backtracking search against
+// BruteDirectedHamiltonianPath on random digraphs, for fixed-end,
+// free-end and start == end queries.
 func TestHamiltonOracleMatchesGeneralSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var o HamiltonOracle
-	for trial := 0; trial < 60; trial++ {
-		n := 4 + rng.Intn(6)
-		d := graph.RandomDigraph(n, 0.3+0.3*rng.Float64(), rng)
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(11)
+		d := graph.RandomDigraph(n, 0.2+0.4*rng.Float64(), rng)
 		start := rng.Intn(n)
 		end := rng.Intn(n+1) - 1 // -1 means any endpoint
-		if end == start {
-			end = -1
+		want, err := BruteDirectedHamiltonianPath(d, start, end)
+		if err != nil {
+			t.Fatal(err)
 		}
-		_, want, err := DirectedHamiltonianPathFrom(d, start, end)
+		_, search, err := DirectedHamiltonianPathFrom(d, start, end)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,9 +233,9 @@ func TestHamiltonOracleMatchesGeneralSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("trial %d (n=%d start=%d end=%d): oracle %v, search %v",
-				trial, n, start, end, got, want)
+		if got != want || search != want {
+			t.Fatalf("trial %d (n=%d start=%d end=%d): oracle %v, search %v, brute %v",
+				trial, n, start, end, got, search, want)
 		}
 	}
 }
