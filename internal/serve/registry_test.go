@@ -90,3 +90,53 @@ func TestRegistryReportDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectDropReportDigests pins plain (non-retransmitting) collect
+// under a seeded 2% drop plan, one worker. Drops leave vertices partial
+// views and misalign frames, so a weight chunk can be read as a record
+// key and a key can be any payload the bandwidth carries: these reports
+// pin the record dedup on keys beyond n² and the root election on the
+// views that result. A directed Steiner root rebuilds a self-loop from
+// such a key, which fails the sweep with a fixed error.
+func TestCollectDropReportDigests(t *testing.T) {
+	plan, err := faults.Parse("drop=0.02,seed=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		family, alg string
+		digest      string
+		mismatches  int
+		err         string
+	}{
+		{family: "hamlb", alg: "collect", digest: "c8d8332bb71fd1d2", mismatches: 123},
+		{family: "mds", alg: "collect", digest: "8150acc64498cf93", mismatches: 29},
+		{family: "dir-steiner", alg: "collect", err: "decide (0000,0000): root 0: reconstructing collected digraph: self loop at vertex 0"},
+	}
+	reg := serve.DefaultRegistry()
+	for _, w := range cases {
+		name := w.family + "/" + w.alg
+		p, ok := reg.Lookup(w.family, w.alg)
+		if !ok {
+			t.Fatalf("%s: not in the registry", name)
+		}
+		run, err := p.Build()
+		if err != nil {
+			t.Fatalf("%s: build: %v", name, err)
+		}
+		cfg := reduction.Config{Seed: 1, Workers: 1, Faults: plan}
+		rep, err := run(context.Background(), cfg)
+		if w.err != "" {
+			if err == nil || err.Error() != w.err {
+				t.Errorf("%s: error %v, want %q", name, err, w.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := reportDigest(cfg.Seed, rep); got != w.digest || rep.Mismatches != w.mismatches {
+			t.Errorf("%s: report digest %s with %d mismatches, want %s with %d", name, got, rep.Mismatches, w.digest, w.mismatches)
+		}
+	}
+}
