@@ -19,7 +19,9 @@ import (
 // B >= 2*ceil(log2(n+1)) because u*n + v < n^2 <= 2^B), then the weight in
 // B-bit little-endian chunks (zero chunks when every kept weight is
 // exactly 1). Each vertex relays every record it learns to every neighbor
-// exactly once; receivers deduplicate by id in a node-local hash set.
+// exactly once; receivers deduplicate by id in a node-local key set: a
+// bitset over every id the bandwidth carries, or a hash set when that
+// bitset would be larger (see keySetWords).
 // After the round budget expires the roots reconstruct the collected
 // graph and solve locally; no other vertex reconstructs anything.
 //
@@ -104,8 +106,10 @@ func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Fa
 	if bandwidth == 0 {
 		bandwidth = congest.DefaultBandwidth(n)
 	}
-	maxPayload := int64(1)<<uint(bandwidth) - 1
-	if int64(n)*int64(n)-1 > maxPayload {
+	if err := congest.CheckBandwidth(bandwidth); err != nil {
+		return nil, 0, err
+	}
+	if int64(n)*int64(n) > int64(1)<<bandwidth {
 		return nil, 0, fmt.Errorf("bandwidth %d cannot carry edge ids of an n=%d graph", bandwidth, n)
 	}
 	records, wchunks, neg, ok := frameLayout(n, g.Neighbors, canonical(spec.Keep), bandwidth)
@@ -116,7 +120,7 @@ func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Fa
 	budget := frame*(records+n+2) + 4
 	spec.Workspace = orNewWorkspace(spec.Workspace)
 	ws := spec.Workspace
-	slab := newCollectSlab(ws, &ws.collectNodes, &ws.outbox, n, records, g.Degree)
+	slab := newCollectSlab(ws, &ws.collectNodes, &ws.outbox, n, records, bandwidth, g.Degree)
 	factory := func(local congest.Local) congest.Node {
 		c := slab.node(local.ID)
 		c.bw, c.budget, c.wchunks = bandwidth, budget, wchunks

@@ -1,8 +1,10 @@
 package algorithms
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"congesthard/internal/congest"
@@ -148,6 +150,80 @@ func TestCollectRejectsBadInputs(t *testing.T) {
 	neg.MustAddWeightedEdge(0, 1, -5)
 	if _, _, err := CollectFactory(neg, 0, CollectSpec{}); err == nil {
 		t.Error("negative weight accepted")
+	}
+}
+
+func TestCollectFactoriesRejectUnsupportedBandwidth(t *testing.T) {
+	// A bandwidth the simulators would reject fails the factory with the
+	// simulators' own error, whatever the instance.
+	g, d := graph.Path(5), graph.NewDigraph(5)
+	d.MustAddArc(0, 1)
+	factories := []struct {
+		name  string
+		build func(bw int) error
+	}{
+		{"collect", func(bw int) error { _, _, err := CollectFactory(g, bw, CollectSpec{}); return err }},
+		{"collect-retry", func(bw int) error { _, _, err := CollectRetryFactory(g, bw, CollectSpec{}); return err }},
+		{"directed collect", func(bw int) error { _, _, err := DiCollectFactory(d, bw, DiCollectSpec{}); return err }},
+	}
+	for _, f := range factories {
+		for _, bw := range []int{-1, 63, 64, 70} {
+			want := fmt.Sprintf("bandwidth %d out of supported range [1,62]", bw)
+			if err := f.build(bw); err == nil || err.Error() != want {
+				t.Errorf("%s at bandwidth %d: error %v, want %q", f.name, bw, err, want)
+			}
+		}
+		if err := f.build(62); err != nil {
+			t.Errorf("%s at bandwidth 62: %v", f.name, err)
+		}
+	}
+}
+
+func TestCollectHashedKeySetDecidesAlike(t *testing.T) {
+	// At 24 bits a 40-vertex path's key universe needs 2^18 bitset words
+	// against 128 hashed slots, so its vertices dedup in hash sets; at the
+	// default bandwidth they use bitsets. Both decide the same value.
+	g := graph.Path(40)
+	eval := func(collected *graph.Graph) (int64, error) {
+		return int64(collected.M())*1000 + int64(collected.N()), nil
+	}
+	var totals []int64
+	for _, bw := range []int{0, 24} {
+		ws := new(Workspace)
+		factory, _, err := CollectFactory(g, bw, CollectSpec{Eval: eval, Workspace: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := congest.Run(g, factory, congest.Options{BandwidthBits: bw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dense := ws.collectNodes[0].keys.shift == 0; dense != (bw == 0) {
+			t.Errorf("bandwidth %d: dense key sets = %v", bw, dense)
+		}
+		total, err := CollectTotal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		totals = append(totals, total)
+	}
+	if totals[0] != 39040 || totals[1] != totals[0] {
+		t.Errorf("decided %v at the default bandwidth and at 24 bits, want 39040 at both", totals)
+	}
+}
+
+func TestCollectFactoryOnLargerGraph(t *testing.T) {
+	// A factory driven on a graph other than its own seeds its vertices
+	// beyond the reservation with keys outside the bitset's universe.
+	// Dedup takes them without panicking, and the simulator rejects the
+	// first one sent.
+	factory, _, err := CollectFactory(graph.Path(3), 0, CollectSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = congest.Run(graph.Complete(30), factory, congest.Options{BandwidthBits: 4})
+	if err == nil || !strings.Contains(err.Error(), "exceeds 4-bit bandwidth") {
+		t.Errorf("run on a larger graph: error %v, want a payload beyond the bandwidth", err)
 	}
 }
 

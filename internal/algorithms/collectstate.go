@@ -11,8 +11,8 @@ import (
 
 // This file holds the node state shared by the three collect programs
 // (collect, collect-retry and the directed collect): the record store and
-// its open-addressing dedup set, union-find root election, and the
-// workspace a factory carves every node's state from.
+// its dedup set, union-find root election, and the workspace a factory
+// carves every node's state from.
 
 // collectRecord is one collected edge or arc: its id key u*n + v (from*n +
 // to for an arc) and its weight.
@@ -87,31 +87,76 @@ func find(parent []int32, x int32) int32 {
 	return x
 }
 
-// keySet is a set of record keys with open addressing and linear probing.
-// A slot holds key+1, so a zero slot is empty and a cleared slice is an
-// empty set. It depends only on the keys added: no lookup in the instance.
+// keySet is a set of record keys in one of two representations, fixed
+// when it is reset:
+//
+//   - dense: a bitset over the whole key universe [0, 2^keyBits), one bit
+//     per key. Every payload a simulator delivers is below 2^B, and a key
+//     is a payload (or, for collect-retry, a payload shifted past its
+//     header), so every key a frame carries has its bit, garbled frames'
+//     keys beyond n^2 included. shift == 0 marks this representation.
+//   - hashed: open addressing with linear probing. A slot holds key+1, so
+//     a zero slot is empty and a cleared slice is an empty set.
+//
+// Either depends only on the keys added: no lookup in the instance.
 type keySet struct {
 	slots []uint64
-	count int
-	shift uint // 64 - log2(len(slots)); the hash keeps the top bits
+	count int  // keys in a hashed set
+	shift uint // hashed: 64 - log2(len(slots)); the hash keeps the top bits
 }
 
-// keySetSlots returns the slot count for a vertex that can learn at most
-// records keys: 2*records rounded up to a power of two, so the set stays
-// at most half full and grows only when garbled frames deliver more.
+// keySetSlots returns the slot count of a hashed set for a vertex that
+// can learn at most records keys: 2*records rounded up to a power of
+// two, so the set stays at most half full and grows only when garbled
+// frames deliver more.
 func keySetSlots(records int) int {
 	return 1 << bits.Len(uint(2*max(records, 1)-1))
 }
 
-// reset empties the set into slots, whose length must be a power of two.
-func (s *keySet) reset(slots []uint64) {
-	clear(slots)
-	s.slots, s.count = slots, 0
-	s.shift = uint(64 - bits.TrailingZeros(uint(len(slots))))
+// keySetWords returns the words of one vertex's key set and whether it
+// is dense, for a vertex that can learn at most records keys from frames
+// whose keys are below 2^keyBits (keyBits <= 62). The set is dense
+// whenever the bitset is no larger than the hashed set's reservation, so
+// a vertex never holds more key memory than keySetSlots(records) words.
+func keySetWords(records, keyBits int) (words int, dense bool) {
+	words = (1<<keyBits + 63) / 64
+	if slots := keySetSlots(records); words > slots {
+		return slots, false
+	}
+	return words, true
 }
 
-// add inserts k and reports whether it was absent.
+// reset empties the set into slots: a bitset if dense, otherwise a hash
+// table, whose length must then be a power of two.
+func (s *keySet) reset(slots []uint64, dense bool) {
+	clear(slots)
+	s.slots, s.count, s.shift = slots, 0, 0
+	if !dense {
+		s.shift = uint(64 - bits.TrailingZeros(uint(len(slots))))
+	}
+}
+
+// add inserts k and reports whether it was absent. A dense set reports a
+// key beyond its universe absent every time: no frame carries one, and a
+// vertex seeds only distinct records of its own.
 func (s *keySet) add(k int64) bool {
+	if s.shift != 0 {
+		return s.addHashed(k)
+	}
+	i := uint64(k) >> 6
+	if i >= uint64(len(s.slots)) {
+		return true
+	}
+	bit := uint64(1) << (uint64(k) & 63)
+	if s.slots[i]&bit != 0 {
+		return false
+	}
+	s.slots[i] |= bit
+	return true
+}
+
+// addHashed is add on a hashed set.
+func (s *keySet) addHashed(k int64) bool {
 	tag := uint64(k) + 1
 	mask := uint64(len(s.slots) - 1)
 	for i := tag * 0x9E3779B97F4A7C15 >> s.shift; ; i = (i + 1) & mask {
@@ -121,7 +166,7 @@ func (s *keySet) add(k int64) bool {
 		case 0:
 			if 2*(s.count+1) > len(s.slots) {
 				s.grow()
-				return s.add(k)
+				return s.addHashed(k)
 			}
 			s.slots[i] = tag
 			s.count++
@@ -130,13 +175,13 @@ func (s *keySet) add(k int64) bool {
 	}
 }
 
-// grow doubles the table and reinserts every key.
+// grow doubles a hashed set's table and reinserts every key.
 func (s *keySet) grow() {
 	old := s.slots
-	s.reset(make([]uint64, 2*len(old)))
+	s.reset(make([]uint64, 2*len(old)), false)
 	for _, tag := range old {
 		if tag != 0 {
-			s.add(int64(tag - 1))
+			s.addHashed(int64(tag - 1))
 		}
 	}
 }
@@ -230,12 +275,12 @@ func fit[T any](buf *[]T, n int) []T {
 // one after another; it must not drive concurrent Runs, since their nodes
 // would share the slab (the same rule as congest.Arena).
 type collectSlab[N, M any] struct {
-	n        int
 	records  int   // records reserved per vertex: the kept-record count T
-	setSlots int   // key-set slots per vertex
+	setWords int   // key-set words per vertex (see keySetWords)
+	dense    bool  // whether the key sets are bitsets
 	linkOff  []int // vertex v owns links and outbox [linkOff[v], linkOff[v+1])
 
-	nodes  []N
+	nodes  []N // one per vertex: len(nodes) is the instance's n
 	links  []linkState
 	outbox []M
 	recs   []collectRecord
@@ -246,15 +291,12 @@ type collectSlab[N, M any] struct {
 }
 
 // newCollectSlab carves ws for n vertices, each of which can learn at most
-// records records and has at most links(v) neighbor links. nodes and
-// outbox are ws's buffers of the program's node and message types.
-func newCollectSlab[N, M any](ws *Workspace, nodes *[]N, outbox *[]M, n, records int, links func(v int) int) *collectSlab[N, M] {
-	s := &collectSlab[N, M]{
-		n:        n,
-		records:  records,
-		setSlots: keySetSlots(records),
-		linkOff:  fit(&ws.linkOff, n+1),
-	}
+// records records, from frames whose keys are below 2^keyBits, and has at
+// most links(v) neighbor links. nodes and outbox are ws's buffers of the
+// program's node and message types.
+func newCollectSlab[N, M any](ws *Workspace, nodes *[]N, outbox *[]M, n, records, keyBits int, links func(v int) int) *collectSlab[N, M] {
+	s := &collectSlab[N, M]{records: records, linkOff: fit(&ws.linkOff, n+1)}
+	s.setWords, s.dense = keySetWords(records, keyBits)
 	s.linkOff[0] = 0
 	for v := 0; v < n; v++ {
 		s.linkOff[v+1] = s.linkOff[v] + links(v)
@@ -263,7 +305,7 @@ func newCollectSlab[N, M any](ws *Workspace, nodes *[]N, outbox *[]M, n, records
 	s.links = fit(&ws.links, s.linkOff[n])
 	s.outbox = fit(outbox, s.linkOff[n])
 	s.recs = fit(&ws.recs, n*records)
-	s.keys = fit(&ws.keys, n*s.setSlots)
+	s.keys = fit(&ws.keys, n*s.setWords)
 	s.parent = fit(&ws.parent, n)
 	return s
 }
@@ -272,7 +314,7 @@ func newCollectSlab[N, M any](ws *Workspace, nodes *[]N, outbox *[]M, n, records
 // reservation — a factory driven on a graph other than its own — gets a
 // fresh node, and state gives it fresh memory too.
 func (s *collectSlab[N, M]) node(id int) *N {
-	if id < 0 || id >= s.n {
+	if id < 0 || id >= len(s.nodes) {
 		return new(N)
 	}
 	var zero N
@@ -283,15 +325,16 @@ func (s *collectSlab[N, M]) node(id int) *N {
 // state returns vertex id's empty record store and its cleared state for
 // deg neighbor links, with an empty outbox of capacity deg.
 func (s *collectSlab[N, M]) state(id, deg int) (recordStore, []linkState, []M) {
-	store := recordStore{n: s.n}
-	if id < 0 || id >= s.n || deg > s.linkOff[id+1]-s.linkOff[id] {
+	n := len(s.nodes)
+	store := recordStore{n: n}
+	if id < 0 || id >= n || deg > s.linkOff[id+1]-s.linkOff[id] {
 		store.records = make([]collectRecord, 0, s.records)
-		store.keys.reset(make([]uint64, s.setSlots))
+		store.keys.reset(make([]uint64, s.setWords), s.dense)
 		return store, make([]linkState, deg), make([]M, 0, deg)
 	}
-	r, k, l := id*s.records, id*s.setSlots, s.linkOff[id]
+	r, k, l := id*s.records, id*s.setWords, s.linkOff[id]
 	store.records = s.recs[r : r : r+s.records]
-	store.keys.reset(s.keys[k : k+s.setSlots])
+	store.keys.reset(s.keys[k:k+s.setWords], s.dense)
 	links := s.links[l : l+deg]
 	clear(links)
 	return store, links, s.outbox[l : l : l+deg]

@@ -19,8 +19,9 @@ import (
 // family, force a weight chunk). Both endpoints of an arc know it at
 // wakeup; every vertex relays every record it learns to every link
 // neighbor exactly once, and receivers deduplicate by id in a node-local
-// hash set. After the round budget expires the roots reconstruct the
-// collected digraph and solve locally; no other vertex reconstructs.
+// key set (a bitset or a hash set, as in collect.go). After the round
+// budget expires the roots reconstruct the collected digraph and solve
+// locally; no other vertex reconstructs.
 //
 // Who evaluates depends on the collection mode. With full collection
 // (Keep == nil) every vertex learns its entire weakly-connected component
@@ -84,8 +85,10 @@ func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dico
 	if bandwidth == 0 {
 		bandwidth = congest.DefaultBandwidth(n)
 	}
-	maxPayload := int64(1)<<uint(bandwidth) - 1
-	if int64(n)*int64(n)-1 > maxPayload {
+	if err := congest.CheckBandwidth(bandwidth); err != nil {
+		return nil, 0, err
+	}
+	if int64(n)*int64(n) > int64(1)<<bandwidth {
 		return nil, 0, fmt.Errorf("bandwidth %d cannot carry arc ids of an n=%d digraph", bandwidth, n)
 	}
 	records, wchunks, neg, ok := frameLayout(n, d.OutNeighbors, spec.Keep, bandwidth)
@@ -98,7 +101,7 @@ func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dico
 	// OutDegree + InDegree links.
 	spec.Workspace = orNewWorkspace(spec.Workspace)
 	ws := spec.Workspace
-	slab := newCollectSlab(ws, &ws.diNodes, &ws.diOutbox, n, records,
+	slab := newCollectSlab(ws, &ws.diNodes, &ws.diOutbox, n, records, bandwidth,
 		func(v int) int { return d.OutDegree(v) + d.InDegree(v) })
 	factory := func(local dicongest.Local) dicongest.Node {
 		c := slab.node(local.ID)

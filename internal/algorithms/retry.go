@@ -82,8 +82,11 @@ func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (conge
 	if bandwidth == 0 {
 		bandwidth = CollectRetryMinBandwidth(n)
 	}
+	if err := congest.CheckBandwidth(bandwidth); err != nil {
+		return nil, 0, err
+	}
 	cw := bandwidth - retryHeaderBits
-	if cw < 1 || (cw < 63 && int64(n)*int64(n)-1 > int64(1)<<uint(cw)-1) {
+	if cw < 1 || int64(n)*int64(n) > int64(1)<<cw {
 		return nil, 0, fmt.Errorf("bandwidth %d cannot carry edge ids of an n=%d graph beside the %d retry header bits (need >= %d)",
 			bandwidth, n, retryHeaderBits, CollectRetryMinBandwidth(n))
 	}
@@ -95,7 +98,7 @@ func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (conge
 	budget := RetryBudgetFactor * (frame*(records+n+2) + 4)
 	spec.Workspace = orNewWorkspace(spec.Workspace)
 	ws := spec.Workspace
-	slab := newCollectSlab(ws, &ws.retryNodes, &ws.outbox, n, records, g.Degree)
+	slab := newCollectSlab(ws, &ws.retryNodes, &ws.outbox, n, records, cw, g.Degree)
 	factory := func(local congest.Local) congest.Node {
 		c := slab.node(local.ID)
 		c.cw, c.budget, c.wchunks = cw, budget, wchunks

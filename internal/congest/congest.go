@@ -166,6 +166,15 @@ func DefaultBandwidth(n int) int {
 	return 2 * b
 }
 
+// CheckBandwidth rejects a bandwidth B the simulators cannot run. A payload
+// is an int64 in [0, 2^B), and both simulators support B in [1, 62].
+func CheckBandwidth(bandwidth int) error {
+	if bandwidth < 1 || bandwidth > 62 {
+		return fmt.Errorf("bandwidth %d out of supported range [1,62]", bandwidth)
+	}
+	return nil
+}
+
 // maxDenseEdgeIndex caps the n*n dense routing table at 4 MB; larger
 // networks fall back to a prebuilt hash map (still O(1) expected, still
 // allocation-free per round).
@@ -245,8 +254,8 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 	if bandwidth == 0 {
 		bandwidth = DefaultBandwidth(n)
 	}
-	if bandwidth < 1 || bandwidth > 62 {
-		return nil, fmt.Errorf("bandwidth %d out of supported range [1,62]", bandwidth)
+	if err := CheckBandwidth(bandwidth); err != nil {
+		return nil, err
 	}
 	maxRounds := opts.MaxRounds
 	if maxRounds == 0 {

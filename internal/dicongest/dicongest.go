@@ -322,8 +322,8 @@ func Run(d *graph.Digraph, factory Factory, opts Options) (*Result, error) {
 	if bandwidth == 0 {
 		bandwidth = congest.DefaultBandwidth(n)
 	}
-	if bandwidth < 1 || bandwidth > 62 {
-		return nil, fmt.Errorf("bandwidth %d out of supported range [1,62]", bandwidth)
+	if err := congest.CheckBandwidth(bandwidth); err != nil {
+		return nil, err
 	}
 	maxRounds := opts.MaxRounds
 	if maxRounds == 0 {
