@@ -120,10 +120,10 @@ func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Fa
 	budget := frame*(records+n+2) + 4
 	spec.Workspace = orNewWorkspace(spec.Workspace)
 	ws := spec.Workspace
-	slab := newCollectSlab(ws, &ws.collectNodes, &ws.outbox, n, records, bandwidth, g.Degree)
+	slab := newCollectSlab(ws, &ws.collectNodes, n, records, bandwidth, g.Degree)
 	factory := func(local congest.Local) congest.Node {
 		c := slab.node(local.ID)
-		c.bw, c.budget, c.wchunks = bandwidth, budget, wchunks
+		c.bw, c.budget, c.wchunks, c.self = bandwidth, budget, wchunks, c
 		c.recordStore, c.links, c.outbox = slab.state(local.ID, len(local.Neighbors))
 		c.seed(local, spec, slab.parent)
 		return c
@@ -179,13 +179,19 @@ func negativeEdge(e graph.Arc) error {
 	return fmt.Errorf("collect cannot encode negative weight %d on edge {%d,%d}", e.Weight, e.From, e.To)
 }
 
-// CollectTotal sums the root values of a finished run: the single root's
-// value under filtered collection, the per-component values under full
-// collection (exact for component-additive quantities).
+// CollectTotal sums the root values of a finished run of either gossip
+// collect program or collect-retry: the single root's value under
+// filtered collection, the per-component (per-weak-component, for a
+// digraph) values under full collection (exact for component-additive
+// quantities). A crashed vertex is an error, not a skipped non-root: had
+// it been its component's root, the component would go unevaluated.
 func CollectTotal(res *congest.Result) (int64, error) {
 	var total int64
 	roots := 0
 	for v, out := range res.Outputs {
+		if out == nil {
+			return 0, fmt.Errorf("vertex %d crashed and produced no output", v)
+		}
 		c, ok := out.(collectOutput)
 		if !ok {
 			return 0, fmt.Errorf("vertex %d did not run the collect program", v)
@@ -216,6 +222,9 @@ type collectCore struct {
 	out    collectOutput
 }
 
+// collectNode is the gossip relay of the collect program, undirected and
+// directed alike: both relay records over the vertex's links and differ
+// only in their end-of-budget finish, which self selects.
 type collectNode struct {
 	collectCore
 	bw      int
@@ -224,6 +233,10 @@ type collectNode struct {
 
 	links  []linkState
 	outbox []congest.Message
+	// self is the node as its program's type, whose finish runs at the
+	// budget: the core's for an undirected node, diCollectNode's for a
+	// directed one.
+	self interface{ finish() }
 }
 
 // seed sets up the vertex's core around its empty record store and
@@ -270,7 +283,7 @@ func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Mess
 		}
 	}
 	if round >= c.budget {
-		c.finish()
+		c.self.finish()
 		return nil, true
 	}
 	mask := int64(1)<<uint(c.bw) - 1

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"congesthard/internal/congest"
+	"congesthard/internal/dicongest"
+	"congesthard/internal/faults"
 	"congesthard/internal/graph"
 )
 
@@ -334,5 +336,57 @@ func TestFrameLayoutMatchesSortedScan(t *testing.T) {
 	t.Logf("%d shapes, %d negative records", shapes, negatives)
 	if negatives == 0 || shapes == 0 {
 		t.Errorf("%d shapes and %d negative records: the trials no longer exercise both", shapes, negatives)
+	}
+}
+
+// TestCollectTotalReportsCrashedVertex pins the diagnosis of a crashed
+// vertex: the simulator leaves its output nil, and CollectTotal names the
+// crash instead of claiming the vertex ran some other program. It stays
+// an error for every collect program, because a crashed component root
+// would leave its component unevaluated.
+func TestCollectTotalReportsCrashedVertex(t *testing.T) {
+	plan := &faults.Plan{Crashes: []faults.Crash{{Node: 3, Round: 5}}}
+	eval := func(*graph.Graph) (int64, error) { return 1, nil }
+	g := graph.Path(6)
+	d := graph.NewDigraph(6)
+	for v := 0; v+1 < 6; v++ {
+		d.MustAddArc(v, v+1)
+	}
+	runs := map[string]func() (*congest.Result, error){
+		"collect": func() (*congest.Result, error) {
+			factory, budget, err := CollectFactory(g, 0, CollectSpec{Eval: eval})
+			if err != nil {
+				return nil, err
+			}
+			return congest.Run(g, factory, congest.Options{MaxRounds: budget + 2, Faults: plan})
+		},
+		"collect-retry": func() (*congest.Result, error) {
+			bw := CollectRetryMinBandwidth(g.N())
+			factory, budget, err := CollectRetryFactory(g, bw, CollectSpec{Eval: eval})
+			if err != nil {
+				return nil, err
+			}
+			return congest.Run(g, factory, congest.Options{BandwidthBits: bw, MaxRounds: budget + 2, Faults: plan})
+		},
+		"directed collect": func() (*congest.Result, error) {
+			factory, budget, err := DiCollectFactory(d, 0, DiCollectSpec{Eval: func(*graph.Digraph) (int64, error) { return 1, nil }})
+			if err != nil {
+				return nil, err
+			}
+			return dicongest.Run(d, factory, dicongest.Options{MaxRounds: budget + 2, Faults: plan})
+		},
+	}
+	for name, run := range runs {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Outputs[3] != nil {
+			t.Fatalf("%s: crashed vertex 3 has output %v, want nil", name, res.Outputs[3])
+		}
+		_, err = CollectTotal(res)
+		if want := "vertex 3 crashed and produced no output"; err == nil || err.Error() != want {
+			t.Errorf("%s: CollectTotal error %v, want %q", name, err, want)
+		}
 	}
 }

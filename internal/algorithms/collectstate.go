@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"congesthard/internal/congest"
-	"congesthard/internal/dicongest"
 	"congesthard/internal/graph"
 )
 
@@ -236,13 +235,12 @@ type Workspace struct {
 	recs    []collectRecord
 	keys    []uint64
 	parent  []int32
+	outbox  []congest.Message
 
-	// The node and message buffers are typed per program.
+	// The node buffers are typed per program.
 	collectNodes []collectNode
 	retryNodes   []collectRetryNode
 	diNodes      []diCollectNode
-	outbox       []congest.Message
-	diOutbox     []dicongest.Message
 
 	graph   graph.Graph
 	digraph graph.Digraph
@@ -268,13 +266,12 @@ func fit[T any](buf *[]T, n int) []T {
 
 // collectSlab is one factory's view of its workspace: the node state of an
 // n-vertex instance, carved per vertex each time the simulator creates
-// that vertex's node. N is the node type and M the simulator's message
-// type.
+// that vertex's node. N is the node type.
 //
 // Carving clears the vertex's share, so a factory can drive several Runs
 // one after another; it must not drive concurrent Runs, since their nodes
 // would share the slab (the same rule as congest.Arena).
-type collectSlab[N, M any] struct {
+type collectSlab[N any] struct {
 	records  int   // records reserved per vertex: the kept-record count T
 	setWords int   // key-set words per vertex (see keySetWords)
 	dense    bool  // whether the key sets are bitsets
@@ -282,7 +279,7 @@ type collectSlab[N, M any] struct {
 
 	nodes  []N // one per vertex: len(nodes) is the instance's n
 	links  []linkState
-	outbox []M
+	outbox []congest.Message
 	recs   []collectRecord
 	keys   []uint64
 	// parent is the union-find scratch of root election. The simulators
@@ -292,10 +289,10 @@ type collectSlab[N, M any] struct {
 
 // newCollectSlab carves ws for n vertices, each of which can learn at most
 // records records, from frames whose keys are below 2^keyBits, and has at
-// most links(v) neighbor links. nodes and outbox are ws's buffers of the
-// program's node and message types.
-func newCollectSlab[N, M any](ws *Workspace, nodes *[]N, outbox *[]M, n, records, keyBits int, links func(v int) int) *collectSlab[N, M] {
-	s := &collectSlab[N, M]{records: records, linkOff: fit(&ws.linkOff, n+1)}
+// most links(v) neighbor links. nodes is ws's buffer of the program's
+// node type.
+func newCollectSlab[N any](ws *Workspace, nodes *[]N, n, records, keyBits int, links func(v int) int) *collectSlab[N] {
+	s := &collectSlab[N]{records: records, linkOff: fit(&ws.linkOff, n+1)}
 	s.setWords, s.dense = keySetWords(records, keyBits)
 	s.linkOff[0] = 0
 	for v := 0; v < n; v++ {
@@ -303,7 +300,7 @@ func newCollectSlab[N, M any](ws *Workspace, nodes *[]N, outbox *[]M, n, records
 	}
 	s.nodes = fit(nodes, n)
 	s.links = fit(&ws.links, s.linkOff[n])
-	s.outbox = fit(outbox, s.linkOff[n])
+	s.outbox = fit(&ws.outbox, s.linkOff[n])
 	s.recs = fit(&ws.recs, n*records)
 	s.keys = fit(&ws.keys, n*s.setWords)
 	s.parent = fit(&ws.parent, n)
@@ -313,7 +310,7 @@ func newCollectSlab[N, M any](ws *Workspace, nodes *[]N, outbox *[]M, n, records
 // node returns vertex id's node, zeroed. A vertex outside the
 // reservation — a factory driven on a graph other than its own — gets a
 // fresh node, and state gives it fresh memory too.
-func (s *collectSlab[N, M]) node(id int) *N {
+func (s *collectSlab[N]) node(id int) *N {
 	if id < 0 || id >= len(s.nodes) {
 		return new(N)
 	}
@@ -324,13 +321,13 @@ func (s *collectSlab[N, M]) node(id int) *N {
 
 // state returns vertex id's empty record store and its cleared state for
 // deg neighbor links, with an empty outbox of capacity deg.
-func (s *collectSlab[N, M]) state(id, deg int) (recordStore, []linkState, []M) {
+func (s *collectSlab[N]) state(id, deg int) (recordStore, []linkState, []congest.Message) {
 	n := len(s.nodes)
 	store := recordStore{n: n}
 	if id < 0 || id >= n || deg > s.linkOff[id+1]-s.linkOff[id] {
 		store.records = make([]collectRecord, 0, s.records)
 		store.keys.reset(make([]uint64, s.setWords), s.dense)
-		return store, make([]linkState, deg), make([]M, 0, deg)
+		return store, make([]linkState, deg), make([]congest.Message, 0, deg)
 	}
 	r, k, l := id*s.records, id*s.setWords, s.linkOff[id]
 	store.records = s.recs[r : r : r+s.records]

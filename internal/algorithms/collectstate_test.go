@@ -93,8 +93,8 @@ func TestCollectSlabOutsideReservation(t *testing.T) {
 	// works: under a dense slab (a 3-bit key universe) and a hashed one.
 	for _, keyBits := range []int{3, 40} {
 		ws := new(Workspace)
-		newCollectSlab(ws, &ws.collectNodes, &ws.outbox, 8, 5, keyBits, func(int) int { return 4 })
-		s := newCollectSlab(ws, &ws.collectNodes, &ws.outbox, 3, 2, keyBits, func(int) int { return 1 })
+		newCollectSlab(ws, &ws.collectNodes, 8, 5, keyBits, func(int) int { return 4 })
+		s := newCollectSlab(ws, &ws.collectNodes, 3, 2, keyBits, func(int) int { return 1 })
 		if s.dense != (keyBits == 3) {
 			t.Fatalf("keyBits %d: dense = %v", keyBits, s.dense)
 		}
@@ -136,13 +136,13 @@ func TestCollectSlabReusesWorkspace(t *testing.T) {
 	// A smaller instance carves the buffers of a larger one without
 	// reallocating, and a vertex's carved share comes back cleared.
 	ws := new(Workspace)
-	big := newCollectSlab(ws, &ws.collectNodes, &ws.outbox, 6, 4, 8, func(int) int { return 3 })
+	big := newCollectSlab(ws, &ws.collectNodes, 6, 4, 8, func(int) int { return 3 })
 	store, links, _ := big.state(1, 3)
 	store.learn(7, 2)
 	links[0].sendRec = 9
 	big.node(1).budget = 11
 	recs, keys := &ws.recs[0], &ws.keys[0]
-	small := newCollectSlab(ws, &ws.collectNodes, &ws.outbox, 4, 3, 8, func(int) int { return 2 })
+	small := newCollectSlab(ws, &ws.collectNodes, 4, 3, 8, func(int) int { return 2 })
 	if &ws.recs[0] != recs || &ws.keys[0] != keys {
 		t.Error("a smaller instance reallocated the workspace")
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // This file implements collect-and-solve for directed instances as a real
-// dicongest program, the directed twin of collect.go: every vertex gossips
-// *arc* records over its full-duplex links, one fixed-length frame chunk
+// dicongest program: collect.go's gossip relay, run over the vertex's
+// full-duplex links, with arc records and a weak-component finish. Every
+// vertex gossips *arc* records over its links, one fixed-length frame chunk
 // per arc per round. A record is the oriented weighted arc (from, to, w);
 // its frame is 1 + weightChunks messages: first the id chunk from*n + to
 // (which fits the CONGEST bandwidth B >= 2*ceil(log2(n+1))), then the
@@ -58,7 +59,7 @@ type DiCollectSpec struct {
 	// Eval runs at each root on its collected digraph: the root's weak
 	// component (reindexed ascending, so a spanning component keeps
 	// original ids) or the whole filtered collection (Keep != nil). The
-	// per-root values are combined by DiCollectTotal. As with
+	// per-root values are combined by CollectTotal. As with
 	// CollectSpec.Eval, a spanning or filtered collection is the
 	// workspace's rebuilt digraph: Eval must depend only on its vertices,
 	// arcs and weights, and must neither modify nor keep it.
@@ -101,11 +102,12 @@ func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dico
 	// OutDegree + InDegree links.
 	spec.Workspace = orNewWorkspace(spec.Workspace)
 	ws := spec.Workspace
-	slab := newCollectSlab(ws, &ws.diNodes, &ws.diOutbox, n, records, bandwidth,
+	slab := newCollectSlab(ws, &ws.diNodes, n, records, bandwidth,
 		func(v int) int { return d.OutDegree(v) + d.InDegree(v) })
 	factory := func(local dicongest.Local) dicongest.Node {
 		c := slab.node(local.ID)
-		c.local, c.bw, c.budget, c.wchunks, c.spec = local, bandwidth, budget, wchunks, spec
+		c.local = congest.Local{ID: local.ID, N: local.N, Neighbors: local.Neighbors}
+		c.bw, c.budget, c.wchunks, c.spec, c.self = bandwidth, budget, wchunks, spec, c
 		c.recordStore, c.links, c.outbox = slab.state(local.ID, len(local.Neighbors))
 		c.parent = slab.parent
 		for i, to := range local.OutNeighbors {
@@ -125,111 +127,19 @@ func weaklyConnected(d *graph.Digraph) bool {
 	return d.Underlying().IsConnected()
 }
 
-// DiCollectTotal sums the root values of a finished run: the single root's
-// value under filtered collection, the per-weak-component values under
-// full collection (exact for component-additive quantities).
-func DiCollectTotal(res *dicongest.Result) (int64, error) {
-	var total int64
-	roots := 0
-	for v, out := range res.Outputs {
-		c, ok := out.(diCollectOutput)
-		if !ok {
-			return 0, fmt.Errorf("vertex %d did not run the directed collect program", v)
-		}
-		if !c.root {
-			continue
-		}
-		if c.err != nil {
-			return 0, fmt.Errorf("root %d: %w", v, c.err)
-		}
-		roots++
-		total += c.value
-	}
-	if roots == 0 {
-		return 0, fmt.Errorf("no root produced a value")
-	}
-	return total, nil
-}
-
-// diCollectOutput is a root's Output value (zero value at non-roots).
-type diCollectOutput struct {
-	root  bool
-	value int64
-	err   error
-}
-
+// diCollectNode is the gossip collect program on a directed instance: the
+// undirected program's relay over the vertex's links, with arc records
+// and a weak-component finish. Its spec shadows the embedded core's,
+// which a directed node leaves zero.
 type diCollectNode struct {
-	recordStore
-	local   dicongest.Local
-	bw      int
-	budget  int
-	wchunks int
-	spec    DiCollectSpec // its Workspace is the factory's
-	parent  []int32       // union-find scratch, shared by the run's nodes
-
-	links  []linkState
-	outbox []dicongest.Message
-	out    diCollectOutput
+	collectNode
+	spec DiCollectSpec // its Workspace is the factory's
 }
 
 func (c *diCollectNode) consider(from, to int, w int64) {
 	if c.spec.Keep == nil || c.spec.Keep(from, to, w) {
 		c.learn(int64(from)*int64(c.n)+int64(to), w)
 	}
-}
-
-// Round ingests the per-neighbor frame streams and emits the next chunk of
-// each neighbor's stream; at the budget the roots reconstruct and evaluate.
-func (c *diCollectNode) Round(round int, inbox []dicongest.Incoming) ([]dicongest.Message, bool) {
-	next := 0
-	for _, msg := range inbox {
-		i := linkIndex(c.local.Neighbors, msg.From, next)
-		if i < 0 {
-			continue
-		}
-		next = i + 1
-		l := &c.links[i]
-		if l.rcvChunk == 0 {
-			if c.wchunks == 0 {
-				c.learn(msg.Payload, 1)
-			} else {
-				l.rcvKey = msg.Payload
-				l.rcvW = 0
-				l.rcvChunk = 1
-			}
-			continue
-		}
-		l.rcvW |= msg.Payload << uint(c.bw*(l.rcvChunk-1))
-		l.rcvChunk++
-		if l.rcvChunk > c.wchunks {
-			c.learn(l.rcvKey, l.rcvW)
-			l.rcvChunk = 0
-		}
-	}
-	if round >= c.budget {
-		c.finish()
-		return nil, true
-	}
-	mask := int64(1)<<uint(c.bw) - 1
-	c.outbox = c.outbox[:0]
-	for i, nbr := range c.local.Neighbors {
-		l := &c.links[i]
-		if l.sendRec >= len(c.records) {
-			continue
-		}
-		rec := c.records[l.sendRec]
-		payload := rec.key
-		if l.sendChunk > 0 {
-			payload = rec.w >> uint(c.bw*(l.sendChunk-1)) & mask
-		}
-		c.outbox = append(c.outbox, dicongest.Message{To: nbr, Payload: payload})
-		l.sendChunk++
-		if l.sendChunk > c.wchunks {
-			l.sendChunk = 0
-			l.sendRec++
-		}
-	}
-	return c.outbox, false
 }
 
 // finish decides root status and evaluates. Under filtered collection
@@ -254,7 +164,7 @@ func (c *diCollectNode) finish() {
 		from, to := c.decode(rec.key)
 		if err := collected.AddWeightedArc(from, to, rec.w); err != nil {
 			if c.local.ID == 0 {
-				c.out = diCollectOutput{root: true, err: fmt.Errorf("reconstructing collected digraph: %w", err)}
+				c.out = collectOutput{root: true, err: fmt.Errorf("reconstructing collected digraph: %w", err)}
 			}
 			return
 		}
@@ -281,16 +191,4 @@ func (c *diCollectNode) finish() {
 	component, _ := collected.InducedSubdigraph(func(v int) bool { return comp[v] == mine })
 	c.out.root = true
 	c.out.value, c.out.err = c.spec.Eval(component)
-}
-
-// nonRootDiOutput is the zero diCollectOutput, boxed once so that
-// non-roots hand it out without allocating.
-var nonRootDiOutput interface{} = diCollectOutput{}
-
-// Output returns the root's diCollectOutput (zero value elsewhere).
-func (c *diCollectNode) Output() interface{} {
-	if !c.out.root {
-		return nonRootDiOutput
-	}
-	return c.out
 }

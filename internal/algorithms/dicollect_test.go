@@ -19,7 +19,7 @@ func runDiCollect(t *testing.T, d *graph.Digraph, spec DiCollectSpec) (int64, *d
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := DiCollectTotal(res)
+	total, err := CollectTotal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDiCollectDisconnectedComponentsSum(t *testing.T) {
 	}
 	roots := 0
 	for _, out := range res.Outputs {
-		if c, ok := out.(diCollectOutput); ok && c.root {
+		if c, ok := out.(collectOutput); ok && c.root {
 			roots++
 		}
 	}

@@ -79,35 +79,35 @@ func referenceFinish(c *collectCore) (collectOutput, shape) {
 
 // referenceDiFinish is the full-reconstruction finish of the directed
 // collect program.
-func referenceDiFinish(c *diCollectNode) (diCollectOutput, shape) {
+func referenceDiFinish(c *diCollectNode) (collectOutput, shape) {
 	collected := graph.NewDigraph(c.n)
 	for _, rec := range c.records {
 		from, to := c.decode(rec.key)
 		if err := collected.AddWeightedArc(from, to, rec.w); err != nil {
 			if c.local.ID == 0 {
-				return diCollectOutput{root: true, err: fmt.Errorf("reconstructing collected digraph: %w", err)}, shape{}
+				return collectOutput{root: true, err: fmt.Errorf("reconstructing collected digraph: %w", err)}, shape{}
 			}
-			return diCollectOutput{}, shape{}
+			return collectOutput{}, shape{}
 		}
 	}
 	if c.spec.Keep != nil {
 		if c.local.ID != 0 {
-			return diCollectOutput{}, shape{rebuilt: true}
+			return collectOutput{}, shape{rebuilt: true}
 		}
 		value, err := c.spec.Eval(collected)
-		return diCollectOutput{root: true, value: value, err: err}, shape{rebuilt: true}
+		return collectOutput{root: true, value: value, err: err}, shape{rebuilt: true}
 	}
 	comp, _ := collected.Underlying().Components()
 	sh := shape{rebuilt: true, compN: componentSize(comp, c.local.ID)}
 	mine := comp[c.local.ID]
 	for v := 0; v < c.local.ID; v++ {
 		if comp[v] == mine {
-			return diCollectOutput{}, sh
+			return collectOutput{}, sh
 		}
 	}
 	component, _ := collected.InducedSubdigraph(func(v int) bool { return comp[v] == mine })
 	value, err := c.spec.Eval(component)
-	return diCollectOutput{root: true, value: value, err: err}, sh
+	return collectOutput{root: true, value: value, err: err}, sh
 }
 
 // probe runs the reference finish next to a node's own, and also notes
@@ -176,8 +176,6 @@ func newOutcome(root bool, value int64, err error) outcome {
 func outcomeOf(out interface{}) outcome {
 	switch o := out.(type) {
 	case collectOutput:
-		return newOutcome(o.root, o.value, o.err)
-	case diCollectOutput:
 		return newOutcome(o.root, o.value, o.err)
 	}
 	return outcome{err: fmt.Sprintf("unexpected output %T", out)}

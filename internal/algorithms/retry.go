@@ -98,7 +98,7 @@ func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (conge
 	budget := RetryBudgetFactor * (frame*(records+n+2) + 4)
 	spec.Workspace = orNewWorkspace(spec.Workspace)
 	ws := spec.Workspace
-	slab := newCollectSlab(ws, &ws.retryNodes, &ws.outbox, n, records, cw, g.Degree)
+	slab := newCollectSlab(ws, &ws.retryNodes, n, records, cw, g.Degree)
 	factory := func(local congest.Local) congest.Node {
 		c := slab.node(local.ID)
 		c.cw, c.budget, c.wchunks = cw, budget, wchunks

@@ -9,16 +9,21 @@
 // the cut, which is exactly the quantity that the Alice-Bob framework of
 // Theorem 1.1 charges for.
 //
-// The core is allocation-free in steady state: Run precomputes a routing
-// index from the graph's CSR snapshot (per-directed-edge slots for O(1)
-// message validation, duplicate detection and delivery) and double-buffers
-// flat, CSR-offset inbox arrays, so after setup no heap allocation happens
-// per round. Inboxes are delivered in neighbor-rank order (ascending
-// sender id) by construction — no sorting.
+// One core, RunLinks, runs every simulation over a link topology in CSR
+// form (Links). Run is its undirected front end, handing it the graph's
+// frozen CSR snapshot; package dicongest is its directed front end, whose
+// links are the arcs read in either direction. The core is
+// allocation-free in steady state: it precomputes a routing index from
+// the links (per-channel slots for O(1) message validation, duplicate
+// detection and delivery) and double-buffers flat, CSR-offset inbox
+// arrays, so after setup no heap allocation happens per round. Inboxes
+// are delivered in neighbor-rank order (ascending sender id) by
+// construction — no sorting.
 package congest
 
 import (
 	"fmt"
+	"slices"
 
 	"congesthard/internal/faults"
 	"congesthard/internal/graph"
@@ -98,22 +103,25 @@ type Options struct {
 	// callback receives a stack-passed struct, so an allocation-free
 	// tracer keeps the run allocation-free.
 	Trace Tracer
-	// Arena, if non-nil, lends Run reusable setup scratch — routing
-	// index, inbox buffers, fault rings — so a caller looping over many
-	// runs (the sharded certify sweep) amortizes the per-run setup
-	// allocations away. Results are bit-identical with or without an
-	// arena; an Arena must not be shared by concurrent Runs.
+	// Arena, if non-nil, lends the run reusable setup scratch — link
+	// structure, routing index, inbox buffers, fault rings — so a caller
+	// looping over many runs (a certify sweep worker) amortizes the
+	// per-run setup allocations away. Results are bit-identical with or
+	// without an arena; an Arena must not be shared by concurrent runs.
 	Arena *Arena
 }
 
-// Arena is reusable per-run scratch for Run: every internal buffer the
-// simulator would otherwise allocate per run (the dense routing table,
-// receive-slot map, cut classification, double-buffered inboxes, fault
-// rings, node table) is borrowed from the arena and grown on demand, so
-// steady-state reuse allocates only what escapes the run (Local views
-// and Result outputs). The zero value is ready to use. An arena is not
-// safe for concurrent use: give each goroutine its own.
+// Arena is reusable per-run scratch for either front end: every internal
+// buffer the simulator would otherwise allocate per run (a front end's
+// link structure, the dense routing table, receive-slot map, cut
+// classification, double-buffered inboxes, fault rings, node table) is
+// borrowed from the arena and grown on demand, so steady-state reuse
+// allocates only what escapes the run (Local views and Result outputs).
+// The zero value is ready to use. An arena is not safe for concurrent
+// use: give each goroutine its own.
 type Arena struct {
+	linkOffsets []int32
+	linkNbr     []int32
 	nodes       []Node
 	denseIdx    []int32
 	sparseIdx   map[int64]int32
@@ -141,6 +149,20 @@ func arenaSlice[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
+// LinkBuffers lends a front end the arena's link storage for an n-vertex
+// topology of at most slots channels: offsets has n+1 entries (contents
+// unspecified) and nbr is empty with capacity slots. A nil arena lends
+// fresh memory.
+func (a *Arena) LinkBuffers(n, slots int) (offsets, nbr []int32) {
+	if a == nil {
+		return make([]int32, n+1), make([]int32, 0, slots)
+	}
+	if cap(a.linkNbr) < slots {
+		a.linkNbr = make([]int32, 0, slots)
+	}
+	return arenaSlice(&a.linkOffsets, n+1), a.linkNbr[:0]
+}
+
 // Metrics are the measured costs of a simulation.
 type Metrics struct {
 	Rounds        int
@@ -166,8 +188,8 @@ func DefaultBandwidth(n int) int {
 	return 2 * b
 }
 
-// CheckBandwidth rejects a bandwidth B the simulators cannot run. A payload
-// is an int64 in [0, 2^B), and both simulators support B in [1, 62].
+// CheckBandwidth rejects a bandwidth B the simulator cannot run. A payload
+// is an int64 in [0, 2^B), and the simulator supports B in [1, 62].
 func CheckBandwidth(bandwidth int) error {
 	if bandwidth < 1 || bandwidth > 62 {
 		return fmt.Errorf("bandwidth %d out of supported range [1,62]", bandwidth)
@@ -180,8 +202,8 @@ func CheckBandwidth(bandwidth int) error {
 // allocation-free per round).
 const maxDenseEdgeIndex = 1 << 10
 
-// edgeIndex resolves (from, to) to the global directed-edge slot in O(1),
-// or -1 when the edge does not exist. It is built once per Run.
+// edgeIndex resolves (from, to) to the global channel slot in O(1), or -1
+// when the two are not linked. It is built once per run.
 type edgeIndex struct {
 	n      int
 	dense  []int32         // n*n table, or nil
@@ -190,8 +212,8 @@ type edgeIndex struct {
 
 // buildEdgeIndex constructs the routing index, borrowing the table (or
 // map) from the arena.
-func buildEdgeIndex(c *graph.CSR, ar *Arena) edgeIndex {
-	n := c.N()
+func buildEdgeIndex(links *Links, ar *Arena) edgeIndex {
+	n := links.n()
 	ei := edgeIndex{n: n}
 	if n <= maxDenseEdgeIndex {
 		ei.dense = arenaSlice(&ar.denseIdx, n*n)
@@ -199,25 +221,23 @@ func buildEdgeIndex(c *graph.CSR, ar *Arena) edgeIndex {
 			ei.dense[i] = -1
 		}
 		for v := 0; v < n; v++ {
-			nbrs, _ := c.Window(v)
-			base := c.Offset(v)
-			for i, to := range nbrs {
-				ei.dense[v*n+int(to)] = int32(base + i)
+			base := links.Offsets[v]
+			for i, to := range links.window(v) {
+				ei.dense[v*n+int(to)] = base + int32(i)
 			}
 		}
 		return ei
 	}
 	if ar.sparseIdx == nil {
-		ar.sparseIdx = make(map[int64]int32, c.Slots())
+		ar.sparseIdx = make(map[int64]int32, len(links.Nbr))
 	} else {
 		clear(ar.sparseIdx)
 	}
 	ei.sparse = ar.sparseIdx
 	for v := 0; v < n; v++ {
-		nbrs, _ := c.Window(v)
-		base := c.Offset(v)
-		for i, to := range nbrs {
-			ei.sparse[int64(v)*int64(n)+int64(to)] = int32(base + i)
+		base := links.Offsets[v]
+		for i, to := range links.window(v) {
+			ei.sparse[int64(v)*int64(n)+int64(to)] = base + int32(i)
 		}
 	}
 	return ei
@@ -237,10 +257,64 @@ func (ei *edgeIndex) slot(from, to int) int32 {
 }
 
 // Run simulates the factory's programs on g until every node terminates.
+// It is the undirected front end of RunLinks: the links are g's edges,
+// read straight from its frozen CSR snapshot, and each node's Local lists
+// its incident edges.
 //
 //hardness:hotpath
 func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
+	csr := g.Freeze()
+	offsets, _, nbr := csr.Layout() // a Freeze snapshot packs its windows: no ends
 	n := g.N()
+	return RunLinks(Links{Offsets: offsets, Nbr: nbr}, func(v int) Node {
+		nbrs, wts := csr.Window(v)
+		local := Local{
+			ID:           v,
+			N:            n,
+			Neighbors:    make([]int, len(nbrs)),
+			EdgeWeights:  make([]int64, len(nbrs)),
+			VertexWeight: g.VertexWeight(v),
+		}
+		for i, to := range nbrs {
+			local.Neighbors[i] = int(to)
+			local.EdgeWeights[i] = wts[i]
+		}
+		return factory(local)
+	}, opts)
+}
+
+// Links is the network a simulation runs over, in CSR form: vertex v's
+// link neighbors are Nbr[Offsets[v]:Offsets[v+1]], sorted ascending, and
+// slot Offsets[v]+i carries the directed channel v -> its i-th link
+// neighbor. Every link is listed at both endpoints.
+type Links struct {
+	Offsets []int32
+	Nbr     []int32
+}
+
+// n returns the number of vertices.
+func (l *Links) n() int { return max(len(l.Offsets)-1, 0) }
+
+// window returns v's link neighbors.
+func (l *Links) window(v int) []int32 { return l.Nbr[l.Offsets[v]:l.Offsets[v+1]] }
+
+// slot returns the slot of the channel u -> v, or -1 when they are not
+// linked.
+func (l *Links) slot(u, v int) int32 {
+	if i, ok := slices.BinarySearch(l.window(u), int32(v)); ok {
+		return l.Offsets[u] + int32(i)
+	}
+	return -1
+}
+
+// RunLinks is the simulator core that Run and the directed front end
+// (package dicongest) share: it runs one node per vertex over links until
+// every node terminates. build(v) constructs vertex v's program; it is
+// called once per vertex, in id order, after the options are validated.
+//
+//hardness:hotpath
+func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error) {
+	n := links.n()
 	if opts.Meter != nil && opts.CutSide == nil {
 		return nil, fmt.Errorf("metering enabled (Options.Meter) but no cut bipartition: CutSide is nil, want %d entries marking Alice's side", n)
 	}
@@ -262,8 +336,7 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 		maxRounds = 4*n*n + 64
 	}
 
-	csr := g.Freeze()
-	slots := csr.Slots()
+	slots := len(links.Nbr)
 	ar := opts.Arena
 	if ar == nil {
 		ar = &Arena{} // a throwaway arena: every borrow allocates fresh
@@ -272,34 +345,21 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 	nodes := arenaSlice(&ar.nodes, n)
 	//hardness:setup
 	for v := 0; v < n; v++ {
-		nbrs, wts := csr.Window(v)
-		local := Local{
-			ID:           v,
-			N:            n,
-			Neighbors:    make([]int, len(nbrs)),
-			EdgeWeights:  make([]int64, len(nbrs)),
-			VertexWeight: g.VertexWeight(v),
-		}
-		for i, to := range nbrs {
-			local.Neighbors[i] = int(to)
-			local.EdgeWeights[i] = wts[i]
-		}
-		nodes[v] = factory(local)
+		nodes[v] = build(v)
 	}
 
-	// Routing index: for the directed edge v -> to stored at slot s in v's
-	// window, recvAt[s] is the slot of that message in to's inbox (the rank
-	// of v among to's sorted neighbors), and cutCross[s] marks cut edges.
-	ei := buildEdgeIndex(csr, ar)
+	// Routing index: for the channel v -> to stored at slot s in v's
+	// window, recvAt[s] is the slot of that message in to's inbox (the
+	// rank of v among to's sorted link neighbors).
+	ei := buildEdgeIndex(&links, ar)
 	recvAt := arenaSlice(&ar.recvAt, slots)
 	for v := 0; v < n; v++ {
-		nbrs, _ := csr.Window(v)
-		base := csr.Offset(v)
-		for i, to := range nbrs {
-			recvAt[base+i] = int32(csr.Slot(int(to), v))
+		base := int(links.Offsets[v])
+		for i, to := range links.window(v) {
+			recvAt[base+i] = links.slot(int(to), v)
 		}
 	}
-	// slotDir classifies each directed edge relative to the bipartition:
+	// slotDir classifies each channel relative to the bipartition:
 	// internal, Alice→Bob or Bob→Alice. Built only when a cut is supplied,
 	// so unmetered runs pay nothing. Every slot is written (the arena may
 	// hold a previous run's classification).
@@ -307,9 +367,8 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 	if opts.CutSide != nil {
 		slotDir = arenaSlice(&ar.slotDir, slots)
 		for v := 0; v < n; v++ {
-			nbrs, _ := csr.Window(v)
-			base := csr.Offset(v)
-			for i, to := range nbrs {
+			base := int(links.Offsets[v])
+			for i, to := range links.window(v) {
 				if opts.CutSide[v] != opts.CutSide[to] {
 					if opts.CutSide[v] {
 						slotDir[base+i] = DirAliceToBob
@@ -341,9 +400,8 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("fault plan: %w", err)
 		}
 		for v := 0; v < n; v++ {
-			nbrs, _ := csr.Window(v)
-			base := csr.Offset(v)
-			for i, to := range nbrs {
+			base := int(links.Offsets[v])
+			for i, to := range links.window(v) {
 				inj.BindSlot(int32(base+i), v, int(to))
 			}
 		}
@@ -362,13 +420,13 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 	}
 
 	// Double-buffered flat inboxes: slot s of the current buffer holds the
-	// payload sent over the corresponding directed edge, stamped with the
-	// round it is to be delivered in (stale slots are simply never read —
-	// no per-round clearing, which also makes arena reuse across runs
-	// safe). inboxArena holds the compacted inbox slices handed to Round,
-	// one CSR window per vertex, delivered in neighbor-rank (ascending
-	// sender id) order by construction. With faults on, the ring arrays
-	// above replace the double buffer.
+	// payload sent over the corresponding channel, stamped with the round
+	// it is to be delivered in (stale slots are simply never read — no
+	// per-round clearing, which also makes arena reuse across runs safe).
+	// inboxArena holds the compacted inbox slices handed to Round, one
+	// window per vertex, delivered in neighbor-rank (ascending sender id)
+	// order by construction. With faults on, the ring arrays above replace
+	// the double buffer.
 	var curPayload, nextPayload []int64
 	var curStamp, nextStamp []int32
 	if inj == nil {
@@ -416,21 +474,21 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 				trActive--
 				continue
 			}
-			base, end := csr.Offset(v), csr.Offset(v+1)
-			nbrs, _ := csr.Window(v)
+			base := int(links.Offsets[v])
+			window := links.window(v)
 			cnt := 0
 			if inj == nil {
-				for i := base; i < end; i++ {
-					if curStamp[i] == int32(round) {
-						inboxArena[base+cnt] = Incoming{From: int(nbrs[i-base]), Payload: curPayload[i]}
+				for i, from := range window {
+					if curStamp[base+i] == int32(round) {
+						inboxArena[base+cnt] = Incoming{From: int(from), Payload: curPayload[base+i]}
 						cnt++
 					}
 				}
 			} else {
 				ri := round % ringD
-				for i := base; i < end; i++ {
-					if ringStamp[i*ringD+ri] == int32(round) {
-						inboxArena[base+cnt] = Incoming{From: int(nbrs[i-base]), Payload: ringPayload[i*ringD+ri]}
+				for i, from := range window {
+					if cell := (base+i)*ringD + ri; ringStamp[cell] == int32(round) {
+						inboxArena[base+cnt] = Incoming{From: int(from), Payload: ringPayload[cell]}
 						cnt++
 					}
 				}
@@ -533,7 +591,7 @@ func (e *RoundsError) Error() string {
 // RoundsExceededError builds the MaxRounds-exhausted *RoundsError from the
 // done markers, naming how many nodes are still running and the first few
 // of their ids, so runaway programs are diagnosable instead of just "too
-// many rounds". Shared by both simulators (package dicongest reuses it).
+// many rounds".
 func RoundsExceededError(limit int, done []bool) error {
 	e := &RoundsError{Limit: limit, N: len(done)}
 	for v, d := range done {

@@ -31,10 +31,7 @@ type RoundTrace struct {
 // once per executed round, in round order, from the simulator's single
 // goroutine, with a stack-passed RoundTrace — an allocation-free
 // implementation keeps the whole run allocation-free (guarded by
-// TestRunSteadyStateDoesNotAllocate in both simulators).
-//
-// Both simulators share this interface: dicongest.Options.Trace takes
-// a congest.Tracer, so one tracer can watch a mixed sweep.
+// TestRunSteadyStateDoesNotAllocate in congest and dicongest).
 type Tracer interface {
 	ObserveRound(t RoundTrace)
 }

@@ -233,6 +233,12 @@ func (c *CSR) Slot(u, v int) int {
 // Offset returns the start of v's window in the flat slot storage.
 func (c *CSR) Offset(v int) int { return int(c.offsets[v]) }
 
+// Layout returns the snapshot's flat arrays: v's window is
+// nbr[offsets[v]:end], where end is ends[v], or offsets[v+1] when ends is
+// nil (Freeze snapshots pack their windows). The slices are the
+// snapshot's internal storage and must not be modified.
+func (c *CSR) Layout() (offsets, ends, nbr []int32) { return c.offsets, c.ends, c.nbr }
+
 // Slots returns the total number of directed-edge slots (2m).
 func (c *CSR) Slots() int { return len(c.nbr) }
 

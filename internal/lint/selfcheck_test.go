@@ -31,9 +31,11 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 }
 
 // TestHotpathDirectiveSync pins //hardness:hotpath to the functions the
-// allocs-guard benchmarks watch (BenchmarkCongestRunCore,
-// BenchmarkDicongestRunCore, the VerifyExhaustive delta workers, the
-// oracle recursions, the delta toggles). If one of these is renamed or
+// allocs-guard benchmarks watch (the simulator core RunLinks, which
+// BenchmarkCongestRunCore and BenchmarkDicongestRunCore both spend their
+// rounds in, and congest.Run, its undirected front end; the
+// VerifyExhaustive delta workers, the oracle recursions, the delta
+// toggles). If one of these is renamed or
 // loses its directive, hotalloc silently stops guarding the loop the
 // benchmark measures — this test makes that drift loud.
 func TestHotpathDirectiveSync(t *testing.T) {
@@ -42,7 +44,7 @@ func TestHotpathDirectiveSync(t *testing.T) {
 		fn   string
 	}{
 		{"internal/congest/congest.go", "Run"},
-		{"internal/dicongest/dicongest.go", "Run"},
+		{"internal/congest/congest.go", "RunLinks"},
 		{"internal/lbfamily/sweep.go", "worker"},
 		{"internal/solver/independent.go", "recurse"},
 		{"internal/solver/mds.go", "recurse"},

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"congesthard/internal/congest"
 	"congesthard/internal/dicongest"
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
@@ -42,24 +41,23 @@ func CertifyDigraphCtx(ctx context.Context, fam lbfamily.DigraphFamily, alg Digr
 	stats := func() (lbfamily.Stats, error) { return lbfamily.MeasureDigraphStats(fam) }
 	return certify(ctx, fam, stats, alg.Name, alg.Exact, cfg, func() simulate[*graph.Digraph] {
 		arena := &dicongest.Arena{}
-		return func(d *graph.Digraph, seed int64, replay bool, o congest.Options) (congest.Metrics, bool, string, error) {
-			factory, decide, err := alg.Prepare(d, o.BandwidthBits, seed)
+		return func(d *graph.Digraph, seed int64, replay bool, opts dicongest.Options) (dicongest.Metrics, bool, string, error) {
+			factory, decide, err := alg.Prepare(d, opts.BandwidthBits, seed)
 			if err != nil {
-				return congest.Metrics{}, false, "prepare", err
+				return dicongest.Metrics{}, false, "prepare", err
 			}
-			opts := dicongest.Options{BandwidthBits: o.BandwidthBits, MaxRounds: o.MaxRounds, CutSide: o.CutSide,
-				Faults: o.Faults, Trace: o.Trace, Arena: arena}
+			opts.Arena = arena
 			var res *dicongest.Result
 			if replay {
-				_, res, err = VerifyDigraphSimulation(d, o.CutSide, factory, opts)
+				_, res, err = VerifyDigraphSimulation(d, opts.CutSide, factory, opts)
 			} else {
 				res, err = dicongest.Run(d, factory, opts)
 			}
 			if err != nil {
-				return congest.Metrics{}, false, "run", err
+				return dicongest.Metrics{}, false, "run", err
 			}
 			output, err := decide(res)
-			return congest.Metrics(res.Metrics), output, "decide", err
+			return res.Metrics, output, "decide", err
 		}
 	})
 }

@@ -37,7 +37,7 @@ func diCollectAlgorithm(name string, exact bool, newEval func() digraphEval, ans
 			}
 			return factory, func(res *dicongest.Result) (bool, error) {
 				pool.release(&w)
-				total, err := algorithms.DiCollectTotal(res)
+				total, err := algorithms.CollectTotal(res)
 				if err != nil {
 					return false, err
 				}

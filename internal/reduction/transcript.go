@@ -132,10 +132,25 @@ func (s *replayStub) Output() interface{} { return nil }
 //
 // It returns the transcript and the full run's result on success.
 func VerifySimulation(g *graph.Graph, side []bool, factory congest.Factory, opts congest.Options) (*TwoPartyTranscript, *congest.Result, error) {
-	if len(side) != g.N() {
-		return nil, nil, fmt.Errorf("bipartition has %d entries for %d vertices", len(side), g.N())
+	return checkSimulation(g.N(), side, func(schedules map[int][]Entry) (*TwoPartyTranscript, *congest.Result, error) {
+		return ExtractTranscript(g, side, func(local congest.Local) congest.Node {
+			if schedules != nil && !side[local.ID] {
+				return &replayStub{schedule: schedules[local.ID]}
+			}
+			return factory(local)
+		}, opts)
+	})
+}
+
+// checkSimulation is the check body of VerifySimulation and
+// VerifyDigraphSimulation on an n-vertex instance. run executes the
+// metered program: every vertex runs it when schedules is nil, and
+// otherwise each Bob vertex v is a replay stub playing schedules[v].
+func checkSimulation(n int, side []bool, run func(schedules map[int][]Entry) (*TwoPartyTranscript, *congest.Result, error)) (*TwoPartyTranscript, *congest.Result, error) {
+	if len(side) != n {
+		return nil, nil, fmt.Errorf("bipartition has %d entries for %d vertices", len(side), n)
 	}
-	full, res, err := ExtractTranscript(g, side, factory, opts)
+	full, res, err := run(nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("full run: %w", err)
 	}
@@ -143,13 +158,7 @@ func VerifySimulation(g *graph.Graph, side []bool, factory congest.Factory, opts
 	for _, e := range full.filter(congest.DirBobToAlice) {
 		schedules[e.From] = append(schedules[e.From], e)
 	}
-	replayFactory := func(local congest.Local) congest.Node {
-		if side[local.ID] {
-			return factory(local)
-		}
-		return &replayStub{schedule: schedules[local.ID]}
-	}
-	replay, replayRes, err := ExtractTranscript(g, side, replayFactory, opts)
+	replay, replayRes, err := run(schedules)
 	if err != nil {
 		return nil, nil, fmt.Errorf("replay run: %w", err)
 	}

@@ -1,18 +1,14 @@
 package reduction
 
 import (
-	"fmt"
-	"reflect"
-
-	"congesthard/internal/congest"
 	"congesthard/internal/dicongest"
 	"congesthard/internal/graph"
 )
 
-// This file is the directed half of the transcript machinery: the
-// TwoPartyTranscript recorder is a congest.Meter, which both simulators
-// accept, so only the run/replay plumbing differs — dicongest programs,
-// digraph instances, and stubs that speak dicongest.Message.
+// This file is the directed half of the transcript machinery. The
+// simulators share their message types, meter and replay stub, so only
+// the instance and the node factory differ: a digraph and dicongest
+// programs.
 
 // ExtractDigraphTranscript runs factory on d with the arc cut metered and
 // returns the two-party transcript alongside the run result.
@@ -27,75 +23,18 @@ func ExtractDigraphTranscript(d *graph.Digraph, side []bool, factory dicongest.F
 	return transcript, res, nil
 }
 
-// digraphReplayStub replaces one Bob vertex during the replay run: it
-// sends the recorded Bob→Alice messages of that vertex at their recorded
-// rounds and nothing else.
-type digraphReplayStub struct {
-	schedule []Entry // this vertex's B→A sends, in round order
-	next     int
-	outbox   []dicongest.Message
-}
-
-func (s *digraphReplayStub) Round(round int, inbox []dicongest.Incoming) ([]dicongest.Message, bool) {
-	s.outbox = s.outbox[:0]
-	for s.next < len(s.schedule) && s.schedule[s.next].Round == round {
-		e := s.schedule[s.next]
-		s.outbox = append(s.outbox, dicongest.Message{To: e.To, Payload: e.Payload})
-		s.next++
-	}
-	return s.outbox, s.next >= len(s.schedule)
-}
-
-func (s *digraphReplayStub) Output() interface{} { return nil }
-
 // VerifyDigraphSimulation asserts the Theorem 1.1 simulation invariant on
 // one directed run, exactly as VerifySimulation does for undirected
 // instances: Alice's view is a deterministic function of her side of the
 // digraph plus the transcript, so re-running her vertices against replay
 // stubs must reproduce her outputs and her A→B message sequence.
 func VerifyDigraphSimulation(d *graph.Digraph, side []bool, factory dicongest.Factory, opts dicongest.Options) (*TwoPartyTranscript, *dicongest.Result, error) {
-	if len(side) != d.N() {
-		return nil, nil, fmt.Errorf("bipartition has %d entries for %d vertices", len(side), d.N())
-	}
-	full, res, err := ExtractDigraphTranscript(d, side, factory, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("full run: %w", err)
-	}
-	schedules := make(map[int][]Entry)
-	for _, e := range full.filter(congest.DirBobToAlice) {
-		schedules[e.From] = append(schedules[e.From], e)
-	}
-	replayFactory := func(local dicongest.Local) dicongest.Node {
-		if side[local.ID] {
+	return checkSimulation(d.N(), side, func(schedules map[int][]Entry) (*TwoPartyTranscript, *dicongest.Result, error) {
+		return ExtractDigraphTranscript(d, side, func(local dicongest.Local) dicongest.Node {
+			if schedules != nil && !side[local.ID] {
+				return &replayStub{schedule: schedules[local.ID]}
+			}
 			return factory(local)
-		}
-		return &digraphReplayStub{schedule: schedules[local.ID]}
-	}
-	replay, replayRes, err := ExtractDigraphTranscript(d, side, replayFactory, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("replay run: %w", err)
-	}
-	for v := range side {
-		if !side[v] {
-			continue
-		}
-		if !reflect.DeepEqual(res.Outputs[v], replayRes.Outputs[v]) {
-			return nil, nil, fmt.Errorf("simulation invariant violated: Alice vertex %d output %v in the full run but %v against the transcript", v, res.Outputs[v], replayRes.Outputs[v])
-		}
-	}
-	fullAB, replayAB := full.filter(congest.DirAliceToBob), replay.filter(congest.DirAliceToBob)
-	if len(fullAB) != len(replayAB) {
-		return nil, nil, fmt.Errorf("simulation invariant violated: %d A->B messages in the full run, %d against the transcript", len(fullAB), len(replayAB))
-	}
-	for i := range fullAB {
-		if fullAB[i] != replayAB[i] {
-			return nil, nil, fmt.Errorf("simulation invariant violated: A->B message %d is %+v in the full run but %+v against the transcript", i, fullAB[i], replayAB[i])
-		}
-	}
-	replayBA := replay.filter(congest.DirBobToAlice)
-	fullBA := full.filter(congest.DirBobToAlice)
-	if len(replayBA) != len(fullBA) {
-		return nil, nil, fmt.Errorf("replay stubs sent %d B->A messages, transcript has %d", len(replayBA), len(fullBA))
-	}
-	return full, res, nil
+		}, opts)
+	})
 }
