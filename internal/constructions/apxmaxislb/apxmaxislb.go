@@ -50,6 +50,8 @@ type Params struct {
 
 // Family is the weighted (7/8+ε)-gap family of Theorem 4.3.
 type Family struct {
+	*lbfamily.Delta[*graph.Graph] // BuildBase and ApplyBit, derived from Build
+
 	p    Params
 	rs   *code.ReedSolomon
 	q    int
@@ -85,7 +87,9 @@ func New(p Params) (*Family, error) {
 	if capacity < int64(p.K) {
 		return nil, fmt.Errorf("q^t = %d cannot encode %d rows", capacity, p.K)
 	}
-	return &Family{p: p, rs: rs, q: int(q), cols: p.L + p.T}, nil
+	f := &Family{p: p, rs: rs, q: int(q), cols: p.L + p.T}
+	f.Delta = lbfamily.NewDelta(f)
+	return f, nil
 }
 
 // Name returns "apx-maxis".

@@ -43,10 +43,12 @@ func BatchExpand(g *graph.Graph) (*graph.Graph, [][2]int, error) {
 // members of a batch share their neighborhood (any maximum independent set
 // takes a batch entirely or not at all).
 type UnweightedFamily struct {
+	*lbfamily.Delta[*graph.Graph] // BuildBase and ApplyBit, derived from Build
+
 	W *Family
 }
 
-var _ lbfamily.Family = (*UnweightedFamily)(nil)
+var _ lbfamily.DeltaFamily = (*UnweightedFamily)(nil)
 
 // NewUnweighted returns the batch family for the given parameters.
 func NewUnweighted(p Params) (*UnweightedFamily, error) {
@@ -54,7 +56,9 @@ func NewUnweighted(p Params) (*UnweightedFamily, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &UnweightedFamily{W: inner}, nil
+	u := &UnweightedFamily{W: inner}
+	u.Delta = lbfamily.NewDelta(u)
+	return u, nil
 }
 
 // Name returns "apx-maxis-unweighted".
@@ -112,12 +116,14 @@ func (u *UnweightedFamily) Predicate(g *graph.Graph) (bool, error) {
 // place, adjacent to batch(a₂^i) iff x_i = 0 (resp. b and y). The gap is
 // 6ℓ+2t vs 5ℓ+2t.
 type LinearFamily struct {
+	*lbfamily.Delta[*graph.Graph] // BuildBase and ApplyBit, derived from Build
+
 	p    Params
 	w    *Family // reused for codeword bookkeeping (same k, l, t, q)
 	cols int
 }
 
-var _ lbfamily.Family = (*LinearFamily)(nil)
+var _ lbfamily.DeltaFamily = (*LinearFamily)(nil)
 
 // NewLinear returns the linear-variant family.
 func NewLinear(p Params) (*LinearFamily, error) {
@@ -125,7 +131,9 @@ func NewLinear(p Params) (*LinearFamily, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LinearFamily{p: p, w: inner, cols: p.L + p.T}, nil
+	lf := &LinearFamily{p: p, w: inner, cols: p.L + p.T}
+	lf.Delta = lbfamily.NewDelta(lf)
+	return lf, nil
 }
 
 // Name returns "apx-maxis-linear".

@@ -27,6 +27,7 @@ import (
 	"congesthard/internal/constructions/mvclb"
 	"congesthard/internal/expander"
 	"congesthard/internal/graph"
+	"congesthard/internal/lbfamily"
 )
 
 // Pipeline carries the parameters of the Section 3 reduction chain.
@@ -101,6 +102,8 @@ type Instance struct {
 
 // Family derives bounded-degree instances from the mvclb base family.
 type Family struct {
+	*lbfamily.Delta[*graph.Graph] // BuildBase and ApplyBit, derived from Build
+
 	Base     *mvclb.Family
 	Pipeline Pipeline
 }
@@ -112,7 +115,9 @@ func NewFamily(k int, seed int64) (*Family, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Family{Base: base, Pipeline: Pipeline{Seed: seed}}, nil
+	f := &Family{Base: base, Pipeline: Pipeline{Seed: seed}}
+	f.Delta = lbfamily.NewDelta(f)
+	return f, nil
 }
 
 // BuildInstance constructs G'_{x,y} with its derived partition.

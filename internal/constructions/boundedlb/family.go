@@ -18,9 +18,9 @@ var (
 // is proved by the direct two-party simulation of Claim 3.6 on top of the
 // base family's hardness. Exhaustive verification of a boundedlb family
 // therefore targets the base G_{x,y} (exactly what experiment E8 checks
-// before applying the pipeline); the delegation below makes that
-// verification delta-driven and oracle-backed like every other Section 2-4
-// construction.
+// before applying the pipeline); the delegation below, with the delta
+// derived from it, makes that verification delta-driven and oracle-backed
+// like every other Section 2-4 construction.
 
 // Name returns "bounded-maxis".
 func (f *Family) Name() string { return "bounded-maxis" }
@@ -41,14 +41,6 @@ func (f *Family) AliceSide() []bool { return f.Base.AliceSide() }
 // Predicate decides the base predicate τ(G) <= M; Corollary 3.1 transfers
 // the answer to the derived instance via α(G') = α(G) + AlphaShift.
 func (f *Family) Predicate(g *graph.Graph) (bool, error) { return f.Base.Predicate(g) }
-
-// BuildBase constructs the base family's all-zeros instance.
-func (f *Family) BuildBase() (*graph.Graph, error) { return f.Base.BuildBase() }
-
-// ApplyBit applies the base family's complement-edge toggle.
-func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
-	return f.Base.ApplyBit(g, player, bit, val)
-}
 
 // NewPredicateOracle returns the base family's arena-backed evaluator.
 func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle {

@@ -37,6 +37,8 @@ const (
 
 // Family is the directed Hamiltonian path family (Theorem 2.2).
 type Family struct {
+	*lbfamily.Delta[*graph.Digraph] // BuildBase and ApplyBit, derived from Build
+
 	k    int
 	logK int
 }
@@ -49,7 +51,9 @@ func New(k int) (*Family, error) {
 	if k < 2 || bits.OnesCount(uint(k)) != 1 {
 		return nil, fmt.Errorf("k must be a power of two >= 2, got %d", k)
 	}
-	return &Family{k: k, logK: bits.TrailingZeros(uint(k))}, nil
+	f := &Family{k: k, logK: bits.TrailingZeros(uint(k))}
+	f.Delta = lbfamily.NewDigraphDelta(f)
+	return f, nil
 }
 
 // Name returns "hampath".

@@ -14,10 +14,12 @@ import (
 // and middle -> start, so a Hamiltonian cycle exists iff a Hamiltonian path
 // did. The middle vertex joins Alice's side, growing the cut by one.
 type CycleFamily struct {
+	*lbfamily.Delta[*graph.Digraph] // BuildBase and ApplyBit, derived from Build
+
 	Path *Family
 }
 
-var _ lbfamily.DigraphFamily = (*CycleFamily)(nil)
+var _ lbfamily.DeltaDigraphFamily = (*CycleFamily)(nil)
 
 // NewCycle returns the cycle family for row size k.
 func NewCycle(k int) (*CycleFamily, error) {
@@ -25,7 +27,9 @@ func NewCycle(k int) (*CycleFamily, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CycleFamily{Path: inner}, nil
+	c := &CycleFamily{Path: inner}
+	c.Delta = lbfamily.NewDigraphDelta(c)
+	return c, nil
 }
 
 // Name returns "hamcycle".

@@ -43,6 +43,8 @@ func (p Params) Alpha() int64 { return int64(p.R + 1) }
 
 // TwoMDSFamily is the Figure 5 construction.
 type TwoMDSFamily struct {
+	*lbfamily.Delta[*graph.Graph] // BuildBase and ApplyBit, derived from Build
+
 	p Params
 }
 
@@ -58,7 +60,9 @@ func NewTwoMDS(p Params) (*TwoMDSFamily, error) {
 		// the weight-2 gap; the lemma needs r >= 2.
 		return nil, fmt.Errorf("r must be >= 2, got %d", p.R)
 	}
-	return &TwoMDSFamily{p: p}, nil
+	f := &TwoMDSFamily{p: p}
+	f.Delta = lbfamily.NewDelta(f)
+	return f, nil
 }
 
 // Name returns "2-mds".
@@ -188,6 +192,8 @@ func (f *TwoMDSFamily) GapWeights(g *graph.Graph) (int64, error) {
 // every set-element edge becomes a path with k-2 interior vertices of
 // weight α.
 type KMDSFamily struct {
+	*lbfamily.Delta[*graph.Graph] // BuildBase and ApplyBit, derived from Build
+
 	Inner *TwoMDSFamily
 	Dist  int
 
@@ -209,6 +215,7 @@ func NewKMDS(p Params, k int) (*KMDSFamily, error) {
 		return nil, fmt.Errorf("k must be >= 2, got %d", k)
 	}
 	f := &KMDSFamily{Inner: inner, Dist: k}
+	f.Delta = lbfamily.NewDelta(f)
 	// Fixed edge order for subdivision ids.
 	cl := p.Collection
 	for i := 0; i < cl.T(); i++ {

@@ -14,6 +14,8 @@ import (
 // terminals A ∪ B, and Lemma 4.5's gap — a Steiner tree of weight 2 iff
 // the inputs intersect, weight > r otherwise.
 type NodeSteinerFamily struct {
+	*lbfamily.Delta[*graph.Graph] // BuildBase and ApplyBit, derived from Build
+
 	Inner *TwoMDSFamily
 }
 
@@ -25,7 +27,9 @@ func NewNodeSteiner(p Params) (*NodeSteinerFamily, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &NodeSteinerFamily{Inner: inner}, nil
+	f := &NodeSteinerFamily{Inner: inner}
+	f.Delta = lbfamily.NewDelta(f)
+	return f, nil
 }
 
 // Name returns "node-steiner".
@@ -85,6 +89,8 @@ func (f *NodeSteinerFamily) Predicate(g *graph.Graph) (bool, error) {
 // S_i -> a_j for j in S_i present iff x_i = 1 (resp. S̄_i, y), and
 // feasibility arcs a -> a_j, b -> b_j of weight α.
 type DirSteinerFamily struct {
+	*lbfamily.Delta[*graph.Digraph] // BuildBase and ApplyBit, derived from Build
+
 	Inner *TwoMDSFamily
 }
 
@@ -96,7 +102,9 @@ func NewDirSteiner(p Params) (*DirSteinerFamily, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DirSteinerFamily{Inner: inner}, nil
+	f := &DirSteinerFamily{Inner: inner}
+	f.Delta = lbfamily.NewDigraphDelta(f)
+	return f, nil
 }
 
 // Name returns "dir-steiner".

@@ -35,6 +35,8 @@ const (
 
 // Family is the weighted max-cut family of Theorem 2.8.
 type Family struct {
+	*lbfamily.Delta[*graph.Graph] // BuildBase and ApplyBit, derived from Build
+
 	k    int
 	logK int
 }
@@ -46,7 +48,9 @@ func New(k int) (*Family, error) {
 	if k < 2 || bits.OnesCount(uint(k)) != 1 {
 		return nil, fmt.Errorf("k must be a power of two >= 2, got %d", k)
 	}
-	return &Family{k: k, logK: bits.TrailingZeros(uint(k))}, nil
+	f := &Family{k: k, logK: bits.TrailingZeros(uint(k))}
+	f.Delta = lbfamily.NewDelta(f)
+	return f, nil
 }
 
 // Name returns "maxcut".

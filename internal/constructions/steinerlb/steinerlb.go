@@ -24,6 +24,8 @@ import (
 
 // Family is the Steiner-tree family of Theorem 2.7.
 type Family struct {
+	*lbfamily.Delta[*graph.Graph] // BuildBase and ApplyBit, derived from Build
+
 	MDS *mdslb.Family
 }
 
@@ -35,7 +37,9 @@ func New(k int) (*Family, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Family{MDS: inner}, nil
+	f := &Family{MDS: inner}
+	f.Delta = lbfamily.NewDelta(f)
+	return f, nil
 }
 
 // Name returns "steiner".

@@ -26,13 +26,6 @@ type VertexDelta struct {
 	Add bool
 }
 
-// vwChange is the undo-log form of a vertex-weight mutation: Reset
-// restores from (the weight at MarkBase time for this entry).
-type vwChange struct {
-	v    int
-	from int64
-}
-
 // StartJournal begins recording edge mutations (ToggleEdge, SetEdgeWeight,
 // AddEdge variants) and vertex-weight mutations (SetVertexWeight) into
 // internal journals readable via Journal and VertexJournal. Vertex
@@ -60,47 +53,15 @@ func (g *Graph) ClearJournal() {
 	g.vwJournal = g.vwJournal[:0]
 }
 
-// StopJournal stops recording and drops the journals.
-func (g *Graph) StopJournal() {
-	g.journalOn = false
-	g.journal = nil
-	g.vwJournal = nil
-}
-
-// setVW applies a vertex-weight change, journaling it as a remove/add
-// pair and logging the prior weight for Reset. Equal-weight sets are
-// no-ops so journals only carry real deltas.
-func (g *Graph) setVW(v int, w int64, logUndo bool) {
-	old := g.vw[v]
-	if old == w {
-		return
-	}
-	g.vw[v] = w
-	if g.journalOn {
-		g.vwJournal = append(g.vwJournal,
-			VertexDelta{V: v, W: old, Add: false},
-			VertexDelta{V: v, W: w, Add: true})
-	}
-	if g.undoOn && logUndo {
-		g.vwUndo = append(g.vwUndo, vwChange{v: v, from: old})
-	}
-}
-
-// record logs one edge mutation into the journal and undo log.
-func (g *Graph) record(u, v int, w int64, add, logUndo bool) {
-	if !g.journalOn && !(g.undoOn && logUndo) {
+// record logs one edge mutation into the journal.
+func (g *Graph) record(u, v int, w int64, add bool) {
+	if !g.journalOn {
 		return
 	}
 	if u > v {
 		u, v = v, u
 	}
-	d := EdgeDelta{U: u, V: v, W: w, Add: add}
-	if g.journalOn {
-		g.journal = append(g.journal, d)
-	}
-	if g.undoOn && logUndo {
-		g.undo = append(g.undo, d)
-	}
+	g.journal = append(g.journal, EdgeDelta{U: u, V: v, W: w, Add: add})
 }
 
 // ToggleEdge adds the edge {u, v} with weight w if it is absent and removes
@@ -112,10 +73,6 @@ func (g *Graph) record(u, v int, w int64, add, logUndo bool) {
 //
 //hardness:hotpath
 func (g *Graph) ToggleEdge(u, v int, w int64) (added bool, err error) {
-	return g.toggle(u, v, w, true)
-}
-
-func (g *Graph) toggle(u, v int, w int64, logUndo bool) (bool, error) {
 	if err := g.checkVertex(u); err != nil {
 		return false, err
 	}
@@ -135,7 +92,7 @@ func (g *Graph) toggle(u, v int, w int64, logUndo bool) (bool, error) {
 			g.patched.spliceRemove(v, u)
 			g.patched.edgesStale = true
 		}
-		g.record(u, v, oldW, false, logUndo)
+		g.record(u, v, oldW, false)
 		return false, nil
 	}
 	g.adj[u] = append(g.adj[u], Half{To: v, Weight: w})
@@ -153,7 +110,7 @@ func (g *Graph) toggle(u, v int, w int64, logUndo bool) (bool, error) {
 			g.patched.edgesStale = true
 		}
 	}
-	g.record(u, v, w, true, logUndo)
+	g.record(u, v, w, true)
 	return true, nil
 }
 
@@ -170,43 +127,6 @@ func halfIndex(nbrs []Half, v int) int {
 // removeHalf deletes entry i of u's adjacency list, preserving order.
 func (g *Graph) removeHalf(u, i int) {
 	g.adj[u] = removeHalfAt(g.adj[u], i)
-}
-
-// MarkBase records the current edge set and vertex weights as the base
-// state: subsequent ToggleEdge/SetEdgeWeight/SetVertexWeight mutations are
-// logged so Reset can replay them in reverse. Calling MarkBase again moves
-// the base to the current state.
-func (g *Graph) MarkBase() {
-	g.undoOn = true
-	g.undo = g.undo[:0]
-	g.vwUndo = g.vwUndo[:0]
-}
-
-// Reset restores the graph to the MarkBase state by undoing the logged
-// mutations most recent first — O(delta) work, not O(|V|+|E|) — keeping any
-// patchable snapshot valid and emitting the reverting mutations to the
-// journal so incremental observers stay consistent. It is a no-op without a
-// preceding MarkBase.
-func (g *Graph) Reset() error {
-	for i := len(g.undo) - 1; i >= 0; i-- {
-		d := g.undo[i]
-		nowPresent, err := g.toggle(d.U, d.V, d.W, false)
-		if err != nil {
-			return err
-		}
-		if nowPresent == d.Add {
-			return fmt.Errorf("reset out of sync at edge {%d,%d}", d.U, d.V)
-		}
-	}
-	g.undo = g.undo[:0]
-	// Vertex weights are independent of the edge set, so the two undo
-	// streams replay separately; most-recent-first restores the weight a
-	// vertex carried at MarkBase even after repeated changes.
-	for i := len(g.vwUndo) - 1; i >= 0; i-- {
-		g.setVW(g.vwUndo[i].v, g.vwUndo[i].from, false)
-	}
-	g.vwUndo = g.vwUndo[:0]
-	return nil
 }
 
 // FreezePatchable returns a worker-private snapshot that ToggleEdge and

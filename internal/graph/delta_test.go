@@ -86,48 +86,6 @@ func TestToggleEdgeSemantics(t *testing.T) {
 	}
 }
 
-func TestMarkBaseAndReset(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const n = 10
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if rng.Intn(2) == 0 {
-				g.MustAddWeightedEdge(u, v, int64(rng.Intn(4)+1))
-			}
-		}
-	}
-	want := g.Signature()
-	g.FreezePatchable()
-	g.MarkBase()
-	for step := 0; step < 200; step++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v {
-			continue
-		}
-		if rng.Intn(3) == 0 && g.HasEdge(u, v) {
-			if err := g.SetEdgeWeight(u, v, int64(rng.Intn(9)+1)); err != nil {
-				t.Fatal(err)
-			}
-		} else if _, err := g.ToggleEdge(u, v, int64(rng.Intn(4)+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Signature(); got != want {
-		t.Fatalf("Reset did not restore the base graph:\n got %s\nwant %s", got, want)
-	}
-	// The patchable snapshot must have tracked the reset too.
-	fresh := buildCSR(g)
-	for v := 0; v < n; v++ {
-		if g.patched.Degree(v) != fresh.Degree(v) {
-			t.Fatalf("patched snapshot stale after Reset at vertex %d", v)
-		}
-	}
-}
-
 // TestIncrementalHashMaintenance is the contract the delta verifier relies
 // on: folding journaled EdgeDeltas into a previously computed hash yields
 // exactly the from-scratch hash of the mutated graph.
@@ -212,10 +170,10 @@ func TestToggleEdgeSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestVertexWeightJournalAndReset covers the vertex-weight side of the
-// delta machinery: SetVertexWeight journals remove/add pairs that fold
-// into HashWithin exactly, and Reset restores the MarkBase weights.
-func TestVertexWeightJournalAndReset(t *testing.T) {
+// TestVertexWeightJournal covers the vertex-weight side of the delta
+// machinery: SetVertexWeight journals remove/add pairs that fold into
+// HashWithin exactly.
+func TestVertexWeightJournal(t *testing.T) {
 	g := New(4)
 	g.MustAddEdge(0, 1)
 	if err := g.SetVertexWeight(2, 9); err != nil {
@@ -225,7 +183,6 @@ func TestVertexWeightJournalAndReset(t *testing.T) {
 	aH := g.HashWithin(side)
 	bH := g.HashWithin([]bool{false, false, true, true})
 	g.StartJournal()
-	g.MarkBase()
 	steps := [][2]int64{{0, 5}, {2, 1}, {2, 4}, {3, 3}}
 	for _, s := range steps {
 		if err := g.SetVertexWeight(int(s[0]), s[1]); err != nil {
@@ -254,18 +211,5 @@ func TestVertexWeightJournalAndReset(t *testing.T) {
 	g.ClearJournal()
 	if len(g.VertexJournal()) != 0 {
 		t.Fatal("ClearJournal kept vertex entries")
-	}
-	if err := g.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	wantW := []int64{1, 1, 9, 1}
-	for v, w := range wantW {
-		if g.VertexWeight(v) != w {
-			t.Fatalf("vertex %d weight %d after reset, want %d", v, g.VertexWeight(v), w)
-		}
-	}
-	// The reverting mutations were journaled for observers.
-	if len(g.VertexJournal()) == 0 {
-		t.Fatal("Reset did not journal reverting vertex deltas")
 	}
 }

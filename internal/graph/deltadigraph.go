@@ -33,23 +33,10 @@ func (d *Digraph) Journal() []ArcDelta { return d.journal }
 // ClearJournal drops the recorded mutations while keeping recording on.
 func (d *Digraph) ClearJournal() { d.journal = d.journal[:0] }
 
-// StopJournal stops recording and drops the journal.
-func (d *Digraph) StopJournal() {
-	d.journalOn = false
-	d.journal = nil
-}
-
-// record logs one arc mutation into the journal and undo log.
-func (d *Digraph) record(u, v int, w int64, add, logUndo bool) {
-	if !d.journalOn && !(d.undoOn && logUndo) {
-		return
-	}
-	delta := ArcDelta{From: u, To: v, W: w, Add: add}
+// record logs one arc mutation into the journal.
+func (d *Digraph) record(u, v int, w int64, add bool) {
 	if d.journalOn {
-		d.journal = append(d.journal, delta)
-	}
-	if d.undoOn && logUndo {
-		d.undo = append(d.undo, delta)
+		d.journal = append(d.journal, ArcDelta{From: u, To: v, W: w, Add: add})
 	}
 }
 
@@ -62,10 +49,6 @@ func (d *Digraph) record(u, v int, w int64, add, logUndo bool) {
 //
 //hardness:hotpath
 func (d *Digraph) ToggleArc(u, v int, w int64) (added bool, err error) {
-	return d.toggle(u, v, w, true)
-}
-
-func (d *Digraph) toggle(u, v int, w int64, logUndo bool) (bool, error) {
 	if err := d.checkVertex(u); err != nil {
 		return false, err
 	}
@@ -83,7 +66,7 @@ func (d *Digraph) toggle(u, v int, w int64, logUndo bool) (bool, error) {
 			d.patched.spliceRemove(u, v)
 			d.patched.edgesStale = true
 		}
-		d.record(u, v, oldW, false, logUndo)
+		d.record(u, v, oldW, false)
 		return false, nil
 	}
 	d.out[u] = append(d.out[u], Half{To: v, Weight: w})
@@ -98,7 +81,7 @@ func (d *Digraph) toggle(u, v int, w int64, logUndo bool) (bool, error) {
 			d.patched.edgesStale = true
 		}
 	}
-	d.record(u, v, w, true, logUndo)
+	d.record(u, v, w, true)
 	return true, nil
 }
 
@@ -106,34 +89,6 @@ func (d *Digraph) toggle(u, v int, w int64, logUndo bool) (bool, error) {
 func removeHalfAt(nbrs []Half, i int) []Half {
 	copy(nbrs[i:], nbrs[i+1:])
 	return nbrs[:len(nbrs)-1]
-}
-
-// MarkBase records the current arc set as the base state: subsequent
-// ToggleArc mutations are logged so Reset can replay them in reverse.
-// Calling MarkBase again moves the base to the current state.
-func (d *Digraph) MarkBase() {
-	d.undoOn = true
-	d.undo = d.undo[:0]
-}
-
-// Reset restores the digraph to the MarkBase state by undoing the logged
-// mutations most recent first — O(delta) work, not O(|V|+|A|) — keeping
-// any patchable snapshot valid and emitting the reverting mutations to the
-// journal so incremental observers stay consistent. It is a no-op without
-// a preceding MarkBase.
-func (d *Digraph) Reset() error {
-	for i := len(d.undo) - 1; i >= 0; i-- {
-		delta := d.undo[i]
-		nowPresent, err := d.toggle(delta.From, delta.To, delta.W, false)
-		if err != nil {
-			return err
-		}
-		if nowPresent == delta.Add {
-			return fmt.Errorf("reset out of sync at arc (%d,%d)", delta.From, delta.To)
-		}
-	}
-	d.undo = d.undo[:0]
-	return nil
 }
 
 // FreezePatchable returns a worker-private out-adjacency snapshot that

@@ -98,45 +98,6 @@ func TestToggleArcPatchesSnapshotInPlace(t *testing.T) {
 	}
 }
 
-func TestDigraphMarkBaseAndReset(t *testing.T) {
-	d := NewDigraph(4)
-	d.MustAddArc(0, 1)
-	d.MustAddWeightedArc(1, 2, 7)
-	base := d.Arcs()
-	d.MarkBase()
-	if _, err := d.ToggleArc(1, 2, 0); err != nil { // remove
-		t.Fatal(err)
-	}
-	if _, err := d.ToggleArc(2, 3, 4); err != nil { // add
-		t.Fatal(err)
-	}
-	if _, err := d.ToggleArc(2, 3, 4); err != nil { // remove again
-		t.Fatal(err)
-	}
-	if _, err := d.ToggleArc(3, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	got := d.Arcs()
-	if len(got) != len(base) {
-		t.Fatalf("arc count %d after reset, want %d", len(got), len(base))
-	}
-	for i := range base {
-		if base[i] != got[i] {
-			t.Fatalf("arc %d = %+v after reset, want %+v", i, got[i], base[i])
-		}
-	}
-	if w, ok := d.ArcWeight(1, 2); !ok || w != 7 {
-		t.Fatal("weight not restored")
-	}
-	// Reset twice is a no-op.
-	if err := d.Reset(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDigraphJournalRecordsToggles(t *testing.T) {
 	d := NewDigraph(3)
 	d.MustAddArc(0, 1)
@@ -167,13 +128,6 @@ func TestDigraphJournalRecordsToggles(t *testing.T) {
 	d.MustAddArc(2, 0) // AddArc journals too
 	if len(d.Journal()) != 1 || !d.Journal()[0].Add {
 		t.Fatalf("AddArc journal = %v", d.Journal())
-	}
-	d.StopJournal()
-	if _, err := d.ToggleArc(2, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if d.Journal() != nil {
-		t.Fatal("StopJournal left a journal")
 	}
 }
 

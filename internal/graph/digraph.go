@@ -25,11 +25,9 @@ type Digraph struct {
 	patched    *CSR
 	patchSlack int
 
-	// journal/undo support the delta machinery in deltadigraph.go.
+	// journal supports the delta machinery in deltadigraph.go.
 	journal   []ArcDelta
 	journalOn bool
-	undo      []ArcDelta
-	undoOn    bool
 }
 
 // NewDigraph returns a directed graph with n isolated vertices.
@@ -47,14 +45,13 @@ func NewDigraph(n int) *Digraph {
 
 // Recycle makes d an arcless digraph on n vertices of weight 1, as
 // NewDigraph(n) would, but keeps the capacity of its vertex and adjacency
-// lists (see Graph.Recycle). It drops any snapshot, journal and undo log.
+// lists (see Graph.Recycle). It drops any snapshot and journal.
 func (d *Digraph) Recycle(n int) {
 	d.out = recycleAdj(d.out, n)
 	d.in = recycleAdj(d.in, n)
 	d.vw = recycleWeights(d.vw, n)
 	d.patched, d.patchSlack = nil, 0
 	d.journal, d.journalOn = d.journal[:0], false
-	d.undo, d.undoOn = d.undo[:0], false
 }
 
 // N returns the number of vertices.
@@ -96,7 +93,7 @@ func (d *Digraph) AddWeightedArc(u, v int, w int64) error {
 	d.out[u] = append(d.out[u], Half{To: v, Weight: w})
 	d.in[v] = append(d.in[v], Half{To: u, Weight: w})
 	d.patched = nil
-	d.record(u, v, w, true, true)
+	d.record(u, v, w, true)
 	return nil
 }
 

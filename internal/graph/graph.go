@@ -46,15 +46,12 @@ type Graph struct {
 	patched    *CSR
 	patchSlack int
 
-	// journal/undo support the delta machinery in delta.go. Vertex-weight
-	// mutations are journaled separately from edge mutations (vwJournal /
-	// vwUndo) because they fold into different structural hashes.
+	// The journals support the delta machinery in delta.go. Vertex-weight
+	// mutations are journaled separately from edge mutations because they
+	// fold into different structural hashes.
 	journal   []EdgeDelta
 	journalOn bool
-	undo      []EdgeDelta
-	undoOn    bool
 	vwJournal []VertexDelta
-	vwUndo    []vwChange
 }
 
 // New returns an undirected graph with n isolated vertices, all of vertex
@@ -73,15 +70,14 @@ func New(n int) *Graph {
 // Recycle makes g an edgeless graph on n vertices of weight 1, as New(n)
 // would, but keeps the capacity of its vertex and adjacency lists, so a
 // graph rebuilt over and over stops allocating once it has seen its
-// largest instance. It drops any snapshot, journal and undo log.
+// largest instance. It drops any snapshot and journal.
 func (g *Graph) Recycle(n int) {
 	g.adj = recycleAdj(g.adj, n)
 	g.vw = recycleWeights(g.vw, n)
 	g.csr.Store(nil)
 	g.patched, g.patchSlack = nil, 0
 	g.journal, g.journalOn = g.journal[:0], false
-	g.undo, g.undoOn = g.undo[:0], false
-	g.vwJournal, g.vwUndo = g.vwJournal[:0], g.vwUndo[:0]
+	g.vwJournal = g.vwJournal[:0]
 }
 
 // recycleAdj returns adj resized to n empty adjacency lists, reusing the
@@ -161,7 +157,7 @@ func (g *Graph) AddWeightedEdge(u, v int, w int64) error {
 	g.adj[v] = append(g.adj[v], Half{To: u, Weight: w})
 	g.csr.Store(nil)
 	g.patched = nil
-	g.record(u, v, w, true, true)
+	g.record(u, v, w, true)
 	return nil
 }
 
@@ -246,8 +242,8 @@ func (g *Graph) SetEdgeWeight(u, v int, w int64) error {
 		g.patched.edgesStale = true
 	}
 	if oldW != w {
-		g.record(u, v, oldW, false, true)
-		g.record(u, v, w, true, true)
+		g.record(u, v, oldW, false)
+		g.record(u, v, w, true)
 	}
 	return nil
 }
@@ -285,13 +281,23 @@ func (g *Graph) NeighborIDs(v int) []int {
 func (g *Graph) VertexWeight(v int) int64 { return g.vw[v] }
 
 // SetVertexWeight sets the weight of vertex v. The change is journaled
-// (see StartJournal), so delta-family constructions whose inputs drive
-// vertex weights can be verified incrementally.
+// (see StartJournal) as a remove/add pair, so delta-family constructions
+// whose inputs drive vertex weights can be verified incrementally.
+// Equal-weight sets are no-ops, so the journal carries only real deltas.
 func (g *Graph) SetVertexWeight(v int, w int64) error {
 	if err := g.checkVertex(v); err != nil {
 		return err
 	}
-	g.setVW(v, w, true)
+	old := g.vw[v]
+	if old == w {
+		return nil
+	}
+	g.vw[v] = w
+	if g.journalOn {
+		g.vwJournal = append(g.vwJournal,
+			VertexDelta{V: v, W: old, Add: false},
+			VertexDelta{V: v, W: w, Add: true})
+	}
 	return nil
 }
 

@@ -557,7 +557,6 @@ func TestRecycleMatchesNew(t *testing.T) {
 		}
 		g.Freeze()
 		g.StartJournal()
-		g.MarkBase()
 		if n > 1 {
 			if err := g.SetVertexWeight(0, 7); err != nil {
 				t.Fatal(err)

@@ -372,9 +372,14 @@ func (d *Digraph) HashWithin(within []bool) uint64 {
 			h ^= VertexHash(v, w)
 		}
 	}
-	for _, a := range d.Arcs() {
-		if within[a.From] && within[a.To] {
-			h ^= ArcHash(a.From, a.To, a.Weight)
+	for u, nbrs := range d.out {
+		if !within[u] {
+			continue
+		}
+		for _, half := range nbrs {
+			if within[half.To] {
+				h ^= ArcHash(u, half.To, half.Weight)
+			}
 		}
 	}
 	return h
@@ -384,9 +389,11 @@ func (d *Digraph) HashWithin(within []bool) uint64 {
 // side partition (either direction, with weights).
 func (d *Digraph) CutHash(side []bool) uint64 {
 	h := uint64(0)
-	for _, a := range d.Arcs() {
-		if side[a.From] != side[a.To] {
-			h ^= ArcHash(a.From, a.To, a.Weight)
+	for u, nbrs := range d.out {
+		for _, half := range nbrs {
+			if side[u] != side[half.To] {
+				h ^= ArcHash(u, half.To, half.Weight)
+			}
 		}
 	}
 	return h

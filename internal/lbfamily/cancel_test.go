@@ -272,7 +272,7 @@ func TestSampledInputsHelper(t *testing.T) {
 }
 
 // brittleDeltaFamily's ApplyBit panics on its failAt-th call: late enough
-// to pass the delta spot check, so the panic breaks the delta walk.
+// to pass the consistency gate, so the panic breaks the delta walk.
 type brittleDeltaFamily struct {
 	hookDeltaFamily
 	failAt int64
@@ -289,7 +289,7 @@ func (f *brittleDeltaFamily) ApplyBit(g *graph.Graph, player, bit int, val bool)
 func TestVerifyFallsBackWhenDeltaWalkBreaks(t *testing.T) {
 	// Verify's policy on a broken delta walk: the worker that panicked
 	// left pairs unvisited all over row-major order, so every pair is
-	// rebuilt instead — and the correct family still verifies. The spot
+	// rebuilt instead — and the correct family still verifies. The gate
 	// check makes 2K = 6 ApplyBit calls; the 11th call is in the walk.
 	fam := &brittleDeltaFamily{hookDeltaFamily: hookDeltaFamily{hookFamily{k: 3}}, failAt: 11}
 	if err := Verify(fam); err != nil {

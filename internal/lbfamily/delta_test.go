@@ -27,7 +27,9 @@ func allInputs(t *testing.T, k int) []comm.Bits {
 	return inputs
 }
 
-func deltaFamilies(t *testing.T) []lbfamily.Family {
+// deltaFamilies returns every in-repo undirected family at k = 2, plus a
+// DerivedFamily with a local transform.
+func deltaFamilies(t testing.TB) []lbfamily.Family {
 	t.Helper()
 	mds, err := mdslb.New(2)
 	if err != nil {
@@ -70,7 +72,56 @@ func deltaFamilies(t *testing.T) []lbfamily.Family {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []lbfamily.Family{mds, cut, mvc, apx, steiner, twoMDS, kmds, nodeSteiner, bounded}
+	unweighted, err := apxmaxislb.NewUnweighted(apxmaxislb.Params{K: 2, L: 2, T: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear, err := apxmaxislb.NewLinear(apxmaxislb.Params{K: 2, L: 2, T: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []lbfamily.Family{mds, cut, mvc, apx, steiner, twoMDS, kmds, nodeSteiner, bounded,
+		unweighted, linear, twinned(mds)}
+}
+
+// twinned derives from mds a family by a local transform: every vertex v
+// gets a twin n+v on its side, joined to v, and every edge {u, v} is
+// copied to {n+u, n+v}. The predicate reads the first copy.
+func twinned(mds *mdslb.Family) *lbfamily.DerivedFamily {
+	return &lbfamily.DerivedFamily{
+		Inner:      mds,
+		FamilyName: "mds-twinned",
+		Transform: func(g *graph.Graph, side []bool) (*graph.Graph, []bool, error) {
+			n := g.N()
+			out := graph.New(2 * n)
+			for _, e := range g.Edges() {
+				out.MustAddWeightedEdge(e.U, e.V, e.Weight)
+				out.MustAddWeightedEdge(n+e.U, n+e.V, e.Weight)
+			}
+			for v := 0; v < n; v++ {
+				out.MustAddEdge(v, n+v)
+			}
+			return out, append(append([]bool(nil), side...), side...), nil
+		},
+		Pred: func(g *graph.Graph) (bool, error) {
+			first, _ := g.InducedSubgraph(func(v int) bool { return v < g.N()/2 })
+			return mds.Predicate(first)
+		},
+	}
+}
+
+// squared derives from mds the family of squared instances. Squaring is
+// not local: two input edges at a common vertex add a distance-2 edge
+// that each alone does not, so the bits' changes do not compose.
+func squared(mds *mdslb.Family) *lbfamily.DerivedFamily {
+	return &lbfamily.DerivedFamily{
+		Inner:      mds,
+		FamilyName: "mds-squared",
+		Transform: func(g *graph.Graph, side []bool) (*graph.Graph, []bool, error) {
+			return g.Power(2), side, nil
+		},
+		Pred: mds.Predicate,
+	}
 }
 
 // TestDeltaMatchesRebuildPairForPair is the differential contract of the
@@ -81,8 +132,8 @@ func TestDeltaMatchesRebuildPairForPair(t *testing.T) {
 	for _, fam := range deltaFamilies(t) {
 		fam := fam
 		t.Run(fam.Name(), func(t *testing.T) {
-			if testing.Short() && fam.Name() == "apx-maxis" {
-				t.Skip("weighted MaxIS differential pass is slow")
+			if testing.Short() && (fam.Name() == "apx-maxis" || fam.Name() == "apx-maxis-unweighted") {
+				t.Skip("the MaxIS differential passes are slow")
 			}
 			if _, ok := fam.(lbfamily.DeltaFamily); !ok {
 				t.Fatal("family does not implement DeltaFamily")
@@ -138,7 +189,7 @@ func (condition4Broken) Func() comm.Function { return comm.Disjointness{} }
 // Alice's, 2,3,4 Bob's; {1,2} is the fixed cut edge; x toggles {0,1}, y
 // toggles {2,3}, and with breakB set x also toggles Bob's edge {3,4}.
 // With inconsistentApply set, ApplyBit silently drops Alice's toggle —
-// a broken delta surface that Verify's spot-check must detect.
+// a broken delta surface that Verify's consistency gate must detect.
 type toyDelta struct {
 	breakB            bool
 	inconsistentApply bool
@@ -237,9 +288,9 @@ func TestDeltaFirstErrorMatchesRebuild(t *testing.T) {
 }
 
 // TestInconsistentApplyBitFallsBack: a family whose ApplyBit disagrees
-// with Build must not be verified through the delta path — the surface
-// spot-check detects the divergence and verification transparently falls
-// back to rebuilding every pair (where Build, being correct, passes).
+// with Build must not be verified through the delta path — the
+// consistency gate detects the divergence and verification transparently
+// falls back to rebuilding every pair (where Build, being correct, passes).
 func TestInconsistentApplyBitFallsBack(t *testing.T) {
 	fam := &toyDelta{inconsistentApply: true}
 	xs := allInputs(t, fam.K())

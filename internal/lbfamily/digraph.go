@@ -10,19 +10,21 @@ import (
 
 // DeltaDigraphFamily is the directed analogue of DeltaFamily: G_{x,y} is a
 // fixed arc skeleton (BuildBase, the all-zeros instance) plus a bounded
-// set of arcs attached to each input bit, so the exhaustive verifier can
-// walk the 2^(2K) input pairs in Gray-code order and update one mutable
-// instance digraph in O(delta) per pair.
+// set of arcs attached to each input bit, so the sweeps can walk the
+// 2^(2K) input pairs in Gray-code order and update one mutable instance
+// digraph in O(delta) per pair. The in-repo directed families get both
+// methods by embedding a Delta, which derives them from Build.
 //
 // Contract: ApplyBit(d, player, bit, val) transforms the instance of an
 // input whose (player, bit) is !val into the instance where it is val,
-// mutating arcs only (no vertex additions or vertex-weight changes) and
-// only through ToggleArc, so the digraph's arc-mutation journal captures
-// the delta. Before taking the delta path, VerifyDigraph spot-checks the
-// surface: BuildBase plus ApplyBit over every bit must reproduce Build's
-// all-ones instance hash-for-hash, else it falls back to rebuilding every
-// pair. Exhaustive pair-for-pair agreement of the two paths is asserted by
-// the package's differential tests for the in-repo directed families.
+// mutating arcs only (no vertex additions or weight changes) and only
+// through ToggleArc, so the digraph's arc-mutation journal captures the
+// delta; it rejects a player other than PlayerX and PlayerY and a bit
+// outside [0,K). VerifyDigraph and CertifyDigraph trust the surface only
+// after the consistency gate (GatedDelta) has matched it against Build,
+// and rebuild every pair otherwise. Exhaustive pair-for-pair agreement of
+// the two paths is asserted by the package's differential tests for the
+// in-repo directed families.
 type DeltaDigraphFamily interface {
 	DigraphFamily
 	// BuildBase constructs the all-zeros instance G_{0,0}.

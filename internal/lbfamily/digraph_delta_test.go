@@ -15,9 +15,14 @@ import (
 	"congesthard/internal/lbfamily"
 )
 
-func digraphDeltaFamilies(t *testing.T) []lbfamily.DigraphFamily {
+// digraphDeltaFamilies returns every in-repo directed family at k = 2.
+func digraphDeltaFamilies(t testing.TB) []lbfamily.DigraphFamily {
 	t.Helper()
 	ham, err := hamlb.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := hamlb.NewCycle(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +34,7 @@ func digraphDeltaFamilies(t *testing.T) []lbfamily.DigraphFamily {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []lbfamily.DigraphFamily{ham, dir}
+	return []lbfamily.DigraphFamily{ham, cycle, dir}
 }
 
 // TestDigraphDeltaMatchesRebuildPairForPair is the differential contract
@@ -93,7 +98,7 @@ func (condition4BrokenDigraph) Func() comm.Function { return comm.Disjointness{}
 // vertices 0,1 are Alice's, 2,3,4 Bob's; (1,2) is the fixed cut arc; x
 // toggles (0,1), y toggles (2,3), and with breakB set x also toggles
 // Bob's arc (3,4). With inconsistentApply set, ApplyBit silently drops
-// Alice's toggle — a broken delta surface the spot-check must detect.
+// Alice's toggle — a broken delta surface the consistency gate must detect.
 type toyDigraphDelta struct {
 	breakB            bool
 	inconsistentApply bool
@@ -193,7 +198,7 @@ func TestDigraphDeltaFirstErrorMatchesRebuild(t *testing.T) {
 
 // TestInconsistentDigraphApplyBitFallsBack: a directed family whose
 // ApplyBit disagrees with Build must not be verified through the delta
-// path — the surface spot-check detects the divergence and verification
+// path — the consistency gate detects the divergence and verification
 // transparently falls back to rebuilding every pair.
 func TestInconsistentDigraphApplyBitFallsBack(t *testing.T) {
 	fam := &toyDigraphDelta{inconsistentApply: true}

@@ -23,7 +23,7 @@ type OutcomeForTest struct {
 // and returns the row-major outcomes plus whether the delta path
 // produced them. The sweep's earliest build error or panic lands in
 // its pair's BuildErr.
-func collectForTest[G instance[G]](fam family[G], kd kind[G], xs, ys []comm.Bits, rebuild bool) ([]OutcomeForTest, bool, error) {
+func collectForTest[G Instance[G]](fam family[G], kd kind[G], xs, ys []comm.Bits, rebuild bool) ([]OutcomeForTest, bool, error) {
 	side, err := AliceSideOf(fam)
 	if err != nil {
 		return nil, false, err

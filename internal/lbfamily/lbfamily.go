@@ -6,10 +6,13 @@
 //   - Verify checks conditions 1-4 of Definition 1.1 exhaustively (all
 //     2^K x 2^K input pairs) using an exact solver as the predicate oracle;
 //     VerifySampled spot-checks larger parameters.
-//   - Families whose instances are a fixed skeleton plus O(1) edges per
-//     input bit can opt into DeltaFamily: verification then walks the input
-//     cube in Gray-code order and pays O(delta) per pair instead of
-//     rebuilding, re-freezing and re-hashing every G_{x,y} from scratch.
+//   - Every in-repo family is a fixed skeleton plus O(1) edges per input
+//     bit and implements DeltaFamily by embedding a Delta, which derives
+//     each bit's change list from Build. The sweeps then walk the input
+//     cube in Gray-code order and pay O(delta) per pair instead of
+//     rebuilding, re-freezing and re-hashing every G_{x,y} from scratch,
+//     once the consistency gate (GatedDelta) has checked the delta
+//     against Build.
 //   - Sweep is the one engine every pair sweep runs on — Verify and
 //     VerifyDigraph here, Certify and CertifyDigraph in the reduction
 //     package: column claiming, worker-private delta instances, the
@@ -62,21 +65,22 @@ const (
 
 // DeltaFamily is the incremental-construction extension of Family for
 // "pure bit gadget" constructions: G_{x,y} is a fixed skeleton (BuildBase,
-// the all-zeros instance G_{0,0}) plus a bounded set of edges attached to
-// each input bit. ApplyBit toggles exactly those edges, so the exhaustive
-// verifier can walk the 2^(2K) input pairs in Gray-code order and update
-// one instance graph in O(delta) per pair.
+// the all-zeros instance G_{0,0}) plus a bounded set of changes attached
+// to each input bit. ApplyBit applies exactly those changes, so the sweeps
+// can walk the 2^(2K) input pairs in Gray-code order and update one
+// instance graph in O(delta) per pair. The in-repo families get both
+// methods by embedding a Delta, which derives them from Build.
 //
 // Contract: ApplyBit(g, player, bit, val) transforms the instance graph of
 // an input whose (player, bit) is !val into the instance graph where it is
 // val, mutating edges and vertex weights only (no vertex additions) and
 // only through ToggleEdge/SetEdgeWeight/SetVertexWeight, so the graph's
-// mutation journals capture the delta. Before taking the delta path, Verify
-// spot-checks the surface: BuildBase plus ApplyBit over every bit must
-// reproduce Build's all-ones instance hash-for-hash, else it falls back
-// to rebuilding every pair. Exhaustive pair-for-pair agreement of the two
-// paths is asserted by the package's differential tests for the in-repo
-// families.
+// mutation journals capture the delta; it rejects a player other than
+// PlayerX and PlayerY and a bit outside [0,K). Verify and Certify trust
+// the surface only after the consistency gate (GatedDelta) has matched it
+// against Build, and rebuild every pair otherwise. Exhaustive pair-for-pair
+// agreement of the two paths is asserted by the package's differential
+// tests for the in-repo families.
 type DeltaFamily interface {
 	Family
 	// BuildBase constructs the all-zeros instance G_{0,0}.
@@ -231,9 +235,13 @@ type DerivedFamily struct {
 	sideOnce   sync.Once
 	cachedSide []bool
 	sideErr    error
+
+	// delta is the family's derived delta, made on first use.
+	deltaOnce sync.Once
+	delta     *Delta[*graph.Graph]
 }
 
-var _ Family = (*DerivedFamily)(nil)
+var _ DeltaFamily = (*DerivedFamily)(nil)
 
 // Name returns the derived family's name.
 func (d *DerivedFamily) Name() string { return d.FamilyName }
@@ -293,3 +301,20 @@ func (d *DerivedFamily) AliceSide() []bool {
 
 // Predicate decides the derived predicate.
 func (d *DerivedFamily) Predicate(g *graph.Graph) (bool, error) { return d.Pred(g) }
+
+// derived returns the family's derived delta, making it on first use.
+func (d *DerivedFamily) derived() *Delta[*graph.Graph] {
+	d.deltaOnce.Do(func() { d.delta = NewDelta(d) })
+	return d.delta
+}
+
+// BuildBase returns the derived all-zeros instance (see Delta).
+func (d *DerivedFamily) BuildBase() (*graph.Graph, error) { return d.derived().BuildBase() }
+
+// ApplyBit applies one input bit's derived change list (see Delta). A
+// transform that does not keep the inner family's changes additive, such
+// as a graph power, fails the consistency gate, and the family's sweeps
+// rebuild every pair.
+func (d *DerivedFamily) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
+	return d.derived().ApplyBit(g, player, bit, val)
+}

@@ -10,14 +10,17 @@ import (
 	"congesthard/internal/graph"
 )
 
-// instance is what verification reads of a graph kind's instances.
-type instance[G any] interface {
+// Instance is what the sweeps and the derived delta read of a graph
+// kind's instances; *graph.Graph and *graph.Digraph implement it.
+type Instance[G any] interface {
 	N() int
+	VertexWeight(v int) int64
 	Clone() G
 	CutHash(side []bool) uint64
 	HashWithin(within []bool) uint64
 	FreezePatchable() *graph.CSR
 	StartJournal()
+	ClearJournal()
 }
 
 // family is the part of Family and DigraphFamily that verification
@@ -30,8 +33,8 @@ type family[G any] interface {
 	Predicate(g G) (bool, error)
 }
 
-// kind is what verification needs to know about a graph kind beyond
-// instance.
+// kind is what verification and the derived delta need to know about a
+// graph kind beyond Instance.
 type kind[G any] struct {
 	// noun names the cut's members in messages: "edges" or "arcs".
 	noun string
@@ -40,6 +43,16 @@ type kind[G any] struct {
 	// oracle returns a fresh reusable predicate evaluator of fam, or nil
 	// if fam has none.
 	oracle func(fam any) func(G) (bool, error)
+
+	// The delta primitives. adj lists u's edges (both ends list an edge
+	// unless directed) or out-arcs; weight reads an element's weight;
+	// toggle flips its presence and reports whether it is present after.
+	directed        bool
+	adj             func(g G, u int) []graph.Half
+	weight          func(g G, u, v int) (int64, bool)
+	toggle          func(g G, u, v int, w int64) (bool, error)
+	setWeight       func(g G, u, v int, w int64) error
+	setVertexWeight func(g G, v int, w int64) error
 }
 
 // sideHashes are the structural hashes Definition 1.1 conditions 1-3
@@ -59,8 +72,17 @@ func (h *sideHashes) toggle(uAlice, vAlice bool, hash uint64) {
 	}
 }
 
-func hashesOf[G instance[G]](g G, side, bobSide []bool) sideHashes {
+func hashesOf[G Instance[G]](g G, side, bobSide []bool) sideHashes {
 	return sideHashes{cut: g.CutHash(side), a: g.HashWithin(side), b: g.HashWithin(bobSide)}
+}
+
+// bobSideOf returns the complement of Alice's side.
+func bobSideOf(side []bool) []bool {
+	bob := make([]bool, len(side))
+	for i, a := range side {
+		bob[i] = !a
+	}
+	return bob
 }
 
 // AliceSideOf returns fam's Alice side, through AliceSideChecked when
@@ -118,7 +140,7 @@ var errPairFailed = errors.New("pair failed")
 
 // verify checks Definition 1.1 over xs × ys: phase 1 computes every
 // pair's outcome through the sweep engine, phase 2 scans them serially.
-func verify[G instance[G]](ctx context.Context, fam family[G], kd kind[G], xs, ys []comm.Bits, rebuild bool) error {
+func verify[G Instance[G]](ctx context.Context, fam family[G], kd kind[G], xs, ys []comm.Bits, rebuild bool) error {
 	side, err := AliceSideOf(fam)
 	if err != nil {
 		return fmt.Errorf("alice side: %w", err)
@@ -135,17 +157,14 @@ func verify[G instance[G]](ctx context.Context, fam family[G], kd kind[G], xs, y
 }
 
 // verifyPairs is verification phase 1. Each column is one y, walked over
-// x in Gray-code order when xs is the whole cube. Families with a delta
-// surface that passes deltaSurfaceConsistent are walked delta-driven,
+// x in Gray-code order when xs is the whole cube. Families whose delta
+// passes the consistency gate (GatedDelta) are walked delta-driven,
 // folding each instance's journal into running hashes; when that walk
 // breaks, every pair is rebuilt instead, since a broken worker leaves
 // pairs unvisited anywhere in row-major order. It reports whether the
 // delta walk produced the outcomes; a cancelled walk is kept as is.
-func verifyPairs[G instance[G]](ctx context.Context, fam family[G], kd kind[G], side []bool, xs, ys []comm.Bits, rebuild bool) ([]pairOutcome, SweepResult, bool) {
-	bobSide := make([]bool, len(side))
-	for i, a := range side {
-		bobSide[i] = !a
-	}
+func verifyPairs[G Instance[G]](ctx context.Context, fam family[G], kd kind[G], side []bool, xs, ys []comm.Bits, rebuild bool) ([]pairOutcome, SweepResult, bool) {
+	bobSide := bobSideOf(side)
 	outcomes := make([]pairOutcome, len(xs)*len(ys))
 	order := walkOrder(xs, fam.K())
 	type worker struct {
@@ -154,8 +173,11 @@ func verifyPairs[G instance[G]](ctx context.Context, fam family[G], kd kind[G], 
 		ready bool // h tracks the worker's delta instance
 	}
 	workers := make([]worker, SweepWorkers(0, len(ys)))
-	df, delta := fam.(DeltaSource[G])
-	delta = delta && !rebuild && deltaSurfaceConsistent(fam, df, side, bobSide)
+	var df DeltaSource[G]
+	if !rebuild {
+		df = GatedDelta(fam, side)
+	}
+	delta := df != nil
 	sw := Sweep[G]{
 		Cols: len(ys), Rows: len(xs), Workers: len(workers),
 		Pair: func(c, r int) (comm.Bits, comm.Bits, int) {
@@ -208,37 +230,6 @@ func verifyPairs[G instance[G]](ctx context.Context, fam family[G], kd kind[G], 
 		sw.Delta, delta = nil, false
 	}
 	return outcomes, sw.Run(ctx), false
-}
-
-// deltaSurfaceConsistent spot-checks the delta contract before the delta
-// path is trusted: BuildBase plus ApplyBit(val = true) over every bit of
-// both players must reproduce Build's all-ones instance — same vertex
-// count, same cut hash, same induced-side hashes. This exercises every
-// bit's attached edges once for the cost of two builds; a family whose
-// surface disagrees, fails or panics is verified by rebuilding instead.
-func deltaSurfaceConsistent[G instance[G]](fam family[G], df DeltaSource[G], side, bobSide []bool) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	ones := comm.OnesBits(df.K())
-	want, err := fam.Build(ones, ones)
-	if err != nil || want.N() != len(side) {
-		return false
-	}
-	g, err := df.BuildBase()
-	if err != nil || g.N() != len(side) {
-		return false
-	}
-	for _, player := range [2]int{PlayerX, PlayerY} {
-		for i := 0; i < df.K(); i++ {
-			if err := df.ApplyBit(g, player, i, true); err != nil {
-				return false
-			}
-		}
-	}
-	return hashesOf(g, side, bobSide) == hashesOf(want, side, bobSide)
 }
 
 // walkOrder returns the sequence of xs indices a worker visits per
@@ -332,6 +323,11 @@ var edgeKind = kind[*graph.Graph]{
 		}
 		return nil
 	},
+	adj:             (*graph.Graph).Neighbors,
+	weight:          (*graph.Graph).EdgeWeight,
+	toggle:          (*graph.Graph).ToggleEdge,
+	setWeight:       (*graph.Graph).SetEdgeWeight,
+	setVertexWeight: (*graph.Graph).SetVertexWeight,
 }
 
 // arcKind is the directed graph kind.
@@ -349,4 +345,14 @@ var arcKind = kind[*graph.Digraph]{
 		}
 		return nil
 	},
+	directed: true,
+	adj:      (*graph.Digraph).OutNeighbors,
+	weight:   (*graph.Digraph).ArcWeight,
+	toggle:   (*graph.Digraph).ToggleArc,
+	// The arc journal records presence only, so a directed family whose
+	// input changes weights has no delta.
+	setWeight:       func(*graph.Digraph, int, int, int64) error { return errArcWeights },
+	setVertexWeight: func(*graph.Digraph, int, int64) error { return errArcWeights },
 }
+
+var errArcWeights = errors.New("the input changes weights, which the digraph journal does not record")

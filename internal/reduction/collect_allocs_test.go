@@ -21,7 +21,7 @@ import (
 
 const (
 	mdsCollectPairAllocs   = 60  // measured 47
-	hamlbCollectPairAllocs = 420 // measured 337
+	hamlbCollectPairAllocs = 320 // measured 255
 )
 
 func TestCollectMDSPairAllocations(t *testing.T) {

@@ -174,12 +174,13 @@ type Report struct {
 // output, correct} plus the aggregate rounds·B·|E_cut| budget against
 // CC(f). The pairs run through lbfamily's sweep engine, one Gray-code
 // column per claim, across cfg.Workers workers (GOMAXPROCS by default):
-// for families implementing lbfamily.DeltaFamily each worker holds a
-// private instance (BuildBase once, Clone per further worker) walked by
-// ApplyBit toggles (Hamming distance 1 between consecutive pairs of a
+// for families implementing lbfamily.DeltaFamily whose delta passes the
+// consistency gate (lbfamily.GatedDelta) each worker holds a private
+// instance (BuildBase once, Clone per further worker) walked by ApplyBit
+// toggles (Hamming distance 1 between consecutive pairs of a
 // column) with a reused simulator arena, so steady-state allocations per
 // pair are near zero; other families rebuild each claimed G_{x,y} from
-// scratch. Per-pair seeds are keyed by canonical pair index, so the
+// scratch, as every family does with cfg.ForceRebuild. Per-pair seeds are keyed by canonical pair index, so the
 // report is bit-identical at any worker count.
 func Certify(fam lbfamily.Family, alg Algorithm, cfg Config) (*Report, error) {
 	return CertifyCtx(context.Background(), fam, alg, cfg)
@@ -241,7 +242,7 @@ type family[G any] interface {
 // certify is the one certification body behind CertifyCtx and
 // CertifyDigraphCtx. newSim makes a worker's simulator, with its own
 // arena, on the worker's first pair.
-func certify[G interface{ Clone() G }](ctx context.Context, fam family[G], stats func() (lbfamily.Stats, error),
+func certify[G lbfamily.Instance[G]](ctx context.Context, fam family[G], stats func() (lbfamily.Stats, error),
 	name string, exact bool, cfg Config, newSim func() simulate[G]) (*Report, error) {
 	side, err := lbfamily.AliceSideOf(fam)
 	if err != nil {
@@ -331,8 +332,8 @@ func certify[G interface{ Clone() G }](ctx context.Context, fam family[G], stats
 		},
 		Progress: cfg.Progress,
 	}
-	if df, ok := fam.(lbfamily.DeltaSource[G]); ok && !cfg.ForceRebuild {
-		sw.Delta = df
+	if !cfg.ForceRebuild {
+		sw.Delta = lbfamily.GatedDelta(fam, side)
 	}
 	return resolve(report, sw.Run(ctx), ctx.Err(), f)
 }

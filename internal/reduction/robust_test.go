@@ -363,13 +363,15 @@ func TestCertifyConfinesInstancePanics(t *testing.T) {
 	// A panic in the family's ApplyBit (delta path) or Build (rebuild
 	// path) is confined like a panic in the algorithm: the sweep returns
 	// a *lbfamily.PanicError naming the pair and the canonical-prefix
-	// partial report instead of crashing the process. At one worker the
-	// 10th toggle belongs to canonical pair 10 (each step of the first
-	// Gray column toggles one x bit).
+	// partial report instead of crashing the process. The consistency
+	// gate's 2K toggles come first; at one worker the 10th toggle after
+	// them belongs to canonical pair 10 (each step of the first Gray
+	// column toggles one x bit).
 	full := referenceCertify(t, mdsFam(t), CollectMDS(mdsFam(t)), Config{Seed: 1})
 	bad := full.Pairs[37]
+	gateToggles := int64(2 * mdsFam(t).K())
 	for _, workers := range []int{1, 4} {
-		fam := &explodingMDS{Family: mdsFam(t), applyAt: 10}
+		fam := &explodingMDS{Family: mdsFam(t), applyAt: gateToggles + 10}
 		rep, err := Certify(fam, CollectMDS(fam.Family), Config{Seed: 1, Workers: workers})
 		wantIdx := -1
 		if workers == 1 {
@@ -386,8 +388,9 @@ func TestCertifyConfinesInstancePanics(t *testing.T) {
 func TestCertifyDigraphConfinesInstancePanics(t *testing.T) {
 	full := referenceCertifyDigraph(t, hamFam(t), CollectHamPath(hamFam(t)), Config{Seed: 1})
 	bad := full.Pairs[37]
+	gateToggles := int64(2 * hamFam(t).K())
 	for _, workers := range []int{1, 4} {
-		fam := &explodingHam{Family: hamFam(t), applyAt: 10}
+		fam := &explodingHam{Family: hamFam(t), applyAt: gateToggles + 10}
 		rep, err := CertifyDigraph(fam, CollectHamPath(fam.Family), Config{Seed: 1, Workers: workers})
 		wantIdx := -1
 		if workers == 1 {
