@@ -117,6 +117,51 @@ func TestTheorem22Exhaustive(t *testing.T) {
 	}
 }
 
+// TestTheorem22SampledK4 checks the family at k = 4 (n = 126, the
+// two-word search): a sampled Definition 1.1 verification, then the
+// oracle on four disjoint pairs (x, x̄), which must be NO, and four
+// intersecting pairs, whose returned path must be Hamiltonian from start
+// to end.
+func TestTheorem22SampledK4(t *testing.T) {
+	if testing.Short() {
+		t.Skip("k = 4 decides hundreds of 126-vertex instances")
+	}
+	f, err := New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	if err := lbfamily.VerifySampledDigraph(f, rng, 16); err != nil {
+		t.Fatal(err)
+	}
+	var o solver.HamiltonOracle
+	for i := 0; i < 8; i++ {
+		x, y := comm.RandomBits(f.K(), rng), comm.NewBits(f.K())
+		for j := 0; j < f.K(); j++ {
+			y.Set(j, !x.Get(j))
+		}
+		if intersect := i >= 4; intersect {
+			j := rng.Intn(f.K())
+			x.Set(j, true)
+			y.Set(j, true)
+		}
+		d, err := f.Build(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, found, err := o.DirectedHamiltonianPathFrom(d, f.Start(), f.End())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := x.Intersects(y); found != want {
+			t.Fatalf("x=%v y=%v: path found %v, want %v", x, y, found, want)
+		}
+		if found && (!solver.IsDirectedHamiltonianPath(d, path) || path[0] != f.Start() || path[len(path)-1] != f.End()) {
+			t.Fatalf("x=%v y=%v: returned %v, not a Hamiltonian path from start to end", x, y, path)
+		}
+	}
+}
+
 // TestWarmHamiltonOracleAllocatesNothing pins the Verify hot path: once
 // the family's predicate oracle has seen a k=2 instance, deciding it on a
 // YES pair and on a NO pair allocates nothing.

@@ -57,8 +57,6 @@ func CollectHamPath(fam *hamlb.Family) DigraphAlgorithm {
 	n, start, end := fam.N(), fam.Start(), fam.End()
 	return diCollectAlgorithm("collect", true,
 		func() digraphEval {
-			// The decision API takes the single-word bitset search for
-			// 2 <= n <= 64 and the general search above that.
 			var o solver.HamiltonOracle
 			return func(component *graph.Digraph) (int64, error) {
 				if component.N() != n {
@@ -130,15 +128,18 @@ func CollectDirSteiner(fam *kmdslb.DirSteinerFamily) DigraphAlgorithm {
 	n, root := fam.Inner.N(), fam.Inner.Root()
 	terminals := fam.Terminals()
 	return diCollectAlgorithm("collect", true,
-		shared(func(component *graph.Digraph) (int64, error) {
-			if component.N() != n {
-				return 0, nil
+		func() digraphEval {
+			var o solver.DirSteinerOracle
+			return func(component *graph.Digraph) (int64, error) {
+				if component.N() != n {
+					return 0, nil
+				}
+				ok, err := o.HasDirectedSteinerWithin(component, root, terminals, 2)
+				if err != nil || !ok {
+					return 0, err
+				}
+				return 1, nil
 			}
-			ok, err := solver.HasDirectedSteinerWithin(component, root, terminals, 2)
-			if err != nil || !ok {
-				return 0, err
-			}
-			return 1, nil
-		}),
+		},
 		func(total int64) bool { return total >= 1 })
 }

@@ -29,12 +29,6 @@ func (b bitset) set(i int) { b[i/64] |= uint64(1) << (uint(i) % 64) }
 
 func (b bitset) clear(i int) { b[i/64] &^= uint64(1) << (uint(i) % 64) }
 
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
-
 func (b bitset) count() int {
 	total := 0
 	for _, w := range b {

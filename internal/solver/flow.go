@@ -28,17 +28,6 @@ func MaxFlow(d *graph.Digraph, s, t int) (int64, error) {
 	return f.maxFlow(s, t), nil
 }
 
-// MaxFlowUndirected computes the maximum s-t flow in an undirected graph by
-// giving each edge its weight as capacity in both directions.
-func MaxFlowUndirected(g *graph.Graph, s, t int) (int64, error) {
-	d := graph.NewDigraph(g.N())
-	for _, e := range g.Edges() {
-		d.MustAddWeightedArc(e.U, e.V, e.Weight)
-		d.MustAddWeightedArc(e.V, e.U, e.Weight)
-	}
-	return MaxFlow(d, s, t)
-}
-
 // MinSTCut computes the minimum s-t cut value and a realizing side (true =
 // source side), via max-flow and residual reachability. The side is the
 // witness for the "MF < k" nondeterministic protocol of Claim 5.11.

@@ -7,16 +7,15 @@ import (
 	"congesthard/internal/graph"
 )
 
-// FuzzHamiltonOracle checks HamiltonOracle's decision API — the
-// single-word search for 2 <= n <= 64, bounded by an incrementally
-// repaired matching — against BruteDirectedHamiltonianPath on digraphs of
-// at most 16 vertices, and the general backtracking search on those of at
-// most 14. The input is the vertex count, the start, the end (reduced into
-// {-1, 0..n-1}, -1 meaning any endpoint, start == end allowed) and an
-// adjacency bit matrix: bit u*n+v of arcs adds the arc (u, v). The oracle
-// runs cold and then warm, and after a NO its matching must again
-// saturate the root; any path the general search finds must be a
-// Hamiltonian path with the requested endpoints.
+// FuzzHamiltonOracle checks HamiltonOracle's search against
+// BruteDirectedHamiltonianPath on digraphs of at most 16 vertices, at one
+// word per vertex set and at a forced two words, each on a cold oracle and
+// then a warm one. The input is the vertex count, the start, the end
+// (reduced into {-1, 0..n-1}, -1 meaning any endpoint, start == end
+// allowed) and an adjacency bit matrix: bit u*n+v of arcs adds the arc
+// (u, v). On YES the returned path must be a Hamiltonian path with the
+// requested endpoints; after a NO the matching must again saturate the
+// root.
 func FuzzHamiltonOracle(f *testing.F) {
 	f.Add(uint8(4), uint8(0), uint8(4), []byte{0b00100010, 0b10000100})
 	f.Add(uint8(1), uint8(0), uint8(0), []byte{})
@@ -41,43 +40,42 @@ func FuzzHamiltonOracle(f *testing.F) {
 		if err != nil {
 			t.Fatalf("brute (n=%d start=%d end=%d): %v", n, start, end, err)
 		}
-		// Without the matching bound the general search can spend seconds
-		// on a dense digraph of 15 or 16 vertices (the seed corpus holds
-		// one), so it is checked up to 14.
-		if n <= 14 {
-			path, found, err := DirectedHamiltonianPathFrom(d, start, end)
-			if err != nil {
-				t.Fatalf("general search (n=%d start=%d end=%d): %v", n, start, end, err)
-			}
-			if found != want {
-				t.Fatalf("general search (n=%d start=%d end=%d arcs=%v): %v, brute %v", n, start, end, d.Arcs(), found, want)
-			}
-			if found && (!IsDirectedHamiltonianPath(d, path) || path[0] != start || (end >= 0 && path[n-1] != end)) {
-				t.Fatalf("general search (n=%d start=%d end=%d) returned %v, not a Hamiltonian path with those endpoints", n, start, end, path)
-			}
-		}
-		var o HamiltonOracle
-		for call := 0; call < 2; call++ { // the second call runs on warm scratch
-			got, err := o.HasDirectedHamiltonianPathFrom(d, start, end)
-			if err != nil {
-				t.Fatalf("oracle (n=%d start=%d end=%d): %v", n, start, end, err)
-			}
-			if got != want {
-				t.Fatalf("oracle call %d (n=%d start=%d end=%d arcs=%v): %v, brute %v", call, n, start, end, d.Arcs(), got, want)
-			}
-			if n >= 2 && start != end && !got && !matchingRestored(&o.b, d, start, end) {
-				t.Fatalf("oracle call %d (n=%d start=%d end=%d arcs=%v): after NO the matching pred=%v succ=%v no longer saturates", call, n, start, end, d.Arcs(), o.b.pred[:n], o.b.succ[:n])
+		for _, words := range []int{1, 2} {
+			var o HamiltonOracle
+			for call := 0; call < 2; call++ { // the second call runs on warm scratch
+				path, got, err := o.pathFrom(d, start, end, words)
+				if err != nil {
+					t.Fatalf("oracle (words=%d n=%d start=%d end=%d): %v", words, n, start, end, err)
+				}
+				if got != want {
+					t.Fatalf("oracle call %d (words=%d n=%d start=%d end=%d arcs=%v): %v, brute %v", call, words, n, start, end, d.Arcs(), got, want)
+				}
+				if got && (!IsDirectedHamiltonianPath(d, path) || path[0] != start || (end >= 0 && path[n-1] != end)) {
+					t.Fatalf("oracle call %d (words=%d n=%d start=%d end=%d) returned %v, not a Hamiltonian path with those endpoints", call, words, n, start, end, path)
+				}
+				if n < 2 || start == end || got {
+					continue // no search ran, or it found a path
+				}
+				var pred, succ []int16
+				if words == 1 {
+					pred, succ = o.w1.pred[:], o.w1.succ[:]
+				} else {
+					pred, succ = o.w2.pred[:], o.w2.succ[:]
+				}
+				if !matchingRestored(pred, succ, d, start, end) {
+					t.Fatalf("oracle call %d (words=%d n=%d start=%d end=%d arcs=%v): after NO the matching pred=%v succ=%v no longer saturates", call, words, n, start, end, d.Arcs(), pred[:n], succ[:n])
+				}
 			}
 		}
 	})
 }
 
-// matchingRestored reports whether, after the n <= 64 search answered NO,
-// its pred/succ entries again match every vertex but start to its own
+// matchingRestored reports whether, after the search answered NO, its
+// pred/succ entries again match every vertex but start to its own
 // in-neighbour other than end: the root's state, which every backtrack
 // must restore. It holds vacuously when Hall's condition shows that no
 // such matching exists.
-func matchingRestored(b *ham64, d *graph.Digraph, start, end int) bool {
+func matchingRestored(pred, succ []int16, d *graph.Digraph, start, end int) bool {
 	n := d.N()
 	var heads []int
 	for v := 0; v < n; v++ {
@@ -101,8 +99,8 @@ func matchingRestored(b *ham64, d *graph.Digraph, start, end int) bool {
 		}
 	}
 	for _, u := range heads {
-		t := int(b.pred[u])
-		if t < 0 || t == end || !d.HasArc(t, u) || int(b.succ[t]) != u {
+		t := int(pred[u])
+		if t < 0 || t == end || !d.HasArc(t, u) || int(succ[t]) != u {
 			return false
 		}
 	}
@@ -174,6 +172,68 @@ func FuzzSteinerOracle(f *testing.F) {
 					t.Fatalf("oracle call %d (wide=%v n=%d terminals=%v maxEdges=%d edges=%v): %v, brute %d (err %v)",
 						call, wide, n, terminals, maxEdges, g.Edges(), got, brute, err)
 				}
+			}
+		}
+	})
+}
+
+// FuzzDirSteinerOracle checks DirSteinerOracle against DirectedSteinerEnum
+// on digraphs of at most 10 vertices with arc weights 0..2 and at most 22
+// positive arcs. The input is the vertex count, the root, the terminal
+// list (each byte reduced mod n, duplicates kept), the budget (reduced
+// into -1..6) and two bits per ordered pair u != v of arcs: 0 adds no
+// arc, 1, 2 and 3 an arc of weight 0, 1 and 2. Positive arcs past the
+// 22nd are dropped. The oracle must answer enumeration <= budget, or
+// false when the terminals are unreachable, on a cold oracle and then a
+// warm one.
+func FuzzDirSteinerOracle(f *testing.F) {
+	f.Add(uint8(2), uint8(0), []byte{1}, uint8(0), []byte{0b01})
+	f.Add(uint8(4), uint8(0), []byte{3, 3, 2}, uint8(3), []byte{0x9e, 0x27, 0xb1})
+	f.Add(uint8(6), uint8(2), []byte{0, 5}, uint8(4), []byte{0xff, 0x0f, 0xf0, 0x55, 0xaa, 0x33, 0xcc})
+	f.Add(uint8(10), uint8(9), []byte{1, 3, 5, 7}, uint8(7), []byte{0x5a, 0x01, 0x80, 0x24, 0x42, 0x18, 0x81, 0x3c, 0xc3, 0x66, 0x99, 0x0f, 0xf0, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf1, 0x23, 0x45})
+	f.Fuzz(func(t *testing.T, nRaw, rootRaw uint8, termBytes []byte, budgetRaw uint8, arcs []byte) {
+		n := 1 + int(nRaw)%10
+		root := int(rootRaw) % n
+		d := graph.NewDigraph(n)
+		bit, positive := 0, 0
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u == v {
+					continue
+				}
+				code := 0
+				if bit/8 < len(arcs) {
+					code = int(arcs[bit/8]>>(bit%8)) & 3
+				}
+				bit += 2
+				if code == 0 || (code > 1 && positive == 22) {
+					continue
+				}
+				if code > 1 {
+					positive++
+				}
+				d.MustAddWeightedArc(u, v, int64(code-1))
+			}
+		}
+		terminals := []int{}
+		for _, b := range termBytes {
+			terminals = append(terminals, int(b)%n)
+		}
+		budget := int64(budgetRaw%8) - 1
+		best, err := DirectedSteinerEnum(d, root, terminals)
+		if err != nil && err.Error() != "terminals not reachable from root" {
+			t.Fatalf("enumeration (n=%d root=%d terminals=%v): %v", n, root, terminals, err)
+		}
+		want := err == nil && best <= budget
+		var o DirSteinerOracle
+		for call := 0; call < 2; call++ { // the second call runs on warm scratch
+			got, err := o.HasDirectedSteinerWithin(d, root, terminals, budget)
+			if err != nil {
+				t.Fatalf("oracle (n=%d root=%d terminals=%v budget=%d): %v", n, root, terminals, budget, err)
+			}
+			if got != want {
+				t.Fatalf("oracle call %d (n=%d root=%d terminals=%v budget=%d arcs=%v): %v, enumeration %d (reachable %v)",
+					call, n, root, terminals, budget, d.Arcs(), got, best, err == nil)
 			}
 		}
 	})

@@ -8,17 +8,12 @@ import (
 )
 
 // DirectedHamiltonianPath searches for a directed Hamiltonian path in d
-// (any endpoints). It returns the path as a vertex sequence, or found =
-// false. Backtracking with forced-move propagation and reachability
-// pruning; practical on the paper's highly structured constructions up to
-// a few hundred vertices, and on random digraphs to ~30 vertices.
+// (any endpoints), trying every start on one HamiltonOracle. It returns
+// the path as a vertex sequence, or found = false.
 func DirectedHamiltonianPath(d *graph.Digraph) ([]int, bool, error) {
-	n := d.N()
-	if n == 0 {
-		return nil, false, nil
-	}
-	for start := 0; start < n; start++ {
-		if path, found, err := DirectedHamiltonianPathFrom(d, start, -1); err != nil || found {
+	var o HamiltonOracle
+	for start := 0; start < d.N(); start++ {
+		if path, found, err := o.DirectedHamiltonianPathFrom(d, start, -1); err != nil || found {
 			return path, found, err
 		}
 	}
@@ -29,48 +24,80 @@ func DirectedHamiltonianPath(d *graph.Digraph) ([]int, bool, error) {
 // starting at start and, if end >= 0, ending at end.
 func DirectedHamiltonianPathFrom(d *graph.Digraph, start, end int) ([]int, bool, error) {
 	var o HamiltonOracle
-	path, found, err := o.pathFrom(d, start, end)
-	if err != nil || !found {
-		return nil, found, err
-	}
-	return append([]int(nil), path...), true, nil
+	return o.DirectedHamiltonianPathFrom(d, start, end)
 }
 
-// HamiltonOracle is a reusable directed-Hamiltonian-path evaluator: it
-// owns the backtracking search's scratch (visited bitset, BFS queue and
-// epoch marks, path stack), so a verification worker holding one across
-// many same-size digraphs pays no per-call allocation. For digraphs of at
-// most 64 vertices the decision variant switches to a single-word bitset
-// search (ham64), bounded by a matching that gives every unvisited vertex
-// its own possible predecessor and is repaired in place as the path grows,
-// plus both reachability prunes as word-parallel floods; this is what
-// makes the delta-driven hamlb verification over an order of magnitude
-// faster than its rebuild baseline. The package-level functions
-// delegate to the general search, which stays the reference the oracle is
-// tested against; the lower-bound-family delta workers keep one oracle
-// warm. The zero value is ready to use. Not safe for concurrent use.
+// DirectedHamiltonianCycle searches for a directed Hamiltonian cycle: a
+// Hamiltonian path from vertex 0 to one of its in-neighbours, tried in
+// turn on one HamiltonOracle.
+func DirectedHamiltonianCycle(d *graph.Digraph) ([]int, bool, error) {
+	if d.N() < 2 {
+		return nil, false, nil // no self loops, so no 1-cycle
+	}
+	var o HamiltonOracle
+	for _, h := range d.InNeighbors(0) {
+		if path, found, err := o.DirectedHamiltonianPathFrom(d, 0, h.To); err != nil || found {
+			return path, found, err
+		}
+	}
+	return nil, false, nil
+}
+
+// HamiltonOracle is a reusable directed-Hamiltonian-path evaluator and
+// the package's one Hamiltonian search. It extends the path from start
+// one arc at a time, in increasing vertex order, and cuts a node by three
+// necessary conditions:
+//
+//   - Assignment bound: a Hamiltonian completion gives every unvisited
+//     vertex its own predecessor among the tails ({head} ∪ unvisited)
+//     minus end, so the search keeps a matching that saturates the
+//     unvisited set from the tails along arcs, repairs it in place as the
+//     path grows, and cuts a step that leaves none.
+//   - Forward reachability: every unvisited vertex is reachable from head
+//     through unvisited vertices.
+//   - Backward reachability (fixed end): every unvisited vertex reaches
+//     end through unvisited vertices.
+//
+// Vertex sets are fixed arrays of 64-bit words, so both reachability
+// checks are word-parallel floods. The search is compiled for 1, 2, 4,
+// ..., 64 words, and a digraph runs on the narrowest width that holds it:
+// one word up to 64 vertices, 64 words up to the 4096-vertex limit. The
+// oracle allocates the search of each width on first use and keeps its
+// rows, matching and path, so a worker holding one across many digraphs
+// pays no per-call allocation. The zero value is ready to use. Not safe
+// for concurrent use.
 type HamiltonOracle struct {
-	s hamSearch
-	b ham64
+	w1  *pathSearch[[1]uint64, [64][1]uint64, [64]int16]
+	w2  *pathSearch[[2]uint64, [128][2]uint64, [128]int16]
+	w4  *pathSearch[[4]uint64, [256][4]uint64, [256]int16]
+	w8  *pathSearch[[8]uint64, [512][8]uint64, [512]int16]
+	w16 *pathSearch[[16]uint64, [1024][16]uint64, [1024]int16]
+	w32 *pathSearch[[32]uint64, [2048][32]uint64, [2048]int16]
+	w64 *pathSearch[[64]uint64, [4096][64]uint64, [4096]int16]
 }
 
 // HasDirectedHamiltonianPathFrom reports whether d has a directed
 // Hamiltonian path starting at start and, if end >= 0, ending at end,
 // reusing the oracle's scratch.
 func (o *HamiltonOracle) HasDirectedHamiltonianPathFrom(d *graph.Digraph, start, end int) (bool, error) {
-	if n := d.N(); n >= 2 && n <= 64 {
-		if start < 0 || start >= n || end >= n {
-			return false, fmt.Errorf("endpoints out of range: start=%d end=%d n=%d", start, end, n)
-		}
-		return o.b.run(d, start, end), nil
-	}
-	_, found, err := o.pathFrom(d, start, end)
+	_, found, err := o.pathFrom(d, start, end, 1)
 	return found, err
 }
 
-// pathFrom runs the search; the returned path aliases the oracle's arena
-// and is only valid until the next call.
-func (o *HamiltonOracle) pathFrom(d *graph.Digraph, start, end int) ([]int, bool, error) {
+// DirectedHamiltonianPathFrom is HasDirectedHamiltonianPathFrom that also
+// returns the path found, as a fresh slice.
+func (o *HamiltonOracle) DirectedHamiltonianPathFrom(d *graph.Digraph, start, end int) ([]int, bool, error) {
+	path, found, err := o.pathFrom(d, start, end, 1)
+	if err != nil || !found {
+		return nil, found, err
+	}
+	return append([]int(nil), path...), true, nil
+}
+
+// pathFrom runs the search on vertex sets of at least words words; tests
+// force a wider one on small digraphs. The returned path aliases the
+// oracle's arena and is only valid until the next call.
+func (o *HamiltonOracle) pathFrom(d *graph.Digraph, start, end, words int) ([]int, bool, error) {
 	n := d.N()
 	if n > 4096 {
 		return nil, false, fmt.Errorf("hamiltonian search limited to 4096 vertices, got %d", n)
@@ -78,341 +105,228 @@ func (o *HamiltonOracle) pathFrom(d *graph.Digraph, start, end int) ([]int, bool
 	if start < 0 || start >= n || end >= n {
 		return nil, false, fmt.Errorf("endpoints out of range: start=%d end=%d n=%d", start, end, n)
 	}
-	if n == 1 {
-		if end == 0 || end < 0 {
-			o.s.path = append(o.s.path[:0], 0)
-			return o.s.path, true, nil
-		}
-		return nil, false, nil
+	var path []int
+	switch words = max(words, (n+63)/64); {
+	case n == 1:
+		path = []int{0}
+	case end == start: // a path on n >= 2 vertices has distinct ends
+	case words <= 1:
+		path = runOn(&o.w1, d, start, end)
+	case words <= 2:
+		path = runOn(&o.w2, d, start, end)
+	case words <= 4:
+		path = runOn(&o.w4, d, start, end)
+	case words <= 8:
+		path = runOn(&o.w8, d, start, end)
+	case words <= 16:
+		path = runOn(&o.w16, d, start, end)
+	case words <= 32:
+		path = runOn(&o.w32, d, start, end)
+	default:
+		path = runOn(&o.w64, d, start, end)
 	}
-	s := &o.s
-	s.grow(n)
-	s.d, s.end = d, end
-	s.path = append(s.path[:0], start)
-	s.visited.set(start)
-	if s.search(start) {
-		return s.path, true, nil
-	}
-	return nil, false, nil
+	return path, path != nil, nil
 }
 
-type hamSearch struct {
-	d       *graph.Digraph
-	n       int
-	end     int
-	visited bitset
-	path    []int
-	// seen/queue are reused BFS scratch; seen[v] == epoch marks v reached.
-	// epoch is monotonic across searches, so stale seen entries from a
-	// previous call never match.
-	seen  []int
-	queue []int
-	epoch int
+// runOn runs the search held in *s, allocating it on first use.
+func runOn[W hamWords, R hamRows[W], I hamInts](s **pathSearch[W, R, I], d *graph.Digraph, start, end int) []int {
+	if *s == nil {
+		*s = new(pathSearch[W, R, I])
+	}
+	return (*s).run(d, start, end)
 }
 
-// grow (re)sizes the arena for n-vertex digraphs and clears the visited
-// set left over from the previous search.
-func (s *hamSearch) grow(n int) {
-	if s.n != n {
-		s.n = n
-		s.visited = newBitset(n)
-		s.seen = make([]int, n)
-		s.queue = make([]int, 0, n)
-		s.path = make([]int, 0, n)
-		s.epoch = 0
-		return
-	}
-	for i := range s.visited {
-		s.visited[i] = 0
-	}
-}
-
-// reachableForward checks that every unvisited vertex is reachable from
-// head through unvisited vertices — a necessary condition for the path to
-// visit them all.
-func (s *hamSearch) reachableForward(head int) bool {
-	s.epoch++
-	s.queue = s.queue[:0]
-	s.queue = append(s.queue, head)
-	s.seen[head] = s.epoch
-	reached := 0
-	for i := 0; i < len(s.queue); i++ {
-		v := s.queue[i]
-		for _, h := range s.d.OutNeighbors(v) {
-			u := h.To
-			if s.seen[u] != s.epoch && !s.visited.get(u) {
-				s.seen[u] = s.epoch
-				s.queue = append(s.queue, u)
-				reached++
-			}
-		}
-	}
-	return reached == s.n-len(s.path)
-}
-
-// reachableBackward checks (for a fixed end) that every unvisited vertex
-// can reach end through unvisited vertices.
-func (s *hamSearch) reachableBackward() bool {
-	s.epoch++
-	s.queue = s.queue[:0]
-	s.queue = append(s.queue, s.end)
-	s.seen[s.end] = s.epoch
-	reached := 1
-	for i := 0; i < len(s.queue); i++ {
-		v := s.queue[i]
-		for _, h := range s.d.InNeighbors(v) {
-			u := h.To
-			if s.seen[u] != s.epoch && !s.visited.get(u) {
-				s.seen[u] = s.epoch
-				s.queue = append(s.queue, u)
-				reached++
-			}
-		}
-	}
-	return reached == s.n-len(s.path)
-}
-
-// feasible performs the cheap degree-based death tests: every unvisited
-// vertex needs an available in-neighbor (unvisited, or the current head,
-// and only one vertex may depend on the head), and a vertex with no
-// unvisited out-neighbor can only be the path's final vertex. The returned
-// forced vertex (or -1) is a vertex whose only remaining in-neighbor is
-// head; it must be the immediate successor, which prunes branching on the
-// long degree-2 chains of the paper's constructions.
-func (s *hamSearch) feasible(head int) (bool, int) {
-	forced := -1
-	sinks := 0
-	for v := 0; v < s.n; v++ {
-		if s.visited.get(v) {
-			continue
-		}
-		inOK := false
-		viaHead := false
-		for _, h := range s.d.InNeighbors(v) {
-			if !s.visited.get(h.To) {
-				inOK = true
-				break
-			}
-			if h.To == head {
-				viaHead = true
-			}
-		}
-		if !inOK {
-			if !viaHead {
-				return false, -1
-			}
-			if forced >= 0 {
-				return false, -1 // two vertices demand the same successor slot
-			}
-			forced = v
-		}
-		outOK := false
-		for _, h := range s.d.OutNeighbors(v) {
-			if !s.visited.get(h.To) {
-				outOK = true
-				break
-			}
-		}
-		if !outOK {
-			if s.end >= 0 {
-				if v != s.end {
-					return false, -1
-				}
-			} else {
-				sinks++
-				if sinks > 1 {
-					return false, -1
-				}
-			}
-		}
-	}
-	return true, forced
-}
-
-// search extends the path from head; returns true when a full path
-// (respecting the end constraint) is found. s.path holds the result.
-func (s *hamSearch) search(head int) bool {
-	if len(s.path) == s.n {
-		return s.end < 0 || head == s.end
-	}
-	ok, forced := s.feasible(head)
-	if !ok {
-		return false
-	}
-	if !s.reachableForward(head) {
-		return false
-	}
-	if s.end >= 0 && !s.reachableBackward() {
-		return false
-	}
-	tryNext := func(next int) bool {
-		if s.visited.get(next) {
-			return false
-		}
-		if s.end >= 0 && next == s.end && len(s.path) != s.n-1 {
-			return false // reaching end early wastes it
-		}
-		s.visited.set(next)
-		s.path = append(s.path, next)
-		if s.search(next) {
-			return true
-		}
-		s.path = s.path[:len(s.path)-1]
-		s.visited.clear(next)
-		return false
-	}
-	if forced >= 0 {
-		// The forced vertex must be head's immediate successor; it is
-		// necessarily an out-neighbor (its in-neighbors include head).
-		return tryNext(forced)
-	}
-	for _, h := range s.d.OutNeighbors(head) {
-		if tryNext(h.To) {
-			return true
-		}
-	}
-	return false
-}
-
-// ham64 is the n <= 64 single-word specialization of hamSearch, bounded by
-// the assignment relaxation. Adjacency is an array of 64-bit rows (out[v] =
-// the set of heads of v's out-arcs, in[v] = the set of tails of its
-// in-arcs). At a node with head h and unvisited set U, a Hamiltonian
-// completion gives every u in U its own predecessor among the tails
-// T = ({h} ∪ U) \ {end}, so the search keeps a matching that saturates U
-// from T along arcs and prunes a step that leaves none. This implies the
-// general search's degree-death tests and forced-successor rule; the two
-// reachability prunes, which it does not imply, stay as word-parallel
-// floods. Verdicts match hamSearch exactly: both prune by necessary
-// conditions only.
+// hamWords lists the vertex-set widths the search is compiled for. Every
+// loop over the words of a set is written
 //
-// The matching lives in pred/succ and is repaired in place: stepping
-// h -> next drops tail h and head next, and at most one alternating-path
-// search re-saturates h's old partner. Only succ of the current tails and
-// pred of the current heads are meaningful; other entries are stale and
-// never read.
-type ham64 struct {
-	n       int
-	end     int
-	full    uint64 // mask of the n valid vertex bits
-	notEnd  uint64 // full without end's bit (full when end < 0)
-	out     [64]uint64
-	in      [64]uint64
-	visited uint64
+//	for i := 0; ; i++ { ...; if i == len(set)-1 { break } }
+//
+// because the compiler then drops the loop at one word; it keeps the
+// one-trip loop of the usual i < len(set) form, which made the one-word
+// search ~1.5x slower.
+type hamWords interface {
+	[1]uint64 | [2]uint64 | [4]uint64 | [8]uint64 | [16]uint64 | [32]uint64 | [64]uint64
+}
+
+// hamRows and hamInts are a width's per-vertex arrays, 64 entries per
+// word. Fixed arrays rather than slices keep the hot loops free of slice
+// header loads; slices made the one-word search ~10% slower.
+type hamRows[W hamWords] interface {
+	[64]W | [128]W | [256]W | [512]W | [1024]W | [2048]W | [4096]W
+}
+
+type hamInts interface {
+	[64]int16 | [128]int16 | [256]int16 | [512]int16 | [1024]int16 | [2048]int16 | [4096]int16
+}
+
+// pathSearch is HamiltonOracle's search on vertex sets of type W, with
+// per-vertex arrays R and I of 64·len(W) entries (4 MiB in all at 64
+// words). out[v] holds the heads of v's out-arcs and in[v] the tails of
+// its in-arcs; entries from v = n on are stale and never read. The
+// matching lives in pred/succ and is repaired in place: stepping h -> next
+// drops tail h and head next, and at most one alternating-path search
+// re-saturates h's old partner. Only succ of the current tails and pred
+// of the current heads are meaningful; other entries are stale and never
+// read.
+type pathSearch[W hamWords, R hamRows[W], I hamInts] struct {
+	n, end    int
+	notEnd    W // the n valid vertex bits without end's (all when end < 0)
+	unvisited W // the vertices not on the path
+	out, in   R
 	// pred[u] is the tail matched to head u, succ[t] the head matched to
 	// tail t; -1 marks an unmatched tail.
-	pred, succ [64]int8
+	pred, succ I
+	path       []int // path[i] is the path's i-th vertex
 }
 
-// run decides whether d (2 <= n <= 64 vertices) has a directed
-// Hamiltonian path from start to end (end < 0: any endpoint).
-func (b *ham64) run(d *graph.Digraph, start, end int) bool {
+// run searches d (2 <= n <= 64·len(W) vertices) for a directed
+// Hamiltonian path from start to end (end < 0: any endpoint; end !=
+// start). It returns the path, aliasing s.path, or nil.
+func (s *pathSearch[W, R, I]) run(d *graph.Digraph, start, end int) []int {
 	n := d.N()
-	b.n, b.end = n, end
+	if cap(s.path) < n {
+		s.path = make([]int, n)
+	}
+	s.n, s.end, s.path = n, end, s.path[:n]
+	var zero W
+	s.unvisited = zero
 	for v := 0; v < n; v++ {
-		var outRow, inRow uint64
+		s.unvisited[v>>6] |= 1 << (v & 63)
+		out, in := &s.out[v], &s.in[v]
+		*out, *in = zero, zero
 		for _, h := range d.OutNeighbors(v) {
-			outRow |= uint64(1) << uint(h.To)
+			(*out)[h.To>>6] |= 1 << (h.To & 63)
 		}
 		for _, h := range d.InNeighbors(v) {
-			inRow |= uint64(1) << uint(h.To)
+			(*in)[h.To>>6] |= 1 << (h.To & 63)
 		}
-		b.out[v], b.in[v] = outRow, inRow
-		b.pred[v], b.succ[v] = -1, -1
+		s.pred[v], s.succ[v] = -1, -1
 	}
-	if n == 64 {
-		b.full = ^uint64(0)
-	} else {
-		b.full = uint64(1)<<uint(n) - 1
-	}
-	b.notEnd = b.full
+	s.notEnd = s.unvisited
 	if end >= 0 {
-		if end == start {
-			return false // a path on n >= 2 vertices has distinct ends
-		}
-		b.notEnd &^= uint64(1) << uint(end)
+		s.notEnd[end>>6] &^= 1 << (end & 63)
 	}
-	b.visited = uint64(1) << uint(start)
-	for m := b.full &^ b.visited; m != 0; m &= m - 1 {
-		var seen uint64
-		if !b.augment(bits.TrailingZeros64(m), b.notEnd, &seen) {
-			return false
+	s.unvisited[start>>6] &^= 1 << (start & 63)
+	s.path[0] = start
+	for i := 0; ; i++ {
+		for m := s.unvisited[i]; m != 0; m &= m - 1 {
+			var seen W
+			if !s.augment(i<<6|bits.TrailingZeros64(m), s.notEnd, &seen) {
+				return nil
+			}
+		}
+		if i == len(s.unvisited)-1 {
+			break
 		}
 	}
-	return b.search(start, 1, true, true)
+	if !s.search(start, 1, true, true) {
+		return nil
+	}
+	return s.path
 }
 
 // augment matches the unmatched head a to a tail in tails, re-routing an
 // alternating path of matched heads if needed (Kuhn's search); seen holds
 // the heads already on the path. It changes nothing when it fails.
-func (b *ham64) augment(a int, tails uint64, seen *uint64) bool {
-	*seen |= uint64(1) << uint(a)
-	cand := b.in[a] & tails
-	for m := cand; m != 0; m &= m - 1 {
-		if t := bits.TrailingZeros64(m); b.succ[t] < 0 {
-			b.pred[a], b.succ[t] = int8(t), int8(a)
-			return true
+func (s *pathSearch[W, R, I]) augment(a int, tails W, seen *W) bool {
+	(*seen)[a>>6] |= 1 << (a & 63)
+	in := &s.in[a]
+	for i := 0; ; i++ {
+		for m := (*in)[i] & tails[i]; m != 0; m &= m - 1 {
+			if t := i<<6 | bits.TrailingZeros64(m); s.succ[t] < 0 {
+				s.pred[a], s.succ[t] = int16(t), int16(a)
+				return true
+			}
+		}
+		if i == len(*in)-1 {
+			break
 		}
 	}
-	for m := cand; m != 0; m &= m - 1 {
-		t := bits.TrailingZeros64(m)
-		if next := int(b.succ[t]); *seen>>uint(next)&1 == 0 && b.augment(next, tails, seen) {
-			b.pred[a], b.succ[t] = int8(t), int8(a)
-			return true
+	for i := 0; ; i++ {
+		for m := (*in)[i] & tails[i]; m != 0; m &= m - 1 {
+			t := i<<6 | bits.TrailingZeros64(m)
+			if next := int(s.succ[t]); (*seen)[next>>6]>>(next&63)&1 == 0 && s.augment(next, tails, seen) {
+				s.pred[a], s.succ[t] = int16(t), int16(a)
+				return true
+			}
+		}
+		if i == len(*in)-1 {
+			break
 		}
 	}
 	return false
 }
 
+// flood grows reached along rows through vertices of within and reports
+// whether it covers within.
+func flood[W hamWords, R hamRows[W]](rows *R, reached, within W) bool {
+	var zero W
+	for frontier := reached; frontier != zero && reached != within; {
+		var next W
+		for i := 0; ; i++ {
+			for m := frontier[i]; m != 0; m &= m - 1 {
+				row := &(*rows)[i<<6|bits.TrailingZeros64(m)]
+				for j := 0; ; j++ {
+					next[j] |= (*row)[j]
+					if j == len(next)-1 {
+						break
+					}
+				}
+			}
+			if i == len(frontier)-1 {
+				break
+			}
+		}
+		for j := 0; ; j++ {
+			next[j] &= within[j] &^ reached[j]
+			reached[j] |= next[j]
+			if j == len(next)-1 {
+				break
+			}
+		}
+		frontier = next
+	}
+	return reached == within
+}
+
 // search extends a partial path of the given length ending at head; on
 // entry and on a false return the matching saturates the unvisited set
-// from the tails (head and the unvisited vertices, minus end). fwd and bwd say whether the forward
-// and backward reachability prunes must run; step clears them when the
-// parent's passing check already implies the child's.
-func (b *ham64) search(head, depth int, fwd, bwd bool) bool {
-	if depth == b.n {
-		return b.end < 0 || head == b.end
+// from the tails (head and the unvisited vertices, minus end). fwd and bwd
+// say whether the forward and backward reachability prunes must run; step
+// clears them when the parent's passing check already implies the child's.
+func (s *pathSearch[W, R, I]) search(head, depth int, fwd, bwd bool) bool {
+	if depth == s.n {
+		return s.end < 0 || head == s.end
 	}
-	unvisited := b.full &^ b.visited
-	// Forward reachability: every unvisited vertex must be reachable from
-	// head through unvisited vertices.
-	if fwd {
-		reached := b.out[head] & unvisited
-		for frontier := reached; frontier != 0 && reached != unvisited; {
-			var next uint64
-			for m := frontier; m != 0; m &= m - 1 {
-				next |= b.out[bits.TrailingZeros64(m)]
-			}
-			next &= unvisited &^ reached
-			reached |= next
-			frontier = next
+	var succs W
+	out := &s.out[head]
+	for i := 0; ; i++ {
+		succs[i] = (*out)[i] & s.unvisited[i]
+		if i == len(succs)-1 {
+			break
 		}
-		if reached != unvisited {
+	}
+	if fwd && !flood(&s.out, succs, s.unvisited) {
+		return false
+	}
+	if bwd && s.end >= 0 {
+		var reached W
+		reached[s.end>>6] = 1 << (s.end & 63)
+		if !flood(&s.in, reached, s.unvisited) {
 			return false
 		}
 	}
-	// Backward reachability to a fixed end.
-	if bwd && b.end >= 0 {
-		reached := uint64(1) << uint(b.end)
-		for frontier := reached; frontier != 0 && reached != unvisited; {
-			var next uint64
-			for m := frontier; m != 0; m &= m - 1 {
-				next |= b.in[bits.TrailingZeros64(m)]
+	// Increasing vertex order. Trying the matched successor first would
+	// skip some repairs, but it doubles the nodes expanded on hamlb's
+	// instances.
+	for i := 0; ; i++ {
+		for m := succs[i]; m != 0; m &= m - 1 {
+			if s.step(head, i<<6|bits.TrailingZeros64(m), succs, depth) {
+				return true
 			}
-			next &= unvisited &^ reached
-			reached |= next
-			frontier = next
 		}
-		if reached != unvisited {
-			return false
-		}
-	}
-	// Increasing vertex order, as in the general search. Trying the matched
-	// successor first would skip some repairs, but it doubles the nodes
-	// expanded on hamlb's instances.
-	for m := b.out[head] & unvisited; m != 0; m &= m - 1 {
-		if b.step(head, bits.TrailingZeros64(m), unvisited, depth) {
-			return true
+		if i == len(succs)-1 {
+			break
 		}
 	}
 	return false
@@ -420,74 +334,59 @@ func (b *ham64) search(head, depth int, fwd, bwd bool) bool {
 
 // step tries the arc head -> next, repairing the matching for the child's
 // tails unvisited \ {end} (next included, head dropped) and heads
-// unvisited \ {next}.
-func (b *ham64) step(head, next int, unvisited uint64, depth int) bool {
-	if b.end >= 0 && next == b.end && depth != b.n-1 {
+// unvisited \ {next}. succs is head's unvisited successors.
+func (s *pathSearch[W, R, I]) step(head, next int, succs W, depth int) bool {
+	if s.end >= 0 && next == s.end && depth != s.n-1 {
 		return false // reaching end early wastes it
 	}
-	if a := int(b.succ[head]); a != next {
+	if a := int(s.succ[head]); a != next {
 		// next's tail t is freed; head's partner a, if any, needs a new one.
-		t := b.pred[next]
-		b.succ[t] = -1
+		t := s.pred[next]
+		s.succ[t] = -1
 		if a >= 0 {
-			var seen uint64
-			if !b.augment(a, unvisited&b.notEnd, &seen) {
-				b.succ[t] = int8(next)
+			var tails, seen W
+			for i := 0; ; i++ {
+				tails[i] = s.unvisited[i] & s.notEnd[i]
+				if i == len(tails)-1 {
+					break
+				}
+			}
+			if !s.augment(a, tails, &seen) {
+				s.succ[t] = int16(next)
 				return false
 			}
 		}
 	}
-	bit := uint64(1) << uint(next)
-	b.visited |= bit
 	// Every path from head into the unvisited set runs through next when
 	// next is head's only unvisited successor, and no unvisited path to end
 	// runs through next when next has no unvisited predecessor: then this
 	// node's passing check implies the child's.
-	fwd := b.out[head]&unvisited != bit
-	bwd := b.in[next]&unvisited != 0
-	if b.search(next, depth+1, fwd, bwd) {
+	var only W
+	w, bit := next>>6, uint64(1)<<(next&63)
+	only[w] = bit
+	var preds uint64
+	in := &s.in[next]
+	for i := 0; ; i++ {
+		preds |= (*in)[i] & s.unvisited[i]
+		if i == len(only)-1 {
+			break
+		}
+	}
+	s.unvisited[w] &^= bit
+	s.path[depth] = next
+	if s.search(next, depth+1, succs != only, preds != 0) {
 		return true
 	}
-	b.visited &^= bit
+	s.unvisited[w] |= bit
 	// The child's matching plus head -> next saturates this node again.
-	b.succ[head], b.pred[next] = int8(next), int8(head)
+	s.succ[head], s.pred[next] = int16(next), int16(head)
 	return false
-}
-
-// DirectedHamiltonianCycle searches for a directed Hamiltonian cycle.
-func DirectedHamiltonianCycle(d *graph.Digraph) ([]int, bool, error) {
-	n := d.N()
-	if n == 0 {
-		return nil, false, nil
-	}
-	if n == 1 {
-		return nil, false, nil // no self loops, so no 1-cycle
-	}
-	// A Hamiltonian cycle through vertex 0 is a Hamiltonian path from 0 to
-	// some in-neighbor of 0... equivalently: for each in-neighbor p of 0,
-	// search a path 0 -> ... -> p.
-	for _, h := range d.InNeighbors(0) {
-		path, found, err := DirectedHamiltonianPathFrom(d, 0, h.To)
-		if err != nil {
-			return nil, false, err
-		}
-		if found {
-			return path, true, nil
-		}
-	}
-	return nil, false, nil
 }
 
 // HamiltonianPath searches for an undirected Hamiltonian path by running
 // the directed solver on the symmetric orientation.
 func HamiltonianPath(g *graph.Graph) ([]int, bool, error) {
 	return DirectedHamiltonianPath(symmetric(g))
-}
-
-// HamiltonianPathBetween searches for an undirected Hamiltonian path with
-// the given endpoints.
-func HamiltonianPathBetween(g *graph.Graph, start, end int) ([]int, bool, error) {
-	return DirectedHamiltonianPathFrom(symmetric(g), start, end)
 }
 
 // HamiltonianCycle searches for an undirected Hamiltonian cycle.

@@ -209,13 +209,13 @@ func TestIsHamiltonianCycleValidation(t *testing.T) {
 	}
 }
 
-// TestHamiltonOracleMatchesGeneralSearch cross-checks the oracle's n <= 64
-// bitset decision path and the general backtracking search against
-// BruteDirectedHamiltonianPath on random digraphs, for fixed-end,
-// free-end and start == end queries.
-func TestHamiltonOracleMatchesGeneralSearch(t *testing.T) {
+// TestHamiltonOracleMatchesBrute cross-checks the oracle's decision and
+// the path it returns against BruteDirectedHamiltonianPath on random
+// digraphs, for fixed-end, free-end and start == end queries. The path
+// comes from the search at a forced width, 1 to 64 words in turn.
+func TestHamiltonOracleMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var o HamiltonOracle
+	var o, wide HamiltonOracle
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(11)
 		d := graph.RandomDigraph(n, 0.2+0.4*rng.Float64(), rng)
@@ -225,7 +225,7 @@ func TestHamiltonOracleMatchesGeneralSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, search, err := DirectedHamiltonianPathFrom(d, start, end)
+		path, found, err := wide.pathFrom(d, start, end, 1<<(trial%7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,24 +233,32 @@ func TestHamiltonOracleMatchesGeneralSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want || search != want {
-			t.Fatalf("trial %d (n=%d start=%d end=%d): oracle %v, search %v, brute %v",
-				trial, n, start, end, got, search, want)
+		if got != want || found != want {
+			t.Fatalf("trial %d (n=%d start=%d end=%d): oracle %v, %d-word search %v, brute %v",
+				trial, n, start, end, got, 1<<(trial%7), found, want)
+		}
+		if found && (!IsDirectedHamiltonianPath(d, path) || path[0] != start || (end >= 0 && path[n-1] != end)) {
+			t.Fatalf("trial %d (n=%d start=%d end=%d): returned %v", trial, n, start, end, path)
 		}
 	}
 }
 
-// TestHamiltonOracleLargeFallback exercises the oracle's n > 64 general
-// path and reuse across differently sized digraphs.
+// TestHamiltonOracleLargeFallback exercises the oracle's two-word search
+// above 64 vertices, the path it returns, and one oracle reused across
+// widths 2 -> 1 -> 2.
 func TestHamiltonOracleLargeFallback(t *testing.T) {
 	var o HamiltonOracle
 	big := graph.NewDigraph(70)
 	for v := 0; v < 69; v++ {
 		big.MustAddArc(v, v+1)
 	}
-	found, err := o.HasDirectedHamiltonianPathFrom(big, 0, 69)
+	big.MustAddArc(68, 3) // a back arc the search must not take
+	path, found, err := o.DirectedHamiltonianPathFrom(big, 0, 69)
 	if err != nil || !found {
 		t.Fatalf("70-vertex directed path: found=%v err=%v", found, err)
+	}
+	if !IsDirectedHamiltonianPath(big, path) || path[0] != 0 || path[69] != 69 {
+		t.Fatalf("70-vertex directed path: returned %v", path)
 	}
 	found, err = o.HasDirectedHamiltonianPathFrom(big, 1, 69)
 	if err != nil || found {
@@ -265,6 +273,14 @@ func TestHamiltonOracleLargeFallback(t *testing.T) {
 	}
 	if _, err := o.HasDirectedHamiltonianPathFrom(small, 5, 2); err == nil {
 		t.Error("out-of-range start accepted")
+	}
+	path, found, err = o.DirectedHamiltonianPathFrom(big, 0, -1)
+	if err != nil || !found || !IsDirectedHamiltonianPath(big, path) || path[0] != 0 {
+		t.Fatalf("70-vertex path after the one-word search: %v found=%v err=%v", path, found, err)
+	}
+	if _, err := o.HasDirectedHamiltonianPathFrom(graph.NewDigraph(4097), 0, -1); err == nil ||
+		err.Error() != "hamiltonian search limited to 4096 vertices, got 4097" {
+		t.Errorf("4097 vertices: error %v", err)
 	}
 }
 

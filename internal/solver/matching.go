@@ -88,22 +88,6 @@ func IsMatching(g *graph.Graph, edges []graph.Edge) bool {
 	return true
 }
 
-// GreedyMaximalMatching returns a maximal (not necessarily maximum)
-// matching, scanning edges in canonical order. Its size is at least half
-// the maximum, the classic 2-approximation for MVC.
-func GreedyMaximalMatching(g *graph.Graph) []graph.Edge {
-	used := make([]bool, g.N())
-	var matching []graph.Edge
-	for _, e := range g.Edges() {
-		if !used[e.U] && !used[e.V] {
-			used[e.U] = true
-			used[e.V] = true
-			matching = append(matching, e)
-		}
-	}
-	return matching
-}
-
 // TutteBergeDeficiency computes odd(G - U) - |U| for a vertex set U, where
 // odd counts odd-cardinality components. The Tutte-Berge formula says
 // max matching = (n - max_U deficiency)/2, so any U with

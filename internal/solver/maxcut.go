@@ -2,7 +2,6 @@ package solver
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"congesthard/internal/graph"
@@ -13,7 +12,7 @@ import (
 // O(1) amortized update per step. Practical to about 28 vertices, which
 // covers the paper's max-cut family at its verification sizes.
 func MaxCut(g *graph.Graph) (int64, []bool, error) {
-	best, bestMask, err := maxCutSearch(g, math.MaxInt64)
+	best, bestMask, err := maxCutSearch(g)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -24,10 +23,9 @@ func MaxCut(g *graph.Graph) (int64, []bool, error) {
 	return best, side, nil
 }
 
-// maxCutSearch runs the Gray-code enumeration; it stops early as soon as a
-// cut of weight >= stopAt is seen (pass an unreachable bound to force the
-// full maximization).
-func maxCutSearch(g *graph.Graph, stopAt int64) (int64, uint64, error) {
+// maxCutSearch runs the Gray-code enumeration and returns the best cut
+// weight with its side mask.
+func maxCutSearch(g *graph.Graph) (int64, uint64, error) {
 	n := g.N()
 	if n > 28 {
 		return 0, 0, fmt.Errorf("exact max-cut limited to 28 vertices, got %d", n)
@@ -51,9 +49,6 @@ func maxCutSearch(g *graph.Graph, stopAt int64) (int64, uint64, error) {
 	best := int64(0)
 	bestMask := uint64(0)
 	mask := uint64(0)
-	if best >= stopAt {
-		return best, bestMask, nil
-	}
 	// Enumerate assignments of vertices 1..n-1 in Gray-code order so each
 	// step flips exactly one vertex.
 	steps := uint64(1) << uint(n-1)
@@ -73,9 +68,6 @@ func maxCutSearch(g *graph.Graph, stopAt int64) (int64, uint64, error) {
 		if current > best {
 			best = current
 			bestMask = mask
-			if best >= stopAt {
-				return best, bestMask, nil
-			}
 		}
 	}
 	return best, bestMask, nil

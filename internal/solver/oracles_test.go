@@ -93,11 +93,12 @@ func TestOraclesReusedAcrossSizesAgreeWithFreshCalls(t *testing.T) {
 // TestDirSteinerOracleAgreesWithFreshCalls drives one DirSteinerOracle
 // across random sparse digraphs of varying sizes (mixed zero- and
 // positive-weight arcs, like the Figure 6 instances) and checks every
-// verdict against the package-level HasDirectedSteinerWithin.
+// verdict against DirectedSteinerEnum. Digraphs with more positive arcs
+// than the enumeration takes are drawn again, so 60 trials are checked.
 func TestDirSteinerOracleAgreesWithFreshCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	var oracle DirSteinerOracle
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 60; {
 		n := 4 + rng.Intn(8)
 		d := graph.NewDigraph(n)
 		for u := 0; u < n; u++ {
@@ -111,17 +112,33 @@ func TestDirSteinerOracleAgreesWithFreshCalls(t *testing.T) {
 		root := rng.Intn(n)
 		terminals := []int{rng.Intn(n), rng.Intn(n)}
 		budget := int64(rng.Intn(4))
-		got, errGot := oracle.HasDirectedSteinerWithin(d, root, terminals, budget)
-		want, errWant := HasDirectedSteinerWithin(d, root, terminals, budget)
-		if (errGot == nil) != (errWant == nil) {
-			t.Fatalf("trial %d: errors diverge: %v vs %v", trial, errGot, errWant)
+		best, errEnum := DirectedSteinerEnum(d, root, terminals)
+		if errEnum != nil && errEnum.Error() != "terminals not reachable from root" {
+			continue // more positive arcs than the enumeration takes
 		}
-		if errGot == nil && got != want {
-			t.Fatalf("trial %d: oracle %v, fresh %v (n=%d root=%d terms=%v budget=%d)",
-				trial, got, want, n, root, terminals, budget)
+		got, err := oracle.HasDirectedSteinerWithin(d, root, terminals, budget)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
+		if want := errEnum == nil && best <= budget; got != want {
+			t.Fatalf("trial %d: oracle %v, enumeration %d (err %v) (n=%d root=%d terms=%v budget=%d)",
+				trial, got, best, errEnum, n, root, terminals, budget)
+		}
+		trial++
 	}
 	if _, err := oracle.HasDirectedSteinerWithin(graph.NewDigraph(3), 7, nil, 1); err == nil {
 		t.Error("out-of-range root accepted")
+	}
+}
+
+// TestDirectedSteinerNegativeBudget: no subgraph weighs less than 0, so a
+// negative budget is NO even when zero-weight arcs reach every terminal.
+func TestDirectedSteinerNegativeBudget(t *testing.T) {
+	d := graph.NewDigraph(2)
+	d.MustAddWeightedArc(0, 1, 0)
+	for budget, want := range map[int64]bool{-1: false, 0: true} {
+		if got, err := HasDirectedSteinerWithin(d, 0, []int{1}, budget); err != nil || got != want {
+			t.Errorf("budget %d: %v (err %v), want %v", budget, got, err, want)
+		}
 	}
 }

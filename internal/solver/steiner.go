@@ -559,49 +559,19 @@ func HasNodeSteinerWithin(g *graph.Graph, terminals []int, budget int64) (bool, 
 
 // HasDirectedSteinerWithin decides whether all terminals are reachable
 // from root through a subgraph whose positive-weight arcs total at most
-// budget (zero-weight arcs are free). Light subsets of the positive arcs
-// are enumerated with weight pruning.
+// budget (zero-weight arcs are free), on a fresh DirSteinerOracle.
 func HasDirectedSteinerWithin(d *graph.Digraph, root int, terminals []int, budget int64) (bool, error) {
-	if root < 0 || root >= d.N() {
-		return false, fmt.Errorf("root %d out of range", root)
-	}
-	if err := checkTerminals(d.N(), terminals); err != nil {
-		return false, err
-	}
-	var positive []graph.Arc
-	for _, a := range d.Arcs() {
-		if a.Weight > 0 {
-			positive = append(positive, a)
-		}
-	}
-	enabled := make(map[[2]int]bool)
-	var try func(idx int, remaining int64) bool
-	try = func(idx int, remaining int64) bool {
-		if allTerminalsReachable(d, root, terminals, enabled) {
-			return true
-		}
-		for i := idx; i < len(positive); i++ {
-			a := positive[i]
-			if a.Weight > remaining {
-				continue
-			}
-			key := [2]int{a.From, a.To}
-			enabled[key] = true
-			if try(i+1, remaining-a.Weight) {
-				return true
-			}
-			delete(enabled, key)
-		}
-		return false
-	}
-	return try(0, budget), nil
+	return new(DirSteinerOracle).HasDirectedSteinerWithin(d, root, terminals, budget)
 }
 
-// DirSteinerOracle is the reusable-arena form of HasDirectedSteinerWithin:
-// it owns the positive-arc list, the enabled-arc stack and the
-// generation-stamped BFS scratch, so a verification worker holding one
-// across thousands of pairs stops paying per-call allocation. Verdicts
-// (and errors) match the package function exactly.
+// DirSteinerOracle is a reusable directed-Steiner decision evaluator. It
+// enumerates light subsets of the positive-weight arcs with weight
+// pruning, probing reachability once per subset. It owns the positive-arc
+// list, the enabled-arc stack and the generation-stamped BFS scratch, so a
+// verification worker holding one across thousands of pairs pays no
+// per-call allocation. DirectedSteinerEnum, which enumerates every subset,
+// is its independent test reference. The zero value is ready to use. Not
+// safe for concurrent use.
 type DirSteinerOracle struct {
 	positive []graph.Arc
 	enabled  [][2]int
@@ -622,8 +592,7 @@ func (o *DirSteinerOracle) grow(n int) {
 
 // HasDirectedSteinerWithin decides whether all terminals are reachable
 // from root through a subgraph whose positive-weight arcs total at most
-// budget (zero-weight arcs are free), like the package function but on
-// the oracle's arena.
+// budget (zero-weight arcs are free), on the oracle's arena.
 func (o *DirSteinerOracle) HasDirectedSteinerWithin(d *graph.Digraph, root int, terminals []int, budget int64) (bool, error) {
 	n := d.N()
 	if root < 0 || root >= n {
@@ -631,6 +600,9 @@ func (o *DirSteinerOracle) HasDirectedSteinerWithin(d *graph.Digraph, root int, 
 	}
 	if err := checkTerminals(n, terminals); err != nil {
 		return false, err
+	}
+	if budget < 0 {
+		return false, nil // every subgraph weighs at least 0
 	}
 	o.grow(n)
 	o.positive = o.positive[:0]
@@ -663,9 +635,9 @@ func (o *DirSteinerOracle) HasDirectedSteinerWithin(d *graph.Digraph, root int, 
 	return try(0, budget), nil
 }
 
-// allReachable is allTerminalsReachable on the arena: generation-stamped
-// seen marks (no clearing) and a linear scan of the small enabled stack
-// in place of the map.
+// allReachable reports whether every terminal is reachable from root
+// along zero-weight and enabled arcs. Seen marks are generation-stamped
+// (no clearing), and the small enabled stack is scanned linearly.
 func (o *DirSteinerOracle) allReachable(d *graph.Digraph, root int, terminals []int) bool {
 	o.gen++
 	o.queue = o.queue[:0]
@@ -767,43 +739,50 @@ func DirectedSteinerEnum(d *graph.Digraph, root int, terminals []int) (int64, er
 	if len(positive) > 22 {
 		return 0, fmt.Errorf("directed steiner enumeration limited to 22 positive-weight arcs, got %d", len(positive))
 	}
-	const inf = int64(math.MaxInt64 / 4)
-	best := inf
-	subsets := 1 << uint(len(positive))
-	enabled := make(map[[2]int]bool, len(positive))
-	for mask := 0; mask < subsets; mask++ {
-		var weight int64
-		for k := range enabled {
-			delete(enabled, k)
+	// With every positive arc enabled the weight is an upper bound, if
+	// the terminals are reachable at all. From there the Gray-code order
+	// toggles one arc per subset. enabled[u*n+v] marks arc (u, v) usable.
+	n := d.N()
+	enabled := make([]bool, n*n)
+	var best int64
+	for _, a := range positive {
+		enabled[a.From*n+a.To] = true
+		best += a.Weight
+	}
+	if !allTerminalsReachable(d, root, terminals, enabled) {
+		return 0, fmt.Errorf("terminals not reachable from root")
+	}
+	weight := best
+	for i := 1; i < 1<<uint(len(positive)); i++ {
+		j := bits.TrailingZeros(uint(i))
+		a := positive[j]
+		on := (i^i>>1)>>uint(j)&1 == 0
+		enabled[a.From*n+a.To] = on
+		if on {
+			weight += a.Weight
+		} else {
+			weight -= a.Weight
 		}
-		for i, a := range positive {
-			if mask>>uint(i)&1 == 1 {
-				enabled[[2]int{a.From, a.To}] = true
-				weight += a.Weight
-			}
-		}
-		if weight >= best {
-			continue
-		}
-		if allTerminalsReachable(d, root, terminals, enabled) {
+		if weight < best && allTerminalsReachable(d, root, terminals, enabled) {
 			best = weight
 		}
-	}
-	if best >= inf {
-		return 0, fmt.Errorf("terminals not reachable from root")
 	}
 	return best, nil
 }
 
-func allTerminalsReachable(d *graph.Digraph, root int, terminals []int, enabledPositive map[[2]int]bool) bool {
-	seen := make([]bool, d.N())
+// allTerminalsReachable reports whether every terminal is reachable from
+// root along zero-weight arcs and the positive arcs (u, v) with
+// enabledPositive[u*n+v].
+func allTerminalsReachable(d *graph.Digraph, root int, terminals []int, enabledPositive []bool) bool {
+	n := d.N()
+	seen := make([]bool, n)
 	queue := []int{root}
 	seen[root] = true
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
 		for _, h := range d.OutNeighbors(v) {
-			usable := h.Weight == 0 || enabledPositive[[2]int{v, h.To}]
+			usable := h.Weight == 0 || enabledPositive[v*n+h.To]
 			if usable && !seen[h.To] {
 				seen[h.To] = true
 				queue = append(queue, h.To)

@@ -300,19 +300,6 @@ func TestMaxFlowErrors(t *testing.T) {
 	}
 }
 
-func TestMaxFlowUndirectedMatchesMengers(t *testing.T) {
-	// On an unweighted graph, s-t max flow = number of edge-disjoint
-	// paths. On a cycle that is 2.
-	cyc, _ := graph.Cycle(6)
-	flow, err := MaxFlowUndirected(cyc, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flow != 2 {
-		t.Errorf("cycle flow = %d, want 2", flow)
-	}
-}
-
 func TestMaxMatchingKnown(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -362,24 +349,6 @@ func TestMaxMatchingAgainstBrute(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("matching solver %d, brute %d", got, want)
-		}
-	}
-}
-
-func TestGreedyMaximalMatchingIsHalfApprox(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		g := graph.Gnp(12, 0.3, rng)
-		greedy := GreedyMaximalMatching(g)
-		if !IsMatching(g, greedy) {
-			t.Fatal("greedy output not a matching")
-		}
-		max, _, err := MaxMatching(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if 2*len(greedy) < max {
-			t.Fatalf("greedy %d below half of max %d", len(greedy), max)
 		}
 	}
 }
