@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"congesthard/internal/comm"
+	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
 	"congesthard/internal/solver"
 )
@@ -141,7 +142,8 @@ func TestWitnessRejectsDisjoint(t *testing.T) {
 
 // TestWarmSteinerOracleAllocatesNothing pins the Verify hot path: once a
 // SteinerOracle has seen a k=2 instance, deciding the predicate on a YES
-// pair and on a NO pair allocates nothing.
+// pair and on a NO pair allocates nothing. The same pairs padded with 25
+// isolated vertices (65 in all, same verdicts) pin the two-word search.
 func TestWarmSteinerOracleAllocatesNothing(t *testing.T) {
 	f, err := New(2)
 	if err != nil {
@@ -153,14 +155,21 @@ func TestWarmSteinerOracleAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		x, y comm.Bits
+		pad  int
 		want bool
 	}{
-		{"yes", ones, ones, true},
-		{"no", zero, zero, false},
+		{"yes", ones, ones, 0, true},
+		{"no", zero, zero, 0, false},
+		{"two-word yes", ones, ones, 25, true},
+		{"two-word no", zero, zero, 25, false},
 	} {
-		g, err := f.Build(tc.x, tc.y)
+		built, err := f.Build(tc.x, tc.y)
 		if err != nil {
 			t.Fatal(err)
+		}
+		g := graph.New(built.N() + tc.pad)
+		for _, e := range built.Edges() {
+			g.MustAddEdge(e.U, e.V)
 		}
 		g.Freeze()
 		var got bool

@@ -110,12 +110,12 @@ func matchingRestored(pred, succ []int16, d *graph.Digraph, start, end int) bool
 // FuzzSteinerOracle checks SteinerOracle against BruteSteinerTree on
 // unit-weight graphs of at most 20 vertices and 16 non-terminals. The
 // input is the vertex count, the terminal list (each byte reduced mod n,
-// duplicates kept; low non-terminals are appended as terminals until at
-// most 16 non-terminals remain), the edge budget (reduced into -1..n) and
-// an adjacency bit matrix over vertex pairs u < v. The oracle must answer
-// brute <= maxEdges, or false when brute finds the terminals unconnected,
-// on both its single-word and its bitset search, each on a cold oracle and
-// then a warm one.
+// duplicates kept, possibly empty; low non-terminals are appended as
+// terminals until at most 16 non-terminals remain), the edge budget
+// (reduced into -1..n) and an adjacency bit matrix over vertex pairs
+// u < v. The oracle must answer brute <= maxEdges, or false when brute
+// finds the terminals unconnected, at one word per vertex set and at a
+// forced two words, each on a cold oracle and then a warm one.
 func FuzzSteinerOracle(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 2, 2}, uint8(3), []byte{0b101})
 	f.Add(uint8(3), []byte{0, 0}, uint8(1), []byte{})
@@ -141,10 +141,6 @@ func FuzzSteinerOracle(f *testing.F) {
 			terminals = append(terminals, v)
 			isTerminal[v] = true
 		}
-		if len(terminals) == 0 {
-			terminals = append(terminals, 0)
-			isTerminal[0] = true
-		}
 		others := 0
 		for _, term := range isTerminal {
 			if !term {
@@ -161,16 +157,16 @@ func FuzzSteinerOracle(f *testing.F) {
 		maxEdges := int(maxRaw)%(n+2) - 1
 		brute, err := BruteSteinerTree(g, terminals)
 		want := err == nil && brute <= int64(maxEdges)
-		for _, wide := range []bool{false, true} {
+		for _, words := range []int{1, 2} {
 			var o SteinerOracle
 			for call := 0; call < 2; call++ { // the second call runs on warm scratch
-				got, err := o.decide(g, terminals, maxEdges, wide)
+				got, err := o.decide(g, terminals, maxEdges, words)
 				if err != nil {
-					t.Fatalf("oracle (n=%d terminals=%v maxEdges=%d wide=%v): %v", n, terminals, maxEdges, wide, err)
+					t.Fatalf("oracle (words=%d n=%d terminals=%v maxEdges=%d): %v", words, n, terminals, maxEdges, err)
 				}
 				if got != want {
-					t.Fatalf("oracle call %d (wide=%v n=%d terminals=%v maxEdges=%d edges=%v): %v, brute %d (err %v)",
-						call, wide, n, terminals, maxEdges, g.Edges(), got, brute, err)
+					t.Fatalf("oracle call %d (words=%d n=%d terminals=%v maxEdges=%d edges=%v): %v, brute %d (err %v)",
+						call, words, n, terminals, maxEdges, g.Edges(), got, brute, err)
 				}
 			}
 		}
@@ -234,6 +230,88 @@ func FuzzDirSteinerOracle(f *testing.F) {
 			if got != want {
 				t.Fatalf("oracle call %d (n=%d root=%d terminals=%v budget=%d arcs=%v): %v, enumeration %d (reachable %v)",
 					call, n, root, terminals, budget, d.Arcs(), got, best, err == nil)
+			}
+		}
+	})
+}
+
+// FuzzMaxISOracle checks MaxISOracle against BruteMaxWeightIndependentSet
+// on graphs of at most 16 vertices. The input is the vertex count, two
+// bits of weight (0..3) per vertex, and an adjacency bit matrix over
+// vertex pairs u < v, so sparse inputs form the path and cycle components
+// that the search hands to solvePathsAndCycles. MaxWeightIndependentSet
+// must match the brute optimum under those weights and
+// MaxIndependentSetSize the brute optimum under unit weights, each on a
+// cold oracle and then a warm one; every returned set must be an
+// independent set of distinct vertices whose weight is the reported
+// optimum.
+func FuzzMaxISOracle(f *testing.F) {
+	f.Add(uint8(1), []byte{0x03}, []byte{})
+	f.Add(uint8(5), []byte{0xe4, 0x0b}, []byte{0x21, 0x52}) // the path 0-1-2-3-4-5
+	f.Add(uint8(4), []byte{0x39, 0x02}, []byte{0x99, 0x02}) // the cycle 0-1-2-3-4
+	// A triangle 0-1-2 with the path 3-4-5-6 hanging off 0, the cycle
+	// 7-8-9-10 and the isolated vertex 11.
+	f.Add(uint8(11), []byte{0x1b, 0x6c, 0xc3}, []byte{0x07, 0x08, 0x00, 0x40, 0x40, 0x20, 0x00, 0x95, 0x00})
+	f.Add(uint8(16), []byte{0xff, 0x55, 0xaa, 0x0f}, []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf1, 0x23, 0x45, 0x67, 0x89, 0x0f, 0xf0, 0x3c})
+	f.Fuzz(func(t *testing.T, nRaw uint8, weights, edges []byte) {
+		n := 1 + int(nRaw)%16
+		g, unit := graph.New(n), graph.New(n)
+		for v := 0; v < n; v++ {
+			w := 0
+			if v/4 < len(weights) {
+				w = int(weights[v/4]>>(2*(v%4))) & 3
+			}
+			if err := g.SetVertexWeight(v, int64(w)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bit := 0
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if bit/8 < len(edges) && edges[bit/8]>>(bit%8)&1 == 1 {
+					g.MustAddEdge(u, v)
+					unit.MustAddEdge(u, v)
+				}
+				bit++
+			}
+		}
+		for _, tc := range []struct {
+			name  string
+			ref   *graph.Graph // carries the weights the optimum is taken under
+			solve func(*MaxISOracle) (int64, []int, error)
+		}{
+			{"MaxWeightIndependentSet", g, func(o *MaxISOracle) (int64, []int, error) { return o.MaxWeightIndependentSet(g) }},
+			{"MaxIndependentSetSize", unit, func(o *MaxISOracle) (int64, []int, error) {
+				size, set, err := o.MaxIndependentSetSize(g)
+				return int64(size), set, err
+			}},
+		} {
+			want, err := BruteMaxWeightIndependentSet(tc.ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var o MaxISOracle
+			for call := 0; call < 2; call++ { // the second call runs on warm scratch
+				got, set, err := tc.solve(&o)
+				if err != nil {
+					t.Fatalf("%s (n=%d): %v", tc.name, n, err)
+				}
+				if got != want {
+					t.Fatalf("%s call %d (n=%d weights=%v edges=%v): %d, brute %d", tc.name, call, n, weights, g.Edges(), got, want)
+				}
+				seen := make([]bool, n)
+				var weight int64
+				for _, v := range set {
+					if v < 0 || v >= n || seen[v] {
+						t.Fatalf("%s call %d (n=%d): set %v repeats or leaves the graph", tc.name, call, n, set)
+					}
+					seen[v] = true
+					weight += tc.ref.VertexWeight(v)
+				}
+				if !IsIndependentSet(g, set) || weight != got {
+					t.Fatalf("%s call %d (n=%d edges=%v): set %v (independent %v) weighs %d, reported %d",
+						tc.name, call, n, g.Edges(), set, IsIndependentSet(g, set), weight, got)
+				}
 			}
 		}
 	})

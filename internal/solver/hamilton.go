@@ -58,14 +58,13 @@ func DirectedHamiltonianCycle(d *graph.Digraph) ([]int, bool, error) {
 //   - Backward reachability (fixed end): every unvisited vertex reaches
 //     end through unvisited vertices.
 //
-// Vertex sets are fixed arrays of 64-bit words, so both reachability
-// checks are word-parallel floods. The search is compiled for 1, 2, 4,
-// ..., 64 words, and a digraph runs on the narrowest width that holds it:
-// one word up to 64 vertices, 64 words up to the 4096-vertex limit. The
-// oracle allocates the search of each width on first use and keeps its
-// rows, matching and path, so a worker holding one across many digraphs
-// pays no per-call allocation. The zero value is ready to use. Not safe
-// for concurrent use.
+// Vertex sets are fixed arrays of 64-bit words (see vertexSet), so both
+// reachability checks are word-parallel floods. A digraph runs on the
+// narrowest width that holds it: one word up to 64 vertices, 64 words up
+// to the 4096-vertex limit. The oracle allocates the search of each width
+// on first use and keeps its rows, matching and path, so a worker holding
+// one across many digraphs pays no per-call allocation. The zero value is
+// ready to use. Not safe for concurrent use.
 type HamiltonOracle struct {
 	w1  *pathSearch[[1]uint64, [64][1]uint64, [64]int16]
 	w2  *pathSearch[[2]uint64, [128][2]uint64, [128]int16]
@@ -99,8 +98,8 @@ func (o *HamiltonOracle) DirectedHamiltonianPathFrom(d *graph.Digraph, start, en
 // oracle's arena and is only valid until the next call.
 func (o *HamiltonOracle) pathFrom(d *graph.Digraph, start, end, words int) ([]int, bool, error) {
 	n := d.N()
-	if n > 4096 {
-		return nil, false, fmt.Errorf("hamiltonian search limited to 4096 vertices, got %d", n)
+	if n > maxSetVertices {
+		return nil, false, fmt.Errorf("hamiltonian search limited to %d vertices, got %d", maxSetVertices, n)
 	}
 	if start < 0 || start >= n || end >= n {
 		return nil, false, fmt.Errorf("endpoints out of range: start=%d end=%d n=%d", start, end, n)
@@ -111,50 +110,25 @@ func (o *HamiltonOracle) pathFrom(d *graph.Digraph, start, end, words int) ([]in
 		path = []int{0}
 	case end == start: // a path on n >= 2 vertices has distinct ends
 	case words <= 1:
-		path = runOn(&o.w1, d, start, end)
+		path = lazy(&o.w1).run(d, start, end)
 	case words <= 2:
-		path = runOn(&o.w2, d, start, end)
+		path = lazy(&o.w2).run(d, start, end)
 	case words <= 4:
-		path = runOn(&o.w4, d, start, end)
+		path = lazy(&o.w4).run(d, start, end)
 	case words <= 8:
-		path = runOn(&o.w8, d, start, end)
+		path = lazy(&o.w8).run(d, start, end)
 	case words <= 16:
-		path = runOn(&o.w16, d, start, end)
+		path = lazy(&o.w16).run(d, start, end)
 	case words <= 32:
-		path = runOn(&o.w32, d, start, end)
+		path = lazy(&o.w32).run(d, start, end)
 	default:
-		path = runOn(&o.w64, d, start, end)
+		path = lazy(&o.w64).run(d, start, end)
 	}
 	return path, path != nil, nil
 }
 
-// runOn runs the search held in *s, allocating it on first use.
-func runOn[W hamWords, R hamRows[W], I hamInts](s **pathSearch[W, R, I], d *graph.Digraph, start, end int) []int {
-	if *s == nil {
-		*s = new(pathSearch[W, R, I])
-	}
-	return (*s).run(d, start, end)
-}
-
-// hamWords lists the vertex-set widths the search is compiled for. Every
-// loop over the words of a set is written
-//
-//	for i := 0; ; i++ { ...; if i == len(set)-1 { break } }
-//
-// because the compiler then drops the loop at one word; it keeps the
-// one-trip loop of the usual i < len(set) form, which made the one-word
-// search ~1.5x slower.
-type hamWords interface {
-	[1]uint64 | [2]uint64 | [4]uint64 | [8]uint64 | [16]uint64 | [32]uint64 | [64]uint64
-}
-
-// hamRows and hamInts are a width's per-vertex arrays, 64 entries per
-// word. Fixed arrays rather than slices keep the hot loops free of slice
-// header loads; slices made the one-word search ~10% slower.
-type hamRows[W hamWords] interface {
-	[64]W | [128]W | [256]W | [512]W | [1024]W | [2048]W | [4096]W
-}
-
+// hamInts is a width's per-vertex int16 array, 64 entries per word (see
+// vertexRows).
 type hamInts interface {
 	[64]int16 | [128]int16 | [256]int16 | [512]int16 | [1024]int16 | [2048]int16 | [4096]int16
 }
@@ -168,7 +142,7 @@ type hamInts interface {
 // re-saturates h's old partner. Only succ of the current tails and pred
 // of the current heads are meaningful; other entries are stale and never
 // read.
-type pathSearch[W hamWords, R hamRows[W], I hamInts] struct {
+type pathSearch[W vertexSet, R vertexRows[W], I hamInts] struct {
 	n, end    int
 	notEnd    W // the n valid vertex bits without end's (all when end < 0)
 	unvisited W // the vertices not on the path
@@ -259,7 +233,7 @@ func (s *pathSearch[W, R, I]) augment(a int, tails W, seen *W) bool {
 
 // flood grows reached along rows through vertices of within and reports
 // whether it covers within.
-func flood[W hamWords, R hamRows[W]](rows *R, reached, within W) bool {
+func flood[W vertexSet, R vertexRows[W]](rows *R, reached, within W) bool {
 	var zero W
 	for frontier := reached; frontier != zero && reached != within; {
 		var next W

@@ -142,3 +142,15 @@ func TestDirectedSteinerNegativeBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeSteinerNegativeBudget: the empty terminal list needs the empty
+// subgraph, which weighs 0, so it fits any budget of at least 0 and no
+// negative one.
+func TestNodeSteinerNegativeBudget(t *testing.T) {
+	g := graph.Path(2)
+	for budget, want := range map[int64]bool{-1: false, 0: true} {
+		if got, err := HasNodeSteinerWithin(g, nil, budget); err != nil || got != want {
+			t.Errorf("budget %d: %v (err %v), want %v", budget, got, err, want)
+		}
+	}
+}

@@ -130,33 +130,6 @@ func TestQuickPlantedHamiltonicity(t *testing.T) {
 	}
 }
 
-// Property: Steiner tree weight is monotone in the terminal set and
-// bounded by the MST of the whole graph.
-func TestQuickSteinerMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := graph.GnpWeighted(9, 0.45, 6, rng)
-		if !g.IsConnected() {
-			return true
-		}
-		small, err := SteinerTree(g, []int{0, 4})
-		if err != nil {
-			return false
-		}
-		big, err := SteinerTree(g, []int{0, 4, 7})
-		if err != nil {
-			return false
-		}
-		if small > big {
-			return false
-		}
-		return big <= mstWeight(g)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: max flow is bounded by both the out-capacity of s and the
 // in-capacity of t, and MinSTCut returns a matching value and valid side.
 func TestQuickFlowCutDuality(t *testing.T) {

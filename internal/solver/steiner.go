@@ -8,95 +8,14 @@ import (
 	"congesthard/internal/graph"
 )
 
-// SteinerTree computes the minimum total edge weight of a tree spanning
-// the given terminals, using the Dreyfus-Wagner dynamic program
-// (O(3^t * n + 2^t * n^2)). Practical to about 14 terminals.
-func SteinerTree(g *graph.Graph, terminals []int) (int64, error) {
-	t := len(terminals)
-	n := g.N()
-	if t == 0 {
-		return 0, nil
-	}
-	if t > 14 {
-		return 0, fmt.Errorf("dreyfus-wagner limited to 14 terminals, got %d", t)
-	}
-	if err := checkTerminals(n, terminals); err != nil {
-		return 0, err
-	}
-	const inf = int64(math.MaxInt64 / 4)
-	// All-pairs shortest paths by n Dijkstra runs.
-	dist := make([][]int64, n)
-	for v := 0; v < n; v++ {
-		dv := g.Dijkstra(v)
-		dist[v] = make([]int64, n)
-		for u := range dv {
-			if dv[u] < 0 {
-				dist[v][u] = inf
-			} else {
-				dist[v][u] = dv[u]
-			}
-		}
-	}
-	// dp[S][v] = min weight of a tree spanning terminal subset S plus
-	// vertex v.
-	size := 1 << uint(t)
-	dp := make([][]int64, size)
-	for s := range dp {
-		dp[s] = make([]int64, n)
-		for v := range dp[s] {
-			dp[s][v] = inf
-		}
-	}
-	for i, term := range terminals {
-		for v := 0; v < n; v++ {
-			dp[1<<uint(i)][v] = dist[term][v]
-		}
-	}
-	for s := 1; s < size; s++ {
-		if s&(s-1) == 0 {
-			continue // singletons already seeded
-		}
-		// Merge step: split S into two non-empty parts at a common vertex.
-		for v := 0; v < n; v++ {
-			for sub := (s - 1) & s; sub > 0; sub = (sub - 1) & s {
-				if sub < s-sub {
-					break // each split considered once
-				}
-				if a, b := dp[sub][v], dp[s^sub][v]; a < inf && b < inf && a+b < dp[s][v] {
-					dp[s][v] = a + b
-				}
-			}
-		}
-		// Grow step: Bellman-Ford style relaxation through shortest paths.
-		for v := 0; v < n; v++ {
-			for u := 0; u < n; u++ {
-				if dp[s][u] < inf && dist[u][v] < inf {
-					if cand := dp[s][u] + dist[u][v]; cand < dp[s][v] {
-						dp[s][v] = cand
-					}
-				}
-			}
-		}
-	}
-	best := inf
-	for v := 0; v < n; v++ {
-		if dp[size-1][v] < best {
-			best = dp[size-1][v]
-		}
-	}
-	if best >= inf {
-		return 0, fmt.Errorf("terminals not connected")
-	}
-	return best, nil
-}
-
 // HasSteinerTreeWithEdges reports whether g has a Steiner tree spanning all
 // terminals with at most maxEdges edges. A tree with e edges has e+1
 // vertices, so at most maxEdges+1-d non-terminals join the d distinct
 // terminals; the decision searches for such a set of non-terminals that
-// connects every terminal (SteinerOracle documents the search). Exact; it
-// rejects parameter combinations whose unpruned search space, the subsets
-// of that many non-terminals, exceeds ~10^7.
+// connects every terminal (SteinerOracle documents the search); with no
+// terminals the empty tree answers. Exact; it rejects graphs of more than
+// 4096 vertices, and parameter combinations whose unpruned search space,
+// the subsets of that many non-terminals, exceeds ~10^7.
 func HasSteinerTreeWithEdges(g *graph.Graph, terminals []int, maxEdges int) (bool, error) {
 	return new(SteinerOracle).HasSteinerTreeWithEdges(g, terminals, maxEdges)
 }
@@ -114,278 +33,214 @@ func HasSteinerTreeWithEdges(g *graph.Graph, terminals []int, maxEdges int) (boo
 //     its own, and one new vertex covers at most maxCover unreached such
 //     terminals, so a branch is cut when maxCover·remaining falls short.
 //
-// Graphs of at most 64 vertices run on single-word masks, larger ones on
-// bitsets. The oracle owns the adjacency rows and per-depth state, so a
-// worker holding one across many same-size graphs does not allocate. The
+// Vertex sets are fixed arrays of 64-bit words (see vertexSet), and a
+// graph runs on the narrowest width that holds it: one word up to 64
+// vertices, 64 words up to the 4096-vertex limit. The oracle allocates the
+// search of each width on first use and keeps its adjacency rows, so a
+// worker holding one across many graphs pays no per-call allocation. The
 // zero value is ready to use. Not safe for concurrent use.
 type SteinerOracle struct {
-	isTerminal []bool
-
-	// n <= 64: adjacency rows and the terminal, isolated-terminal and
-	// non-terminal masks of the current graph.
-	adjMask            []uint64
-	term, iso, nonTerm uint64
-
-	// n > 64: the same on bitsets, plus per-depth reach, neighbourhood and
-	// excluded sets (three bitsets per depth, flat) and a flood stack.
-	adj                                  []bitset
-	termSet, isoSet, nonTermSet, isoLeft bitset
-	levels                               []uint64
-	stack                                []int
+	w1  *steinerSearch[[1]uint64, [64][1]uint64]
+	w2  *steinerSearch[[2]uint64, [128][2]uint64]
+	w4  *steinerSearch[[4]uint64, [256][4]uint64]
+	w8  *steinerSearch[[8]uint64, [512][8]uint64]
+	w16 *steinerSearch[[16]uint64, [1024][16]uint64]
+	w32 *steinerSearch[[32]uint64, [2048][32]uint64]
+	w64 *steinerSearch[[64]uint64, [4096][64]uint64]
 }
 
 // HasSteinerTreeWithEdges is the arena-backed equivalent of the package
 // function, with the same limits and error messages.
 func (o *SteinerOracle) HasSteinerTreeWithEdges(g *graph.Graph, terminals []int, maxEdges int) (bool, error) {
-	return o.decide(g, terminals, maxEdges, g.N() > 64)
+	return o.decide(g, terminals, maxEdges, 1)
 }
 
-// decide runs the search on single-word masks, or on bitsets when wide is
-// set; tests force wide on small graphs.
-func (o *SteinerOracle) decide(g *graph.Graph, terminals []int, maxEdges int, wide bool) (bool, error) {
+// decide runs the search on vertex sets of at least words words; tests
+// force a wider one on small graphs.
+func (o *SteinerOracle) decide(g *graph.Graph, terminals []int, maxEdges, words int) (bool, error) {
 	n := g.N()
-	if len(o.isTerminal) < n {
-		o.isTerminal = make([]bool, n)
+	if err := checkTerminals(n, terminals); err != nil {
+		return false, err
 	}
-	isTerminal := o.isTerminal[:n]
-	for v := range isTerminal {
-		isTerminal[v] = false
+	if len(terminals) == 0 {
+		return maxEdges >= 0, nil // the empty tree
+	}
+	if n > maxSetVertices {
+		return false, fmt.Errorf("steiner search limited to %d vertices, got %d", maxSetVertices, n)
+	}
+	switch words = max(words, (n+63)/64); {
+	case words <= 1:
+		return lazy(&o.w1).run(g, terminals, maxEdges)
+	case words <= 2:
+		return lazy(&o.w2).run(g, terminals, maxEdges)
+	case words <= 4:
+		return lazy(&o.w4).run(g, terminals, maxEdges)
+	case words <= 8:
+		return lazy(&o.w8).run(g, terminals, maxEdges)
+	case words <= 16:
+		return lazy(&o.w16).run(g, terminals, maxEdges)
+	case words <= 32:
+		return lazy(&o.w32).run(g, terminals, maxEdges)
+	default:
+		return lazy(&o.w64).run(g, terminals, maxEdges)
+	}
+}
+
+// steinerSearch is SteinerOracle's search on vertex sets of type W, with
+// adjacency rows R of 64·len(W) entries; rows from v = n on are stale and
+// never read. A node's reach, neighbourhood and excluded sets are passed
+// by value.
+type steinerSearch[W vertexSet, R vertexRows[W]] struct {
+	adj R
+	// The terminals, the terminals with no terminal neighbour, and the
+	// other vertices of the current graph.
+	term, iso, nonTerm W
+}
+
+// run decides the query for g (at most 64·len(W) vertices) and terminals
+// (non-empty, in range).
+func (s *steinerSearch[W, R]) run(g *graph.Graph, terminals []int, maxEdges int) (bool, error) {
+	n := g.N()
+	var zero W
+	s.term, s.iso, s.nonTerm = zero, zero, zero
+	for _, v := range terminals {
+		s.term[v>>6] |= 1 << (v & 63)
 	}
 	distinct := 0
-	for _, v := range terminals {
-		if v < 0 || v >= n {
-			return false, fmt.Errorf("terminal %d out of range", v)
+	for v := 0; v < n; v++ {
+		row := &s.adj[v]
+		*row = zero
+		for _, h := range g.Neighbors(v) {
+			(*row)[h.To>>6] |= 1 << (h.To & 63)
 		}
-		if !isTerminal[v] {
-			isTerminal[v] = true
-			distinct++
+		if s.term[v>>6]>>(v&63)&1 == 0 {
+			s.nonTerm[v>>6] |= 1 << (v & 63)
+			continue
+		}
+		distinct++
+		var touch uint64
+		for i := 0; ; i++ {
+			touch |= (*row)[i] & s.term[i]
+			if i == len(s.term)-1 {
+				break
+			}
+		}
+		if touch == 0 {
+			s.iso[v>>6] |= 1 << (v & 63)
 		}
 	}
-	budget := maxEdges + 1 - distinct
+	// A tree with e edges has e+1 vertices, so at most maxEdges+1-distinct
+	// of them are non-terminals.
+	budget := min(maxEdges+1-distinct, n-distinct)
 	if budget < 0 {
 		return false, nil
 	}
-	others := n - distinct
-	if budget > others {
-		budget = others
-	}
-	if c := binomialSum(others, budget); c > 1e7 {
+	if c := binomialSum(n-distinct, budget); c > 1e7 {
 		return false, fmt.Errorf("steiner decision too large: ~%.0f subsets", c)
 	}
-	if len(terminals) == 0 {
-		return true, nil
-	}
-	if wide {
-		return o.hasWide(g, terminals[0], budget), nil
-	}
-	return o.hasSmall(g, terminals[0], budget), nil
+	return s.search(zero, zero, zero, terminals[0], budget), nil
 }
 
-// hasSmall is the n <= 64 search: every vertex set is one machine word.
-func (o *SteinerOracle) hasSmall(g *graph.Graph, start, budget int) bool {
-	n := g.N()
-	if len(o.adjMask) < n {
-		o.adjMask = make([]uint64, n)
-	}
-	adj := o.adjMask[:n]
-	o.term = 0
-	for v := 0; v < n; v++ {
-		adj[v] = 0
-		for _, h := range g.Neighbors(v) {
-			adj[v] |= uint64(1) << uint(h.To)
-		}
-		if o.isTerminal[v] {
-			o.term |= uint64(1) << uint(v)
-		}
-	}
-	o.iso = 0
-	for t := o.term; t != 0; t &= t - 1 {
-		if v := bits.TrailingZeros64(t); adj[v]&o.term == 0 {
-			o.iso |= uint64(1) << uint(v)
-		}
-	}
-	o.nonTerm = (^uint64(0) >> uint(64-n)) &^ o.term
-	reach, nbr := o.floodSmall(uint64(1)<<uint(start), 0, start)
-	return o.searchSmall(reach, nbr, 0, budget)
-}
-
-// floodSmall adds to reach every terminal reachable from v (already in
-// reach) through unreached terminals, and folds the neighbourhoods of v and
-// of the added terminals into nbr.
-func (o *SteinerOracle) floodSmall(reach, nbr uint64, v int) (uint64, uint64) {
-	for pending := uint64(1) << uint(v); pending != 0; {
-		row := o.adjMask[bits.TrailingZeros64(pending)]
-		pending &= pending - 1
-		nbr |= row
-		add := row & o.term &^ reach
-		reach |= add
-		pending |= add
-	}
-	return reach, nbr
-}
-
-// searchSmall reports whether at most remaining more non-terminals, none
-// of them in excluded, complete reach to a set connecting every terminal.
-// nbr is the union of the neighbourhoods of reach.
-func (o *SteinerOracle) searchSmall(reach, nbr, excluded uint64, remaining int) bool {
-	if o.term&^reach == 0 {
-		return true
-	}
-	if remaining == 0 {
-		return false
-	}
-	free := o.nonTerm &^ reach &^ excluded
-	if iso := o.iso &^ reach; iso != 0 {
-		maxCover := 0
-		for f := free; f != 0; f &= f - 1 {
-			if c := bits.OnesCount64(o.adjMask[bits.TrailingZeros64(f)] & iso); c > maxCover {
-				maxCover = c
-			}
-		}
-		if maxCover*remaining < bits.OnesCount64(iso) {
-			return false
-		}
-	}
-	for cand := nbr & free; cand != 0; cand &= cand - 1 {
-		c := bits.TrailingZeros64(cand)
-		bit := uint64(1) << uint(c)
-		r, nb := o.floodSmall(reach|bit, nbr, c)
-		if o.searchSmall(r, nb, excluded, remaining-1) {
-			return true
-		}
-		excluded |= bit
-	}
-	return false
-}
-
-// hasWide is searchSmall's algorithm on bitsets, for graphs of any size.
-func (o *SteinerOracle) hasWide(g *graph.Graph, start, budget int) bool {
-	n := g.N()
-	words := (n + 63) / 64
-	if len(o.adj) < n || len(o.adj[0]) < words {
-		o.adj = make([]bitset, n)
-		for v := range o.adj {
-			o.adj[v] = newBitset(n)
-		}
-		o.termSet, o.isoSet, o.nonTermSet, o.isoLeft = newBitset(n), newBitset(n), newBitset(n), newBitset(n)
-		o.stack = make([]int, 0, n)
-	}
-	if need := (budget + 1) * 3 * words; len(o.levels) < need {
-		o.levels = make([]uint64, need)
-	}
-	term, iso, nonTerm := o.termSet[:words], o.isoSet[:words], o.nonTermSet[:words]
-	for w := range term {
-		term[w], iso[w], nonTerm[w] = 0, 0, 0
-	}
-	for v := 0; v < n; v++ {
-		row := o.adj[v][:words]
-		for w := range row {
-			row[w] = 0
-		}
-		for _, h := range g.Neighbors(v) {
-			row.set(h.To)
-		}
-		if o.isTerminal[v] {
-			term.set(v)
-		} else {
-			nonTerm.set(v)
-		}
-	}
-	for v := 0; v < n; v++ {
-		if o.isTerminal[v] && countAnd(o.adj[v][:words], term) == 0 {
-			iso.set(v)
-		}
-	}
-	reach, nbr, excluded := o.level(0, words)
-	for w := range reach {
-		reach[w], nbr[w], excluded[w] = 0, 0, 0
-	}
-	reach.set(start)
-	o.floodWide(reach, nbr, start, words)
-	return o.searchWide(0, budget, words)
-}
-
-// level returns the reach, neighbourhood and excluded bitsets of depth d.
-func (o *SteinerOracle) level(d, words int) (reach, nbr, excluded bitset) {
-	base := o.levels[d*3*words:]
-	return base[:words], base[words : 2*words], base[2*words : 3*words]
-}
-
-// floodWide is floodSmall on bitsets, updating reach and nbr in place.
-func (o *SteinerOracle) floodWide(reach, nbr bitset, v, words int) {
-	term := o.termSet[:words]
-	stack := append(o.stack[:0], v)
-	for len(stack) > 0 {
-		row := o.adj[stack[len(stack)-1]][:words]
-		stack = stack[:len(stack)-1]
-		for w := range row {
-			nbr[w] |= row[w]
-			for add := row[w] & term[w] &^ reach[w]; add != 0; add &= add - 1 {
-				stack = append(stack, w*64+bits.TrailingZeros64(add))
-			}
-			reach[w] |= row[w] & term[w]
-		}
-	}
-	o.stack = stack
-}
-
-// searchWide is searchSmall on the depth-d bitsets; a child's state is
-// written to depth d+1.
-func (o *SteinerOracle) searchWide(d, remaining, words int) bool {
-	reach, nbr, excluded := o.level(d, words)
-	term, nonTerm, isoLeft := o.termSet[:words], o.nonTermSet[:words], o.isoLeft[:words]
-	done, need := true, 0
-	for w := range reach {
-		if term[w]&^reach[w] != 0 {
-			done = false
-		}
-		isoLeft[w] = o.isoSet[w] &^ reach[w]
-		need += bits.OnesCount64(isoLeft[w])
-	}
-	if done {
-		return true
-	}
-	if remaining == 0 {
-		return false
-	}
-	if need > 0 {
-		maxCover := 0
-		for w := range reach {
-			for f := nonTerm[w] &^ reach[w] &^ excluded[w]; f != 0; f &= f - 1 {
-				if c := countAnd(o.adj[w*64+bits.TrailingZeros64(f)][:words], isoLeft); c > maxCover {
-					maxCover = c
+// search adds v to reach, then every terminal reachable from v through
+// terminals outside reach, one layer at a time, folding the
+// neighbourhoods of v and of the added terminals into nbr, the union of
+// the neighbourhoods of reach. It reports whether at most remaining more
+// non-terminals, none of them in excluded, complete the new reach to a
+// set connecting every terminal.
+func (s *steinerSearch[W, R]) search(reach, nbr, excluded W, v, remaining int) bool {
+	var zero, frontier W
+	frontier[v>>6] = 1 << (v & 63)
+	reach[v>>6] |= frontier[v>>6]
+	for frontier != zero {
+		var next W
+		for i := 0; ; i++ {
+			for m := frontier[i]; m != 0; m &= m - 1 {
+				row := &s.adj[i<<6|bits.TrailingZeros64(m)]
+				for j := 0; ; j++ {
+					next[j] |= (*row)[j]
+					if j == len(next)-1 {
+						break
+					}
 				}
 			}
+			if i == len(frontier)-1 {
+				break
+			}
 		}
-		if maxCover*remaining < need {
-			return false
+		for j := 0; ; j++ {
+			nbr[j] |= next[j]
+			next[j] &= s.term[j] &^ reach[j]
+			reach[j] |= next[j]
+			if j == len(next)-1 {
+				break
+			}
+		}
+		frontier = next
+	}
+	var left uint64
+	for i := 0; ; i++ {
+		left |= s.term[i] &^ reach[i]
+		if i == len(reach)-1 {
+			break
 		}
 	}
-	childReach, childNbr, childExcluded := o.level(d+1, words)
-	for w := range reach {
-		for cand := nbr[w] & nonTerm[w] &^ reach[w] &^ excluded[w]; cand != 0; cand &= cand - 1 {
-			c := w*64 + bits.TrailingZeros64(cand)
-			copy(childReach, reach)
-			copy(childNbr, nbr)
-			copy(childExcluded, excluded)
-			childReach.set(c)
-			o.floodWide(childReach, childNbr, c, words)
-			if o.searchWide(d+1, remaining-1, words) {
+	if left == 0 {
+		return true
+	}
+	if remaining == 0 {
+		return false
+	}
+	var free, iso W
+	need := 0
+	for i := 0; ; i++ {
+		free[i] = s.nonTerm[i] &^ reach[i] &^ excluded[i]
+		iso[i] = s.iso[i] &^ reach[i]
+		need += bits.OnesCount64(iso[i])
+		if i == len(free)-1 {
+			break
+		}
+	}
+	if need > 0 && !s.covers(free, iso, need, remaining) {
+		return false
+	}
+	for i := 0; ; i++ {
+		for cand := nbr[i] & free[i]; cand != 0; cand &= cand - 1 {
+			c := i<<6 | bits.TrailingZeros64(cand)
+			if s.search(reach, nbr, excluded, c, remaining-1) {
 				return true
 			}
-			excluded.set(c)
+			excluded[i] |= 1 << (c & 63)
+		}
+		if i == len(free)-1 {
+			break
 		}
 	}
 	return false
 }
 
-// countAnd returns |a ∩ b|.
-func countAnd(a, b bitset) int {
-	c := 0
-	for w := range a {
-		c += bits.OnesCount64(a[w] & b[w])
+// covers reports whether remaining vertices of free may cover the need
+// terminals of iso, none of which has a terminal neighbour: whether one
+// vertex of free has at least need/remaining neighbours in iso.
+func (s *steinerSearch[W, R]) covers(free, iso W, need, remaining int) bool {
+	for i := 0; ; i++ {
+		for f := free[i]; f != 0; f &= f - 1 {
+			row := &s.adj[i<<6|bits.TrailingZeros64(f)]
+			c := 0
+			for j := 0; ; j++ {
+				c += bits.OnesCount64((*row)[j] & iso[j])
+				if j == len(iso)-1 {
+					break
+				}
+			}
+			if c*remaining >= need {
+				return true
+			}
+		}
+		if i == len(free)-1 {
+			break
+		}
 	}
-	return c
+	return false
 }
 
 func binomialSum(n, k int) float64 {
@@ -509,7 +364,7 @@ func NodeWeightedSteinerEnum(g *graph.Graph, terminals []int) (int64, error) {
 // positive vertices is large.
 func HasNodeSteinerWithin(g *graph.Graph, terminals []int, budget int64) (bool, error) {
 	if len(terminals) == 0 {
-		return true, nil
+		return budget >= 0, nil // the empty subgraph weighs 0
 	}
 	n := g.N()
 	var positive []int

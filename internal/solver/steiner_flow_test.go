@@ -7,66 +7,6 @@ import (
 	"congesthard/internal/graph"
 )
 
-func TestSteinerTreeKnown(t *testing.T) {
-	// Star: terminals are three leaves; the tree must pass the center.
-	g := graph.Star(5)
-	w, err := SteinerTree(g, []int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != 3 {
-		t.Errorf("steiner on star = %d, want 3", w)
-	}
-	// Weighted: direct heavy edge vs light two-hop detour.
-	h := graph.New(3)
-	h.MustAddWeightedEdge(0, 1, 10)
-	h.MustAddWeightedEdge(0, 2, 1)
-	h.MustAddWeightedEdge(2, 1, 1)
-	w, err = SteinerTree(h, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != 2 {
-		t.Errorf("steiner detour = %d, want 2", w)
-	}
-}
-
-func TestSteinerTreeAgainstBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		g := graph.GnpWeighted(10, 0.4, 8, rng)
-		if !g.IsConnected() {
-			continue
-		}
-		terminals := []int{0, 3, 7, 9}
-		want, err := BruteSteinerTree(g, terminals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SteinerTree(g, terminals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("trial %d: DW = %d, brute = %d", trial, got, want)
-		}
-	}
-}
-
-func TestSteinerTreeErrors(t *testing.T) {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1) // 2,3 isolated
-	if _, err := SteinerTree(g, []int{0, 2}); err == nil {
-		t.Error("disconnected terminals accepted")
-	}
-	if _, err := SteinerTree(g, []int{99}); err == nil {
-		t.Error("out-of-range terminal accepted")
-	}
-	if w, err := SteinerTree(g, nil); err != nil || w != 0 {
-		t.Errorf("empty terminals: %d %v", w, err)
-	}
-}
-
 func TestIsSteinerTree(t *testing.T) {
 	g := graph.Star(5)
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}}
@@ -93,44 +33,54 @@ func TestIsSteinerTree(t *testing.T) {
 // TestSteinerDecisionCountsDistinctTerminals pins that a repeated
 // terminal does not eat into the non-terminal budget: on the path 0-1-2
 // the terminals {0, 2, 2} need exactly the 2-edge path, and {0, 0} the
-// empty tree.
+// empty tree. With no terminals the empty tree answers any budget of at
+// least 0 and no negative one, before the subset guard.
 func TestSteinerDecisionCountsDistinctTerminals(t *testing.T) {
-	g := graph.Path(3)
+	path, empty := graph.Path(3), graph.New(100)
 	for _, tc := range []struct {
+		g         *graph.Graph
 		terminals []int
 		maxEdges  int
 		want      bool
 	}{
-		{[]int{0, 2, 2}, 2, true},
-		{[]int{0, 2, 2}, 1, false},
-		{[]int{0, 0}, 0, true},
-		{[]int{2, 0, 2, 0}, 2, true},
+		{path, []int{0, 2, 2}, 2, true},
+		{path, []int{0, 2, 2}, 1, false},
+		{path, []int{0, 0}, 0, true},
+		{path, []int{2, 0, 2, 0}, 2, true},
+		{path, nil, -1, false},
+		{path, nil, 0, true},
+		{empty, nil, 10, true},
 	} {
-		brute, err := BruteSteinerTree(g, tc.terminals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := brute <= int64(tc.maxEdges); want != tc.want {
-			t.Fatalf("terminals %v: brute %d disagrees with the expected %v at %d edges", tc.terminals, brute, tc.want, tc.maxEdges)
-		}
-		for _, wide := range []bool{false, true} {
-			got, err := new(SteinerOracle).decide(g, tc.terminals, tc.maxEdges, wide)
+		if tc.g.N() <= 16 {
+			brute, err := BruteSteinerTree(tc.g, tc.terminals)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != tc.want {
-				t.Errorf("terminals %v, maxEdges %d (wide=%v): got %v, want %v", tc.terminals, tc.maxEdges, wide, got, tc.want)
+			if want := brute <= int64(tc.maxEdges); want != tc.want {
+				t.Fatalf("terminals %v: brute %d disagrees with the expected %v at %d edges", tc.terminals, brute, tc.want, tc.maxEdges)
+			}
+		}
+		got, err := HasSteinerTreeWithEdges(tc.g, tc.terminals, tc.maxEdges)
+		if err != nil || got != tc.want {
+			t.Errorf("n=%d terminals %v, maxEdges %d: package function %v (err %v), want %v", tc.g.N(), tc.terminals, tc.maxEdges, got, err, tc.want)
+		}
+		for _, words := range []int{1, 2} {
+			got, err := new(SteinerOracle).decide(tc.g, tc.terminals, tc.maxEdges, words)
+			if err != nil || got != tc.want {
+				t.Errorf("n=%d terminals %v, maxEdges %d (words=%d): %v (err %v), want %v", tc.g.N(), tc.terminals, tc.maxEdges, words, got, err, tc.want)
 			}
 		}
 	}
 }
 
 // TestSteinerOracleMultiWordAgreesWithBrute covers what the fuzzer's
-// graphs (one word) cannot: the bitset search on graphs of 65 to 80
-// vertices, with terminals and non-terminals on both sides of the word
-// boundary. Ten non-terminals keep BruteSteinerTree cheap; each terminal
-// links to one or two of them and rarely to another terminal, so the
-// cover bound is exercised. One oracle is reused across the varying sizes.
+// graphs (at most 20 vertices) cannot: graphs of 65 to 80 vertices, with
+// terminals and non-terminals on both sides of a word boundary, at every
+// width from 2 to 64 words. Ten non-terminals keep BruteSteinerTree cheap;
+// each terminal links to one or two of them and rarely to another
+// terminal, so the cover bound is exercised. One oracle is reused across
+// the varying sizes and widths; the package function runs the narrowest.
+// Past 64 words, at 4097 vertices, the oracle returns its size error.
 func TestSteinerOracleMultiWordAgreesWithBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var o SteinerOracle
@@ -160,14 +110,21 @@ func TestSteinerOracleMultiWordAgreesWithBrute(t *testing.T) {
 		}
 		brute, errBrute := BruteSteinerTree(g, terminals)
 		for _, maxEdges := range []int{int(brute) - 1, int(brute), n - 1} {
-			got, err := o.HasSteinerTreeWithEdges(g, terminals, maxEdges)
-			if err != nil {
-				t.Fatal(err)
+			want := errBrute == nil && brute <= int64(maxEdges)
+			if got, err := HasSteinerTreeWithEdges(g, terminals, maxEdges); err != nil || got != want {
+				t.Fatalf("trial %d (n=%d, maxEdges=%d): package function %v (err %v), brute %d (err %v)", trial, n, maxEdges, got, err, brute, errBrute)
 			}
-			if want := errBrute == nil && brute <= int64(maxEdges); got != want {
-				t.Fatalf("trial %d (n=%d, maxEdges=%d): oracle %v, brute %d (err %v)", trial, n, maxEdges, got, brute, errBrute)
+			for words := 2; words <= 64; words *= 2 {
+				got, err := o.decide(g, terminals, maxEdges, words)
+				if err != nil || got != want {
+					t.Fatalf("trial %d (n=%d, maxEdges=%d, words=%d): oracle %v (err %v), brute %d (err %v)", trial, n, maxEdges, words, got, err, brute, errBrute)
+				}
 			}
 		}
+	}
+	if _, err := o.HasSteinerTreeWithEdges(graph.New(4097), []int{0}, 0); err == nil ||
+		err.Error() != "steiner search limited to 4096 vertices, got 4097" {
+		t.Errorf("4097 vertices: error %v", err)
 	}
 }
 
@@ -181,7 +138,6 @@ func TestSteinerTerminalOutOfRange(t *testing.T) {
 	var dirOracle DirSteinerOracle
 	for name, call := range map[string]func() error{
 		"HasSteinerTreeWithEdges": func() error { _, err := HasSteinerTreeWithEdges(g, []int{0, 5}, 2); return err },
-		"SteinerTree":             func() error { _, err := SteinerTree(g, []int{0, 5}); return err },
 		"NodeWeightedSteinerEnum": func() error { _, err := NodeWeightedSteinerEnum(g, []int{5}); return err },
 		"HasNodeSteinerWithin":    func() error { _, err := HasNodeSteinerWithin(g, []int{5}, 1); return err },
 		"HasDirectedSteinerWithin": func() error {
