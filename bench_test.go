@@ -553,8 +553,8 @@ func BenchmarkCongestRunCore(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			factory := func(local congest.Local) congest.Node {
 				out := make([]congest.Message, len(local.Neighbors))
-				for i, nbr := range local.Neighbors {
-					out[i] = congest.Message{To: nbr, Payload: int64(local.ID)}
+				for i := range local.Neighbors {
+					out[i] = congest.Message{Port: i, Payload: int64(local.ID)}
 				}
 				return &chatterNode{outbox: out, budget: rounds}
 			}
@@ -619,8 +619,8 @@ func BenchmarkDicongestRunCore(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			factory := func(local dicongest.Local) dicongest.Node {
 				out := make([]dicongest.Message, len(local.Neighbors))
-				for i, nbr := range local.Neighbors {
-					out[i] = dicongest.Message{To: nbr, Payload: int64(local.ID)}
+				for i := range local.Neighbors {
+					out[i] = dicongest.Message{Port: i, Payload: int64(local.ID)}
 				}
 				return &diChatterNode{outbox: out, budget: rounds}
 			}

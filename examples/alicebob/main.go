@@ -50,9 +50,9 @@ func run() error {
 				if round >= rounds {
 					return nil, true
 				}
-				var out []congest.Message
-				for _, nbr := range local.Neighbors {
-					out = append(out, congest.Message{To: nbr, Payload: best})
+				out := make([]congest.Message, len(local.Neighbors))
+				for port := range out {
+					out[port] = congest.Message{Port: port, Payload: best}
 				}
 				return out, false
 			},

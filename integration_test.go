@@ -76,8 +76,8 @@ func TestIntegrationTheoremOneOneAccounting(t *testing.T) {
 					return nil, true
 				}
 				var out []congest.Message
-				for _, nbr := range local.Neighbors {
-					out = append(out, congest.Message{To: nbr, Payload: best})
+				for port := range local.Neighbors {
+					out = append(out, congest.Message{Port: port, Payload: best})
 				}
 				return out, false
 			},

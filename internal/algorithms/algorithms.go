@@ -39,9 +39,9 @@ func LeaderElect(budget int) congest.Factory {
 				if round >= budget {
 					return nil, true
 				}
-				out := make([]congest.Message, 0, len(local.Neighbors))
-				for _, nbr := range local.Neighbors {
-					out = append(out, congest.Message{To: nbr, Payload: best})
+				out := make([]congest.Message, len(local.Neighbors))
+				for port := range out {
+					out[port] = congest.Message{Port: port, Payload: best}
 				}
 				return out, false
 			},
@@ -70,7 +70,7 @@ func BFSTree(root, budget int) congest.Factory {
 				for _, msg := range inbox {
 					if res.Dist < 0 {
 						res.Dist = int(msg.Payload) + 1
-						res.Parent = msg.From
+						res.Parent = local.Neighbors[msg.Port]
 					}
 				}
 				if round >= budget {
@@ -78,9 +78,9 @@ func BFSTree(root, budget int) congest.Factory {
 				}
 				if res.Dist >= 0 && !announced {
 					announced = true
-					out := make([]congest.Message, 0, len(local.Neighbors))
-					for _, nbr := range local.Neighbors {
-						out = append(out, congest.Message{To: nbr, Payload: int64(res.Dist)})
+					out := make([]congest.Message, len(local.Neighbors))
+					for port := range out {
+						out[port] = congest.Message{Port: port, Payload: int64(res.Dist)}
 					}
 					return out, false
 				}

@@ -257,14 +257,8 @@ func (c *collectCore) seed(local congest.Local, spec CollectSpec, parent []int32
 // Round ingests the per-neighbor frame streams and emits the next chunk of
 // each neighbor's stream; at the budget the roots reconstruct and evaluate.
 func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
-	next := 0
 	for _, msg := range inbox {
-		i := linkIndex(c.local.Neighbors, msg.From, next)
-		if i < 0 {
-			continue
-		}
-		next = i + 1
-		l := &c.links[i]
+		l := &c.links[msg.Port]
 		if l.rcvChunk == 0 {
 			if c.wchunks == 0 {
 				c.learn(msg.Payload, 1)
@@ -288,7 +282,7 @@ func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Mess
 	}
 	mask := int64(1)<<uint(c.bw) - 1
 	c.outbox = c.outbox[:0]
-	for i, nbr := range c.local.Neighbors {
+	for i := range c.links {
 		l := &c.links[i]
 		if l.sendRec >= len(c.records) {
 			continue
@@ -298,7 +292,7 @@ func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Mess
 		if l.sendChunk > 0 {
 			payload = rec.w >> uint(c.bw*(l.sendChunk-1)) & mask
 		}
-		c.outbox = append(c.outbox, congest.Message{To: nbr, Payload: payload})
+		c.outbox = append(c.outbox, congest.Message{Port: i, Payload: payload})
 		l.sendChunk++
 		if l.sendChunk > c.wchunks {
 			l.sendChunk = 0

@@ -2,7 +2,6 @@ package algorithms
 
 import (
 	"math/bits"
-	"sort"
 
 	"congesthard/internal/congest"
 	"congesthard/internal/graph"
@@ -198,19 +197,6 @@ type linkState struct {
 	rcvChunk  int
 
 	curSeq, expSeq, lastAcc byte
-}
-
-// linkIndex returns the position of from in the sorted neighbor list
-// nbrs, or -1. hint is the position after the previous lookup: the
-// simulators deliver an inbox in neighbor order, so it usually hits.
-func linkIndex(nbrs []int, from, hint int) int {
-	if hint < len(nbrs) && nbrs[hint] == from {
-		return hint
-	}
-	if i := sort.SearchInts(nbrs, from); i < len(nbrs) && nbrs[i] == from {
-		return i
-	}
-	return -1
 }
 
 // Workspace is reusable memory for the collect programs: the slab a

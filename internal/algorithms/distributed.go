@@ -40,9 +40,10 @@ func LubyMISFactory(seed int64, maxPhases int) congest.Factory {
 			stateOut
 		)
 		state := stateActive
-		activeNbrs := make(map[int]bool, len(local.Neighbors))
-		for _, nbr := range local.Neighbors {
-			activeNbrs[nbr] = true
+		// active[port] marks the neighbors still in the running.
+		active := make([]bool, len(local.Neighbors))
+		for port := range active {
+			active[port] = true
 		}
 		var draw int64
 		return &congest.FuncNode{
@@ -57,9 +58,9 @@ func LubyMISFactory(seed int64, maxPhases int) congest.Factory {
 							if state == stateActive {
 								state = stateOut
 							}
-							delete(activeNbrs, msg.From)
+							active[msg.Port] = false
 						case 2: // neighbor deactivated
-							delete(activeNbrs, msg.From)
+							active[msg.Port] = false
 						}
 					}
 					if state != stateActive {
@@ -71,15 +72,14 @@ func LubyMISFactory(seed int64, maxPhases int) congest.Factory {
 					// Draw and broadcast a random value; the range n² fits
 					// the 2·log n CONGEST bandwidth, and ties only cause a
 					// redraw in the next phase. Broadcast in ascending
-					// neighbor order (the sorted CSR window), not map
-					// order: the outbox sequence feeds any Meter hook, so
-					// map iteration here would make transcripts
-					// replay-divergent.
+					// port (neighbor id) order: the outbox sequence feeds
+					// any Meter hook, and transcript replay needs it
+					// deterministic.
 					draw = rng.Int63n(int64(local.N)*int64(local.N) + 1)
-					out := make([]congest.Message, 0, len(activeNbrs))
-					for _, nbr := range local.Neighbors {
-						if activeNbrs[nbr] {
-							out = append(out, congest.Message{To: nbr, Payload: draw})
+					var out []congest.Message
+					for port, on := range active {
+						if on {
+							out = append(out, congest.Message{Port: port, Payload: draw})
 						}
 					}
 					return out, false
@@ -101,10 +101,10 @@ func LubyMISFactory(seed int64, maxPhases int) congest.Factory {
 					// announce 2 in their final phase (handled at case 0 by
 					// termination, so here only joins are announced).
 					if state == stateInMIS {
-						out := make([]congest.Message, 0, len(activeNbrs))
-						for _, nbr := range local.Neighbors {
-							if activeNbrs[nbr] {
-								out = append(out, congest.Message{To: nbr, Payload: 1})
+						var out []congest.Message
+						for port, on := range active {
+							if on {
+								out = append(out, congest.Message{Port: port, Payload: 1})
 							}
 						}
 						return out, false
@@ -127,12 +127,13 @@ func MaximalMatchingVCFactory(seed int64, maxPhases int) congest.Factory {
 	return func(local congest.Local) congest.Node {
 		rng := rand.New(rand.NewSource(seed + int64(local.ID)*40503))
 		matched := false
-		partner := -1
-		available := make(map[int]bool, len(local.Neighbors))
-		for _, nbr := range local.Neighbors {
-			available[nbr] = true
+		partner, partnerPort := -1, -1
+		// available[port] marks the neighbors not yet known to be matched.
+		available := make([]bool, len(local.Neighbors))
+		for port := range available {
+			available[port] = true
 		}
-		proposedTo := -1
+		left := len(available)
 		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
 				phase := round % 2
@@ -143,49 +144,55 @@ func MaximalMatchingVCFactory(seed int64, maxPhases int) congest.Factory {
 						switch msg.Payload {
 						case 2: // accepted
 							matched = true
-							partner = msg.From
+							partner, partnerPort = local.Neighbors[msg.Port], msg.Port
 						case 3: // neighbor now matched: remove
-							delete(available, msg.From)
+							if available[msg.Port] {
+								available[msg.Port] = false
+								left--
+							}
 						}
 					}
-					if matched || len(available) == 0 || round/2 >= maxPhases {
-						// Tell available neighbors we are gone. Iterate the
-						// sorted neighbor list, not the map: the program
-						// must be deterministic per (seed, id) so the
-						// reduction engine's transcript replays reproduce
-						// it exactly.
+					if matched || left == 0 || round/2 >= maxPhases {
+						// Tell available neighbors we are gone, in port
+						// order: the program must be deterministic per
+						// (seed, id) so the reduction engine's transcript
+						// replays reproduce it exactly.
 						var out []congest.Message
 						if matched {
-							for _, nbr := range local.Neighbors {
-								if available[nbr] && nbr != partner {
-									out = append(out, congest.Message{To: nbr, Payload: 3})
+							for port, on := range available {
+								if on && port != partnerPort {
+									out = append(out, congest.Message{Port: port, Payload: 3})
 								}
 							}
 						}
 						return out, true
 					}
-					// Propose to a random available neighbor (deterministic
-					// target order for the same reason).
-					targets := make([]int, 0, len(available))
-					for _, nbr := range local.Neighbors {
-						if available[nbr] {
-							targets = append(targets, nbr)
+					// Propose to a random available neighbor, drawn by its
+					// rank among the available ports.
+					pick, target := rng.Intn(left), -1
+					for port, on := range available {
+						if on {
+							if pick == 0 {
+								target = port
+								break
+							}
+							pick--
 						}
 					}
-					proposedTo = targets[rng.Intn(len(targets))]
-					return []congest.Message{{To: proposedTo, Payload: 1}}, false
+					return []congest.Message{{Port: target, Payload: 1}}, false
 				}
-				// Phase 1: accept the smallest-id proposer if unmatched.
+				// Phase 1: accept the smallest-id (smallest-port) proposer
+				// if unmatched.
 				bestProposer := -1
 				for _, msg := range inbox {
-					if msg.Payload == 1 && (bestProposer < 0 || msg.From < bestProposer) {
-						bestProposer = msg.From
+					if msg.Payload == 1 && (bestProposer < 0 || msg.Port < bestProposer) {
+						bestProposer = msg.Port
 					}
 				}
 				if !matched && bestProposer >= 0 {
 					matched = true
-					partner = bestProposer
-					return []congest.Message{{To: bestProposer, Payload: 2}}, false
+					partner, partnerPort = local.Neighbors[bestProposer], bestProposer
+					return []congest.Message{{Port: bestProposer, Payload: 2}}, false
 				}
 				return nil, false
 			},

@@ -134,14 +134,8 @@ type collectRetryNode struct {
 // retransmitted until acknowledged, or a pure-ack frame when the stream
 // is drained. At the budget the roots reconstruct and evaluate.
 func (c *collectRetryNode) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
-	next := 0
 	for _, msg := range inbox {
-		i := linkIndex(c.local.Neighbors, msg.From, next)
-		if i < 0 {
-			continue
-		}
-		next = i + 1
-		l := &c.links[i]
+		l := &c.links[msg.Port]
 		ack := byte(msg.Payload & 1)
 		seq := byte(msg.Payload >> 1 & 1)
 		hasData := msg.Payload>>2&1 == 1
@@ -189,7 +183,7 @@ func (c *collectRetryNode) Round(round int, inbox []congest.Incoming) ([]congest
 	}
 	mask := int64(1)<<uint(c.cw) - 1
 	c.outbox = c.outbox[:0]
-	for i, nbr := range c.local.Neighbors {
+	for i := range c.links {
 		l := &c.links[i]
 		payload := int64(l.lastAcc)
 		if l.sendRec < len(c.records) {
@@ -200,7 +194,7 @@ func (c *collectRetryNode) Round(round int, inbox []congest.Incoming) ([]congest
 			}
 			payload |= chunk<<retryHeaderBits | 1<<2 | int64(l.curSeq)<<1
 		}
-		c.outbox = append(c.outbox, congest.Message{To: nbr, Payload: payload})
+		c.outbox = append(c.outbox, congest.Message{Port: i, Payload: payload})
 	}
 	return c.outbox, false
 }

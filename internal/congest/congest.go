@@ -29,15 +29,19 @@ import (
 	"congesthard/internal/graph"
 )
 
-// Message is an outgoing message: a payload addressed to a neighbor.
+// Message is an outgoing message: a payload addressed to a neighbor by
+// port. A port is an index into the sending node's Local.Neighbors, so
+// the receiver is Local.Neighbors[Port].
 type Message struct {
-	To      int
+	Port    int
 	Payload int64
 }
 
-// Incoming is a received message tagged with its sender.
+// Incoming is a received message tagged with the port it arrived on: an
+// index into the receiving node's Local.Neighbors, so the sender is
+// Local.Neighbors[Port].
 type Incoming struct {
-	From    int
+	Port    int
 	Payload int64
 }
 
@@ -123,8 +127,6 @@ type Arena struct {
 	linkOffsets []int32
 	linkNbr     []int32
 	nodes       []Node
-	denseIdx    []int32
-	sparseIdx   map[int64]int32
 	recvAt      []int32
 	slotDir     []Direction
 	crashAt     []int32
@@ -195,65 +197,6 @@ func CheckBandwidth(bandwidth int) error {
 		return fmt.Errorf("bandwidth %d out of supported range [1,62]", bandwidth)
 	}
 	return nil
-}
-
-// maxDenseEdgeIndex caps the n*n dense routing table at 4 MB; larger
-// networks fall back to a prebuilt hash map (still O(1) expected, still
-// allocation-free per round).
-const maxDenseEdgeIndex = 1 << 10
-
-// edgeIndex resolves (from, to) to the global channel slot in O(1), or -1
-// when the two are not linked. It is built once per run.
-type edgeIndex struct {
-	n      int
-	dense  []int32         // n*n table, or nil
-	sparse map[int64]int32 // used when n > maxDenseEdgeIndex
-}
-
-// buildEdgeIndex constructs the routing index, borrowing the table (or
-// map) from the arena.
-func buildEdgeIndex(links *Links, ar *Arena) edgeIndex {
-	n := links.n()
-	ei := edgeIndex{n: n}
-	if n <= maxDenseEdgeIndex {
-		ei.dense = arenaSlice(&ar.denseIdx, n*n)
-		for i := range ei.dense {
-			ei.dense[i] = -1
-		}
-		for v := 0; v < n; v++ {
-			base := links.Offsets[v]
-			for i, to := range links.window(v) {
-				ei.dense[v*n+int(to)] = base + int32(i)
-			}
-		}
-		return ei
-	}
-	if ar.sparseIdx == nil {
-		ar.sparseIdx = make(map[int64]int32, len(links.Nbr))
-	} else {
-		clear(ar.sparseIdx)
-	}
-	ei.sparse = ar.sparseIdx
-	for v := 0; v < n; v++ {
-		base := links.Offsets[v]
-		for i, to := range links.window(v) {
-			ei.sparse[int64(v)*int64(n)+int64(to)] = base + int32(i)
-		}
-	}
-	return ei
-}
-
-func (ei *edgeIndex) slot(from, to int) int32 {
-	if to < 0 || to >= ei.n {
-		return -1
-	}
-	if ei.dense != nil {
-		return ei.dense[from*ei.n+to]
-	}
-	if s, ok := ei.sparse[int64(from)*int64(ei.n)+int64(to)]; ok {
-		return s
-	}
-	return -1
 }
 
 // Run simulates the factory's programs on g until every node terminates.
@@ -348,10 +291,9 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 		nodes[v] = build(v)
 	}
 
-	// Routing index: for the channel v -> to stored at slot s in v's
-	// window, recvAt[s] is the slot of that message in to's inbox (the
-	// rank of v among to's sorted link neighbors).
-	ei := buildEdgeIndex(&links, ar)
+	// For the channel v -> to stored at slot s in v's window, recvAt[s]
+	// is the slot of that message in to's inbox (the rank of v among to's
+	// sorted link neighbors).
 	recvAt := arenaSlice(&ar.recvAt, slots)
 	for v := 0; v < n; v++ {
 		base := int(links.Offsets[v])
@@ -478,17 +420,17 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 			window := links.window(v)
 			cnt := 0
 			if inj == nil {
-				for i, from := range window {
+				for i := range window {
 					if curStamp[base+i] == int32(round) {
-						inboxArena[base+cnt] = Incoming{From: int(from), Payload: curPayload[base+i]}
+						inboxArena[base+cnt] = Incoming{Port: i, Payload: curPayload[base+i]}
 						cnt++
 					}
 				}
 			} else {
 				ri := round % ringD
-				for i, from := range window {
+				for i := range window {
 					if cell := (base+i)*ringD + ri; ringStamp[cell] == int32(round) {
-						inboxArena[base+cnt] = Incoming{From: int(from), Payload: ringPayload[cell]}
+						inboxArena[base+cnt] = Incoming{Port: i, Payload: ringPayload[cell]}
 						cnt++
 					}
 				}
@@ -502,13 +444,14 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 				allDone = false
 			}
 			for _, msg := range outbox {
-				s := ei.slot(v, msg.To)
-				if s < 0 {
-					return nil, fmt.Errorf("round %d: node %d sent to non-neighbor %d", round, v, msg.To)
+				if uint(msg.Port) >= uint(len(window)) {
+					return nil, fmt.Errorf("round %d: node %d sent on port %d, outside its degree %d", round, v, msg.Port, len(window))
 				}
+				s := base + msg.Port
 				if lastSent[s] == int32(round) {
-					return nil, fmt.Errorf("round %d: node %d sent two messages to %d", round, v, msg.To)
+					return nil, fmt.Errorf("round %d: node %d sent two messages on port %d (degree %d)", round, v, msg.Port, len(window))
 				}
+				to := int(links.Nbr[s])
 				lastSent[s] = int32(round)
 				if msg.Payload < 0 || msg.Payload > maxPayload {
 					return nil, fmt.Errorf("round %d: node %d payload %d exceeds %d-bit bandwidth", round, v, msg.Payload, bandwidth)
@@ -516,7 +459,7 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 				if inj == nil {
 					nextPayload[recvAt[s]] = msg.Payload
 					nextStamp[recvAt[s]] = int32(round + 1)
-				} else if at, ok := inj.DeliverAt(round, v, msg.To, s); ok {
+				} else if at, ok := inj.DeliverAt(round, v, to, int32(s)); ok {
 					cell := int(recvAt[s])*ringD + at%ringD
 					ringPayload[cell] = msg.Payload
 					ringStamp[cell] = int32(at)
@@ -531,7 +474,7 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 						metrics.CutBits += int64(bandwidth)
 					}
 					if opts.Meter != nil {
-						opts.Meter.Observe(round, v, msg.To, msg.Payload, bandwidth, dir)
+						opts.Meter.Observe(round, v, to, msg.Payload, bandwidth, dir)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -33,8 +34,8 @@ func (f *floodMinNode) Round(round int, inbox []Incoming) ([]Message, bool) {
 		return nil, true
 	}
 	out := make([]Message, 0, len(f.local.Neighbors))
-	for _, nbr := range f.local.Neighbors {
-		out = append(out, Message{To: nbr, Payload: f.best})
+	for port := range f.local.Neighbors {
+		out = append(out, Message{Port: port, Payload: f.best})
 	}
 	return out, false
 }
@@ -94,7 +95,7 @@ func TestBandwidthEnforced(t *testing.T) {
 		return &FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				if local.ID == 0 && round == 0 {
-					return []Message{{To: 1, Payload: 1 << 40}}, true
+					return []Message{{Port: 0, Payload: 1 << 40}}, true
 				}
 				return nil, true
 			},
@@ -111,7 +112,7 @@ func TestNegativePayloadRejected(t *testing.T) {
 		return &FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				if local.ID == 0 && round == 0 {
-					return []Message{{To: 1, Payload: -1}}, true
+					return []Message{{Port: 0, Payload: -1}}, true
 				}
 				return nil, true
 			},
@@ -122,38 +123,83 @@ func TestNegativePayloadRejected(t *testing.T) {
 	}
 }
 
-func TestNonNeighborRejected(t *testing.T) {
-	g := graph.Path(3) // 0-1-2; 0 and 2 not adjacent
-	factory := func(local Local) Node {
+// sendAt returns a factory whose node sender sends out in round r; every
+// node stops at round r.
+func sendAt(r, sender int, out []Message) Factory {
+	return func(local Local) Node {
 		return &FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
-				if local.ID == 0 && round == 0 {
-					return []Message{{To: 2, Payload: 1}}, true
+				if local.ID == sender && round == r {
+					return out, true
 				}
-				return nil, true
+				return nil, round >= r
 			},
 		}
 	}
-	if _, err := Run(g, factory, Options{}); err == nil {
-		t.Error("message to non-neighbor accepted")
+}
+
+// wantPortError fails unless err is a send rejection naming the round, the
+// node, the port and the node's degree.
+func wantPortError(t *testing.T, err error, round, node, port, degree int) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("node %d's send on port %d (degree %d) accepted", node, port, degree)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("round %d:", round),
+		fmt.Sprintf("node %d ", node),
+		fmt.Sprintf("port %d", port),
+		fmt.Sprintf("degree %d", degree),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+func TestNonNeighborRejected(t *testing.T) {
+	g := graph.Path(3) // 0-1-2: degrees 1, 2, 1
+	for _, tc := range []struct{ node, port, degree int }{
+		{0, -1, 1},
+		{0, 1, 1}, // would alias the first channel of node 1
+		{1, 2, 2},
+		{1, 1 << 40, 2},
+		{2, 1, 1}, // would run past the last channel
+	} {
+		_, err := Run(g, sendAt(1, tc.node, []Message{{Port: tc.port, Payload: 1}}), Options{})
+		wantPortError(t, err, 1, tc.node, tc.port, tc.degree)
 	}
 }
 
 func TestDuplicateMessageSameEdgeRejected(t *testing.T) {
-	g := graph.Path(2)
+	g := graph.Path(3) // 0-1-2: degrees 1, 2, 1
+	if _, err := Run(g, sendAt(1, 1, []Message{{Port: 0, Payload: 1}, {Port: 1, Payload: 2}}), Options{}); err != nil {
+		t.Fatalf("one message on each port rejected: %v", err)
+	}
+	for _, out := range [][]Message{
+		{{Port: 1, Payload: 1}, {Port: 1, Payload: 2}},
+		{{Port: 0, Payload: 1}, {Port: 1, Payload: 1}, {Port: 0, Payload: 1}},
+	} {
+		_, err := Run(g, sendAt(1, 1, out), Options{})
+		wantPortError(t, err, 1, 1, out[len(out)-1].Port, 2)
+		if err != nil && !strings.Contains(err.Error(), "two messages") {
+			t.Errorf("duplicate send reported as %q", err)
+		}
+	}
+	// A send past node 0's last port is its own range error, never a
+	// duplicate of node 1's send on its port 0 (the adjacent channel).
 	factory := func(local Local) Node {
 		return &FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
-				if local.ID == 0 && round == 0 {
-					return []Message{{To: 1, Payload: 1}, {To: 1, Payload: 2}}, true
+				if local.ID <= 1 && round == 1 {
+					return []Message{{Port: 1 - local.ID, Payload: 1}}, true
 				}
-				return nil, true
+				return nil, round >= 1
 			},
 		}
 	}
-	if _, err := Run(g, factory, Options{}); err == nil {
-		t.Error("two messages on one edge in one round accepted")
-	}
+	_, err := Run(g, factory, Options{})
+	wantPortError(t, err, 1, 0, 1, 1)
 }
 
 func TestMaxRoundsGuard(t *testing.T) {
@@ -232,7 +278,7 @@ func TestMessageToTerminatedNodeDropped(t *testing.T) {
 				if round == 0 {
 					return nil, false
 				}
-				return []Message{{To: 0, Payload: 7}}, true
+				return []Message{{Port: 0, Payload: 7}}, true
 			},
 		}
 	}
@@ -277,7 +323,7 @@ func TestCutBitMeteringSymmetry(t *testing.T) {
 		return &FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				if local.ID == 1 && round < 3 {
-					return []Message{{To: 2, Payload: int64(round)}}, round == 2
+					return []Message{{Port: 1, Payload: int64(round)}}, round == 2 // to vertex 2
 				}
 				return nil, round >= 2
 			},
@@ -306,8 +352,8 @@ type chatterNode struct {
 func newChatter(budget int) Factory {
 	return func(local Local) Node {
 		out := make([]Message, len(local.Neighbors))
-		for i, nbr := range local.Neighbors {
-			out[i] = Message{To: nbr, Payload: int64(local.ID)}
+		for i := range local.Neighbors {
+			out[i] = Message{Port: i, Payload: int64(local.ID)}
 		}
 		return &chatterNode{outbox: out, budget: budget}
 	}
@@ -510,8 +556,8 @@ func TestMeterClassifiesDirections(t *testing.T) {
 					return nil, true
 				}
 				out := make([]Message, 0, len(local.Neighbors))
-				for _, nbr := range local.Neighbors {
-					out = append(out, Message{To: nbr, Payload: int64(local.ID)})
+				for port := range local.Neighbors {
+					out = append(out, Message{Port: port, Payload: int64(local.ID)})
 				}
 				return out, false
 			},
@@ -669,12 +715,12 @@ func TestInboxSortedByFrom(t *testing.T) {
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				if local.ID == 0 && round == 1 {
 					for _, m := range inbox {
-						inboxFroms = append(inboxFroms, m.From)
+						inboxFroms = append(inboxFroms, local.Neighbors[m.Port])
 					}
 					return nil, true
 				}
 				if local.ID != 0 && round == 0 {
-					return []Message{{To: 0, Payload: int64(local.ID)}}, false
+					return []Message{{Port: 0, Payload: int64(local.ID)}}, false // to the center
 				}
 				return nil, round >= 1
 			},

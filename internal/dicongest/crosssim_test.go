@@ -38,14 +38,14 @@ func (m *mixer) absorb(from int, payload int64) {
 	m.state = (m.state^uint64(from)*0xBF58476D1CE4E5B9^uint64(payload))*0x94D049BB133111EB + 1
 }
 
-// sends returns the (to, payload) pairs of this round, or done.
-func (m *mixer) sends(round int, send func(to int, payload int64)) bool {
+// sends makes this round's sends, by port, and reports done.
+func (m *mixer) sends(round int, send func(port int, payload int64)) bool {
 	if round >= m.budget {
 		return true
 	}
-	for i, to := range m.nbrs {
+	for i := range m.nbrs {
 		if (m.state>>uint(i%64))&1 == 1 || round == 0 {
-			send(to, int64(m.state>>7)&m.mask)
+			send(i, int64(m.state>>7)&m.mask)
 		}
 	}
 	return false
@@ -58,10 +58,10 @@ type undirectedMixer struct {
 
 func (u *undirectedMixer) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
 	for _, in := range inbox {
-		u.absorb(in.From, in.Payload)
+		u.absorb(u.nbrs[in.Port], in.Payload)
 	}
 	u.out = u.out[:0]
-	done := u.sends(round, func(to int, p int64) { u.out = append(u.out, congest.Message{To: to, Payload: p}) })
+	done := u.sends(round, func(port int, p int64) { u.out = append(u.out, congest.Message{Port: port, Payload: p}) })
 	return u.out, done
 }
 
@@ -74,10 +74,10 @@ type directedMixer struct {
 
 func (d *directedMixer) Round(round int, inbox []dicongest.Incoming) ([]dicongest.Message, bool) {
 	for _, in := range inbox {
-		d.absorb(in.From, in.Payload)
+		d.absorb(d.nbrs[in.Port], in.Payload)
 	}
 	d.out = d.out[:0]
-	done := d.sends(round, func(to int, p int64) { d.out = append(d.out, dicongest.Message{To: to, Payload: p}) })
+	done := d.sends(round, func(port int, p int64) { d.out = append(d.out, dicongest.Message{Port: port, Payload: p}) })
 	return d.out, done
 }
 

@@ -138,8 +138,8 @@ func TestSimulateTwoParty(t *testing.T) {
 					return nil, true
 				}
 				var out []congest.Message
-				for _, nbr := range local.Neighbors {
-					out = append(out, congest.Message{To: nbr, Payload: int64(local.ID)})
+				for port := range local.Neighbors {
+					out = append(out, congest.Message{Port: port, Payload: int64(local.ID)})
 				}
 				return out, false
 			},

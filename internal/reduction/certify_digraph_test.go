@@ -187,8 +187,8 @@ func TestVerifyDigraphSimulationEmptyCut(t *testing.T) {
 					return nil, true
 				}
 				out := make([]dicongest.Message, 0, len(local.Neighbors))
-				for _, nbr := range local.Neighbors {
-					out = append(out, dicongest.Message{To: nbr, Payload: int64(local.ID)})
+				for port := range local.Neighbors {
+					out = append(out, dicongest.Message{Port: port, Payload: int64(local.ID)})
 				}
 				return out, round == 1
 			},

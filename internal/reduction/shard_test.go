@@ -414,8 +414,8 @@ func TestCongestArenaReuseBitIdentical(t *testing.T) {
 					return nil, true
 				}
 				out := make([]congest.Message, 0, len(local.Neighbors))
-				for _, nb := range local.Neighbors {
-					out = append(out, congest.Message{To: nb, Payload: int64(local.ID + round)})
+				for port := range local.Neighbors {
+					out = append(out, congest.Message{Port: port, Payload: int64(local.ID + round)})
 				}
 				return out, false
 			},
@@ -470,8 +470,8 @@ func TestDicongestArenaReuseBitIdentical(t *testing.T) {
 					return nil, true
 				}
 				out := make([]dicongest.Message, 0, len(local.Neighbors))
-				for _, nb := range local.Neighbors {
-					out = append(out, dicongest.Message{To: nb, Payload: int64(nb)})
+				for port, nb := range local.Neighbors {
+					out = append(out, dicongest.Message{Port: port, Payload: int64(nb)})
 				}
 				return out, false
 			},

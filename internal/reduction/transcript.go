@@ -27,6 +27,7 @@ package reduction
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"congesthard/internal/congest"
 	"congesthard/internal/graph"
@@ -102,16 +103,21 @@ func ExtractTranscript(g *graph.Graph, side []bool, factory congest.Factory, opt
 // nothing else. Messages it receives (Alice's A→B traffic) are ignored —
 // the stub is the transcript personified.
 type replayStub struct {
-	schedule []Entry // this vertex's B→A sends, in round order
-	next     int
-	outbox   []congest.Message
+	schedule  []Entry // this vertex's B→A sends, in round order
+	neighbors []int   // the vertex's Local.Neighbors, to address by port
+	next      int
+	outbox    []congest.Message
 }
 
 func (s *replayStub) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
 	s.outbox = s.outbox[:0]
 	for s.next < len(s.schedule) && s.schedule[s.next].Round == round {
 		e := s.schedule[s.next]
-		s.outbox = append(s.outbox, congest.Message{To: e.To, Payload: e.Payload})
+		port, ok := slices.BinarySearch(s.neighbors, e.To)
+		if !ok {
+			port = -1 // the simulator rejects it, naming the round and node
+		}
+		s.outbox = append(s.outbox, congest.Message{Port: port, Payload: e.Payload})
 		s.next++
 	}
 	return s.outbox, s.next >= len(s.schedule)
@@ -135,7 +141,7 @@ func VerifySimulation(g *graph.Graph, side []bool, factory congest.Factory, opts
 	return checkSimulation(g.N(), side, func(schedules map[int][]Entry) (*TwoPartyTranscript, *congest.Result, error) {
 		return ExtractTranscript(g, side, func(local congest.Local) congest.Node {
 			if schedules != nil && !side[local.ID] {
-				return &replayStub{schedule: schedules[local.ID]}
+				return &replayStub{schedule: schedules[local.ID], neighbors: local.Neighbors}
 			}
 			return factory(local)
 		}, opts)

@@ -32,7 +32,7 @@ func VerifyDigraphSimulation(d *graph.Digraph, side []bool, factory dicongest.Fa
 	return checkSimulation(d.N(), side, func(schedules map[int][]Entry) (*TwoPartyTranscript, *dicongest.Result, error) {
 		return ExtractDigraphTranscript(d, side, func(local dicongest.Local) dicongest.Node {
 			if schedules != nil && !side[local.ID] {
-				return &replayStub{schedule: schedules[local.ID]}
+				return &replayStub{schedule: schedules[local.ID], neighbors: local.Neighbors}
 			}
 			return factory(local)
 		}, opts)

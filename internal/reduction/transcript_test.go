@@ -42,8 +42,8 @@ func floodFactory(budget int) congest.Factory {
 					return nil, true
 				}
 				out := make([]congest.Message, 0, len(local.Neighbors))
-				for _, nbr := range local.Neighbors {
-					out = append(out, congest.Message{To: nbr, Payload: best})
+				for port := range local.Neighbors {
+					out = append(out, congest.Message{Port: port, Payload: best})
 				}
 				return out, false
 			},
@@ -179,7 +179,7 @@ func TestVerifySimulationCatchesNondeterminism(t *testing.T) {
 				if local.ID == 1 && round == 0 {
 					// Alice's cut endpoint sends a different payload on
 					// every (re-)instantiation of the network.
-					return []congest.Message{{To: 2, Payload: stamp}}, round >= 1
+					return []congest.Message{{Port: 1, Payload: stamp}}, round >= 1 // to vertex 2
 				}
 				return nil, round >= 1
 			},
