@@ -76,7 +76,7 @@ func LubyMISFactory(seed int64, maxPhases int) congest.Factory {
 					// any Meter hook, and transcript replay needs it
 					// deterministic.
 					draw = rng.Int63n(int64(local.N)*int64(local.N) + 1)
-					var out []congest.Message
+					out := make([]congest.Message, 0, len(active))
 					for port, on := range active {
 						if on {
 							out = append(out, congest.Message{Port: port, Payload: draw})
@@ -101,7 +101,7 @@ func LubyMISFactory(seed int64, maxPhases int) congest.Factory {
 					// announce 2 in their final phase (handled at case 0 by
 					// termination, so here only joins are announced).
 					if state == stateInMIS {
-						var out []congest.Message
+						out := make([]congest.Message, 0, len(active))
 						for port, on := range active {
 							if on {
 								out = append(out, congest.Message{Port: port, Payload: 1})

@@ -12,18 +12,24 @@
 // One core, RunLinks, runs every simulation over a link topology in CSR
 // form (Links). Run is its undirected front end, handing it the graph's
 // frozen CSR snapshot; package dicongest is its directed front end, whose
-// links are the arcs read in either direction. The core is
-// allocation-free in steady state: it precomputes a routing index from
-// the links (per-channel slots for O(1) message validation, duplicate
-// detection and delivery) and double-buffers flat, CSR-offset inbox
-// arrays, so after setup no heap allocation happens per round. Inboxes
-// are delivered in neighbor-rank order (ascending sender id) by
-// construction — no sorting.
+// links are the arcs read in either direction.
+//
+// Messages are addressed by port: a port is an index into the node's own
+// Local.Neighbors, both for the receiver of a send and for the sender of
+// a received message. Vertex v's port p is the channel in slot
+// Offsets[v]+p, so a send is resolved and checked (range, one message
+// per port per round, bandwidth) in O(1) with no routing table. A
+// fault-free message is delivered the moment it is sent: it is appended
+// to the receiver's next inbox, a CSR window of a double-buffered flat
+// array, tagged with the receiver's port for the sender (precomputed per
+// channel at setup). Nodes run in id order, so every inbox arrives in
+// ascending port (sender id) order by construction — no sorting, no
+// scan. The core is allocation-free in steady state: after setup no heap
+// allocation happens per round.
 package congest
 
 import (
 	"fmt"
-	"slices"
 
 	"congesthard/internal/faults"
 	"congesthard/internal/graph"
@@ -48,7 +54,14 @@ type Incoming struct {
 // Local is the information a node knows at wakeup: its id, the network
 // size, its incident edges (neighbor ids and edge weights, index-aligned,
 // sorted by neighbor id), its own vertex weight, and optional
-// problem-specific input.
+// problem-specific input. The index of a neighbor in Neighbors is its
+// port: the address of a Message to it and the tag of an Incoming from
+// it.
+//
+// The slices are borrowed from the run's Arena (Options.Arena) and stay
+// valid until that arena's next run; without an arena they are fresh
+// memory. A node must not modify them, and a program that needs them
+// after its run must copy them.
 type Local struct {
 	ID           int
 	N            int
@@ -108,35 +121,38 @@ type Options struct {
 	// tracer keeps the run allocation-free.
 	Trace Tracer
 	// Arena, if non-nil, lends the run reusable setup scratch — link
-	// structure, routing index, inbox buffers, fault rings — so a caller
-	// looping over many runs (a certify sweep worker) amortizes the
-	// per-run setup allocations away. Results are bit-identical with or
-	// without an arena; an Arena must not be shared by concurrent runs.
+	// structure, Local views, receive ports, inbox buffers, fault rings —
+	// so a caller looping over many runs (a certify sweep worker)
+	// amortizes the per-run setup allocations away. Results are
+	// bit-identical with or without an arena; an Arena must not be shared
+	// by concurrent runs.
 	Arena *Arena
 }
 
 // Arena is reusable per-run scratch for either front end: every internal
 // buffer the simulator would otherwise allocate per run (a front end's
-// link structure, the dense routing table, receive-slot map, cut
-// classification, double-buffered inboxes, fault rings, node table) is
+// link structure and Local views, the receive ports, cut classification,
+// double-buffered inboxes and their counts, fault rings, node table) is
 // borrowed from the arena and grown on demand, so steady-state reuse
-// allocates only what escapes the run (Local views and Result outputs).
-// The zero value is ready to use. An arena is not safe for concurrent
-// use: give each goroutine its own.
+// allocates only the Result and what the node programs allocate. Each run
+// overwrites the previous run's buffers, Local views included. The zero
+// value is ready to use. An arena is not safe for concurrent use: give
+// each goroutine its own.
 type Arena struct {
 	linkOffsets []int32
 	linkNbr     []int32
+	localIDs    []int
+	localWts    []int64
 	nodes       []Node
-	recvAt      []int32
+	recvPort    []int32
 	slotDir     []Direction
 	crashAt     []int32
 	crashed     []bool
 	ringPayload []int64
 	ringStamp   []int32
-	payload     []int64
-	stamp       []int32
 	lastSent    []int32
 	inbox       []Incoming
+	inboxLen    []int32
 	done        []bool
 }
 
@@ -163,6 +179,17 @@ func (a *Arena) LinkBuffers(n, slots int) (offsets, nbr []int32) {
 		a.linkNbr = make([]int32, 0, slots)
 	}
 	return arenaSlice(&a.linkOffsets, n+1), a.linkNbr[:0]
+}
+
+// LocalBuffers lends a front end the arena's storage for a run's Local
+// views: ids ints for neighbor ids and weights int64s for arc or edge
+// weights, contents unspecified. A nil arena lends fresh memory. The
+// storage is the arena's until its next run (see Local).
+func (a *Arena) LocalBuffers(ids, weights int) ([]int, []int64) {
+	if a == nil {
+		return make([]int, ids), make([]int64, weights)
+	}
+	return arenaSlice(&a.localIDs, ids), arenaSlice(&a.localWts, weights)
 }
 
 // Metrics are the measured costs of a simulation.
@@ -202,26 +229,28 @@ func CheckBandwidth(bandwidth int) error {
 // Run simulates the factory's programs on g until every node terminates.
 // It is the undirected front end of RunLinks: the links are g's edges,
 // read straight from its frozen CSR snapshot, and each node's Local lists
-// its incident edges.
+// its incident edges in views carved from the arena.
 //
 //hardness:hotpath
 func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 	csr := g.Freeze()
 	offsets, _, nbr := csr.Layout() // a Freeze snapshot packs its windows: no ends
 	n := g.N()
+	ids, weights := opts.Arena.LocalBuffers(len(nbr), len(nbr))
 	return RunLinks(Links{Offsets: offsets, Nbr: nbr}, func(v int) Node {
 		nbrs, wts := csr.Window(v)
+		lo, hi := offsets[v], offsets[v+1]
 		local := Local{
 			ID:           v,
 			N:            n,
-			Neighbors:    make([]int, len(nbrs)),
-			EdgeWeights:  make([]int64, len(nbrs)),
+			Neighbors:    ids[lo:hi:hi],
+			EdgeWeights:  weights[lo:hi:hi],
 			VertexWeight: g.VertexWeight(v),
 		}
 		for i, to := range nbrs {
 			local.Neighbors[i] = int(to)
-			local.EdgeWeights[i] = wts[i]
 		}
+		copy(local.EdgeWeights, wts)
 		return factory(local)
 	}, opts)
 }
@@ -240,15 +269,6 @@ func (l *Links) n() int { return max(len(l.Offsets)-1, 0) }
 
 // window returns v's link neighbors.
 func (l *Links) window(v int) []int32 { return l.Nbr[l.Offsets[v]:l.Offsets[v+1]] }
-
-// slot returns the slot of the channel u -> v, or -1 when they are not
-// linked.
-func (l *Links) slot(u, v int) int32 {
-	if i, ok := slices.BinarySearch(l.window(u), int32(v)); ok {
-		return l.Offsets[u] + int32(i)
-	}
-	return -1
-}
 
 // RunLinks is the simulator core that Run and the directed front end
 // (package dicongest) share: it runs one node per vertex over links until
@@ -291,16 +311,29 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 		nodes[v] = build(v)
 	}
 
-	// For the channel v -> to stored at slot s in v's window, recvAt[s]
-	// is the slot of that message in to's inbox (the rank of v among to's
-	// sorted link neighbors).
-	recvAt := arenaSlice(&ar.recvAt, slots)
+	// For the channel v -> to stored at slot s in v's window, recvPort[s]
+	// is to's port for v (the rank of v in to's window). Visiting senders
+	// in id order finds them in each receiver's sorted window in turn, so
+	// a per-receiver cursor (the inbox counts, zeroed again below) ranks
+	// every channel in one pass; the check rejects links that are not
+	// listed at both endpoints.
+	recvPort := arenaSlice(&ar.recvPort, slots)
+	inboxLen := arenaSlice(&ar.inboxLen, 2*n)
+	curLen, nextLen := inboxLen[:n], inboxLen[n:]
+	clear(curLen)
 	for v := 0; v < n; v++ {
 		base := int(links.Offsets[v])
 		for i, to := range links.window(v) {
-			recvAt[base+i] = links.slot(int(to), v)
+			port := curLen[to]
+			if r := links.Offsets[to] + port; r >= links.Offsets[to+1] || links.Nbr[r] != int32(v) {
+				return nil, fmt.Errorf("links are not symmetric: vertex %d lists %d, whose sorted window does not list %d back", v, to, v)
+			}
+			recvPort[base+i] = port
+			curLen[to]++
 		}
 	}
+	clear(curLen)
+	clear(nextLen)
 	// slotDir classifies each channel relative to the bipartition:
 	// internal, Alice→Bob or Bob→Alice. Built only when a cut is supplied,
 	// so unmetered runs pay nothing. Every slot is written (the arena may
@@ -326,9 +359,9 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 
 	// Fault injection (opt-in, mirroring the Meter hook): the plan is
 	// compiled into a per-run injector during setup, and delivery runs
-	// through a per-slot ring of RingDepth cells instead of the two-buffer
-	// flip, so bounded delays land in future rounds. The fault-free path
-	// below is untouched.
+	// through a per-slot ring of RingDepth cells, so bounded delays land
+	// in future rounds; each round's inbox is gathered from the ring. The
+	// fault-free path below is untouched.
 	var inj *faults.Injector
 	var crashAt []int32
 	var crashed []bool
@@ -361,31 +394,19 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 		}
 	}
 
-	// Double-buffered flat inboxes: slot s of the current buffer holds the
-	// payload sent over the corresponding channel, stamped with the round
-	// it is to be delivered in (stale slots are simply never read — no
-	// per-round clearing, which also makes arena reuse across runs safe).
-	// inboxArena holds the compacted inbox slices handed to Round, one
-	// window per vertex, delivered in neighbor-rank (ascending sender id)
-	// order by construction. With faults on, the ring arrays above replace
-	// the double buffer.
-	var curPayload, nextPayload []int64
-	var curStamp, nextStamp []int32
-	if inj == nil {
-		payload := arenaSlice(&ar.payload, 2*slots)
-		curPayload, nextPayload = payload[:slots], payload[slots:]
-		stamp := arenaSlice(&ar.stamp, 2*slots)
-		curStamp, nextStamp = stamp[:slots], stamp[slots:]
-		for i := 0; i < slots; i++ {
-			curStamp[i] = -1
-			nextStamp[i] = -1
-		}
-	}
+	// Double-buffered flat inboxes: vertex v's inbox is the first
+	// curLen[v] entries of its window curIn[Offsets[v]:Offsets[v+1]]. A
+	// fault-free send appends to the receiver's window of nextIn; the
+	// buffers swap after each round and the next counts are zeroed. Every
+	// sender reaches a receiver over its own channel, at most once a
+	// round, so a window never overflows. With faults on, the ring above
+	// holds the messages and curIn only gathers each inbox.
+	inbox := arenaSlice(&ar.inbox, 2*slots)
+	curIn, nextIn := inbox[:slots], inbox[slots:]
 	lastSent := arenaSlice(&ar.lastSent, slots)
 	for i := 0; i < slots; i++ {
 		lastSent[i] = -1
 	}
-	inboxArena := arenaSlice(&ar.inbox, slots)
 
 	done := arenaSlice(&ar.done, n)
 	clear(done)
@@ -417,26 +438,19 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 				continue
 			}
 			base := int(links.Offsets[v])
-			window := links.window(v)
-			cnt := 0
-			if inj == nil {
-				for i := range window {
-					if curStamp[base+i] == int32(round) {
-						inboxArena[base+cnt] = Incoming{Port: i, Payload: curPayload[base+i]}
-						cnt++
-					}
-				}
-			} else {
+			degree := int(links.Offsets[v+1]) - base
+			cnt := int(curLen[v])
+			if inj != nil {
 				ri := round % ringD
-				for i := range window {
+				for i := 0; i < degree; i++ {
 					if cell := (base+i)*ringD + ri; ringStamp[cell] == int32(round) {
-						inboxArena[base+cnt] = Incoming{Port: i, Payload: ringPayload[cell]}
+						curIn[base+cnt] = Incoming{Port: i, Payload: ringPayload[cell]}
 						cnt++
 					}
 				}
 			}
 			trDelivered += cnt
-			outbox, finished := nodes[v].Round(round, inboxArena[base:base+cnt])
+			outbox, finished := nodes[v].Round(round, curIn[base:base+cnt:base+cnt])
 			if finished {
 				done[v] = true
 				trActive--
@@ -444,23 +458,23 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 				allDone = false
 			}
 			for _, msg := range outbox {
-				if uint(msg.Port) >= uint(len(window)) {
-					return nil, fmt.Errorf("round %d: node %d sent on port %d, outside its degree %d", round, v, msg.Port, len(window))
+				if uint(msg.Port) >= uint(degree) {
+					return nil, fmt.Errorf("round %d: node %d sent on port %d, outside its degree %d", round, v, msg.Port, degree)
 				}
 				s := base + msg.Port
 				if lastSent[s] == int32(round) {
-					return nil, fmt.Errorf("round %d: node %d sent two messages on port %d (degree %d)", round, v, msg.Port, len(window))
+					return nil, fmt.Errorf("round %d: node %d sent two messages on port %d (degree %d)", round, v, msg.Port, degree)
 				}
-				to := int(links.Nbr[s])
 				lastSent[s] = int32(round)
 				if msg.Payload < 0 || msg.Payload > maxPayload {
 					return nil, fmt.Errorf("round %d: node %d payload %d exceeds %d-bit bandwidth", round, v, msg.Payload, bandwidth)
 				}
+				to := links.Nbr[s]
 				if inj == nil {
-					nextPayload[recvAt[s]] = msg.Payload
-					nextStamp[recvAt[s]] = int32(round + 1)
-				} else if at, ok := inj.DeliverAt(round, v, to, int32(s)); ok {
-					cell := int(recvAt[s])*ringD + at%ringD
+					nextIn[links.Offsets[to]+nextLen[to]] = Incoming{Port: int(recvPort[s]), Payload: msg.Payload}
+					nextLen[to]++
+				} else if at, ok := inj.DeliverAt(round, v, int(to), int32(s)); ok {
+					cell := int(links.Offsets[to]+recvPort[s])*ringD + at%ringD
 					ringPayload[cell] = msg.Payload
 					ringStamp[cell] = int32(at)
 				} else {
@@ -474,7 +488,7 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 						metrics.CutBits += int64(bandwidth)
 					}
 					if opts.Meter != nil {
-						opts.Meter.Observe(round, v, to, msg.Payload, bandwidth, dir)
+						opts.Meter.Observe(round, v, int(to), msg.Payload, bandwidth, dir)
 					}
 				}
 			}
@@ -496,8 +510,9 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 			break
 		}
 		if inj == nil {
-			curPayload, nextPayload = nextPayload, curPayload
-			curStamp, nextStamp = nextStamp, curStamp
+			curIn, nextIn = nextIn, curIn
+			curLen, nextLen = nextLen, curLen
+			clear(nextLen)
 		}
 	}
 

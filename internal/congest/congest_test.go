@@ -202,6 +202,21 @@ func TestDuplicateMessageSameEdgeRejected(t *testing.T) {
 	wantPortError(t, err, 1, 0, 1, 1)
 }
 
+func TestRunLinksRejectsAsymmetricLinks(t *testing.T) {
+	quiet := func(int) Node {
+		return &FuncNode{RoundFunc: func(int, []Incoming) ([]Message, bool) { return nil, true }}
+	}
+	for _, links := range []Links{
+		{Offsets: []int32{0, 1, 1}, Nbr: []int32{1}},             // 1 does not list 0
+		{Offsets: []int32{0, 0, 1}, Nbr: []int32{0}},             // 0 does not list 1
+		{Offsets: []int32{0, 2, 3, 4}, Nbr: []int32{2, 1, 0, 0}}, // 0's window unsorted
+	} {
+		if _, err := RunLinks(links, quiet, Options{}); err == nil || !strings.Contains(err.Error(), "not symmetric") {
+			t.Errorf("links %+v: error %v, want a symmetry rejection", links, err)
+		}
+	}
+}
+
 func TestMaxRoundsGuard(t *testing.T) {
 	g := graph.Path(2)
 	factory := func(local Local) Node {

@@ -4,13 +4,13 @@ package congest
 // simulator hands one to Options.Trace after each round executes:
 //
 //   - Sent counts messages accepted from outboxes this round (after
-//     neighbor/duplicate/bandwidth validation — the same events
+//     port/duplicate/bandwidth validation — the same events
 //     Metrics.Messages accumulates);
-//   - Delivered counts messages handed to inboxes at the start of this
-//     round (sends from earlier rounds whose delivery stamp came due);
+//   - Delivered counts messages handed to running nodes' inboxes at the
+//     start of this round (sends from earlier rounds that came due);
 //   - Dropped counts messages the fault injector discarded this round
 //     (always 0 with Options.Faults == nil — messages addressed to
-//     terminated nodes are not counted here, they are never enqueued);
+//     terminated nodes are not counted here, they are never delivered);
 //   - Active counts nodes still running after the round (neither
 //     terminated nor crashed).
 //

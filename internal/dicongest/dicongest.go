@@ -12,9 +12,9 @@
 // (congest.RunLinks): it merges the digraph's out-adjacency snapshot with
 // its in-adjacency into sorted link windows and hands the core a directed
 // Local per vertex. Everything else — message, node and result types,
-// options, arena, routing, faults, metering and tracing — is congest's,
-// and a run is bit-identical to congest.Run on d.Underlying() for any
-// program that reads only its link neighbors.
+// options, arena, port addressing, faults, metering and tracing — is
+// congest's, and a run is bit-identical to congest.Run on d.Underlying()
+// for any program that reads only its link neighbors.
 //
 // Cut metering classifies each link against the bipartition: the crossing
 // links are exactly the arc cut E_cut (antiparallel cut arcs share one
@@ -24,7 +24,6 @@ package dicongest
 
 import (
 	"slices"
-	"sort"
 
 	"congesthard/internal/congest"
 	"congesthard/internal/graph"
@@ -46,9 +45,12 @@ type (
 
 // Local is the information a node knows at wakeup: its id, the network
 // size, its link neighbors (the union of out- and in-neighbors, sorted by
-// id — the vertices it can exchange messages with), its out-arcs and
-// in-arcs with their weights (index-aligned, sorted by the other
-// endpoint's id), its own vertex weight, and optional problem input.
+// id — the vertices it can exchange messages with; a neighbor's index
+// here is its port, as in congest.Local), its out-arcs and in-arcs with
+// their weights (index-aligned, sorted by the other endpoint's id), its
+// own vertex weight, and optional problem input. The slices are borrowed
+// from the run's arena with congest.Local's lifetime: valid until that
+// arena's next run, not to be modified.
 type Local struct {
 	ID           int
 	N            int
@@ -86,56 +88,47 @@ func buildChannels(d *graph.Digraph, out *graph.CSR, ar *Arena) congest.Links {
 	return congest.Links{Offsets: offsets, Nbr: nbr}
 }
 
-// sortedArcs renders one adjacency list as parallel (ids, weights) slices
-// sorted by the other endpoint's id.
-func sortedArcs(nbrs []graph.Half) ([]int, []int64) {
-	ids := make([]int, len(nbrs))
-	wts := make([]int64, len(nbrs))
-	for i, h := range nbrs {
-		ids[i] = h.To
-		wts[i] = h.Weight
-	}
-	sort.Sort(&arcPairs{ids: ids, wts: wts})
-	return ids, wts
-}
-
-type arcPairs struct {
-	ids []int
-	wts []int64
-}
-
-func (a *arcPairs) Len() int           { return len(a.ids) }
-func (a *arcPairs) Less(i, j int) bool { return a.ids[i] < a.ids[j] }
-func (a *arcPairs) Swap(i, j int) {
-	a.ids[i], a.ids[j] = a.ids[j], a.ids[i]
-	a.wts[i], a.wts[j] = a.wts[j], a.wts[i]
-}
-
 // Run simulates the factory's programs on d until every node terminates:
-// congest's core over d's links, read in either direction.
+// congest's core over d's links, read in either direction. Each node's
+// Local views are carved in id order from the arena (see congest.Local
+// for their lifetime); the in-arcs are the link neighbors that have an
+// arc to the vertex, so they come out sorted without a sort.
 func Run(d *graph.Digraph, factory Factory, opts Options) (*Result, error) {
-	n := d.N()
+	n, m := d.N(), d.M()
 	out := d.FreezePatchable()
 	links := buildChannels(d, out, opts.Arena)
+	ids, weights := opts.Arena.LocalBuffers(len(links.Nbr)+2*m, 2*m)
 	return congest.RunLinks(links, func(v int) Node {
 		window := links.Nbr[links.Offsets[v]:links.Offsets[v+1]]
 		onbrs, owts := out.Window(v)
 		local := Local{
 			ID:           v,
 			N:            n,
-			Neighbors:    make([]int, len(window)),
-			OutNeighbors: make([]int, len(onbrs)),
-			OutWeights:   make([]int64, len(onbrs)),
+			Neighbors:    carve(&ids, len(window)),
+			OutNeighbors: carve(&ids, len(onbrs)),
+			OutWeights:   carve(&weights, len(onbrs)),
+			InNeighbors:  carve(&ids, d.InDegree(v))[:0],
+			InWeights:    carve(&weights, d.InDegree(v))[:0],
 			VertexWeight: d.VertexWeight(v),
 		}
 		for i, to := range window {
 			local.Neighbors[i] = int(to)
+			if w, ok := out.EdgeWeight(int(to), v); ok {
+				local.InNeighbors = append(local.InNeighbors, int(to))
+				local.InWeights = append(local.InWeights, w)
+			}
 		}
 		for i, to := range onbrs {
 			local.OutNeighbors[i] = int(to)
-			local.OutWeights[i] = owts[i]
 		}
-		local.InNeighbors, local.InWeights = sortedArcs(d.InNeighbors(v))
+		copy(local.OutWeights, owts)
 		return factory(local)
 	}, opts)
+}
+
+// carve cuts the next k elements off the front of *buf, capped at k.
+func carve[T any](buf *[]T, k int) []T {
+	s := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return s
 }

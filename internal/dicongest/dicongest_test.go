@@ -2,6 +2,8 @@ package dicongest
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,6 +160,58 @@ func TestLocalDirectedInfo(t *testing.T) {
 	for i := range wantLinks {
 		if got.Neighbors[i] != wantLinks[i] {
 			t.Errorf("link neighbors %v, want %v", got.Neighbors, wantLinks)
+		}
+	}
+}
+
+// TestLocalViewsFromArena checks every node's Local against the digraph
+// on random weighted digraphs whose arcs are added in random order (so
+// adjacency lists are unsorted), alternating a shared arena with none:
+// each arena run carves its views from storage an earlier run used.
+func TestLocalViewsFromArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	arena := &Arena{}
+	sorted := func(hs []graph.Half) ([]int, []int64) {
+		hs = slices.Clone(hs)
+		slices.SortFunc(hs, func(a, b graph.Half) int { return a.To - b.To })
+		ids, wts := []int{}, []int64{}
+		for _, h := range hs {
+			ids, wts = append(ids, h.To), append(wts, h.Weight)
+		}
+		return ids, wts
+	}
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(12)
+		d := graph.NewDigraph(n)
+		for _, p := range rng.Perm(n * n) {
+			if u, v := p/n, p%n; u != v && rng.Intn(3) == 0 {
+				d.MustAddWeightedArc(u, v, rng.Int63n(5))
+			}
+		}
+		factory := func(local Local) Node {
+			v := local.ID
+			outIDs, outWts := sorted(d.OutNeighbors(v))
+			inIDs, inWts := sorted(d.InNeighbors(v))
+			links := slices.Clone(outIDs)
+			for _, u := range inIDs {
+				if !slices.Contains(outIDs, u) {
+					links = append(links, u)
+				}
+			}
+			slices.Sort(links)
+			if !slices.Equal(local.OutNeighbors, outIDs) || !slices.Equal(local.OutWeights, outWts) ||
+				!slices.Equal(local.InNeighbors, inIDs) || !slices.Equal(local.InWeights, inWts) ||
+				!slices.Equal(local.Neighbors, links) || local.N != n || local.VertexWeight != d.VertexWeight(v) {
+				t.Errorf("trial %d vertex %d: local %+v, want out %v %v, in %v %v, links %v", trial, v, local, outIDs, outWts, inIDs, inWts, links)
+			}
+			return &FuncNode{RoundFunc: func(int, []Incoming) ([]Message, bool) { return nil, true }}
+		}
+		opts := Options{}
+		if trial%2 == 0 {
+			opts.Arena = arena
+		}
+		if _, err := Run(d, factory, opts); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -12,16 +12,18 @@ import (
 
 // The collect algorithms run each pair on a pooled workspace: a warm
 // pair allocates no collect node state, and its root rebuilds into the
-// workspace's graph and decides on the workspace's own oracle. What is
-// left of a certified pair with a reused arena is mostly the simulator's
-// per-node Local views and, on hamlb, its sorted arc index. These pins
-// sit about 25% above the measured counts; a slab allocated per factory,
-// a rebuild at every non-root or a fresh reconstruction graph per root
-// multiplies them.
+// workspace's graph and decides on the workspace's own oracle. With a
+// reused arena the simulator carves every node's Local views from the
+// arena too, so what is left of a certified pair is a handful of
+// per-pair objects (the factory and its slab header, the decide closure,
+// the Result, its outputs slice and the root's boxed output). These pins
+// sit about 25% above the measured counts; a Local copied per node, a
+// slab allocated per factory, a rebuild at every non-root or a fresh
+// reconstruction graph per root multiplies them.
 
 const (
-	mdsCollectPairAllocs   = 60  // measured 47
-	hamlbCollectPairAllocs = 320 // measured 255
+	mdsCollectPairAllocs   = 9 // measured 7
+	hamlbCollectPairAllocs = 9 // measured 7
 )
 
 func TestCollectMDSPairAllocations(t *testing.T) {

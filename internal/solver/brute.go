@@ -1,8 +1,10 @@
 package solver
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"congesthard/internal/graph"
 )
@@ -165,40 +167,66 @@ func BruteHamiltonianPath(g *graph.Graph) (bool, error) {
 // BruteSteinerTree returns the minimum Steiner tree weight by enumerating
 // subsets of non-terminals as Steiner points and taking a minimum spanning
 // tree over each candidate vertex set (limited to 16 non-terminals). Exact
-// because some optimal Steiner tree is a spanning tree of its vertex set...
+// because some optimal Steiner tree is a spanning tree of its vertex set,
 // specifically an MST of the induced subgraph on terminals plus the chosen
 // Steiner points, when the induced subgraph is connected.
+//
+// Each candidate set is a bitmask over the vertices: a flood over
+// adjacency masks tests that it is connected, and only a connected set
+// runs Kruskal over the weight-sorted edge list.
 func BruteSteinerTree(g *graph.Graph, terminals []int) (int64, error) {
 	n := g.N()
-	isTerminal := make([]bool, n)
+	words := (n + 63) / 64
+	base := make([]uint64, words) // the terminal set
 	for _, v := range terminals {
-		isTerminal[v] = true
+		base[v/64] |= 1 << (v % 64)
 	}
 	var others []int
 	for v := 0; v < n; v++ {
-		if !isTerminal[v] {
+		if base[v/64]>>(v%64)&1 == 0 {
 			others = append(others, v)
 		}
 	}
 	if len(others) > 16 {
 		return 0, fmt.Errorf("brute steiner limited to 16 non-terminals, got %d", len(others))
 	}
-	best := int64(-1)
-	include := make([]bool, n)
-	for mask := 0; mask < 1<<uint(len(others)); mask++ {
-		for v := 0; v < n; v++ {
-			include[v] = isTerminal[v]
+	adj := make([]uint64, n*words) // row v: v's neighbor set
+	for v := 0; v < n; v++ {
+		for _, h := range g.Neighbors(v) {
+			adj[v*words+h.To/64] |= 1 << (h.To % 64)
 		}
+	}
+	edges := g.Edges()
+	slices.SortStableFunc(edges, func(a, b graph.Edge) int { return cmp.Compare(a.Weight, b.Weight) })
+	set := make([]uint64, words)
+	reach := make([]uint64, words)
+	todo := make([]uint64, words)
+	parent := make([]int, n)
+	best := int64(-1)
+	for mask := 0; mask < 1<<uint(len(others)); mask++ {
+		copy(set, base)
 		for i, v := range others {
 			if mask>>uint(i)&1 == 1 {
-				include[v] = true
+				set[v/64] |= 1 << (v % 64)
 			}
 		}
-		sub, _ := g.InducedSubgraph(func(v int) bool { return include[v] })
-		if sub.N() == 0 || !sub.IsConnected() {
+		if !floodsAll(set, reach, todo, adj, words) {
 			continue
 		}
-		w := mstWeight(sub)
+		for v := range parent {
+			parent[v] = v
+		}
+		var w int64
+		for _, e := range edges {
+			if (set[e.U/64]>>(e.U%64))&(set[e.V/64]>>(e.V%64))&1 == 0 {
+				continue
+			}
+			ru, rv := rootOf(parent, e.U), rootOf(parent, e.V)
+			if ru != rv {
+				parent[ru] = rv
+				w += e.Weight
+			}
+		}
 		if best < 0 || w < best {
 			best = w
 		}
@@ -209,22 +237,46 @@ func BruteSteinerTree(g *graph.Graph, terminals []int) (int64, error) {
 	return best, nil
 }
 
-func mstWeight(g *graph.Graph) int64 {
-	edges := g.Edges()
-	// Sort by weight (insertion sort; tiny inputs only).
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0 && edges[j].Weight < edges[j-1].Weight; j-- {
-			edges[j], edges[j-1] = edges[j-1], edges[j]
+// floodsAll reports whether the vertex set is non-empty and connected in
+// the graph whose neighbor sets are the rows of adj: it floods reach from
+// the set's lowest vertex within the set, expanding each reached vertex
+// once (todo holds the reached vertices not yet expanded).
+func floodsAll(set, reach, todo, adj []uint64, words int) bool {
+	clear(reach)
+	for i, w := range set {
+		if w != 0 {
+			reach[i] = w & -w
+			break
 		}
 	}
-	uf := newUnionFind(g.N())
-	var total int64
-	for _, e := range edges {
-		if uf.union(e.U, e.V) {
-			total += e.Weight
+	copy(todo, reach)
+	for i := 0; i < words; {
+		if todo[i] == 0 {
+			i++
+			continue
+		}
+		v := i*64 + bits.TrailingZeros64(todo[i])
+		todo[i] &= todo[i] - 1
+		row := adj[v*words : (v+1)*words]
+		for j, nbrs := range row {
+			add := nbrs & set[j] &^ reach[j]
+			reach[j] |= add
+			todo[j] |= add
+			if add != 0 && j < i {
+				i = j
+			}
 		}
 	}
-	return total
+	return slices.Equal(reach, set) && slices.ContainsFunc(set, func(w uint64) bool { return w != 0 })
+}
+
+// rootOf returns v's union-find representative, halving the path.
+func rootOf(parent []int, v int) int {
+	for parent[v] != v {
+		parent[v] = parent[parent[v]]
+		v = parent[v]
+	}
+	return v
 }
 
 // BruteDirectedHamiltonianPath reports whether d has a directed
