@@ -61,7 +61,10 @@ type Incoming struct {
 // The slices are borrowed from the run's Arena (Options.Arena) and stay
 // valid until that arena's next run; without an arena they are fresh
 // memory. A node must not modify them, and a program that needs them
-// after its run must copy them.
+// after its run must copy them. Run fills them from the graph's Freeze
+// snapshot, which is valid only until the graph's next mutation: the
+// graph must not be mutated during a run, but the views, being the
+// arena's, outlive a later mutation.
 type Local struct {
 	ID           int
 	N            int
@@ -228,15 +231,21 @@ func CheckBandwidth(bandwidth int) error {
 
 // Run simulates the factory's programs on g until every node terminates.
 // It is the undirected front end of RunLinks: the links are g's edges,
-// read straight from its frozen CSR snapshot, and each node's Local lists
-// its incident edges in views carved from the arena.
+// copied from the windows of its Freeze snapshot into the arena's link
+// storage, and each node's Local lists its incident edges in views
+// carved from the arena.
 //
 //hardness:hotpath
 func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 	csr := g.Freeze()
-	offsets, _, nbr := csr.Layout() // a Freeze snapshot packs its windows: no ends
-	n := g.N()
-	ids, weights := opts.Arena.LocalBuffers(len(nbr), len(nbr))
+	n, slots := g.N(), 2*g.M()
+	offsets, nbr := opts.Arena.LinkBuffers(n, slots)
+	nbr, offsets[0] = nbr[:slots], 0
+	for v := 0; v < n; v++ {
+		window, _ := csr.Window(v)
+		offsets[v+1] = offsets[v] + int32(copy(nbr[offsets[v]:], window))
+	}
+	ids, weights := opts.Arena.LocalBuffers(slots, slots)
 	return RunLinks(Links{Offsets: offsets, Nbr: nbr}, func(v int) Node {
 		nbrs, wts := csr.Window(v)
 		lo, hi := offsets[v], offsets[v+1]

@@ -95,7 +95,7 @@ func buildChannels(d *graph.Digraph, out *graph.CSR, ar *Arena) congest.Links {
 // arc to the vertex, so they come out sorted without a sort.
 func Run(d *graph.Digraph, factory Factory, opts Options) (*Result, error) {
 	n, m := d.N(), d.M()
-	out := d.FreezePatchable()
+	out := d.Freeze()
 	links := buildChannels(d, out, opts.Arena)
 	ids, weights := opts.Arena.LocalBuffers(len(links.Nbr)+2*m, 2*m)
 	return congest.RunLinks(links, func(v int) Node {

@@ -694,7 +694,7 @@ func TestEmptyDigraph(t *testing.T) {
 
 func TestDeltaWalkKeepsRoutingCurrent(t *testing.T) {
 	// The certify engine toggles arcs between runs on one mutable digraph;
-	// each Run must route over the current arc set (the patchable snapshot
+	// each Run must route over the current arc set (the Freeze snapshot
 	// is spliced in place by ToggleArc).
 	d := dirPath(3)
 	if _, err := d.ToggleArc(0, 2, 1); err != nil {

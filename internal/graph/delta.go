@@ -66,10 +66,9 @@ func (g *Graph) record(u, v int, w int64, add bool) {
 
 // ToggleEdge adds the edge {u, v} with weight w if it is absent and removes
 // it (ignoring w) if it is present, reporting whether the edge is present
-// after the call. This is the verifier's delta primitive: unlike
-// AddEdge/SetEdgeWeight it keeps a patchable Freeze snapshot (see
-// FreezePatchable) valid by splicing the affected CSR windows in place,
-// O(deg) per endpoint, instead of discarding the snapshot.
+// after the call. This is the verifier's delta primitive: unlike AddEdge
+// it keeps the Freeze snapshot valid by splicing the affected CSR windows
+// in place, O(deg) per endpoint, instead of discarding the snapshot.
 //
 //hardness:hotpath
 func (g *Graph) ToggleEdge(u, v int, w int64) (added bool, err error) {
@@ -86,29 +85,21 @@ func (g *Graph) ToggleEdge(u, v int, w int64) (added bool, err error) {
 		oldW := g.adj[u][i].Weight
 		g.removeHalf(u, i)
 		g.removeHalf(v, halfIndex(g.adj[v], u))
-		g.csr.Store(nil)
-		if g.patched != nil {
-			g.patched.spliceRemove(u, v)
-			g.patched.spliceRemove(v, u)
-			g.patched.edgesStale = true
+		if c := g.csr.Load(); c != nil {
+			c.spliceRemove(u, v)
+			c.spliceRemove(v, u)
 		}
 		g.record(u, v, oldW, false)
 		return false, nil
 	}
 	g.adj[u] = append(g.adj[u], Half{To: v, Weight: w})
 	g.adj[v] = append(g.adj[v], Half{To: u, Weight: w})
-	g.csr.Store(nil)
-	if g.patched != nil {
-		if !g.patched.spliceInsert(u, v, w) || !g.patched.spliceInsert(v, u, w) {
-			// A window ran out of slack: rebuild the patchable snapshot with
-			// doubled slack. Amortized O(1) per toggle — the verifier's walks
-			// revisit the same bounded degree range, so rebuilds stop once the
-			// peak degree has been seen.
-			g.patchSlack *= 2
-			g.patched = buildCSRSlack(g, g.patchSlack)
-		} else {
-			g.patched.edgesStale = true
-		}
+	if c := g.csr.Load(); c != nil && (!c.spliceInsert(u, v, w) || !c.spliceInsert(v, u, w)) {
+		// A window ran out of slack: rebuild the snapshot with doubled
+		// slack. Amortized O(1) per toggle — the delta walks revisit the
+		// same bounded degree range, so rebuilds stop once the peak degree
+		// has been seen.
+		g.csr.Store(newCSR(g.adj, 2*c.slack))
 	}
 	g.record(u, v, w, true)
 	return true, nil
@@ -127,20 +118,4 @@ func halfIndex(nbrs []Half, v int) int {
 // removeHalf deletes entry i of u's adjacency list, preserving order.
 func (g *Graph) removeHalf(u, i int) {
 	g.adj[u] = removeHalfAt(g.adj[u], i)
-}
-
-// FreezePatchable returns a worker-private snapshot that ToggleEdge and
-// SetEdgeWeight keep valid by splicing windows in place, so steady-state
-// delta workloads never re-freeze. Windows carry slack capacity; an insert
-// overflowing its window triggers a one-off rebuild with doubled slack.
-// Unlike Freeze snapshots it is not safe for concurrent use, and mutators
-// other than ToggleEdge/SetEdgeWeight drop it.
-func (g *Graph) FreezePatchable() *CSR {
-	if g.patched == nil {
-		if g.patchSlack == 0 {
-			g.patchSlack = 4
-		}
-		g.patched = buildCSRSlack(g, g.patchSlack)
-	}
-	return g.patched
 }

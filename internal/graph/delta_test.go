@@ -2,12 +2,35 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
-// randomToggleSequence drives ToggleEdge with random edge toggles and weight
-// updates and cross-checks the patchable snapshot against a freshly built
-// dense snapshot after every step.
+// sameAsFresh fails unless c, the snapshot a graph kept through its
+// mutations, equals a fresh build of adj window for window.
+func sameAsFresh(t *testing.T, step int, c *CSR, adj [][]Half) {
+	t.Helper()
+	if c == nil {
+		t.Fatalf("step %d: the mutation dropped the snapshot", step)
+	}
+	fresh := newCSR(adj, initialSlack)
+	if c.N() != fresh.N() {
+		t.Fatalf("step %d: snapshot has %d vertices, want %d", step, c.N(), fresh.N())
+	}
+	for a := range fresh.N() {
+		nbr, wt := c.Window(a)
+		fnbr, fwt := fresh.Window(a)
+		if !slices.Equal(nbr, fnbr) || !slices.Equal(wt, fwt) {
+			t.Fatalf("step %d: window(%d) = %v %v, want %v %v", step, a, nbr, wt, fnbr, fwt)
+		}
+	}
+}
+
+// TestToggleEdgePatchesSnapshotInPlace drives ToggleEdge and
+// SetEdgeWeight with random toggles and reweights and checks the spliced
+// Freeze snapshot, and the edge list read off it, against fresh builds
+// after every step.
 func TestToggleEdgePatchesSnapshotInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 12
@@ -20,7 +43,7 @@ func TestToggleEdgePatchesSnapshotInPlace(t *testing.T) {
 			}
 		}
 	}
-	patched := g.FreezePatchable()
+	first := g.Freeze()
 	for step := 0; step < 500; step++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v {
@@ -33,32 +56,13 @@ func TestToggleEdgePatchesSnapshotInPlace(t *testing.T) {
 		} else if _, err := g.ToggleEdge(u, v, int64(rng.Intn(5)+1)); err != nil {
 			t.Fatal(err)
 		}
-		if g.patched == nil {
-			t.Fatal("patchable snapshot dropped by ToggleEdge")
+		sameAsFresh(t, step, g.csr.Load(), g.adj) // overflow may have rebuilt it
+		if got, want := g.Edges(), g.Clone().Edges(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: snapshot edges %v, want %v", step, got, want)
 		}
-		patched = g.patched // overflow may have rebuilt it
-		fresh := buildCSR(g)
-		for a := 0; a < n; a++ {
-			if patched.Degree(a) != fresh.Degree(a) {
-				t.Fatalf("step %d: degree(%d) = %d, want %d", step, a, patched.Degree(a), fresh.Degree(a))
-			}
-			nbr, wt := patched.Window(a)
-			fnbr, fwt := fresh.Window(a)
-			for i := range fnbr {
-				if nbr[i] != fnbr[i] || wt[i] != fwt[i] {
-					t.Fatalf("step %d: window(%d) diverged", step, a)
-				}
-			}
-		}
-		pe, fe := patched.Edges(), fresh.Edges()
-		if len(pe) != len(fe) {
-			t.Fatalf("step %d: %d edges, want %d", step, len(pe), len(fe))
-		}
-		for i := range fe {
-			if pe[i] != fe[i] {
-				t.Fatalf("step %d: edge %d = %+v, want %+v", step, i, pe[i], fe[i])
-			}
-		}
+	}
+	if g.Freeze() == first {
+		t.Fatal("no toggle overflowed a window: the rebuild path went untested")
 	}
 }
 
@@ -151,7 +155,7 @@ func TestToggleEdgeSteadyStateDoesNotAllocate(t *testing.T) {
 	for v := 1; v < 8; v++ {
 		g.MustAddEdge(0, v)
 	}
-	g.FreezePatchable()
+	g.Freeze()
 	g.StartJournal()
 	// Warm up: reach peak degree so window slack is settled, and let the
 	// journal backing array grow.
@@ -211,5 +215,83 @@ func TestVertexWeightJournal(t *testing.T) {
 	g.ClearJournal()
 	if len(g.VertexJournal()) != 0 {
 		t.Fatal("ClearJournal kept vertex entries")
+	}
+}
+
+// TestConcurrentSnapshotReaders runs concurrent readers (Freeze and every
+// query the snapshot answers) on a graph and a digraph whose snapshots
+// were spliced by a toggle sequence, and on unfrozen clones whose first
+// Freeze the readers race to build. Run it under -race: a reader that
+// wrote to the shared snapshot, or a Freeze that published it unsafely,
+// shows up there.
+func TestConcurrentSnapshotReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n, readers = 10, 4
+	g, d := New(n), NewDigraph(n)
+	g.Freeze()
+	d.Freeze()
+	for step := 0; step < 200; step++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v {
+			continue
+		}
+		w := int64(rng.Intn(5) + 1)
+		if _, err := g.ToggleEdge(u, v, w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ToggleArc(u, v, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantEdges, wantArcs := g.Clone().Edges(), d.Clone().Arcs()
+	for _, fresh := range []bool{false, true} {
+		g, d := g, d
+		if fresh {
+			g, d = g.Clone(), d.Clone()
+		}
+		errs := make(chan string, 2*readers)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				c := g.Freeze()
+				for u := range n {
+					nbr, wt := c.Window(u)
+					for i, v := range nbr {
+						if got, ok := g.EdgeWeight(u, int(v)); !ok || got != wt[i] || !g.HasEdge(int(v), u) {
+							errs <- "graph window disagrees with EdgeWeight/HasEdge"
+							return
+						}
+					}
+				}
+				if !slices.Equal(g.Edges(), wantEdges) {
+					errs <- "graph Edges disagrees with its adjacency"
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				c := d.Freeze()
+				arcs := 0
+				for u := range n {
+					nbr, wt := c.Window(u)
+					for i, v := range nbr {
+						if got, ok := d.ArcWeight(u, int(v)); !ok || got != wt[i] || !d.HasArc(u, int(v)) {
+							errs <- "digraph window disagrees with ArcWeight/HasArc"
+							return
+						}
+					}
+					arcs += len(nbr)
+				}
+				if arcs != len(wantArcs) || !slices.Equal(d.Arcs(), wantArcs) {
+					errs <- "digraph snapshot disagrees with its arcs"
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Errorf("fresh=%v: %s", fresh, e)
+		}
 	}
 }

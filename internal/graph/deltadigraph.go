@@ -43,9 +43,8 @@ func (d *Digraph) record(u, v int, w int64, add bool) {
 // ToggleArc adds the arc (u, v) with weight w if it is absent and removes
 // it (ignoring w) if it is present, reporting whether the arc is present
 // after the call. This is the directed verifier's delta primitive: unlike
-// AddArc it keeps a patchable Freeze snapshot (see FreezePatchable) valid
-// by splicing the affected out-window in place, O(outdeg), instead of
-// discarding the snapshot.
+// AddArc it keeps the Freeze snapshot valid by splicing the affected
+// out-window in place, O(outdeg), instead of discarding the snapshot.
 //
 //hardness:hotpath
 func (d *Digraph) ToggleArc(u, v int, w int64) (added bool, err error) {
@@ -62,24 +61,18 @@ func (d *Digraph) ToggleArc(u, v int, w int64) (added bool, err error) {
 		oldW := d.out[u][i].Weight
 		d.out[u] = removeHalfAt(d.out[u], i)
 		d.in[v] = removeHalfAt(d.in[v], halfIndex(d.in[v], u))
-		if d.patched != nil {
-			d.patched.spliceRemove(u, v)
-			d.patched.edgesStale = true
+		if c := d.csr.Load(); c != nil {
+			c.spliceRemove(u, v)
 		}
 		d.record(u, v, oldW, false)
 		return false, nil
 	}
 	d.out[u] = append(d.out[u], Half{To: v, Weight: w})
 	d.in[v] = append(d.in[v], Half{To: u, Weight: w})
-	if d.patched != nil {
-		if !d.patched.spliceInsert(u, v, w) {
-			// The out-window ran out of slack: rebuild the patchable
-			// snapshot with doubled slack, amortized O(1) per toggle.
-			d.patchSlack *= 2
-			d.patched = buildDirCSRSlack(d, d.patchSlack)
-		} else {
-			d.patched.edgesStale = true
-		}
+	if c := d.csr.Load(); c != nil && !c.spliceInsert(u, v, w) {
+		// The out-window ran out of slack: rebuild the snapshot with
+		// doubled slack, amortized O(1) per toggle.
+		d.csr.Store(newCSR(d.out, 2*c.slack))
 	}
 	d.record(u, v, w, true)
 	return true, nil
@@ -89,21 +82,4 @@ func (d *Digraph) ToggleArc(u, v int, w int64) (added bool, err error) {
 func removeHalfAt(nbrs []Half, i int) []Half {
 	copy(nbrs[i:], nbrs[i+1:])
 	return nbrs[:len(nbrs)-1]
-}
-
-// FreezePatchable returns a worker-private out-adjacency snapshot that
-// ToggleArc keeps valid by splicing windows in place, so steady-state
-// delta workloads never re-freeze; while it is live, HasArc/ArcWeight are
-// O(log outdeg) binary searches. Windows carry slack capacity; an insert
-// overflowing its window triggers a one-off rebuild with doubled slack.
-// The snapshot's Edges() renders arcs as Edge{U: From, V: To}. It is not
-// safe for concurrent use, and mutators other than ToggleArc drop it.
-func (d *Digraph) FreezePatchable() *CSR {
-	if d.patched == nil {
-		if d.patchSlack == 0 {
-			d.patchSlack = 4
-		}
-		d.patched = buildDirCSRSlack(d, d.patchSlack)
-	}
-	return d.patched
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -43,14 +44,14 @@ func TestToggleArcPatchesSnapshotInPlace(t *testing.T) {
 	d.MustAddArc(0, 1)
 	d.MustAddArc(1, 2)
 	d.MustAddArc(2, 0)
-	c := d.FreezePatchable()
-	if d.FreezePatchable() != c {
-		t.Fatal("FreezePatchable rebuilt an existing snapshot")
+	c := d.Freeze()
+	if d.Freeze() != c {
+		t.Fatal("Freeze rebuilt an existing snapshot")
 	}
 	if _, err := d.ToggleArc(0, 3, 2); err != nil {
 		t.Fatal(err)
 	}
-	if d.FreezePatchable() != c {
+	if d.Freeze() != c {
 		t.Fatal("in-slack toggle replaced the snapshot")
 	}
 	if !d.HasArc(0, 3) {
@@ -65,22 +66,26 @@ func TestToggleArcPatchesSnapshotInPlace(t *testing.T) {
 	if d.HasArc(0, 3) {
 		t.Fatal("snapshot kept removed arc")
 	}
-	// Overflow a window past its slack: the snapshot must rebuild and stay
-	// correct.
-	for v := 1; v < 5; v++ {
-		if d.HasArc(0, v) {
+	// Random toggles on a larger digraph, enough to overflow windows past
+	// their slack: the snapshot must rebuild where it overflows and equal
+	// a fresh build after every toggle.
+	rng := rand.New(rand.NewSource(3))
+	d = NewDigraph(12)
+	first := d.Freeze()
+	for step := 0; step < 300; step++ {
+		u, v := rng.Intn(12), rng.Intn(12)
+		if u == v {
 			continue
 		}
-		if _, err := d.ToggleArc(0, v, 1); err != nil {
+		if _, err := d.ToggleArc(u, v, int64(rng.Intn(4)+1)); err != nil {
 			t.Fatal(err)
 		}
+		sameAsFresh(t, step, d.csr.Load(), d.out)
 	}
-	for v := 1; v < 5; v++ {
-		if !d.HasArc(0, v) {
-			t.Fatalf("arc (0,%d) missing after splices", v)
-		}
+	if d.Freeze() == first {
+		t.Fatal("no toggle overflowed a window: the rebuild path went untested")
 	}
-	// Arcs() stays canonical while patched.
+	// Arcs() stays canonical while frozen.
 	arcs := d.Arcs()
 	for i := 1; i < len(arcs); i++ {
 		if arcs[i-1].From > arcs[i].From ||
@@ -91,10 +96,13 @@ func TestToggleArcPatchesSnapshotInPlace(t *testing.T) {
 	// Mutators other than ToggleArc drop the snapshot.
 	d2 := NewDigraph(3)
 	d2.MustAddArc(0, 1)
-	d2.FreezePatchable()
+	d2.Freeze()
 	d2.MustAddArc(1, 2)
+	if d2.csr.Load() != nil {
+		t.Fatal("AddArc kept the snapshot")
+	}
 	if !d2.HasArc(1, 2) || !d2.HasArc(0, 1) {
-		t.Fatal("AddArc after FreezePatchable lost arcs")
+		t.Fatal("AddArc after Freeze lost arcs")
 	}
 }
 
@@ -172,7 +180,7 @@ func TestToggleArcSteadyStateDoesNotAllocate(t *testing.T) {
 	for v := 0; v < 15; v++ {
 		d.MustAddArc(v, v+1)
 	}
-	d.FreezePatchable()
+	d.Freeze()
 	d.StartJournal()
 	// Warm up slice capacities (journal, adjacency high-water marks).
 	for i := 0; i < 4; i++ {
@@ -201,7 +209,7 @@ func TestToggleArcSteadyStateDoesNotAllocate(t *testing.T) {
 func TestPatchableSnapshotPanicPaths(t *testing.T) {
 	g := New(4)
 	g.MustAddEdge(0, 1)
-	c := g.FreezePatchable()
+	c := g.Freeze()
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Arc is a directed edge with its weight.
@@ -20,10 +21,9 @@ type Digraph struct {
 	in  [][]Half
 	vw  []int64
 
-	// patched is the worker-private FreezePatchable out-adjacency snapshot,
-	// spliced in place by ToggleArc and dropped by other mutators.
-	patched    *CSR
-	patchSlack int
+	// csr caches the Freeze() out-adjacency snapshot: ToggleArc splices
+	// it, other mutators reset it. atomic as in Graph.
+	csr atomic.Pointer[CSR]
 
 	// journal supports the delta machinery in deltadigraph.go.
 	journal   []ArcDelta
@@ -50,7 +50,7 @@ func (d *Digraph) Recycle(n int) {
 	d.out = recycleAdj(d.out, n)
 	d.in = recycleAdj(d.in, n)
 	d.vw = recycleWeights(d.vw, n)
-	d.patched, d.patchSlack = nil, 0
+	d.csr.Store(nil)
 	d.journal, d.journalOn = d.journal[:0], false
 }
 
@@ -92,7 +92,7 @@ func (d *Digraph) AddWeightedArc(u, v int, w int64) error {
 	}
 	d.out[u] = append(d.out[u], Half{To: v, Weight: w})
 	d.in[v] = append(d.in[v], Half{To: u, Weight: w})
-	d.patched = nil
+	d.csr.Store(nil)
 	d.record(u, v, w, true)
 	return nil
 }
@@ -107,14 +107,14 @@ func (d *Digraph) MustAddWeightedArc(u, v int, w int64) {
 	}
 }
 
-// HasArc reports whether the arc (u, v) exists. On a patchable snapshot
-// (FreezePatchable) this is a binary search, O(log outdeg).
+// HasArc reports whether the arc (u, v) exists. On a frozen digraph this
+// is a binary search, O(log outdeg).
 func (d *Digraph) HasArc(u, v int) bool {
 	if u < 0 || u >= len(d.out) || v < 0 || v >= len(d.out) {
 		return false
 	}
-	if d.patched != nil {
-		return d.patched.Rank(u, v) >= 0
+	if c := d.csr.Load(); c != nil {
+		return c.Rank(u, v) >= 0
 	}
 	for _, h := range d.out[u] {
 		if h.To == v {
@@ -129,8 +129,8 @@ func (d *Digraph) ArcWeight(u, v int) (int64, bool) {
 	if u < 0 || u >= len(d.out) {
 		return 0, false
 	}
-	if d.patched != nil {
-		return d.patched.EdgeWeight(u, v)
+	if c := d.csr.Load(); c != nil {
+		return c.EdgeWeight(u, v)
 	}
 	for _, h := range d.out[u] {
 		if h.To == v {

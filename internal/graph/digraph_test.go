@@ -152,7 +152,7 @@ func TestDigraphRecycleMatchesNew(t *testing.T) {
 				t.Fatalf("n=%d: vertex %d in-degree %d weight %d, fresh %d and 1", n, v, d.InDegree(v), d.VertexWeight(v), want.InDegree(v))
 			}
 		}
-		d.FreezePatchable()
+		d.Freeze()
 		if err := d.SetVertexWeight(0, 3); err != nil {
 			t.Fatal(err)
 		}

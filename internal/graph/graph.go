@@ -36,15 +36,11 @@ type Graph struct {
 	adj [][]Half
 	vw  []int64
 
-	// csr caches the Freeze() snapshot; mutators reset it. atomic so that
-	// concurrent readers (e.g. parallel family verification workers that
-	// share a graph) may Freeze safely.
+	// csr caches the Freeze() snapshot: ToggleEdge and SetEdgeWeight
+	// splice it, other mutators reset it. atomic so that concurrent
+	// readers (e.g. parallel family verification workers that share a
+	// graph) may Freeze safely.
 	csr atomic.Pointer[CSR]
-
-	// patched is the worker-private FreezePatchable snapshot, spliced in
-	// place by ToggleEdge/SetEdgeWeight and dropped by other mutators.
-	patched    *CSR
-	patchSlack int
 
 	// The journals support the delta machinery in delta.go. Vertex-weight
 	// mutations are journaled separately from edge mutations because they
@@ -75,7 +71,6 @@ func (g *Graph) Recycle(n int) {
 	g.adj = recycleAdj(g.adj, n)
 	g.vw = recycleWeights(g.vw, n)
 	g.csr.Store(nil)
-	g.patched, g.patchSlack = nil, 0
 	g.journal, g.journalOn = g.journal[:0], false
 	g.vwJournal = g.vwJournal[:0]
 }
@@ -124,7 +119,6 @@ func (g *Graph) AddVertex() int {
 	g.adj = append(g.adj, nil)
 	g.vw = append(g.vw, 1)
 	g.csr.Store(nil)
-	g.patched = nil
 	return len(g.adj) - 1
 }
 
@@ -156,7 +150,6 @@ func (g *Graph) AddWeightedEdge(u, v int, w int64) error {
 	g.adj[u] = append(g.adj[u], Half{To: v, Weight: w})
 	g.adj[v] = append(g.adj[v], Half{To: u, Weight: w})
 	g.csr.Store(nil)
-	g.patched = nil
 	g.record(u, v, w, true)
 	return nil
 }
@@ -181,9 +174,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
 		return false
 	}
-	if g.patched != nil {
-		return g.patched.Rank(u, v) >= 0
-	}
 	if c := g.csr.Load(); c != nil {
 		return c.Rank(u, v) >= 0
 	}
@@ -204,9 +194,6 @@ func (g *Graph) EdgeWeight(u, v int) (int64, bool) {
 	if u < 0 || u >= len(g.adj) {
 		return 0, false
 	}
-	if g.patched != nil {
-		return g.patched.EdgeWeight(u, v)
-	}
 	if c := g.csr.Load(); c != nil {
 		return c.EdgeWeight(u, v)
 	}
@@ -218,9 +205,8 @@ func (g *Graph) EdgeWeight(u, v int) (int64, bool) {
 	return 0, false
 }
 
-// SetEdgeWeight updates the weight of an existing edge {u, v}. A patchable
-// Freeze snapshot (FreezePatchable) is updated in place, O(log deg); a
-// plain snapshot is discarded.
+// SetEdgeWeight updates the weight of an existing edge {u, v}. The Freeze
+// snapshot is updated in place, O(log deg).
 func (g *Graph) SetEdgeWeight(u, v int, w int64) error {
 	if err := g.checkVertex(u); err != nil {
 		return err
@@ -235,11 +221,9 @@ func (g *Graph) SetEdgeWeight(u, v int, w int64) error {
 	oldW := g.adj[u][i].Weight
 	g.adj[u][i].Weight = w
 	g.adj[v][halfIndex(g.adj[v], u)].Weight = w
-	g.csr.Store(nil)
-	if g.patched != nil {
-		g.patched.setWeight(u, v, w)
-		g.patched.setWeight(v, u, w)
-		g.patched.edgesStale = true
+	if c := g.csr.Load(); c != nil {
+		c.setWeight(u, v, w)
+		c.setWeight(v, u, w)
 	}
 	if oldW != w {
 		g.record(u, v, oldW, false)
@@ -324,15 +308,20 @@ func (g *Graph) TotalEdgeWeight() int64 {
 }
 
 // Edges returns all edges in canonical (U < V) form, sorted by (U, V). On a
-// frozen graph the list is copied from the CSR snapshot without sorting.
+// frozen graph the list is read off the sorted CSR windows without sorting.
 func (g *Graph) Edges() []Edge {
-	if g.patched != nil {
-		return append([]Edge(nil), g.patched.Edges()...)
-	}
-	if c := g.csr.Load(); c != nil {
-		return append([]Edge(nil), c.Edges()...)
-	}
 	edges := make([]Edge, 0, g.M())
+	if c := g.csr.Load(); c != nil {
+		for u := range c.N() {
+			nbr, wt := c.Window(u)
+			for i, v := range nbr {
+				if u < int(v) {
+					edges = append(edges, Edge{U: u, V: int(v), Weight: wt[i]})
+				}
+			}
+		}
+		return edges
+	}
 	for u, nbrs := range g.adj {
 		for _, h := range nbrs {
 			if u < h.To {

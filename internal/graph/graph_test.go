@@ -483,21 +483,32 @@ func TestFreezeInvalidatedByMutation(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	g.Freeze()
 	g.MustAddEdge(2, 3) // must invalidate the snapshot
+	if g.csr.Load() != nil {
+		t.Error("AddEdge kept the snapshot")
+	}
 	if !g.HasEdge(2, 3) {
 		t.Error("edge added after freeze not visible")
 	}
 	if len(g.Edges()) != 2 {
 		t.Errorf("edges = %d, want 2", len(g.Edges()))
 	}
-	g.Freeze()
+	c := g.Freeze()
 	if err := g.SetEdgeWeight(0, 1, 9); err != nil {
 		t.Fatal(err)
+	}
+	if g.Freeze() != c {
+		t.Error("SetEdgeWeight replaced the snapshot instead of splicing it")
 	}
 	if w, _ := g.EdgeWeight(0, 1); w != 9 {
 		t.Errorf("weight after SetEdgeWeight on frozen graph = %d, want 9", w)
 	}
-	g.Freeze()
+	if w, _ := g.EdgeWeight(1, 0); w != 9 {
+		t.Errorf("reverse weight after SetEdgeWeight on frozen graph = %d, want 9", w)
+	}
 	v := g.AddVertex()
+	if g.csr.Load() != nil {
+		t.Error("AddVertex kept the snapshot")
+	}
 	if g.N() != 5 || v != 4 {
 		t.Fatalf("AddVertex after freeze: n=%d v=%d", g.N(), v)
 	}

@@ -3,94 +3,67 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
-// CSR is an immutable compressed-sparse-row snapshot of a graph's
-// adjacency: per-vertex neighbor windows sorted by neighbor id, plus the
-// canonical sorted edge list. It is built once by Freeze and shared by
-// every hot path that would otherwise rescan adjacency lists — the CONGEST
-// simulator's routing tables, the solvers' membership tests and the
-// lower-bound-family verifier's structural hashes.
+// CSR is a compressed-sparse-row snapshot of a graph's adjacency:
+// per-vertex neighbor windows sorted by neighbor id. Graph.Freeze builds it
+// over the edges, Digraph.Freeze over the out-arcs; it is the one snapshot
+// the graph keeps, shared by every hot path that would otherwise rescan
+// adjacency lists — the CONGEST front ends' link windows, the solvers'
+// membership tests and the delta walks of the lower-bound-family sweeps.
 //
-// A CSR is valid only for the graph state it was built from; any mutation
-// of the graph invalidates the cached snapshot (Freeze builds a fresh one
-// on the next call). The snapshot itself is never mutated, so it is safe
-// for concurrent readers.
+// Each window is followed by spare slots, so ToggleEdge, SetEdgeWeight
+// and ToggleArc splice the snapshot in place instead of rebuilding it.
+// A snapshot is therefore valid only until the graph's next mutation,
+// like a Neighbors slice. Readers never write to it, so concurrent
+// readers of an unmutated graph may share it.
 type CSR struct {
 	offsets []int32 // len n+1; vertex v's window starts at offsets[v]
-	ends    []int32 // window ends; nil for dense snapshots (end = offsets[v+1])
+	ends    []int32 // window ends; the slack runs from ends[v] to offsets[v+1]
 	nbr     []int32 // neighbor ids, sorted within each window
 	wt      []int64 // edge weights, parallel to nbr
-	edges   []Edge  // canonical (U < V) edge list, sorted by (U, V)
-
-	// edgesStale marks a patchable snapshot whose canonical edge list has
-	// not been rebuilt since the last window splice; Edges rebuilds lazily.
-	edgesStale bool
-
-	// directed marks a Digraph snapshot: windows hold out-neighbors, and
-	// Edges() renders every arc as Edge{U: from, V: to} instead of the
-	// canonical U < V undirected form.
-	directed bool
+	slack   int     // spare slots per window when built
 }
 
-// end returns the exclusive end of v's window. Dense snapshots (Freeze)
-// pack windows back to back; patchable snapshots (FreezePatchable) leave
-// slack between ends[v] and offsets[v+1] so ToggleEdge can splice in place.
-func (c *CSR) end(v int) int32 {
-	if c.ends != nil {
-		return c.ends[v]
-	}
-	return c.offsets[v+1]
-}
+// initialSlack is the number of spare slots a fresh snapshot leaves after
+// every window.
+const initialSlack = 4
 
 // Freeze returns the CSR snapshot of g, building and caching it on first
-// use. Mutating the graph invalidates the cache. Concurrent Freeze calls
-// are safe; concurrent mutation is not (as with any Graph method).
-func (g *Graph) Freeze() *CSR {
-	if c := g.csr.Load(); c != nil {
+// use. ToggleEdge and SetEdgeWeight splice it in place; AddEdge, AddVertex
+// and Recycle drop it. It is valid until g's next mutation. Concurrent
+// Freeze calls are safe; concurrent mutation is not (as with any Graph
+// method).
+func (g *Graph) Freeze() *CSR { return freeze(&g.csr, g.adj) }
+
+// Freeze returns the CSR snapshot of d's out-adjacency, building and
+// caching it on first use. ToggleArc splices it in place; AddArc and
+// Recycle drop it. It is valid until d's next mutation, and concurrent
+// Freeze calls are safe, as with Graph.Freeze.
+func (d *Digraph) Freeze() *CSR { return freeze(&d.csr, d.out) }
+
+// freeze returns the snapshot cached in p, building it from adj with
+// initialSlack spare slots per window on first use.
+func freeze(p *atomic.Pointer[CSR], adj [][]Half) *CSR {
+	if c := p.Load(); c != nil {
 		return c
 	}
-	c := buildCSR(g)
-	g.csr.Store(c)
+	c := newCSR(adj, initialSlack)
+	p.Store(c)
 	return c
 }
 
-func buildCSR(g *Graph) *CSR {
-	c := fillCSR(&CSR{}, g.adj, 0)
-	c.rebuildEdges()
-	return c
-}
-
-// buildCSRSlack builds a patchable snapshot: every window gets slack spare
-// slots so in-place insertion does not overflow immediately. The canonical
-// edge list is left stale and rebuilt lazily by Edges.
-func buildCSRSlack(g *Graph, slack int) *CSR {
-	c := fillCSR(&CSR{}, g.adj, slack)
-	c.edgesStale = true
-	return c
-}
-
-// buildDirCSRSlack builds a patchable out-adjacency snapshot of a digraph;
-// windows hold out-neighbors sorted by id.
-func buildDirCSRSlack(d *Digraph, slack int) *CSR {
-	c := fillCSR(&CSR{directed: true}, d.out, slack)
-	c.edgesStale = true
-	return c
-}
-
-func fillCSR(c *CSR, adj [][]Half, slack int) *CSR {
+// newCSR builds the snapshot of adj with slack spare slots after every
+// window.
+func newCSR(adj [][]Half, slack int) *CSR {
 	n := len(adj)
-	c.offsets = make([]int32, n+1)
+	c := &CSR{offsets: make([]int32, n+1), ends: make([]int32, n), slack: slack}
 	total := 0
 	for v, nbrs := range adj {
+		c.ends[v] = int32(total + len(nbrs))
 		total += len(nbrs) + slack
 		c.offsets[v+1] = int32(total)
-	}
-	if slack > 0 {
-		c.ends = make([]int32, n)
-		for v, nbrs := range adj {
-			c.ends[v] = c.offsets[v] + int32(len(nbrs))
-		}
 	}
 	c.nbr = make([]int32, total)
 	c.wt = make([]int64, total)
@@ -104,25 +77,6 @@ func fillCSR(c *CSR, adj [][]Half, slack int) *CSR {
 		sort.Sort(window)
 	}
 	return c
-}
-
-// rebuildEdges regenerates the canonical sorted edge list from the sorted
-// windows (no extra sort needed). Directed snapshots render every window
-// entry (the arc list sorted by (From, To)); undirected ones keep the
-// canonical U < V form.
-func (c *CSR) rebuildEdges() {
-	c.edges = c.edges[:0]
-	if c.edges == nil {
-		c.edges = make([]Edge, 0, len(c.nbr)/2)
-	}
-	for v := 0; v < c.N(); v++ {
-		for i := c.offsets[v]; i < c.end(v); i++ {
-			if to := int(c.nbr[i]); c.directed || v < to {
-				c.edges = append(c.edges, Edge{U: v, V: to, Weight: c.wt[i]})
-			}
-		}
-	}
-	c.edgesStale = false
 }
 
 // spliceInsert inserts v into u's sorted window in place, O(deg). It
@@ -156,7 +110,7 @@ func (c *CSR) spliceRemove(u, v int) {
 	if r < 0 {
 		// Unreachable unless the snapshot's journal and window diverge;
 		// delta sweeps run under the recover-into-*PanicError machinery.
-		panic(fmt.Sprintf("graph: patchable snapshot missing edge {%d,%d}", u, v)) //nolint:hardlint/panicsite broken-snapshot invariant; confined by sweep recovery
+		panic(fmt.Sprintf("graph: snapshot missing edge {%d,%d}", u, v)) //nolint:hardlint/panicsite broken-snapshot invariant; confined by sweep recovery
 	}
 	pos := c.offsets[u] + int32(r)
 	end := c.ends[u]
@@ -171,7 +125,7 @@ func (c *CSR) setWeight(u, v int, w int64) {
 	if r < 0 {
 		// Unreachable unless the snapshot's journal and window diverge;
 		// delta sweeps run under the recover-into-*PanicError machinery.
-		panic(fmt.Sprintf("graph: patchable snapshot missing edge {%d,%d}", u, v)) //nolint:hardlint/panicsite broken-snapshot invariant; confined by sweep recovery
+		panic(fmt.Sprintf("graph: snapshot missing edge {%d,%d}", u, v)) //nolint:hardlint/panicsite broken-snapshot invariant; confined by sweep recovery
 	}
 	c.wt[c.offsets[u]+int32(r)] = w
 }
@@ -192,19 +146,18 @@ func (w csrWindow) Swap(i, j int) {
 func (c *CSR) N() int { return len(c.offsets) - 1 }
 
 // Degree returns the degree of v.
-func (c *CSR) Degree(v int) int { return int(c.end(v) - c.offsets[v]) }
+func (c *CSR) Degree(v int) int { return int(c.ends[v] - c.offsets[v]) }
 
 // Window returns v's neighbor ids and edge weights, sorted by neighbor id.
 // Both slices are the snapshot's internal storage and must not be modified.
 func (c *CSR) Window(v int) ([]int32, []int64) {
-	return c.nbr[c.offsets[v]:c.end(v)], c.wt[c.offsets[v]:c.end(v)]
+	return c.nbr[c.offsets[v]:c.ends[v]], c.wt[c.offsets[v]:c.ends[v]]
 }
 
 // Rank returns the position of v within u's sorted neighbor window, or -1
-// if the edge {u, v} does not exist. offsets[u] + Rank(u, v) is the global
-// slot of the directed edge u -> v.
+// if the edge {u, v} does not exist.
 func (c *CSR) Rank(u, v int) int {
-	lo, hi := c.offsets[u], c.end(u)
+	lo, hi := c.offsets[u], c.ends[u]
 	target := int32(v)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -220,36 +173,6 @@ func (c *CSR) Rank(u, v int) int {
 	return -1
 }
 
-// Slot returns the global directed-edge slot of u -> v (an index into the
-// flat window storage), or -1 if the edge does not exist.
-func (c *CSR) Slot(u, v int) int {
-	r := c.Rank(u, v)
-	if r < 0 {
-		return -1
-	}
-	return int(c.offsets[u]) + r
-}
-
-// Offset returns the start of v's window in the flat slot storage.
-func (c *CSR) Offset(v int) int { return int(c.offsets[v]) }
-
-// Layout returns the snapshot's flat arrays: v's window is
-// nbr[offsets[v]:end], where end is ends[v], or offsets[v+1] when ends is
-// nil (Freeze snapshots pack their windows). The slices are the
-// snapshot's internal storage and must not be modified.
-func (c *CSR) Layout() (offsets, ends, nbr []int32) { return c.offsets, c.ends, c.nbr }
-
-// Slots returns the total number of directed-edge slots (2m).
-func (c *CSR) Slots() int { return len(c.nbr) }
-
-// HasEdge reports whether {u, v} exists, by binary search: O(log deg(u)).
-func (c *CSR) HasEdge(u, v int) bool {
-	if u < 0 || u >= c.N() || v < 0 || v >= c.N() {
-		return false
-	}
-	return c.Rank(u, v) >= 0
-}
-
 // EdgeWeight returns the weight of {u, v} and whether it exists.
 func (c *CSR) EdgeWeight(u, v int) (int64, bool) {
 	if u < 0 || u >= c.N() || v < 0 || v >= c.N() {
@@ -260,16 +183,6 @@ func (c *CSR) EdgeWeight(u, v int) (int64, bool) {
 		return 0, false
 	}
 	return c.wt[c.offsets[u]+int32(r)], true
-}
-
-// Edges returns the canonical sorted edge list, rebuilding it first on a
-// patchable snapshot whose windows were spliced since the last call. The
-// slice is the snapshot's internal storage and must not be modified.
-func (c *CSR) Edges() []Edge {
-	if c.edgesStale {
-		c.rebuildEdges()
-	}
-	return c.edges
 }
 
 // The structural hashes below are XOR-folds of per-element 64-bit hashes:

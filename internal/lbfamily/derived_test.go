@@ -132,7 +132,7 @@ func (s deltaSurface[G]) walk(data []byte) error {
 	if err != nil {
 		return err
 	}
-	g.FreezePatchable()
+	g.Freeze()
 	g.StartJournal()
 	cur := [2]comm.Bits{comm.NewBits(s.k), comm.NewBits(s.k)}
 	width := (s.k + 7) / 8
@@ -178,7 +178,7 @@ func (s deltaSurface[G]) warmApplyAllocs(t *testing.T) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.FreezePatchable()
+	g.Freeze()
 	g.StartJournal()
 	var applyErr error
 	allocs := testing.AllocsPerRun(50, func() {

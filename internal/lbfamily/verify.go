@@ -18,7 +18,7 @@ type Instance[G any] interface {
 	Clone() G
 	CutHash(side []bool) uint64
 	HashWithin(within []bool) uint64
-	FreezePatchable() *graph.CSR
+	Freeze() *graph.CSR
 	StartJournal()
 	ClearJournal()
 }
@@ -201,7 +201,7 @@ func verifyPairs[G Instance[G]](ctx context.Context, fam family[G], kd kind[G], 
 					wk.ready = false // a panic mid-fold forces a rehash
 					kd.fold(g, side, &wk.h)
 				} else {
-					g.FreezePatchable()
+					g.Freeze()
 					g.StartJournal()
 					wk.h = hashesOf(g, side, bobSide)
 					if wk.eval = kd.oracle(fam); wk.eval == nil {

@@ -27,7 +27,7 @@ type DigraphAlgorithm struct {
 // same per-pair seeds and the same report, with the arc cut metered by
 // dicongest. Families implementing lbfamily.DeltaDigraphFamily whose
 // delta passes the consistency gate give each worker a private instance
-// walked by ApplyBit arc toggles, with the patchable out-adjacency
+// walked by ApplyBit arc toggles, with the out-adjacency Freeze
 // snapshot spliced in place between runs.
 func CertifyDigraph(fam lbfamily.DigraphFamily, alg DigraphAlgorithm, cfg Config) (*Report, error) {
 	return CertifyDigraphCtx(context.Background(), fam, alg, cfg)

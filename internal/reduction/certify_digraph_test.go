@@ -65,7 +65,7 @@ func TestCertifyDigraphCollectHamPathExhaustive(t *testing.T) {
 
 func TestCertifyDigraphDeltaMatchesRebuild(t *testing.T) {
 	// The DeltaDigraphFamily incremental walk (one mutable digraph, arc
-	// toggles between Gray-adjacent pairs, spliced patchable snapshot)
+	// toggles between Gray-adjacent pairs, spliced Freeze snapshot)
 	// must produce pair-for-pair identical measurements to independent
 	// per-pair rebuilds.
 	fam := hamFam(t)

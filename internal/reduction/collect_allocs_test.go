@@ -8,6 +8,7 @@ import (
 	"congesthard/internal/constructions/hamlb"
 	"congesthard/internal/constructions/mdslb"
 	"congesthard/internal/dicongest"
+	"congesthard/internal/lbfamily"
 )
 
 // The collect algorithms run each pair on a pooled workspace: a warm
@@ -16,9 +17,12 @@ import (
 // reused arena the simulator carves every node's Local views from the
 // arena too, so what is left of a certified pair is a handful of
 // per-pair objects (the factory and its slab header, the decide closure,
-// the Result, its outputs slice and the root's boxed output). These pins
-// sit about 25% above the measured counts; a Local copied per node, a
-// slab allocated per factory, a rebuild at every non-root or a fresh
+// the Result, its outputs slice and the root's boxed output). Each run
+// moves the instance to its next pair with one ApplyBit, as Certify's
+// delta walk does, so the graph's Freeze snapshot is spliced, not
+// rebuilt, between runs. These pins sit about 25% above the measured
+// counts; a Local copied per node, a slab allocated per factory, a
+// snapshot rebuilt per pair, a rebuild at every non-root or a fresh
 // reconstruction graph per root multiplies them.
 
 const (
@@ -39,22 +43,29 @@ func TestCollectMDSPairAllocations(t *testing.T) {
 	}
 	alg := CollectMDS(fam)
 	opts := congest.Options{CutSide: fam.AliceSide(), Arena: &congest.Arena{}}
-	allocs := testing.AllocsPerRun(20, func() {
-		factory, decide, err := alg.Prepare(g, 0, 1)
-		if err != nil {
-			t.Fatal(err)
+	for bit := range x.Len() {
+		set := x.Get(bit)
+		allocs := testing.AllocsPerRun(20, func() {
+			set = !set
+			if err := fam.ApplyBit(g, lbfamily.PlayerX, bit, set); err != nil {
+				t.Fatal(err)
+			}
+			factory, decide, err := alg.Prepare(g, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := congest.Run(g, factory, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := decide(res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("mds/collect pair walked by x's bit %d: %.0f allocs", bit, allocs)
+		if allocs > mdsCollectPairAllocs {
+			t.Errorf("one mds/collect pair walked by x's bit %d allocates %.0f times, want at most %d", bit, allocs, mdsCollectPairAllocs)
 		}
-		res, err := congest.Run(g, factory, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := decide(res); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("mds/collect pair: %.0f allocs", allocs)
-	if allocs > mdsCollectPairAllocs {
-		t.Errorf("one mds/collect pair allocates %.0f times, want at most %d", allocs, mdsCollectPairAllocs)
 	}
 }
 
@@ -71,21 +82,28 @@ func TestCollectHamPathPairAllocations(t *testing.T) {
 	}
 	alg := CollectHamPath(fam)
 	opts := dicongest.Options{CutSide: fam.AliceSide(), Arena: &dicongest.Arena{}}
-	allocs := testing.AllocsPerRun(20, func() {
-		factory, decide, err := alg.Prepare(d, 0, 1)
-		if err != nil {
-			t.Fatal(err)
+	for bit := range x.Len() {
+		set := x.Get(bit)
+		allocs := testing.AllocsPerRun(20, func() {
+			set = !set
+			if err := fam.ApplyBit(d, lbfamily.PlayerX, bit, set); err != nil {
+				t.Fatal(err)
+			}
+			factory, decide, err := alg.Prepare(d, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := dicongest.Run(d, factory, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := decide(res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("hamlb/collect pair walked by x's bit %d: %.0f allocs", bit, allocs)
+		if allocs > hamlbCollectPairAllocs {
+			t.Errorf("one hamlb/collect pair walked by x's bit %d allocates %.0f times, want at most %d", bit, allocs, hamlbCollectPairAllocs)
 		}
-		res, err := dicongest.Run(d, factory, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := decide(res); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("hamlb/collect pair: %.0f allocs", allocs)
-	if allocs > hamlbCollectPairAllocs {
-		t.Errorf("one hamlb/collect pair allocates %.0f times, want at most %d", allocs, hamlbCollectPairAllocs)
 	}
 }

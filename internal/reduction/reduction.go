@@ -178,8 +178,9 @@ type Report struct {
 // consistency gate (lbfamily.GatedDelta) each worker holds a private
 // instance (BuildBase once, Clone per further worker) walked by ApplyBit
 // toggles (Hamming distance 1 between consecutive pairs of a
-// column) with a reused simulator arena, so steady-state allocations per
-// pair are near zero; other families rebuild each claimed G_{x,y} from
+// column), which splice the instance's Freeze snapshot in place, with a
+// reused simulator arena, so steady-state allocations per pair are near
+// zero; other families rebuild each claimed G_{x,y} from
 // scratch, as every family does with cfg.ForceRebuild. Per-pair seeds are keyed by canonical pair index, so the
 // report is bit-identical at any worker count.
 func Certify(fam lbfamily.Family, alg Algorithm, cfg Config) (*Report, error) {
