@@ -35,27 +35,51 @@ func TestRunCertifyCancelledContext(t *testing.T) {
 // TestRunCertifySignalInterrupt wires runCertify behind
 // signal.NotifyContext exactly as main does and delivers a real SIGINT to
 // the test process mid-sweep: the run must stop with a partial report
-// instead of killing the process or hanging.
+// instead of killing the process or hanging. The sweep runs traced, and
+// the writer sends the signal on the first round line of the second pair,
+// once the first is certified, then holds that round until the signal has
+// cancelled the context: the signal lands mid-sweep by construction.
 func TestRunCertifySignalInterrupt(t *testing.T) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		syscall.Kill(os.Getpid(), syscall.SIGINT)
-	}()
-	var buf bytes.Buffer
-	// Sampling is capped at the 2^(2K) = 256-pair cube, and 256
-	// collect-retry pairs (each a full ARQ collect run) is well over
-	// 100ms of work, so the 20ms signal always lands mid-sweep.
+	w := &interruptingWriter{ctx: ctx, firstPair: -1}
 	start := time.Now()
-	err := runCertify(ctx, &buf, "mds", "collect-retry", 4096, "", 0, 0, false)
+	err := runCertify(ctx, w, "mds", "collect-retry", 4096, "", 0, 0, true)
 	if err == nil {
-		t.Fatalf("signal-interrupted certify returned nil after %v; output:\n%s", time.Since(start), buf.String())
+		t.Fatalf("signal-interrupted certify returned nil after %v; output:\n%s", time.Since(start), w.buf.String())
 	}
-	out := buf.String()
+	out := w.buf.String()
 	if !strings.Contains(out, "interrupted:") || !strings.Contains(out, "of 256 pairs certified") {
 		t.Fatalf("missing partial-report interrupted line:\n%s", out)
 	}
+}
+
+// interruptingWriter collects runCertify's output. On the first trace line
+// of a pair other than the first traced one it sends SIGINT to the process
+// and blocks until ctx is done (or ten seconds pass), so the sweep cannot
+// run ahead of the signal.
+type interruptingWriter struct {
+	buf       bytes.Buffer
+	ctx       context.Context
+	firstPair int
+	sent      bool
+}
+
+func (w *interruptingWriter) Write(p []byte) (int, error) {
+	var pair int
+	if _, err := fmt.Sscanf(string(p), "trace pair=%d", &pair); err == nil && !w.sent {
+		if w.firstPair < 0 {
+			w.firstPair = pair
+		} else if pair != w.firstPair {
+			w.sent = true
+			syscall.Kill(os.Getpid(), syscall.SIGINT)
+			select {
+			case <-w.ctx.Done():
+			case <-time.After(10 * time.Second):
+			}
+		}
+	}
+	return w.buf.Write(p)
 }
 
 // TestRunCertifyTrace: -trace emits one greppable line per simulated

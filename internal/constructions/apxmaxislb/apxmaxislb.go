@@ -233,11 +233,7 @@ func (f *Family) Build(x, y comm.Bits) (*graph.Graph, error) {
 // Predicate decides whether the maximum weight independent set reaches the
 // YES weight 8ℓ+4t.
 func (f *Family) Predicate(g *graph.Graph) (bool, error) {
-	w, _, err := solver.MaxWeightIndependentSet(g)
-	if err != nil {
-		return false, err
-	}
-	return w >= f.YesWeight(), nil
+	return new(solver.MaxISOracle).HasWeightAtLeast(g, f.YesWeight(), false)
 }
 
 // WitnessIndependentSet constructs the weight-(8ℓ+4t) independent set of

@@ -23,9 +23,5 @@ type predicateOracle struct {
 }
 
 func (p *predicateOracle) Eval(g *graph.Graph) (bool, error) {
-	w, _, err := p.o.MaxWeightIndependentSet(g)
-	if err != nil {
-		return false, err
-	}
-	return w >= p.target, nil
+	return p.o.HasWeightAtLeast(g, p.target, false)
 }

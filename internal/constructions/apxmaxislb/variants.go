@@ -103,11 +103,7 @@ func (u *UnweightedFamily) AliceSide() []bool {
 
 // Predicate decides whether α(G) reaches 8ℓ+4t.
 func (u *UnweightedFamily) Predicate(g *graph.Graph) (bool, error) {
-	alpha, _, err := solver.MaxIndependentSetSize(g)
-	if err != nil {
-		return false, err
-	}
-	return int64(alpha) >= u.W.YesWeight(), nil
+	return new(solver.MaxISOracle).HasWeightAtLeast(g, u.W.YesWeight(), true)
 }
 
 // LinearFamily is the Theorem 4.2 construction: input length K = k, a
@@ -277,9 +273,5 @@ func (lf *LinearFamily) Build(x, y comm.Bits) (*graph.Graph, error) {
 
 // Predicate decides whether α(G) reaches 6ℓ+2t.
 func (lf *LinearFamily) Predicate(g *graph.Graph) (bool, error) {
-	alpha, _, err := solver.MaxIndependentSetSize(g)
-	if err != nil {
-		return false, err
-	}
-	return alpha >= lf.YesSize(), nil
+	return new(solver.MaxISOracle).HasWeightAtLeast(g, int64(lf.YesSize()), true)
 }

@@ -166,11 +166,7 @@ func (f *Family) Build(x, y comm.Bits) (*graph.Graph, error) {
 
 // Predicate decides exactly whether τ(G) <= M, i.e. α(G) >= Z.
 func (f *Family) Predicate(g *graph.Graph) (bool, error) {
-	alpha, _, err := solver.MaxIndependentSetSize(g)
-	if err != nil {
-		return false, err
-	}
-	return g.N()-alpha <= f.CoverTarget(), nil
+	return new(solver.MaxISOracle).HasWeightAtLeast(g, int64(g.N()-f.CoverTarget()), true)
 }
 
 // WitnessIndependentSet returns the size-Z independent set the analysis

@@ -23,9 +23,5 @@ type predicateOracle struct {
 }
 
 func (p *predicateOracle) Eval(g *graph.Graph) (bool, error) {
-	alpha, _, err := p.o.MaxIndependentSetSize(g)
-	if err != nil {
-		return false, err
-	}
-	return g.N()-alpha <= p.target, nil
+	return p.o.HasWeightAtLeast(g, int64(g.N()-p.target), true) // α(G) >= n - M
 }

@@ -295,3 +295,50 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 		}
 	}
 }
+
+// TestFreezeAllocationsIndependentOfN pins newCSR's allocations: one
+// Freeze makes the snapshot and its four arrays whatever the vertex
+// count, since the windows are sorted in place.
+func TestFreezeAllocationsIndependentOfN(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{40, 160} {
+		g := Gnp(n, 0.3, rng)
+		edges := g.Edges()
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		allocs := testing.AllocsPerRun(20, func() {
+			g.Recycle(n)
+			for _, e := range edges { // shuffled, so windows arrive unsorted
+				g.MustAddWeightedEdge(e.U, e.V, e.Weight)
+			}
+			g.Freeze()
+		})
+		if allocs > 5 {
+			t.Fatalf("Recycle, AddEdge and Freeze of a %d-vertex graph allocate %.1f times, want at most 5", n, allocs)
+		}
+		sameAsFresh(t, 0, g.Freeze(), g.adj)
+	}
+}
+
+// TestSortWindow checks sortWindow against slices.Sort on windows of
+// every length up to 40, weights travelling with their neighbors.
+func TestSortWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 40; n++ {
+		nbr := make([]int32, n)
+		wt := make([]int64, n)
+		for i, v := range rng.Perm(3 * n)[:n] {
+			nbr[i], wt[i] = int32(v), int64(v)*10+1
+		}
+		want := slices.Clone(nbr)
+		slices.Sort(want)
+		sortWindow(nbr, wt)
+		if !slices.Equal(nbr, want) {
+			t.Fatalf("n=%d: sorted to %v, want %v", n, nbr, want)
+		}
+		for i, v := range nbr {
+			if wt[i] != int64(v)*10+1 {
+				t.Fatalf("n=%d: weight %d travelled apart from neighbor %d", n, wt[i], v)
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -73,10 +72,52 @@ func newCSR(adj [][]Half, slack int) *CSR {
 			c.nbr[base+i] = int32(h.To)
 			c.wt[base+i] = h.Weight
 		}
-		window := csrWindow{nbr: c.nbr[base : base+len(nbrs)], wt: c.wt[base : base+len(nbrs)]}
-		sort.Sort(window)
+		sortWindow(c.nbr[base:base+len(nbrs)], c.wt[base:base+len(nbrs)])
 	}
 	return c
+}
+
+// sortWindow sorts a window by neighbor id, moving each weight with its
+// neighbor, in place and without allocating: insertion sort for short
+// windows, heapsort for long ones.
+func sortWindow(nbr []int32, wt []int64) {
+	n := len(nbr)
+	if n <= 12 {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && nbr[j] < nbr[j-1]; j-- {
+				nbr[j], nbr[j-1] = nbr[j-1], nbr[j]
+				wt[j], wt[j-1] = wt[j-1], wt[j]
+			}
+		}
+		return
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(nbr, wt, i, n)
+	}
+	for end := n - 1; end > 0; end-- {
+		nbr[0], nbr[end] = nbr[end], nbr[0]
+		wt[0], wt[end] = wt[end], wt[0]
+		siftDown(nbr, wt, 0, end)
+	}
+}
+
+// siftDown restores the max-heap order of nbr[:n] below root.
+func siftDown(nbr []int32, wt []int64, root, n int) {
+	for {
+		child := 2*root + 1
+		if child >= n {
+			return
+		}
+		if child+1 < n && nbr[child] < nbr[child+1] {
+			child++
+		}
+		if nbr[root] >= nbr[child] {
+			return
+		}
+		nbr[root], nbr[child] = nbr[child], nbr[root]
+		wt[root], wt[child] = wt[child], wt[root]
+		root = child
+	}
 }
 
 // spliceInsert inserts v into u's sorted window in place, O(deg). It
@@ -128,18 +169,6 @@ func (c *CSR) setWeight(u, v int, w int64) {
 		panic(fmt.Sprintf("graph: snapshot missing edge {%d,%d}", u, v)) //nolint:hardlint/panicsite broken-snapshot invariant; confined by sweep recovery
 	}
 	c.wt[c.offsets[u]+int32(r)] = w
-}
-
-type csrWindow struct {
-	nbr []int32
-	wt  []int64
-}
-
-func (w csrWindow) Len() int           { return len(w.nbr) }
-func (w csrWindow) Less(i, j int) bool { return w.nbr[i] < w.nbr[j] }
-func (w csrWindow) Swap(i, j int) {
-	w.nbr[i], w.nbr[j] = w.nbr[j], w.nbr[i]
-	w.wt[i], w.wt[j] = w.wt[j], w.wt[i]
 }
 
 // N returns the number of vertices in the snapshot.

@@ -33,7 +33,8 @@ func maskToSet(mask int, n int) []int {
 }
 
 // BruteMinDominatingSetWeight returns the minimum weight of a dominating
-// set by full enumeration.
+// set by full enumeration. It tests domination on its own bit masks, not
+// with the oracles' certificate checker.
 func BruteMinDominatingSetWeight(g *graph.Graph) (int64, error) {
 	n := g.N()
 	if err := bruteCheckSize(n); err != nil {
@@ -42,17 +43,16 @@ func BruteMinDominatingSetWeight(g *graph.Graph) (int64, error) {
 	if n == 0 {
 		return 0, nil
 	}
+	closed := neighborMasks(g, true)
 	best := int64(-1)
 	for mask := 0; mask < 1<<uint(n); mask++ {
-		set := maskToSet(mask, n)
-		if !IsDominatingSet(g, set) {
-			continue
-		}
-		var weight int64
-		for _, v := range set {
+		dominated, weight := 0, int64(0)
+		for m := mask; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros(uint(m))
+			dominated |= closed[v]
 			weight += g.VertexWeight(v)
 		}
-		if best < 0 || weight < best {
+		if dominated == 1<<uint(n)-1 && (best < 0 || weight < best) {
 			best = weight
 		}
 	}
@@ -60,27 +60,42 @@ func BruteMinDominatingSetWeight(g *graph.Graph) (int64, error) {
 }
 
 // BruteMaxWeightIndependentSet returns the maximum weight of an
-// independent set by full enumeration.
+// independent set by full enumeration. It tests independence on its own
+// bit masks, not with the oracles' certificate checker.
 func BruteMaxWeightIndependentSet(g *graph.Graph) (int64, error) {
 	n := g.N()
 	if err := bruteCheckSize(n); err != nil {
 		return 0, err
 	}
+	open := neighborMasks(g, false)
 	var best int64
 	for mask := 0; mask < 1<<uint(n); mask++ {
-		set := maskToSet(mask, n)
-		if !IsIndependentSet(g, set) {
-			continue
-		}
-		var weight int64
-		for _, v := range set {
+		independent, weight := true, int64(0)
+		for m := mask; m != 0 && independent; m &= m - 1 {
+			v := bits.TrailingZeros(uint(m))
+			independent = open[v]&mask == 0
 			weight += g.VertexWeight(v)
 		}
-		if weight > best {
+		if independent && weight > best {
 			best = weight
 		}
 	}
 	return best, nil
+}
+
+// neighborMasks returns each vertex's neighbourhood as a bit mask, closed
+// (the vertex itself included) or open.
+func neighborMasks(g *graph.Graph, closed bool) []int {
+	masks := make([]int, g.N())
+	for v := range masks {
+		if closed {
+			masks[v] = 1 << uint(v)
+		}
+		for _, h := range g.Neighbors(v) {
+			masks[v] |= 1 << uint(h.To)
+		}
+	}
+	return masks
 }
 
 // BruteMaxCut returns the maximum cut weight by full enumeration.

@@ -15,7 +15,9 @@ import (
 // allowed) and an adjacency bit matrix: bit u*n+v of arcs adds the arc
 // (u, v). On YES the returned path must be a Hamiltonian path with the
 // requested endpoints; after a NO the matching must again saturate the
-// root.
+// root. The one-word oracle then answers once more, warm, after one arc
+// chosen by the input is toggled, so the certificate it carries from the
+// first digraph is checked against the second.
 func FuzzHamiltonOracle(f *testing.F) {
 	f.Add(uint8(4), uint8(0), uint8(4), []byte{0b00100010, 0b10000100})
 	f.Add(uint8(1), uint8(0), uint8(0), []byte{})
@@ -40,8 +42,12 @@ func FuzzHamiltonOracle(f *testing.F) {
 		if err != nil {
 			t.Fatalf("brute (n=%d start=%d end=%d): %v", n, start, end, err)
 		}
+		var warm HamiltonOracle
 		for _, words := range []int{1, 2} {
-			var o HamiltonOracle
+			o := &warm
+			if words > 1 {
+				o = new(HamiltonOracle)
+			}
 			for call := 0; call < 2; call++ { // the second call runs on warm scratch
 				path, got, err := o.pathFrom(d, start, end, words)
 				if err != nil {
@@ -66,6 +72,23 @@ func FuzzHamiltonOracle(f *testing.F) {
 					t.Fatalf("oracle call %d (words=%d n=%d start=%d end=%d arcs=%v): after NO the matching pred=%v succ=%v no longer saturates", call, words, n, start, end, d.Arcs(), pred[:n], succ[:n])
 				}
 			}
+		}
+		if n < 2 {
+			return
+		}
+		u, v := arcAt(pick(arcs, n*(n-1)), n)
+		if _, err := d.ToggleArc(u, v, 1); err != nil {
+			t.Fatal(err)
+		}
+		if want, err = BruteDirectedHamiltonianPath(d, start, end); err != nil {
+			t.Fatal(err)
+		}
+		path, got, err := warm.pathFrom(d, start, end, 1)
+		if err != nil || got != want {
+			t.Fatalf("warm oracle after toggling (%d,%d) (n=%d start=%d end=%d arcs=%v): %v (err %v), brute %v", u, v, n, start, end, d.Arcs(), got, err, want)
+		}
+		if got && (!IsDirectedHamiltonianPath(d, path) || path[0] != start || (end >= 0 && path[n-1] != end)) {
+			t.Fatalf("warm oracle after toggling (%d,%d) returned %v, not a Hamiltonian path with those endpoints", u, v, path)
 		}
 	})
 }
@@ -115,7 +138,9 @@ func matchingRestored(pred, succ []int16, d *graph.Digraph, start, end int) bool
 // (reduced into -1..n) and an adjacency bit matrix over vertex pairs
 // u < v. The oracle must answer brute <= maxEdges, or false when brute
 // finds the terminals unconnected, at one word per vertex set and at a
-// forced two words, each on a cold oracle and then a warm one.
+// forced two words, each on a cold oracle and then a warm one, and once
+// more on the warm one-word oracle after one edge chosen by the input is
+// toggled, so the certificate it carries is checked against the new graph.
 func FuzzSteinerOracle(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 2, 2}, uint8(3), []byte{0b101})
 	f.Add(uint8(3), []byte{0, 0}, uint8(1), []byte{})
@@ -157,8 +182,12 @@ func FuzzSteinerOracle(f *testing.F) {
 		maxEdges := int(maxRaw)%(n+2) - 1
 		brute, err := BruteSteinerTree(g, terminals)
 		want := err == nil && brute <= int64(maxEdges)
+		var warm SteinerOracle
 		for _, words := range []int{1, 2} {
-			var o SteinerOracle
+			o := &warm
+			if words > 1 {
+				o = new(SteinerOracle)
+			}
 			for call := 0; call < 2; call++ { // the second call runs on warm scratch
 				got, err := o.decide(g, terminals, maxEdges, words)
 				if err != nil {
@@ -169,6 +198,19 @@ func FuzzSteinerOracle(f *testing.F) {
 						call, words, n, terminals, maxEdges, g.Edges(), got, brute, err)
 				}
 			}
+		}
+		if n < 2 {
+			return
+		}
+		u, v := pairAt(pick(edges, n*(n-1)/2), n)
+		if _, err := g.ToggleEdge(u, v, 1); err != nil {
+			t.Fatal(err)
+		}
+		brute, err = BruteSteinerTree(g, terminals)
+		want = err == nil && brute <= int64(maxEdges)
+		if got, err := warm.decide(g, terminals, maxEdges, 1); err != nil || got != want {
+			t.Fatalf("warm oracle after toggling {%d,%d} (n=%d terminals=%v maxEdges=%d edges=%v): %v (err %v), brute %d",
+				u, v, n, terminals, maxEdges, g.Edges(), got, err, brute)
 		}
 	})
 }
@@ -181,12 +223,18 @@ func FuzzSteinerOracle(f *testing.F) {
 // arc, 1, 2 and 3 an arc of weight 0, 1 and 2. Positive arcs past the
 // 22nd are dropped. The oracle must answer enumeration <= budget, or
 // false when the terminals are unreachable, on a cold oracle and then a
-// warm one.
+// warm one, and once more after one ordered pair chosen by the input is
+// toggled (an arc of weight 0..2 added, or the arc removed), so the
+// certificate the oracle carries is checked against the new digraph.
 func FuzzDirSteinerOracle(f *testing.F) {
 	f.Add(uint8(2), uint8(0), []byte{1}, uint8(0), []byte{0b01})
 	f.Add(uint8(4), uint8(0), []byte{3, 3, 2}, uint8(3), []byte{0x9e, 0x27, 0xb1})
 	f.Add(uint8(6), uint8(2), []byte{0, 5}, uint8(4), []byte{0xff, 0x0f, 0xf0, 0x55, 0xaa, 0x33, 0xcc})
 	f.Add(uint8(10), uint8(9), []byte{1, 3, 5, 7}, uint8(7), []byte{0x5a, 0x01, 0x80, 0x24, 0x42, 0x18, 0x81, 0x3c, 0xc3, 0x66, 0x99, 0x0f, 0xf0, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf1, 0x23, 0x45})
+	// Root 3 reaches terminal 2 over the free arc 3->1 and the carried
+	// arc 1->2 (weight 1, the whole budget); the toggle removes 1->2, so
+	// the carried arc set no longer holds and the answer turns NO.
+	f.Add(uint8(3), uint8(0x97), []byte{0x32}, uint8(0x52), []byte{0x30, 0x9a, 0xde, 0x63})
 	f.Fuzz(func(t *testing.T, nRaw, rootRaw uint8, termBytes []byte, budgetRaw uint8, arcs []byte) {
 		n := 1 + int(nRaw)%10
 		root := int(rootRaw) % n
@@ -222,7 +270,26 @@ func FuzzDirSteinerOracle(f *testing.F) {
 		}
 		want := err == nil && best <= budget
 		var o DirSteinerOracle
-		for call := 0; call < 2; call++ { // the second call runs on warm scratch
+		for call := 0; call < 3; call++ { // later calls run on warm scratch
+			if call == 2 {
+				if n < 2 {
+					return
+				}
+				h := pick(arcs, 3*n*(n-1))
+				u, v := arcAt(h%(n*(n-1)), n)
+				w := int64(h / (n * (n - 1)))
+				if positive == 22 {
+					w = 0
+				}
+				if _, err := d.ToggleArc(u, v, w); err != nil {
+					t.Fatal(err)
+				}
+				best, err = DirectedSteinerEnum(d, root, terminals)
+				if err != nil && err.Error() != "terminals not reachable from root" {
+					t.Fatalf("enumeration (n=%d root=%d terminals=%v): %v", n, root, terminals, err)
+				}
+				want = err == nil && best <= budget
+			}
 			got, err := o.HasDirectedSteinerWithin(d, root, terminals, budget)
 			if err != nil {
 				t.Fatalf("oracle (n=%d root=%d terminals=%v budget=%d): %v", n, root, terminals, budget, err)
@@ -244,7 +311,10 @@ func FuzzDirSteinerOracle(f *testing.F) {
 // MaxIndependentSetSize the brute optimum under unit weights, each on a
 // cold oracle and then a warm one; every returned set must be an
 // independent set of distinct vertices whose weight is the reported
-// optimum.
+// optimum. HasWeightAtLeast, weighted and unit, must then answer the
+// targets optimum+1, optimum and optimum-1 on one oracle each, before and
+// after one edge chosen by the input is toggled, so the certificate it
+// carries is checked against the new graph.
 func FuzzMaxISOracle(f *testing.F) {
 	f.Add(uint8(1), []byte{0x03}, []byte{})
 	f.Add(uint8(5), []byte{0xe4, 0x0b}, []byte{0x21, 0x52}) // the path 0-1-2-3-4-5
@@ -275,7 +345,8 @@ func FuzzMaxISOracle(f *testing.F) {
 				bit++
 			}
 		}
-		for _, tc := range []struct {
+		var optimum [2]int64 // under g's weights and under unit weights
+		for i, tc := range []struct {
 			name  string
 			ref   *graph.Graph // carries the weights the optimum is taken under
 			solve func(*MaxISOracle) (int64, []int, error)
@@ -290,6 +361,7 @@ func FuzzMaxISOracle(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			optimum[i] = want
 			var o MaxISOracle
 			for call := 0; call < 2; call++ { // the second call runs on warm scratch
 				got, set, err := tc.solve(&o)
@@ -314,5 +386,196 @@ func FuzzMaxISOracle(f *testing.F) {
 				}
 			}
 		}
+		var weighted, unitO MaxISOracle
+		for step := 0; step < 2; step++ {
+			if step == 1 {
+				if n < 2 {
+					return
+				}
+				u, v := pairAt(pick(edges, n*(n-1)/2), n)
+				if _, err := g.ToggleEdge(u, v, 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := unit.ToggleEdge(u, v, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, tc := range []struct {
+				o    *MaxISOracle
+				ref  *graph.Graph
+				unit bool
+			}{{&weighted, g, false}, {&unitO, unit, true}} {
+				want := optimum[i]
+				if step == 1 {
+					var err error
+					if want, err = BruteMaxWeightIndependentSet(tc.ref); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, target := range []int64{want + 1, want, want - 1} {
+					got, err := tc.o.HasWeightAtLeast(g, target, tc.unit)
+					if err != nil || got != (want >= target) {
+						t.Fatalf("HasWeightAtLeast step %d (n=%d unit=%v target=%d edges=%v): %v (err %v), brute optimum %d",
+							step, n, tc.unit, target, g.Edges(), got, err, want)
+					}
+				}
+			}
+		}
 	})
+}
+
+// FuzzMDSOracle checks MDSOracle's decisions against
+// BruteMinDominatingSetWeight on graphs of at most 14 vertices. The input
+// is the vertex count, two bits of weight (0..3) per vertex and an
+// adjacency bit matrix over vertex pairs u < v. HasDominatingSetOfWeight
+// must answer the caps optimum+1, optimum and optimum-1 under those
+// weights, and HasDominatingSetOfSize the same caps around the unit
+// optimum, on one oracle each, before and after one edge chosen by the
+// input is toggled, so the certificate each carries is checked against
+// the new graph.
+func FuzzMDSOracle(f *testing.F) {
+	f.Add(uint8(1), []byte{0x03}, []byte{})
+	f.Add(uint8(4), []byte{0x00, 0x00}, []byte{0x21, 0x52}) // zero weights
+	f.Add(uint8(6), []byte{0xe4, 0x1b}, []byte{0xff, 0x00, 0x0f})
+	f.Add(uint8(13), []byte{0xff, 0x55, 0xaa, 0x0f}, []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf1, 0x23, 0x45, 0x67})
+	f.Fuzz(func(t *testing.T, nRaw uint8, weights, edges []byte) {
+		n := 1 + int(nRaw)%14
+		g, unit := graph.New(n), graph.New(n)
+		for v := 0; v < n; v++ {
+			w := 0
+			if v/4 < len(weights) {
+				w = int(weights[v/4]>>(2*(v%4))) & 3
+			}
+			if err := g.SetVertexWeight(v, int64(w)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bit := 0
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if bit/8 < len(edges) && edges[bit/8]>>(bit%8)&1 == 1 {
+					g.MustAddEdge(u, v)
+					unit.MustAddEdge(u, v)
+				}
+				bit++
+			}
+		}
+		var weighted, sized MDSOracle
+		for step := 0; step < 2; step++ {
+			if step == 1 {
+				if n < 2 {
+					return
+				}
+				u, v := pairAt(pick(edges, n*(n-1)/2), n)
+				if _, err := g.ToggleEdge(u, v, 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := unit.ToggleEdge(u, v, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, tc := range []struct {
+				ref    *graph.Graph
+				decide func(limit int64) (bool, error)
+			}{
+				{g, func(limit int64) (bool, error) { return weighted.HasDominatingSetOfWeight(g, limit) }},
+				{unit, func(limit int64) (bool, error) { return sized.HasDominatingSetOfSize(g, int(limit)) }},
+			} {
+				want, err := BruteMinDominatingSetWeight(tc.ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, limit := range []int64{want + 1, want, want - 1} {
+					if got, err := tc.decide(limit); err != nil || got != (want <= limit) {
+						t.Fatalf("step %d (n=%d unit=%v cap=%d weights=%v edges=%v): %v (err %v), brute optimum %d",
+							step, n, tc.ref == unit, limit, weights, g.Edges(), got, err, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzMaxCutOracle checks MaxCutOracle against BruteMaxCut on graphs of at
+// most 12 vertices. The input is the vertex count and two bits per vertex
+// pair u < v: 0 adds no edge, 1, 2 and 3 an edge of weight 1, 3 and -2,
+// so the search also runs without its nonnegative early exit. The oracle
+// must answer the targets optimum+1, optimum and optimum-1 on one oracle,
+// before and after one pair chosen by the input is toggled (an edge of
+// weight 2 added, or the edge removed), so the side vector it carries is
+// checked against the new graph.
+func FuzzMaxCutOracle(f *testing.F) {
+	f.Add(uint8(1), []byte{})
+	f.Add(uint8(3), []byte{0b010101})
+	f.Add(uint8(6), []byte{0x5a, 0xa5, 0x3c, 0xc3})
+	f.Add(uint8(11), []byte{0xff, 0x11, 0x22, 0x44, 0x88, 0x0f, 0xf0, 0x55, 0xaa, 0x33, 0xcc, 0x99, 0x66, 0x12})
+	f.Fuzz(func(t *testing.T, nRaw uint8, edges []byte) {
+		n := 1 + int(nRaw)%12
+		g := graph.New(n)
+		bit := 0
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				code := 0
+				if bit/8 < len(edges) {
+					code = int(edges[bit/8]>>(bit%8)) & 3
+				}
+				bit += 2
+				if code > 0 {
+					g.MustAddWeightedEdge(u, v, []int64{1, 3, -2}[code-1])
+				}
+			}
+		}
+		var o MaxCutOracle
+		for step := 0; step < 2; step++ {
+			if step == 1 {
+				if n < 2 {
+					return
+				}
+				u, v := pairAt(pick(edges, n*(n-1)/2), n)
+				if _, err := g.ToggleEdge(u, v, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := BruteMaxCut(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, target := range []int64{want + 1, want, want - 1} {
+				if got, err := o.HasCutOfWeight(g, target); err != nil || got != (want >= target) {
+					t.Fatalf("step %d (n=%d target=%d edges=%v): %v (err %v), brute optimum %d", step, n, target, g.Edges(), got, err, want)
+				}
+			}
+		}
+	})
+}
+
+// pick derives an index below n from data (FNV-1a), so a fuzz input
+// chooses its own toggle without a further argument and the stored
+// corpora keep their signatures.
+func pick(data []byte, n int) int {
+	h := uint32(2166136261)
+	for _, b := range data {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return int(h % uint32(n))
+}
+
+// pairAt returns the p-th vertex pair u < v of an n-vertex graph, in the
+// order of the fuzzers' adjacency bit matrices.
+func pairAt(p, n int) (int, int) {
+	for u := 0; ; u++ {
+		if p < n-1-u {
+			return u, u + 1 + p
+		}
+		p -= n - 1 - u
+	}
+}
+
+// arcAt returns the p-th ordered pair u != v of an n-vertex digraph.
+func arcAt(p, n int) (int, int) {
+	u, v := p/(n-1), p%(n-1)
+	if v >= u {
+		v++
+	}
+	return u, v
 }

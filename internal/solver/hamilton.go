@@ -63,8 +63,10 @@ func DirectedHamiltonianCycle(d *graph.Digraph) ([]int, bool, error) {
 // narrowest width that holds it: one word up to 64 vertices, 64 words up
 // to the 4096-vertex limit. The oracle allocates the search of each width
 // on first use and keeps its rows, matching and path, so a worker holding
-// one across many digraphs pays no per-call allocation. The zero value is
-// ready to use. Not safe for concurrent use.
+// one across many digraphs pays no per-call allocation. It carries the
+// last path it found as a certificate (see certificate.go), checked for
+// the requested endpoints, every vertex and every arc before any search
+// runs. The zero value is ready to use. Not safe for concurrent use.
 type HamiltonOracle struct {
 	w1  *pathSearch[[1]uint64, [64][1]uint64, [64]int16]
 	w2  *pathSearch[[2]uint64, [128][2]uint64, [128]int16]
@@ -73,6 +75,10 @@ type HamiltonOracle struct {
 	w16 *pathSearch[[16]uint64, [1024][16]uint64, [1024]int16]
 	w32 *pathSearch[[32]uint64, [2048][32]uint64, [2048]int16]
 	w64 *pathSearch[[64]uint64, [4096][64]uint64, [4096]int16]
+
+	cert []int // the last YES certificate
+	mark bitset
+	effort
 }
 
 // HasDirectedHamiltonianPathFrom reports whether d has a directed
@@ -93,9 +99,12 @@ func (o *HamiltonOracle) DirectedHamiltonianPathFrom(d *graph.Digraph, start, en
 	return append([]int(nil), path...), true, nil
 }
 
-// pathFrom runs the search on vertex sets of at least words words; tests
-// force a wider one on small digraphs. The returned path aliases the
-// oracle's arena and is only valid until the next call.
+// pathFrom answers from the carried certificate when it holds and
+// otherwise searches, on vertex sets of at least words words, and checks
+// and carries the path found. Tests force a wider search on small
+// digraphs; a forced width (words > 1) skips the carried certificate, so
+// that the wide search runs. The returned path aliases the oracle's arena
+// and is only valid until the next call.
 func (o *HamiltonOracle) pathFrom(d *graph.Digraph, start, end, words int) ([]int, bool, error) {
 	n := d.N()
 	if n > maxSetVertices {
@@ -104,27 +113,39 @@ func (o *HamiltonOracle) pathFrom(d *graph.Digraph, start, end, words int) ([]in
 	if start < 0 || start >= n || end >= n {
 		return nil, false, fmt.Errorf("endpoints out of range: start=%d end=%d n=%d", start, end, n)
 	}
+	mark := markBuf(&o.mark, n)
+	if words == 1 && len(o.cert) == n && checkHamPath(d, o.cert, start, end, mark) {
+		return o.cert, true, nil
+	}
 	var path []int
 	switch words = max(words, (n+63)/64); {
 	case n == 1:
 		path = []int{0}
 	case end == start: // a path on n >= 2 vertices has distinct ends
 	case words <= 1:
-		path = lazy(&o.w1).run(d, start, end)
+		path = lazy(&o.w1).run(d, start, end, &o.effort)
 	case words <= 2:
-		path = lazy(&o.w2).run(d, start, end)
+		path = lazy(&o.w2).run(d, start, end, &o.effort)
 	case words <= 4:
-		path = lazy(&o.w4).run(d, start, end)
+		path = lazy(&o.w4).run(d, start, end, &o.effort)
 	case words <= 8:
-		path = lazy(&o.w8).run(d, start, end)
+		path = lazy(&o.w8).run(d, start, end, &o.effort)
 	case words <= 16:
-		path = lazy(&o.w16).run(d, start, end)
+		path = lazy(&o.w16).run(d, start, end, &o.effort)
 	case words <= 32:
-		path = lazy(&o.w32).run(d, start, end)
+		path = lazy(&o.w32).run(d, start, end, &o.effort)
 	default:
-		path = lazy(&o.w64).run(d, start, end)
+		path = lazy(&o.w64).run(d, start, end, &o.effort)
 	}
-	return path, path != nil, nil
+	if path == nil {
+		return nil, false, nil
+	}
+	o.cert = append(o.cert[:0], path...)
+	if !checkHamPath(d, o.cert, start, end, mark) {
+		o.cert = o.cert[:0]
+		return nil, false, certError("Hamiltonian path", n)
+	}
+	return path, true, nil
 }
 
 // hamInts is a width's per-vertex int16 array, 64 entries per word (see
@@ -151,13 +172,17 @@ type pathSearch[W vertexSet, R vertexRows[W], I hamInts] struct {
 	// tail t; -1 marks an unmatched tail.
 	pred, succ I
 	path       []int // path[i] is the path's i-th vertex
+	effort     *effort
 }
 
 // run searches d (2 <= n <= 64·len(W) vertices) for a directed
 // Hamiltonian path from start to end (end < 0: any endpoint; end !=
-// start). It returns the path, aliasing s.path, or nil.
-func (s *pathSearch[W, R, I]) run(d *graph.Digraph, start, end int) []int {
+// start). It returns the path, aliasing s.path, or nil. It counts the
+// search and its nodes in e.
+func (s *pathSearch[W, R, I]) run(d *graph.Digraph, start, end int, e *effort) []int {
 	n := d.N()
+	e.searches++
+	s.effort = e
 	if cap(s.path) < n {
 		s.path = make([]int, n)
 	}
@@ -269,6 +294,7 @@ func flood[W vertexSet, R vertexRows[W]](rows *R, reached, within W) bool {
 // say whether the forward and backward reachability prunes must run; step
 // clears them when the parent's passing check already implies the child's.
 func (s *pathSearch[W, R, I]) search(head, depth int, fwd, bwd bool) bool {
+	s.effort.nodes++
 	if depth == s.n {
 		return s.end < 0 || head == s.end
 	}
@@ -382,20 +408,7 @@ func symmetric(g *graph.Graph) *graph.Digraph {
 
 // IsDirectedHamiltonianPath validates a claimed Hamiltonian path.
 func IsDirectedHamiltonianPath(d *graph.Digraph, path []int) bool {
-	if len(path) != d.N() {
-		return false
-	}
-	seen := make([]bool, d.N())
-	for i, v := range path {
-		if v < 0 || v >= d.N() || seen[v] {
-			return false
-		}
-		seen[v] = true
-		if i > 0 && !d.HasArc(path[i-1], v) {
-			return false
-		}
-	}
-	return true
+	return checkHamPath(d, path, -1, -1, newBitset(d.N()))
 }
 
 // IsHamiltonianCycle validates a claimed undirected Hamiltonian cycle given

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -27,8 +28,10 @@ func MaxWeightIndependentSet(g *graph.Graph) (int64, []int, error) {
 // MaxISOracle is a reusable exact MaxIS evaluator: it owns the adjacency
 // bitsets, per-depth branch bitsets and witness buffers of the search, so a
 // worker holding one across many same-size graphs allocates only on the
-// rare low-degree-residual DP path. The zero value is ready to use. Not
-// safe for concurrent use.
+// rare low-degree-residual DP path. Its decision form, HasWeightAtLeast,
+// carries the independent set of its last YES as a certificate (see
+// certificate.go), checked before any search runs. The zero value is
+// ready to use. Not safe for concurrent use.
 type MaxISOracle struct {
 	g       *graph.Graph
 	n       int
@@ -39,8 +42,12 @@ type MaxISOracle struct {
 	branch  [][2]bitset // per-depth include/exclude clones
 	visited bitset
 	best    int64
+	goal    int64 // the search stops once best reaches goal
 	bestSet []int
 	current []int
+	cert    []int // the last YES certificate of HasWeightAtLeast
+	mark    bitset
+	effort
 }
 
 func (o *MaxISOracle) grow(n int) {
@@ -59,6 +66,7 @@ func (o *MaxISOracle) grow(n int) {
 	o.visited = newBitset(n)
 	o.bestSet = make([]int, 0, n)
 	o.current = make([]int, 0, n)
+	o.cert = make([]int, 0, n)
 }
 
 // MaxWeightIndependentSet is the arena-backed equivalent of the package
@@ -77,20 +85,69 @@ func (o *MaxISOracle) MaxIndependentSetSize(g *graph.Graph) (int, []int, error) 
 }
 
 func (o *MaxISOracle) run(g *graph.Graph, unit bool) (int64, []int, error) {
-	n := g.N()
-	if n > 1<<15 {
-		return 0, nil, fmt.Errorf("exact MaxIS limited to %d vertices, got %d", 1<<15, n)
+	if err := checkWeights(g, unit); err != nil {
+		return 0, nil, err
 	}
-	if n == 0 {
+	if g.N() == 0 {
 		return 0, []int{}, nil
 	}
-	if !unit {
-		for v := 0; v < n; v++ {
-			if g.VertexWeight(v) < 0 {
-				return 0, nil, fmt.Errorf("vertex %d has negative weight", v)
-			}
+	o.best, o.goal = -1, math.MaxInt64
+	o.search(o.load(g, unit))
+	return o.best, o.bestSet, nil
+}
+
+// HasWeightAtLeast reports whether g has an independent set of weight at
+// least target (every vertex weighs 1 when unit, else its vertex weight):
+// the decision form of MaxWeightIndependentSet. It answers from the
+// carried certificate when it holds, and otherwise searches with the bound
+// seeded at target-1 until the first set that reaches target, which it
+// checks and carries.
+func (o *MaxISOracle) HasWeightAtLeast(g *graph.Graph, target int64, unit bool) (bool, error) {
+	if err := checkWeights(g, unit); err != nil {
+		return false, err
+	}
+	n := g.N()
+	if target <= 0 {
+		return true, nil // the empty set
+	}
+	if n == 0 {
+		return false, nil
+	}
+	if len(o.cert) > 0 && checkIndependentSet(g, o.cert, unit, target, markBuf(&o.mark, n)) {
+		return true, nil
+	}
+	o.best, o.goal = target-1, target
+	o.search(o.load(g, unit))
+	if o.best < target {
+		return false, nil
+	}
+	o.cert = append(o.cert[:0], o.bestSet...)
+	if !checkIndependentSet(g, o.cert, unit, target, markBuf(&o.mark, n)) {
+		o.cert = o.cert[:0]
+		return false, certError("MaxIS", n)
+	}
+	return true, nil
+}
+
+// checkWeights rejects graphs beyond the search's size limit and, unless
+// unit, negative vertex weights.
+func checkWeights(g *graph.Graph, unit bool) error {
+	n := g.N()
+	if n > 1<<15 {
+		return fmt.Errorf("exact MaxIS limited to %d vertices, got %d", 1<<15, n)
+	}
+	for v := 0; v < n && !unit; v++ {
+		if g.VertexWeight(v) < 0 {
+			return fmt.Errorf("vertex %d has negative weight", v)
 		}
 	}
+	return nil
+}
+
+// load fills the arena's adjacency and weights for g, returning the total
+// weight.
+func (o *MaxISOracle) load(g *graph.Graph, unit bool) int64 {
+	n := g.N()
 	o.grow(n)
 	o.g = g
 	for i := range o.alive {
@@ -113,12 +170,17 @@ func (o *MaxISOracle) run(g *graph.Graph, unit bool) (int64, []int, error) {
 		o.alive.set(v)
 		total += o.weights[v]
 	}
-	o.best = -1
+	return total
+}
+
+// search runs the branch and bound from the loaded graph with o.best and
+// o.goal set, leaving the best set found in o.bestSet, sorted.
+func (o *MaxISOracle) search(total int64) {
 	o.bestSet = o.bestSet[:0]
 	o.current = o.current[:0]
+	o.searches++
 	o.recurse(o.alive, total, 0, 0)
 	sort.Ints(o.bestSet)
-	return o.best, o.bestSet, nil
 }
 
 // branchBuf returns the depth-local clone buffer (allocated on first use).
@@ -170,7 +232,8 @@ func (o *MaxISOracle) takeVertex(v int, alive bitset) int64 {
 //
 //hardness:hotpath
 func (o *MaxISOracle) recurse(alive bitset, aliveWeight, weight int64, depth int) {
-	if weight+aliveWeight <= o.best {
+	o.nodes++
+	if weight+aliveWeight <= o.best || o.best >= o.goal {
 		return
 	}
 	// Reduction loop: isolated vertices and dominant degree-1 vertices.
@@ -453,20 +516,7 @@ func MinVertexCoverSize(g *graph.Graph) (int, []int, error) {
 
 // IsIndependentSet reports whether set is independent in g.
 func IsIndependentSet(g *graph.Graph, set []int) bool {
-	if len(set) > 2 {
-		g.Freeze() // O(k^2) membership probes; index the adjacency once
-	}
-	for i, u := range set {
-		if u < 0 || u >= g.N() {
-			return false
-		}
-		for _, v := range set[i+1:] {
-			if g.HasEdge(u, v) {
-				return false
-			}
-		}
-	}
-	return true
+	return checkIndependentSet(g, set, true, math.MinInt64, newBitset(g.N()))
 }
 
 // IsVertexCover reports whether set covers every edge of g.

@@ -87,9 +87,11 @@ func HasCutOfWeight(g *graph.Graph, target int64) (bool, error) {
 // (remGain), so assignments that cannot reach the target are pruned — on
 // the paper's Section 2.4 instances the k⁴ forcing edges make this
 // exponentially faster than the Gray-code sweep that MaxCut (the full
-// maximization) still uses. All scratch is preallocated and reused, so a
-// worker holding an oracle across many same-size graphs does not allocate.
-// The zero value is ready to use. Not safe for concurrent use.
+// maximization) still uses. It carries the side vector of its last YES as
+// a certificate (see certificate.go), checked before any search runs. All
+// scratch is preallocated and reused, so a worker holding an oracle across
+// many same-size graphs does not allocate. The zero value is ready to use.
+// Not safe for concurrent use.
 type MaxCutOracle struct {
 	n        int   // vertex count of the current call
 	capN     int   // allocated capacity
@@ -101,6 +103,11 @@ type MaxCutOracle struct {
 	side     []bool          // side[d] = side of order[d]
 	target   int64
 	negative bool
+	// decided is the depth at which the search reached the target: the
+	// vertices from there on are unassigned and any side completes them.
+	decided int
+	cert    []bool // the last YES certificate, cert[v] = side of v
+	effort
 }
 
 // cutBackEdge is an edge from the vertex at some depth to an earlier depth.
@@ -119,6 +126,9 @@ func (o *MaxCutOracle) HasCutOfWeight(g *graph.Graph, target int64) (bool, error
 	}
 	if n <= 1 {
 		return 0 >= target, nil
+	}
+	if checkCut(g, o.cert, target) {
+		return true, nil
 	}
 	o.grow(n)
 	o.target = target
@@ -172,7 +182,22 @@ func (o *MaxCutOracle) HasCutOfWeight(g *graph.Graph, target int64) (bool, error
 		o.remGain[d] = o.remGain[d+1] + late
 	}
 	o.side[0] = false // fix one side by symmetry
-	return o.recurse(1, 0), nil
+	o.searches++
+	if !o.recurse(1, 0) {
+		return false, nil
+	}
+	if cap(o.cert) < n {
+		o.cert = make([]bool, n)
+	}
+	o.cert = o.cert[:n]
+	for d := 0; d < n; d++ {
+		o.cert[o.order[d]] = d < o.decided && o.side[d]
+	}
+	if !checkCut(g, o.cert, target) {
+		o.cert = o.cert[:0]
+		return false, certError("MaxCut", n)
+	}
+	return true, nil
 }
 
 func (o *MaxCutOracle) grow(n int) {
@@ -191,12 +216,14 @@ func (o *MaxCutOracle) grow(n int) {
 
 //hardness:hotpath
 func (o *MaxCutOracle) recurse(d int, current int64) bool {
-	if current >= o.target && !o.negative {
+	o.nodes++
+	if current >= o.target && (d == o.n || !o.negative) {
 		// With nonnegative weights any completion only adds cut weight.
+		o.decided = d
 		return true
 	}
 	if d == o.n {
-		return current >= o.target
+		return false
 	}
 	if current+o.remGain[d] < o.target {
 		return false

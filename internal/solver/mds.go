@@ -113,9 +113,12 @@ func minDominatingSetFrom(g *graph.Graph, dominatedInit bitset, cap int64) (int6
 // MDSOracle is a reusable exact minimum-dominating-set evaluator: it owns
 // the branch-and-bound scratch (closed-neighborhood bitsets, branch orders,
 // per-depth bitsets), so a worker holding one across many same-size graphs
-// pays no per-call allocation. The package-level functions delegate to a
-// fresh oracle; verification workers keep one warm. The zero value is
-// ready to use. Not safe for concurrent use.
+// pays no per-call allocation. Its decisions carry a certificate (see
+// certificate.go): the last dominating set within the cap, checked under
+// the instance's current vertex weights before any search runs. The
+// package-level functions delegate to a fresh oracle; verification
+// workers keep one warm. The zero value is ready to use. Not safe for
+// concurrent use.
 type MDSOracle struct {
 	n            int
 	closed       []bitset
@@ -124,15 +127,20 @@ type MDSOracle struct {
 	current      []int
 	bestSet      []int
 	initBuf      bitset
+	cert         []int // the last YES certificate
+	mark         bitset
 
 	// per-search state
 	g              *graph.Graph
 	unit           bool
+	first          bool // stop at the first set within the cap
 	best           int64
 	found          bool
 	useGreedyBound bool
 	minWeight      int64
 	maxCover       int
+
+	effort
 }
 
 // HasDominatingSetOfSize reports whether g has a dominating set of
@@ -141,25 +149,20 @@ type MDSOracle struct {
 // (which clones the graph to unit weights; the oracle instead evaluates
 // weights as 1 directly).
 func (o *MDSOracle) HasDominatingSetOfSize(g *graph.Graph, size int) (bool, error) {
-	n := g.N()
-	if n == 0 {
-		return true, nil
-	}
-	if n > 512 {
-		return false, fmt.Errorf("exact MDS limited to 512 vertices, got %d", n)
-	}
-	o.grow(n)
-	for i := range o.initBuf {
-		o.initBuf[i] = 0
-	}
-	_, _, found := o.search(g, o.initBuf, int64(size), true)
-	return found, nil
+	return o.decide(g, int64(size), true)
 }
 
 // HasDominatingSetOfWeight reports whether g has a dominating set of total
 // vertex weight at most cap, reusing the oracle's scratch. It is the
 // arena-backed equivalent of MinDominatingSetWithin's found bit.
 func (o *MDSOracle) HasDominatingSetOfWeight(g *graph.Graph, cap int64) (bool, error) {
+	return o.decide(g, cap, false)
+}
+
+// decide answers from the carried certificate when it still holds, and
+// otherwise searches until the first dominating set within cap, which it
+// checks and carries.
+func (o *MDSOracle) decide(g *graph.Graph, cap int64, unit bool) (bool, error) {
 	n := g.N()
 	if n == 0 {
 		return true, nil
@@ -168,11 +171,22 @@ func (o *MDSOracle) HasDominatingSetOfWeight(g *graph.Graph, cap int64) (bool, e
 		return false, fmt.Errorf("exact MDS limited to 512 vertices, got %d", n)
 	}
 	o.grow(n)
-	for i := range o.initBuf {
-		o.initBuf[i] = 0
+	if len(o.cert) > 0 && checkDominatingSet(g, o.cert, unit, cap, o.mark) {
+		return true, nil
 	}
-	_, _, found := o.search(g, o.initBuf, cap, false)
-	return found, nil
+	clear(o.initBuf)
+	o.first = true
+	_, set, found := o.search(g, o.initBuf, cap, unit)
+	o.first = false
+	if !found {
+		return false, nil
+	}
+	o.cert = append(o.cert[:0], set...)
+	if !checkDominatingSet(g, o.cert, unit, cap, o.mark) {
+		o.cert = o.cert[:0]
+		return false, certError("MDS", n)
+	}
+	return true, nil
 }
 
 // grow (re)sizes the arena for n-vertex graphs.
@@ -189,6 +203,8 @@ func (o *MDSOracle) grow(n int) {
 	o.scratch = make([]bitset, n+1)
 	o.current = make([]int, 0, n)
 	o.initBuf = newBitset(n)
+	o.cert = make([]int, 0, n)
+	o.mark = newBitset(n)
 }
 
 func (o *MDSOracle) vw(v int) int64 {
@@ -256,6 +272,7 @@ func (o *MDSOracle) search(g *graph.Graph, dominatedInit bitset, cap int64, unit
 	o.found = false
 	o.bestSet = o.bestSet[:0]
 	o.current = o.current[:0]
+	o.searches++
 
 	init := o.scratch[n]
 	if init == nil {
@@ -273,6 +290,7 @@ func (o *MDSOracle) search(g *graph.Graph, dominatedInit bitset, cap int64, unit
 
 //hardness:hotpath
 func (o *MDSOracle) recurse(dominated bitset, weight int64, depth int) {
+	o.nodes++
 	n := o.n
 	undominated := n - dominated.count()
 	if undominated == 0 {
@@ -308,23 +326,15 @@ func (o *MDSOracle) recurse(dominated bitset, weight int64, depth int) {
 		o.current = append(o.current, c) //nolint:hardlint/hotalloc arena slice has cap n from grow(); never reallocates
 		o.recurse(next, weight+o.vw(c), depth+1)
 		o.current = o.current[:len(o.current)-1]
+		if o.first && o.found {
+			return
+		}
 	}
 }
 
 // IsDominatingSet reports whether set dominates every vertex of g.
 func IsDominatingSet(g *graph.Graph, set []int) bool {
-	n := g.N()
-	dominated := newBitset(n)
-	for _, v := range set {
-		if v < 0 || v >= n {
-			return false
-		}
-		dominated.set(v)
-		for _, h := range g.Neighbors(v) {
-			dominated.set(h.To)
-		}
-	}
-	return dominated.count() == n
+	return checkDominatingSet(g, set, true, math.MaxInt64, newBitset(g.N()))
 }
 
 // IsKDominatingSet reports whether every vertex of g is within hop

@@ -37,8 +37,10 @@ func HasSteinerTreeWithEdges(g *graph.Graph, terminals []int, maxEdges int) (boo
 // graph runs on the narrowest width that holds it: one word up to 64
 // vertices, 64 words up to the 4096-vertex limit. The oracle allocates the
 // search of each width on first use and keeps its adjacency rows, so a
-// worker holding one across many graphs pays no per-call allocation. The
-// zero value is ready to use. Not safe for concurrent use.
+// worker holding one across many graphs pays no per-call allocation. It
+// carries the final reach of its last YES as a certificate (see
+// certificate.go), checked before any search runs. The zero value is
+// ready to use. Not safe for concurrent use.
 type SteinerOracle struct {
 	w1  *steinerSearch[[1]uint64, [64][1]uint64]
 	w2  *steinerSearch[[2]uint64, [128][2]uint64]
@@ -47,6 +49,11 @@ type SteinerOracle struct {
 	w16 *steinerSearch[[16]uint64, [1024][16]uint64]
 	w32 *steinerSearch[[32]uint64, [2048][32]uint64]
 	w64 *steinerSearch[[64]uint64, [4096][64]uint64]
+
+	cert  []int // the last YES certificate, a vertex set
+	mark  bitset
+	queue []int
+	effort
 }
 
 // HasSteinerTreeWithEdges is the arena-backed equivalent of the package
@@ -55,8 +62,11 @@ func (o *SteinerOracle) HasSteinerTreeWithEdges(g *graph.Graph, terminals []int,
 	return o.decide(g, terminals, maxEdges, 1)
 }
 
-// decide runs the search on vertex sets of at least words words; tests
-// force a wider one on small graphs.
+// decide answers from the carried certificate when it holds and otherwise
+// searches, on vertex sets of at least words words, and checks and carries
+// the reach found. Tests force a wider search on small graphs; a forced
+// width (words > 1) skips the carried certificate, so that the wide
+// search runs.
 func (o *SteinerOracle) decide(g *graph.Graph, terminals []int, maxEdges, words int) (bool, error) {
 	n := g.N()
 	if err := checkTerminals(n, terminals); err != nil {
@@ -68,22 +78,54 @@ func (o *SteinerOracle) decide(g *graph.Graph, terminals []int, maxEdges, words 
 	if n > maxSetVertices {
 		return false, fmt.Errorf("steiner search limited to %d vertices, got %d", maxSetVertices, n)
 	}
+	// A tree with e edges has e+1 vertices, so at most maxEdges+1-distinct
+	// of them are non-terminals.
+	mark := markBuf(&o.mark, n)
+	distinct := 0
+	for _, v := range terminals {
+		if !mark.get(v) {
+			mark.set(v)
+			distinct++
+		}
+	}
+	budget := min(maxEdges+1-distinct, n-distinct)
+	if budget < 0 {
+		return false, nil
+	}
+	if c := binomialSum(n-distinct, budget); c > 1e7 {
+		return false, fmt.Errorf("steiner decision too large: ~%.0f subsets", c)
+	}
+	if cap(o.queue) < n {
+		o.queue, o.cert = make([]int, 0, n), make([]int, 0, n)
+	}
+	if words == 1 && checkSteinerSet(g, o.cert, terminals, maxEdges, mark, o.queue) {
+		return true, nil
+	}
+	var found bool
 	switch words = max(words, (n+63)/64); {
 	case words <= 1:
-		return lazy(&o.w1).run(g, terminals, maxEdges)
+		found, o.cert = lazy(&o.w1).run(g, terminals, budget, &o.effort, o.cert)
 	case words <= 2:
-		return lazy(&o.w2).run(g, terminals, maxEdges)
+		found, o.cert = lazy(&o.w2).run(g, terminals, budget, &o.effort, o.cert)
 	case words <= 4:
-		return lazy(&o.w4).run(g, terminals, maxEdges)
+		found, o.cert = lazy(&o.w4).run(g, terminals, budget, &o.effort, o.cert)
 	case words <= 8:
-		return lazy(&o.w8).run(g, terminals, maxEdges)
+		found, o.cert = lazy(&o.w8).run(g, terminals, budget, &o.effort, o.cert)
 	case words <= 16:
-		return lazy(&o.w16).run(g, terminals, maxEdges)
+		found, o.cert = lazy(&o.w16).run(g, terminals, budget, &o.effort, o.cert)
 	case words <= 32:
-		return lazy(&o.w32).run(g, terminals, maxEdges)
+		found, o.cert = lazy(&o.w32).run(g, terminals, budget, &o.effort, o.cert)
 	default:
-		return lazy(&o.w64).run(g, terminals, maxEdges)
+		found, o.cert = lazy(&o.w64).run(g, terminals, budget, &o.effort, o.cert)
 	}
+	if !found {
+		return false, nil
+	}
+	if !checkSteinerSet(g, o.cert, terminals, maxEdges, mark, o.queue) {
+		o.cert = o.cert[:0]
+		return false, certError("Steiner", n)
+	}
+	return true, nil
 }
 
 // steinerSearch is SteinerOracle's search on vertex sets of type W, with
@@ -95,18 +137,24 @@ type steinerSearch[W vertexSet, R vertexRows[W]] struct {
 	// The terminals, the terminals with no terminal neighbour, and the
 	// other vertices of the current graph.
 	term, iso, nonTerm W
+	// reach is the final reach of a search that answered YES.
+	reach  W
+	effort *effort
 }
 
-// run decides the query for g (at most 64·len(W) vertices) and terminals
-// (non-empty, in range).
-func (s *steinerSearch[W, R]) run(g *graph.Graph, terminals []int, maxEdges int) (bool, error) {
+// run decides whether at most budget non-terminals connect the terminals
+// (non-empty, in range) of g (at most 64·len(W) vertices). On YES it
+// overwrites cert with the final reach, a vertex set that connects them.
+// It counts the search and its nodes in e.
+func (s *steinerSearch[W, R]) run(g *graph.Graph, terminals []int, budget int, e *effort, cert []int) (bool, []int) {
 	n := g.N()
+	e.searches++
+	s.effort = e
 	var zero W
 	s.term, s.iso, s.nonTerm = zero, zero, zero
 	for _, v := range terminals {
 		s.term[v>>6] |= 1 << (v & 63)
 	}
-	distinct := 0
 	for v := 0; v < n; v++ {
 		row := &s.adj[v]
 		*row = zero
@@ -117,7 +165,6 @@ func (s *steinerSearch[W, R]) run(g *graph.Graph, terminals []int, maxEdges int)
 			s.nonTerm[v>>6] |= 1 << (v & 63)
 			continue
 		}
-		distinct++
 		var touch uint64
 		for i := 0; ; i++ {
 			touch |= (*row)[i] & s.term[i]
@@ -129,16 +176,19 @@ func (s *steinerSearch[W, R]) run(g *graph.Graph, terminals []int, maxEdges int)
 			s.iso[v>>6] |= 1 << (v & 63)
 		}
 	}
-	// A tree with e edges has e+1 vertices, so at most maxEdges+1-distinct
-	// of them are non-terminals.
-	budget := min(maxEdges+1-distinct, n-distinct)
-	if budget < 0 {
-		return false, nil
+	if !s.search(zero, zero, zero, terminals[0], budget) {
+		return false, cert
 	}
-	if c := binomialSum(n-distinct, budget); c > 1e7 {
-		return false, fmt.Errorf("steiner decision too large: ~%.0f subsets", c)
+	cert = cert[:0]
+	for i := 0; ; i++ {
+		for m := s.reach[i]; m != 0; m &= m - 1 {
+			cert = append(cert, i<<6|bits.TrailingZeros64(m))
+		}
+		if i == len(s.reach)-1 {
+			break
+		}
 	}
-	return s.search(zero, zero, zero, terminals[0], budget), nil
+	return true, cert
 }
 
 // search adds v to reach, then every terminal reachable from v through
@@ -148,6 +198,7 @@ func (s *steinerSearch[W, R]) run(g *graph.Graph, terminals []int, maxEdges int)
 // non-terminals, none of them in excluded, complete the new reach to a
 // set connecting every terminal.
 func (s *steinerSearch[W, R]) search(reach, nbr, excluded W, v, remaining int) bool {
+	s.effort.nodes++
 	var zero, frontier W
 	frontier[v>>6] = 1 << (v & 63)
 	reach[v>>6] |= frontier[v>>6]
@@ -185,6 +236,7 @@ func (s *steinerSearch[W, R]) search(reach, nbr, excluded W, v, remaining int) b
 		}
 	}
 	if left == 0 {
+		s.reach = reach
 		return true
 	}
 	if remaining == 0 {
@@ -422,26 +474,57 @@ func HasDirectedSteinerWithin(d *graph.Digraph, root int, terminals []int, budge
 // DirSteinerOracle is a reusable directed-Steiner decision evaluator. It
 // enumerates light subsets of the positive-weight arcs with weight
 // pruning, probing reachability once per subset. It owns the positive-arc
-// list, the enabled-arc stack and the generation-stamped BFS scratch, so a
-// verification worker holding one across thousands of pairs pays no
-// per-call allocation. DirectedSteinerEnum, which enumerates every subset,
-// is its independent test reference. The zero value is ready to use. Not
-// safe for concurrent use.
+// list, the enabled-arc stack with a mark per arc slot and the
+// generation-stamped BFS scratch, so a verification worker holding one
+// across thousands of pairs pays no per-call allocation. It carries the
+// enabled arcs of its last YES as a certificate (see certificate.go),
+// checked before any search runs. DirectedSteinerEnum, which enumerates
+// every subset, is its independent test reference. The zero value is
+// ready to use. Not safe for concurrent use.
 type DirSteinerOracle struct {
-	positive []graph.Arc
-	enabled  [][2]int
-	seen     []int32
-	gen      int32
-	queue    []int
+	positive []positiveArc
+	enabled  []int // indices into positive
+	// off[u] is the slot of u's first out-arc, so the j-th out-arc of u
+	// is slot off[u]+j; on marks the slots of the enabled arcs.
+	off   []int
+	on    []bool
+	seen  []int32
+	gen   int32
+	queue []int
+
+	// per-search state
+	d         *graph.Digraph
+	root      int
+	terminals []int
+
+	cert  [][2]int // the last YES certificate, an arc set
+	check arcCheck
+	effort
 }
 
-func (o *DirSteinerOracle) grow(n int) {
+// positiveArc is a positive-weight arc and its slot.
+type positiveArc struct {
+	from, to, slot int
+	weight         int64
+}
+
+func (o *DirSteinerOracle) grow(d *graph.Digraph) {
+	n := d.N()
 	if len(o.seen) < n {
 		o.seen = make([]int32, n)
 		o.gen = 0
 	}
 	if cap(o.queue) < n {
 		o.queue = make([]int, 0, n)
+	}
+	if len(o.off) < n+1 {
+		o.off = make([]int, n+1)
+	}
+	for u := 0; u < n; u++ {
+		o.off[u+1] = o.off[u] + len(d.OutNeighbors(u))
+	}
+	if m := o.off[n]; len(o.on) < m {
+		o.on = make([]bool, m+m/2)
 	}
 }
 
@@ -459,64 +542,80 @@ func (o *DirSteinerOracle) HasDirectedSteinerWithin(d *graph.Digraph, root int, 
 	if budget < 0 {
 		return false, nil // every subgraph weighs at least 0
 	}
-	o.grow(n)
+	if o.check.checkArcSet(d, o.cert, root, terminals, budget) {
+		return true, nil
+	}
+	o.grow(d)
 	o.positive = o.positive[:0]
 	for u := 0; u < n; u++ {
-		for _, h := range d.OutNeighbors(u) {
+		for j, h := range d.OutNeighbors(u) {
 			if h.Weight > 0 {
-				o.positive = append(o.positive, graph.Arc{From: u, To: h.To, Weight: h.Weight})
+				o.positive = append(o.positive, positiveArc{from: u, to: h.To, slot: o.off[u] + j, weight: h.Weight})
 			}
 		}
 	}
 	o.enabled = o.enabled[:0]
-	var try func(idx int, remaining int64) bool
-	try = func(idx int, remaining int64) bool {
-		if o.allReachable(d, root, terminals) {
-			return true
-		}
-		for i := idx; i < len(o.positive); i++ {
-			a := o.positive[i]
-			if a.Weight > remaining {
-				continue
-			}
-			o.enabled = append(o.enabled, [2]int{a.From, a.To})
-			if try(i+1, remaining-a.Weight) {
-				return true
-			}
-			o.enabled = o.enabled[:len(o.enabled)-1]
-		}
-		return false
+	o.d, o.root, o.terminals = d, root, terminals
+	o.searches++
+	found := o.try(0, budget)
+	o.d, o.terminals = nil, nil
+	if !found {
+		return false, nil
 	}
-	return try(0, budget), nil
+	o.cert = o.cert[:0]
+	for _, i := range o.enabled {
+		a := o.positive[i]
+		o.on[a.slot] = false
+		o.cert = append(o.cert, [2]int{a.from, a.to})
+	}
+	if !o.check.checkArcSet(d, o.cert, root, terminals, budget) {
+		o.cert = o.cert[:0]
+		return false, certError("directed Steiner", n)
+	}
+	return true, nil
 }
 
-// allReachable reports whether every terminal is reachable from root
+// try reports whether enabling more arcs of o.positive from index idx on,
+// of total weight at most remaining, makes every terminal reachable. On
+// YES the enabled arcs stay on the stack.
+func (o *DirSteinerOracle) try(idx int, remaining int64) bool {
+	o.nodes++
+	if o.allReachable() {
+		return true
+	}
+	for i := idx; i < len(o.positive); i++ {
+		a := o.positive[i]
+		if a.weight > remaining {
+			continue
+		}
+		o.enabled = append(o.enabled, i)
+		o.on[a.slot] = true
+		if o.try(i+1, remaining-a.weight) {
+			return true
+		}
+		o.on[a.slot] = false
+		o.enabled = o.enabled[:len(o.enabled)-1]
+	}
+	return false
+}
+
+// allReachable reports whether every terminal is reachable from the root
 // along zero-weight and enabled arcs. Seen marks are generation-stamped
-// (no clearing), and the small enabled stack is scanned linearly.
-func (o *DirSteinerOracle) allReachable(d *graph.Digraph, root int, terminals []int) bool {
+// (no clearing).
+func (o *DirSteinerOracle) allReachable() bool {
 	o.gen++
-	o.queue = o.queue[:0]
-	o.queue = append(o.queue, root)
-	o.seen[root] = o.gen
+	o.queue = append(o.queue[:0], o.root)
+	o.seen[o.root] = o.gen
 	for head := 0; head < len(o.queue); head++ {
 		v := o.queue[head]
-		for _, h := range d.OutNeighbors(v) {
-			usable := h.Weight == 0
-			if !usable {
-				for _, e := range o.enabled {
-					if e[0] == v && e[1] == h.To {
-						usable = true
-						break
-					}
-				}
-			}
-			if usable && o.seen[h.To] != o.gen {
+		for j, h := range o.d.OutNeighbors(v) {
+			if (h.Weight == 0 || o.on[o.off[v]+j]) && o.seen[h.To] != o.gen {
 				o.seen[h.To] = o.gen
 				o.queue = append(o.queue, h.To)
 			}
 		}
 	}
-	for _, term := range terminals {
+	for _, term := range o.terminals {
 		if o.seen[term] != o.gen {
 			return false
 		}
