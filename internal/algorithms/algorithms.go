@@ -21,6 +21,7 @@ import (
 
 	"congesthard/internal/congest"
 	"congesthard/internal/graph"
+	"congesthard/internal/solver"
 )
 
 // LeaderElect returns a factory for min-id flooding: after budget rounds
@@ -174,14 +175,14 @@ func MaxCutApprox(g *graph.Graph, p float64, rng *rand.Rand) (*MaxCutApproxResul
 			sample.MustAddEdge(e.U, e.V)
 		}
 	}
-	// The exact solver bounds the sampled instance size; if the sample is
-	// too dense for exact solving, fall back to local search (documented:
-	// Theorem 2.9 assumes the central solve is free local computation).
+	// The leader solves samples of up to 28 vertices exactly and runs local
+	// search on larger ones, keeping the demo's running time bounded
+	// (Theorem 2.9 treats the central solve as free local computation).
 	var side []bool
 	var sampledOpt int64
 	if n <= 28 {
 		var err error
-		sampledOpt, side, err = exactMaxCut(sample)
+		sampledOpt, side, err = solver.MaxCut(sample)
 		if err != nil {
 			return nil, err
 		}
@@ -205,34 +206,9 @@ func MaxCutApprox(g *graph.Graph, p float64, rng *rand.Rand) (*MaxCutApproxResul
 	}, nil
 }
 
-func exactMaxCut(g *graph.Graph) (int64, []bool, error) {
-	// Local import cycle avoidance: a compact exact max-cut (the solver
-	// package hosts the full version; this one serves the sampled graphs).
-	n := g.N()
-	if n > 28 {
-		return 0, nil, fmt.Errorf("sample too large for exact max-cut: %d", n)
-	}
-	best := int64(0)
-	side := make([]bool, n)
-	bestSide := make([]bool, n)
-	if n <= 1 {
-		return 0, bestSide, nil
-	}
-	for mask := uint64(0); mask < uint64(1)<<uint(n-1); mask++ {
-		for v := 1; v < n; v++ {
-			side[v] = mask&(uint64(1)<<uint(v-1)) != 0
-		}
-		if w := g.CutWeight(side); w > best {
-			best = w
-			copy(bestSide, side)
-		}
-	}
-	return best, bestSide, nil
-}
-
 // localSearchMaxCut flips vertices until no single flip improves the cut:
-// a deterministic ½-approximation used when the sampled graph exceeds the
-// exact solver's range.
+// a ½-approximation from a random start, used on samples of more than 28
+// vertices.
 func localSearchMaxCut(g *graph.Graph, rng *rand.Rand) ([]bool, int64) {
 	n := g.N()
 	side := make([]bool, n)

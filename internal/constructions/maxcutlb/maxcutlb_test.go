@@ -171,3 +171,54 @@ func TestBuildRejectsWrongLength(t *testing.T) {
 		t.Error("wrong input length accepted")
 	}
 }
+
+// TestLemma24SampledK4 checks the family at k = 4 (K = 16, n = 37): a
+// sampled Definition 1.1 verification, then the oracle on four disjoint
+// pairs (x, x̄), which must be NO, and four intersecting pairs, which must
+// be YES. On each, the
+// oracle's maximization must find a cut of weight exactly M on the
+// intersecting pairs (Claim 2.12 + Lemma 2.4) and below M on the others.
+func TestLemma24SampledK4(t *testing.T) {
+	if testing.Short() {
+		t.Skip("k = 4 decides hundreds of 37-vertex max-cut instances")
+	}
+	f, err := New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	if err := lbfamily.VerifySampled(f, rng, 12); err != nil {
+		t.Fatal(err)
+	}
+	var o solver.MaxCutOracle
+	for i := 0; i < 8; i++ {
+		x, y := comm.RandomBits(f.K(), rng), comm.NewBits(f.K())
+		for j := 0; j < f.K(); j++ {
+			y.Set(j, !x.Get(j))
+		}
+		if intersect := i >= 4; intersect {
+			j := rng.Intn(f.K())
+			x.Set(j, true)
+			y.Set(j, true)
+		}
+		g, err := f.Build(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := o.HasCutOfWeight(g, f.Target())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := x.Intersects(y)
+		if got != want {
+			t.Fatalf("x=%v y=%v: predicate %v, want %v", x, y, got, want)
+		}
+		best, side, err := o.MaxCut(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best != g.CutWeight(side) || (best == f.Target()) != want || best > f.Target() {
+			t.Fatalf("x=%v y=%v: max cut %d (side realizes %d), M = %d, intersecting %v", x, y, best, g.CutWeight(side), f.Target(), want)
+		}
+	}
+}

@@ -12,8 +12,8 @@ var (
 )
 
 // NewPredicateOracle returns a per-worker arena-backed evaluator of the
-// Theorem 2.8 predicate (cut of weight at least M), using the
-// branch-and-bound decision oracle instead of the Gray-code sweep.
+// Theorem 2.8 predicate (cut of weight at least M), on MaxCutOracle's
+// branch-and-bound decision mode.
 func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle {
 	return &predicateOracle{target: f.Target()}
 }

@@ -184,3 +184,44 @@ func TestWarmSteinerOracleAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestClaim28SampledK4 checks the family at k = 4 (K = 16, n = 80, the
+// two-word search): a sampled Definition 1.1 verification, then the
+// oracle on two disjoint pairs (x, x̄), which must be NO, and two
+// intersecting pairs, which must be YES.
+func TestClaim28SampledK4(t *testing.T) {
+	if testing.Short() {
+		t.Skip("k = 4 decides dozens of 80-vertex Steiner instances")
+	}
+	f, err := New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	if err := lbfamily.VerifySampled(f, rng, 4); err != nil {
+		t.Fatal(err)
+	}
+	var o solver.SteinerOracle
+	for i := 0; i < 4; i++ {
+		x, y := comm.RandomBits(f.K(), rng), comm.NewBits(f.K())
+		for j := 0; j < f.K(); j++ {
+			y.Set(j, !x.Get(j))
+		}
+		if intersect := i >= 2; intersect {
+			j := rng.Intn(f.K())
+			x.Set(j, true)
+			y.Set(j, true)
+		}
+		g, err := f.Build(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := o.HasSteinerTreeWithEdges(g, f.Terminals(), f.TargetEdges())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := x.Intersects(y); got != want {
+			t.Fatalf("x=%v y=%v: predicate %v, want %v", x, y, got, want)
+		}
+	}
+}

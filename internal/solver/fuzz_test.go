@@ -503,7 +503,9 @@ func FuzzMDSOracle(f *testing.F) {
 // must answer the targets optimum+1, optimum and optimum-1 on one oracle,
 // before and after one pair chosen by the input is toggled (an edge of
 // weight 2 added, or the edge removed), so the side vector it carries is
-// checked against the new graph.
+// checked against the new graph. Between the two steps the warm oracle
+// runs one MaxCut, whose value must be the brute optimum and whose side
+// vector must realize it.
 func FuzzMaxCutOracle(f *testing.F) {
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(3), []byte{0b010101})
@@ -543,6 +545,12 @@ func FuzzMaxCutOracle(f *testing.F) {
 			for _, target := range []int64{want + 1, want, want - 1} {
 				if got, err := o.HasCutOfWeight(g, target); err != nil || got != (want >= target) {
 					t.Fatalf("step %d (n=%d target=%d edges=%v): %v (err %v), brute optimum %d", step, n, target, g.Edges(), got, err, want)
+				}
+			}
+			if step == 0 {
+				got, side, err := o.MaxCut(g)
+				if err != nil || got != want || g.CutWeight(side) != want {
+					t.Fatalf("MaxCut (n=%d edges=%v): %d with side %v (err %v), brute optimum %d", n, g.Edges(), got, side, err, want)
 				}
 			}
 		}

@@ -1,76 +1,13 @@
 package solver
 
 import (
-	"fmt"
-	"math/bits"
-
 	"congesthard/internal/graph"
 )
 
-// MaxCut computes a maximum-weight cut of g exactly by Gray-code
-// enumeration of one side (vertex 0 fixed to side false by symmetry), with
-// O(1) amortized update per step. Practical to about 28 vertices, which
-// covers the paper's max-cut family at its verification sizes.
+// MaxCut computes a maximum-weight cut of g exactly, on a fresh
+// MaxCutOracle (see its MaxCut method for the search and the tie rule).
 func MaxCut(g *graph.Graph) (int64, []bool, error) {
-	best, bestMask, err := maxCutSearch(g)
-	if err != nil {
-		return 0, nil, err
-	}
-	side := make([]bool, g.N())
-	for v := 0; v < g.N(); v++ {
-		side[v] = bestMask&(uint64(1)<<uint(v)) != 0
-	}
-	return best, side, nil
-}
-
-// maxCutSearch runs the Gray-code enumeration and returns the best cut
-// weight with its side mask.
-func maxCutSearch(g *graph.Graph) (int64, uint64, error) {
-	n := g.N()
-	if n > 28 {
-		return 0, 0, fmt.Errorf("exact max-cut limited to 28 vertices, got %d", n)
-	}
-	if n <= 1 {
-		return 0, 0, nil
-	}
-
-	// incident[v] = edges incident to v, for the incremental flip update.
-	type inc struct {
-		other  int
-		weight int64
-	}
-	incident := make([][]inc, n)
-	for _, e := range g.Edges() {
-		incident[e.U] = append(incident[e.U], inc{other: e.V, weight: e.Weight})
-		incident[e.V] = append(incident[e.V], inc{other: e.U, weight: e.Weight})
-	}
-
-	current := int64(0)
-	best := int64(0)
-	bestMask := uint64(0)
-	mask := uint64(0)
-	// Enumerate assignments of vertices 1..n-1 in Gray-code order so each
-	// step flips exactly one vertex.
-	steps := uint64(1) << uint(n-1)
-	for i := uint64(1); i < steps; i++ {
-		flip := bits.TrailingZeros64(i) + 1 // vertex to flip (vertex 0 stays put)
-		bit := uint64(1) << uint(flip)
-		mask ^= bit
-		nowOnRight := mask&bit != 0
-		for _, e := range incident[flip] {
-			otherRight := mask&(uint64(1)<<uint(e.other)) != 0
-			if nowOnRight != otherRight {
-				current += e.weight // edge just became cut
-			} else {
-				current -= e.weight // edge just left the cut
-			}
-		}
-		if current > best {
-			best = current
-			bestMask = mask
-		}
-	}
-	return best, bestMask, nil
+	return new(MaxCutOracle).MaxCut(g)
 }
 
 // HasCutOfWeight reports whether g has a cut of weight at least target
@@ -81,32 +18,37 @@ func HasCutOfWeight(g *graph.Graph, target int64) (bool, error) {
 	return new(MaxCutOracle).HasCutOfWeight(g, target)
 }
 
-// MaxCutOracle is a reusable exact max-cut decision evaluator. It assigns
-// vertices to sides in descending weighted-degree order with branch and
-// bound: the bound adds the total positive weight of not-yet-decided edges
-// (remGain), so assignments that cannot reach the target are pruned — on
-// the paper's Section 2.4 instances the k⁴ forcing edges make this
-// exponentially faster than the Gray-code sweep that MaxCut (the full
-// maximization) still uses. It carries the side vector of its last YES as
-// a certificate (see certificate.go), checked before any search runs. All
+// MaxCutOracle is a reusable exact max-cut evaluator: one branch and bound
+// over vertex assignments, in a decision mode (HasCutOfWeight) and a
+// maximization mode (MaxCut). The bound adds the total positive weight of
+// not-yet-decided edges (remGain), so assignments that cannot reach the
+// target are pruned — on the paper's Section 2.4 instances the k⁴ forcing
+// edges make this exponentially faster than enumerating assignments. The
+// decision mode carries the side vector of its last YES as a certificate
+// (see certificate.go), checked before any search runs. All decision
 // scratch is preallocated and reused, so a worker holding an oracle across
 // many same-size graphs does not allocate. The zero value is ready to use.
 // Not safe for concurrent use.
 type MaxCutOracle struct {
-	n        int   // vertex count of the current call
-	capN     int   // allocated capacity
-	order    []int // order[d] = vertex assigned at depth d
-	pos      []int // pos[v] = depth of v
-	gain     []int64
-	back     [][]cutBackEdge // back[d] = edges from order[d] to earlier depths
-	remGain  []int64         // remGain[d] = total positive weight of edges undecided before depth d
-	side     []bool          // side[d] = side of order[d]
-	target   int64
-	negative bool
+	n       int   // vertex count of the current call
+	capN    int   // allocated capacity
+	order   []int // order[d] = vertex assigned at depth d
+	pos     []int // pos[v] = depth of v
+	gain    []int64
+	back    [][]cutBackEdge // back[d] = edges from order[d] to earlier depths
+	remGain []int64         // remGain[d] = total positive weight of edges undecided before depth d
+	side    []bool          // side[d] = side of order[d]
+	target  int64
+	// complete: only a complete assignment reaches the target. Set by a
+	// negative edge weight, and in the maximization mode.
+	complete bool
 	// decided is the depth at which the search reached the target: the
 	// vertices from there on are unassigned and any side completes them.
 	decided int
-	cert    []bool // the last YES certificate, cert[v] = side of v
+	// best is nil in the decision mode; in the maximization mode it holds
+	// the best complete assignment so far, best[v] = side of v.
+	best []bool
+	cert []bool // the last YES certificate, cert[v] = side of v
 	effort
 }
 
@@ -117,44 +59,97 @@ type cutBackEdge struct {
 }
 
 // HasCutOfWeight reports whether g has a cut of weight at least target,
-// reusing the oracle's scratch. Same 28-vertex limit (and error message)
-// as the package-level function, so the two paths are interchangeable.
+// reusing the oracle's scratch.
 func (o *MaxCutOracle) HasCutOfWeight(g *graph.Graph, target int64) (bool, error) {
 	n := g.N()
-	if n > 28 {
-		return false, fmt.Errorf("exact max-cut limited to 28 vertices, got %d", n)
-	}
 	if n <= 1 {
 		return 0 >= target, nil
 	}
 	if checkCut(g, o.cert, target) {
 		return true, nil
 	}
-	o.grow(n)
+	o.setup(g, false)
 	o.target = target
-	o.negative = false
-	// Weighted-degree order, heaviest first: deciding the forcing edges
-	// early makes the remGain bound bite immediately.
+	o.searches++
+	if !o.recurse(1, 0) {
+		return false, nil
+	}
+	if cap(o.cert) < n {
+		o.cert = make([]bool, n)
+	}
+	o.cert = o.cert[:n]
+	for d := 0; d < n; d++ {
+		o.cert[o.order[d]] = d < o.decided && o.side[d]
+	}
+	if !checkCut(g, o.cert, target) {
+		o.cert = o.cert[:0]
+		return false, certError("MaxCut", n)
+	}
+	return true, nil
+}
+
+// MaxCut returns a maximum cut weight of g and a side vector realizing it:
+// the decision search with the target raised past every better complete
+// assignment it meets. It takes the vertices in the order 0, n−1, …, 1,
+// side false first, so it meets the assignments in increasing order of
+// the mask Σ_{side[v]} 2^(v−1) and returns the optimum of smallest mask
+// with vertex 0 on side false. The side vector is the caller's; the
+// carried certificate is left as it is.
+func (o *MaxCutOracle) MaxCut(g *graph.Graph) (int64, []bool, error) {
+	n := g.N()
+	side := make([]bool, n)
+	if n <= 1 {
+		return 0, side, nil
+	}
+	o.setup(g, true)
+	o.complete = true
+	o.target = 0 // the empty cut: every vertex on side false
+	o.best = side
+	o.searches++
+	o.recurse(1, 0)
+	o.best = nil
+	best := o.target - 1
+	if !checkCut(g, side, best) {
+		return 0, nil, certError("MaxCut", n)
+	}
+	return best, side, nil
+}
+
+// setup sizes the scratch for g and fixes the assignment order with its
+// depth index, back edges and remGain bound. The decision mode orders by
+// weighted degree, heaviest first: deciding the forcing edges early makes
+// the remGain bound bite immediately. The maximization mode takes
+// 0, n−1, …, 1 (see MaxCut).
+func (o *MaxCutOracle) setup(g *graph.Graph, maximize bool) {
+	n := g.N()
+	o.grow(n)
+	o.complete = false
 	for v := 0; v < n; v++ {
 		var total int64
 		for _, h := range g.Neighbors(v) {
 			if h.Weight > 0 {
 				total += h.Weight
 			} else if h.Weight < 0 {
-				o.negative = true
+				o.complete = true
 			}
 		}
 		o.gain[v] = total
 		o.order[v] = v
 	}
-	for i := 1; i < n; i++ {
-		v := o.order[i]
-		j := i
-		for j > 0 && o.gain[o.order[j-1]] < o.gain[v] {
-			o.order[j] = o.order[j-1]
-			j--
+	if maximize {
+		for d := 1; d < n; d++ {
+			o.order[d] = n - d
 		}
-		o.order[j] = v
+	} else {
+		for i := 1; i < n; i++ {
+			v := o.order[i]
+			j := i
+			for j > 0 && o.gain[o.order[j-1]] < o.gain[v] {
+				o.order[j] = o.order[j-1]
+				j--
+			}
+			o.order[j] = v
+		}
 	}
 	for d := 0; d < n; d++ { // first n entries only: o.order may be larger
 		o.pos[o.order[d]] = d
@@ -182,22 +177,6 @@ func (o *MaxCutOracle) HasCutOfWeight(g *graph.Graph, target int64) (bool, error
 		o.remGain[d] = o.remGain[d+1] + late
 	}
 	o.side[0] = false // fix one side by symmetry
-	o.searches++
-	if !o.recurse(1, 0) {
-		return false, nil
-	}
-	if cap(o.cert) < n {
-		o.cert = make([]bool, n)
-	}
-	o.cert = o.cert[:n]
-	for d := 0; d < n; d++ {
-		o.cert[o.order[d]] = d < o.decided && o.side[d]
-	}
-	if !checkCut(g, o.cert, target) {
-		o.cert = o.cert[:0]
-		return false, certError("MaxCut", n)
-	}
-	return true, nil
 }
 
 func (o *MaxCutOracle) grow(n int) {
@@ -217,10 +196,17 @@ func (o *MaxCutOracle) grow(n int) {
 //hardness:hotpath
 func (o *MaxCutOracle) recurse(d int, current int64) bool {
 	o.nodes++
-	if current >= o.target && (d == o.n || !o.negative) {
+	if current >= o.target && (d == o.n || !o.complete) {
 		// With nonnegative weights any completion only adds cut weight.
-		o.decided = d
-		return true
+		if o.best == nil {
+			o.decided = d
+			return true
+		}
+		for i, s := range o.side[:o.n] {
+			o.best[o.order[i]] = s
+		}
+		o.target = current + 1 // look only for a better assignment
+		return false
 	}
 	if d == o.n {
 		return false

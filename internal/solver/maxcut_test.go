@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"congesthard/internal/graph"
@@ -37,22 +38,58 @@ func TestMaxCutKnown(t *testing.T) {
 	}
 }
 
+// TestMaxCutAgainstBrute checks MaxCut's value against BruteMaxCut, its
+// side vector against the value, and the side vector against the tie
+// rule: the optimum of smallest mask Σ_{side[v]} 2^(v−1) with vertex 0 on
+// side false, found here by enumerating the masks in order. Unit weights
+// make ties common; some trials negate every third edge.
 func TestMaxCutAgainstBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 25; trial++ {
-		g := graph.GnpWeighted(12, 0.4, 10, rng)
+	for trial := 0; trial < 50; trial++ {
+		g := graph.GnpWeighted(12, 0.4, []int64{10, 1}[trial%2], rng)
+		if trial%4 >= 2 {
+			for i, e := range g.Edges() {
+				if i%3 == 0 {
+					if err := g.SetEdgeWeight(e.U, e.V, -e.Weight); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
 		want, err := BruteMaxCut(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := MaxCut(g)
+		got, side, err := MaxCut(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Fatalf("trial %d: MaxCut = %d, brute = %d", trial, got, want)
 		}
+		if w := g.CutWeight(side); w != got {
+			t.Fatalf("trial %d: returned side realizes %d, reported %d", trial, w, got)
+		}
+		if first := smallestMaskOptimum(g, want); !slices.Equal(side, first) {
+			t.Fatalf("trial %d: returned side %v, smallest-mask optimum %v", trial, side, first)
+		}
 	}
+}
+
+// smallestMaskOptimum returns the first side vector of weight opt in the
+// order of the masks Σ_{side[v]} 2^(v−1), vertex 0 on side false.
+func smallestMaskOptimum(g *graph.Graph, opt int64) []bool {
+	n := g.N()
+	side := make([]bool, n)
+	for mask := 0; mask < 1<<(n-1); mask++ {
+		for v := 1; v < n; v++ {
+			side[v] = mask>>(v-1)&1 == 1
+		}
+		if g.CutWeight(side) == opt {
+			return side
+		}
+	}
+	return nil
 }
 
 func TestMaxCutEdgeCases(t *testing.T) {
@@ -64,8 +101,10 @@ func TestMaxCutEdgeCases(t *testing.T) {
 	if err != nil || got != 0 {
 		t.Errorf("single vertex: %d, %v", got, err)
 	}
-	if _, _, err := MaxCut(graph.New(40)); err == nil {
-		t.Error("oversized instance accepted")
+	// No size cap: 40 isolated vertices cut nothing, all on side false.
+	got, side, err := MaxCut(graph.New(40))
+	if err != nil || got != 0 || slices.Contains(side, true) {
+		t.Errorf("40 isolated vertices: %d %v, %v", got, side, err)
 	}
 }
 

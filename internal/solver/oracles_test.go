@@ -154,3 +154,45 @@ func TestNodeSteinerNegativeBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeSteinerWithinAgreesWithEnum checks HasNodeSteinerWithin against
+// the reference enumeration NodeWeightedSteinerEnum on random graphs with
+// vertex weights 0..2 and one to three terminals, repeats allowed (a
+// repeated terminal is paid for once), at every budget from -1 to 6.
+// Terminals that no subgraph connects answer NO at every budget.
+func TestNodeSteinerWithinAgreesWithEnum(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(11)
+		g := graph.Gnp(n, 0.2+0.4*rng.Float64(), rng)
+		for v := 0; v < n; v++ {
+			if err := g.SetVertexWeight(v, int64(rng.Intn(3))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		terminals := make([]int, 1+rng.Intn(3))
+		for i := range terminals {
+			terminals[i] = rng.Intn(n)
+		}
+		best, err := NodeWeightedSteinerEnum(g, terminals)
+		connectable := err == nil
+		for budget := int64(-1); budget <= 6; budget++ {
+			got, err := HasNodeSteinerWithin(g, terminals, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := connectable && best <= budget; got != want {
+				t.Fatalf("trial %d (n=%d edges=%v weights=%v terminals=%v) budget %d: %v, enumeration minimum %d (connectable %v)",
+					trial, n, g.Edges(), vertexWeights(g), terminals, budget, got, best, connectable)
+			}
+		}
+	}
+}
+
+func vertexWeights(g *graph.Graph) []int64 {
+	w := make([]int64, g.N())
+	for v := range w {
+		w[v] = g.VertexWeight(v)
+	}
+	return w
+}
