@@ -164,7 +164,9 @@ func TestTheorem22SampledK4(t *testing.T) {
 
 // TestWarmHamiltonOracleAllocatesNothing pins the Verify hot path: once
 // the family's predicate oracle has seen a k=2 instance, deciding it on a
-// YES pair and on a NO pair allocates nothing.
+// YES pair and on a NO pair allocates nothing, and neither does a NO pair
+// that the NO carry answers: (0, 0) after (1111, 0), the largest NO
+// instance of its column, which dominates it.
 func TestWarmHamiltonOracleAllocatesNothing(t *testing.T) {
 	f, err := New(2)
 	if err != nil {
@@ -173,13 +175,24 @@ func TestWarmHamiltonOracleAllocatesNothing(t *testing.T) {
 	zero, ones := comm.NewBits(f.K()), comm.OnesBits(f.K())
 	o := f.NewDigraphPredicateOracle()
 	for _, tc := range []struct {
-		name string
-		x, y comm.Bits
-		want bool
+		name    string
+		x, y    comm.Bits
+		want    bool
+		carried bool // decide (1111, y) first
 	}{
-		{"yes", ones, ones, true},
-		{"no", zero, zero, false},
+		{"yes", ones, ones, true, false},
+		{"no", zero, zero, false, false},
+		{"carried no", zero, zero, false, true},
 	} {
+		if tc.carried {
+			largest, err := f.Build(ones, tc.y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := o.Eval(largest); err != nil || got {
+				t.Fatalf("%s: the column's largest NO instance answers %v (err %v)", tc.name, got, err)
+			}
+		}
 		d, err := f.Build(tc.x, tc.y)
 		if err != nil {
 			t.Fatal(err)

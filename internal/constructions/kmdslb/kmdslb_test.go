@@ -6,6 +6,7 @@ import (
 
 	"congesthard/internal/comm"
 	"congesthard/internal/cover"
+	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
 	"congesthard/internal/solver"
 )
@@ -290,5 +291,34 @@ func TestRestrictedFamilyExhaustive(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPowerOracleSeesEdgeChangesInPlace toggles one graph object in
+// place from the path P7 into K4 plus three isolated vertices, which has
+// the same edge count. The reused oracle must rebuild its power graph:
+// P7 has a 2-dominating set of weight 2 ({1, 5}), K4 + 3 isolated
+// vertices has none, and a fresh MDSOracle on g.Power(2) agrees.
+func TestPowerOracleSeesEdgeChangesInPlace(t *testing.T) {
+	g := graph.Path(7)
+	o := &powerMDSOracle{dist: 2, budget: 2}
+	if got, err := o.Eval(g); err != nil || !got {
+		t.Fatalf("P7: got %v (err %v), want true", got, err)
+	}
+	for _, e := range [][2]int{{3, 4}, {4, 5}, {5, 6}, {0, 2}, {0, 3}, {1, 3}} {
+		if _, err := g.ToggleEdge(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.M() != 6 {
+		t.Fatalf("K4 + 3 isolated has %d edges, want 6", g.M())
+	}
+	var fresh solver.MDSOracle
+	want, err := fresh.HasDominatingSetOfWeight(g.Power(2), 2)
+	if err != nil || want {
+		t.Fatalf("fresh oracle on K4 + 3 isolated: %v (err %v), want false", want, err)
+	}
+	if got, err := o.Eval(g); err != nil || got != want {
+		t.Fatalf("K4 + 3 isolated: got %v (err %v), want %v", got, err, want)
 	}
 }

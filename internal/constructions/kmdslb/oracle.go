@@ -33,22 +33,24 @@ func (f *KMDSFamily) NewPredicateOracle() lbfamily.PredicateOracle {
 // inputs drive vertex weights only, which Verify's conditions 2-3 check
 // independently): the k-th power graph is built once and reused with
 // refreshed vertex weights, and the capped MDS search runs in a reusable
-// arena, so steady-state evaluation allocates nothing. A caller switching
-// to a different graph object or edge count triggers a rebuild.
+// arena, so steady-state evaluation allocates nothing. The oracle keeps a
+// copy of the adjacency lists the power graph was built from and compares
+// every graph against it, so any edge change, on the same graph object or
+// another, rebuilds the power graph.
 type powerMDSOracle struct {
 	dist   int
 	budget int64
 
-	src   *graph.Graph
-	m     int
-	power *graph.Graph
-	o     solver.MDSOracle
+	// The power graph's source: vertex v's neighbours are to[off[v]:off[v+1]].
+	off, to []int
+	power   *graph.Graph
+	o       solver.MDSOracle
 }
 
 func (p *powerMDSOracle) Eval(g *graph.Graph) (bool, error) {
-	if p.power == nil || p.src != g || p.m != g.M() {
+	if p.power == nil || !p.sameEdges(g) {
 		p.power = g.Power(p.dist)
-		p.src, p.m = g, g.M()
+		p.keepEdges(g)
 	} else {
 		for v := 0; v < g.N(); v++ {
 			if err := p.power.SetVertexWeight(v, g.VertexWeight(v)); err != nil {
@@ -57,6 +59,40 @@ func (p *powerMDSOracle) Eval(g *graph.Graph) (bool, error) {
 		}
 	}
 	return p.o.HasDominatingSetOfWeight(p.power, p.budget)
+}
+
+// sameEdges reports whether g's adjacency lists equal the kept copy, in
+// O(n + m).
+func (p *powerMDSOracle) sameEdges(g *graph.Graph) bool {
+	n := g.N()
+	if len(p.off) != n+1 {
+		return false
+	}
+	for v := 0; v < n; v++ {
+		kept := p.to[p.off[v]:p.off[v+1]]
+		nbrs := g.Neighbors(v)
+		if len(nbrs) != len(kept) {
+			return false
+		}
+		for i, h := range nbrs {
+			if h.To != kept[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// keepEdges copies g's adjacency lists, reusing the copy's storage.
+func (p *powerMDSOracle) keepEdges(g *graph.Graph) {
+	n := g.N()
+	p.off, p.to = append(p.off[:0], 0), p.to[:0]
+	for v := 0; v < n; v++ {
+		for _, h := range g.Neighbors(v) {
+			p.to = append(p.to, h.To)
+		}
+		p.off = append(p.off, len(p.to))
+	}
 }
 
 // NewDigraphPredicateOracle returns a per-worker arena-backed evaluator of

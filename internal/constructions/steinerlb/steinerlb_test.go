@@ -142,8 +142,10 @@ func TestWitnessRejectsDisjoint(t *testing.T) {
 
 // TestWarmSteinerOracleAllocatesNothing pins the Verify hot path: once a
 // SteinerOracle has seen a k=2 instance, deciding the predicate on a YES
-// pair and on a NO pair allocates nothing. The same pairs padded with 25
-// isolated vertices (65 in all, same verdicts) pin the two-word search.
+// pair and on a NO pair allocates nothing, and neither does a NO pair that
+// the NO carry answers: (0, 0) after (1111, 0), the largest NO instance of
+// its column, which dominates it. The same pairs padded with 25 isolated
+// vertices (65 in all, same verdicts) pin the two-word search.
 func TestWarmSteinerOracleAllocatesNothing(t *testing.T) {
 	f, err := New(2)
 	if err != nil {
@@ -151,27 +153,39 @@ func TestWarmSteinerOracleAllocatesNothing(t *testing.T) {
 	}
 	terminals, target := f.Terminals(), f.TargetEdges()
 	zero, ones := comm.NewBits(f.K()), comm.OnesBits(f.K())
-	var o solver.SteinerOracle
-	for _, tc := range []struct {
-		name string
-		x, y comm.Bits
-		pad  int
-		want bool
-	}{
-		{"yes", ones, ones, 0, true},
-		{"no", zero, zero, 0, false},
-		{"two-word yes", ones, ones, 25, true},
-		{"two-word no", zero, zero, 25, false},
-	} {
-		built, err := f.Build(tc.x, tc.y)
+	build := func(x, y comm.Bits, pad int) *graph.Graph {
+		built, err := f.Build(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := graph.New(built.N() + tc.pad)
+		g := graph.New(built.N() + pad)
 		for _, e := range built.Edges() {
 			g.MustAddEdge(e.U, e.V)
 		}
 		g.Freeze()
+		return g
+	}
+	var o solver.SteinerOracle
+	for _, tc := range []struct {
+		name    string
+		x, y    comm.Bits
+		pad     int
+		want    bool
+		carried bool // decide (1111, y) first
+	}{
+		{"yes", ones, ones, 0, true, false},
+		{"no", zero, zero, 0, false, false},
+		{"carried no", zero, zero, 0, false, true},
+		{"two-word yes", ones, ones, 25, true, false},
+		{"two-word no", zero, zero, 25, false, false},
+		{"two-word carried no", zero, zero, 25, false, true},
+	} {
+		if tc.carried {
+			if got, err := o.HasSteinerTreeWithEdges(build(ones, tc.y, tc.pad), terminals, target); err != nil || got {
+				t.Fatalf("%s: the column's largest NO instance answers %v (err %v)", tc.name, got, err)
+			}
+		}
+		g := build(tc.x, tc.y, tc.pad)
 		var got bool
 		allocs := testing.AllocsPerRun(20, func() {
 			got, err = o.HasSteinerTreeWithEdges(g, terminals, target)

@@ -164,8 +164,8 @@ func ImpliedLowerBound(stats Stats, f comm.Function) (float64, error) {
 //
 // The pairs run through the sweep engine (see Sweep), one column per
 // y. Families implementing DeltaFamily are verified delta-driven: each
-// worker walks its columns in Gray-code order over x, toggling only the
-// changed bit's edges between pairs. Everything observable — the checks,
+// worker walks its columns in Gray-code order over x, from x = ȳ (see
+// CubeWalk), toggling only the changed bit's edges between pairs. Everything observable — the checks,
 // the first-error choice and its message — is identical to the
 // rebuild-every-pair path, which remains the transparent fallback.
 func Verify(fam Family) error { return VerifyCtx(context.Background(), fam) }

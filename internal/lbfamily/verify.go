@@ -157,7 +157,7 @@ func verify[G Instance[G]](ctx context.Context, fam family[G], kd kind[G], xs, y
 }
 
 // verifyPairs is verification phase 1. Each column is one y, walked over
-// x in Gray-code order when xs is the whole cube. Families whose delta
+// x in the order columnWalk picks. Families whose delta
 // passes the consistency gate (GatedDelta) are walked delta-driven,
 // folding each instance's journal into running hashes; when that walk
 // breaks, every pair is rebuilt instead, since a broken worker leaves
@@ -166,7 +166,7 @@ func verify[G Instance[G]](ctx context.Context, fam family[G], kd kind[G], xs, y
 func verifyPairs[G Instance[G]](ctx context.Context, fam family[G], kd kind[G], side []bool, xs, ys []comm.Bits, rebuild bool) ([]pairOutcome, SweepResult, bool) {
 	bobSide := bobSideOf(side)
 	outcomes := make([]pairOutcome, len(xs)*len(ys))
-	order := walkOrder(xs, fam.K())
+	walk := columnWalk(xs, fam.K())
 	type worker struct {
 		h     sideHashes
 		eval  func(G) (bool, error)
@@ -181,7 +181,8 @@ func verifyPairs[G Instance[G]](ctx context.Context, fam family[G], kd kind[G], 
 	sw := Sweep[G]{
 		Cols: len(ys), Rows: len(xs), Workers: len(workers),
 		Pair: func(c, r int) (comm.Bits, comm.Bits, int) {
-			return xs[order[r]], ys[c], order[r]*len(ys) + c
+			xi := walk(c, r)
+			return xs[xi], ys[c], xi*len(ys) + c
 		},
 		Build: func(x, y comm.Bits) (G, error) {
 			g, err := fam.Build(x, y)
@@ -232,30 +233,44 @@ func verifyPairs[G Instance[G]](ctx context.Context, fam family[G], kd kind[G], 
 	return outcomes, sw.Run(ctx), false
 }
 
-// walkOrder returns the sequence of xs indices a worker visits per
-// column. When xs is the canonical AllBits enumeration (xs[i] encodes the
-// integer i), the reflected Gray code i XOR i>>1 visits every input with
-// exactly one bit toggled between consecutive visits; otherwise (sampled
-// verification) the sample order is kept and each step toggles the
-// Hamming distance between consecutive samples.
-func walkOrder(xs []comm.Bits, k int) []int {
-	order := make([]int, len(xs))
-	gray := k <= 24 && len(xs) == 1<<uint(k) && canonicalCube(xs, k)
-	for i := range order {
-		order[i] = i
-		if gray {
-			order[i] ^= i >> 1
-		}
+// columnWalk returns the xs index that column c visits at step r: CubeWalk
+// when xs is the canonical AllBits enumeration (xs[i] encodes the integer
+// i; every exhaustive caller passes the same inputs as ys), so that
+// consecutive visits differ in one bit. Otherwise (sampled verification)
+// the sample order is kept and each step toggles the Hamming distance
+// between consecutive samples. The report does not depend on the order:
+// outcomes are keyed by (x, y).
+func columnWalk(xs []comm.Bits, k int) func(c, r int) int {
+	if k > 24 || len(xs) != 1<<uint(k) || !canonicalCube(xs, k) {
+		return func(_, r int) int { return r }
 	}
-	return order
+	return func(c, r int) int { return CubeWalk(k, c, r) }
+}
+
+// CubeWalk returns the x that column y = c of an exhaustive sweep over the
+// k-bit cube visits at step r: the reflected Gray code of r XORed with
+// ȳ = c XOR (2^k − 1). So each column starts at x = ȳ, the largest x
+// disjoint from y, and every step toggles one bit of x. For a ¬DISJ
+// predicate the column's NO instances are the x ⊆ ȳ. In the paper's
+// families each of them is dominated by the first, so a decision oracle
+// that carries its last NO instance (solver's decide) searches one NO
+// instance per column.
+//
+//hardness:hotpath
+func CubeWalk(k, c, r int) int {
+	return r ^ r>>1 ^ c ^ (1<<k - 1)
 }
 
 // canonicalCube reports whether xs[i] encodes the integer i for all i.
 func canonicalCube(xs []comm.Bits, k int) bool {
 	for i, x := range xs {
-		want, err := comm.BitsFromUint64(k, uint64(i))
-		if err != nil || !x.Equal(want) {
+		if x.Len() != k {
 			return false
+		}
+		for j := 0; j < k; j++ {
+			if x.Get(j) != (i>>j&1 == 1) {
+				return false
+			}
 		}
 	}
 	return true

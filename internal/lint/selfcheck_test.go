@@ -34,8 +34,8 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 // allocs-guard benchmarks watch (the simulator core RunLinks, which
 // BenchmarkCongestRunCore and BenchmarkDicongestRunCore both spend their
 // rounds in, and congest.Run, its undirected front end; the
-// VerifyExhaustive delta workers, the oracle recursions, the delta
-// toggles). If one of these is renamed or
+// VerifyExhaustive delta workers and their column order, the oracle
+// recursions and NO-carry dominance checks, the delta toggles). If one of these is renamed or
 // loses its directive, hotalloc silently stops guarding the loop the
 // benchmark measures — this test makes that drift loud.
 func TestHotpathDirectiveSync(t *testing.T) {
@@ -49,6 +49,11 @@ func TestHotpathDirectiveSync(t *testing.T) {
 		{"internal/solver/independent.go", "recurse"},
 		{"internal/solver/mds.go", "recurse"},
 		{"internal/solver/maxcut.go", "recurse"},
+		{"internal/solver/carry.go", "adjWithin"},
+		{"internal/solver/carry.go", "arcsNoLighter"},
+		{"internal/solver/mds.go", "noCarried"},
+		{"internal/solver/independent.go", "noCarried"},
+		{"internal/lbfamily/verify.go", "CubeWalk"},
 		{"internal/graph/delta.go", "ToggleEdge"},
 		{"internal/graph/deltadigraph.go", "ToggleArc"},
 	}

@@ -1,8 +1,6 @@
 package solver
 
 import (
-	"fmt"
-
 	"congesthard/internal/graph"
 )
 
@@ -11,25 +9,12 @@ import (
 // vertex set, an arc set or an independent set (the nondeterministic
 // certificates of Section 5). A YES found by a search is confirmed by the
 // checker of its kind below before it is returned, and the oracle keeps
-// it: the next call checks it against the new instance first and answers
-// YES without a search when it holds. Consecutive pairs of a Gray walk
-// differ by one bit's change list, so the last certificate often
-// survives. A certificate is trusted only because its check passed on the
-// instance at hand, never because of where it came from. Each checker is
-// independent of the search it confirms, runs in O(n + m) and allocates
-// nothing: its scratch is passed in.
-
-// certError reports a search whose YES failed its certificate check.
-func certError(oracle string, n int) error {
-	return fmt.Errorf("solver: %s oracle: the search's certificate fails its check on a %d-vertex graph", oracle, n)
-}
-
-// effort counts the searches an oracle ran and the nodes they expanded;
-// a call answered by the carried certificate runs no search. Tests pin
-// both.
-type effort struct {
-	searches, nodes int64
-}
+// it; decide (carry.go) checks it against the next instance first.
+// Consecutive pairs of a Gray walk differ by one bit's change list, so the
+// last certificate often survives. A certificate is trusted only because
+// its check passed on the instance at hand, never because of where it
+// came from. Each checker is independent of the search it confirms, runs
+// in O(n + m) and allocates nothing: its scratch is passed in.
 
 // markBuf returns *buf cleared and sized for n bits, growing it only when
 // it is too small.

@@ -17,7 +17,8 @@ import (
 // requested endpoints; after a NO the matching must again saturate the
 // root. The one-word oracle then answers once more, warm, after one arc
 // chosen by the input is toggled, so the certificate it carries from the
-// first digraph is checked against the second.
+// first digraph is checked against the second; after a NO it answers again
+// with one arc removed (see carriedNo).
 func FuzzHamiltonOracle(f *testing.F) {
 	f.Add(uint8(4), uint8(0), uint8(4), []byte{0b00100010, 0b10000100})
 	f.Add(uint8(1), uint8(0), uint8(0), []byte{})
@@ -83,6 +84,7 @@ func FuzzHamiltonOracle(f *testing.F) {
 		if want, err = BruteDirectedHamiltonianPath(d, start, end); err != nil {
 			t.Fatal(err)
 		}
+		before := warm.effort
 		path, got, err := warm.pathFrom(d, start, end, 1)
 		if err != nil || got != want {
 			t.Fatalf("warm oracle after toggling (%d,%d) (n=%d start=%d end=%d arcs=%v): %v (err %v), brute %v", u, v, n, start, end, d.Arcs(), got, err, want)
@@ -90,6 +92,21 @@ func FuzzHamiltonOracle(f *testing.F) {
 		if got && (!IsDirectedHamiltonianPath(d, path) || path[0] != start || (end >= 0 && path[n-1] != end)) {
 			t.Fatalf("warm oracle after toggling (%d,%d) returned %v, not a Hamiltonian path with those endpoints", u, v, path)
 		}
+		if got || d.M() == 0 {
+			return
+		}
+		// Fewer arcs: the NO snapshot dominates.
+		a := d.Arcs()[pick(arcs, d.M())]
+		if _, err := d.ToggleArc(a.From, a.To, 1); err != nil {
+			t.Fatal(err)
+		}
+		if want, err = BruteDirectedHamiltonianPath(d, start, end); err != nil {
+			t.Fatal(err)
+		}
+		carriedNo(t, &warm.effort, before, want, func() (bool, error) {
+			_, got, err := warm.pathFrom(d, start, end, 1)
+			return got, err
+		})
 	})
 }
 
@@ -140,7 +157,8 @@ func matchingRestored(pred, succ []int16, d *graph.Digraph, start, end int) bool
 // finds the terminals unconnected, at one word per vertex set and at a
 // forced two words, each on a cold oracle and then a warm one, and once
 // more on the warm one-word oracle after one edge chosen by the input is
-// toggled, so the certificate it carries is checked against the new graph.
+// toggled, so the certificate it carries is checked against the new graph;
+// after a NO it answers again with one edge removed (see carriedNo).
 func FuzzSteinerOracle(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 2, 2}, uint8(3), []byte{0b101})
 	f.Add(uint8(3), []byte{0, 0}, uint8(1), []byte{})
@@ -208,10 +226,24 @@ func FuzzSteinerOracle(f *testing.F) {
 		}
 		brute, err = BruteSteinerTree(g, terminals)
 		want = err == nil && brute <= int64(maxEdges)
-		if got, err := warm.decide(g, terminals, maxEdges, 1); err != nil || got != want {
+		before := warm.effort
+		got, err := warm.decide(g, terminals, maxEdges, 1)
+		if err != nil || got != want {
 			t.Fatalf("warm oracle after toggling {%d,%d} (n=%d terminals=%v maxEdges=%d edges=%v): %v (err %v), brute %d",
 				u, v, n, terminals, maxEdges, g.Edges(), got, err, brute)
 		}
+		if got || g.M() == 0 {
+			return
+		}
+		// Fewer edges under the same budget: the NO snapshot dominates.
+		e := g.Edges()[pick(edges, g.M())]
+		if _, err := g.ToggleEdge(e.U, e.V, 1); err != nil {
+			t.Fatal(err)
+		}
+		brute, err = BruteSteinerTree(g, terminals)
+		carriedNo(t, &warm.effort, before, err == nil && brute <= int64(maxEdges), func() (bool, error) {
+			return warm.decide(g, terminals, maxEdges, 1)
+		})
 	})
 }
 
@@ -225,7 +257,9 @@ func FuzzSteinerOracle(f *testing.F) {
 // false when the terminals are unreachable, on a cold oracle and then a
 // warm one, and once more after one ordered pair chosen by the input is
 // toggled (an arc of weight 0..2 added, or the arc removed), so the
-// certificate the oracle carries is checked against the new digraph.
+// certificate the oracle carries is checked against the new digraph; after
+// a NO there it answers again with one weight-1 arc made heavier or
+// another arc removed (see carriedNo).
 func FuzzDirSteinerOracle(f *testing.F) {
 	f.Add(uint8(2), uint8(0), []byte{1}, uint8(0), []byte{0b01})
 	f.Add(uint8(4), uint8(0), []byte{3, 3, 2}, uint8(3), []byte{0x9e, 0x27, 0xb1})
@@ -290,6 +324,7 @@ func FuzzDirSteinerOracle(f *testing.F) {
 				}
 				want = err == nil && best <= budget
 			}
+			before := o.effort
 			got, err := o.HasDirectedSteinerWithin(d, root, terminals, budget)
 			if err != nil {
 				t.Fatalf("oracle (n=%d root=%d terminals=%v budget=%d): %v", n, root, terminals, budget, err)
@@ -298,6 +333,25 @@ func FuzzDirSteinerOracle(f *testing.F) {
 				t.Fatalf("oracle call %d (n=%d root=%d terminals=%v budget=%d arcs=%v): %v, enumeration %d (reachable %v)",
 					call, n, root, terminals, budget, d.Arcs(), got, best, err == nil)
 			}
+			if call < 2 || got || d.M() == 0 {
+				continue
+			}
+			// A weight-1 arc made heavier, or another arc removed: the NO
+			// snapshot dominates.
+			a := d.Arcs()[pick(termBytes, d.M())]
+			if _, err := d.ToggleArc(a.From, a.To, 0); err != nil {
+				t.Fatal(err)
+			}
+			if a.Weight == 1 {
+				d.MustAddWeightedArc(a.From, a.To, 2)
+			}
+			best, err = DirectedSteinerEnum(d, root, terminals)
+			if err != nil && err.Error() != "terminals not reachable from root" {
+				t.Fatalf("enumeration (n=%d root=%d terminals=%v): %v", n, root, terminals, err)
+			}
+			carriedNo(t, &o.effort, before, err == nil && best <= budget, func() (bool, error) {
+				return o.HasDirectedSteinerWithin(d, root, terminals, budget)
+			})
 		}
 	})
 }
@@ -314,7 +368,9 @@ func FuzzDirSteinerOracle(f *testing.F) {
 // optimum. HasWeightAtLeast, weighted and unit, must then answer the
 // targets optimum+1, optimum and optimum-1 on one oracle each, before and
 // after one edge chosen by the input is toggled, so the certificate it
-// carries is checked against the new graph.
+// carries is checked against the new graph, and the target optimum+1 once
+// more after one edge is added and one vertex made lighter (see
+// carriedNo).
 func FuzzMaxISOracle(f *testing.F) {
 	f.Add(uint8(1), []byte{0x03}, []byte{})
 	f.Add(uint8(5), []byte{0xe4, 0x0b}, []byte{0x21, 0x52}) // the path 0-1-2-3-4-5
@@ -387,6 +443,12 @@ func FuzzMaxISOracle(f *testing.F) {
 			}
 		}
 		var weighted, unitO MaxISOracle
+		cases := []struct {
+			o    *MaxISOracle
+			ref  *graph.Graph
+			unit bool
+		}{{&weighted, g, false}, {&unitO, unit, true}}
+		var no [2]effort // each oracle's effort before its last NO call
 		for step := 0; step < 2; step++ {
 			if step == 1 {
 				if n < 2 {
@@ -400,18 +462,16 @@ func FuzzMaxISOracle(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			for i, tc := range []struct {
-				o    *MaxISOracle
-				ref  *graph.Graph
-				unit bool
-			}{{&weighted, g, false}, {&unitO, unit, true}} {
+			for i, tc := range cases {
 				want := optimum[i]
 				if step == 1 {
 					var err error
 					if want, err = BruteMaxWeightIndependentSet(tc.ref); err != nil {
 						t.Fatal(err)
 					}
+					optimum[i] = want
 				}
+				no[i] = tc.o.effort
 				for _, target := range []int64{want + 1, want, want - 1} {
 					got, err := tc.o.HasWeightAtLeast(g, target, tc.unit)
 					if err != nil || got != (want >= target) {
@@ -420,6 +480,27 @@ func FuzzMaxISOracle(f *testing.F) {
 					}
 				}
 			}
+		}
+		// One more edge and a lighter vertex: the NO snapshots of the
+		// target optimum+1 dominate.
+		if u, v := pairAt(pick(weights, n*(n-1)/2), n); !g.HasEdge(u, v) {
+			g.MustAddEdge(u, v)
+			unit.MustAddEdge(u, v)
+		}
+		if v := pick(edges, n); g.VertexWeight(v) > 0 {
+			if err := g.SetVertexWeight(v, g.VertexWeight(v)-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, tc := range cases {
+			want, err := BruteMaxWeightIndependentSet(tc.ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := optimum[i] + 1
+			carriedNo(t, &tc.o.effort, no[i], want >= target, func() (bool, error) {
+				return tc.o.HasWeightAtLeast(g, target, tc.unit)
+			})
 		}
 	})
 }
@@ -432,7 +513,8 @@ func FuzzMaxISOracle(f *testing.F) {
 // weights, and HasDominatingSetOfSize the same caps around the unit
 // optimum, on one oracle each, before and after one edge chosen by the
 // input is toggled, so the certificate each carries is checked against
-// the new graph.
+// the new graph, and the cap optimum-1 once more after one edge is removed
+// and one vertex made heavier (see carriedNo).
 func FuzzMDSOracle(f *testing.F) {
 	f.Add(uint8(1), []byte{0x03}, []byte{})
 	f.Add(uint8(4), []byte{0x00, 0x00}, []byte{0x21, 0x52}) // zero weights
@@ -461,6 +543,16 @@ func FuzzMDSOracle(f *testing.F) {
 			}
 		}
 		var weighted, sized MDSOracle
+		cases := []struct {
+			o      *MDSOracle
+			ref    *graph.Graph
+			decide func(limit int64) (bool, error)
+		}{
+			{&weighted, g, func(limit int64) (bool, error) { return weighted.HasDominatingSetOfWeight(g, limit) }},
+			{&sized, unit, func(limit int64) (bool, error) { return sized.HasDominatingSetOfSize(g, int(limit)) }},
+		}
+		var no [2]effort   // each oracle's effort before its last NO call
+		var noCap [2]int64 // and that call's cap
 		for step := 0; step < 2; step++ {
 			if step == 1 {
 				if n < 2 {
@@ -474,24 +566,42 @@ func FuzzMDSOracle(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			for _, tc := range []struct {
-				ref    *graph.Graph
-				decide func(limit int64) (bool, error)
-			}{
-				{g, func(limit int64) (bool, error) { return weighted.HasDominatingSetOfWeight(g, limit) }},
-				{unit, func(limit int64) (bool, error) { return sized.HasDominatingSetOfSize(g, int(limit)) }},
-			} {
+			for i, tc := range cases {
 				want, err := BruteMinDominatingSetWeight(tc.ref)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, limit := range []int64{want + 1, want, want - 1} {
+					no[i], noCap[i] = tc.o.effort, limit
 					if got, err := tc.decide(limit); err != nil || got != (want <= limit) {
 						t.Fatalf("step %d (n=%d unit=%v cap=%d weights=%v edges=%v): %v (err %v), brute optimum %d",
 							step, n, tc.ref == unit, limit, weights, g.Edges(), got, err, want)
 					}
 				}
 			}
+		}
+		// One edge fewer and a heavier vertex: the NO snapshots of the cap
+		// optimum-1 dominate.
+		if g.M() > 0 {
+			e := g.Edges()[pick(weights, g.M())]
+			if _, err := g.ToggleEdge(e.U, e.V, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := unit.ToggleEdge(e.U, e.V, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := pick(edges, n)
+		if err := g.SetVertexWeight(v, g.VertexWeight(v)+1); err != nil {
+			t.Fatal(err)
+		}
+		for i, tc := range cases {
+			want, err := BruteMinDominatingSetWeight(tc.ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			limit := noCap[i]
+			carriedNo(t, &tc.o.effort, no[i], want <= limit, func() (bool, error) { return tc.decide(limit) })
 		}
 	})
 }
@@ -505,7 +615,9 @@ func FuzzMDSOracle(f *testing.F) {
 // weight 2 added, or the edge removed), so the side vector it carries is
 // checked against the new graph. Between the two steps the warm oracle
 // runs one MaxCut, whose value must be the brute optimum and whose side
-// vector must realize it.
+// vector must realize it. Last, the target optimum+1 is decided once more
+// after one pair is made lighter; the oracle keeps no NO snapshot, so only
+// its answer is checked.
 func FuzzMaxCutOracle(f *testing.F) {
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(3), []byte{0b010101})
@@ -528,6 +640,7 @@ func FuzzMaxCutOracle(f *testing.F) {
 			}
 		}
 		var o MaxCutOracle
+		var target int64
 		for step := 0; step < 2; step++ {
 			if step == 1 {
 				if n < 2 {
@@ -542,6 +655,7 @@ func FuzzMaxCutOracle(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			target = want + 1
 			for _, target := range []int64{want + 1, want, want - 1} {
 				if got, err := o.HasCutOfWeight(g, target); err != nil || got != (want >= target) {
 					t.Fatalf("step %d (n=%d target=%d edges=%v): %v (err %v), brute optimum %d", step, n, target, g.Edges(), got, err, want)
@@ -554,7 +668,50 @@ func FuzzMaxCutOracle(f *testing.F) {
 				}
 			}
 		}
+		// One pair lighter, an absent one turned into an edge of weight -2:
+		// the target optimum+1 stays out of reach.
+		u, v := pairAt(pick(edges[min(1, len(edges)):], n*(n-1)/2), n)
+		if w, ok := g.EdgeWeight(u, v); ok {
+			if err := g.SetEdgeWeight(u, v, w-1); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := g.ToggleEdge(u, v, -2); err != nil {
+			t.Fatal(err)
+		}
+		want, err := BruteMaxCut(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want >= target {
+			t.Fatal("the brute optimum rises after a pair is made lighter")
+		}
+		if got, err := o.HasCutOfWeight(g, target); err != nil || got {
+			t.Fatalf("warm call after one pair is made lighter (n=%d target=%d): %v (err %v), brute optimum %d", n, target, got, err, want)
+		}
 	})
+}
+
+// carriedNo makes one warm call after a NO answer and a toggle in the NO
+// carry's direction, so that the instance answered NO dominates the new
+// one. The call must answer want, the brute reference's answer, which
+// monotonicity makes NO. When the NO answer came through decide since
+// before (a search or a NO carry, so the oracle's snapshot dominates the
+// instance it answered), the call must be answered by the NO carry,
+// without a search.
+func carriedNo(t *testing.T, e *effort, before effort, want bool, call func() (bool, error)) {
+	t.Helper()
+	if want {
+		t.Fatal("the brute reference answers YES after a toggle in the NO carry's direction")
+	}
+	dominated := e.noSearches+e.noCarries > before.noSearches+before.noCarries
+	mid := *e
+	if got, err := call(); err != nil || got {
+		t.Fatalf("warm call after a NO and a toggle in the carry's direction: %v (err %v), brute false", got, err)
+	}
+	if dominated && (e.searches != mid.searches || e.noCarries != mid.noCarries+1) {
+		t.Fatalf("the NO snapshot dominates the instance, yet the call ran %d searches and %d NO carries",
+			e.searches-mid.searches, e.noCarries-mid.noCarries)
+	}
 }
 
 // pick derives an index below n from data (FNV-1a), so a fuzz input

@@ -66,7 +66,10 @@ func DirectedHamiltonianCycle(d *graph.Digraph) ([]int, bool, error) {
 // one across many digraphs pays no per-call allocation. It carries the
 // last path it found as a certificate (see certificate.go), checked for
 // the requested endpoints, every vertex and every arc before any search
-// runs. The zero value is ready to use. Not safe for concurrent use.
+// runs. It also carries the last digraph it answered NO (see carry.go): a
+// digraph with the same endpoints whose arcs are all arcs of that one has
+// no Hamiltonian path either. The zero value is ready to use. Not safe for
+// concurrent use.
 type HamiltonOracle struct {
 	w1  *pathSearch[[1]uint64, [64][1]uint64, [64]int16]
 	w2  *pathSearch[[2]uint64, [128][2]uint64, [128]int16]
@@ -78,6 +81,11 @@ type HamiltonOracle struct {
 
 	cert []int // the last YES certificate
 	mark bitset
+	no   noSnapshot
+
+	// per-call state
+	d                 *graph.Digraph
+	start, end, words int
 	effort
 }
 
@@ -99,12 +107,11 @@ func (o *HamiltonOracle) DirectedHamiltonianPathFrom(d *graph.Digraph, start, en
 	return append([]int(nil), path...), true, nil
 }
 
-// pathFrom answers from the carried certificate when it holds and
-// otherwise searches, on vertex sets of at least words words, and checks
-// and carries the path found. Tests force a wider search on small
-// digraphs; a forced width (words > 1) skips the carried certificate, so
-// that the wide search runs. The returned path aliases the oracle's arena
-// and is only valid until the next call.
+// pathFrom answers from the carries when they hold and otherwise
+// searches, on vertex sets of at least words words. Tests force a wider
+// search on small digraphs; a forced width (words > 1) skips the carries,
+// so that the wide search runs. The returned path aliases the oracle's
+// arena and is only valid until the next call.
 func (o *HamiltonOracle) pathFrom(d *graph.Digraph, start, end, words int) ([]int, bool, error) {
 	n := d.N()
 	if n > maxSetVertices {
@@ -113,12 +120,30 @@ func (o *HamiltonOracle) pathFrom(d *graph.Digraph, start, end, words int) ([]in
 	if start < 0 || start >= n || end >= n {
 		return nil, false, fmt.Errorf("endpoints out of range: start=%d end=%d n=%d", start, end, n)
 	}
-	mark := markBuf(&o.mark, n)
-	if words == 1 && len(o.cert) == n && checkHamPath(d, o.cert, start, end, mark) {
-		return o.cert, true, nil
+	o.d, o.start, o.end, o.words = d, start, end, words
+	found, err := decide(o, words == 1, "Hamiltonian path", n)
+	o.d = nil
+	if !found {
+		return nil, false, err
 	}
+	return o.cert, true, nil
+}
+
+func (o *HamiltonOracle) certHolds() bool {
+	n := o.d.N()
+	return checkHamPath(o.d, o.cert, o.start, o.end, markBuf(&o.mark, n))
+}
+
+// noCarried reports whether the NO snapshot has the same endpoints and
+// every arc of the digraph.
+func (o *HamiltonOracle) noCarried() bool {
+	return o.no.matches(o.d.N(), noKey{o.start, o.end}, nil) && o.no.adjWithin(o.d.OutNeighbors)
+}
+
+func (o *HamiltonOracle) searched() bool {
+	d, start, end, n := o.d, o.start, o.end, o.d.N()
 	var path []int
-	switch words = max(words, (n+63)/64); {
+	switch words := max(o.words, (n+63)/64); {
 	case n == 1:
 		path = []int{0}
 	case end == start: // a path on n >= 2 vertices has distinct ends
@@ -138,14 +163,15 @@ func (o *HamiltonOracle) pathFrom(d *graph.Digraph, start, end, words int) ([]in
 		path = lazy(&o.w64).run(d, start, end, &o.effort)
 	}
 	if path == nil {
-		return nil, false, nil
+		return false
 	}
 	o.cert = append(o.cert[:0], path...)
-	if !checkHamPath(d, o.cert, start, end, mark) {
-		o.cert = o.cert[:0]
-		return nil, false, certError("Hamiltonian path", n)
-	}
-	return path, true, nil
+	return true
+}
+
+func (o *HamiltonOracle) keepNo() {
+	o.no.store(o.d.N(), 0, noKey{o.start, o.end}, nil, 0)
+	o.no.keepAdj(o.d.OutNeighbors, false)
 }
 
 // hamInts is a width's per-vertex int16 array, 64 entries per word (see

@@ -29,9 +29,11 @@ func MaxWeightIndependentSet(g *graph.Graph) (int64, []int, error) {
 // bitsets, per-depth branch bitsets and witness buffers of the search, so a
 // worker holding one across many same-size graphs allocates only on the
 // rare low-degree-residual DP path. Its decision form, HasWeightAtLeast,
-// carries the independent set of its last YES as a certificate (see
-// certificate.go), checked before any search runs. The zero value is
-// ready to use. Not safe for concurrent use.
+// carries the independent set of its last YES as a certificate and its
+// last NO instance (see carry.go): a graph holding every edge of that
+// instance, whose vertices weigh at most as much, has no independent set
+// reaching the same or a larger target either. The zero value is ready to
+// use. Not safe for concurrent use.
 type MaxISOracle struct {
 	g       *graph.Graph
 	n       int
@@ -47,6 +49,12 @@ type MaxISOracle struct {
 	current []int
 	cert    []int // the last YES certificate of HasWeightAtLeast
 	mark    bitset
+	no      noSnapshot
+
+	// HasWeightAtLeast's call: the instance's weight rule, target and
+	// total weight
+	unit          bool
+	target, total int64
 	effort
 }
 
@@ -99,9 +107,8 @@ func (o *MaxISOracle) run(g *graph.Graph, unit bool) (int64, []int, error) {
 // HasWeightAtLeast reports whether g has an independent set of weight at
 // least target (every vertex weighs 1 when unit, else its vertex weight):
 // the decision form of MaxWeightIndependentSet. It answers from the
-// carried certificate when it holds, and otherwise searches with the bound
-// seeded at target-1 until the first set that reaches target, which it
-// checks and carries.
+// carries when they hold, and otherwise searches with the bound seeded at
+// target-1 until the first set that reaches target.
 func (o *MaxISOracle) HasWeightAtLeast(g *graph.Graph, target int64, unit bool) (bool, error) {
 	if err := checkWeights(g, unit); err != nil {
 		return false, err
@@ -113,20 +120,55 @@ func (o *MaxISOracle) HasWeightAtLeast(g *graph.Graph, target int64, unit bool) 
 	if n == 0 {
 		return false, nil
 	}
-	if len(o.cert) > 0 && checkIndependentSet(g, o.cert, unit, target, markBuf(&o.mark, n)) {
-		return true, nil
+	o.g, o.target, o.unit = g, target, unit
+	return decide(o, true, "MaxIS", n)
+}
+
+func (o *MaxISOracle) certHolds() bool {
+	return checkIndependentSet(o.g, o.cert, o.unit, o.target, markBuf(&o.mark, o.g.N()))
+}
+
+// noCarried loads the graph's rows and weights, which the search reads
+// too, and reports whether each row holds the NO snapshot's row, every
+// vertex weighs at most its stored weight (unless unit) and the target is
+// at least the stored target.
+//
+//hardness:hotpath
+func (o *MaxISOracle) noCarried() bool {
+	o.total = o.load(o.g, o.unit)
+	s := &o.no
+	if !s.matches(o.n, noKey{boolInt(o.unit)}, nil) || o.target < s.limit {
+		return false
 	}
-	o.best, o.goal = target-1, target
-	o.search(o.load(g, unit))
-	if o.best < target {
-		return false, nil
+	for v := 0; v < o.n; v++ {
+		b := o.adj[v]
+		for i, w := range s.row(v) {
+			if w&^b[i] != 0 {
+				return false
+			}
+		}
+		if !o.unit && o.weights[v] > s.w[v] {
+			return false
+		}
+	}
+	return true
+}
+
+func (o *MaxISOracle) searched() bool {
+	o.best, o.goal = o.target-1, o.target
+	o.search(o.total)
+	if o.best < o.target {
+		return false
 	}
 	o.cert = append(o.cert[:0], o.bestSet...)
-	if !checkIndependentSet(g, o.cert, unit, target, markBuf(&o.mark, n)) {
-		o.cert = o.cert[:0]
-		return false, certError("MaxIS", n)
-	}
-	return true, nil
+	return true
+}
+
+func (o *MaxISOracle) keepNo() {
+	s := &o.no
+	s.store(o.n, o.target, noKey{boolInt(o.unit)}, nil, o.n)
+	s.keepRows(o.adj)
+	copy(s.w, o.weights)
 }
 
 // checkWeights rejects graphs beyond the search's size limit and, unless

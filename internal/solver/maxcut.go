@@ -25,10 +25,12 @@ func HasCutOfWeight(g *graph.Graph, target int64) (bool, error) {
 // target are pruned — on the paper's Section 2.4 instances the k⁴ forcing
 // edges make this exponentially faster than enumerating assignments. The
 // decision mode carries the side vector of its last YES as a certificate
-// (see certificate.go), checked before any search runs. All decision
-// scratch is preallocated and reused, so a worker holding an oracle across
-// many same-size graphs does not allocate. The zero value is ready to use.
-// Not safe for concurrent use.
+// (see carry.go). It keeps no NO snapshot: a max-cut NO instance is only
+// carried to graphs whose every edge is at most as heavy, and no workload
+// walks such a pair (maxcutlb's normalizing weights move both ways). All
+// decision scratch is preallocated and reused, so a worker holding an
+// oracle across many same-size graphs does not allocate. The zero value is
+// ready to use. Not safe for concurrent use.
 type MaxCutOracle struct {
 	n       int   // vertex count of the current call
 	capN    int   // allocated capacity
@@ -48,7 +50,8 @@ type MaxCutOracle struct {
 	// best is nil in the decision mode; in the maximization mode it holds
 	// the best complete assignment so far, best[v] = side of v.
 	best []bool
-	cert []bool // the last YES certificate, cert[v] = side of v
+	cert []bool       // the last YES certificate, cert[v] = side of v
+	g    *graph.Graph // the decision's instance
 	effort
 }
 
@@ -65,14 +68,22 @@ func (o *MaxCutOracle) HasCutOfWeight(g *graph.Graph, target int64) (bool, error
 	if n <= 1 {
 		return 0 >= target, nil
 	}
-	if checkCut(g, o.cert, target) {
-		return true, nil
-	}
+	o.g, o.target = g, target
+	found, err := decide(o, true, "MaxCut", n)
+	o.g = nil
+	return found, err
+}
+
+func (o *MaxCutOracle) certHolds() bool { return checkCut(o.g, o.cert, o.target) }
+
+func (o *MaxCutOracle) noCarried() bool { return false }
+
+func (o *MaxCutOracle) searched() bool {
+	g, n := o.g, o.g.N()
 	o.setup(g, false)
-	o.target = target
 	o.searches++
 	if !o.recurse(1, 0) {
-		return false, nil
+		return false
 	}
 	if cap(o.cert) < n {
 		o.cert = make([]bool, n)
@@ -81,12 +92,10 @@ func (o *MaxCutOracle) HasCutOfWeight(g *graph.Graph, target int64) (bool, error
 	for d := 0; d < n; d++ {
 		o.cert[o.order[d]] = d < o.decided && o.side[d]
 	}
-	if !checkCut(g, o.cert, target) {
-		o.cert = o.cert[:0]
-		return false, certError("MaxCut", n)
-	}
-	return true, nil
+	return true
 }
+
+func (o *MaxCutOracle) keepNo() {}
 
 // MaxCut returns a maximum cut weight of g and a side vector realizing it:
 // the decision search with the target raised past every better complete

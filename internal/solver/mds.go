@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"congesthard/internal/graph"
@@ -102,6 +103,8 @@ func minDominatingSetCapped(g *graph.Graph, cap int64) (int64, []int, bool, erro
 // vertices already considered dominated.
 func minDominatingSetFrom(g *graph.Graph, dominatedInit bitset, cap int64) (int64, []int, bool, error) {
 	o := new(MDSOracle)
+	o.grow(g.N())
+	o.fillClosed(g)
 	weight, set, found := o.search(g, dominatedInit, cap, false)
 	if !found {
 		return 0, nil, false, nil
@@ -113,26 +116,33 @@ func minDominatingSetFrom(g *graph.Graph, dominatedInit bitset, cap int64) (int6
 // MDSOracle is a reusable exact minimum-dominating-set evaluator: it owns
 // the branch-and-bound scratch (closed-neighborhood bitsets, branch orders,
 // per-depth bitsets), so a worker holding one across many same-size graphs
-// pays no per-call allocation. Its decisions carry a certificate (see
-// certificate.go): the last dominating set within the cap, checked under
-// the instance's current vertex weights before any search runs. The
-// package-level functions delegate to a fresh oracle; verification
-// workers keep one warm. The zero value is ready to use. Not safe for
-// concurrent use.
+// pays no per-call allocation. Its decisions carry the last dominating set
+// within the cap and the last NO instance (see carry.go): a graph whose
+// closed neighbourhoods lie within the NO instance's, whose vertices weigh
+// at least as much and whose cap is no larger has no dominating set within
+// the cap either. The package-level functions delegate to a fresh oracle;
+// verification workers keep one warm. The zero value is ready to use. Not
+// safe for concurrent use.
 type MDSOracle struct {
 	n            int
 	closed       []bitset
 	candidatesOf [][]int
-	scratch      []bitset
-	current      []int
-	bestSet      []int
-	initBuf      bitset
-	cert         []int // the last YES certificate
-	mark         bitset
+	deg          []int // deg[v] is v's degree in the searched graph
+	// The closed rows that candidatesOf and maxCover were built from.
+	orderRows []uint64
+	ordered   bool
+	scratch   []bitset
+	current   []int
+	bestSet   []int
+	initBuf   bitset
+	cert      []int // the last YES certificate
+	mark      bitset
+	no        noSnapshot
 
 	// per-search state
 	g              *graph.Graph
 	unit           bool
+	cap            int64
 	first          bool // stop at the first set within the cap
 	best           int64
 	found          bool
@@ -159,9 +169,8 @@ func (o *MDSOracle) HasDominatingSetOfWeight(g *graph.Graph, cap int64) (bool, e
 	return o.decide(g, cap, false)
 }
 
-// decide answers from the carried certificate when it still holds, and
-// otherwise searches until the first dominating set within cap, which it
-// checks and carries.
+// decide answers from the carries when they hold, and otherwise searches
+// until the first dominating set within cap.
 func (o *MDSOracle) decide(g *graph.Graph, cap int64, unit bool) (bool, error) {
 	n := g.N()
 	if n == 0 {
@@ -171,22 +180,58 @@ func (o *MDSOracle) decide(g *graph.Graph, cap int64, unit bool) (bool, error) {
 		return false, fmt.Errorf("exact MDS limited to 512 vertices, got %d", n)
 	}
 	o.grow(n)
-	if len(o.cert) > 0 && checkDominatingSet(g, o.cert, unit, cap, o.mark) {
-		return true, nil
+	o.g, o.cap, o.unit = g, cap, unit
+	return decide(o, true, "MDS", n)
+}
+
+func (o *MDSOracle) certHolds() bool {
+	return checkDominatingSet(o.g, o.cert, o.unit, o.cap, o.mark)
+}
+
+// noCarried builds the closed rows, which the search reads too, and
+// reports whether each lies within the NO snapshot's row, every vertex
+// weighs at least its stored weight (unless unit) and the cap is at most
+// the stored cap.
+//
+//hardness:hotpath
+func (o *MDSOracle) noCarried() bool {
+	o.fillClosed(o.g)
+	s := &o.no
+	if !s.matches(o.n, noKey{boolInt(o.unit)}, nil) || o.cap > s.limit {
+		return false
 	}
+	for v, b := range o.closed {
+		row := s.row(v)
+		for i, w := range row {
+			if b[i]&^w != 0 {
+				return false
+			}
+		}
+		if !o.unit && o.g.VertexWeight(v) < s.w[v] {
+			return false
+		}
+	}
+	return true
+}
+
+func (o *MDSOracle) searched() bool {
 	clear(o.initBuf)
 	o.first = true
-	_, set, found := o.search(g, o.initBuf, cap, unit)
+	_, set, found := o.search(o.g, o.initBuf, o.cap, o.unit)
 	o.first = false
-	if !found {
-		return false, nil
+	if found {
+		o.cert = append(o.cert[:0], set...)
 	}
-	o.cert = append(o.cert[:0], set...)
-	if !checkDominatingSet(g, o.cert, unit, cap, o.mark) {
-		o.cert = o.cert[:0]
-		return false, certError("MDS", n)
+	return found
+}
+
+func (o *MDSOracle) keepNo() {
+	s := &o.no
+	s.store(o.n, o.cap, noKey{boolInt(o.unit)}, nil, o.n)
+	s.keepRows(o.closed)
+	for v := range s.w {
+		s.w[v] = o.vw(v)
 	}
-	return true, nil
 }
 
 // grow (re)sizes the arena for n-vertex graphs.
@@ -200,11 +245,25 @@ func (o *MDSOracle) grow(n int) {
 		o.closed[v] = newBitset(n)
 	}
 	o.candidatesOf = make([][]int, n)
+	o.deg = make([]int, n)
+	o.orderRows = make([]uint64, n*((n+63)/64))
+	o.ordered = false
 	o.scratch = make([]bitset, n+1)
 	o.current = make([]int, 0, n)
 	o.initBuf = newBitset(n)
 	o.cert = make([]int, 0, n)
 	o.mark = newBitset(n)
+}
+
+// fillClosed sets closed[v] = N[v] as a bitset.
+func (o *MDSOracle) fillClosed(g *graph.Graph) {
+	for v, b := range o.closed {
+		clear(b)
+		b.set(v)
+		for _, h := range g.Neighbors(v) {
+			b.set(h.To)
+		}
+	}
 }
 
 func (o *MDSOracle) vw(v int) int64 {
@@ -214,23 +273,13 @@ func (o *MDSOracle) vw(v int) int64 {
 	return o.g.VertexWeight(v)
 }
 
-// search runs the capped branch and bound. The returned set aliases the
-// oracle's storage and is only valid until the next call.
+// search runs the capped branch and bound on the closed rows of g, which
+// the caller has filled. The returned set aliases the oracle's storage and
+// is only valid until the next call.
 func (o *MDSOracle) search(g *graph.Graph, dominatedInit bitset, cap int64, unit bool) (int64, []int, bool) {
 	n := g.N()
 	o.grow(n)
 	o.g, o.unit = g, unit
-	// closed[v] = N[v] as a bitset.
-	for v := 0; v < n; v++ {
-		b := o.closed[v]
-		for i := range b {
-			b[i] = 0
-		}
-		b.set(v)
-		for _, h := range g.Neighbors(v) {
-			b.set(h.To)
-		}
-	}
 	// Greedy bound ingredients: the bound is only valid when every vertex
 	// weight is at least minWeight >= 1; with zero-weight vertices we fall
 	// back to pruning on the accumulated weight alone.
@@ -245,27 +294,8 @@ func (o *MDSOracle) search(g *graph.Graph, dominatedInit bitset, cap int64, unit
 			o.minWeight = w
 		}
 	}
-	o.maxCover = g.MaxDegree() + 1
-
-	// Branch order is fixed per vertex (N[v] by descending degree), so it
-	// is hoisted out of the recursion; the insertion sort reuses the
-	// arena's slices, allocating only while a window grows past its
-	// high-water mark.
-	for v := 0; v < n; v++ {
-		candidates := append(o.candidatesOf[v][:0], v)
-		for _, h := range g.Neighbors(v) {
-			candidates = append(candidates, h.To)
-		}
-		for i := 1; i < len(candidates); i++ {
-			c := candidates[i]
-			j := i
-			for j > 0 && len(g.Neighbors(candidates[j-1])) < len(g.Neighbors(c)) {
-				candidates[j] = candidates[j-1]
-				j--
-			}
-			candidates[j] = c
-		}
-		o.candidatesOf[v] = candidates
+	if !o.ordersCurrent() {
+		o.order(g)
 	}
 
 	o.best = cap + 1
@@ -286,6 +316,57 @@ func (o *MDSOracle) search(g *graph.Graph, dominatedInit bitset, cap int64, unit
 	}
 	sort.Ints(o.bestSet)
 	return o.best, o.bestSet, true
+}
+
+// ordersCurrent reports whether the branch orders and maxCover were built
+// from closed rows equal to the current ones, and keeps the current rows
+// for the next call when they were not. kmdslb's power graph keeps its
+// edges across calls, so its orders are built once.
+func (o *MDSOracle) ordersCurrent() bool {
+	same := o.ordered
+	for v, b := range o.closed {
+		kept := o.orderRows[v*len(b) : (v+1)*len(b)]
+		if same && !slices.Equal(kept, b) {
+			same = false
+		}
+		if !same {
+			copy(kept, b)
+		}
+	}
+	o.ordered = true
+	return same
+}
+
+// order builds the branch orders and maxCover of g, whose closed rows are
+// current.
+func (o *MDSOracle) order(g *graph.Graph) {
+	n := g.N()
+	deg := o.deg
+	o.maxCover = 0
+	for v := 0; v < n; v++ {
+		deg[v] = g.Degree(v)
+		o.maxCover = max(o.maxCover, deg[v]+1)
+	}
+	// Branch order is fixed per vertex (N[v] by descending degree), so it
+	// is hoisted out of the recursion; the insertion sort reuses the
+	// arena's slices, allocating only while a window grows past its
+	// high-water mark.
+	for v := 0; v < n; v++ {
+		candidates := append(o.candidatesOf[v][:0], v)
+		for _, h := range g.Neighbors(v) {
+			candidates = append(candidates, h.To)
+		}
+		for i := 1; i < len(candidates); i++ {
+			c := candidates[i]
+			j := i
+			for j > 0 && deg[candidates[j-1]] < deg[c] {
+				candidates[j] = candidates[j-1]
+				j--
+			}
+			candidates[j] = c
+		}
+		o.candidatesOf[v] = candidates
+	}
 }
 
 //hardness:hotpath

@@ -37,9 +37,11 @@ func HasSteinerTreeWithEdges(g *graph.Graph, terminals []int, maxEdges int) (boo
 // vertices, 64 words up to the 4096-vertex limit. The oracle allocates the
 // search of each width on first use and keeps its adjacency rows, so a
 // worker holding one across many graphs pays no per-call allocation. It
-// carries the final reach of its last YES as a certificate (see
-// certificate.go), checked before any search runs. The zero value is
-// ready to use. Not safe for concurrent use.
+// carries the final reach of its last YES as a certificate and its last
+// NO instance (see carry.go): a graph with the same terminals whose edges
+// are all edges of that one has no Steiner tree within the same or a
+// smaller budget either. The zero value is ready to use. Not safe for
+// concurrent use.
 type SteinerOracle struct {
 	w1  *steinerSearch[[1]uint64, [64][1]uint64]
 	w2  *steinerSearch[[2]uint64, [128][2]uint64]
@@ -52,6 +54,12 @@ type SteinerOracle struct {
 	cert  []int // the last YES certificate, a vertex set
 	mark  bitset
 	queue []int
+	no    noSnapshot
+
+	// per-call state
+	g                       *graph.Graph
+	terminals               []int
+	maxEdges, budget, words int
 	effort
 }
 
@@ -61,11 +69,10 @@ func (o *SteinerOracle) HasSteinerTreeWithEdges(g *graph.Graph, terminals []int,
 	return o.decide(g, terminals, maxEdges, 1)
 }
 
-// decide answers from the carried certificate when it holds and otherwise
-// searches, on vertex sets of at least words words, and checks and carries
-// the reach found. Tests force a wider search on small graphs; a forced
-// width (words > 1) skips the carried certificate, so that the wide
-// search runs.
+// decide answers from the carries when they hold and otherwise searches,
+// on vertex sets of at least words words. Tests force a wider search on
+// small graphs; a forced width (words > 1) skips the carries, so that the
+// wide search runs.
 func (o *SteinerOracle) decide(g *graph.Graph, terminals []int, maxEdges, words int) (bool, error) {
 	n := g.N()
 	if err := checkTerminals(n, terminals); err != nil {
@@ -94,11 +101,26 @@ func (o *SteinerOracle) decide(g *graph.Graph, terminals []int, maxEdges, words 
 	if cap(o.queue) < n {
 		o.queue, o.cert = make([]int, 0, n), make([]int, 0, n)
 	}
-	if words == 1 && checkSteinerSet(g, o.cert, terminals, maxEdges, mark, o.queue) {
-		return true, nil
-	}
+	o.g, o.terminals, o.maxEdges, o.budget, o.words = g, terminals, maxEdges, budget, words
+	found, err := decide(o, words == 1, "Steiner", n)
+	o.g, o.terminals = nil, nil
+	return found, err
+}
+
+func (o *SteinerOracle) certHolds() bool {
+	return checkSteinerSet(o.g, o.cert, o.terminals, o.maxEdges, o.mark, o.queue)
+}
+
+// noCarried reports whether the NO snapshot has the same terminals, at
+// least the edge budget and every edge of the graph.
+func (o *SteinerOracle) noCarried() bool {
+	return o.no.matches(o.g.N(), noKey{}, o.terminals) && int64(o.maxEdges) <= o.no.limit && o.no.adjWithin(o.g.Neighbors)
+}
+
+func (o *SteinerOracle) searched() bool {
+	g, terminals, budget := o.g, o.terminals, o.budget
 	var found bool
-	switch words = max(words, (n+63)/64); {
+	switch words := max(o.words, (g.N()+63)/64); {
 	case words <= 1:
 		found, o.cert = lazy(&o.w1).run(g, terminals, budget, &o.effort, o.cert)
 	case words <= 2:
@@ -114,14 +136,12 @@ func (o *SteinerOracle) decide(g *graph.Graph, terminals []int, maxEdges, words 
 	default:
 		found, o.cert = lazy(&o.w64).run(g, terminals, budget, &o.effort, o.cert)
 	}
-	if !found {
-		return false, nil
-	}
-	if !checkSteinerSet(g, o.cert, terminals, maxEdges, mark, o.queue) {
-		o.cert = o.cert[:0]
-		return false, certError("Steiner", n)
-	}
-	return true, nil
+	return found
+}
+
+func (o *SteinerOracle) keepNo() {
+	o.no.store(o.g.N(), int64(o.maxEdges), noKey{}, o.terminals, 0)
+	o.no.keepAdj(o.g.Neighbors, false)
 }
 
 // steinerSearch is SteinerOracle's search on vertex sets of type W, with
@@ -466,10 +486,12 @@ func HasDirectedSteinerWithin(d *graph.Digraph, root int, terminals []int, budge
 // list, the enabled-arc stack with a mark per arc slot and the
 // generation-stamped BFS scratch, so a verification worker holding one
 // across thousands of pairs pays no per-call allocation. It carries the
-// enabled arcs of its last YES as a certificate (see certificate.go),
-// checked before any search runs. DirectedSteinerEnum, which enumerates
-// every subset, is its independent test reference. The zero value is
-// ready to use. Not safe for concurrent use.
+// enabled arcs of its last YES as a certificate and its last NO instance
+// (see carry.go): a digraph with the same root and terminals, whose every
+// usable arc is an arc of that one at least as heavy, has no solution
+// within the same or a smaller budget either. DirectedSteinerEnum, which
+// enumerates every subset, is its independent test reference. The zero
+// value is ready to use. Not safe for concurrent use.
 type DirSteinerOracle struct {
 	positive []positiveArc
 	enabled  []int // indices into positive
@@ -481,13 +503,15 @@ type DirSteinerOracle struct {
 	gen   int32
 	queue []int
 
-	// per-search state
+	// per-call state
 	d         *graph.Digraph
 	root      int
 	terminals []int
+	budget    int64
 
 	cert  [][2]int // the last YES certificate, an arc set
 	check arcCheck
+	no    noSnapshot
 	effort
 }
 
@@ -531,9 +555,25 @@ func (o *DirSteinerOracle) HasDirectedSteinerWithin(d *graph.Digraph, root int, 
 	if budget < 0 {
 		return false, nil // every subgraph weighs at least 0
 	}
-	if o.check.checkArcSet(d, o.cert, root, terminals, budget) {
-		return true, nil
-	}
+	o.d, o.root, o.terminals, o.budget = d, root, terminals, budget
+	found, err := decide(o, true, "directed Steiner", n)
+	o.d, o.terminals = nil, nil
+	return found, err
+}
+
+func (o *DirSteinerOracle) certHolds() bool {
+	return o.check.checkArcSet(o.d, o.cert, o.root, o.terminals, o.budget)
+}
+
+// noCarried reports whether the NO snapshot has the same root and
+// terminals, at least the budget, and every usable arc of the digraph at
+// no more than its weight.
+func (o *DirSteinerOracle) noCarried() bool {
+	return o.no.matches(o.d.N(), noKey{o.root}, o.terminals) && o.budget <= o.no.limit && o.no.arcsNoLighter(o.d.OutNeighbors)
+}
+
+func (o *DirSteinerOracle) searched() bool {
+	d, n := o.d, o.d.N()
 	o.grow(d)
 	o.positive = o.positive[:0]
 	for u := 0; u < n; u++ {
@@ -544,12 +584,9 @@ func (o *DirSteinerOracle) HasDirectedSteinerWithin(d *graph.Digraph, root int, 
 		}
 	}
 	o.enabled = o.enabled[:0]
-	o.d, o.root, o.terminals = d, root, terminals
 	o.searches++
-	found := o.try(0, budget)
-	o.d, o.terminals = nil, nil
-	if !found {
-		return false, nil
+	if !o.try(0, o.budget) {
+		return false
 	}
 	o.cert = o.cert[:0]
 	for _, i := range o.enabled {
@@ -557,11 +594,13 @@ func (o *DirSteinerOracle) HasDirectedSteinerWithin(d *graph.Digraph, root int, 
 		o.on[a.slot] = false
 		o.cert = append(o.cert, [2]int{a.from, a.to})
 	}
-	if !o.check.checkArcSet(d, o.cert, root, terminals, budget) {
-		o.cert = o.cert[:0]
-		return false, certError("directed Steiner", n)
-	}
-	return true, nil
+	return true
+}
+
+func (o *DirSteinerOracle) keepNo() {
+	n := o.d.N()
+	o.no.store(n, o.budget, noKey{o.root}, o.terminals, o.off[n])
+	o.no.keepAdj(o.d.OutNeighbors, true)
 }
 
 // try reports whether enabling more arcs of o.positive from index idx on,
