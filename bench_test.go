@@ -8,15 +8,9 @@
 package main_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"congesthard/internal/aggregate"
 	"congesthard/internal/algorithms"
@@ -36,11 +30,7 @@ import (
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
 	"congesthard/internal/limits"
-	"congesthard/internal/obs"
 	"congesthard/internal/pls"
-	"congesthard/internal/reduction"
-	"congesthard/internal/serve"
-	"congesthard/internal/serve/client"
 	"congesthard/internal/solver"
 )
 
@@ -642,13 +632,12 @@ func BenchmarkDicongestRunCore(b *testing.B) {
 // BenchmarkVerifyExhaustive runs the full Definition 1.1 exhaustive
 // verification (all 2^(2K) pairs, parallel across cores) for the heaviest
 // Section 2-4 families; this is the workload the constructions test
-// suites spend their time in, tracked here for the BENCH trajectory. All
-// tracked families are delta-enabled — undirected and directed alike — so
-// verification walks the input cube in Gray-code order with per-worker
-// oracle arenas: allocs/op must stay flat in the number of pairs (a few
-// allocations per pair of per-worker setup cost at k=2 — the CI bench
-// smoke fails if it regresses toward the hundreds-per-pair of the rebuild
-// paths).
+// suites spend their time in. All the families here are delta-enabled —
+// undirected and directed alike — so verification walks the input cube
+// in Gray-code order with per-worker oracle arenas: allocs/op must stay
+// flat in the number of pairs (a few allocations per pair of per-worker
+// setup cost at k=2 — the CI bench smoke fails if it regresses toward
+// the hundreds-per-pair of the rebuild paths).
 func BenchmarkVerifyExhaustive(b *testing.B) {
 	families := []struct {
 		name   string
@@ -716,153 +705,6 @@ func BenchmarkVerifyExhaustive(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkCertifyThroughput measures the Theorem 1.1 certification
-// engine end to end: one op is one exhaustive 2^(2K) sweep at k=2 (256
-// CONGEST runs, sharded across all cores), on an undirected pairing
-// (mds/collect, the Theorem 2.1 centerpiece) and a directed one
-// (hamlb/collect, Section 2.2). Reports pairs/s — the sweep throughput
-// the serving layer's /v1/stats also surfaces — for the BENCH
-// trajectory; allocs/op is CI-guarded, since near-flat allocations
-// across 256 pairs is the whole point of the worker-private delta
-// instances and simulator arenas.
-func BenchmarkCertifyThroughput(b *testing.B) {
-	b.Run("mds-collect", func(b *testing.B) {
-		fam, err := mdslb.New(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		alg := reduction.CollectMDS(fam)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var pairs int64
-		for i := 0; i < b.N; i++ {
-			rep, err := reduction.Certify(fam, alg, reduction.Config{Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Mismatches != 0 {
-				b.Fatalf("collect misdecided %d pairs", rep.Mismatches)
-			}
-			pairs += int64(rep.Completed)
-		}
-		b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
-	})
-	// Metrics-on variant: the sub-name shares the mds-collect prefix on
-	// purpose, so the CI allocs guard for mds-collect also gates this
-	// path — per-pair timing plus three histogram observations must add
-	// O(1) allocations per sweep, not per pair.
-	b.Run("mds-collect-metrics", func(b *testing.B) {
-		fam, err := mdslb.New(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		alg := reduction.CollectMDS(fam)
-		sm := obs.MustSweepMetrics(obs.NewRegistry())
-		b.ReportAllocs()
-		b.ResetTimer()
-		var pairs int64
-		for i := 0; i < b.N; i++ {
-			rep, err := reduction.Certify(fam, alg, reduction.Config{Seed: 1, Metrics: sm})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Mismatches != 0 {
-				b.Fatalf("collect misdecided %d pairs", rep.Mismatches)
-			}
-			pairs += int64(rep.Completed)
-		}
-		b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
-	})
-	b.Run("hamlb-collect", func(b *testing.B) {
-		fam, err := hamlb.New(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		alg := reduction.CollectHamPath(fam)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var pairs int64
-		for i := 0; i < b.N; i++ {
-			rep, err := reduction.CertifyDigraph(fam, alg, reduction.Config{Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Mismatches != 0 {
-				b.Fatalf("collect misdecided %d pairs", rep.Mismatches)
-			}
-			pairs += int64(rep.Completed)
-		}
-		b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
-	})
-}
-
-// BenchmarkServeThroughput measures the job-serving layer end to end:
-// b.N certification jobs (sampled mds/greedy sweeps) submitted over HTTP
-// at concurrency 8 against a 4-worker server, each waited to completion
-// through the polling client. Reports request throughput (req/s) and p99
-// submit-to-terminal latency (p99-ms) for the BENCH trajectory; the
-// latency floor is the client's initial 10ms poll interval, so the
-// numbers track queueing and serving overhead, not sweep cost.
-func BenchmarkServeThroughput(b *testing.B) {
-	srv := serve.New(serve.Config{Workers: 4, QueueDepth: 64, DefaultTimeout: time.Minute}, nil)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Drain(context.Background())
-	cl := client.New(ts.URL)
-	ctx := context.Background()
-
-	// Warm the family-base cache so the measured section is steady-state
-	// serving, not the one-off family build.
-	st, err := cl.Submit(ctx, serve.JobRequest{Family: "mds", Alg: "greedy", Pairs: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if st, err = cl.Wait(ctx, st.ID); err != nil || st.State != serve.StateDone {
-		b.Fatalf("warmup job ended %+v, err %v", st, err)
-	}
-
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		failures  atomic.Int64
-	)
-	const concurrency = 8
-	sem := make(chan struct{}, concurrency)
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			t0 := time.Now()
-			st, err := cl.Submit(ctx, serve.JobRequest{Family: "mds", Alg: "greedy", Pairs: 4, Seed: int64(i)})
-			if err == nil {
-				st, err = cl.Wait(ctx, st.ID)
-			}
-			if err != nil || st.State != serve.StateDone {
-				failures.Add(1)
-				return
-			}
-			mu.Lock()
-			latencies = append(latencies, time.Since(t0))
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	b.StopTimer()
-	if n := failures.Load(); n > 0 {
-		b.Fatalf("%d of %d jobs failed", n, b.N)
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	p99 := latencies[int(0.99*float64(len(latencies)-1))]
-	b.ReportMetric(float64(len(latencies))/elapsed.Seconds(), "req/s")
-	b.ReportMetric(float64(p99.Microseconds())/1000, "p99-ms")
 }
 
 // BenchmarkMVCFamily covers the Section 3 base family (used by E8/E9).

@@ -102,11 +102,3 @@ func PathFromCycleGraph(g *graph.Graph, v int) (*graph.Graph, error) {
 	out.MustAddEdge(v2, t)
 	return out, nil
 }
-
-// TwoECSSPredicate is the Claim 2.7 predicate: the graph has a
-// 2-edge-connected spanning subgraph with exactly n edges. It is decided
-// via the claim's equivalence with Hamiltonicity, which BruteTwoECSS
-// cross-validates independently in tests.
-func TwoECSSPredicate(g *graph.Graph) (bool, error) {
-	return solver.HasTwoECSSWithEdges(g, g.N())
-}

@@ -104,10 +104,6 @@ func (f *Family) Target() int64 {
 	return k*k*k*k*(8*lg+4) + k*k*k*(12*lg-4) + 4*k*k + 4*k
 }
 
-// FixedCutWeight returns M' of Claim 2.12 — the input-independent part of
-// any maximum cut's weight: M - 4k.
-func (f *Family) FixedCutWeight() int64 { return f.Target() - 4*int64(f.k) }
-
 // Func returns ¬DISJ.
 func (f *Family) Func() comm.Function { return comm.Negation{F: comm.Disjointness{}} }
 

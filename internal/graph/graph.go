@@ -285,15 +285,6 @@ func (g *Graph) SetVertexWeight(v int, w int64) error {
 	return nil
 }
 
-// TotalVertexWeight returns the sum of all vertex weights.
-func (g *Graph) TotalVertexWeight() int64 {
-	var total int64
-	for _, w := range g.vw {
-		total += w
-	}
-	return total
-}
-
 // TotalEdgeWeight returns the sum of all edge weights.
 func (g *Graph) TotalEdgeWeight() int64 {
 	var total int64
