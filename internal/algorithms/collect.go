@@ -56,7 +56,11 @@ import (
 // waits behind at most T-1 earlier frames per hop and travels at most
 // D <= n - 1 hops. Nodes terminate at the budget rather than detecting
 // quiescence — the budget is computed by the harness from (n, m), the
-// same simulation shortcut CollectAndSolve documents.
+// same simulation shortcut CollectAndSolve documents. A node sleeps
+// (congest.Sleeper) from its last frame to the budget, woken only by an
+// arriving message, so the simulator skips its idle rounds and jumps
+// over rounds in which every node sleeps; the reported round count is
+// still the budget T.
 
 // CollectSpec configures one run of the gossip collect program.
 type CollectSpec struct {
@@ -230,6 +234,12 @@ type collectNode struct {
 	bw      int
 	budget  int
 	wchunks int
+	// sendRec and sendChunk are the node's send cursor: the record, and
+	// the chunk of its frame, that goes out next. Every link relays the
+	// same record stream from its start, one chunk a round, so a single
+	// cursor serves them all. round is the round of the last Round call.
+	sendRec, sendChunk int
+	round              int
 
 	links  []linkState
 	outbox []congest.Message
@@ -280,26 +290,34 @@ func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Mess
 		c.self.finish()
 		return nil, true
 	}
-	mask := int64(1)<<uint(c.bw) - 1
+	c.round = round
 	c.outbox = c.outbox[:0]
-	for i := range c.links {
-		l := &c.links[i]
-		if l.sendRec >= len(c.records) {
-			continue
-		}
-		rec := c.records[l.sendRec]
+	if c.sendRec < len(c.records) {
+		rec := c.records[c.sendRec]
 		payload := rec.key
-		if l.sendChunk > 0 {
-			payload = rec.w >> uint(c.bw*(l.sendChunk-1)) & mask
+		if c.sendChunk > 0 {
+			payload = rec.w >> uint(c.bw*(c.sendChunk-1)) & (int64(1)<<uint(c.bw) - 1)
 		}
-		c.outbox = append(c.outbox, congest.Message{Port: i, Payload: payload})
-		l.sendChunk++
-		if l.sendChunk > c.wchunks {
-			l.sendChunk = 0
-			l.sendRec++
+		for i := range c.links {
+			c.outbox = append(c.outbox, congest.Message{Port: i, Payload: payload})
+		}
+		c.sendChunk++
+		if c.sendChunk > c.wchunks {
+			c.sendChunk = 0
+			c.sendRec++
 		}
 	}
 	return c.outbox, false
+}
+
+// Wake implements congest.Sleeper: the node runs every round while it has
+// a chunk left to send, and after its last frame sleeps until a message
+// arrives or the budget ends.
+func (c *collectNode) Wake() int {
+	if c.sendRec < len(c.records) {
+		return c.round + 1
+	}
+	return c.budget
 }
 
 // finish decides root status and evaluates. Under filtered collection

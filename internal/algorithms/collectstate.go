@@ -184,11 +184,12 @@ func (s *keySet) grow() {
 	}
 }
 
-// linkState is one vertex's state for one neighbor link: the send cursor
-// (which record, which chunk of its frame) and the receive reassembly
-// registers (pending key, accumulated weight, chunks so far; rcvChunk = 0
-// means no frame in flight). The three sequence bits are collect-retry's
-// alternating-bit protocol state.
+// linkState is one vertex's state for one neighbor link: collect-retry's
+// send cursor (which record, which chunk of its frame; the gossip relay
+// keeps one cursor per node), the receive reassembly registers (pending
+// key, accumulated weight, chunks so far; rcvChunk = 0 means no frame in
+// flight) and collect-retry's alternating-bit protocol state (the three
+// sequence bits).
 type linkState struct {
 	sendRec   int
 	sendChunk int

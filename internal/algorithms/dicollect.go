@@ -47,7 +47,9 @@ import (
 // The budget frame*(T + n + 2) + 4, with T the number of kept records,
 // dominates the pipelined-flooding bound frame*(T + D) exactly as in the
 // undirected analysis; nodes terminate at the budget rather than detecting
-// quiescence.
+// quiescence. As in the undirected collect, a node sleeps from its last
+// frame to the budget (the embedded relay's Wake), and the reported round
+// count is still the budget T.
 
 // DiCollectSpec configures one run of the directed gossip collect program.
 type DiCollectSpec struct {

@@ -26,6 +26,19 @@
 // ascending port (sender id) order by construction — no sorting, no
 // scan. The core is allocation-free in steady state: after setup no heap
 // allocation happens per round.
+//
+// The round loop is event-driven for programs that implement Sleeper.
+// After a Round that did not finish the node, Wake names the first later
+// round in which the node must run even with an empty inbox; until then
+// the core calls the node's Round only when a message arrives. A node
+// without Wake runs every round. A fault-free round in which nothing was
+// sent is followed by a jump straight to the smallest wake round: the
+// rounds in between are silent (no node runs, nothing is in flight), yet
+// each still counts in Metrics.Rounds, is checked against MaxRounds and
+// is traced with zero counts. Under a fault plan the loop never jumps; it
+// only skips sleeping nodes, after their ring gather and crash check.
+// Sleeping never changes a result: a run is bit-identical to the run of
+// the same programs with Wake hidden.
 package congest
 
 import (
@@ -88,6 +101,20 @@ type Node interface {
 	Output() interface{}
 }
 
+// Sleeper is optionally implemented by a Node that has rounds with
+// nothing to do. After a Round call that did not finish the node, Wake
+// returns the first later round in which the node must run even with an
+// empty inbox; a value at or before the current round means the next
+// round. Until that round the simulator calls Round only when the inbox
+// is non-empty. A sleeper's contract is that those skipped calls would
+// have been no-ops: called with an empty inbox before its wake round, its
+// Round sends nothing, does not finish and changes no state that its
+// later rounds or its Output read. The simulator reads Wake once after
+// each Round call.
+type Sleeper interface {
+	Wake() int
+}
+
 // Factory constructs the program for one vertex.
 type Factory func(local Local) Node
 
@@ -146,7 +173,7 @@ type Arena struct {
 	linkNbr     []int32
 	localIDs    []int
 	localWts    []int64
-	nodes       []Node
+	nodes       []program
 	recvPort    []int32
 	slotDir     []Direction
 	crashAt     []int32
@@ -156,8 +183,18 @@ type Arena struct {
 	lastSent    []int32
 	inbox       []Incoming
 	inboxLen    []int32
-	done        []bool
+	wake        []int32
 }
+
+// program is one entry of the node table: the node and, if it sleeps,
+// the same node asserted to Sleeper once at setup.
+type program struct {
+	node    Node
+	sleeper Sleeper
+}
+
+// retired marks a finished or crashed node in the wake table.
+const retired = -1
 
 // arenaSlice returns *buf resized to n, reusing the backing array when
 // capacity allows; element contents are unspecified — callers that rely
@@ -317,7 +354,9 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 	nodes := arenaSlice(&ar.nodes, n)
 	//hardness:setup
 	for v := 0; v < n; v++ {
-		nodes[v] = build(v)
+		node := build(v)
+		sleeper, _ := node.(Sleeper)
+		nodes[v] = program{node: node, sleeper: sleeper}
 	}
 
 	// For the channel v -> to stored at slot s in v's window, recvPort[s]
@@ -417,31 +456,38 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 		lastSent[i] = -1
 	}
 
-	done := arenaSlice(&ar.done, n)
-	clear(done)
+	// wake[v] is the first round in which v runs with an empty inbox (0
+	// for a node that does not sleep), or retired once v has finished or
+	// crashed.
+	wake := arenaSlice(&ar.wake, n)
+	clear(wake)
 	metrics := Metrics{BandwidthBits: bandwidth}
 	maxPayload := int64(1)<<uint(bandwidth) - 1
 	// Per-round trace accounting: plain integer bookkeeping kept cheap
-	// enough to run unconditionally; the only per-round branch Trace
-	// adds is the single nil-check at the bottom of the loop.
+	// enough to run unconditionally; the only per-round branches Trace
+	// adds are the nil-checks at the bottom of the loop.
 	trActive := n
 
 	for round := 0; ; round++ {
 		if round >= maxRounds {
-			return nil, RoundsExceededError(maxRounds, done)
+			return nil, roundsExceeded(maxRounds, wake)
 		}
-		allDone := true
+		live := false
+		// next is the earliest round after this one in which a live node
+		// runs without input (capped at maxRounds).
+		next := maxRounds
 		trSentBase := metrics.Messages
 		trDelivered, trDropped := 0, 0
 		for v := 0; v < n; v++ {
-			if done[v] {
+			w := int(wake[v])
+			if w == retired {
 				continue
 			}
 			if inj != nil && int32(round) >= crashAt[v] {
 				// Crash-stop: the node executes rounds 0..crash-1 only;
 				// messages already addressed to it are lost like messages
 				// to any terminated node, and it produces no output.
-				done[v] = true
+				wake[v] = retired
 				crashed[v] = true
 				trActive--
 				continue
@@ -458,13 +504,26 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 					}
 				}
 			}
+			if cnt == 0 && round < w {
+				live = true
+				next = min(next, w) // asleep, and nothing arrived
+				continue
+			}
 			trDelivered += cnt
-			outbox, finished := nodes[v].Round(round, curIn[base:base+cnt:base+cnt])
-			if finished {
-				done[v] = true
+			p := &nodes[v]
+			outbox, finished := p.node.Round(round, curIn[base:base+cnt:base+cnt])
+			switch {
+			case finished:
+				wake[v] = retired
 				trActive--
-			} else {
-				allDone = false
+			case p.sleeper != nil:
+				live = true
+				w = min(max(p.sleeper.Wake(), round+1), maxRounds)
+				wake[v] = int32(w)
+				next = min(next, w)
+			default:
+				live = true
+				next = round + 1
 			}
 			for _, msg := range outbox {
 				if uint(msg.Port) >= uint(degree) {
@@ -512,7 +571,7 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 				Active:    trActive,
 			})
 		}
-		if allDone {
+		if !live {
 			// Messages sent in the final round (or still delayed in the
 			// ring) would be delivered to already-terminated nodes; they
 			// are dropped (but metered, and the round still counts).
@@ -522,6 +581,16 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 			curIn, nextIn = nextIn, curIn
 			curLen, nextLen = nextLen, curLen
 			clear(nextLen)
+			if metrics.Messages == trSentBase {
+				// Nothing is in flight and no node runs before round
+				// next: jump over the silent rounds between, tracing each.
+				if opts.Trace != nil {
+					for r := round + 1; r < next; r++ {
+						opts.Trace.ObserveRound(RoundTrace{Round: r, Active: trActive})
+					}
+				}
+				round = next - 1
+			}
 		}
 	}
 
@@ -530,7 +599,7 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 		if crashed != nil && crashed[v] {
 			continue // a crashed node produces no output
 		}
-		outputs[v] = nodes[v].Output()
+		outputs[v] = nodes[v].node.Output()
 	}
 	return &Result{Metrics: metrics, Outputs: outputs}, nil
 }
@@ -555,14 +624,14 @@ func (e *RoundsError) Error() string {
 		e.Limit, e.Live, e.N, e.First, suffix)
 }
 
-// RoundsExceededError builds the MaxRounds-exhausted *RoundsError from the
-// done markers, naming how many nodes are still running and the first few
-// of their ids, so runaway programs are diagnosable instead of just "too
-// many rounds".
-func RoundsExceededError(limit int, done []bool) error {
-	e := &RoundsError{Limit: limit, N: len(done)}
-	for v, d := range done {
-		if d {
+// roundsExceeded builds the MaxRounds-exhausted *RoundsError from the wake
+// table, naming how many nodes are still running (asleep or not) and the
+// first few of their ids, so runaway programs are diagnosable instead of
+// just "too many rounds".
+func roundsExceeded(limit int, wake []int32) error {
+	e := &RoundsError{Limit: limit, N: len(wake)}
+	for v, w := range wake {
+		if w == retired {
 			continue
 		}
 		e.Live++

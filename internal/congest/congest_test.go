@@ -383,6 +383,35 @@ func (c *chatterNode) Round(round int, inbox []Incoming) ([]Message, bool) {
 
 func (c *chatterNode) Output() interface{} { return nil }
 
+// sleepyChatter is chatterNode sending only every fourth round: it
+// sleeps in between, woken for the round after each send by the
+// messages that arrive, so a long run skips nodes and, fault-free, jumps
+// silent rounds.
+type sleepyChatter struct {
+	chatterNode
+	wake int
+}
+
+func newSleepyChatter(budget int) Factory {
+	chatter := newChatter(budget)
+	return func(local Local) Node {
+		return &sleepyChatter{chatterNode: *chatter(local).(*chatterNode)}
+	}
+}
+
+func (c *sleepyChatter) Round(round int, inbox []Incoming) ([]Message, bool) {
+	if round >= c.budget {
+		return nil, true
+	}
+	c.wake = min(round-round%4+4, c.budget)
+	if round%4 != 0 {
+		return nil, false
+	}
+	return c.outbox, false
+}
+
+func (c *sleepyChatter) Wake() int { return c.wake }
+
 func TestRunSteadyStateDoesNotAllocate(t *testing.T) {
 	// Compare the allocation counts of a short and a long simulation on
 	// the same graph: the extra rounds must not allocate at all.
@@ -456,6 +485,34 @@ func TestRunSteadyStateDoesNotAllocate(t *testing.T) {
 	longT := testing.AllocsPerRun(5, tracedWith(1010))
 	if longT > shortT {
 		t.Errorf("traced per-round allocations detected: %v allocs for 10 rounds, %v for 1010", shortT, longT)
+	}
+
+	// A sleeping program keeps every mode allocation-free: skipping a
+	// node and jumping a silent round (traced or not) allocate nothing.
+	for mode := 0; mode < 8; mode++ {
+		var opts Options
+		if mode&1 != 0 {
+			opts.CutSide, opts.Meter = side, counts
+		}
+		if mode&2 != 0 {
+			opts.Faults = plan
+		}
+		if mode&4 != 0 {
+			opts.Trace = tracer
+		}
+		sleepWith := func(rounds int) func() {
+			return func() {
+				if _, err := Run(g, newSleepyChatter(rounds), opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		shortS := testing.AllocsPerRun(5, sleepWith(10))
+		longS := testing.AllocsPerRun(5, sleepWith(1010))
+		if longS > shortS {
+			t.Errorf("sleeping per-round allocations detected (meter %t, faults %t, trace %t): %v allocs for 10 rounds, %v for 1010",
+				opts.Meter != nil, opts.Faults != nil, opts.Trace != nil, shortS, longS)
+		}
 	}
 }
 

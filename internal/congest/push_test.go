@@ -2,11 +2,11 @@ package congest_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"congesthard/internal/algorithms"
 	"congesthard/internal/congest"
+	"congesthard/internal/congest/congesttest"
 	"congesthard/internal/faults"
 	"congesthard/internal/graph"
 )
@@ -61,25 +61,6 @@ func (g *gossip) Round(round int, inbox []congest.Incoming) ([]congest.Message, 
 
 func (g *gossip) Output() interface{} { return g.state }
 
-type meterEntry struct {
-	round, from, to int
-	payload         int64
-	bits            int
-	dir             congest.Direction
-}
-
-// recorder keeps every meter observation and round trace of a run.
-type recorder struct {
-	entries []meterEntry
-	rounds  []congest.RoundTrace
-}
-
-func (r *recorder) Observe(round, from, to int, payload int64, bits int, dir congest.Direction) {
-	r.entries = append(r.entries, meterEntry{round, from, to, payload, bits, dir})
-}
-
-func (r *recorder) ObserveRound(t congest.RoundTrace) { r.rounds = append(r.rounds, t) }
-
 // TestPushDeliveryMatchesRingPath pins that fault-free delivery agrees
 // with the fault injector's ring path under a plan that injects nothing:
 // the same metrics, outputs, meter observations and round traces, for a
@@ -121,28 +102,17 @@ func TestPushDeliveryMatchesRingPath(t *testing.T) {
 			name    string
 			program func() congest.Factory
 		}{{"gossip", gossipProgram}, {"collect", collectProgram}} {
-			name := tc.name
-			run := func(fp *faults.Plan) (*congest.Result, *recorder) {
-				rec := &recorder{}
-				res, err := congest.Run(g, tc.program(), congest.Options{CutSide: side, Meter: rec, Trace: rec, Faults: fp})
-				if err != nil {
-					t.Fatalf("trial %d %s (faults=%v): %v", trial, name, fp != nil, err)
+			run := func(fp *faults.Plan) *congesttest.Outcome {
+				out := congesttest.Record(func(o congest.Options) (*congest.Result, error) {
+					return congest.Run(g, tc.program(), o)
+				}, congest.Options{CutSide: side, Faults: fp})
+				if out.Err != nil {
+					t.Fatalf("trial %d %s (faults=%v): %v", trial, tc.name, fp != nil, out.Err)
 				}
-				return res, rec
+				return out
 			}
-			push, prec := run(nil)
-			ring, rrec := run(&faults.Plan{})
-			if push.Metrics != ring.Metrics {
-				t.Fatalf("trial %d %s (n=%d): metrics %+v pushed, %+v through the ring", trial, name, n, push.Metrics, ring.Metrics)
-			}
-			if !reflect.DeepEqual(push.Outputs, ring.Outputs) {
-				t.Fatalf("trial %d %s (n=%d): outputs %v pushed, %v through the ring", trial, name, n, push.Outputs, ring.Outputs)
-			}
-			if !reflect.DeepEqual(prec.entries, rrec.entries) {
-				t.Fatalf("trial %d %s (n=%d): %d meter entries pushed, %d through the ring, or they differ", trial, name, n, len(prec.entries), len(rrec.entries))
-			}
-			if !reflect.DeepEqual(prec.rounds, rrec.rounds) {
-				t.Fatalf("trial %d %s (n=%d): round traces %v pushed, %v through the ring", trial, name, n, prec.rounds, rrec.rounds)
+			if d := congesttest.Diff(run(nil), run(&faults.Plan{})); d != "" {
+				t.Fatalf("trial %d %s (n=%d): pushed and through the ring: %s", trial, tc.name, n, d)
 			}
 		}
 	}

@@ -12,7 +12,7 @@ package congest
 //     (always 0 with Options.Faults == nil — messages addressed to
 //     terminated nodes are not counted here, they are never delivered);
 //   - Active counts nodes still running after the round (neither
-//     terminated nor crashed).
+//     terminated nor crashed; a sleeping node is running).
 //
 // Sent and Delivered are offset by delivery latency: a message sent in
 // round r is delivered in round r+1 (later under fault delay), so the
@@ -28,10 +28,12 @@ type RoundTrace struct {
 // Tracer observes a simulation round by round. Like Meter it is an
 // opt-in hook: with Options.Trace == nil the round loop pays one
 // nil-check per round and nothing else. ObserveRound is called exactly
-// once per executed round, in round order, from the simulator's single
-// goroutine, with a stack-passed RoundTrace — an allocation-free
-// implementation keeps the whole run allocation-free (guarded by
-// TestRunSteadyStateDoesNotAllocate in congest and dicongest).
+// once per round, in round order, from the simulator's single goroutine,
+// with a stack-passed RoundTrace — an allocation-free implementation
+// keeps the whole run allocation-free (guarded by
+// TestRunSteadyStateDoesNotAllocate in congest and dicongest). A silent
+// round that the loop jumps over (see Sleeper) is observed too, with
+// zero counts.
 type Tracer interface {
 	ObserveRound(t RoundTrace)
 }

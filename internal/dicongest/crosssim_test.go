@@ -2,10 +2,10 @@ package dicongest_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"congesthard/internal/congest"
+	"congesthard/internal/congest/congesttest"
 	"congesthard/internal/dicongest"
 	"congesthard/internal/faults"
 	"congesthard/internal/graph"
@@ -83,24 +83,6 @@ func (d *directedMixer) Round(round int, inbox []dicongest.Incoming) ([]diconges
 
 func (d *directedMixer) Output() interface{} { return d.state }
 
-type meterEntry struct {
-	round, from, to int
-	payload         int64
-	bits            int
-	dir             congest.Direction
-}
-
-type recorder struct {
-	entries []meterEntry
-	rounds  []congest.RoundTrace
-}
-
-func (r *recorder) Observe(round, from, to int, payload int64, bits int, dir congest.Direction) {
-	r.entries = append(r.entries, meterEntry{round, from, to, payload, bits, dir})
-}
-
-func (r *recorder) ObserveRound(t congest.RoundTrace) { r.rounds = append(r.rounds, t) }
-
 // randomOrientation draws a digraph on n vertices whose vertex pairs are
 // unlinked, one-way (either direction) or antiparallel.
 func randomOrientation(n int, rng *rand.Rand) *graph.Digraph {
@@ -144,33 +126,22 @@ func TestDirectedRunMatchesUnderlyingRun(t *testing.T) {
 			fp = plan
 		}
 
-		var urec, drec recorder
-		ures, err := congest.Run(d.Underlying(), func(l congest.Local) congest.Node {
-			return &undirectedMixer{mixer: newMixer(l.ID, l.N, l.Neighbors)}
-		}, congest.Options{CutSide: side, Meter: &urec, Trace: &urec, Faults: fp})
-		if err != nil {
-			t.Fatalf("trial %d: congest.Run: %v", trial, err)
+		opts := congest.Options{CutSide: side, Faults: fp}
+		under := congesttest.Record(func(o congest.Options) (*congest.Result, error) {
+			return congest.Run(d.Underlying(), func(l congest.Local) congest.Node {
+				return &undirectedMixer{mixer: newMixer(l.ID, l.N, l.Neighbors)}
+			}, o)
+		}, opts)
+		directed := congesttest.Record(func(o congest.Options) (*congest.Result, error) {
+			return dicongest.Run(d, func(l dicongest.Local) dicongest.Node {
+				return &directedMixer{mixer: newMixer(l.ID, l.N, l.Neighbors)}
+			}, o)
+		}, opts)
+		if under.Err != nil || directed.Err != nil {
+			t.Fatalf("trial %d: congest.Run: %v, dicongest.Run: %v", trial, under.Err, directed.Err)
 		}
-		dres, err := dicongest.Run(d, func(l dicongest.Local) dicongest.Node {
-			return &directedMixer{mixer: newMixer(l.ID, l.N, l.Neighbors)}
-		}, dicongest.Options{CutSide: side, Meter: &drec, Trace: &drec, Faults: fp})
-		if err != nil {
-			t.Fatalf("trial %d: dicongest.Run: %v", trial, err)
-		}
-
-		um, dm := ures.Metrics, dres.Metrics
-		if um.Rounds != dm.Rounds || um.Messages != dm.Messages || um.CutMessages != dm.CutMessages ||
-			um.CutBits != dm.CutBits || um.BandwidthBits != dm.BandwidthBits {
-			t.Fatalf("trial %d (n=%d, faults=%v): metrics %+v directed, %+v undirected", trial, n, fp != nil, dm, um)
-		}
-		if !reflect.DeepEqual(ures.Outputs, dres.Outputs) {
-			t.Fatalf("trial %d (n=%d, faults=%v): outputs %v directed, %v undirected", trial, n, fp != nil, dres.Outputs, ures.Outputs)
-		}
-		if !reflect.DeepEqual(urec.entries, drec.entries) {
-			t.Fatalf("trial %d (n=%d, faults=%v): %d meter entries directed, %d undirected, or they differ", trial, n, fp != nil, len(drec.entries), len(urec.entries))
-		}
-		if !reflect.DeepEqual(urec.rounds, drec.rounds) {
-			t.Fatalf("trial %d (n=%d, faults=%v): round traces %v directed, %v undirected", trial, n, fp != nil, drec.rounds, urec.rounds)
+		if diff := congesttest.Diff(directed, under); diff != "" {
+			t.Fatalf("trial %d (n=%d, faults=%v): directed and undirected: %s", trial, n, fp != nil, diff)
 		}
 	}
 }

@@ -12,8 +12,8 @@
 // (congest.RunLinks): it merges the digraph's out-adjacency snapshot with
 // its in-adjacency into sorted link windows and hands the core a directed
 // Local per vertex. Everything else — message, node and result types,
-// options, arena, port addressing, faults, metering and tracing — is
-// congest's, and a run is bit-identical to congest.Run on d.Underlying()
+// options, arena, port addressing, faults, metering, tracing and the
+// event-driven round loop (Sleeper) — is congest's, and a run is bit-identical to congest.Run on d.Underlying()
 // for any program that reads only its link neighbors.
 //
 // Cut metering classifies each link against the bipartition: the crossing
@@ -36,6 +36,7 @@ type (
 	Message  = congest.Message
 	Incoming = congest.Incoming
 	Node     = congest.Node
+	Sleeper  = congest.Sleeper
 	FuncNode = congest.FuncNode
 	Metrics  = congest.Metrics
 	Result   = congest.Result

@@ -2,10 +2,11 @@ package dicongest_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"congesthard/internal/algorithms"
+	"congesthard/internal/congest"
+	"congesthard/internal/congest/congesttest"
 	"congesthard/internal/dicongest"
 	"congesthard/internal/faults"
 	"congesthard/internal/graph"
@@ -62,28 +63,17 @@ func TestPushDeliveryMatchesRingPath(t *testing.T) {
 			name    string
 			program func() dicongest.Factory
 		}{{"gossip", gossipProgram}, {"collect", collectProgram}} {
-			name := tc.name
-			run := func(fp *faults.Plan) (*dicongest.Result, *recorder) {
-				rec := &recorder{}
-				res, err := dicongest.Run(d, tc.program(), dicongest.Options{CutSide: side, Meter: rec, Trace: rec, Faults: fp})
-				if err != nil {
-					t.Fatalf("trial %d %s (faults=%v): %v", trial, name, fp != nil, err)
+			run := func(fp *faults.Plan) *congesttest.Outcome {
+				out := congesttest.Record(func(o congest.Options) (*congest.Result, error) {
+					return dicongest.Run(d, tc.program(), o)
+				}, congest.Options{CutSide: side, Faults: fp})
+				if out.Err != nil {
+					t.Fatalf("trial %d %s (faults=%v): %v", trial, tc.name, fp != nil, out.Err)
 				}
-				return res, rec
+				return out
 			}
-			push, prec := run(nil)
-			ring, rrec := run(&faults.Plan{})
-			if push.Metrics != ring.Metrics {
-				t.Fatalf("trial %d %s (n=%d): metrics %+v pushed, %+v through the ring", trial, name, n, push.Metrics, ring.Metrics)
-			}
-			if !reflect.DeepEqual(push.Outputs, ring.Outputs) {
-				t.Fatalf("trial %d %s (n=%d): outputs %v pushed, %v through the ring", trial, name, n, push.Outputs, ring.Outputs)
-			}
-			if !reflect.DeepEqual(prec.entries, rrec.entries) {
-				t.Fatalf("trial %d %s (n=%d): %d meter entries pushed, %d through the ring, or they differ", trial, name, n, len(prec.entries), len(rrec.entries))
-			}
-			if !reflect.DeepEqual(prec.rounds, rrec.rounds) {
-				t.Fatalf("trial %d %s (n=%d): round traces %v pushed, %v through the ring", trial, name, n, prec.rounds, rrec.rounds)
+			if diff := congesttest.Diff(run(nil), run(&faults.Plan{})); diff != "" {
+				t.Fatalf("trial %d %s (n=%d): pushed and through the ring: %s", trial, tc.name, n, diff)
 			}
 		}
 	}
