@@ -33,12 +33,13 @@ import (
 // is exact for component-additive quantities like the domination number.
 // Root election runs a union-find over the vertex's own records: a vertex
 // that they join to a smaller id is not a root and outputs the zero value
-// without reconstructing anything. Any other vertex reconstructs its
-// collected graph (a reconstruction error makes it a non-root, as
-// before). If the union-find joined all n vertices, the vertex is 0 and
-// its component is the whole collected graph, which it evaluates as
-// rebuilt; otherwise it finds its component in the reconstruction and
-// evaluates the induced component subgraph if no smaller id shares it.
+// without reconstructing anything. Any other vertex is the minimum of its
+// union-find set and reconstructs its collected graph (a reconstruction
+// error makes it a non-root, and vertex 0 a root that reports the error).
+// If the union-find joined all n vertices, the vertex is 0 and its
+// component is the whole collected graph, which it evaluates as rebuilt;
+// otherwise its union-find set is its component in the reconstruction,
+// and it evaluates the induced component subgraph.
 // The election is exact even when drops leave a vertex a partial,
 // disconnected view: records that join it to a smaller id join it in the
 // reconstruction too, whatever else the vertex knows.
@@ -107,24 +108,17 @@ func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Fa
 	if spec.Keep != nil && !g.IsConnected() {
 		return nil, 0, fmt.Errorf("filtered collect requires a connected graph")
 	}
-	if bandwidth == 0 {
-		bandwidth = congest.DefaultBandwidth(n)
-	}
-	if err := congest.CheckBandwidth(bandwidth); err != nil {
+	bandwidth, err := gossipBandwidth(n, bandwidth, "edge", "graph")
+	if err != nil {
 		return nil, 0, err
-	}
-	if int64(n)*int64(n) > int64(1)<<bandwidth {
-		return nil, 0, fmt.Errorf("bandwidth %d cannot carry edge ids of an n=%d graph", bandwidth, n)
 	}
 	records, wchunks, neg, ok := frameLayout(n, g.Neighbors, canonical(spec.Keep), bandwidth)
 	if !ok {
 		return nil, 0, negativeEdge(neg)
 	}
-	frame := 1 + wchunks
-	budget := frame*(records+n+2) + 4
+	budget := collectBudget(n, records, wchunks)
 	spec.Workspace = orNewWorkspace(spec.Workspace)
-	ws := spec.Workspace
-	slab := newCollectSlab(ws, &ws.collectNodes, n, records, bandwidth, g.Degree)
+	slab := newCollectSlab(spec.Workspace, &spec.Workspace.collectNodes, n, records, bandwidth, g.Degree)
 	factory := func(local congest.Local) congest.Node {
 		c := slab.node(local.ID)
 		c.bw, c.budget, c.wchunks, c.self = bandwidth, budget, wchunks, c
@@ -133,6 +127,30 @@ func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Fa
 		return c
 	}
 	return factory, budget, nil
+}
+
+// gossipBandwidth resolves the bandwidth of a gossip collect run on an
+// n-vertex instance (0 selects the CONGEST default) and checks that the
+// simulators accept it and that one chunk carries every record id
+// u*n + v; elem and noun name the records and the instance in the error.
+func gossipBandwidth(n, bandwidth int, elem, noun string) (int, error) {
+	if bandwidth == 0 {
+		bandwidth = congest.DefaultBandwidth(n)
+	}
+	if err := congest.CheckBandwidth(bandwidth); err != nil {
+		return 0, err
+	}
+	if int64(n)*int64(n) > int64(1)<<bandwidth {
+		return 0, fmt.Errorf("bandwidth %d cannot carry %s ids of an n=%d %s", bandwidth, elem, n, noun)
+	}
+	return bandwidth, nil
+}
+
+// collectBudget is the fault-free round budget frame*(T + n + 2) + 4 of
+// an n-vertex instance with T kept records in frames of 1 + wchunks
+// chunks (see the analysis above).
+func collectBudget(n, records, wchunks int) int {
+	return (1+wchunks)*(records+n+2) + 4
 }
 
 // frameLayout derives the frame shape of an n-vertex instance from its
@@ -320,55 +338,58 @@ func (c *collectNode) Wake() int {
 	return c.budget
 }
 
-// finish decides root status and evaluates. Under filtered collection
-// vertex 0 is the sole root and evaluates the whole collection. Under full
-// collection the union-find first rules out a vertex its records join to
-// a smaller id; any other vertex reconstructs the collected graph. If the
-// union-find joined all n vertices, the reconstruction is the vertex's
-// component and it evaluates it directly; otherwise it checks whether it
-// is the minimum id of its component there and evaluates the induced
-// component subgraph.
+// finish is the root step of the undirected programs, over the
+// workspace's graph.
 func (c *collectCore) finish() {
+	rootStep(c, c.spec.Keep != nil, &c.spec.Workspace.graph, (*graph.Graph).AddWeightedEdge,
+		(*graph.Graph).InducedSubgraph, c.spec.Eval, "graph")
+}
+
+// rootStep is the end-of-budget step of every collect program, for the
+// kind G its roots rebuild into collected with add, cutting a component
+// out with induced. Under filtered collection vertex 0 is the sole root
+// and evaluates the whole collection. Under full collection the
+// union-find first rules out a vertex its records join to a smaller id;
+// any other vertex rebuilds its records. If the union-find joined all n
+// vertices, the rebuild is the vertex's component and it evaluates it
+// directly. Otherwise a rebuild that succeeded held only valid records,
+// so the vertex's union-find set, of which it is the minimum, is exactly
+// its (weak) component there: it evaluates the induced copy of that set.
+// noun names the kind in a rebuild error, which vertex 0 reports.
+func rootStep[G interface{ Recycle(n int) }](c *collectCore, filtered bool, collected G,
+	add func(G, int, int, int64) error, induced func(G, func(v int) bool) (G, []int),
+	eval func(G) (int64, error), noun string) {
+	id := c.local.ID
 	spanning := false
-	if c.spec.Keep == nil {
+	if filtered {
+		if id != 0 {
+			return
+		}
+	} else {
 		var joined bool
-		if joined, spanning = c.elect(c.local.ID, c.parent); joined {
+		if joined, spanning = c.elect(id, c.parent); joined {
 			return
 		}
 	}
-	collected := &c.spec.Workspace.graph
 	collected.Recycle(c.n)
 	for _, rec := range c.records {
 		u, v := c.decode(rec.key)
-		if err := collected.AddWeightedEdge(u, v, rec.w); err != nil {
-			if c.local.ID == 0 {
-				c.out = collectOutput{root: true, err: fmt.Errorf("reconstructing collected graph: %w", err)}
+		if err := add(collected, u, v, rec.w); err != nil {
+			if id == 0 {
+				c.out = collectOutput{root: true, err: fmt.Errorf("reconstructing collected %s: %w", noun, err)}
 			}
 			return
 		}
 	}
-	if c.spec.Keep != nil {
-		if c.local.ID == 0 {
-			c.out.root = true
-			c.out.value, c.out.err = c.spec.Eval(collected)
-		}
-		return
-	}
-	if spanning {
-		c.out.root = true
-		c.out.value, c.out.err = c.spec.Eval(collected)
-		return
-	}
-	comp, _ := collected.Components()
-	mine := comp[c.local.ID]
-	for v := 0; v < c.local.ID; v++ {
-		if comp[v] == mine {
-			return // a smaller id shares the component: not the root
-		}
-	}
-	component, _ := collected.InducedSubgraph(func(v int) bool { return comp[v] == mine })
 	c.out.root = true
-	c.out.value, c.out.err = c.spec.Eval(component)
+	if filtered || spanning {
+		c.out.value, c.out.err = eval(collected)
+		return
+	}
+	// parent still holds the union-find elect ran to the end.
+	me := int32(id)
+	component, _ := induced(collected, func(v int) bool { return find(c.parent, int32(v)) == me })
+	c.out.value, c.out.err = eval(component)
 }
 
 // nonRootOutput is the zero collectOutput, boxed once so that non-roots

@@ -107,33 +107,6 @@ func TestDiCollectSpanningComponentKeepsIDs(t *testing.T) {
 	}
 }
 
-func TestDiCollectKeepFilter(t *testing.T) {
-	d := graph.NewDigraph(4)
-	d.MustAddWeightedArc(0, 1, 2)
-	d.MustAddWeightedArc(1, 2, 4)
-	d.MustAddWeightedArc(2, 3, 6)
-	d.MustAddWeightedArc(3, 0, 8)
-	total, _ := runDiCollect(t, d, DiCollectSpec{
-		Keep: func(from, to int, w int64) bool { return w >= 5 },
-		Eval: func(collected *graph.Digraph) (int64, error) {
-			return int64(collected.M()), nil
-		},
-	})
-	if total != 2 {
-		t.Errorf("filtered collection kept %d arcs, want 2", total)
-	}
-
-	// A filtered collect on a weakly disconnected digraph must be refused.
-	disc := graph.NewDigraph(3)
-	disc.MustAddArc(0, 1)
-	if _, _, err := DiCollectFactory(disc, 0, DiCollectSpec{
-		Keep: func(int, int, int64) bool { return true },
-		Eval: func(*graph.Digraph) (int64, error) { return 0, nil },
-	}); err == nil {
-		t.Error("filtered collect accepted a weakly disconnected digraph")
-	}
-}
-
 func TestDiCollectRejectsNegativeWeights(t *testing.T) {
 	d := graph.NewDigraph(2)
 	d.MustAddWeightedArc(0, 1, -3)

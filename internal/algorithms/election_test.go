@@ -90,13 +90,6 @@ func referenceDiFinish(c *diCollectNode) (collectOutput, shape) {
 			return collectOutput{}, shape{}
 		}
 	}
-	if c.spec.Keep != nil {
-		if c.local.ID != 0 {
-			return collectOutput{}, shape{rebuilt: true}
-		}
-		value, err := c.spec.Eval(collected)
-		return collectOutput{root: true, value: value, err: err}, shape{rebuilt: true}
-	}
 	comp, _ := collected.Underlying().Components()
 	sh := shape{rebuilt: true, compN: componentSize(comp, c.local.ID)}
 	mine := comp[c.local.ID]

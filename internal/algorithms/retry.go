@@ -94,11 +94,9 @@ func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (conge
 	if !ok {
 		return nil, 0, negativeEdge(neg)
 	}
-	frame := 1 + wchunks
-	budget := RetryBudgetFactor * (frame*(records+n+2) + 4)
+	budget := RetryBudgetFactor * collectBudget(n, records, wchunks)
 	spec.Workspace = orNewWorkspace(spec.Workspace)
-	ws := spec.Workspace
-	slab := newCollectSlab(ws, &ws.retryNodes, n, records, cw, g.Degree)
+	slab := newCollectSlab(spec.Workspace, &spec.Workspace.retryNodes, n, records, cw, g.Degree)
 	factory := func(local congest.Local) congest.Node {
 		c := slab.node(local.ID)
 		c.cw, c.budget, c.wchunks = cw, budget, wchunks

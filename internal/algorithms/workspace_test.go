@@ -160,3 +160,70 @@ func TestWorkspaceReuseMatchesFreshFactory(t *testing.T) {
 	}
 	t.Logf("%d runs on one workspace", len(runs))
 }
+
+// Component-root allocation pins: each collect program on a warm
+// workspace and a warm arena, on an instance with two 6-vertex
+// components, so that two roots each rebuild their collection and copy
+// out their component. What is left is a handful of per-run objects and
+// the two component copies. The pins sit 20-25% above the measured
+// counts; a root that labels the components of its rebuild, a directed
+// root that copies out the underlying graph, or a non-root that rebuilds
+// anything trips them.
+const (
+	collectRootAllocs   = 50 // measured 42
+	retryRootAllocs     = 50 // measured 42
+	diCollectRootAllocs = 55 // measured 44
+)
+
+func TestCollectComponentRootAllocations(t *testing.T) {
+	g := graph.New(12)
+	d := graph.NewDigraph(12)
+	for c := 0; c < 12; c += 6 {
+		for i := 0; i < 6; i++ {
+			g.MustAddEdge(c+i, c+(i+1)%6)
+			d.MustAddArc(c+i, c+(i+1)%6)
+		}
+	}
+	countEdges := func(g *graph.Graph) (int64, error) { return int64(g.M()), nil }
+	countArcs := func(d *graph.Digraph) (int64, error) { return int64(d.M()), nil }
+	ws, arena := new(Workspace), new(congest.Arena)
+	undirected := func(prog undirectedProgram) func() (*congest.Result, error) {
+		return func() (*congest.Result, error) {
+			factory, opts, err := prog.build(g, CollectSpec{Eval: countEdges, Workspace: ws})
+			if err != nil {
+				return nil, err
+			}
+			opts.Arena = arena
+			return congest.Run(g, factory, opts)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		pin  int
+		run  func() (*congest.Result, error)
+	}{
+		{"collect", collectRootAllocs, undirected(undirectedPrograms[0])},
+		{"collect-retry", retryRootAllocs, undirected(undirectedPrograms[1])},
+		{"dicollect", diCollectRootAllocs, func() (*congest.Result, error) {
+			factory, budget, err := DiCollectFactory(d, 0, DiCollectSpec{Eval: countArcs, Workspace: ws})
+			if err != nil {
+				return nil, err
+			}
+			return dicongest.Run(d, factory, dicongest.Options{MaxRounds: budget + 2, Arena: arena})
+		}},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			res, err := tc.run()
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if total, err := CollectTotal(res); err != nil || total != 12 {
+				t.Fatalf("%s: total %d (%v), want 12 from two roots", tc.name, total, err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per warm run", tc.name, allocs)
+		if allocs > float64(tc.pin) {
+			t.Errorf("%s: a warm run on two components allocates %.0f times, want at most %d", tc.name, allocs, tc.pin)
+		}
+	}
+}

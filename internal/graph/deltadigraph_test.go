@@ -117,9 +117,9 @@ func TestDigraphJournalRecordsToggles(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := d.Journal()
-	want := []ArcDelta{
-		{From: 1, To: 2, W: 3, Add: true},
-		{From: 0, To: 1, W: 1, Add: false},
+	want := []EdgeDelta{
+		{U: 1, V: 2, W: 3, Add: true},
+		{U: 0, V: 1, W: 1, Add: false},
 	}
 	if len(j) != len(want) {
 		t.Fatalf("journal %v, want %v", j, want)
@@ -158,11 +158,11 @@ func TestDigraphIncrementalHashMaintenance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, a := range d.Journal() {
-			h := ArcHash(a.From, a.To, a.W)
+			h := ArcHash(a.U, a.V, a.W)
 			switch {
-			case side[a.From] != side[a.To]:
+			case side[a.U] != side[a.V]:
 				cutH ^= h
-			case side[a.From]:
+			case side[a.U]:
 				aH ^= h
 			default:
 				bH ^= h

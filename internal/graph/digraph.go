@@ -25,9 +25,7 @@ type Digraph struct {
 	// it, other mutators reset it. atomic as in Graph.
 	csr atomic.Pointer[CSR]
 
-	// journal supports the delta machinery in deltadigraph.go.
-	journal   []ArcDelta
-	journalOn bool
+	journal
 }
 
 // NewDigraph returns a directed graph with n isolated vertices.
@@ -51,7 +49,8 @@ func (d *Digraph) Recycle(n int) {
 	d.in = recycleAdj(d.in, n)
 	d.vw = recycleWeights(d.vw, n)
 	d.csr.Store(nil)
-	d.journal, d.journalOn = d.journal[:0], false
+	d.journal.on = false
+	d.ClearJournal()
 }
 
 // N returns the number of vertices.

@@ -42,12 +42,7 @@ type Graph struct {
 	// graph) may Freeze safely.
 	csr atomic.Pointer[CSR]
 
-	// The journals support the delta machinery in delta.go. Vertex-weight
-	// mutations are journaled separately from edge mutations because they
-	// fold into different structural hashes.
-	journal   []EdgeDelta
-	journalOn bool
-	vwJournal []VertexDelta
+	journal
 }
 
 // New returns an undirected graph with n isolated vertices, all of vertex
@@ -71,8 +66,8 @@ func (g *Graph) Recycle(n int) {
 	g.adj = recycleAdj(g.adj, n)
 	g.vw = recycleWeights(g.vw, n)
 	g.csr.Store(nil)
-	g.journal, g.journalOn = g.journal[:0], false
-	g.vwJournal = g.vwJournal[:0]
+	g.journal.on = false
+	g.ClearJournal()
 }
 
 // recycleAdj returns adj resized to n empty adjacency lists, reusing the
@@ -150,7 +145,7 @@ func (g *Graph) AddWeightedEdge(u, v int, w int64) error {
 	g.adj[u] = append(g.adj[u], Half{To: v, Weight: w})
 	g.adj[v] = append(g.adj[v], Half{To: u, Weight: w})
 	g.csr.Store(nil)
-	g.record(u, v, w, true)
+	g.record(min(u, v), max(u, v), w, true)
 	return nil
 }
 
@@ -226,8 +221,8 @@ func (g *Graph) SetEdgeWeight(u, v int, w int64) error {
 		c.setWeight(v, u, w)
 	}
 	if oldW != w {
-		g.record(u, v, oldW, false)
-		g.record(u, v, w, true)
+		g.record(min(u, v), max(u, v), oldW, false)
+		g.record(min(u, v), max(u, v), w, true)
 	}
 	return nil
 }
@@ -277,8 +272,8 @@ func (g *Graph) SetVertexWeight(v int, w int64) error {
 		return nil
 	}
 	g.vw[v] = w
-	if g.journalOn {
-		g.vwJournal = append(g.vwJournal,
+	if g.journal.on {
+		g.journal.vertices = append(g.journal.vertices,
 			VertexDelta{V: v, W: old, Add: false},
 			VertexDelta{V: v, W: w, Add: true})
 	}

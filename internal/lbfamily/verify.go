@@ -20,6 +20,8 @@ type Instance[G any] interface {
 	HashWithin(within []bool) uint64
 	Freeze() *graph.CSR
 	StartJournal()
+	Journal() []graph.EdgeDelta
+	VertexJournal() []graph.VertexDelta
 	ClearJournal()
 }
 
@@ -38,8 +40,8 @@ type family[G any] interface {
 type kind[G any] struct {
 	// noun names the cut's members in messages: "edges" or "arcs".
 	noun string
-	// fold folds g's mutation journal into h and clears it.
-	fold func(g G, side []bool, h *sideHashes)
+	// hash is the structural hash of one edge or arc (see fold).
+	hash func(u, v int, w int64) uint64
 	// oracle returns a fresh reusable predicate evaluator of fam, or nil
 	// if fam has none.
 	oracle func(fam any) func(G) (bool, error)
@@ -70,6 +72,19 @@ func (h *sideHashes) toggle(uAlice, vAlice bool, hash uint64) {
 	default:
 		h.b ^= hash
 	}
+}
+
+// fold folds g's mutation journal into h, hashing each edge or arc delta
+// with hash, and clears it.
+func fold[G Instance[G]](g G, side []bool, h *sideHashes, hash func(u, v int, w int64) uint64) {
+	for _, d := range g.Journal() {
+		h.toggle(side[d.U], side[d.V], hash(d.U, d.V, d.W))
+	}
+	// Vertex weights enter the induced-side hashes only.
+	for _, d := range g.VertexJournal() {
+		h.toggle(side[d.V], side[d.V], graph.VertexHash(d.V, d.W))
+	}
+	g.ClearJournal()
 }
 
 func hashesOf[G Instance[G]](g G, side, bobSide []bool) sideHashes {
@@ -200,7 +215,7 @@ func verifyPairs[G Instance[G]](ctx context.Context, fam family[G], kd kind[G], 
 				wk := &workers[w]
 				if wk.ready {
 					wk.ready = false // a panic mid-fold forces a rehash
-					kd.fold(g, side, &wk.h)
+					fold(g, side, &wk.h, kd.hash)
 				} else {
 					g.Freeze()
 					g.StartJournal()
@@ -322,16 +337,7 @@ func scanOutcomes(f comm.Function, noun string, side []bool, xs, ys []comm.Bits,
 // edgeKind is the undirected graph kind.
 var edgeKind = kind[*graph.Graph]{
 	noun: "edges",
-	fold: func(g *graph.Graph, side []bool, h *sideHashes) {
-		for _, d := range g.Journal() {
-			h.toggle(side[d.U], side[d.V], graph.EdgeHash(d.U, d.V, d.W))
-		}
-		// Vertex weights enter the induced-side hashes only.
-		for _, d := range g.VertexJournal() {
-			h.toggle(side[d.V], side[d.V], graph.VertexHash(d.V, d.W))
-		}
-		g.ClearJournal()
-	},
+	hash: graph.EdgeHash,
 	oracle: func(fam any) func(*graph.Graph) (bool, error) {
 		if of, ok := fam.(OracleFamily); ok {
 			return of.NewPredicateOracle().Eval
@@ -348,12 +354,7 @@ var edgeKind = kind[*graph.Graph]{
 // arcKind is the directed graph kind.
 var arcKind = kind[*graph.Digraph]{
 	noun: "arcs",
-	fold: func(d *graph.Digraph, side []bool, h *sideHashes) {
-		for _, a := range d.Journal() {
-			h.toggle(side[a.From], side[a.To], graph.ArcHash(a.From, a.To, a.W))
-		}
-		d.ClearJournal()
-	},
+	hash: graph.ArcHash,
 	oracle: func(fam any) func(*graph.Digraph) (bool, error) {
 		if of, ok := fam.(DigraphOracleFamily); ok {
 			return of.NewDigraphPredicateOracle().Eval

@@ -55,7 +55,7 @@ func TestHotpathDirectiveSync(t *testing.T) {
 		{"internal/solver/independent.go", "noCarried"},
 		{"internal/lbfamily/verify.go", "CubeWalk"},
 		{"internal/graph/delta.go", "ToggleEdge"},
-		{"internal/graph/deltadigraph.go", "ToggleArc"},
+		{"internal/graph/delta.go", "ToggleArc"},
 	}
 	for _, tgt := range targets {
 		path := filepath.Join("..", "..", filepath.FromSlash(tgt.file))

@@ -40,25 +40,5 @@ func CertifyDigraphCtx(ctx context.Context, fam lbfamily.DigraphFamily, alg Digr
 		return nil, fmt.Errorf("algorithm %q has no Prepare", alg.Name)
 	}
 	stats := func() (lbfamily.Stats, error) { return lbfamily.MeasureDigraphStats(fam) }
-	return certify(ctx, fam, stats, alg.Name, alg.Exact, cfg, func() simulate[*graph.Digraph] {
-		arena := &dicongest.Arena{}
-		return func(d *graph.Digraph, seed int64, replay bool, opts dicongest.Options) (dicongest.Metrics, bool, string, error) {
-			factory, decide, err := alg.Prepare(d, opts.BandwidthBits, seed)
-			if err != nil {
-				return dicongest.Metrics{}, false, "prepare", err
-			}
-			opts.Arena = arena
-			var res *dicongest.Result
-			if replay {
-				_, res, err = VerifyDigraphSimulation(d, opts.CutSide, factory, opts)
-			} else {
-				res, err = dicongest.Run(d, factory, opts)
-			}
-			if err != nil {
-				return dicongest.Metrics{}, false, "run", err
-			}
-			output, err := decide(res)
-			return res.Metrics, output, "decide", err
-		}
-	})
+	return certify(ctx, fam, stats, alg.Name, alg.Exact, cfg, simulator(alg.Prepare, dicongest.Run, VerifyDigraphSimulation))
 }

@@ -166,14 +166,14 @@ func TestCertifySweepAllocations(t *testing.T) {
 		// newSweep builds a fresh family and returns its sweep.
 		newSweep func(t *testing.T) func(cfg Config) (*Report, error)
 	}{
-		{"mds/collect", 3474, 2757, 3000, func(t *testing.T) func(Config) (*Report, error) {
+		{"mds/collect", 3461, 2741, 2982, func(t *testing.T) func(Config) (*Report, error) {
 			fam := mdsFam(t)
 			alg := CollectMDS(fam)
 			return func(cfg Config) (*Report, error) {
 				return Certify(fam, alg, cfg)
 			}
 		}},
-		{"mds/collect+metrics", 3474, 2757, 3000, func(t *testing.T) func(Config) (*Report, error) {
+		{"mds/collect+metrics", 3461, 2741, 2982, func(t *testing.T) func(Config) (*Report, error) {
 			fam := mdsFam(t)
 			alg := CollectMDS(fam)
 			sm := obs.MustSweepMetrics(obs.NewRegistry())

@@ -201,27 +201,7 @@ func CertifyCtx(ctx context.Context, fam lbfamily.Family, alg Algorithm, cfg Con
 		return nil, fmt.Errorf("algorithm %q has no Prepare", alg.Name)
 	}
 	stats := func() (lbfamily.Stats, error) { return lbfamily.MeasureStats(fam) }
-	return certify(ctx, fam, stats, alg.Name, alg.Exact, cfg, func() simulate[*graph.Graph] {
-		arena := &congest.Arena{}
-		return func(g *graph.Graph, seed int64, replay bool, opts congest.Options) (congest.Metrics, bool, string, error) {
-			factory, decide, err := alg.Prepare(g, opts.BandwidthBits, seed)
-			if err != nil {
-				return congest.Metrics{}, false, "prepare", err
-			}
-			opts.Arena = arena
-			var res *congest.Result
-			if replay {
-				_, res, err = VerifySimulation(g, opts.CutSide, factory, opts)
-			} else {
-				res, err = congest.Run(g, factory, opts)
-			}
-			if err != nil {
-				return congest.Metrics{}, false, "run", err
-			}
-			output, err := decide(res)
-			return res.Metrics, output, "decide", err
-		}
-	})
+	return certify(ctx, fam, stats, alg.Name, alg.Exact, cfg, simulator(alg.Prepare, congest.Run, VerifySimulation))
 }
 
 // simulate is the one graph-kind-specific step of a certification: it
@@ -230,6 +210,37 @@ func CertifyCtx(ctx context.Context, fam lbfamily.Family, alg Algorithm, cfg Con
 // when replay is set — and decides. On failure it names the failing
 // stage ("prepare", "run" or "decide").
 type simulate[G any] func(g G, seed int64, replay bool, opts congest.Options) (congest.Metrics, bool, string, error)
+
+// simulator returns the simulator constructor of one graph kind G, whose
+// programs F the algorithm's prepare builds: run is the kind's simulator
+// (congest.Run or dicongest.Run) and check its transcript replay
+// (VerifySimulation or VerifyDigraphSimulation). Each simulator it makes
+// owns an arena.
+func simulator[G, F any](prepare func(g G, bandwidth int, seed int64) (F, func(*congest.Result) (bool, error), error),
+	run func(g G, factory F, opts congest.Options) (*congest.Result, error),
+	check func(g G, side []bool, factory F, opts congest.Options) (*TwoPartyTranscript, *congest.Result, error)) func() simulate[G] {
+	return func() simulate[G] {
+		arena := &congest.Arena{}
+		return func(g G, seed int64, replay bool, opts congest.Options) (congest.Metrics, bool, string, error) {
+			factory, decide, err := prepare(g, opts.BandwidthBits, seed)
+			if err != nil {
+				return congest.Metrics{}, false, "prepare", err
+			}
+			opts.Arena = arena
+			var res *congest.Result
+			if replay {
+				_, res, err = check(g, opts.CutSide, factory, opts)
+			} else {
+				res, err = run(g, factory, opts)
+			}
+			if err != nil {
+				return congest.Metrics{}, false, "run", err
+			}
+			output, err := decide(res)
+			return res.Metrics, output, "decide", err
+		}
+	}
+}
 
 // family is the part of Family and DigraphFamily a certification reads.
 type family[G any] interface {
