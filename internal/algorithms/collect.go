@@ -48,9 +48,12 @@ import (
 // root, evaluating Eval on the full filtered collection.
 //
 // Memory: a factory carves every node's state from a Workspace and its
-// roots rebuild into the workspace's graph, so a factory built on a warm
-// workspace (CollectSpec.Workspace) allocates no node state. Without one
-// the factory allocates a workspace of its own.
+// roots rebuild their collection and their component into the
+// workspace's graphs, so a factory built on a warm workspace
+// (CollectSpec.Workspace) allocates nothing, and its runs allocate
+// nothing either when the simulator runs them on an arena and the root
+// values are small (see Output). Without a workspace the factory
+// allocates one of its own.
 //
 // The budget frame*(T + n + 2) + 4, with T the number of kept records,
 // dominates the classic pipelined-flooding bound frame*(T + D): a record
@@ -71,13 +74,12 @@ type CollectSpec struct {
 	// Keep requires a connected graph (see above).
 	Keep func(u, v int, w int64) bool
 	// Eval runs at each root on its collected graph: the root's connected
-	// component (reindexed, full collection) or the whole filtered
-	// collection (Keep != nil). The per-root values are combined by
-	// CollectTotal. A spanning or filtered collection is passed as
-	// rebuilt in the workspace, whose adjacency lists follow the order the
-	// root learned its records, so Eval must depend only on the graph's
-	// vertices, edges and weights, and must neither modify the graph nor
-	// keep it past its return.
+	// component (reindexed in ascending id order, full collection) or the
+	// whole filtered collection (Keep != nil). The per-root values are
+	// combined by CollectTotal. Either is rebuilt in the workspace, with
+	// adjacency lists in the order the root learned its records, so Eval
+	// must depend only on the graph's vertices, edges and weights, and
+	// must neither modify the graph nor keep it past its return.
 	Eval func(collected *graph.Graph) (int64, error)
 	// Workspace, if non-nil, supplies the factory's node state and the
 	// roots' reconstruction graph (see Workspace for its ownership rule);
@@ -96,8 +98,9 @@ type collectOutput struct {
 // factory together with the round budget baked into it. bandwidth must be
 // the BandwidthBits the simulation will run with (0 selects the default),
 // because the frame layout depends on it. The factory carves the state of
-// every node it creates from spec.Workspace (a fresh one if nil): it can
-// drive several Runs one after another, but must not drive concurrent
+// every node it creates from spec.Workspace (a fresh one if nil), and is
+// the same function value every time it is built on that workspace: it
+// can drive several Runs one after another, but must not drive concurrent
 // Runs (the same rule as congest.Arena), nor run once another factory has
 // been built on its workspace.
 func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Factory, int, error) {
@@ -117,16 +120,22 @@ func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Fa
 		return nil, 0, negativeEdge(neg)
 	}
 	budget := collectBudget(n, records, wchunks)
-	spec.Workspace = orNewWorkspace(spec.Workspace)
-	slab := newCollectSlab(spec.Workspace, &spec.Workspace.collectNodes, n, records, bandwidth, g.Degree)
-	factory := func(local congest.Local) congest.Node {
-		c := slab.node(local.ID)
-		c.bw, c.budget, c.wchunks, c.self = bandwidth, budget, wchunks, c
-		c.recordStore, c.links, c.outbox = slab.state(local.ID, len(local.Neighbors))
-		c.seed(local, spec, slab.parent)
-		return c
+	ws := orNewWorkspace(spec.Workspace)
+	ws.spec = spec
+	load(ws, &ws.collectNodes, n, records, bandwidth, wchunks, budget, g.Degree)
+	if ws.collect == nil {
+		ws.collect = ws.newCollectNode
 	}
-	return factory, budget, nil
+	return ws.collect, budget, nil
+}
+
+// newCollectNode is CollectFactory's factory, bound to the workspace once.
+func (ws *Workspace) newCollectNode(local congest.Local) congest.Node {
+	c := slabNode(ws.collectNodes, local.ID)
+	c.bw, c.budget, c.wchunks, c.self = ws.chunk, ws.budget, ws.wchunks, c
+	c.recordStore, c.links, c.outbox = ws.slab.state(local.ID, len(local.Neighbors))
+	c.seed(local, ws)
+	return c
 }
 
 // gossipBandwidth resolves the bandwidth of a gossip collect run on an
@@ -233,15 +242,15 @@ func CollectTotal(res *congest.Result) (int64, error) {
 	return total, nil
 }
 
-// collectCore is the record store and root-evaluation logic shared by the
-// gossip collect program and its retransmitting variant: which edges this
-// vertex knows, and the end-of-budget root election and evaluation.
+// collectCore is the record store and root-evaluation logic shared by
+// the three collect programs: which edges this vertex knows, and the
+// end-of-budget root election and evaluation, which read the factory's
+// parameters and scratch in its workspace.
 type collectCore struct {
 	recordStore
-	local  congest.Local
-	spec   CollectSpec // its Workspace is the factory's
-	parent []int32     // union-find scratch, shared by the run's nodes
-	out    collectOutput
+	local congest.Local
+	ws    *Workspace
+	out   collectOutput
 }
 
 // collectNode is the gossip relay of the collect program, undirected and
@@ -269,14 +278,15 @@ type collectNode struct {
 
 // seed sets up the vertex's core around its empty record store and
 // learns its incident kept edges (canonical u < v orientation).
-func (c *collectCore) seed(local congest.Local, spec CollectSpec, parent []int32) {
-	c.local, c.spec, c.parent = local, spec, parent
+func (c *collectCore) seed(local congest.Local, ws *Workspace) {
+	c.local, c.ws = local, ws
+	keep := ws.spec.Keep
 	for i, nbr := range local.Neighbors {
 		u, v, w := local.ID, nbr, local.EdgeWeights[i]
 		if u > v {
 			u, v = v, u
 		}
-		if spec.Keep == nil || spec.Keep(u, v, w) {
+		if keep == nil || keep(u, v, w) {
 			c.learn(int64(u)*int64(c.n)+int64(v), w)
 		}
 	}
@@ -339,27 +349,29 @@ func (c *collectNode) Wake() int {
 }
 
 // finish is the root step of the undirected programs, over the
-// workspace's graph.
+// workspace's graphs.
 func (c *collectCore) finish() {
-	rootStep(c, c.spec.Keep != nil, &c.spec.Workspace.graph, (*graph.Graph).AddWeightedEdge,
-		(*graph.Graph).InducedSubgraph, c.spec.Eval, "graph")
+	ws := c.ws
+	rootStep(c, ws.spec.Keep != nil, &ws.graph, &ws.component, (*graph.Graph).AddWeightedEdge, ws.spec.Eval, "graph")
 }
 
 // rootStep is the end-of-budget step of every collect program, for the
-// kind G its roots rebuild into collected with add, cutting a component
-// out with induced. Under filtered collection vertex 0 is the sole root
-// and evaluates the whole collection. Under full collection the
-// union-find first rules out a vertex its records join to a smaller id;
-// any other vertex rebuilds its records. If the union-find joined all n
-// vertices, the rebuild is the vertex's component and it evaluates it
-// directly. Otherwise a rebuild that succeeded held only valid records,
-// so the vertex's union-find set, of which it is the minimum, is exactly
-// its (weak) component there: it evaluates the induced copy of that set.
-// noun names the kind in a rebuild error, which vertex 0 reports.
-func rootStep[G interface{ Recycle(n int) }](c *collectCore, filtered bool, collected G,
-	add func(G, int, int, int64) error, induced func(G, func(v int) bool) (G, []int),
-	eval func(G) (int64, error), noun string) {
+// kind G its roots rebuild into collected, and component roots their
+// component into component, with add. Under filtered collection vertex 0
+// is the sole root and evaluates the whole collection. Under full
+// collection the union-find first rules out a vertex its records join to
+// a smaller id; any other vertex rebuilds its records. If the union-find
+// joined all n vertices, the rebuild is the vertex's component and it
+// evaluates it directly. Otherwise a rebuild that succeeded held only
+// valid records, so the vertex's union-find set, of which it is the
+// minimum, is exactly its (weak) component there: it rebuilds the records
+// within that set into component, renumbering the set's members in
+// ascending id order, and evaluates that. noun names the kind in a
+// rebuild error, which vertex 0 reports.
+func rootStep[G interface{ Recycle(n int) }](c *collectCore, filtered bool, collected, component G,
+	add func(G, int, int, int64) error, eval func(G) (int64, error), noun string) {
 	id := c.local.ID
+	parent := c.ws.slab.parent
 	spanning := false
 	if filtered {
 		if id != 0 {
@@ -367,7 +379,7 @@ func rootStep[G interface{ Recycle(n int) }](c *collectCore, filtered bool, coll
 		}
 	} else {
 		var joined bool
-		if joined, spanning = c.elect(id, c.parent); joined {
+		if joined, spanning = c.elect(id, parent); joined {
 			return
 		}
 	}
@@ -386,9 +398,29 @@ func rootStep[G interface{ Recycle(n int) }](c *collectCore, filtered bool, coll
 		c.out.value, c.out.err = eval(collected)
 		return
 	}
-	// parent still holds the union-find elect ran to the end.
+	// parent still holds the union-find elect ran to the end, and every
+	// record is valid: a record with one endpoint in the set has both.
 	me := int32(id)
-	component, _ := induced(collected, func(v int) bool { return find(c.parent, int32(v)) == me })
+	rank := fit(&c.ws.rank, c.n)
+	size := int32(0)
+	for v := range rank {
+		rank[v] = -1
+		if find(parent, int32(v)) == me {
+			rank[v] = size
+			size++
+		}
+	}
+	component.Recycle(int(size))
+	for _, rec := range c.records {
+		u, v := c.decode(rec.key)
+		if rank[u] < 0 {
+			continue
+		}
+		if err := add(component, int(rank[u]), int(rank[v]), rec.w); err != nil {
+			c.out.err = err
+			return
+		}
+	}
 	c.out.value, c.out.err = eval(component)
 }
 
@@ -396,10 +428,26 @@ func rootStep[G interface{ Recycle(n int) }](c *collectCore, filtered bool, coll
 // hand it out without allocating.
 var nonRootOutput interface{} = collectOutput{}
 
-// Output returns the root's collectOutput (zero value elsewhere).
+// smallRootOutputs are the error-free root outputs of the values 0 to 63,
+// boxed once like nonRootOutput (and the runtime's small integers), so
+// that roots with small values hand them out without allocating. The
+// boxes are immutable and shared by every run.
+var smallRootOutputs = func() (boxes [64]interface{}) {
+	for v := range boxes {
+		boxes[v] = collectOutput{root: true, value: int64(v)}
+	}
+	return boxes
+}()
+
+// Output returns the root's collectOutput (zero value elsewhere), boxed
+// anew only when it is neither the zero value nor a small error-free
+// value.
 func (c *collectCore) Output() interface{} {
-	if !c.out.root {
+	switch {
+	case !c.out.root:
 		return nonRootOutput
+	case c.out.err == nil && uint64(c.out.value) < uint64(len(smallRootOutputs)):
+		return smallRootOutputs[c.out.value]
 	}
 	return c.out
 }

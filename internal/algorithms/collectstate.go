@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"congesthard/internal/congest"
+	"congesthard/internal/dicongest"
 	"congesthard/internal/graph"
 )
 
@@ -202,35 +203,53 @@ type linkState struct {
 
 // Workspace is reusable memory for the collect programs: the slab a
 // factory carves every node's state from (nodes, neighbor links, outboxes,
-// records, key sets and the union-find scratch of root election), and the
-// graph and digraph the roots rebuild their collection into. Hand one to
+// records, key sets and the union-find scratch of root election), the
+// live factory's parameters, and the graphs and digraphs the roots
+// rebuild their collection and their component into. Hand one to
 // CollectSpec.Workspace or DiCollectSpec.Workspace and a factory built on
-// a warm workspace allocates no node state, and its roots rebuild without
-// allocating. The buffers grow to fit the largest instance seen and are
-// never shrunk; the zero value is ready to use.
+// a warm workspace allocates nothing: the factory is a function bound to
+// the workspace once per program, which reads the parameters of the last
+// factory built, and the roots rebuild without allocating. The buffers
+// grow to fit the largest instance seen and are never shrunk; the zero
+// value is ready to use.
 //
 // A workspace backs one live factory at a time: building a factory on it
-// hands the memory to that factory, so an earlier factory built on the
-// same workspace must no longer run, and the two must never run
-// concurrently (the same rule as congest.Arena). Results stay valid: a
-// Result holds copies of the root outputs, never workspace memory. Nor
-// may an Eval keep the graph it is passed, which belongs to the workspace
-// when it is a spanning collection (see CollectSpec.Eval).
+// hands the memory and the parameters to that factory, so an earlier
+// factory built on the same workspace must no longer run, and the two
+// must never run concurrently (the same rule as congest.Arena). Results
+// stay valid: a root's output is an immutable box, never workspace
+// memory. Nor may an Eval keep the graph it is passed, which belongs to
+// the workspace (see CollectSpec.Eval).
 type Workspace struct {
-	linkOff []int
-	links   []linkState
-	recs    []collectRecord
-	keys    []uint64
-	parent  []int32
-	outbox  []congest.Message
+	slab collectSlab
 
 	// The node buffers are typed per program.
 	collectNodes []collectNode
 	retryNodes   []collectRetryNode
 	diNodes      []diCollectNode
 
-	graph   graph.Graph
-	digraph graph.Digraph
+	// The live factory's parameters: its spec (the undirected programs'),
+	// its Eval (the directed program's), the bits per chunk (the
+	// bandwidth, or collect-retry's data bits), the round budget and the
+	// weight chunks per frame.
+	spec    CollectSpec
+	diEval  func(collected *graph.Digraph) (int64, error)
+	chunk   int
+	budget  int
+	wchunks int
+
+	// The factories, each bound to the workspace on first use.
+	collect, retry congest.Factory
+	directed       dicongest.Factory
+
+	// The roots rebuild their records into graph or digraph, and a
+	// component root then rebuilds its component into component or
+	// subdigraph, its vertices renumbered by rank.
+	graph      graph.Graph
+	digraph    graph.Digraph
+	component  graph.Graph
+	subdigraph graph.Digraph
+	rank       []int32
 }
 
 // orNewWorkspace returns ws, or a fresh workspace if ws is nil.
@@ -239,6 +258,17 @@ func orNewWorkspace(ws *Workspace) *Workspace {
 		return new(Workspace)
 	}
 	return ws
+}
+
+// load hands ws to a factory for an n-vertex instance, each of whose
+// vertices can learn at most records records, from frames of chunk-bit
+// chunks (every key a frame carries is below 2^chunk) with wchunks
+// weight chunks each, run for budget rounds, and has at most links(v)
+// neighbor links. nodes is ws's buffer of the program's node type.
+func load[N any](ws *Workspace, nodes *[]N, n, records, chunk, wchunks, budget int, links func(v int) int) {
+	ws.slab.carve(n, records, chunk, links)
+	fit(nodes, n)
+	ws.chunk, ws.wchunks, ws.budget = chunk, wchunks, budget
 }
 
 // fit returns *buf resized to length n, reallocating only when its
@@ -251,20 +281,19 @@ func fit[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// collectSlab is one factory's view of its workspace: the node state of an
-// n-vertex instance, carved per vertex each time the simulator creates
-// that vertex's node. N is the node type.
+// collectSlab is the node state of an n-vertex instance, carved per
+// vertex each time the simulator creates that vertex's node.
 //
 // Carving clears the vertex's share, so a factory can drive several Runs
 // one after another; it must not drive concurrent Runs, since their nodes
 // would share the slab (the same rule as congest.Arena).
-type collectSlab[N any] struct {
+type collectSlab struct {
+	n        int   // the instance's vertex count
 	records  int   // records reserved per vertex: the kept-record count T
 	setWords int   // key-set words per vertex (see keySetWords)
 	dense    bool  // whether the key sets are bitsets
 	linkOff  []int // vertex v owns links and outbox [linkOff[v], linkOff[v+1])
 
-	nodes  []N // one per vertex: len(nodes) is the instance's n
 	links  []linkState
 	outbox []congest.Message
 	recs   []collectRecord
@@ -274,42 +303,41 @@ type collectSlab[N any] struct {
 	parent []int32
 }
 
-// newCollectSlab carves ws for n vertices, each of which can learn at most
-// records records, from frames whose keys are below 2^keyBits, and has at
-// most links(v) neighbor links. nodes is ws's buffer of the program's
-// node type.
-func newCollectSlab[N any](ws *Workspace, nodes *[]N, n, records, keyBits int, links func(v int) int) *collectSlab[N] {
-	s := &collectSlab[N]{records: records, linkOff: fit(&ws.linkOff, n+1)}
+// carve resizes the slab in place for n vertices, each of which can learn
+// at most records records, from frames whose keys are below 2^keyBits,
+// and has at most links(v) neighbor links.
+func (s *collectSlab) carve(n, records, keyBits int, links func(v int) int) {
+	s.n, s.records = n, records
 	s.setWords, s.dense = keySetWords(records, keyBits)
+	fit(&s.linkOff, n+1)
 	s.linkOff[0] = 0
 	for v := 0; v < n; v++ {
 		s.linkOff[v+1] = s.linkOff[v] + links(v)
 	}
-	s.nodes = fit(nodes, n)
-	s.links = fit(&ws.links, s.linkOff[n])
-	s.outbox = fit(&ws.outbox, s.linkOff[n])
-	s.recs = fit(&ws.recs, n*records)
-	s.keys = fit(&ws.keys, n*s.setWords)
-	s.parent = fit(&ws.parent, n)
-	return s
+	fit(&s.links, s.linkOff[n])
+	fit(&s.outbox, s.linkOff[n])
+	fit(&s.recs, n*records)
+	fit(&s.keys, n*s.setWords)
+	fit(&s.parent, n)
 }
 
-// node returns vertex id's node, zeroed. A vertex outside the
-// reservation — a factory driven on a graph other than its own — gets a
-// fresh node, and state gives it fresh memory too.
-func (s *collectSlab[N]) node(id int) *N {
-	if id < 0 || id >= len(s.nodes) {
+// slabNode returns vertex id's node from a node buffer carved for the
+// slab's instance, zeroed. A vertex outside the reservation — a factory
+// driven on a graph other than its own — gets a fresh node, and state
+// gives it fresh memory too.
+func slabNode[N any](nodes []N, id int) *N {
+	if id < 0 || id >= len(nodes) {
 		return new(N)
 	}
 	var zero N
-	s.nodes[id] = zero
-	return &s.nodes[id]
+	nodes[id] = zero
+	return &nodes[id]
 }
 
 // state returns vertex id's empty record store and its cleared state for
 // deg neighbor links, with an empty outbox of capacity deg.
-func (s *collectSlab[N]) state(id, deg int) (recordStore, []linkState, []congest.Message) {
-	n := len(s.nodes)
+func (s *collectSlab) state(id, deg int) (recordStore, []linkState, []congest.Message) {
+	n := s.n
 	store := recordStore{n: n}
 	if id < 0 || id >= n || deg > s.linkOff[id+1]-s.linkOff[id] {
 		store.records = make([]collectRecord, 0, s.records)

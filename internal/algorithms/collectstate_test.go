@@ -93,8 +93,9 @@ func TestCollectSlabOutsideReservation(t *testing.T) {
 	// works: under a dense slab (a 3-bit key universe) and a hashed one.
 	for _, keyBits := range []int{3, 40} {
 		ws := new(Workspace)
-		newCollectSlab(ws, &ws.collectNodes, 8, 5, keyBits, func(int) int { return 4 })
-		s := newCollectSlab(ws, &ws.collectNodes, 3, 2, keyBits, func(int) int { return 1 })
+		load(ws, &ws.collectNodes, 8, 5, keyBits, 0, 0, func(int) int { return 4 })
+		load(ws, &ws.collectNodes, 3, 2, keyBits, 0, 0, func(int) int { return 1 })
+		s := &ws.slab
 		if s.dense != (keyBits == 3) {
 			t.Fatalf("keyBits %d: dense = %v", keyBits, s.dense)
 		}
@@ -102,7 +103,7 @@ func TestCollectSlabOutsideReservation(t *testing.T) {
 		if len(links) != 3 || cap(outbox) != 3 {
 			t.Fatalf("state(0, 3) gave %d links and outbox capacity %d, want 3 and 3", len(links), cap(outbox))
 		}
-		all := ws.links[:cap(ws.links)]
+		all := s.links[:cap(s.links)]
 		for i := range all {
 			if &all[i] == &links[0] {
 				t.Error("an oversized vertex got workspace links")
@@ -120,7 +121,7 @@ func TestCollectSlabOutsideReservation(t *testing.T) {
 				t.Errorf("keyBits %d: an out-of-reservation store kept %d records, want 2", keyBits, len(store.records))
 			}
 		}
-		if s.node(3) == s.node(2) {
+		if slabNode(ws.collectNodes, 3) == slabNode(ws.collectNodes, 2) {
 			t.Error("an id beyond the slab shares a node")
 		}
 		store, _, _ := s.state(1, 1)
@@ -136,18 +137,18 @@ func TestCollectSlabReusesWorkspace(t *testing.T) {
 	// A smaller instance carves the buffers of a larger one without
 	// reallocating, and a vertex's carved share comes back cleared.
 	ws := new(Workspace)
-	big := newCollectSlab(ws, &ws.collectNodes, 6, 4, 8, func(int) int { return 3 })
-	store, links, _ := big.state(1, 3)
+	load(ws, &ws.collectNodes, 6, 4, 8, 0, 0, func(int) int { return 3 })
+	store, links, _ := ws.slab.state(1, 3)
 	store.learn(7, 2)
 	links[0].sendRec = 9
-	big.node(1).budget = 11
-	recs, keys := &ws.recs[0], &ws.keys[0]
-	small := newCollectSlab(ws, &ws.collectNodes, 4, 3, 8, func(int) int { return 2 })
-	if &ws.recs[0] != recs || &ws.keys[0] != keys {
+	slabNode(ws.collectNodes, 1).budget = 11
+	recs, keys := &ws.slab.recs[0], &ws.slab.keys[0]
+	load(ws, &ws.collectNodes, 4, 3, 8, 0, 0, func(int) int { return 2 })
+	if &ws.slab.recs[0] != recs || &ws.slab.keys[0] != keys {
 		t.Error("a smaller instance reallocated the workspace")
 	}
-	store, links, _ = small.state(1, 2)
-	if len(store.records) != 0 || !store.keys.add(7) || links[0] != (linkState{}) || small.node(1).budget != 0 {
+	store, links, _ = ws.slab.state(1, 2)
+	if len(store.records) != 0 || !store.keys.add(7) || links[0] != (linkState{}) || slabNode(ws.collectNodes, 1).budget != 0 {
 		t.Error("a reused share was not cleared")
 	}
 }

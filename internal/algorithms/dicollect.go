@@ -29,9 +29,9 @@ type DiCollectSpec struct {
 	// Eval runs at each root on its collected digraph: the root's weak
 	// component (reindexed ascending, so a spanning component keeps
 	// original ids). The per-root values are combined by CollectTotal. As
-	// with CollectSpec.Eval, a spanning collection is the workspace's
-	// rebuilt digraph: Eval must depend only on its vertices, arcs and
-	// weights, and must neither modify nor keep it.
+	// with CollectSpec.Eval, the digraph is rebuilt in the workspace: Eval
+	// must depend only on its vertices, arcs and weights, and must neither
+	// modify nor keep it.
 	Eval func(collected *graph.Digraph) (int64, error)
 	// Workspace, if non-nil, supplies the factory's node state and the
 	// roots' reconstruction digraph; nil allocates fresh memory.
@@ -43,7 +43,7 @@ type DiCollectSpec struct {
 // must be the BandwidthBits the simulation will run with (0 selects the
 // default), because the frame layout depends on it. Like CollectFactory's,
 // the factory carves its nodes' state from spec.Workspace (a fresh one if
-// nil) and must not drive concurrent Runs.
+// nil), is bound to it once, and must not drive concurrent Runs.
 func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dicongest.Factory, int, error) {
 	n := d.N()
 	if n == 0 {
@@ -58,38 +58,42 @@ func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dico
 		return nil, 0, fmt.Errorf("collect cannot encode negative weight %d on arc (%d,%d)", neg.Weight, neg.From, neg.To)
 	}
 	budget := collectBudget(n, records, wchunks)
+	ws := orNewWorkspace(spec.Workspace)
+	ws.diEval = spec.Eval
 	// A vertex links to each distinct in- or out-neighbor once: at most
 	// OutDegree + InDegree links.
-	spec.Workspace = orNewWorkspace(spec.Workspace)
-	slab := newCollectSlab(spec.Workspace, &spec.Workspace.diNodes, n, records, bandwidth,
+	load(ws, &ws.diNodes, n, records, bandwidth, wchunks, budget,
 		func(v int) int { return d.OutDegree(v) + d.InDegree(v) })
-	factory := func(local dicongest.Local) dicongest.Node {
-		c := slab.node(local.ID)
-		c.bw, c.budget, c.wchunks, c.self = bandwidth, budget, wchunks, c
-		c.recordStore, c.links, c.outbox = slab.state(local.ID, len(local.Neighbors))
-		c.local = congest.Local{ID: local.ID, N: local.N, Neighbors: local.Neighbors}
-		c.spec, c.parent = spec, slab.parent
-		for i, to := range local.OutNeighbors {
-			c.learn(int64(local.ID)*int64(c.n)+int64(to), local.OutWeights[i])
-		}
-		for i, from := range local.InNeighbors {
-			c.learn(int64(from)*int64(c.n)+int64(local.ID), local.InWeights[i])
-		}
-		return c
+	if ws.directed == nil {
+		ws.directed = ws.newDiNode
 	}
-	return factory, budget, nil
+	return ws.directed, budget, nil
+}
+
+// newDiNode is DiCollectFactory's factory, bound to the workspace once.
+func (ws *Workspace) newDiNode(local dicongest.Local) dicongest.Node {
+	c := slabNode(ws.diNodes, local.ID)
+	c.bw, c.budget, c.wchunks, c.self = ws.chunk, ws.budget, ws.wchunks, c
+	c.recordStore, c.links, c.outbox = ws.slab.state(local.ID, len(local.Neighbors))
+	c.local = congest.Local{ID: local.ID, N: local.N, Neighbors: local.Neighbors}
+	c.ws = ws
+	for i, to := range local.OutNeighbors {
+		c.learn(int64(local.ID)*int64(c.n)+int64(to), local.OutWeights[i])
+	}
+	for i, from := range local.InNeighbors {
+		c.learn(int64(from)*int64(c.n)+int64(local.ID), local.InWeights[i])
+	}
+	return c
 }
 
 // diCollectNode is the gossip collect program on a directed instance: the
-// undirected program's relay, whose root step rebuilds a digraph. Its
-// spec shadows the embedded core's, which a directed node leaves zero.
+// undirected program's relay, whose root step rebuilds a digraph.
 type diCollectNode struct {
 	collectNode
-	spec DiCollectSpec // its Workspace is the factory's
 }
 
-// finish is the root step over the workspace's digraph.
+// finish is the root step over the workspace's digraphs.
 func (c *diCollectNode) finish() {
-	rootStep(&c.collectCore, false, &c.spec.Workspace.digraph, (*graph.Digraph).AddWeightedArc,
-		(*graph.Digraph).InducedSubdigraph, c.spec.Eval, "digraph")
+	ws := c.ws
+	rootStep(&c.collectCore, false, &ws.digraph, &ws.subdigraph, (*graph.Digraph).AddWeightedArc, ws.diEval, "digraph")
 }

@@ -57,11 +57,11 @@ func referenceFinish(c *collectCore) (collectOutput, shape) {
 			return collectOutput{}, shape{}
 		}
 	}
-	if c.spec.Keep != nil {
+	if c.ws.spec.Keep != nil {
 		if c.local.ID != 0 {
 			return collectOutput{}, shape{rebuilt: true}
 		}
-		value, err := c.spec.Eval(collected)
+		value, err := c.ws.spec.Eval(collected)
 		return collectOutput{root: true, value: value, err: err}, shape{rebuilt: true}
 	}
 	comp, _ := collected.Components()
@@ -73,7 +73,7 @@ func referenceFinish(c *collectCore) (collectOutput, shape) {
 		}
 	}
 	component, _ := collected.InducedSubgraph(func(v int) bool { return comp[v] == mine })
-	value, err := c.spec.Eval(component)
+	value, err := c.ws.spec.Eval(component)
 	return collectOutput{root: true, value: value, err: err}, sh
 }
 
@@ -99,7 +99,7 @@ func referenceDiFinish(c *diCollectNode) (collectOutput, shape) {
 		}
 	}
 	component, _ := collected.InducedSubdigraph(func(v int) bool { return comp[v] == mine })
-	value, err := c.spec.Eval(component)
+	value, err := c.ws.diEval(component)
 	return collectOutput{root: true, value: value, err: err}, sh
 }
 

@@ -69,8 +69,8 @@ func CollectRetryRoundsCap(n int) int {
 // bandwidth must be the BandwidthBits the simulation will run with
 // (0 selects CollectRetryMinBandwidth); it must leave room for the edge
 // id beside the three header bits. Like CollectFactory's, the factory
-// carves its nodes' state from spec.Workspace and must not drive
-// concurrent Runs.
+// carves its nodes' state from spec.Workspace, is bound to it once, and
+// must not drive concurrent Runs.
 func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Factory, int, error) {
 	n := g.N()
 	if n == 0 {
@@ -95,22 +95,29 @@ func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (conge
 		return nil, 0, negativeEdge(neg)
 	}
 	budget := RetryBudgetFactor * collectBudget(n, records, wchunks)
-	spec.Workspace = orNewWorkspace(spec.Workspace)
-	slab := newCollectSlab(spec.Workspace, &spec.Workspace.retryNodes, n, records, cw, g.Degree)
-	factory := func(local congest.Local) congest.Node {
-		c := slab.node(local.ID)
-		c.cw, c.budget, c.wchunks = cw, budget, wchunks
-		c.recordStore, c.links, c.outbox = slab.state(local.ID, len(local.Neighbors))
-		c.seed(local, spec, slab.parent)
-		for i := range c.links {
-			// lastAcc starts opposite the first data sequence bit, so the
-			// ack on a frame sent before anything was accepted cannot
-			// advance the neighbor's stream.
-			c.links[i].lastAcc = 1
-		}
-		return c
+	ws := orNewWorkspace(spec.Workspace)
+	ws.spec = spec
+	load(ws, &ws.retryNodes, n, records, cw, wchunks, budget, g.Degree)
+	if ws.retry == nil {
+		ws.retry = ws.newRetryNode
 	}
-	return factory, budget, nil
+	return ws.retry, budget, nil
+}
+
+// newRetryNode is CollectRetryFactory's factory, bound to the workspace
+// once.
+func (ws *Workspace) newRetryNode(local congest.Local) congest.Node {
+	c := slabNode(ws.retryNodes, local.ID)
+	c.cw, c.budget, c.wchunks = ws.chunk, ws.budget, ws.wchunks
+	c.recordStore, c.links, c.outbox = ws.slab.state(local.ID, len(local.Neighbors))
+	c.seed(local, ws)
+	for i := range c.links {
+		// lastAcc starts opposite the first data sequence bit, so the
+		// ack on a frame sent before anything was accepted cannot
+		// advance the neighbor's stream.
+		c.links[i].lastAcc = 1
+	}
+	return c
 }
 
 type collectRetryNode struct {

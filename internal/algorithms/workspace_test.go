@@ -163,16 +163,16 @@ func TestWorkspaceReuseMatchesFreshFactory(t *testing.T) {
 
 // Component-root allocation pins: each collect program on a warm
 // workspace and a warm arena, on an instance with two 6-vertex
-// components, so that two roots each rebuild their collection and copy
-// out their component. What is left is a handful of per-run objects and
-// the two component copies. The pins sit 20-25% above the measured
-// counts; a root that labels the components of its rebuild, a directed
-// root that copies out the underlying graph, or a non-root that rebuilds
-// anything trips them.
+// components, so that two roots each rebuild their collection and then
+// their component, both into the workspace's graphs. A warm run allocates
+// nothing: its Result is the arena's and its root values come pre-boxed.
+// A root that copies out its component, labels the components of its
+// rebuild or boxes its output, a directed root that copies out the
+// underlying graph, or a non-root that rebuilds anything trips them.
 const (
-	collectRootAllocs   = 50 // measured 42
-	retryRootAllocs     = 50 // measured 42
-	diCollectRootAllocs = 55 // measured 44
+	collectRootAllocs   = 0 // measured 0; 42 with induced component copies
+	retryRootAllocs     = 0 // measured 0; 42 with induced component copies
+	diCollectRootAllocs = 0 // measured 0; 44 with induced component copies
 )
 
 func TestCollectComponentRootAllocations(t *testing.T) {

@@ -109,6 +109,17 @@ func (b Bits) Clone() Bits {
 	return c
 }
 
+// CopyTo copies b into the front of w, which must hold at least
+// (Len()+63)/64 words, and returns the copy: a Bits of b's length backed
+// by those words alone, independent of b. It is Clone into memory the
+// caller provides, so that many copies can share one allocation.
+func (b Bits) CopyTo(w []uint64) Bits {
+	k := len(b.w)
+	c := Bits{n: b.n, w: w[:k:k]}
+	copy(c.w, b.w)
+	return c
+}
+
 // PopCount returns the number of one bits.
 func (b Bits) PopCount() int {
 	total := 0

@@ -62,6 +62,26 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+func TestCopyToIndependent(t *testing.T) {
+	// Two 130-bit strings copied into one three-word-per-copy slab: each
+	// copy equals its source, shares nothing with it, and stays within its
+	// own words.
+	a, b := NewBits(130), OnesBits(130)
+	a.Set(129, true)
+	slab := make([]uint64, 6)
+	ca, cb := a.CopyTo(slab[:3]), b.CopyTo(slab[3:])
+	if !ca.Equal(a) || !cb.Equal(b) {
+		t.Fatalf("copies %s, %s differ from their sources", ca, cb)
+	}
+	ca.Set(0, true)
+	if a.Get(0) {
+		t.Error("a copy shares storage with its source")
+	}
+	if len(ca.w) != 3 || cap(ca.w) != 3 || !cb.Equal(b) {
+		t.Error("a copy reaches into the next copy's words")
+	}
+}
+
 func TestIntersectsAndFirstCommonOne(t *testing.T) {
 	x := NewBits(130)
 	y := NewBits(130)

@@ -152,22 +152,25 @@ type Options struct {
 	Trace Tracer
 	// Arena, if non-nil, lends the run reusable setup scratch — link
 	// structure, Local views, receive ports, inbox buffers, fault rings —
-	// so a caller looping over many runs (a certify sweep worker)
-	// amortizes the per-run setup allocations away. Results are
-	// bit-identical with or without an arena; an Arena must not be shared
-	// by concurrent runs.
+	// and the Result itself, so a caller looping over many runs (a
+	// certify sweep worker) amortizes the per-run allocations away. The
+	// returned Result, its Outputs slice included, is then the arena's
+	// and stays valid only until the arena's next run: copy what must
+	// outlive it. Results are bit-identical with or without an arena; an
+	// Arena must not be shared by concurrent runs.
 	Arena *Arena
 }
 
-// Arena is reusable per-run scratch for either front end: every internal
+// Arena is reusable per-run memory for either front end: every internal
 // buffer the simulator would otherwise allocate per run (a front end's
 // link structure and Local views, the receive ports, cut classification,
-// double-buffered inboxes and their counts, fault rings, node table) is
-// borrowed from the arena and grown on demand, so steady-state reuse
-// allocates only the Result and what the node programs allocate. Each run
-// overwrites the previous run's buffers, Local views included. The zero
-// value is ready to use. An arena is not safe for concurrent use: give
-// each goroutine its own.
+// double-buffered inboxes and their counts, fault rings, node table) and
+// the Result with its Outputs slice are borrowed from the arena and grown
+// on demand, so steady-state reuse allocates only what the node programs
+// allocate. Each run overwrites the previous run's buffers, Local views
+// and Result included: a Result is the arena's until its next run. The
+// zero value is ready to use. An arena is not safe for concurrent use:
+// give each goroutine its own.
 type Arena struct {
 	linkOffsets []int32
 	linkNbr     []int32
@@ -184,6 +187,8 @@ type Arena struct {
 	inbox       []Incoming
 	inboxLen    []int32
 	wake        []int32
+	outputs     []interface{}
+	result      Result
 }
 
 // program is one entry of the node table: the node and, if it sleeps,
@@ -242,6 +247,8 @@ type Metrics struct {
 }
 
 // Result is the outcome of a simulation: metrics plus per-vertex outputs.
+// A run on an arena returns the arena's Result, valid until the arena's
+// next run; otherwise the Result is fresh memory.
 type Result struct {
 	Metrics
 	Outputs []interface{}
@@ -594,14 +601,22 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 		}
 	}
 
-	outputs := make([]interface{}, n)
+	var res *Result
+	if opts.Arena != nil {
+		res = &ar.result
+	} else {
+		res = new(Result)
+	}
+	res.Metrics = metrics
+	res.Outputs = arenaSlice(&ar.outputs, n)
 	for v := range nodes {
 		if crashed != nil && crashed[v] {
-			continue // a crashed node produces no output
+			res.Outputs[v] = nil // a crashed node produces no output
+			continue
 		}
-		outputs[v] = nodes[v].node.Output()
+		res.Outputs[v] = nodes[v].node.Output()
 	}
-	return &Result{Metrics: metrics, Outputs: outputs}, nil
+	return res, nil
 }
 
 // RoundsError is the MaxRounds-exhausted failure: the simulation ran its

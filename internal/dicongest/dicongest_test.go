@@ -593,6 +593,23 @@ func newSleepyChatter(budget int) Factory {
 	}
 }
 
+// pooledSleepers is newSleepyChatter on an n-vertex network of maximum
+// degree maxDegree, over nodes and outboxes allocated once: building a
+// node allocates nothing, so a warm run allocates only what the
+// simulator does.
+func pooledSleepers(n, maxDegree, budget int) Factory {
+	nodes := make([]sleepyChatter, n)
+	outs := make([]Message, n*maxDegree)
+	return func(local Local) Node {
+		out := outs[local.ID*maxDegree : local.ID*maxDegree+len(local.Neighbors)]
+		for i := range out {
+			out[i] = Message{Port: i, Payload: int64(local.ID)}
+		}
+		nodes[local.ID] = sleepyChatter{chatterNode: chatterNode{outbox: out, budget: budget}}
+		return &nodes[local.ID]
+	}
+}
+
 func (c *sleepyChatter) Round(round int, inbox []Incoming) ([]Message, bool) {
 	if round >= c.budget {
 		return nil, true
@@ -700,6 +717,40 @@ func TestRunSteadyStateDoesNotAllocate(t *testing.T) {
 		if longS > shortS {
 			t.Errorf("sleeping per-round allocations detected (meter %t, faults %t, trace %t): %v allocs for 10 rounds, %v for 1010",
 				opts.Meter != nil, opts.Faults != nil, opts.Trace != nil, shortS, longS)
+		}
+	}
+
+	// On a warm arena a whole Run, Result included, allocates nothing
+	// but what its program allocates: here nothing, as the program's
+	// nodes and outboxes are allocated once. A fault plan's injector is
+	// built per run, so the faulted modes are left out.
+	arena := &Arena{}
+	const budget = 100
+	program := pooledSleepers(d.N(), 2, budget)
+	for mode := 0; mode < 4; mode++ {
+		opts := Options{Arena: arena}
+		if mode&1 != 0 {
+			opts.CutSide, opts.Meter = side, counts
+		}
+		if mode&2 != 0 {
+			opts.Trace = tracer
+		}
+		first, err := Run(d, program, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			res, err := Run(d, program, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != first || res.Rounds != budget+1 || len(res.Outputs) != d.N() {
+				t.Fatalf("a warm arena run returned %+v, not the arena's Result", res)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a whole warm run on an arena (meter %t, trace %t) allocates %v times, want 0",
+				opts.Meter != nil, opts.Trace != nil, allocs)
 		}
 	}
 }

@@ -20,6 +20,8 @@ type DigraphAlgorithm struct {
 	// Prepare is called once per (x, y) pair with the instance digraph,
 	// the run's bandwidth and the pair's seed. The returned factory must
 	// be deterministic given (d, seed) — transcript replay re-executes it.
+	// As with Algorithm.Prepare, the returned functions may be the same
+	// values every pair, valid until the pair's decide returns.
 	Prepare func(d *graph.Digraph, bandwidth int, seed int64) (dicongest.Factory, func(*dicongest.Result) (bool, error), error)
 }
 

@@ -15,22 +15,21 @@ import (
 )
 
 // The collect algorithms run each pair on a pooled workspace: a warm
-// pair allocates no collect node state, and its root rebuilds into the
-// workspace's graph and decides on the workspace's own oracle. With a
-// reused arena the simulator carves every node's Local views from the
-// arena too, so what is left of a certified pair is a handful of
-// per-pair objects (the factory and its slab header, the decide closure,
-// the Result, its outputs slice and the root's boxed output). Each run
-// moves the instance to its next pair with one ApplyBit, as Certify's
-// delta walk does, so the graph's Freeze snapshot is spliced, not
-// rebuilt, between runs. These pins sit about 25% above the measured
-// counts; a Local copied per node, a slab allocated per factory, a
-// snapshot rebuilt per pair, a rebuild at every non-root or a fresh
-// reconstruction graph per root multiplies them.
+// pair allocates no collect node state, its factory and decide are the
+// workspace's, bound once, and its root rebuilds into the workspace's
+// graphs and decides on the workspace's own oracle. With a reused arena
+// the simulator carves every node's Local views and the Result with its
+// outputs from the arena too, and the root's small value comes pre-boxed,
+// so a warm pair allocates nothing. Each run moves the instance to its
+// next pair with one ApplyBit, as Certify's delta walk does, so the
+// graph's Freeze snapshot is spliced, not rebuilt, between runs. A Local
+// copied per node, a closure or slab built per factory, a Result or
+// boxed output per run, a snapshot rebuilt per pair, a rebuild at every
+// non-root or a fresh reconstruction graph per root trips the pins.
 
 const (
-	mdsCollectPairAllocs   = 9 // measured 7
-	hamlbCollectPairAllocs = 9 // measured 7
+	mdsCollectPairAllocs   = 0 // a warm pair allocates nothing
+	hamlbCollectPairAllocs = 0 // a warm pair allocates nothing
 )
 
 func TestCollectMDSPairAllocations(t *testing.T) {
@@ -150,13 +149,14 @@ func claimColumns(n int) func(idx int, x, y comm.Bits) congest.Tracer {
 
 // TestCertifySweepAllocations pins one exhaustive k = 2 sweep (256
 // CONGEST runs) of each collect pairing end to end: the sweep machinery
-// (worker arenas, delta clones, workspaces) costs O(workers) and each
-// pair a handful of allocations (the per-pair pins above). The first
-// sweep on a freshly built family also pays the family's first-use work
-// (its delta and gate, the workers' first arenas); later sweeps are
-// pinned at 1 and 4 workers. A per-node Local copy, a snapshot or
-// instance rebuilt per pair, a lost arena or workspace, or one more
-// allocation per pair anywhere in the sweep trips the pins.
+// (delta clones, the report, workspaces) costs O(workers) and a pair
+// nothing (the per-pair pins above). The first sweep on a freshly built
+// family also pays the family's first-use work (its delta and gate) and,
+// with the list of free simulator arenas emptied first, the workers'
+// arenas; later sweeps are pinned at 1 and 4 workers. A per-node Local
+// copy, a snapshot or instance rebuilt per pair, an arena or workspace
+// not reused, or one more allocation per pair anywhere in the sweep
+// trips the pins.
 func TestCertifySweepAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -166,14 +166,14 @@ func TestCertifySweepAllocations(t *testing.T) {
 		// newSweep builds a fresh family and returns its sweep.
 		newSweep func(t *testing.T) func(cfg Config) (*Report, error)
 	}{
-		{"mds/collect", 3461, 2741, 2982, func(t *testing.T) func(Config) (*Report, error) {
+		{"mds/collect", 1060, 169, 330, func(t *testing.T) func(Config) (*Report, error) {
 			fam := mdsFam(t)
 			alg := CollectMDS(fam)
 			return func(cfg Config) (*Report, error) {
 				return Certify(fam, alg, cfg)
 			}
 		}},
-		{"mds/collect+metrics", 3461, 2741, 2982, func(t *testing.T) func(Config) (*Report, error) {
+		{"mds/collect+metrics", 1056, 169, 330, func(t *testing.T) func(Config) (*Report, error) {
 			fam := mdsFam(t)
 			alg := CollectMDS(fam)
 			sm := obs.MustSweepMetrics(obs.NewRegistry())
@@ -182,7 +182,7 @@ func TestCertifySweepAllocations(t *testing.T) {
 				return Certify(fam, alg, cfg)
 			}
 		}},
-		{"hamlb/collect", 5136, 2732, 3213, func(t *testing.T) func(Config) (*Report, error) {
+		{"hamlb/collect", 2836, 360, 690, func(t *testing.T) func(Config) (*Report, error) {
 			fam := hamFam(t)
 			alg := CollectHamPath(fam)
 			return func(cfg Config) (*Report, error) {
@@ -210,6 +210,11 @@ func TestCertifySweepAllocations(t *testing.T) {
 			t.Logf("%s: %s: %.0f allocs", tc.name, what, allocs)
 			if pin := sweepAllocsPin(measured); allocs > pin {
 				t.Errorf("%s: %s allocates %.0f times, want <= %.0f (measured %d)", tc.name, what, allocs, pin, measured)
+			}
+		}
+		for {
+			if _, ok := sweepArenas.get(); !ok {
+				break
 			}
 		}
 		check("the first sweep at 1 worker", firstRunAllocs(run(1)), tc.first)

@@ -2,6 +2,9 @@ package reduction
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -92,6 +95,85 @@ func TestCertifyDigraphCtxConcurrent(t *testing.T) {
 		}
 		if reports[i].Completed != 12 {
 			t.Fatalf("directed sweep %d certified %d of 12 pairs", i, reports[i].Completed)
+		}
+	}
+}
+
+// reportDigest hashes everything a certification report claims: the
+// header, the Theorem 1.1 aggregates and, pair by pair in canonical
+// order, the inputs, rounds, message and cut traffic, and verdicts.
+func reportDigest(rep *Report) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s/%s exact=%v exhaustive=%v stats=%+v B=%d\n",
+		rep.Family, rep.Algorithm, rep.Exact, rep.Exhaustive, rep.Stats, rep.Bandwidth)
+	fmt.Fprintf(h, "completed=%d/%d mismatches=%d T=%d maxcut=%d sim=%d cc=%g\n",
+		rep.Completed, rep.Total, rep.Mismatches, rep.MaxRounds, rep.MaxCutBits, rep.SimBits, rep.CCBound)
+	for i, p := range rep.Pairs {
+		fmt.Fprintf(h, "%d %s %s r=%d m=%d cm=%d cb=%d out=%v want=%v ok=%v\n",
+			i, p.X, p.Y, p.Rounds, p.Messages, p.CutMessages, p.CutBits, p.Output, p.Want, p.Correct)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestConcurrentSweepsShareArenas runs mds/collect and hamlb/collect
+// sweeps from several goroutines at once, on shared algorithm values (so
+// their workspace pools are shared) and on the shared list of free
+// simulator arenas, some with transcript replays, which rerun a pair on
+// its worker's arena. Every report must equal, digest for digest, the
+// same sweep run alone at one worker. Under -race (the CI race job runs
+// it with -short, which it does not skip under) a pooled workspace or
+// arena handed to two runs at once is a data race.
+func TestConcurrentSweepsShareArenas(t *testing.T) {
+	mds, ham := mdsFam(t), hamFam(t)
+	mdsAlg, hamAlg := CollectMDS(mds), CollectHamPath(ham)
+	sweeps := []func(cfg Config) (*Report, error){
+		func(cfg Config) (*Report, error) { return Certify(mds, mdsAlg, cfg) },
+		func(cfg Config) (*Report, error) { return CertifyDigraph(ham, hamAlg, cfg) },
+	}
+	type job struct {
+		sweep int
+		cfg   Config
+	}
+	var jobs []job
+	for sweep := range sweeps {
+		jobs = append(jobs, job{sweep, Config{Seed: 1}}, job{sweep, Config{Seed: 2, TranscriptChecks: 24}})
+	}
+	want := make([]string, len(jobs))
+	for i, j := range jobs {
+		cfg := j.cfg
+		cfg.Workers = 1
+		rep, err := sweeps[j.sweep](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = reportDigest(rep)
+	}
+	const rounds = 2
+	got := make([][rounds]string, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				cfg := j.cfg
+				cfg.Workers = 1 + (i+r)%3
+				rep, err := sweeps[j.sweep](cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i][r] = reportDigest(rep)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		for r := range rounds {
+			if got[i][r] != want[i] {
+				t.Errorf("sweep %d (seed %d, %d transcript checks), concurrent round %d: report digest %.16s, alone %.16s",
+					j.sweep, j.cfg.Seed, j.cfg.TranscriptChecks, r, got[i][r], want[i])
+			}
 		}
 	}
 }

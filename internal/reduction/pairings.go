@@ -20,47 +20,89 @@ import (
 // (greedy dominating set, maximal-matching vertex cover), and the
 // Theorem 2.9-style sampling estimator on the weighted max-cut family.
 
-// workspacePool is a mutex-guarded free list of collect workspaces for
-// one algorithm value, each with the root eval it was created with: a
-// per-workspace eval owns its oracle's scratch, so two pairs running at
-// once never share one. A sweep holds at most one workspace per worker,
-// so the list grows to the sweep's concurrency and no further.
-type workspacePool[E any] struct {
-	newEval func() E
-
+// freeList is a mutex-guarded free list. Every put hands back what a get
+// handed out, so the list holds at most as many entries as were ever out
+// at once: the peak concurrency of its users. Unlike a sync.Pool, it
+// keeps its entries across garbage collections.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free []pooledWorkspace[E]
+	free []T
 }
 
-// pooledWorkspace is a workspace and the root eval bound to it.
+// get pops an entry, reporting false when the list is empty.
+func (l *freeList[T]) get() (T, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var t T
+	k := len(l.free)
+	if k == 0 {
+		return t, false
+	}
+	t = l.free[k-1]
+	l.free = l.free[:k-1]
+	return t, true
+}
+
+// put pushes an entry.
+func (l *freeList[T]) put(t T) {
+	l.mu.Lock()
+	l.free = append(l.free, t)
+	l.mu.Unlock()
+}
+
+// workspacePool is the free list of collect workspaces of one algorithm
+// value, each with the root eval it was created with: a per-workspace
+// eval owns its oracle's scratch, so two pairs running at once never
+// share one. answer turns a run's summed root total into the decision.
+// A sweep holds at most one workspace per worker, so the list grows to
+// the sweep's concurrency and no further.
+type workspacePool[E any] struct {
+	newEval func() E
+	answer  func(total int64) bool
+	free    freeList[*pooledWorkspace[E]]
+}
+
+// pooledWorkspace is a workspace, the root eval bound to it, and its
+// pair's decide, bound once when the entry is created so that a pair
+// allocates no closure. held marks the entry as out of the pool.
 type pooledWorkspace[E any] struct {
-	ws   *algorithms.Workspace
-	eval E
+	ws     algorithms.Workspace
+	eval   E
+	pool   *workspacePool[E]
+	decide func(res *congest.Result) (bool, error)
+	held   bool
 }
 
 // get pops a free workspace, or creates one with a fresh eval.
-func (p *workspacePool[E]) get() pooledWorkspace[E] {
-	p.mu.Lock()
-	if k := len(p.free); k > 0 {
-		w := p.free[k-1]
-		p.free = p.free[:k-1]
-		p.mu.Unlock()
-		return w
+func (p *workspacePool[E]) get() *pooledWorkspace[E] {
+	w, ok := p.free.get()
+	if !ok {
+		w = &pooledWorkspace[E]{eval: p.newEval(), pool: p}
+		w.decide = w.decideTotal
 	}
-	p.mu.Unlock()
-	return pooledWorkspace[E]{ws: new(algorithms.Workspace), eval: p.newEval()}
+	w.held = true
+	return w
 }
 
 // release hands a pair's workspace back to the pool the first time it is
-// called for that pair, and does nothing after that.
+// called for that pair, and does nothing after that until the workspace
+// is handed out again.
 func (p *workspacePool[E]) release(w *pooledWorkspace[E]) {
-	if w.ws == nil {
-		return
+	if w.held {
+		w.held = false
+		p.free.put(w)
 	}
-	p.mu.Lock()
-	p.free = append(p.free, *w)
-	p.mu.Unlock()
-	w.ws = nil
+}
+
+// decideTotal is a pooled pair's decide: it releases the workspace, whose
+// factory must not run again, and answers from the run's root total.
+func (w *pooledWorkspace[E]) decideTotal(res *congest.Result) (bool, error) {
+	w.pool.release(w)
+	total, err := algorithms.CollectTotal(res)
+	if err != nil {
+		return false, err
+	}
+	return w.pool.answer(total), nil
 }
 
 // graphEval is an undirected collect program's root evaluation.
@@ -92,33 +134,28 @@ type collectPairing struct {
 // algorithm returns the pairing as an Algorithm whose pairs run on pooled
 // workspaces: Prepare takes a workspace from the pool for the pair's
 // factory and the pair's decide puts it back, so a warm sweep worker's
-// pairs allocate no collect node state. The factory must not run after
-// its decide, which has handed its memory to the next pair; a pair whose
-// run fails before decide simply drops its workspace.
+// pairs allocate nothing. The factory and decide are the workspace's,
+// bound once, so pairs prepared on one workspace get the same function
+// values, valid until their decide: the factory must not run after it,
+// which has handed its memory to the next pair. A pair whose run fails
+// before decide simply drops its workspace.
 func (p collectPairing) algorithm() Algorithm {
-	pool := &workspacePool[graphEval]{newEval: p.newEval}
+	pool := &workspacePool[graphEval]{newEval: p.newEval, answer: p.answer}
 	return Algorithm{
 		Name:  p.name,
 		Exact: p.exact,
 		Prepare: func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
 			w := pool.get()
-			spec := algorithms.CollectSpec{Eval: w.eval, Workspace: w.ws}
+			spec := algorithms.CollectSpec{Eval: w.eval, Workspace: &w.ws}
 			if p.keep != nil {
 				spec.Keep = p.keep(g, seed)
 			}
 			factory, _, err := p.program(g, bandwidth, spec)
 			if err != nil {
-				pool.release(&w)
+				pool.release(w)
 				return nil, nil, err
 			}
-			return factory, func(res *congest.Result) (bool, error) {
-				pool.release(&w)
-				total, err := algorithms.CollectTotal(res)
-				if err != nil {
-					return false, err
-				}
-				return p.answer(total), nil
-			}, nil
+			return factory, w.decide, nil
 		},
 	}
 }

@@ -24,25 +24,18 @@ type digraphEval = func(collected *graph.Digraph) (int64, error)
 // each weak-component root, and answer turns the summed total into the
 // predicate decision. The factory must not run after its decide.
 func diCollectAlgorithm(name string, exact bool, newEval func() digraphEval, answer func(total int64) bool) DigraphAlgorithm {
-	pool := &workspacePool[digraphEval]{newEval: newEval}
+	pool := &workspacePool[digraphEval]{newEval: newEval, answer: answer}
 	return DigraphAlgorithm{
 		Name:  name,
 		Exact: exact,
 		Prepare: func(d *graph.Digraph, bandwidth int, seed int64) (dicongest.Factory, func(*dicongest.Result) (bool, error), error) {
 			w := pool.get()
-			factory, _, err := algorithms.DiCollectFactory(d, bandwidth, algorithms.DiCollectSpec{Eval: w.eval, Workspace: w.ws})
+			factory, _, err := algorithms.DiCollectFactory(d, bandwidth, algorithms.DiCollectSpec{Eval: w.eval, Workspace: &w.ws})
 			if err != nil {
-				pool.release(&w)
+				pool.release(w)
 				return nil, nil, err
 			}
-			return factory, func(res *dicongest.Result) (bool, error) {
-				pool.release(&w)
-				total, err := algorithms.CollectTotal(res)
-				if err != nil {
-					return false, err
-				}
-				return answer(total), nil
-			}, nil
+			return factory, w.decide, nil
 		},
 	}
 }

@@ -27,6 +27,9 @@ type Algorithm struct {
 	// Prepare is called once per (x, y) pair with the instance graph, the
 	// run's bandwidth and the pair's seed. The returned factory must be
 	// deterministic given (g, seed) — transcript replay re-executes it.
+	// The returned functions may be the same values every pair (a pooled
+	// program bound once to its memory): they serve one pair and are valid
+	// until its decide returns, after which neither may be called again.
 	Prepare func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error)
 }
 
@@ -107,13 +110,15 @@ type Config struct {
 	// Workers caps the sweep's worker count; 0 selects GOMAXPROCS. Each
 	// worker holds a private instance (a DeltaFamily base clone, or
 	// per-pair rebuilds) and a private simulator arena, so memory scales
-	// linearly with Workers. One worker walks the pairs strictly in
-	// canonical order.
+	// linearly with Workers. The arenas outlive the sweep: they come from
+	// a package-level free list and go back to it, which holds at most as
+	// many as workers ever ran at once. One worker walks the pairs
+	// strictly in canonical order.
 	Workers int
 }
 
 // PairReport is the measured outcome of one (x, y) certification run:
-// the pair's inputs (cloned, safe to retain), the run's round and
+// the pair's inputs (copies, safe to retain), the run's round and
 // message counts, the Alice/Bob cut traffic that enters the Theorem 1.1
 // budget, and the algorithm's output against the family predicate's
 // ground truth. Every PairReport in a returned Report — including a
@@ -206,38 +211,57 @@ func CertifyCtx(ctx context.Context, fam lbfamily.Family, alg Algorithm, cfg Con
 
 // simulate is the one graph-kind-specific step of a certification: it
 // prepares the algorithm on a worker's instance g with the pair's seed,
-// runs it on the worker's arena under opts — replaying the transcript
-// when replay is set — and decides. On failure it names the failing
-// stage ("prepare", "run" or "decide").
+// runs it under opts, whose Arena is the worker's — replaying the
+// transcript when replay is set — and decides. On failure it names the
+// failing stage ("prepare", "run" or "decide").
 type simulate[G any] func(g G, seed int64, replay bool, opts congest.Options) (congest.Metrics, bool, string, error)
 
-// simulator returns the simulator constructor of one graph kind G, whose
+// simulator returns the simulate step of one graph kind G, whose
 // programs F the algorithm's prepare builds: run is the kind's simulator
 // (congest.Run or dicongest.Run) and check its transcript replay
-// (VerifySimulation or VerifyDigraphSimulation). Each simulator it makes
-// owns an arena.
+// (VerifySimulation or VerifyDigraphSimulation).
 func simulator[G, F any](prepare func(g G, bandwidth int, seed int64) (F, func(*congest.Result) (bool, error), error),
 	run func(g G, factory F, opts congest.Options) (*congest.Result, error),
-	check func(g G, side []bool, factory F, opts congest.Options) (*TwoPartyTranscript, *congest.Result, error)) func() simulate[G] {
-	return func() simulate[G] {
-		arena := &congest.Arena{}
-		return func(g G, seed int64, replay bool, opts congest.Options) (congest.Metrics, bool, string, error) {
-			factory, decide, err := prepare(g, opts.BandwidthBits, seed)
-			if err != nil {
-				return congest.Metrics{}, false, "prepare", err
-			}
-			opts.Arena = arena
-			var res *congest.Result
-			if replay {
-				_, res, err = check(g, opts.CutSide, factory, opts)
-			} else {
-				res, err = run(g, factory, opts)
-			}
-			if err != nil {
-				return congest.Metrics{}, false, "run", err
-			}
-			output, err := decide(res)
-			return res.Metrics, output, "decide", err
+	check func(g G, side []bool, factory F, opts congest.Options) (*TwoPartyTranscript, *congest.Result, error)) simulate[G] {
+	return func(g G, seed int64, replay bool, opts congest.Options) (congest.Metrics, bool, string, error) {
+		factory, decide, err := prepare(g, opts.BandwidthBits, seed)
+		if err != nil {
+			return congest.Metrics{}, false, "prepare", err
+		}
+		var res *congest.Result
+		if replay {
+			_, res, err = check(g, opts.CutSide, factory, opts)
+		} else {
+			res, err = run(g, factory, opts)
+		}
+		if err != nil {
+			return congest.Metrics{}, false, "run", err
+		}
+		output, err := decide(res)
+		return res.Metrics, output, "decide", err
+	}
+}
+
+// sweepArenas holds the simulator arenas of finished sweeps: a worker
+// takes one on its first pair and its sweep hands it back when it ends,
+// so repeated sweeps (a benchmark's, a server's jobs) reuse their
+// arenas. It holds at most as many arenas as workers ever ran at once.
+var sweepArenas freeList[*congest.Arena]
+
+// takeArena pops a free arena, or makes one.
+func takeArena() *congest.Arena {
+	if a, ok := sweepArenas.get(); ok {
+		return a
+	}
+	return new(congest.Arena)
+}
+
+// returnArenas hands the arenas a sweep's workers took back to
+// sweepArenas; a worker that certified no pair took none.
+func returnArenas(arenas []*congest.Arena) {
+	for _, a := range arenas {
+		if a != nil {
+			sweepArenas.put(a)
 		}
 	}
 }
@@ -252,10 +276,10 @@ type family[G any] interface {
 }
 
 // certify is the one certification body behind CertifyCtx and
-// CertifyDigraphCtx. newSim makes a worker's simulator, with its own
-// arena, on the worker's first pair.
+// CertifyDigraphCtx. Each worker runs sim on an arena it takes from
+// sweepArenas on its first pair; the arenas go back when the sweep ends.
 func certify[G lbfamily.Instance[G]](ctx context.Context, fam family[G], stats func() (lbfamily.Stats, error),
-	name string, exact bool, cfg Config, newSim func() simulate[G]) (*Report, error) {
+	name string, exact bool, cfg Config, sim simulate[G]) (*Report, error) {
 	side, err := lbfamily.AliceSideOf(fam)
 	if err != nil {
 		return nil, fmt.Errorf("alice side: %w", err)
@@ -286,6 +310,10 @@ func certify[G lbfamily.Instance[G]](ctx context.Context, fam family[G], stats f
 		Total:      len(xs),
 	}
 	f := fam.Func()
+	// Every pair's inputs are copied into one slab: X then Y, words words
+	// each.
+	words := (fam.K() + 63) / 64
+	inputs := make([]uint64, 2*words*len(xs))
 
 	// A column is a contiguous block of the canonical list: one fixed-y
 	// Gray column of 2^K pairs for exhaustive sweeps, a single pair for
@@ -294,9 +322,9 @@ func certify[G lbfamily.Instance[G]](ctx context.Context, fam family[G], stats f
 	if exhaustive {
 		rows = 1 << uint(fam.K())
 	}
-	sims := make([]simulate[G], lbfamily.SweepWorkers(cfg.Workers, len(xs)/rows))
+	arenas := make([]*congest.Arena, lbfamily.SweepWorkers(cfg.Workers, len(xs)/rows))
 	sw := lbfamily.Sweep[G]{
-		Cols: len(xs) / rows, Rows: rows, Workers: len(sims),
+		Cols: len(xs) / rows, Rows: rows, Workers: len(arenas),
 		Pair: func(c, r int) (comm.Bits, comm.Bits, int) {
 			idx := c*rows + r
 			return xs[idx], ys[idx], idx
@@ -319,10 +347,11 @@ func certify[G lbfamily.Instance[G]](ctx context.Context, fam family[G], stats f
 			if cfg.Metrics != nil {
 				started = time.Now() //nolint:hardlint/detrand wall-clock feeds observability histograms only, never certification results
 			}
-			if sims[w] == nil {
-				sims[w] = newSim()
+			if arenas[w] == nil {
+				arenas[w] = takeArena()
 			}
-			m, output, stage, err := sims[w](g, pairSeed(cfg.Seed, idx), idx < cfg.TranscriptChecks, opts)
+			opts.Arena = arenas[w]
+			m, output, stage, err := sim(g, pairSeed(cfg.Seed, idx), idx < cfg.TranscriptChecks, opts)
 			if err != nil {
 				return fmt.Errorf("%s (%s,%s): %w", stage, x, y, err)
 			}
@@ -330,8 +359,9 @@ func certify[G lbfamily.Instance[G]](ctx context.Context, fam family[G], stats f
 				cfg.Metrics.ObservePair(time.Since(started).Seconds(), int64(m.Rounds), m.CutBits) //nolint:hardlint/detrand wall-clock feeds observability histograms only, never certification results
 			}
 			want := f.Eval(x, y)
+			in := inputs[2*words*idx:]
 			report.Pairs[idx] = PairReport{
-				X: x.Clone(), Y: y.Clone(),
+				X: x.CopyTo(in), Y: y.CopyTo(in[words:]),
 				Rounds:      m.Rounds,
 				Messages:    m.Messages,
 				CutMessages: m.CutMessages,
@@ -347,7 +377,9 @@ func certify[G lbfamily.Instance[G]](ctx context.Context, fam family[G], stats f
 	if !cfg.ForceRebuild {
 		sw.Delta = lbfamily.GatedDelta(fam, side)
 	}
-	return resolve(report, sw.Run(ctx), ctx.Err(), f)
+	res := sw.Run(ctx)
+	returnArenas(arenas)
+	return resolve(report, res, ctx.Err(), f)
 }
 
 // resolve converts a finished sweep into the report/error contract:

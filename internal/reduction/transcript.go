@@ -136,7 +136,10 @@ func (s *replayStub) Output() interface{} { return nil }
 // module satisfies (randomized programs derive their stream from a seed
 // and the vertex id).
 //
-// It returns the transcript and the full run's result on success.
+// It returns the transcript and the full run's result on success. The
+// result is a copy in fresh memory, also when opts.Arena is set: the
+// replay run reuses the arena, and the check compares Alice's replayed
+// outputs with the copy.
 func VerifySimulation(g *graph.Graph, side []bool, factory congest.Factory, opts congest.Options) (*TwoPartyTranscript, *congest.Result, error) {
 	return checkSimulation(g.N(), side, func(schedules map[int][]Entry) (*TwoPartyTranscript, *congest.Result, error) {
 		return ExtractTranscript(g, side, func(local congest.Local) congest.Node {
@@ -160,6 +163,8 @@ func checkSimulation(n int, side []bool, run func(schedules map[int][]Entry) (*T
 	if err != nil {
 		return nil, nil, fmt.Errorf("full run: %w", err)
 	}
+	// On an arena the replay run reuses the full run's Result: keep a copy.
+	res = &congest.Result{Metrics: res.Metrics, Outputs: slices.Clone(res.Outputs)}
 	schedules := make(map[int][]Entry)
 	for _, e := range full.filter(congest.DirBobToAlice) {
 		schedules[e.From] = append(schedules[e.From], e)

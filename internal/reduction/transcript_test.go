@@ -202,3 +202,53 @@ func TestVerifySimulationRejectsBadSide(t *testing.T) {
 		t.Error("undersized bipartition accepted")
 	}
 }
+
+// TestVerifySimulationOnArena runs the replay check on a simulator arena,
+// whose Result the replay run reuses: the check must compare Alice's
+// outputs with the full run's, not with the replay's own, and return the
+// full run's Result.
+func TestVerifySimulationOnArena(t *testing.T) {
+	g := graph.Path(4)
+	side := []bool{true, true, false, false}
+	opts := congest.Options{Arena: &congest.Arena{}}
+
+	// Alice's vertex 0 outputs how often the network was instantiated,
+	// and sends nothing across the cut: its output alone differs between
+	// the full run and the replay.
+	instances := 0
+	counting := func(local congest.Local) congest.Node {
+		if local.ID == 0 {
+			instances++
+		}
+		stamp := int64(instances)
+		return &congest.FuncNode{
+			RoundFunc: func(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
+				return nil, round >= 1
+			},
+			OutputFunc: func() interface{} { return stamp },
+		}
+	}
+	if _, _, err := VerifySimulation(g, side, counting, opts); err == nil {
+		t.Error("a program whose Alice output differs in the replay passed the simulation invariant on an arena")
+	}
+
+	// A deterministic flood passes, and its Result is the full run's: Bob's
+	// internal edge {2,3} carries messages in the full run that the replay
+	// stubs do not send.
+	want, err := congest.Run(g, floodFactory(3), congest.Options{CutSide: side})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := VerifySimulation(g, side, floodFactory(3), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Metrics != want.Metrics {
+		t.Errorf("VerifySimulation on an arena returned metrics %+v, the full run has %+v", got.Metrics, want.Metrics)
+	}
+	for v := range want.Outputs {
+		if got.Outputs[v] != want.Outputs[v] {
+			t.Errorf("vertex %d: VerifySimulation on an arena returned output %v, the full run %v", v, got.Outputs[v], want.Outputs[v])
+		}
+	}
+}

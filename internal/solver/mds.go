@@ -125,6 +125,7 @@ func minDominatingSetFrom(g *graph.Graph, dominatedInit bitset, cap int64) (int6
 // safe for concurrent use.
 type MDSOracle struct {
 	n            int
+	bits         []uint64 // the backing words of every bitset below
 	closed       []bitset
 	candidatesOf [][]int
 	deg          []int // deg[v] is v's degree in the searched graph
@@ -234,25 +235,53 @@ func (o *MDSOracle) keepNo() {
 	}
 }
 
-// grow (re)sizes the arena for n-vertex graphs.
+// grow sizes the arena for n-vertex graphs, carving it from the memory of
+// earlier sizes and allocating only where that is short, so an oracle
+// serving graphs of varying size (a collect root's components) stops
+// allocating once it has seen the largest. A size change drops the
+// carried certificate and the branch orders; the NO snapshot keeps its
+// own vertex count, which an instance must match.
 func (o *MDSOracle) grow(n int) {
 	if o.n == n {
 		return
 	}
 	o.n = n
-	o.closed = make([]bitset, n)
-	for v := range o.closed {
-		o.closed[v] = newBitset(n)
+	words := (n + 63) / 64
+	// The bitsets are consecutive words-word windows of one slab: the n
+	// closed rows, the n+1 per-depth scratch sets, initBuf and mark.
+	slab := resize(&o.bits, (2*n+3)*words)
+	carve := func() bitset {
+		b := bitset(slab[:words:words])
+		slab = slab[words:]
+		return b
 	}
-	o.candidatesOf = make([][]int, n)
-	o.deg = make([]int, n)
-	o.orderRows = make([]uint64, n*((n+63)/64))
+	for v := range resize(&o.closed, n) {
+		o.closed[v] = carve()
+	}
+	for d := range resize(&o.scratch, n+1) {
+		o.scratch[d] = carve()
+	}
+	o.initBuf, o.mark = carve(), carve()
+	if cap(o.candidatesOf) < n {
+		// Keep the lists of earlier sizes: order refills them in place.
+		o.candidatesOf = append(o.candidatesOf[:cap(o.candidatesOf)], make([][]int, n-cap(o.candidatesOf))...)
+	}
+	o.candidatesOf = o.candidatesOf[:n]
+	resize(&o.deg, n)
+	resize(&o.orderRows, n*words)
 	o.ordered = false
-	o.scratch = make([]bitset, n+1)
-	o.current = make([]int, 0, n)
-	o.initBuf = newBitset(n)
-	o.cert = make([]int, 0, n)
-	o.mark = newBitset(n)
+	o.current = resize(&o.current, n)[:0]
+	o.cert = resize(&o.cert, n)[:0]
+}
+
+// resize returns *buf resized to length n, reallocating only when its
+// capacity is short; the contents are unspecified.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // fillClosed sets closed[v] = N[v] as a bitset.
@@ -305,10 +334,6 @@ func (o *MDSOracle) search(g *graph.Graph, dominatedInit bitset, cap int64, unit
 	o.searches++
 
 	init := o.scratch[n]
-	if init == nil {
-		init = newBitset(n)
-		o.scratch[n] = init
-	}
 	copy(init, dominatedInit)
 	o.recurse(init, 0, 0)
 	if !o.found {
@@ -397,10 +422,6 @@ func (o *MDSOracle) recurse(dominated bitset, weight int64, depth int) {
 	// v must be dominated by some vertex in N[v]; branch over choices,
 	// heaviest domination gain first.
 	next := o.scratch[depth]
-	if next == nil {
-		next = newBitset(n)
-		o.scratch[depth] = next
-	}
 	for _, c := range o.candidatesOf[v] {
 		copy(next, dominated)
 		next.orInto(o.closed[c])
