@@ -517,7 +517,8 @@ func (c *chatterNode) Output() interface{} { return nil }
 // so only the O(1) per-Run setup allocates (compare rounds=64 with
 // rounds=1024: same allocs/op). The faults variant runs the same flood
 // under a drop+delay plan: injection stays allocation-free per round too,
-// only the per-Run injector setup (delay rings) adds a constant.
+// and without an arena the per-Run setup of the injector and its delay
+// rings adds a constant (on a warm arena it adds nothing).
 func BenchmarkCongestRunCore(b *testing.B) {
 	const n = 64
 	g := graph.New(n)

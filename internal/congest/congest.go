@@ -39,6 +39,20 @@
 // only skips sleeping nodes, after their ring gather and crash check.
 // Sleeping never changes a result: a run is bit-identical to the run of
 // the same programs with Wake hidden.
+//
+// The loop also jumps rounds in which every node repeats itself, for
+// programs that implement Repeater. After a round in which every live
+// node ran and declared itself steady until some later round, the loop
+// skips to the round before the earliest of those rounds, of the next
+// crash and of MaxRounds, counting each skipped round's messages, cut
+// messages and cut bits as copies of the last round's; it then runs that
+// round for real, so the inbox at the wake round is exact. A jump never
+// changes a result either: the run is bit-identical to the run with
+// Steady hidden. The loop does not jump when a Tracer or a Meter is
+// installed, since both observe every round's messages, nor under a
+// fault plan whose drop budget or delay carries per-link state from one
+// round to the next (faults.Injector.Memoryless), since the skipped
+// rounds' decisions would then shape later ones.
 package congest
 
 import (
@@ -115,6 +129,26 @@ type Sleeper interface {
 	Wake() int
 }
 
+// Repeater is optionally implemented by a Node that settles into rounds
+// in which it repeats itself. After a Round call that did not finish the
+// node, Steady returns a round w: the rounds after the current one and
+// before w are steady for the node. Called in any of them with an inbox
+// of its neighbours' steady frames (any subset of what their repeated
+// outboxes address to it, or nothing), its Round returns the same
+// messages as its last call, does not finish and changes no state that
+// its later rounds or its Output read. A value at or before the next
+// round declares nothing. The simulator reads Steady at most once after
+// each Round call, and only while a jump is still possible; a node that
+// also sleeps counts as steady only after a round that leaves it awake
+// for the next.
+//
+// When every live node ran and declared itself steady, the loop skips the
+// steady rounds (see the package comment), so the node's Round is not
+// called in them at all.
+type Repeater interface {
+	Steady() int
+}
+
 // Factory constructs the program for one vertex.
 type Factory func(local Local) Node
 
@@ -164,12 +198,12 @@ type Options struct {
 // Arena is reusable per-run memory for either front end: every internal
 // buffer the simulator would otherwise allocate per run (a front end's
 // link structure and Local views, the receive ports, cut classification,
-// double-buffered inboxes and their counts, fault rings, node table) and
-// the Result with its Outputs slice are borrowed from the arena and grown
-// on demand, so steady-state reuse allocates only what the node programs
-// allocate. Each run overwrites the previous run's buffers, Local views
-// and Result included: a Result is the arena's until its next run. The
-// zero value is ready to use. An arena is not safe for concurrent use:
+// double-buffered inboxes and their counts, fault injector and rings,
+// node table) and the Result with its Outputs slice are borrowed from the
+// arena and grown on demand, so steady-state reuse allocates only what
+// the node programs allocate. Each run overwrites the previous run's
+// buffers, Local views and Result included: a Result is the arena's until
+// its next run. The zero value is ready to use. An arena is not safe for concurrent use:
 // give each goroutine its own.
 type Arena struct {
 	linkOffsets []int32
@@ -189,13 +223,16 @@ type Arena struct {
 	wake        []int32
 	outputs     []interface{}
 	result      Result
+	injector    faults.Injector
 }
 
-// program is one entry of the node table: the node and, if it sleeps,
-// the same node asserted to Sleeper once at setup.
+// program is one entry of the node table: the node and, if it sleeps or
+// repeats itself, the same node asserted to Sleeper and Repeater once at
+// setup.
 type program struct {
-	node    Node
-	sleeper Sleeper
+	node     Node
+	sleeper  Sleeper
+	repeater Repeater
 }
 
 // retired marks a finished or crashed node in the wake table.
@@ -363,7 +400,8 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 	for v := 0; v < n; v++ {
 		node := build(v)
 		sleeper, _ := node.(Sleeper)
-		nodes[v] = program{node: node, sleeper: sleeper}
+		repeater, _ := node.(Repeater)
+		nodes[v] = program{node: node, sleeper: sleeper, repeater: repeater}
 	}
 
 	// For the channel v -> to stored at slot s in v's window, recvPort[s]
@@ -413,7 +451,7 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 	}
 
 	// Fault injection (opt-in, mirroring the Meter hook): the plan is
-	// compiled into a per-run injector during setup, and delivery runs
+	// compiled into the arena's injector during setup, and delivery runs
 	// through a per-slot ring of RingDepth cells, so bounded delays land
 	// in future rounds; each round's inbox is gathered from the ring. The
 	// fault-free path below is untouched.
@@ -424,9 +462,8 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 	var ringStamp []int32
 	ringD := 0
 	if opts.Faults != nil {
-		var err error
-		inj, err = faults.NewInjector(opts.Faults, n, slots)
-		if err != nil {
+		inj = &ar.injector
+		if err := inj.Reset(opts.Faults, n, slots); err != nil {
 			return nil, fmt.Errorf("fault plan: %w", err)
 		}
 		for v := 0; v < n; v++ {
@@ -474,6 +511,9 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 	// enough to run unconditionally; the only per-round branches Trace
 	// adds are the nil-checks at the bottom of the loop.
 	trActive := n
+	// Steady rounds are jumped only when no observer sees every round and
+	// no fault decision carries over from one round to the next.
+	canJump := opts.Trace == nil && opts.Meter == nil && (inj == nil || inj.Memoryless())
 
 	for round := 0; ; round++ {
 		if round >= maxRounds {
@@ -483,7 +523,11 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 		// next is the earliest round after this one in which a live node
 		// runs without input (capped at maxRounds).
 		next := maxRounds
-		trSentBase := metrics.Messages
+		// steady holds while every live node visited so far ran and
+		// declared itself steady; until is the earliest round in which
+		// one of them stops repeating itself or crashes.
+		steady, until := canJump, maxRounds
+		trSentBase, cutBase, bitsBase := metrics.Messages, metrics.CutMessages, metrics.CutBits
 		trDelivered, trDropped := 0, 0
 		for v := 0; v < n; v++ {
 			w := int(wake[v])
@@ -512,7 +556,7 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 				}
 			}
 			if cnt == 0 && round < w {
-				live = true
+				live, steady = true, false
 				next = min(next, w) // asleep, and nothing arrived
 				continue
 			}
@@ -531,6 +575,16 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 			default:
 				live = true
 				next = round + 1
+			}
+			if steady {
+				if p.repeater == nil || finished || int(wake[v]) > round+1 {
+					steady = false
+				} else {
+					until = min(until, p.repeater.Steady())
+					if inj != nil {
+						until = min(until, int(crashAt[v]))
+					}
+				}
 			}
 			for _, msg := range outbox {
 				if uint(msg.Port) >= uint(degree) {
@@ -588,16 +642,30 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 			curIn, nextIn = nextIn, curIn
 			curLen, nextLen = nextLen, curLen
 			clear(nextLen)
-			if metrics.Messages == trSentBase {
-				// Nothing is in flight and no node runs before round
-				// next: jump over the silent rounds between, tracing each.
-				if opts.Trace != nil {
-					for r := round + 1; r < next; r++ {
-						opts.Trace.ObserveRound(RoundTrace{Round: r, Active: trActive})
-					}
+		}
+		switch {
+		case steady && until > round+2:
+			// Every live node repeats this round's sends in the rounds
+			// before until: count rounds round+1 .. until-2 as copies of
+			// this one and run round until-1 for real, whose sends make
+			// the inbox at until exact. Fault-free, this round's sends
+			// stay in the inbox buffers for round until-1; under a
+			// memoryless plan, round until-1 gathers nothing, which a
+			// steady node cannot tell from its neighbours' steady frames.
+			skipped := int64(until - 2 - round)
+			metrics.Messages += skipped * (metrics.Messages - trSentBase)
+			metrics.CutMessages += skipped * (metrics.CutMessages - cutBase)
+			metrics.CutBits += skipped * (metrics.CutBits - bitsBase)
+			round = until - 2
+		case inj == nil && metrics.Messages == trSentBase:
+			// Nothing is in flight and no node runs before round next:
+			// jump over the silent rounds between, tracing each.
+			if opts.Trace != nil {
+				for r := round + 1; r < next; r++ {
+					opts.Trace.ObserveRound(RoundTrace{Round: r, Active: trActive})
 				}
-				round = next - 1
 			}
+			round = next - 1
 		}
 	}
 

@@ -2,10 +2,11 @@
 // across packages congest and dicongest: a recorder that captures a run's
 // outcome (result or error, meter observations, round traces) and
 // compares two runs outcome for outcome, a wrapper that hides a node's
-// Wake (congest.Sleeper), and a sleeping program drawn from a hash. With
-// them the tests check that two paths that must agree — push delivery
-// and the fault ring, the directed and undirected front ends, sleeping
-// and awake nodes — produce bit-identical runs.
+// Wake (congest.Sleeper) and Steady (congest.Repeater), and a sleeping
+// and a repeating program drawn from a hash. With them the tests check
+// that two paths that must agree — push delivery and the fault ring, the
+// directed and undirected front ends, sleeping and awake nodes, jumped
+// and run steady rounds — produce bit-identical runs.
 package congesttest
 
 import (
@@ -16,8 +17,9 @@ import (
 	"congesthard/internal/congest"
 )
 
-// Awake hides node's Wake, if it has one: the simulator then runs the
-// node every round, as it runs any program that does not sleep.
+// Awake hides node's Wake and Steady, if it has them: the simulator then
+// runs the node every round, as it runs any program that neither sleeps
+// nor declares steady rounds.
 func Awake(node congest.Node) congest.Node { return awake{node} }
 
 type awake struct{ congest.Node }
@@ -102,6 +104,101 @@ func (s *Sleepy) Wake() int { return s.wake }
 // Output is the program's state.
 func (s *Sleepy) Output() interface{} { return s.state }
 
+// Repeating is a program that repeats itself in stretches of steady
+// rounds. Its sends, finish and the ends of its stretches are drawn from
+// a hash of everything it has received; most stretches end at rounds
+// shared by every node of a run (drawn from the seed alone), so whole
+// networks fall steady together. Within a stretch it ignores its inbox
+// and returns the same outbox, as congest.Repeater asks; at the round
+// that ends one it folds its inbox into its state. Calls counts its
+// Round calls.
+type Repeating struct {
+	degree   int
+	mask     int64
+	seed     uint64
+	finishAt int
+	far      int
+	state    uint64
+	until    int
+	out      []congest.Message
+	calls    *int
+}
+
+// NewRepeating returns vertex id's program on a node of the given
+// degree: it finishes at the first round at or after a hashed round below
+// 80 that ends a stretch. After each other such round it sends on a
+// hashed subset of its ports and stays steady until the next round the
+// seed marks (StretchEnd), or now and then until an earlier hashed round,
+// only for the next round, or until far (0 never).
+// A far past the run's MaxRounds makes some runs exhaust their budget.
+// calls, if not nil, counts the program's Round calls.
+func NewRepeating(id, degree, bandwidth int, seed uint64, far int, calls *int) *Repeating {
+	r := &Repeating{
+		degree: degree,
+		mask:   int64(1)<<uint(bandwidth) - 1,
+		seed:   seed,
+		far:    far,
+		state:  mix(seed ^ uint64(id)*0x9E3779B97F4A7C15),
+		out:    make([]congest.Message, 0, degree),
+		calls:  calls,
+	}
+	r.finishAt = int(r.state % 80)
+	return r
+}
+
+// Round repeats the outbox within a stretch; at its end it folds the
+// inbox into the state and draws the next sends and stretch.
+func (r *Repeating) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
+	if r.calls != nil {
+		*r.calls++
+	}
+	if round < r.until {
+		return r.out, false
+	}
+	for _, in := range inbox {
+		r.state = mix(r.state ^ uint64(in.Port)<<48 ^ uint64(in.Payload))
+	}
+	r.state = mix(r.state + uint64(round))
+	if round >= r.finishAt {
+		return nil, true
+	}
+	h := r.state
+	r.out = r.out[:0]
+	for port := 0; port < r.degree; port++ {
+		if h>>(8+port%48)&1 == 1 {
+			r.out = append(r.out, congest.Message{Port: port, Payload: int64(h>>uint(port%8)) & r.mask})
+		}
+	}
+	shared := StretchEnd(r.seed, round)
+	switch k := h >> 56; {
+	case k < 8:
+		r.until = round + 1
+	case k < 24:
+		r.until = round + 1 + int(k)%(shared-round)
+	case k < 32 && r.far != 0:
+		r.until = r.far
+	default:
+		r.until = shared
+	}
+	return r.out, false
+}
+
+// StretchEnd is the first round after round that the seed marks as the
+// end of a shared stretch of Repeating's: about one round in eight.
+func StretchEnd(seed uint64, round int) int {
+	end := round + 1
+	for mix(seed^uint64(end))%8 != 0 {
+		end++
+	}
+	return end
+}
+
+// Steady implements congest.Repeater.
+func (r *Repeating) Steady() int { return r.until }
+
+// Output is the program's state.
+func (r *Repeating) Output() interface{} { return r.state }
+
 // MeterEntry is one congest.Meter observation.
 type MeterEntry struct {
 	Round, From, To int
@@ -135,6 +232,15 @@ func Record(run func(congest.Options) (*congest.Result, error), opts congest.Opt
 	if opts.CutSide != nil {
 		opts.Meter = o
 	}
+	o.Result, o.Err = run(opts)
+	return o
+}
+
+// Unobserved runs run with opts and no observer: the loop may then jump
+// steady rounds, which it never does while a Meter or Tracer watches.
+func Unobserved(run func(congest.Options) (*congest.Result, error), opts congest.Options) *Outcome {
+	opts.Trace, opts.Meter = nil, nil
+	o := &Outcome{}
 	o.Result, o.Err = run(opts)
 	return o
 }

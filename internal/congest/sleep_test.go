@@ -115,12 +115,14 @@ func TestSleepingMatchesAwake(t *testing.T) {
 	}
 }
 
-// FuzzRun drives the round loop with a random sleeping program on a
-// random graph under a random fault plan, some of whose nodes sleep past
-// MaxRounds. The sleeping run and the run with every Wake hidden must
-// agree, *RoundsError included; a finished run's traced sends must sum to
-// Metrics.Messages, and its cut bits must respect the Theorem 1.1 budget
-// 2·T·B·|E_cut|.
+// FuzzRun drives the round loop with a random sleeping program and a
+// random repeating program on a random graph under a random fault plan;
+// some nodes sleep, or stay steady, past MaxRounds. The sleeping run must
+// agree with the run with every Wake hidden, and the repeating run, with
+// no observer so that steady rounds are jumped, with the run with every
+// Steady hidden, *RoundsError included; a finished sleeping run's traced
+// sends must sum to Metrics.Messages, and its cut bits must respect the
+// Theorem 1.1 budget 2·T·B·|E_cut|.
 func FuzzRun(f *testing.F) {
 	f.Add(uint64(1), uint8(6), uint8(0), uint64(2), uint8(40), false)
 	f.Add(uint64(3), uint8(9), uint8(63), uint64(5), uint8(20), true)
@@ -144,6 +146,10 @@ func FuzzRun(f *testing.F) {
 			return congesttest.NewSleepy(l.ID, len(l.Neighbors), bw, progSeed, farWake)
 		}
 		opts := congest.Options{CutSide: side, Faults: randomPlan(g, faultBits, rng), MaxRounds: maxRounds}
+		repeating := func(l congest.Local) congest.Node {
+			return congesttest.NewRepeating(l.ID, len(l.Neighbors), bw, progSeed, farWake, nil)
+		}
+		runJumped(t, "fuzz repeating", g, repeating, opts, nil)
 		out := runBoth(t, "fuzz", g, factory, opts)
 		if out.Err != nil {
 			return

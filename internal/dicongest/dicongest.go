@@ -13,7 +13,8 @@
 // its in-adjacency into sorted link windows and hands the core a directed
 // Local per vertex. Everything else — message, node and result types,
 // options, arena, port addressing, faults, metering, tracing and the
-// event-driven round loop (Sleeper) — is congest's, and a run is bit-identical to congest.Run on d.Underlying()
+// event-driven round loop (Sleeper, and the steady jump of congest.Repeater) — is
+// congest's, and a run is bit-identical to congest.Run on d.Underlying()
 // for any program that reads only its link neighbors.
 //
 // Cut metering classifies each link against the bipartition: the crossing

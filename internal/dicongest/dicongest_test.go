@@ -722,18 +722,25 @@ func TestRunSteadyStateDoesNotAllocate(t *testing.T) {
 
 	// On a warm arena a whole Run, Result included, allocates nothing
 	// but what its program allocates: here nothing, as the program's
-	// nodes and outboxes are allocated once. A fault plan's injector is
-	// built per run, so the faulted modes are left out.
+	// nodes and outboxes are allocated once. The arena keeps the fault
+	// injector too, and recompiles each run's plan into it, link failures
+	// and crashes included.
 	arena := &Arena{}
 	const budget = 100
 	program := pooledSleepers(d.N(), 2, budget)
-	for mode := 0; mode < 4; mode++ {
+	warmPlan := &faults.Plan{Seed: 5, DropProb: 0.05, MaxDelay: 2,
+		Crashes:      []faults.Crash{{Node: 3, Round: 40}},
+		LinkFailures: []faults.LinkFailure{{U: 0, V: 1, Round: 20}, {U: 5, V: 4, Round: 7}}}
+	for mode := 0; mode < 8; mode++ {
 		opts := Options{Arena: arena}
 		if mode&1 != 0 {
 			opts.CutSide, opts.Meter = side, counts
 		}
 		if mode&2 != 0 {
 			opts.Trace = tracer
+		}
+		if mode&4 != 0 {
+			opts.Faults = warmPlan
 		}
 		first, err := Run(d, program, opts)
 		if err != nil {
@@ -749,8 +756,8 @@ func TestRunSteadyStateDoesNotAllocate(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("a whole warm run on an arena (meter %t, trace %t) allocates %v times, want 0",
-				opts.Meter != nil, opts.Trace != nil, allocs)
+			t.Errorf("a whole warm run on an arena (meter %t, trace %t, faults %t) allocates %v times, want 0",
+				opts.Meter != nil, opts.Trace != nil, opts.Faults != nil, allocs)
 		}
 	}
 }

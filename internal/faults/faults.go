@@ -17,8 +17,10 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,7 +50,7 @@ type LinkFailure struct {
 
 // Plan is a deterministic fault scenario. The zero value injects nothing;
 // fields compose freely. Plans are pure data — compile one into a
-// per-run Injector with NewInjector.
+// per-run Injector with (*Injector).Reset.
 type Plan struct {
 	// Seed drives every probabilistic decision (drops, delays).
 	Seed int64
@@ -249,8 +251,11 @@ const noFail = int32(math.MaxInt32)
 // Injector is a Plan compiled for one simulation run: per-slot state for
 // budget drops, FIFO delay clamps and link failures, plus the hashed
 // decision streams. It is single-goroutine, allocation-free after
-// NewInjector/BindSlot, and must not be shared between concurrent runs —
-// each Run compiles its own.
+// Reset/BindSlot, and must not be shared between concurrent runs. Reset
+// recompiles an injector in place for the next run, reusing its slices,
+// so a simulator that keeps one per arena allocates nothing per run once
+// the slices have grown to the network's size. The zero value is ready
+// for Reset.
 type Injector struct {
 	seed          uint64
 	dropThreshold uint64 // 0 disables probabilistic drops
@@ -258,30 +263,32 @@ type Injector struct {
 	dropBudget    int32
 	maxDelay      int
 
-	crashAt []int32          // per node: first non-executed round
-	failAt  map[uint64]int32 // per unordered link key: first failing round
+	crashAt []int32    // per node: first non-executed round
+	failAt  []linkFail // link failures by unordered key, ascending, one per key
 
 	slotFailAt []int32 // per directed slot, bound by BindSlot
 	slotUsed   []int32 // per directed slot: budget-dropped messages so far
 	slotLast   []int32 // per directed slot: latest scheduled delivery round
 }
 
-// NewInjector validates plan against an n-vertex network and compiles it
-// for a run with the given number of directed message slots. The caller
-// must BindSlot every slot before the first DeliverAt.
-func NewInjector(plan *Plan, n, slots int) (*Injector, error) {
+// linkFail is the first failing round of one unordered link.
+type linkFail struct {
+	key uint64
+	at  int32
+}
+
+// Reset validates plan against an n-vertex network and compiles it into
+// in for a run with the given number of directed message slots,
+// overwriting whatever run in was compiled for before. The caller must
+// BindSlot every slot before the first DeliverAt.
+func (in *Injector) Reset(plan *Plan, n, slots int) error {
 	if err := plan.Validate(n); err != nil {
-		return nil, err
+		return err
 	}
-	in := &Injector{
-		seed:       splitmix64(uint64(plan.Seed) ^ 0xf4157a8e5eed),
-		dropBudget: int32(plan.DropBudget),
-		maxDelay:   plan.MaxDelay,
-		crashAt:    make([]int32, n),
-		slotFailAt: make([]int32, slots),
-		slotUsed:   make([]int32, slots),
-		slotLast:   make([]int32, slots),
-	}
+	in.seed = splitmix64(uint64(plan.Seed) ^ 0xf4157a8e5eed)
+	in.dropThreshold, in.dropAll = 0, false
+	in.dropBudget = int32(plan.DropBudget)
+	in.maxDelay = plan.MaxDelay
 	if plan.DropProb >= 1 {
 		// The coin comparison is strict, so even a MaxUint64 threshold
 		// would leak one message in 2^64; total blackout is exact instead.
@@ -289,6 +296,7 @@ func NewInjector(plan *Plan, n, slots int) (*Injector, error) {
 	} else if plan.DropProb > 0 {
 		in.dropThreshold = uint64(plan.DropProb * float64(math.MaxUint64))
 	}
+	in.crashAt = resize(in.crashAt, n)
 	for v := range in.crashAt {
 		in.crashAt[v] = noCrash
 	}
@@ -297,19 +305,36 @@ func NewInjector(plan *Plan, n, slots int) (*Injector, error) {
 			in.crashAt[c.Node] = int32(c.Round)
 		}
 	}
-	if len(plan.LinkFailures) > 0 {
-		in.failAt = make(map[uint64]int32, len(plan.LinkFailures))
-		for _, l := range plan.LinkFailures {
-			k := linkKey(n, l.U, l.V)
-			if at, ok := in.failAt[k]; !ok || int32(l.Round) < at {
-				in.failAt[k] = int32(l.Round)
-			}
-		}
+	in.failAt = in.failAt[:0]
+	for _, l := range plan.LinkFailures {
+		in.failAt = append(in.failAt, linkFail{key: linkKey(n, l.U, l.V), at: int32(l.Round)})
 	}
+	// Sort by key, earliest round first, and keep the first of each key.
+	slices.SortFunc(in.failAt, func(a, b linkFail) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+	in.failAt = slices.CompactFunc(in.failAt, func(a, b linkFail) bool { return a.key == b.key })
+	in.slotFailAt = resize(in.slotFailAt, slots)
 	for s := range in.slotFailAt {
 		in.slotFailAt[s] = noFail
 	}
-	return in, nil
+	in.slotUsed = resize(in.slotUsed, slots)
+	clear(in.slotUsed)
+	in.slotLast = resize(in.slotLast, slots)
+	clear(in.slotLast)
+	return nil
+}
+
+// resize returns buf with length n, reusing its backing array when it is
+// large enough; the contents are unspecified.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
 }
 
 // linkKey is the unordered pair key for link failures.
@@ -324,13 +349,22 @@ func linkKey(n, u, v int) uint64 {
 // endpoints, resolving which link-failure round (if any) applies to it.
 // Simulators call it once per slot during setup.
 func (in *Injector) BindSlot(slot int32, from, to int) {
-	if in.failAt == nil {
+	if len(in.failAt) == 0 {
 		return
 	}
-	if at, ok := in.failAt[linkKey(len(in.crashAt), from, to)]; ok {
-		in.slotFailAt[slot] = at
+	k := linkKey(len(in.crashAt), from, to)
+	if i, ok := slices.BinarySearchFunc(in.failAt, k, func(f linkFail, k uint64) int { return cmp.Compare(f.key, k) }); ok {
+		in.slotFailAt[slot] = in.failAt[i].at
 	}
 }
+
+// Memoryless reports whether every decision depends only on (plan, round,
+// from, to): with no drop budget and no delay, no per-link counter
+// carries a message's fate over to a later round (the FIFO clamp never
+// moves an undelayed message). A simulator may then leave out the
+// decisions of rounds whose sends it does not need, as congest's steady
+// jump does.
+func (in *Injector) Memoryless() bool { return in.dropBudget == 0 && in.maxDelay == 0 }
 
 // CrashRound returns the first round node v does not execute (a very
 // large value for nodes that never crash — compare with int32(round)).

@@ -109,9 +109,9 @@ func TestActive(t *testing.T) {
 // test and binds slot 0 to 0->1 and slot 1 to 1->0.
 func compile(t *testing.T, plan *Plan) *Injector {
 	t.Helper()
-	in, err := NewInjector(plan, 4, 2)
-	if err != nil {
-		t.Fatalf("NewInjector: %v", err)
+	in := &Injector{}
+	if err := in.Reset(plan, 4, 2); err != nil {
+		t.Fatalf("Reset: %v", err)
 	}
 	in.BindSlot(0, 0, 1)
 	in.BindSlot(1, 1, 0)
@@ -229,8 +229,8 @@ func TestLinkFailure(t *testing.T) {
 }
 
 func TestCrashRound(t *testing.T) {
-	in, err := NewInjector(&Plan{Crashes: []Crash{{Node: 2, Round: 6}, {Node: 2, Round: 3}}}, 4, 0)
-	if err != nil {
+	in := &Injector{}
+	if err := in.Reset(&Plan{Crashes: []Crash{{Node: 2, Round: 6}, {Node: 2, Round: 3}}}, 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := in.CrashRound(2); got != 3 {
@@ -242,8 +242,60 @@ func TestCrashRound(t *testing.T) {
 }
 
 func TestNewInjectorRejectsInvalidPlan(t *testing.T) {
-	if _, err := NewInjector(&Plan{DropProb: 1.5}, 4, 2); err == nil ||
+	if err := new(Injector).Reset(&Plan{DropProb: 1.5}, 4, 2); err == nil ||
 		!strings.Contains(err.Error(), "probability") {
-		t.Errorf("NewInjector accepted an invalid plan (err=%v)", err)
+		t.Errorf("Reset accepted an invalid plan (err=%v)", err)
+	}
+}
+
+// TestResetMatchesFresh pins that an injector recompiled with Reset, after
+// runs under other plans, decides every message as a fresh injector does
+// (no budget count, FIFO clamp or link failure leaks from the last run),
+// and that once its slices have grown a recompile allocates nothing, link
+// failures included.
+func TestResetMatchesFresh(t *testing.T) {
+	const n = 4
+	plans := []*Plan{
+		{Seed: 1, DropProb: 0.3, MaxDelay: 3, DropBudget: 2,
+			Crashes:      []Crash{{Node: 1, Round: 9}},
+			LinkFailures: []LinkFailure{{U: 2, V: 3, Round: 9}, {U: 0, V: 1, Round: 5}, {U: 1, V: 0, Round: 3}}},
+		{Seed: 2, DropProb: 0.1},
+		{Seed: 3, MaxDelay: 2, LinkFailures: []LinkFailure{{U: 1, V: 2, Round: 4}}},
+		{Seed: 1, DropProb: 1},
+	}
+	// bind compiles plan into in over the complete digraph on n nodes,
+	// slot from*n+to carrying from -> to.
+	bind := func(in *Injector, plan *Plan) {
+		if err := in.Reset(plan, n, n*n); err != nil {
+			t.Fatal(err)
+		}
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				in.BindSlot(int32(from*n+to), from, to)
+			}
+		}
+	}
+	reused := &Injector{}
+	for _, plan := range append(plans, plans...) {
+		fresh := &Injector{}
+		bind(fresh, plan)
+		bind(reused, plan)
+		for v := 0; v < n; v++ {
+			if a, b := reused.CrashRound(v), fresh.CrashRound(v); a != b {
+				t.Fatalf("plan %v: CrashRound(%d) is %d reused, %d fresh", plan, v, a, b)
+			}
+		}
+		for round := 0; round < 40; round++ {
+			for s := 0; s < n*n; s++ {
+				atA, okA := reused.DeliverAt(round, s/n, s%n, int32(s))
+				atB, okB := fresh.DeliverAt(round, s/n, s%n, int32(s))
+				if atA != atB || okA != okB {
+					t.Fatalf("plan %v round %d slot %d: reused decides (%d,%v), fresh (%d,%v)", plan, round, s, atA, okA, atB, okB)
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { bind(reused, plans[0]) }); allocs != 0 {
+		t.Errorf("a warm Reset with link failures allocates %v times, want 0", allocs)
 	}
 }
