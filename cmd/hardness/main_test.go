@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -163,4 +165,55 @@ func TestRunCertifyTheoremLine(t *testing.T) {
 			t.Errorf("mds/%s: Theorem 1.1 line %q, want suffix %q; output:\n%s", tc.alg, line, tc.suffix, buf.String())
 		}
 	}
+}
+
+// registryDigest pins the bytes of `hardness -seed 1 -experiment all`.
+// Every experiment is deterministic at a fixed seed, so any change to a
+// printed claim, a number or the order of the lines changes the digest.
+// After a deliberate change, diff the old and the new output and update it.
+const registryDigest = "ec5efde5cf30003b44730097e1cf8795e6766c9300f3775f916b15a8c470dff8"
+
+// TestExperimentRegistry runs the registry the way the CLI does: -list
+// names exactly E1..E18, every experiment returns nil at seed 1, and the
+// combined output of -experiment all matches registryDigest.
+func TestExperimentRegistry(t *testing.T) {
+	var want strings.Builder
+	for i := 1; i <= 18; i++ {
+		fmt.Fprintf(&want, "E%d\n", i)
+	}
+	if got := captureStdout(t, func() error { return run("", true) }); got != want.String() {
+		t.Fatalf("-list printed\n%s\nwant E1..E18", got)
+	}
+	defer func(old int64) { seed = old }(seed)
+	seed = 1
+	out := captureStdout(t, func() error { return run("all", false) })
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != registryDigest {
+		t.Errorf("-seed 1 -experiment all output digest %s, want %s; output:\n%s", got, registryDigest, out)
+	}
+}
+
+// captureStdout returns what fn prints to os.Stdout, failing the test if
+// fn returns an error.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := fn()
+	os.Stdout = stdout
+	w.Close()
+	out := <-read
+	r.Close()
+	if runErr != nil {
+		t.Fatalf("%v; output:\n%s", runErr, out)
+	}
+	return string(out)
 }

@@ -48,44 +48,6 @@ func (Max) Combine(a, b int64) int64 {
 	return b
 }
 
-// Min is the minimum aggregate.
-type Min struct{}
-
-// Name returns "min".
-func (Min) Name() string { return "min" }
-
-// Identity returns the largest int64.
-func (Min) Identity() int64 { return math.MaxInt64 }
-
-// Combine returns the smaller argument.
-func (Min) Combine(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Sum is the sum aggregate.
-type Sum struct{}
-
-// Name returns "sum".
-func (Sum) Name() string { return "sum" }
-
-// Identity returns 0.
-func (Sum) Identity() int64 { return 0 }
-
-// Combine returns a + b.
-func (Sum) Combine(a, b int64) int64 { return a + b }
-
-// Fold aggregates a slice of values.
-func Fold(f Func, values []int64) int64 {
-	acc := f.Identity()
-	for _, v := range values {
-		acc = f.Combine(acc, v)
-	}
-	return acc
-}
-
 // Node is one vertex's program in a local aggregate algorithm. Each round
 // it sees only the aggregate of the previous round's incoming broadcasts —
 // never the individual messages — which is exactly the restriction that

@@ -1,7 +1,6 @@
 // Package algorithms implements the CONGEST upper bounds that bracket the
 // paper's lower bounds, as programs for the congest simulator:
 //
-//   - leader election and BFS-tree construction (O(D) rounds);
 //   - CollectAndSolve: the generic "learn the whole graph and solve
 //     locally" exact algorithm, O(m + D) rounds — the O(n²) upper bound
 //     that the Section 2 Ω̃(n²) lower bounds nearly match — plus
@@ -11,8 +10,8 @@
 //     edge with probability p, collect the sample at a leader, solve
 //     max-cut exactly on the sample and scale by 1/p — Õ(n) rounds;
 //   - the classic approximation baselines the paper cites: greedy
-//     dominating set, maximal-matching 2-approximate vertex cover, Luby's
-//     MIS, and the random ½-approximate cut.
+//     dominating set, maximal-matching 2-approximate vertex cover and the
+//     random ½-approximate cut.
 package algorithms
 
 import (
@@ -23,74 +22,6 @@ import (
 	"congesthard/internal/graph"
 	"congesthard/internal/solver"
 )
-
-// LeaderElect returns a factory for min-id flooding: after budget rounds
-// every vertex outputs the minimum id it has heard (with budget >= D, the
-// global minimum).
-func LeaderElect(budget int) congest.Factory {
-	return func(local congest.Local) congest.Node {
-		best := int64(local.ID)
-		return &congest.FuncNode{
-			RoundFunc: func(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
-				for _, msg := range inbox {
-					if msg.Payload < best {
-						best = msg.Payload
-					}
-				}
-				if round >= budget {
-					return nil, true
-				}
-				out := make([]congest.Message, len(local.Neighbors))
-				for port := range out {
-					out[port] = congest.Message{Port: port, Payload: best}
-				}
-				return out, false
-			},
-			OutputFunc: func() interface{} { return best },
-		}
-	}
-}
-
-// BFSResult is the per-vertex output of BFSTree.
-type BFSResult struct {
-	Parent int // -1 at the root and for unreached vertices
-	Dist   int // hop distance from the root, -1 if unreached
-}
-
-// BFSTree returns a factory that builds a BFS tree from root within the
-// round budget (budget >= D suffices).
-func BFSTree(root, budget int) congest.Factory {
-	return func(local congest.Local) congest.Node {
-		res := BFSResult{Parent: -1, Dist: -1}
-		if local.ID == root {
-			res.Dist = 0
-		}
-		announced := false
-		return &congest.FuncNode{
-			RoundFunc: func(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
-				for _, msg := range inbox {
-					if res.Dist < 0 {
-						res.Dist = int(msg.Payload) + 1
-						res.Parent = local.Neighbors[msg.Port]
-					}
-				}
-				if round >= budget {
-					return nil, true
-				}
-				if res.Dist >= 0 && !announced {
-					announced = true
-					out := make([]congest.Message, len(local.Neighbors))
-					for port := range out {
-						out[port] = congest.Message{Port: port, Payload: int64(res.Dist)}
-					}
-					return out, false
-				}
-				return nil, false
-			},
-			OutputFunc: func() interface{} { return res },
-		}
-	}
-}
 
 // CollectResult carries the leader's view after CollectAndSolve.
 type CollectResult struct {

@@ -9,47 +9,6 @@ import (
 	"congesthard/internal/solver"
 )
 
-func TestLeaderElect(t *testing.T) {
-	g, _ := graph.Cycle(9)
-	res, err := congest.Run(g, LeaderElect(9), congest.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, out := range res.Outputs {
-		if out.(int64) != 0 {
-			t.Errorf("vertex %d elected %v", v, out)
-		}
-	}
-}
-
-func TestBFSTree(t *testing.T) {
-	g := graph.Path(6)
-	res, err := congest.Run(g, BFSTree(0, 8), congest.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, out := range res.Outputs {
-		r := out.(BFSResult)
-		if r.Dist != v {
-			t.Errorf("vertex %d dist %d, want %d", v, r.Dist, v)
-		}
-		if v > 0 && r.Parent != v-1 {
-			t.Errorf("vertex %d parent %d, want %d", v, r.Parent, v-1)
-		}
-	}
-}
-
-func TestBFSTreeInsufficientBudget(t *testing.T) {
-	g := graph.Path(6)
-	res, err := congest.Run(g, BFSTree(0, 2), congest.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outputs[5].(BFSResult).Dist >= 0 {
-		t.Error("far vertex reached too fast")
-	}
-}
-
 func TestCollectAndSolveExactMDS(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10; trial++ {
@@ -163,47 +122,15 @@ func TestRandomCutHalfApprox(t *testing.T) {
 	}
 }
 
-func TestLubyMIS(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 10; trial++ {
-		g := graph.Gnp(14, 0.3, rng)
-		mis, _, err := LubyMIS(g, int64(trial), 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !solver.IsIndependentSet(g, mis) {
-			t.Fatalf("trial %d: not independent", trial)
-		}
-		// Maximality: every vertex is in the MIS or adjacent to it.
-		inMIS := make([]bool, g.N())
-		for _, v := range mis {
-			inMIS[v] = true
-		}
-		for v := 0; v < g.N(); v++ {
-			if inMIS[v] {
-				continue
-			}
-			covered := false
-			for _, h := range g.Neighbors(v) {
-				if inMIS[h.To] {
-					covered = true
-				}
-			}
-			if !covered {
-				t.Fatalf("trial %d: vertex %d neither in nor adjacent to MIS", trial, v)
-			}
-		}
-	}
-}
-
 func TestMaximalMatchingVC(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		g := graph.Gnp(14, 0.3, rng)
-		cover, _, err := MaximalMatching2ApproxVC(g, int64(trial), 60)
+		res, err := congest.Run(g, MaximalMatchingVCFactory(int64(trial), 60), congest.Options{MaxRounds: 2*60 + 6})
 		if err != nil {
 			t.Fatal(err)
 		}
+		cover := MatchedVertices(res)
 		if !solver.IsVertexCover(g, cover) {
 			t.Fatalf("trial %d: output is not a vertex cover", trial)
 		}

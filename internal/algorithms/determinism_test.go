@@ -18,13 +18,13 @@ func (m *seqMeter) Observe(round, from, to int, payload int64, bits int, dir con
 	m.events = append(m.events, fmt.Sprintf("r%d %d->%d p%d %v", round, from, to, payload, dir))
 }
 
-// TestLubyMISMeterDeterminism regresses the map-order bug fixed in the
-// hardlint dogfooding pass: LubyMIS used to build its broadcast outbox
-// by ranging over the activeNbrs map, so two identical runs produced
-// identically-sized but differently-ordered Meter transcripts. The
-// outbox must now follow the sorted CSR neighbor order, making the full
-// observation sequence identical run to run.
-func TestLubyMISMeterDeterminism(t *testing.T) {
+// TestMaximalMatchingVCMeterDeterminism checks that the randomized
+// proposal matching replays exactly: a node program that built its outbox
+// by ranging over a map would produce identically-sized but
+// differently-ordered Meter transcripts. The outbox must follow the sorted
+// port order, making the full observation sequence identical run to run,
+// as the transcript replay (reduction.VerifySimulation) requires.
+func TestMaximalMatchingVCMeterDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 5; trial++ {
 		g := graph.Gnp(16, 0.4, rng)
@@ -35,16 +35,19 @@ func TestLubyMISMeterDeterminism(t *testing.T) {
 		run := func() []string {
 			rec := &seqMeter{}
 			opts := congest.Options{
-				MaxRounds: 3*40 + 6,
+				MaxRounds: 2*40 + 6,
 				CutSide:   side,
 				Meter:     rec,
 			}
-			if _, err := congest.Run(g, LubyMISFactory(int64(trial), 40), opts); err != nil {
+			if _, err := congest.Run(g, MaximalMatchingVCFactory(int64(trial), 40), opts); err != nil {
 				t.Fatal(err)
 			}
 			return rec.events
 		}
 		first, second := run(), run()
+		if len(first) == 0 {
+			t.Fatalf("trial %d: no message crossed the cut", trial)
+		}
 		if len(first) != len(second) {
 			t.Fatalf("trial %d: transcript lengths differ: %d vs %d", trial, len(first), len(second))
 		}

@@ -8,115 +8,6 @@ import (
 	"congesthard/internal/graph"
 )
 
-// LubyMIS computes a maximal independent set with Luby's algorithm on the
-// congest simulator: in each phase every active vertex draws a random
-// value; local maxima join the MIS and deactivate their neighbors.
-// Terminates in O(log n) phases with high probability (maxPhases guards).
-func LubyMIS(g *graph.Graph, seed int64, maxPhases int) ([]int, *congest.Result, error) {
-	n := g.N()
-	res, err := congest.Run(g, LubyMISFactory(seed, maxPhases), congest.Options{MaxRounds: 3*maxPhases + 6})
-	if err != nil {
-		return nil, nil, err
-	}
-	var mis []int
-	for v := 0; v < n; v++ {
-		if in, ok := res.Outputs[v].(bool); ok && in {
-			mis = append(mis, v)
-		}
-	}
-	return mis, res, nil
-}
-
-// LubyMISFactory returns the node program of Luby's MIS. The program is
-// deterministic given (seed, vertex id) — including its outbox order —
-// so metered runs (reduction.Certify, transcript replay) can re-execute
-// it exactly; see TestLubyMISMeterDeterminism.
-func LubyMISFactory(seed int64, maxPhases int) congest.Factory {
-	return func(local congest.Local) congest.Node {
-		rng := rand.New(rand.NewSource(seed + int64(local.ID)*2654435761))
-		const (
-			stateActive = iota
-			stateInMIS
-			stateOut
-		)
-		state := stateActive
-		// active[port] marks the neighbors still in the running.
-		active := make([]bool, len(local.Neighbors))
-		for port := range active {
-			active[port] = true
-		}
-		var draw int64
-		return &congest.FuncNode{
-			RoundFunc: func(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
-				phase := round % 3
-				switch phase {
-				case 0:
-					// Process join/deactivate notifications from last phase.
-					for _, msg := range inbox {
-						switch msg.Payload {
-						case 1: // neighbor joined MIS
-							if state == stateActive {
-								state = stateOut
-							}
-							active[msg.Port] = false
-						case 2: // neighbor deactivated
-							active[msg.Port] = false
-						}
-					}
-					if state != stateActive {
-						return nil, true
-					}
-					if round/3 >= maxPhases {
-						return nil, true
-					}
-					// Draw and broadcast a random value; the range n² fits
-					// the 2·log n CONGEST bandwidth, and ties only cause a
-					// redraw in the next phase. Broadcast in ascending
-					// port (neighbor id) order: the outbox sequence feeds
-					// any Meter hook, and transcript replay needs it
-					// deterministic.
-					draw = rng.Int63n(int64(local.N)*int64(local.N) + 1)
-					out := make([]congest.Message, 0, len(active))
-					for port, on := range active {
-						if on {
-							out = append(out, congest.Message{Port: port, Payload: draw})
-						}
-					}
-					return out, false
-				case 1:
-					// Join if strictly above all active neighbors (ties
-					// broken by never joining; re-drawn next phase).
-					isMax := true
-					for _, msg := range inbox {
-						if msg.Payload >= draw {
-							isMax = false
-						}
-					}
-					if isMax {
-						state = stateInMIS
-					}
-					return nil, false
-				default:
-					// Announce join (1) or stay quiet; deactivated vertices
-					// announce 2 in their final phase (handled at case 0 by
-					// termination, so here only joins are announced).
-					if state == stateInMIS {
-						out := make([]congest.Message, 0, len(active))
-						for port, on := range active {
-							if on {
-								out = append(out, congest.Message{Port: port, Payload: 1})
-							}
-						}
-						return out, false
-					}
-					return nil, false
-				}
-			},
-			OutputFunc: func() interface{} { return state == stateInMIS },
-		}
-	}
-}
-
 // MaximalMatchingVCFactory returns the node program of the randomized
 // proposal maximal matching: each vertex's Output is its matched partner
 // (-1 if unmatched), and the matched vertices form the classical
@@ -211,17 +102,6 @@ func MatchedVertices(res *congest.Result) []int {
 		}
 	}
 	return cover
-}
-
-// MaximalMatching2ApproxVC computes a maximal matching by randomized
-// proposals on the congest simulator and returns the matched vertices —
-// the classical 2-approximate vertex cover.
-func MaximalMatching2ApproxVC(g *graph.Graph, seed int64, maxPhases int) ([]int, *congest.Result, error) {
-	res, err := congest.Run(g, MaximalMatchingVCFactory(seed, maxPhases), congest.Options{MaxRounds: 2*maxPhases + 6})
-	if err != nil {
-		return nil, nil, err
-	}
-	return MatchedVertices(res), res, nil
 }
 
 // GreedyMDS runs a sequential-greedy dominating set centrally (pick the

@@ -48,12 +48,13 @@ const (
 
 // CollectRetryMinBandwidth returns the smallest bandwidth collect-retry
 // can run with on an n-vertex graph: the edge id u*n+v must fit beside
-// the three header bits, and the result is never below the CONGEST
-// default 2*ceil(log2(n+1)).
+// the three header bits, with at least one chunk bit even when n = 1
+// leaves a single id, and the result is never below the CONGEST default
+// 2*ceil(log2(n+1)).
 func CollectRetryMinBandwidth(n int) int {
 	need := retryHeaderBits
 	if n > 0 {
-		need += bits.Len64(uint64(n)*uint64(n) - 1)
+		need += max(1, bits.Len64(uint64(n)*uint64(n)-1))
 	}
 	if b := congest.DefaultBandwidth(n); b > need {
 		need = b

@@ -45,7 +45,7 @@ func reconstructSpec(want string) CollectSpec {
 
 func TestCollectRetryMatchesCollectFaultFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	cases := []*graph.Graph{graph.Path(9), graph.Star(8), graph.Complete(6)}
+	cases := []*graph.Graph{graph.New(1), graph.Path(9), graph.Star(8), graph.Complete(6)}
 	w := graph.GnpWeighted(10, 0.5, 1000, rng)
 	for !w.IsConnected() {
 		w = graph.GnpWeighted(10, 0.5, 1000, rng)
@@ -163,7 +163,7 @@ func TestCollectRetryWeightedFrames(t *testing.T) {
 
 func TestCollectRetryMinBandwidth(t *testing.T) {
 	for _, tc := range []struct{ n, min int }{
-		{1, 3},     // id space is a single point; only the header matters
+		{1, 4},     // id space is a single point; one chunk bit beside the header
 		{4, 7},     // ids need 4 bits + 3 header, above the default 6
 		{1000, 23}, // ids need 20 bits + 3 header, above the default 20
 	} {

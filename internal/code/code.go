@@ -53,33 +53,8 @@ func (f Field) Q() int64 { return f.q }
 // values are safe from overflow.
 func (f Field) Add(a, b int64) int64 { return mod(mod(a, f.q)+mod(b, f.q), f.q) }
 
-// Sub returns a - b mod q, overflow-safe like Add.
-func (f Field) Sub(a, b int64) int64 { return mod(mod(a, f.q)-mod(b, f.q), f.q) }
-
 // Mul returns a * b mod q.
 func (f Field) Mul(a, b int64) int64 { return mod(mod(a, f.q)*mod(b, f.q), f.q) }
-
-// Pow returns a^e mod q for e >= 0.
-func (f Field) Pow(a, e int64) int64 {
-	result := int64(1)
-	base := mod(a, f.q)
-	for e > 0 {
-		if e&1 == 1 {
-			result = f.Mul(result, base)
-		}
-		base = f.Mul(base, base)
-		e >>= 1
-	}
-	return result
-}
-
-// Inv returns the multiplicative inverse of a (a != 0 mod q) via Fermat.
-func (f Field) Inv(a int64) (int64, error) {
-	if mod(a, f.q) == 0 {
-		return 0, fmt.Errorf("zero has no inverse")
-	}
-	return f.Pow(a, f.q-2), nil
-}
 
 func mod(a, q int64) int64 {
 	a %= q
@@ -148,18 +123,4 @@ func (rs *ReedSolomon) EncodeIndex(idx int64) ([]int64, error) {
 		return nil, fmt.Errorf("index %d exceeds q^Kappa", idx)
 	}
 	return rs.Encode(message)
-}
-
-// HammingDistance counts positions where a and b differ.
-func HammingDistance(a, b []int64) (int, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("length mismatch %d vs %d", len(a), len(b))
-	}
-	d := 0
-	for i := range a {
-		if a[i] != b[i] {
-			d++
-		}
-	}
-	return d, nil
 }

@@ -1,9 +1,9 @@
 // Package comm implements the two-party communication complexity substrate
 // of the paper (Section 1.3 and Section 5.2): fixed-length bit strings,
 // Boolean functions on input pairs (set disjointness, equality and their
-// negations), deterministic, randomized and nondeterministic protocols with
-// exact bit accounting, and the known-complexity table used to compute the
-// framework-limitation quantity Γ(f).
+// negations), the nondeterministic witness protocols for ¬DISJ and ¬EQ
+// with exact bit accounting, and the known-complexity table used to
+// compute the framework-limitation quantity Γ(f).
 package comm
 
 import (
@@ -43,17 +43,6 @@ func BitsFromUint64(n int, v uint64) (Bits, error) {
 		b.w[0] = v & mask
 	}
 	return b, nil
-}
-
-// BitsFromSlice returns a bit string matching the given booleans.
-func BitsFromSlice(vals []bool) Bits {
-	b := NewBits(len(vals))
-	for i, v := range vals {
-		if v {
-			b.Set(i, true)
-		}
-	}
-	return b
 }
 
 // OnesBits returns the all-ones bit string of length n — the "corner"
@@ -118,15 +107,6 @@ func (b Bits) CopyTo(w []uint64) Bits {
 	c := Bits{n: b.n, w: w[:k:k]}
 	copy(c.w, b.w)
 	return c
-}
-
-// PopCount returns the number of one bits.
-func (b Bits) PopCount() int {
-	total := 0
-	for _, w := range b.w {
-		total += bits.OnesCount64(w)
-	}
-	return total
 }
 
 // Equal reports whether b and other are the same string.

@@ -6,12 +6,23 @@ import (
 	"testing/quick"
 )
 
+// ones counts the one bits of b.
+func ones(b Bits) int {
+	n := 0
+	for i := 0; i < b.Len(); i++ {
+		if b.Get(i) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBitsBasics(t *testing.T) {
 	b := NewBits(70)
 	if b.Len() != 70 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	if b.PopCount() != 0 {
+	if !b.Equal(NewBits(70)) {
 		t.Fatal("fresh bits not zero")
 	}
 	b.Set(0, true)
@@ -19,8 +30,8 @@ func TestBitsBasics(t *testing.T) {
 	if !b.Get(0) || !b.Get(69) || b.Get(1) {
 		t.Error("Set/Get wrong across word boundary")
 	}
-	if b.PopCount() != 2 {
-		t.Errorf("PopCount = %d, want 2", b.PopCount())
+	if got := ones(b); got != 2 {
+		t.Errorf("%d ones, want 2", got)
 	}
 	b.Set(0, false)
 	if b.Get(0) {
@@ -41,15 +52,8 @@ func TestBitsFromUint64(t *testing.T) {
 	}
 	// Out-of-range high bits are masked off.
 	b2, _ := BitsFromUint64(2, 0xFF)
-	if b2.PopCount() != 2 {
-		t.Errorf("mask failed: popcount = %d", b2.PopCount())
-	}
-}
-
-func TestBitsFromSlice(t *testing.T) {
-	b := BitsFromSlice([]bool{true, false, true})
-	if !b.Get(0) || b.Get(1) || !b.Get(2) {
-		t.Error("BitsFromSlice mismatch")
+	if got := ones(b2); got != 2 {
+		t.Errorf("mask failed: %d ones", got)
 	}
 }
 
@@ -154,7 +158,7 @@ func TestQuickRandomBitsLengthAndTail(t *testing.T) {
 		for i := 0; i < n; i++ {
 			c.Set(i, false)
 		}
-		return c.PopCount() == 0
+		return c.Equal(NewBits(n))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -47,35 +47,3 @@ func (n Negation) Eval(x, y Bits) bool { return !n.F.Eval(x, y) }
 
 // Name returns "NOT-" plus the inner name.
 func (n Negation) Name() string { return "NOT-" + n.F.Name() }
-
-// InnerProduct is the inner-product-mod-2 function, a standard hard
-// function included for library completeness: TRUE iff <x, y> = 1 (mod 2).
-type InnerProduct struct{}
-
-var _ Function = InnerProduct{}
-
-// Eval returns the parity of |{i : x_i = y_i = 1}|.
-func (InnerProduct) Eval(x, y Bits) bool {
-	parity := 0
-	for i := range x.w {
-		var common uint64
-		if i < len(y.w) {
-			common = x.w[i] & y.w[i]
-		}
-		parity ^= popcountParity(common)
-	}
-	return parity == 1
-}
-
-func popcountParity(v uint64) int {
-	v ^= v >> 32
-	v ^= v >> 16
-	v ^= v >> 8
-	v ^= v >> 4
-	v ^= v >> 2
-	v ^= v >> 1
-	return int(v & 1)
-}
-
-// Name returns "IP".
-func (InnerProduct) Name() string { return "IP" }

@@ -2,6 +2,15 @@ package comm
 
 import "fmt"
 
+// Result summarizes one protocol execution.
+type Result struct {
+	// Output is the protocol's answer for f(x, y).
+	Output bool
+	// BitsExchanged is the exact number of bits communicated between the
+	// players (the communication cost of this execution).
+	BitsExchanged int
+}
+
 // NondetProtocol is a nondeterministic two-party protocol for a function f
 // (Section 5.2): a prover supplies a certificate; the players verify it with
 // little communication. Soundness: no certificate makes the players accept

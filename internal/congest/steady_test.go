@@ -115,9 +115,6 @@ func TestSteadyMatchesUnjumped(t *testing.T) {
 			jumped[kind]++
 		}
 
-		if n == 1 {
-			continue // collect-retry's edge ids leave no chunk bits at n = 1
-		}
 		collect, budget, err := algorithms.CollectRetryFactory(g, 0, algorithms.CollectSpec{
 			Eval: func(c *graph.Graph) (int64, error) { return int64(c.M())<<32 | c.TotalEdgeWeight(), nil },
 		})

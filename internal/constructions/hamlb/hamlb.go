@@ -62,9 +62,6 @@ func (f *Family) Name() string { return "hampath" }
 // K returns k².
 func (f *Family) K() int { return f.k * f.k }
 
-// RowSize returns k.
-func (f *Family) RowSize() int { return f.k }
-
 // Boxes returns the number of boxes, 2*log(k).
 func (f *Family) Boxes() int { return 2 * f.logK }
 

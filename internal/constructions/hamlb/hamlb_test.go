@@ -276,7 +276,7 @@ func TestLemma22UndirectedCycle(t *testing.T) {
 		if !found {
 			t.Fatal("directed cycle missing on intersecting inputs")
 		}
-		split := UndirectedCycleGraph(d)
+		split := d.SplitDirected()
 		undirected := make([]int, 0, 3*len(cycle))
 		for _, v := range cycle {
 			undirected = append(undirected, 3*v, 3*v+1, 3*v+2)

@@ -71,12 +71,6 @@ func (c *CycleFamily) Predicate(d *graph.Digraph) (bool, error) {
 	return found, err
 }
 
-// UndirectedCycleGraph applies the Lemma 2.2 reduction to one instance:
-// the directed cycle construction's split graph has an undirected
-// Hamiltonian cycle iff the digraph has a directed one. The vertex of
-// digraph-id v becomes the triple 3v, 3v+1, 3v+2.
-func UndirectedCycleGraph(d *graph.Digraph) *graph.Graph { return d.SplitDirected() }
-
 // PathFromCycleGraph applies the Lemma 2.3 reduction to one instance:
 // given an undirected graph and a chosen vertex v, it returns a graph that
 // has a Hamiltonian path iff g has a Hamiltonian cycle. v is duplicated

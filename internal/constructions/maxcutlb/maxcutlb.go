@@ -59,9 +59,6 @@ func (f *Family) Name() string { return "maxcut" }
 // K returns k².
 func (f *Family) K() int { return f.k * f.k }
 
-// RowSize returns k.
-func (f *Family) RowSize() int { return f.k }
-
 // N returns 4k + 8·log k + 5.
 func (f *Family) N() int { return 4*f.k + 8*f.logK + 5 }
 

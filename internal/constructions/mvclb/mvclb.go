@@ -62,9 +62,6 @@ func (f *Family) Name() string { return "mvc" }
 // K returns k².
 func (f *Family) K() int { return f.k * f.k }
 
-// RowSize returns k.
-func (f *Family) RowSize() int { return f.k }
-
 // LogK returns log2(k).
 func (f *Family) LogK() int { return f.logK }
 

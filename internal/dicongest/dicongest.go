@@ -13,9 +13,10 @@
 // its in-adjacency into sorted link windows and hands the core a directed
 // Local per vertex. Everything else — message, node and result types,
 // options, arena, port addressing, faults, metering, tracing and the
-// event-driven round loop (Sleeper, and the steady jump of congest.Repeater) — is
-// congest's, and a run is bit-identical to congest.Run on d.Underlying()
-// for any program that reads only its link neighbors.
+// event-driven round loop (congest.Sleeper, and the steady jump of
+// congest.Repeater) — is congest's, and a run is bit-identical to
+// congest.Run on d.Underlying() for any program that reads only its link
+// neighbors.
 //
 // Cut metering classifies each link against the bipartition: the crossing
 // links are exactly the arc cut E_cut (antiparallel cut arcs share one
@@ -37,9 +38,6 @@ type (
 	Message  = congest.Message
 	Incoming = congest.Incoming
 	Node     = congest.Node
-	Sleeper  = congest.Sleeper
-	FuncNode = congest.FuncNode
-	Metrics  = congest.Metrics
 	Result   = congest.Result
 	Options  = congest.Options
 	Arena    = congest.Arena

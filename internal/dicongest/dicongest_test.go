@@ -104,7 +104,7 @@ func TestAntiparallelArcsCollapseToOneLink(t *testing.T) {
 		if local.ID == 0 {
 			sawNeighbors = len(local.Neighbors)
 		}
-		return &FuncNode{
+		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				if local.ID == 0 && round == 0 {
 					// Two messages to the same neighbor in one round must be
@@ -136,7 +136,7 @@ func TestLocalDirectedInfo(t *testing.T) {
 		if local.ID == 1 {
 			got = local
 		}
-		return &FuncNode{RoundFunc: func(int, []Incoming) ([]Message, bool) { return nil, true }}
+		return &congest.FuncNode{RoundFunc: func(int, []Incoming) ([]Message, bool) { return nil, true }}
 	}
 	if _, err := Run(d, factory, Options{}); err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestLocalViewsFromArena(t *testing.T) {
 				!slices.Equal(local.Neighbors, links) || local.N != n || local.VertexWeight != d.VertexWeight(v) {
 				t.Errorf("trial %d vertex %d: local %+v, want out %v %v, in %v %v, links %v", trial, v, local, outIDs, outWts, inIDs, inWts, links)
 			}
-			return &FuncNode{RoundFunc: func(int, []Incoming) ([]Message, bool) { return nil, true }}
+			return &congest.FuncNode{RoundFunc: func(int, []Incoming) ([]Message, bool) { return nil, true }}
 		}
 		opts := Options{}
 		if trial%2 == 0 {
@@ -226,7 +226,7 @@ func TestInboxSortedByFrom(t *testing.T) {
 	d.MustAddArc(0, 4)
 	var inboxFroms []int
 	factory := func(local Local) Node {
-		return &FuncNode{
+		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				if local.ID == 0 && round == 1 {
 					for _, m := range inbox {
@@ -259,7 +259,7 @@ func TestInboxSortedByFrom(t *testing.T) {
 // node stops at round r.
 func sendAt(r, sender int, out []Message) Factory {
 	return func(local Local) Node {
-		return &FuncNode{
+		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				if local.ID == sender && round == r {
 					return out, true
@@ -321,7 +321,7 @@ func TestDuplicateMessageSameEdgeRejected(t *testing.T) {
 	// A send past node 0's last port is its own range error, never a
 	// duplicate of node 1's send on its port 0 (the adjacent channel).
 	factory := func(local Local) Node {
-		return &FuncNode{
+		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				if local.ID <= 1 && round == 1 {
 					return []Message{{Port: 1 - local.ID, Payload: 1}}, true
@@ -338,7 +338,7 @@ func TestBandwidthAndPayloadValidation(t *testing.T) {
 	d := dirPath(2)
 	send := func(payload int64) Factory {
 		return func(local Local) Node {
-			return &FuncNode{
+			return &congest.FuncNode{
 				RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 					if local.ID == 0 && round == 0 {
 						return []Message{{Port: 0, Payload: payload}}, true
@@ -355,7 +355,7 @@ func TestBandwidthAndPayloadValidation(t *testing.T) {
 		t.Error("negative payload accepted")
 	}
 	quiet := func(local Local) Node {
-		return &FuncNode{RoundFunc: func(int, []Incoming) ([]Message, bool) { return nil, true }}
+		return &congest.FuncNode{RoundFunc: func(int, []Incoming) ([]Message, bool) { return nil, true }}
 	}
 	for _, bad := range []int{-1, 63, 100} {
 		if _, err := Run(d, quiet, Options{BandwidthBits: bad}); err == nil {
@@ -372,7 +372,7 @@ func TestBandwidthAndPayloadValidation(t *testing.T) {
 func TestMaxRoundsGuard(t *testing.T) {
 	d := dirPath(2)
 	factory := func(local Local) Node {
-		return &FuncNode{
+		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				return nil, false // never terminates
 			},
@@ -386,7 +386,7 @@ func TestMaxRoundsGuard(t *testing.T) {
 func TestMeterRequiresBipartition(t *testing.T) {
 	d := dirPath(4)
 	quiet := func(local Local) Node {
-		return &FuncNode{RoundFunc: func(int, []Incoming) ([]Message, bool) { return nil, true }}
+		return &congest.FuncNode{RoundFunc: func(int, []Incoming) ([]Message, bool) { return nil, true }}
 	}
 	if _, err := Run(d, quiet, Options{Meter: &congest.CutCounts{}}); err == nil {
 		t.Error("Meter with nil CutSide accepted")
@@ -440,7 +440,7 @@ func TestMeterClassifiesDirections(t *testing.T) {
 	side := []bool{true, true, false, false}
 	rec := &recordingMeter{}
 	factory := func(local Local) Node {
-		return &FuncNode{
+		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				if round > 0 {
 					return nil, true
@@ -826,7 +826,7 @@ func TestDeltaWalkKeepsRoutingCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := func(local Local) Node {
-		return &FuncNode{
+		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				if local.ID == 0 && round == 0 {
 					return []Message{{Port: 1, Payload: 1}}, true // vertex 2's port while the arc was in
@@ -845,7 +845,7 @@ func TestMaxRoundsErrorNamesLiveNodes(t *testing.T) {
 	// node ids and the round count (shared with the undirected simulator).
 	d := dirPath(4)
 	factory := func(local Local) Node {
-		return &FuncNode{
+		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
 				return nil, local.ID == 0 // only node 0 ever terminates
 			},

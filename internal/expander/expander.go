@@ -249,49 +249,3 @@ func VerifyCutProperty(g *graph.Graph, distinguished []int) (bool, error) {
 	}
 	return true, nil
 }
-
-// VerifyCutPropertySampled checks the property on trials random cuts plus
-// singleton splits; a true result is evidence, not proof.
-func VerifyCutPropertySampled(g *graph.Graph, distinguished []int, trials int, rng *rand.Rand) bool {
-	n := g.N()
-	isDist := make([]bool, n)
-	for _, v := range distinguished {
-		isDist[v] = true
-	}
-	check := func(side []bool) bool {
-		inS, inSbar := 0, 0
-		for v := 0; v < n; v++ {
-			if isDist[v] {
-				if side[v] {
-					inS++
-				} else {
-					inSbar++
-				}
-			}
-		}
-		minD := inS
-		if inSbar < minD {
-			minD = inSbar
-		}
-		if minD == 0 {
-			return true
-		}
-		crossing := 0
-		for _, e := range g.Edges() {
-			if side[e.U] != side[e.V] {
-				crossing++
-			}
-		}
-		return crossing >= minD
-	}
-	side := make([]bool, n)
-	for trial := 0; trial < trials; trial++ {
-		for v := range side {
-			side[v] = rng.Intn(2) == 1
-		}
-		if !check(side) {
-			return false
-		}
-	}
-	return true
-}

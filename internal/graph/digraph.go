@@ -3,8 +3,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 )
 
@@ -260,34 +258,6 @@ func (d *Digraph) SplitDirected() *Graph {
 // String returns a compact human-readable description of the digraph.
 func (d *Digraph) String() string {
 	return fmt.Sprintf("digraph{n=%d m=%d}", d.N(), d.M())
-}
-
-// SignatureWithin returns a canonical encoding of the arcs with both
-// endpoints inside the vertex set marked by within, plus those vertices'
-// weights. Used by the lower-bound-family verifier.
-func (d *Digraph) SignatureWithin(within []bool) string {
-	var b strings.Builder
-	b.WriteString("vw=")
-	for v, w := range d.vw {
-		if within[v] {
-			b.WriteString(strconv.Itoa(v))
-			b.WriteByte('=')
-			b.WriteString(strconv.FormatInt(w, 10))
-			b.WriteByte(',')
-		}
-	}
-	b.WriteString(";a=")
-	for _, a := range d.Arcs() {
-		if within[a.From] && within[a.To] {
-			b.WriteString(strconv.Itoa(a.From))
-			b.WriteByte('>')
-			b.WriteString(strconv.Itoa(a.To))
-			b.WriteByte(':')
-			b.WriteString(strconv.FormatInt(a.Weight, 10))
-			b.WriteByte(',')
-		}
-	}
-	return b.String()
 }
 
 // CutArcs returns the arcs crossing the side partition (either direction),

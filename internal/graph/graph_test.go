@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -275,19 +276,43 @@ func TestSignatureDetectsDifferences(t *testing.T) {
 	}
 }
 
-func TestSignatureWithinIgnoresOutside(t *testing.T) {
+func TestHashWithinIgnoresOutside(t *testing.T) {
 	within := []bool{true, true, false}
 	g1 := New(3)
 	g1.MustAddEdge(0, 1)
 	g2 := g1.Clone()
 	g2.MustAddEdge(1, 2) // outside edge only
-	if g1.SignatureWithin(within) != g2.SignatureWithin(within) {
-		t.Error("SignatureWithin changed by edge leaving the set")
+	if g1.HashWithin(within) != g2.HashWithin(within) {
+		t.Error("HashWithin changed by edge leaving the set")
 	}
 	g2.MustAddWeightedEdge(0, 2, 3)
-	if g1.SignatureWithin(within) != g2.SignatureWithin(within) {
-		t.Error("SignatureWithin changed by cut edge")
+	if g1.HashWithin(within) != g2.HashWithin(within) {
+		t.Error("HashWithin changed by cut edge")
 	}
+	if err := g2.SetEdgeWeight(0, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	if g1.HashWithin(within) == g2.HashWithin(within) {
+		t.Error("HashWithin ignores an inside edge weight")
+	}
+}
+
+// signatureWithin is the string form of HashWithin: the weights of the
+// vertices marked by within and the edges with both endpoints among them.
+func signatureWithin(g *Graph, within []bool) string {
+	var b strings.Builder
+	for v := 0; v < g.N(); v++ {
+		if within[v] {
+			fmt.Fprintf(&b, "%d=%d,", v, g.VertexWeight(v))
+		}
+	}
+	b.WriteString(";")
+	for _, e := range g.Edges() {
+		if within[e.U] && within[e.V] {
+			fmt.Fprintf(&b, "%d-%d:%d,", e.U, e.V, e.Weight)
+		}
+	}
+	return b.String()
 }
 
 func TestCutEdgesAndWeight(t *testing.T) {
@@ -532,7 +557,7 @@ func TestStructuralHashesTrackSignatures(t *testing.T) {
 	cutToHash := map[string]uint64{}
 	for trial := 0; trial < 40; trial++ {
 		g := Gnp(12, 0.35, rng)
-		sig := g.SignatureWithin(within)
+		sig := signatureWithin(g, within)
 		h := g.HashWithin(within)
 		cutSig := fmt.Sprintf("%v", g.CutEdges(side))
 		cut := g.CutHash(side)

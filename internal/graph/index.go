@@ -265,11 +265,11 @@ func ArcHash(from, to int, w int64) uint64 {
 }
 
 // HashWithin returns a 64-bit structural hash of the subgraph induced by
-// the vertex set marked by within — the hashed analogue of
-// SignatureWithin: vertex ids and weights of the marked vertices plus the
-// canonical edge list among them. It iterates the adjacency directly (no
-// Freeze needed), and the XOR-fold form means the value can alternatively
-// be maintained incrementally via EdgeHash as edges toggle.
+// the vertex set marked by within: vertex ids and weights of the marked
+// vertices plus the canonical edge list among them. It iterates the
+// adjacency directly (no Freeze needed), and the XOR-fold form means the
+// value can alternatively be maintained incrementally via EdgeHash as
+// edges toggle.
 func (g *Graph) HashWithin(within []bool) uint64 {
 	h := uint64(0)
 	for v, w := range g.vw {

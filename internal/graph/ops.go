@@ -257,34 +257,6 @@ func (g *Graph) Signature() string {
 	return b.String()
 }
 
-// SignatureWithin returns the Signature restricted to edges with both
-// endpoints in the vertex set given by within, together with the vertex
-// weights of those vertices. Used to verify Definition 1.1 conditions 2-3.
-func (g *Graph) SignatureWithin(within []bool) string {
-	var b strings.Builder
-	b.WriteString("vw=")
-	for v, w := range g.vw {
-		if within[v] {
-			b.WriteString(strconv.Itoa(v))
-			b.WriteByte('=')
-			b.WriteString(strconv.FormatInt(w, 10))
-			b.WriteByte(',')
-		}
-	}
-	b.WriteString(";e=")
-	for _, e := range g.Edges() {
-		if within[e.U] && within[e.V] {
-			b.WriteString(strconv.Itoa(e.U))
-			b.WriteByte('-')
-			b.WriteString(strconv.Itoa(e.V))
-			b.WriteByte(':')
-			b.WriteString(strconv.FormatInt(e.Weight, 10))
-			b.WriteByte(',')
-		}
-	}
-	return b.String()
-}
-
 // CutEdges returns the edges with exactly one endpoint in side (canonical
 // form, sorted).
 func (g *Graph) CutEdges(side []bool) []Edge {

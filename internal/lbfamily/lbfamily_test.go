@@ -121,10 +121,16 @@ func TestMeasureStatsAndImpliedBound(t *testing.T) {
 	if lb <= 0 {
 		t.Errorf("implied bound %v", lb)
 	}
-	if _, err := ImpliedLowerBound(stats, comm.InnerProduct{}); err == nil {
+	if _, err := ImpliedLowerBound(stats, untabled{}); err == nil {
 		t.Error("unknown function accepted")
 	}
 }
+
+// untabled is a two-party function the complexity table does not know.
+type untabled struct{}
+
+func (untabled) Eval(x, y comm.Bits) bool { return x.Intersects(y) }
+func (untabled) Name() string             { return "UNTABLED" }
 
 func TestSimulateTwoParty(t *testing.T) {
 	fam := &toyFamily{}

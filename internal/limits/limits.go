@@ -54,11 +54,11 @@ func splitVertices(side []bool) (alice, bob []int) {
 // is a 2-approximation of the weighted MDS. Cost: O(|E_cut|·log n) bits.
 func TwoApproxMDS(g *graph.Graph, side []bool) (*ProtocolResult, error) {
 	alice, bob := splitVertices(side)
-	wA, setA, err := solver.MinDominatingSetOfTargets(g, alice)
+	_, setA, err := solver.MinDominatingSetOfTargets(g, alice)
 	if err != nil {
 		return nil, err
 	}
-	wB, setB, err := solver.MinDominatingSetOfTargets(g, bob)
+	_, setB, err := solver.MinDominatingSetOfTargets(g, bob)
 	if err != nil {
 		return nil, err
 	}
@@ -70,8 +70,6 @@ func TwoApproxMDS(g *graph.Graph, side []bool) (*ProtocolResult, error) {
 	for v := range union {
 		value += g.VertexWeight(v)
 	}
-	_ = wA
-	_ = wB
 	opt, _, err := solver.MinDominatingSet(g)
 	if err != nil {
 		return nil, err
@@ -323,10 +321,7 @@ func boundedMVC(g *graph.Graph, side []bool, cheap bool) (int64, int64, error) {
 	// Per-side optimal covers plus all cut endpoints.
 	union := map[int]bool{}
 	for _, flag := range []bool{true, false} {
-		sub, mapping, err2 := inducedWithMap(g, side, flag)
-		if err2 != nil {
-			return 0, 0, err2
-		}
+		sub, mapping := g.InducedSubgraph(func(v int) bool { return side[v] == flag })
 		_, cover, err2 := solver.MinVertexCoverSize(sub)
 		if err2 != nil {
 			return 0, 0, err2
@@ -416,11 +411,6 @@ func boundedMaxIS(g *graph.Graph, side []bool, cheap bool) (int64, int64, error)
 		total += alpha
 	}
 	return int64(total), int64(opt), nil
-}
-
-func inducedWithMap(g *graph.Graph, side []bool, flag bool) (*graph.Graph, []int, error) {
-	sub, mapping := g.InducedSubgraph(func(v int) bool { return side[v] == flag })
-	return sub, mapping, nil
 }
 
 func unitClone(g *graph.Graph) *graph.Graph {

@@ -157,7 +157,7 @@ func TestFlowWitnessProtocols(t *testing.T) {
 			_ = a
 		}
 		s, tt := 0, 7
-		value, err := solver.MaxFlow(d, s, tt)
+		value, _, err := solver.MaxFlow(d, s, tt)
 		if err != nil {
 			t.Fatal(err)
 		}

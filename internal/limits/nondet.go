@@ -19,63 +19,12 @@ type FlowWitness struct {
 	Flow []int64
 }
 
-// ProveFlowAtLeast produces a witness when maxflow(s,t) >= k.
+// ProveFlowAtLeast produces a witness when maxflow(s,t) >= k: a maximum
+// flow, arc by arc.
 func ProveFlowAtLeast(d *graph.Digraph, s, t int, k int64) (*FlowWitness, bool, error) {
-	value, err := solver.MaxFlow(d, s, t)
-	if err != nil {
+	value, flow, err := solver.MaxFlow(d, s, t)
+	if err != nil || value < k {
 		return nil, false, err
-	}
-	if value < k {
-		return nil, false, nil
-	}
-	// Recover a realizing flow by running a simple augmenting-path loop
-	// on a capacity copy (small instances; the witness is per-arc flow).
-	arcs := d.Arcs()
-	flow := make([]int64, len(arcs))
-	residual := make(map[[2]int]int64, 2*len(arcs))
-	index := make(map[[2]int]int, len(arcs))
-	for i, a := range arcs {
-		residual[[2]int{a.From, a.To}] += a.Weight
-		index[[2]int{a.From, a.To}] = i
-	}
-	var pushed int64
-	for pushed < k {
-		// BFS for an augmenting path in the residual map.
-		parent := make(map[int][2]int)
-		seen := map[int]bool{s: true}
-		queue := []int{s}
-		for len(queue) > 0 && !seen[t] {
-			v := queue[0]
-			queue = queue[1:]
-			for key, cap := range residual {
-				if key[0] == v && cap > 0 && !seen[key[1]] {
-					seen[key[1]] = true
-					parent[key[1]] = key
-					queue = append(queue, key[1])
-				}
-			}
-		}
-		if !seen[t] {
-			return nil, false, fmt.Errorf("internal: flow %d < k %d despite solver", pushed, k)
-		}
-		// Bottleneck.
-		bottleneck := k - pushed
-		for v := t; v != s; v = parent[v][0] {
-			if c := residual[parent[v]]; c < bottleneck {
-				bottleneck = c
-			}
-		}
-		for v := t; v != s; v = parent[v][0] {
-			key := parent[v]
-			residual[key] -= bottleneck
-			residual[[2]int{key[1], key[0]}] += bottleneck
-			if i, ok := index[key]; ok {
-				flow[i] += bottleneck
-			} else if j, ok := index[[2]int{key[1], key[0]}]; ok {
-				flow[j] -= bottleneck
-			}
-		}
-		pushed += bottleneck
 	}
 	return &FlowWitness{Flow: flow}, true, nil
 }

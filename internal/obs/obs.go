@@ -186,20 +186,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n strictly increasing bounds start, start+width,
-// ...: the shape for small-integer histograms like rounds per pair.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n <= 0 || width <= 0 {
-		//nolint:hardlint/panicsite bucket shapes are compile-time constants; misuse is a programmer error caught at init
-		panic("obs: LinearBuckets needs n > 0, width > 0")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + width*float64(i)
-	}
-	return out
-}
-
 // ValidName reports whether name matches the exposition surface's
 // naming convention, hardness_[a-z_]+(_total|_seconds|_bytes)?. The
 // optional unit suffixes are themselves [a-z_]+, so the rule reduces

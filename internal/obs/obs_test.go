@@ -113,13 +113,6 @@ func TestBucketHelpers(t *testing.T) {
 			t.Fatalf("ExpBuckets = %v, want %v", exp, want)
 		}
 	}
-	lin := obs.LinearBuckets(10, 5, 3)
-	wantLin := []float64{10, 15, 20}
-	for i := range wantLin {
-		if lin[i] != wantLin[i] {
-			t.Fatalf("LinearBuckets = %v, want %v", lin, wantLin)
-		}
-	}
 }
 
 // TestHotPathDoesNotAllocate is the package's analogue of the

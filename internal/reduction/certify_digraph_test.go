@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"congesthard/internal/congest"
 	"congesthard/internal/constructions/hamlb"
 	"congesthard/internal/constructions/kmdslb"
 	"congesthard/internal/cover"
@@ -181,7 +182,7 @@ func TestVerifyDigraphSimulationEmptyCut(t *testing.T) {
 	d.MustAddArc(1, 2)
 	d.MustAddArc(2, 3)
 	factory := func(local dicongest.Local) dicongest.Node {
-		return &dicongest.FuncNode{
+		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []dicongest.Incoming) ([]dicongest.Message, bool) {
 				if round > 1 {
 					return nil, true

@@ -461,7 +461,7 @@ func TestDicongestArenaReuseBitIdentical(t *testing.T) {
 	d.MustAddArc(4, 0)
 	factory := func(local dicongest.Local) dicongest.Node {
 		sum := int64(local.ID)
-		return &dicongest.FuncNode{
+		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []dicongest.Incoming) ([]dicongest.Message, bool) {
 				for _, m := range inbox {
 					sum += m.Payload

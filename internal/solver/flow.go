@@ -7,45 +7,33 @@ import (
 )
 
 // MaxFlow computes the maximum s-t flow in the digraph d, using arc weights
-// as capacities (Dinic's algorithm). By max-flow/min-cut duality the value
-// also equals the minimum s-t cut, which is how the Section 5.2
-// nondeterministic protocols certify both directions (Claim 5.11).
-func MaxFlow(d *graph.Digraph, s, t int) (int64, error) {
-	n := d.N()
-	if s < 0 || s >= n || t < 0 || t >= n {
-		return 0, fmt.Errorf("source/sink out of range: s=%d t=%d n=%d", s, t, n)
+// as capacities (Dinic's algorithm), and a flow realizing it, arc by arc in
+// d.Arcs() order. By max-flow/min-cut duality the value also equals the
+// minimum s-t cut, which is how the Section 5.2 nondeterministic protocols
+// certify both directions (Claim 5.11).
+func MaxFlow(d *graph.Digraph, s, t int) (int64, []int64, error) {
+	f, value, err := runDinic(d, s, t)
+	if err != nil {
+		return 0, nil, err
 	}
-	if s == t {
-		return 0, fmt.Errorf("source equals sink (%d)", s)
+	flow := make([]int64, len(f.arcs))
+	for i, at := range f.arcs {
+		e := f.adj[at[0]][at[1]]
+		flow[i] = f.adj[e.to][e.rev].cap
 	}
-	f := newDinic(n)
-	for _, a := range d.Arcs() {
-		if a.Weight < 0 {
-			return 0, fmt.Errorf("negative capacity on arc (%d,%d)", a.From, a.To)
-		}
-		f.addEdge(a.From, a.To, a.Weight)
-	}
-	return f.maxFlow(s, t), nil
+	return value, flow, nil
 }
 
 // MinSTCut computes the minimum s-t cut value and a realizing side (true =
 // source side), via max-flow and residual reachability. The side is the
 // witness for the "MF < k" nondeterministic protocol of Claim 5.11.
 func MinSTCut(d *graph.Digraph, s, t int) (int64, []bool, error) {
-	n := d.N()
-	if s < 0 || s >= n || t < 0 || t >= n || s == t {
-		return 0, nil, fmt.Errorf("bad source/sink: s=%d t=%d n=%d", s, t, n)
+	f, value, err := runDinic(d, s, t)
+	if err != nil {
+		return 0, nil, err
 	}
-	f := newDinic(n)
-	for _, a := range d.Arcs() {
-		if a.Weight < 0 {
-			return 0, nil, fmt.Errorf("negative capacity on arc (%d,%d)", a.From, a.To)
-		}
-		f.addEdge(a.From, a.To, a.Weight)
-	}
-	value := f.maxFlow(s, t)
 	// Residual reachability from s.
-	side := make([]bool, n)
+	side := make([]bool, d.N())
 	queue := []int{s}
 	side[s] = true
 	for len(queue) > 0 {
@@ -59,6 +47,26 @@ func MinSTCut(d *graph.Digraph, s, t int) (int64, []bool, error) {
 		}
 	}
 	return value, side, nil
+}
+
+// runDinic runs Dinic's algorithm from s to t on d's arcs and returns the
+// residual network with the flow value.
+func runDinic(d *graph.Digraph, s, t int) (*dinic, int64, error) {
+	n := d.N()
+	if s < 0 || s >= n || t < 0 || t >= n {
+		return nil, 0, fmt.Errorf("source/sink out of range: s=%d t=%d n=%d", s, t, n)
+	}
+	if s == t {
+		return nil, 0, fmt.Errorf("source equals sink (%d)", s)
+	}
+	f := newDinic(n)
+	for _, a := range d.Arcs() {
+		if a.Weight < 0 {
+			return nil, 0, fmt.Errorf("negative capacity on arc (%d,%d)", a.From, a.To)
+		}
+		f.addEdge(a.From, a.To, a.Weight)
+	}
+	return f, f.maxFlow(s, t), nil
 }
 
 // CutCapacity returns the total capacity of arcs leaving the true side.
@@ -79,6 +87,7 @@ type dinicEdge struct {
 
 type dinic struct {
 	adj   [][]dinicEdge
+	arcs  [][2]int // arcs[i] = (u, index in adj[u]) of the i-th added edge
 	level []int
 	iter  []int
 }
@@ -92,6 +101,7 @@ func newDinic(n int) *dinic {
 }
 
 func (f *dinic) addEdge(u, v int, cap int64) {
+	f.arcs = append(f.arcs, [2]int{u, len(f.adj[u])})
 	f.adj[u] = append(f.adj[u], dinicEdge{to: v, rev: len(f.adj[v]), cap: cap})
 	f.adj[v] = append(f.adj[v], dinicEdge{to: u, rev: len(f.adj[u]) - 1, cap: 0})
 }

@@ -136,7 +136,7 @@ func TestQuickFlowCutDuality(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := graph.RandomDigraph(7, 0.4, rng)
-		flow, err := MaxFlow(d, 0, 6)
+		flow, _, err := MaxFlow(d, 0, 6)
 		if err != nil {
 			return false
 		}

@@ -217,7 +217,7 @@ func TestMaxFlowKnown(t *testing.T) {
 	d.MustAddWeightedArc(0, 2, 2)
 	d.MustAddWeightedArc(1, 3, 2)
 	d.MustAddWeightedArc(2, 3, 3)
-	flow, err := MaxFlow(d, 0, 3)
+	flow, _, err := MaxFlow(d, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestMaxFlowWithAugmentingPath(t *testing.T) {
 	d.MustAddWeightedArc(1, 2, 1)
 	d.MustAddWeightedArc(1, 3, 1)
 	d.MustAddWeightedArc(2, 3, 1)
-	flow, err := MaxFlow(d, 0, 3)
+	flow, _, err := MaxFlow(d, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +245,13 @@ func TestMaxFlowWithAugmentingPath(t *testing.T) {
 
 func TestMaxFlowErrors(t *testing.T) {
 	d := graph.NewDigraph(2)
-	if _, err := MaxFlow(d, 0, 0); err == nil {
+	if _, _, err := MaxFlow(d, 0, 0); err == nil {
 		t.Error("s == t accepted")
 	}
-	if _, err := MaxFlow(d, 0, 5); err == nil {
+	if _, _, err := MaxFlow(d, 0, 5); err == nil {
 		t.Error("out-of-range sink accepted")
 	}
-	if _, err := MaxFlow(d, 0, 1); err != nil {
+	if _, _, err := MaxFlow(d, 0, 1); err != nil {
 		t.Error("disconnected flow should be 0, not error")
 	}
 }
