@@ -36,10 +36,12 @@ func run() error {
 	x.Set(5, true)
 	y.Set(5, true)
 
-	// A T-round algorithm: flood the minimum id for T rounds.
+	// A T-round algorithm: flood the minimum id for T rounds, broadcasting
+	// it to every neighbor each round from a one-message outbox.
 	const rounds = 12
 	factory := func(local congest.Local) congest.Node {
 		best := int64(local.ID)
+		out := []congest.Message{{Port: congest.AllPorts}}
 		return &congest.FuncNode{
 			RoundFunc: func(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
 				for _, m := range inbox {
@@ -50,10 +52,7 @@ func run() error {
 				if round >= rounds {
 					return nil, true
 				}
-				out := make([]congest.Message, len(local.Neighbors))
-				for port := range out {
-					out[port] = congest.Message{Port: port, Payload: best}
-				}
+				out[0].Payload = best
 				return out, false
 			},
 			OutputFunc: func() interface{} { return best },

@@ -19,9 +19,14 @@ import (
 // B >= 2*ceil(log2(n+1)) because u*n + v < n^2 <= 2^B), then the weight in
 // B-bit little-endian chunks (zero chunks when every kept weight is
 // exactly 1). Each vertex relays every record it learns to every neighbor
-// exactly once; receivers deduplicate by id in a node-local key set: a
-// bitset over every id the bandwidth carries, or a hash set when that
-// bitset would be larger (see keySetWords).
+// exactly once, in the order it learned them: every link carries the same
+// chunk in the same round, so the vertex sends each chunk as one
+// broadcast (congest.AllPorts), which the simulator delivers and meters
+// as one message per link. Receivers deduplicate by id in a node-local
+// key set: a bitset over every id the bandwidth carries, or a hash set
+// when that bitset would be larger (see keySetWords). Unit-weight frames
+// are a single id chunk, learned as it arrives; only weighted frames are
+// reassembled per link.
 // After the round budget expires the roots reconstruct the collected
 // graph and solve locally; no other vertex reconstructs anything.
 //
@@ -133,7 +138,7 @@ func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Fa
 func (ws *Workspace) newCollectNode(local congest.Local) congest.Node {
 	c := slabNode(ws.collectNodes, local.ID)
 	c.bw, c.budget, c.wchunks, c.self = ws.chunk, ws.budget, ws.wchunks, c
-	c.recordStore, c.links, c.outbox = ws.slab.state(local.ID, len(local.Neighbors))
+	c.recordStore, c.links, _ = ws.slab.state(local.ID, len(local.Neighbors))
 	c.seed(local, ws)
 	return c
 }
@@ -268,8 +273,9 @@ type collectNode struct {
 	sendRec, sendChunk int
 	round              int
 
-	links  []linkState
-	outbox []congest.Message
+	links []linkState
+	// frame is the outbox: the broadcast of the chunk the node sends.
+	frame [1]congest.Message
 	// self is the node as its program's type, whose finish runs at the
 	// budget: the core's for an undirected node, diCollectNode's for a
 	// directed one.
@@ -292,26 +298,31 @@ func (c *collectCore) seed(local congest.Local, ws *Workspace) {
 	}
 }
 
-// Round ingests the per-neighbor frame streams and emits the next chunk of
-// each neighbor's stream; at the budget the roots reconstruct and evaluate.
+// Round ingests the per-neighbor frame streams and broadcasts the next
+// chunk of the node's stream; at the budget the roots reconstruct and
+// evaluate.
+//
+//hardness:hotpath
 func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
-	for _, msg := range inbox {
-		l := &c.links[msg.Port]
-		if l.rcvChunk == 0 {
-			if c.wchunks == 0 {
-				c.learn(msg.Payload, 1)
-			} else {
+	if c.wchunks == 0 {
+		for _, msg := range inbox {
+			c.learn(msg.Payload, 1)
+		}
+	} else {
+		for _, msg := range inbox {
+			l := &c.links[msg.Port]
+			if l.rcvChunk == 0 {
 				l.rcvKey = msg.Payload
 				l.rcvW = 0
 				l.rcvChunk = 1
+				continue
 			}
-			continue
-		}
-		l.rcvW |= msg.Payload << uint(c.bw*(l.rcvChunk-1))
-		l.rcvChunk++
-		if l.rcvChunk > c.wchunks {
-			c.learn(l.rcvKey, l.rcvW)
-			l.rcvChunk = 0
+			l.rcvW |= msg.Payload << uint(c.bw*(l.rcvChunk-1))
+			l.rcvChunk++
+			if l.rcvChunk > c.wchunks {
+				c.learn(l.rcvKey, l.rcvW)
+				l.rcvChunk = 0
+			}
 		}
 	}
 	if round >= c.budget {
@@ -319,23 +330,21 @@ func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Mess
 		return nil, true
 	}
 	c.round = round
-	c.outbox = c.outbox[:0]
-	if c.sendRec < len(c.records) {
-		rec := c.records[c.sendRec]
-		payload := rec.key
-		if c.sendChunk > 0 {
-			payload = rec.w >> uint(c.bw*(c.sendChunk-1)) & (int64(1)<<uint(c.bw) - 1)
-		}
-		for i := range c.links {
-			c.outbox = append(c.outbox, congest.Message{Port: i, Payload: payload})
-		}
-		c.sendChunk++
-		if c.sendChunk > c.wchunks {
-			c.sendChunk = 0
-			c.sendRec++
-		}
+	if c.sendRec >= len(c.records) {
+		return nil, false
 	}
-	return c.outbox, false
+	rec := c.records[c.sendRec]
+	payload := rec.key
+	if c.sendChunk > 0 {
+		payload = rec.w >> uint(c.bw*(c.sendChunk-1)) & (int64(1)<<uint(c.bw) - 1)
+	}
+	c.sendChunk++
+	if c.sendChunk > c.wchunks {
+		c.sendChunk = 0
+		c.sendRec++
+	}
+	c.frame[0] = congest.Message{Port: congest.AllPorts, Payload: payload}
+	return c.frame[:], false
 }
 
 // Wake implements congest.Sleeper: the node runs every round while it has

@@ -21,15 +21,32 @@ type collectRecord struct {
 }
 
 // recordStore is the records one vertex knows, in the order it learned
-// them, deduplicated by key.
+// them, deduplicated by key. The slab reserves one record beyond the most
+// a vertex can learn, so that learn has a spare slot to write into.
 type recordStore struct {
 	n       int
 	records []collectRecord
 	keys    keySet
 }
 
-// learn records the key unless it is already known.
+// learn records the key unless it is already known. Most arrivals are
+// duplicates, so on a dense set, for a key inside its universe and with a
+// spare record, learn does not branch on the key: it sets the key's bit,
+// writes the record into the spare slot, and grows the records by one
+// exactly when the bit was clear. Otherwise (a hashed set, or garbled
+// frames that filled the reservation) it asks the set and appends.
+//
+//hardness:hotpath
 func (s *recordStore) learn(k, w int64) {
+	n, i := len(s.records), uint64(k)>>6
+	if s.keys.shift == 0 && i < uint64(len(s.keys.slots)) && n < cap(s.records) {
+		word, bit := &s.keys.slots[i], uint64(k)&63
+		fresh := int(^*word >> bit & 1)
+		*word |= 1 << bit
+		s.records[:n+1][n] = collectRecord{key: k, w: w}
+		s.records = s.records[:n+fresh]
+		return
+	}
 	if s.keys.add(k) {
 		s.records = append(s.records, collectRecord{key: k, w: w})
 	}
@@ -289,7 +306,7 @@ func fit[T any](buf *[]T, n int) []T {
 // would share the slab (the same rule as congest.Arena).
 type collectSlab struct {
 	n        int   // the instance's vertex count
-	records  int   // records reserved per vertex: the kept-record count T
+	records  int   // records reserved per vertex: the kept-record count T, plus learn's spare
 	setWords int   // key-set words per vertex (see keySetWords)
 	dense    bool  // whether the key sets are bitsets
 	linkOff  []int // vertex v owns links and outbox [linkOff[v], linkOff[v+1])
@@ -307,7 +324,7 @@ type collectSlab struct {
 // at most records records, from frames whose keys are below 2^keyBits,
 // and has at most links(v) neighbor links.
 func (s *collectSlab) carve(n, records, keyBits int, links func(v int) int) {
-	s.n, s.records = n, records
+	s.n, s.records = n, records+1
 	s.setWords, s.dense = keySetWords(records, keyBits)
 	fit(&s.linkOff, n+1)
 	s.linkOff[0] = 0
@@ -316,7 +333,7 @@ func (s *collectSlab) carve(n, records, keyBits int, links func(v int) int) {
 	}
 	fit(&s.links, s.linkOff[n])
 	fit(&s.outbox, s.linkOff[n])
-	fit(&s.recs, n*records)
+	fit(&s.recs, n*s.records)
 	fit(&s.keys, n*s.setWords)
 	fit(&s.parent, n)
 }

@@ -54,6 +54,64 @@ func TestKeySetMatchesMap(t *testing.T) {
 	}
 }
 
+func TestLearnMatchesMap(t *testing.T) {
+	// learn keeps each key's first record, in arrival order, like a map:
+	// on a dense slab (branch-free while the spare record lasts, then the
+	// set and append once garbled keys beyond n^2 fill the reservation)
+	// and on a hashed one. A dense set keeps every key beyond its
+	// universe, as keySet.add reports them absent. A store that outgrows
+	// its reservation moves, leaving its neighbor's share alone.
+	rng := rand.New(rand.NewSource(5))
+	const n, records = 6, 8
+	for _, keyBits := range []int{7, 40} {
+		ws := new(Workspace)
+		load(ws, &ws.collectNodes, n, records, keyBits, 0, 0, func(int) int { return 2 })
+		dense := ws.slab.dense
+		if dense != (keyBits == 7) {
+			t.Fatalf("keyBits %d: dense = %v", keyBits, dense)
+		}
+		store, _, _ := ws.slab.state(1, 2)
+		neighbor, _, _ := ws.slab.state(2, 2)
+		neighbor.learn(3, 30)
+		universe := int64(1) << keyBits
+		var keys []int64
+		for i := 0; i < 300; i++ {
+			keys = append(keys, rng.Int63n(records))
+			if i%20 == 0 {
+				keys = append(keys, n*n+rng.Int63n(min(universe, 1<<10)-n*n))
+			}
+		}
+		keys = append(keys, universe-1, universe-1)
+		if dense {
+			keys = append(keys, universe, universe+64, universe)
+		}
+		var want []collectRecord
+		seen := map[int64]bool{}
+		for i, k := range keys {
+			store.learn(k, int64(i))
+			if !seen[k] || dense && k >= universe {
+				want = append(want, collectRecord{key: k, w: int64(i)})
+			}
+			seen[k] = true
+			if len(store.records) != len(want) || store.records[len(want)-1] != want[len(want)-1] {
+				t.Fatalf("keyBits %d: after learning %d (arrival %d) the store holds %d records ending in %v, want %d ending in %v",
+					keyBits, k, i, len(store.records), store.records[len(store.records)-1], len(want), want[len(want)-1])
+			}
+		}
+		if len(want) <= records+1 {
+			t.Fatalf("keyBits %d: %d records never outgrew the reservation", keyBits, len(want))
+		}
+		for i := range want {
+			if store.records[i] != want[i] {
+				t.Fatalf("keyBits %d: record %d is %v, want %v", keyBits, i, store.records[i], want[i])
+			}
+		}
+		if len(neighbor.records) != 1 || neighbor.records[0] != (collectRecord{key: 3, w: 30}) {
+			t.Errorf("keyBits %d: vertex 1's records ran into vertex 2's share: %v", keyBits, neighbor.records)
+		}
+	}
+}
+
 func TestKeySetWordsRule(t *testing.T) {
 	// The bitset is chosen exactly when it is no larger than the hashed
 	// set's reservation, so a vertex never holds more key words than

@@ -74,7 +74,7 @@ func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dico
 func (ws *Workspace) newDiNode(local dicongest.Local) dicongest.Node {
 	c := slabNode(ws.diNodes, local.ID)
 	c.bw, c.budget, c.wchunks, c.self = ws.chunk, ws.budget, ws.wchunks, c
-	c.recordStore, c.links, c.outbox = ws.slab.state(local.ID, len(local.Neighbors))
+	c.recordStore, c.links, _ = ws.slab.state(local.ID, len(local.Neighbors))
 	c.local = congest.Local{ID: local.ID, N: local.N, Neighbors: local.Neighbors}
 	c.ws = ws
 	for i, to := range local.OutNeighbors {

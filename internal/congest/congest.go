@@ -27,6 +27,21 @@
 // scan. The core is allocation-free in steady state: after setup no heap
 // allocation happens per round.
 //
+// A node may also broadcast: an outbox whose only entry is a Message with
+// Port AllPorts sends its payload on every port. The core checks the
+// payload once. In a fault-free, unmetered run it counts degree messages
+// and the node's cut degree of cut messages and bits at once and pushes
+// the copies in ascending port order; otherwise it expands the broadcast
+// into one message per port, in ascending port order, each of which then
+// takes a unicast's per-slot fault decision, meter observation and
+// delivery. A broadcast is therefore indistinguishable from the node
+// sending one message per port in port order: metrics, meter entries,
+// fault decisions, round traces and errors all agree. A broadcast beside
+// any other message is rejected as two messages in one round, and a
+// payload outside [0, 2^B) as a bandwidth violation; a node of degree 0
+// broadcasts nothing, so its payload goes unchecked, as an empty outbox
+// would.
+//
 // The round loop is event-driven for programs that implement Sleeper.
 // After a Round that did not finish the node, Wake names the first later
 // round in which the node must run even with an empty inbox; until then
@@ -57,6 +72,7 @@ package congest
 
 import (
 	"fmt"
+	"math"
 
 	"congesthard/internal/faults"
 	"congesthard/internal/graph"
@@ -65,10 +81,20 @@ import (
 // Message is an outgoing message: a payload addressed to a neighbor by
 // port. A port is an index into the sending node's Local.Neighbors, so
 // the receiver is Local.Neighbors[Port].
+//
+// Port AllPorts broadcasts the payload to every neighbor. It must be the
+// only message of its outbox (otherwise the run fails with a "two
+// messages" error naming the round and the node); the copies are checked,
+// counted, faulted, metered and delivered as one message per port in
+// ascending port order would be.
 type Message struct {
 	Port    int
 	Payload int64
 }
+
+// AllPorts is the Port of a broadcast Message: the payload goes out on
+// every port of the sender. It is no port of any node.
+const AllPorts = math.MinInt
 
 // Incoming is a received message tagged with the port it arrived on: an
 // index into the receiving node's Local.Neighbors, so the sender is
@@ -213,11 +239,13 @@ type Arena struct {
 	nodes       []program
 	recvPort    []int32
 	slotDir     []Direction
+	cutDegree   []int32
 	crashAt     []int32
 	crashed     []bool
 	ringPayload []int64
 	ringStamp   []int32
 	lastSent    []int32
+	expanded    []Message
 	inbox       []Incoming
 	inboxLen    []int32
 	wake        []int32
@@ -414,8 +442,10 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 	inboxLen := arenaSlice(&ar.inboxLen, 2*n)
 	curLen, nextLen := inboxLen[:n], inboxLen[n:]
 	clear(curLen)
+	maxDegree := 0
 	for v := 0; v < n; v++ {
 		base := int(links.Offsets[v])
+		maxDegree = max(maxDegree, len(links.window(v)))
 		for i, to := range links.window(v) {
 			port := curLen[to]
 			if r := links.Offsets[to] + port; r >= links.Offsets[to+1] || links.Nbr[r] != int32(v) {
@@ -428,16 +458,21 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 	clear(curLen)
 	clear(nextLen)
 	// slotDir classifies each channel relative to the bipartition:
-	// internal, Alice→Bob or Bob→Alice. Built only when a cut is supplied,
-	// so unmetered runs pay nothing. Every slot is written (the arena may
-	// hold a previous run's classification).
+	// internal, Alice→Bob or Bob→Alice, and cutDegree[v] counts v's
+	// crossing channels, which a broadcast charges at once. Built only
+	// when a cut is supplied, so unmetered runs pay nothing. Every entry is
+	// written (the arena may hold a previous run's classification).
 	var slotDir []Direction
+	var cutDegree []int32
 	if opts.CutSide != nil {
 		slotDir = arenaSlice(&ar.slotDir, slots)
+		cutDegree = arenaSlice(&ar.cutDegree, n)
 		for v := 0; v < n; v++ {
 			base := int(links.Offsets[v])
+			cutDegree[v] = 0
 			for i, to := range links.window(v) {
 				if opts.CutSide[v] != opts.CutSide[to] {
+					cutDegree[v]++
 					if opts.CutSide[v] {
 						slotDir[base+i] = DirAliceToBob
 					} else {
@@ -498,6 +533,12 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 	lastSent := arenaSlice(&ar.lastSent, slots)
 	for i := 0; i < slots; i++ {
 		lastSent[i] = -1
+	}
+	// A broadcast under faults or a meter is expanded into one message
+	// per port here.
+	var expanded []Message
+	if inj != nil || opts.Meter != nil {
+		expanded = arenaSlice(&ar.expanded, maxDegree)
 	}
 
 	// wake[v] is the first round in which v runs with an empty inbox (0
@@ -586,8 +627,37 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 					}
 				}
 			}
+			if len(outbox) == 1 && outbox[0].Port == AllPorts {
+				// A broadcast: its payload is checked once (a node without
+				// ports sends nothing to check). Fault-free and unmetered,
+				// the copies are counted at once and pushed in port order;
+				// otherwise they are expanded into per-port messages that
+				// take the unicast path below.
+				payload := outbox[0].Payload
+				if degree > 0 && (payload < 0 || payload > maxPayload) {
+					return nil, fmt.Errorf("round %d: node %d payload %d exceeds %d-bit bandwidth", round, v, payload, bandwidth)
+				}
+				if inj == nil && opts.Meter == nil {
+					metrics.Messages += int64(degree)
+					if cutDegree != nil {
+						metrics.CutMessages += int64(cutDegree[v])
+						metrics.CutBits += int64(cutDegree[v]) * int64(bandwidth)
+					}
+					for s := base; s < base+degree; s++ {
+						push(links, recvPort, nextIn, nextLen, s, payload)
+					}
+					continue
+				}
+				outbox = expanded[:degree]
+				for port := range outbox {
+					outbox[port] = Message{Port: port, Payload: payload}
+				}
+			}
 			for _, msg := range outbox {
 				if uint(msg.Port) >= uint(degree) {
+					if msg.Port == AllPorts {
+						return nil, fmt.Errorf("round %d: node %d sent two messages in a round with a broadcast (degree %d)", round, v, degree)
+					}
 					return nil, fmt.Errorf("round %d: node %d sent on port %d, outside its degree %d", round, v, msg.Port, degree)
 				}
 				s := base + msg.Port
@@ -600,8 +670,7 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 				}
 				to := links.Nbr[s]
 				if inj == nil {
-					nextIn[links.Offsets[to]+nextLen[to]] = Incoming{Port: int(recvPort[s]), Payload: msg.Payload}
-					nextLen[to]++
+					push(links, recvPort, nextIn, nextLen, s, msg.Payload)
 				} else if at, ok := inj.DeliverAt(round, v, int(to), int32(s)); ok {
 					cell := int(links.Offsets[to]+recvPort[s])*ringD + at%ringD
 					ringPayload[cell] = msg.Payload
@@ -685,6 +754,15 @@ func RunLinks(links Links, build func(v int) Node, opts Options) (*Result, error
 		res.Outputs[v] = nodes[v].node.Output()
 	}
 	return res, nil
+}
+
+// push delivers a fault-free message on the channel in slot s: it is
+// appended to the receiver's next inbox (the first nextLen entries of its
+// window of next), tagged with the receiver's port for the sender.
+func push(links Links, recvPort []int32, next []Incoming, nextLen []int32, s int, payload int64) {
+	to := links.Nbr[s]
+	next[links.Offsets[to]+nextLen[to]] = Incoming{Port: int(recvPort[s]), Payload: payload}
+	nextLen[to]++
 }
 
 // RoundsError is the MaxRounds-exhausted failure: the simulation ran its

@@ -2,11 +2,13 @@
 // across packages congest and dicongest: a recorder that captures a run's
 // outcome (result or error, meter observations, round traces) and
 // compares two runs outcome for outcome, a wrapper that hides a node's
-// Wake (congest.Sleeper) and Steady (congest.Repeater), and a sleeping
-// and a repeating program drawn from a hash. With them the tests check
-// that two paths that must agree — push delivery and the fault ring, the
-// directed and undirected front ends, sleeping and awake nodes, jumped
-// and run steady rounds — produce bit-identical runs.
+// Wake (congest.Sleeper) and Steady (congest.Repeater), a wrapper that
+// sends a node's broadcasts as one message per port, and a sleeping and a
+// repeating program drawn from a hash, both of which broadcast now and
+// then. With them the tests check that two paths that must agree — push
+// delivery and the fault ring, the directed and undirected front ends,
+// sleeping and awake nodes, jumped and run steady rounds, broadcasts and
+// their per-port expansion — produce bit-identical runs.
 package congesttest
 
 import (
@@ -23,6 +25,50 @@ import (
 func Awake(node congest.Node) congest.Node { return awake{node} }
 
 type awake struct{ congest.Node }
+
+// Unicast sends node's broadcasts as one message per port: an outbox
+// whose only entry is addressed to congest.AllPorts becomes degree
+// messages with its payload, on ports 0 to degree-1 in that order; any
+// other outbox passes unchanged. It forwards Wake and Steady, reading a
+// node without them as awake every round and steady in none, so the
+// wrapped node sleeps and jumps as the node does. degree must be the
+// node's port count.
+func Unicast(node congest.Node, degree int) congest.Node {
+	return &unicast{Node: node, out: make([]congest.Message, degree)}
+}
+
+type unicast struct {
+	congest.Node
+	out []congest.Message
+}
+
+// Round runs the node and expands a broadcast.
+func (u *unicast) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
+	out, done := u.Node.Round(round, inbox)
+	if len(out) != 1 || out[0].Port != congest.AllPorts {
+		return out, done
+	}
+	for port := range u.out {
+		u.out[port] = congest.Message{Port: port, Payload: out[0].Payload}
+	}
+	return u.out, done
+}
+
+// Wake forwards the node's Wake; 0 (the next round) if it has none.
+func (u *unicast) Wake() int {
+	if s, ok := u.Node.(congest.Sleeper); ok {
+		return s.Wake()
+	}
+	return 0
+}
+
+// Steady forwards the node's Steady; 0 (no steady round) if it has none.
+func (u *unicast) Steady() int {
+	if r, ok := u.Node.(congest.Repeater); ok {
+		return r.Steady()
+	}
+	return 0
+}
 
 // Sleepy is a sleeping program whose sends, wake rounds and finish are
 // drawn from a hash of everything it has received. Called with an empty
@@ -41,8 +87,9 @@ type Sleepy struct {
 // NewSleepy returns vertex id's program on a node of the given degree:
 // it finishes at the first round at or after a hashed round below 24 in
 // which it runs, and after each other round it sends on a hashed subset of
-// its ports and sleeps until the next round, a hashed round up to nine
-// later or, now and then, farWake (0 never sleeps that long). A farWake
+// its ports (or, in about one round in five, broadcasts) and sleeps until
+// the next round, a hashed round up to nine later or, now and then,
+// farWake (0 never sleeps that long). A farWake
 // past the run's MaxRounds makes some runs exhaust their budget.
 func NewSleepy(id, degree, bandwidth int, seed uint64, farWake int) *Sleepy {
 	s := &Sleepy{
@@ -50,7 +97,7 @@ func NewSleepy(id, degree, bandwidth int, seed uint64, farWake int) *Sleepy {
 		mask:    int64(1)<<uint(bandwidth) - 1,
 		farWake: farWake,
 		state:   mix(seed ^ uint64(id)*0x9E3779B97F4A7C15),
-		out:     make([]congest.Message, 0, degree),
+		out:     make([]congest.Message, 0, max(degree, 1)),
 	}
 	s.finishAt = int(s.state % 24)
 	return s
@@ -80,7 +127,11 @@ func (s *Sleepy) Round(round int, inbox []congest.Incoming) ([]congest.Message, 
 	}
 	h := s.state
 	s.out = s.out[:0]
-	if h&3 != 0 {
+	switch {
+	case h&3 == 0:
+	case h>>2&3 == 0:
+		s.out = append(s.out, congest.Message{Port: congest.AllPorts, Payload: int64(h>>4) & s.mask})
+	default:
 		for port := 0; port < s.degree; port++ {
 			if h>>(8+port%48)&1 == 1 {
 				s.out = append(s.out, congest.Message{Port: port, Payload: int64(h>>uint(port%8)) & s.mask})
@@ -127,8 +178,9 @@ type Repeating struct {
 // NewRepeating returns vertex id's program on a node of the given
 // degree: it finishes at the first round at or after a hashed round below
 // 80 that ends a stretch. After each other such round it sends on a
-// hashed subset of its ports and stays steady until the next round the
-// seed marks (StretchEnd), or now and then until an earlier hashed round,
+// hashed subset of its ports (or, in about one such round in four,
+// broadcasts) and stays steady until the next round the seed marks
+// (StretchEnd), or now and then until an earlier hashed round,
 // only for the next round, or until far (0 never).
 // A far past the run's MaxRounds makes some runs exhaust their budget.
 // calls, if not nil, counts the program's Round calls.
@@ -139,7 +191,7 @@ func NewRepeating(id, degree, bandwidth int, seed uint64, far int, calls *int) *
 		seed:   seed,
 		far:    far,
 		state:  mix(seed ^ uint64(id)*0x9E3779B97F4A7C15),
-		out:    make([]congest.Message, 0, degree),
+		out:    make([]congest.Message, 0, max(degree, 1)),
 		calls:  calls,
 	}
 	r.finishAt = int(r.state % 80)
@@ -164,9 +216,13 @@ func (r *Repeating) Round(round int, inbox []congest.Incoming) ([]congest.Messag
 	}
 	h := r.state
 	r.out = r.out[:0]
-	for port := 0; port < r.degree; port++ {
-		if h>>(8+port%48)&1 == 1 {
-			r.out = append(r.out, congest.Message{Port: port, Payload: int64(h>>uint(port%8)) & r.mask})
+	if h&3 == 0 {
+		r.out = append(r.out, congest.Message{Port: congest.AllPorts, Payload: int64(h>>2) & r.mask})
+	} else {
+		for port := 0; port < r.degree; port++ {
+			if h>>(8+port%48)&1 == 1 {
+				r.out = append(r.out, congest.Message{Port: port, Payload: int64(h>>uint(port%8)) & r.mask})
+			}
 		}
 	}
 	shared := StretchEnd(r.seed, round)

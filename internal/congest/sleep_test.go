@@ -56,7 +56,8 @@ func randomGraph(n int, rng *rand.Rand) *graph.Graph {
 }
 
 // runBoth runs factory on g as it is and with every node's Wake hidden,
-// and fails unless the two runs are identical.
+// and fails unless the two runs are identical. It also checks the run's
+// broadcasts against their per-port expansion (runUnicast).
 func runBoth(t *testing.T, what string, g *graph.Graph, factory congest.Factory, opts congest.Options) (sleeping *congesttest.Outcome) {
 	t.Helper()
 	run := func(f congest.Factory) func(congest.Options) (*congest.Result, error) {
@@ -67,14 +68,35 @@ func runBoth(t *testing.T, what string, g *graph.Graph, factory congest.Factory,
 	if d := congesttest.Diff(sleeping, awake); d != "" {
 		t.Fatalf("%s: sleeping and awake runs differ: %s", what, d)
 	}
+	runUnicast(t, what, g, factory, opts)
 	return sleeping
+}
+
+// runUnicast runs factory on g as it is and behind congesttest.Unicast,
+// which sends each broadcast as one message per port, and fails unless
+// the two runs are identical: observed (a round tracer, and a meter when
+// opts has a cut) and unobserved, where the loop may jump steady rounds.
+func runUnicast(t *testing.T, what string, g *graph.Graph, factory congest.Factory, opts congest.Options) {
+	t.Helper()
+	run := func(f congest.Factory) func(congest.Options) (*congest.Result, error) {
+		return func(o congest.Options) (*congest.Result, error) { return congest.Run(g, f, o) }
+	}
+	unicast := run(func(l congest.Local) congest.Node { return congesttest.Unicast(factory(l), len(l.Neighbors)) })
+	if d := congesttest.Diff(congesttest.Record(run(factory), opts), congesttest.Record(unicast, opts)); d != "" {
+		t.Fatalf("%s: broadcasting and unicast runs differ: %s", what, d)
+	}
+	if d := congesttest.Diff(congesttest.Unobserved(run(factory), opts), congesttest.Unobserved(unicast, opts)); d != "" {
+		t.Fatalf("%s: unobserved broadcasting and unicast runs differ: %s", what, d)
+	}
 }
 
 // TestSleepingMatchesAwake pins that sleeping changes nothing a run
 // shows: over random graphs, with and without fault plans, a sleeping
 // program, the same program with every third node awake, and collect
 // produce the same outputs, metrics, meter entries and round traces (or
-// the same *RoundsError) as when every node's Wake is hidden.
+// the same *RoundsError) as when every node's Wake is hidden. All three
+// broadcast, and every run must also match the run that sends each
+// broadcast as one message per port.
 func TestSleepingMatchesAwake(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {
@@ -120,7 +142,10 @@ func TestSleepingMatchesAwake(t *testing.T) {
 // some nodes sleep, or stay steady, past MaxRounds. The sleeping run must
 // agree with the run with every Wake hidden, and the repeating run, with
 // no observer so that steady rounds are jumped, with the run with every
-// Steady hidden, *RoundsError included; a finished sleeping run's traced
+// Steady hidden, *RoundsError included. Both programs broadcast now and
+// then, and each run must also agree with the run that sends every
+// broadcast as one message per port, observed and unobserved, with and
+// without a cut. A finished sleeping run's traced
 // sends must sum to Metrics.Messages, and its cut bits must respect the
 // Theorem 1.1 budget 2·T·B·|E_cut|.
 func FuzzRun(f *testing.F) {
@@ -150,6 +175,11 @@ func FuzzRun(f *testing.F) {
 			return congesttest.NewRepeating(l.ID, len(l.Neighbors), bw, progSeed, farWake, nil)
 		}
 		runJumped(t, "fuzz repeating", g, repeating, opts, nil)
+		runUnicast(t, "fuzz repeating", g, repeating, opts)
+		uncut := opts
+		uncut.CutSide = nil
+		runUnicast(t, "fuzz repeating without a cut", g, repeating, uncut)
+		runUnicast(t, "fuzz without a cut", g, factory, uncut)
 		out := runBoth(t, "fuzz", g, factory, opts)
 		if out.Err != nil {
 			return

@@ -75,7 +75,9 @@ func runJumped(t *testing.T, what string, g *graph.Graph, factory congest.Factor
 // nothing a run shows: over random graphs and fault plans, a repeating
 // program (whose behaviour at the end of a stretch reads its inbox) and
 // collect-retry produce the same metrics and outputs, or the same
-// *RoundsError, as when every node's Steady is hidden. MaxRounds falls
+// *RoundsError, as when every node's Steady is hidden. The repeating
+// program broadcasts now and then; its runs must also match the runs that
+// send each broadcast as one message per port, jumped or observed. MaxRounds falls
 // below some stretch ends and some collect-retry budgets. The loop must
 // jump rounds under the first four plan kinds and never under drop
 // budgets or delays, where it runs every round of the unjumped run.
@@ -106,6 +108,7 @@ func TestSteadyMatchesUnjumped(t *testing.T) {
 		}
 		opts := congest.Options{CutSide: side, Faults: plan, MaxRounds: maxRounds}
 		calls, hiddenCalls := runJumped(t, what+" repeating", g, repeating, opts, &counter)
+		runUnicast(t, what+" repeating", g, repeating, opts)
 		switch {
 		case calls > hiddenCalls:
 			t.Fatalf("%s: the jumped run made %d Round calls, the unjumped one %d", what, calls, hiddenCalls)

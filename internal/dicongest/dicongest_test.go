@@ -334,6 +334,110 @@ func TestDuplicateMessageSameEdgeRejected(t *testing.T) {
 	wantPortError(t, err, 1, 0, 1, 1)
 }
 
+// wantBroadcastError fails unless err rejects a broadcast sent beside
+// another message, naming the round and the node.
+func wantBroadcastError(t *testing.T, err error, round, node int) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("node %d's broadcast beside another message accepted", node)
+	}
+	for _, want := range []string{fmt.Sprintf("round %d:", round), fmt.Sprintf("node %d ", node), "two messages"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestBroadcastRules is congest's test on the directed front end: a
+// broadcast (Port congest.AllPorts) beside any other message is rejected,
+// a payload outside [0, 2^B) is a bandwidth error, a node without links
+// sends and counts nothing, and otherwise a broadcast counts, meters and
+// delivers as one message per link in ascending port order, against arc
+// direction too.
+func TestBroadcastRules(t *testing.T) {
+	d := dirPath(3) // 0 -> 1 -> 2: link degrees 1, 2, 1
+	all := Message{Port: congest.AllPorts, Payload: 1}
+	for _, out := range [][]Message{
+		{all, {Port: 0, Payload: 1}},
+		{{Port: 0, Payload: 1}, all},
+		{all, all},
+	} {
+		for _, opts := range []Options{{}, {Faults: &faults.Plan{}}} {
+			_, err := Run(d, sendAt(1, 1, out), opts)
+			wantBroadcastError(t, err, 1, 1)
+		}
+	}
+	for _, payload := range []int64{-1, 1 << 8, 1<<62 - 1} {
+		for _, opts := range []Options{{BandwidthBits: 8}, {BandwidthBits: 8, Faults: &faults.Plan{}}} {
+			_, err := Run(d, sendAt(1, 1, []Message{{Port: congest.AllPorts, Payload: payload}}), opts)
+			if err == nil || !strings.Contains(err.Error(), "round 1: node 1 payload") || !strings.Contains(err.Error(), "exceeds 8-bit bandwidth") {
+				t.Errorf("broadcast payload %d: got %v, want the bandwidth error", payload, err)
+			}
+		}
+	}
+
+	// Vertex 2 of 0 -> 1 plus an isolated vertex 2 has no link: its
+	// broadcast is neither sent, checked nor counted.
+	lone := graph.NewDigraph(3)
+	lone.MustAddArc(0, 1)
+	side := []bool{true, false, false}
+	for _, opts := range []Options{{CutSide: side}, {CutSide: side, Meter: &recordingMeter{}, Faults: &faults.Plan{}}} {
+		res, err := Run(lone, sendAt(0, 2, []Message{{Port: congest.AllPorts, Payload: -1}}), opts)
+		if err != nil {
+			t.Fatalf("a linkless broadcast failed: %v", err)
+		}
+		if res.Messages != 0 || res.CutMessages != 0 || res.CutBits != 0 {
+			t.Errorf("a linkless broadcast counted %+v", res.Metrics)
+		}
+		if m, ok := opts.Meter.(*recordingMeter); ok && len(m.seen) != 0 {
+			t.Errorf("a linkless broadcast was metered: %v", m.seen)
+		}
+	}
+
+	// Vertex 1 of 0 -> 1 -> 2 (Alice = {0}) broadcasts 5 in round 0: the
+	// copy to 0 runs against the arc 0 -> 1 and crosses the cut.
+	heard := make([][]Incoming, 3)
+	factory := func(local Local) Node {
+		return &congest.FuncNode{
+			RoundFunc: func(round int, inbox []Incoming) ([]Message, bool) {
+				heard[local.ID] = append(heard[local.ID], inbox...)
+				if local.ID == 1 && round == 0 {
+					return []Message{{Port: congest.AllPorts, Payload: 5}}, false
+				}
+				return nil, round >= 1
+			},
+		}
+	}
+	for _, plan := range []*faults.Plan{nil, {}} {
+		for _, meter := range []*recordingMeter{nil, {}} {
+			clear(heard)
+			opts := Options{CutSide: side, Faults: plan}
+			if meter != nil {
+				opts.Meter = meter
+			}
+			res, err := Run(d, factory, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := int64(res.BandwidthBits)
+			if res.Messages != 2 || res.CutMessages != 1 || res.CutBits != b {
+				t.Errorf("faults %t, meter %t: a broadcast counted %+v, want 2 messages, 1 cut message, %d cut bits",
+					plan != nil, meter != nil, res.Metrics, b)
+			}
+			want := [][]Incoming{{{Port: 0, Payload: 5}}, nil, {{Port: 0, Payload: 5}}}
+			if fmt.Sprint(heard) != fmt.Sprint(want) {
+				t.Errorf("faults %t, meter %t: inboxes %v, want %v", plan != nil, meter != nil, heard, want)
+			}
+			if meter != nil {
+				entries := []dirRecord{{0, 1, 0, 5, congest.DirBobToAlice}, {0, 1, 2, 5, congest.DirInternal}}
+				if fmt.Sprint(meter.seen) != fmt.Sprint(entries) {
+					t.Errorf("faults %t: metered %v, want %v in port order", plan != nil, meter.seen, entries)
+				}
+			}
+		}
+	}
+}
+
 func TestBandwidthAndPayloadValidation(t *testing.T) {
 	d := dirPath(2)
 	send := func(payload int64) Factory {
@@ -577,6 +681,14 @@ func (c *chatterNode) Round(round int, inbox []Incoming) ([]Message, bool) {
 
 func (c *chatterNode) Output() interface{} { return nil }
 
+// newBroadcastChatter is newChatter broadcasting its payload: the outbox
+// is one congest.AllPorts message, built once.
+func newBroadcastChatter(budget int) Factory {
+	return func(local Local) Node {
+		return &chatterNode{outbox: []Message{{Port: congest.AllPorts, Payload: int64(local.ID)}}, budget: budget}
+	}
+}
+
 // sleepyChatter is chatterNode sending only every fourth round: it
 // sleeps in between, woken for the round after each send by the
 // messages that arrive, so a long run skips nodes and, fault-free, jumps
@@ -596,14 +708,18 @@ func newSleepyChatter(budget int) Factory {
 // pooledSleepers is newSleepyChatter on an n-vertex network of maximum
 // degree maxDegree, over nodes and outboxes allocated once: building a
 // node allocates nothing, so a warm run allocates only what the
-// simulator does.
-func pooledSleepers(n, maxDegree, budget int) Factory {
+// simulator does. With broadcast set each node broadcasts its payload
+// instead of sending it on each port.
+func pooledSleepers(n, maxDegree, budget int, broadcast bool) Factory {
 	nodes := make([]sleepyChatter, n)
 	outs := make([]Message, n*maxDegree)
 	return func(local Local) Node {
 		out := outs[local.ID*maxDegree : local.ID*maxDegree+len(local.Neighbors)]
 		for i := range out {
 			out[i] = Message{Port: i, Payload: int64(local.ID)}
+		}
+		if broadcast {
+			out = append(out[:0], Message{Port: congest.AllPorts, Payload: int64(local.ID)})
 		}
 		nodes[local.ID] = sleepyChatter{chatterNode: chatterNode{outbox: out, budget: budget}}
 		return &nodes[local.ID]
@@ -692,9 +808,10 @@ func TestRunSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Errorf("traced per-round allocations detected: %v allocs for 10 rounds, %v for 1010", shortT, longT)
 	}
 
-	// A sleeping program keeps every mode allocation-free: skipping a
-	// node and jumping a silent round (traced or not) allocate nothing.
-	for mode := 0; mode < 8; mode++ {
+	// A sleeping program and a broadcasting one keep every mode
+	// allocation-free: skipping a node, jumping a silent round (traced or
+	// not) and sending, expanding or metering a broadcast allocate nothing.
+	for mode := 0; mode < 16; mode++ {
 		var opts Options
 		if mode&1 != 0 {
 			opts.CutSide, opts.Meter = side, counts
@@ -705,9 +822,13 @@ func TestRunSteadyStateDoesNotAllocate(t *testing.T) {
 		if mode&4 != 0 {
 			opts.Trace = tracer
 		}
+		program, what := newSleepyChatter, "sleeping"
+		if mode&8 != 0 {
+			program, what = newBroadcastChatter, "broadcasting"
+		}
 		sleepWith := func(rounds int) func() {
 			return func() {
-				if _, err := Run(d, newSleepyChatter(rounds), opts); err != nil {
+				if _, err := Run(d, program(rounds), opts); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -715,24 +836,26 @@ func TestRunSteadyStateDoesNotAllocate(t *testing.T) {
 		shortS := testing.AllocsPerRun(5, sleepWith(10))
 		longS := testing.AllocsPerRun(5, sleepWith(1010))
 		if longS > shortS {
-			t.Errorf("sleeping per-round allocations detected (meter %t, faults %t, trace %t): %v allocs for 10 rounds, %v for 1010",
-				opts.Meter != nil, opts.Faults != nil, opts.Trace != nil, shortS, longS)
+			t.Errorf("%s per-round allocations detected (meter %t, faults %t, trace %t): %v allocs for 10 rounds, %v for 1010",
+				what, opts.Meter != nil, opts.Faults != nil, opts.Trace != nil, shortS, longS)
 		}
 	}
 
 	// On a warm arena a whole Run, Result included, allocates nothing
 	// but what its program allocates: here nothing, as the program's
-	// nodes and outboxes are allocated once. The arena keeps the fault
-	// injector too, and recompiles each run's plan into it, link failures
-	// and crashes included.
+	// nodes and outboxes are allocated once, whether they send on each
+	// port or broadcast. The arena keeps the fault injector too, and
+	// recompiles each run's plan into it, link failures and crashes
+	// included, and the buffer a metered or faulted broadcast is expanded
+	// into.
 	arena := &Arena{}
 	const budget = 100
-	program := pooledSleepers(d.N(), 2, budget)
+	programs := []Factory{pooledSleepers(d.N(), 2, budget, false), pooledSleepers(d.N(), 2, budget, true)}
 	warmPlan := &faults.Plan{Seed: 5, DropProb: 0.05, MaxDelay: 2,
 		Crashes:      []faults.Crash{{Node: 3, Round: 40}},
 		LinkFailures: []faults.LinkFailure{{U: 0, V: 1, Round: 20}, {U: 5, V: 4, Round: 7}}}
-	for mode := 0; mode < 8; mode++ {
-		opts := Options{Arena: arena}
+	for mode := 0; mode < 16; mode++ {
+		program, opts := programs[mode>>3], Options{Arena: arena}
 		if mode&1 != 0 {
 			opts.CutSide, opts.Meter = side, counts
 		}
@@ -756,8 +879,8 @@ func TestRunSteadyStateDoesNotAllocate(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("a whole warm run on an arena (meter %t, trace %t, faults %t) allocates %v times, want 0",
-				opts.Meter != nil, opts.Trace != nil, opts.Faults != nil, allocs)
+			t.Errorf("a whole warm run on an arena (broadcast %t, meter %t, trace %t, faults %t) allocates %v times, want 0",
+				mode&8 != 0, opts.Meter != nil, opts.Trace != nil, opts.Faults != nil, allocs)
 		}
 	}
 }

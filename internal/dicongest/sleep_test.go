@@ -18,7 +18,8 @@ import (
 // program, the same program with every third node awake, and the
 // directed collect produce the same outputs, metrics, meter entries and
 // round traces (or the same *RoundsError) as when every node's Wake is
-// hidden.
+// hidden. All three broadcast, and every run must also match the run that
+// sends each broadcast as one message per port, observed and unobserved.
 func TestSleepingMatchesAwake(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 300; trial++ {
@@ -50,7 +51,7 @@ func TestSleepingMatchesAwake(t *testing.T) {
 		}
 		var plan *faults.Plan
 		if trial%2 == 1 {
-			plan = &faults.Plan{Seed: rng.Int63(), DropProb: 0.1 * float64(rng.Intn(3)), MaxDelay: rng.Intn(3)}
+			plan = &faults.Plan{Seed: rng.Int63(), DropProb: 0.1 * float64(rng.Intn(3)), MaxDelay: rng.Intn(3), DropBudget: rng.Intn(2)}
 			if n > 1 && rng.Intn(2) == 0 {
 				plan.Crashes = []faults.Crash{{Node: rng.Intn(n), Round: rng.Intn(12)}}
 			}
@@ -71,6 +72,13 @@ func TestSleepingMatchesAwake(t *testing.T) {
 			awake := congesttest.Record(run(func(l dicongest.Local) dicongest.Node { return congesttest.Awake(tc.factory(l)) }), opts)
 			if diff := congesttest.Diff(sleeping, awake); diff != "" {
 				t.Fatalf("trial %d %s (n=%d, faults=%v): sleeping and awake runs differ: %s", trial, tc.name, n, plan != nil, diff)
+			}
+			unicast := run(func(l dicongest.Local) dicongest.Node { return congesttest.Unicast(tc.factory(l), len(l.Neighbors)) })
+			if diff := congesttest.Diff(sleeping, congesttest.Record(unicast, opts)); diff != "" {
+				t.Fatalf("trial %d %s (n=%d, faults=%v): broadcasting and unicast runs differ: %s", trial, tc.name, n, plan != nil, diff)
+			}
+			if diff := congesttest.Diff(congesttest.Unobserved(run(tc.factory), opts), congesttest.Unobserved(unicast, opts)); diff != "" {
+				t.Fatalf("trial %d %s (n=%d, faults=%v): unobserved broadcasting and unicast runs differ: %s", trial, tc.name, n, plan != nil, diff)
 			}
 		}
 	}

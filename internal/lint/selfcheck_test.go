@@ -35,7 +35,9 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 // BenchmarkCongestRunCore and BenchmarkDicongestRunCore both spend their
 // rounds in, and congest.Run, its undirected front end; the
 // VerifyExhaustive delta workers and their column order, the oracle
-// recursions and NO-carry dominance checks, the delta toggles). If one of these is renamed or
+// recursions and NO-carry dominance checks, the delta toggles, and the
+// collect relay's Round and record dedup, where every certified pair
+// spends its gossip). If one of these is renamed or
 // loses its directive, hotalloc silently stops guarding the loop the
 // benchmark measures — this test makes that drift loud.
 func TestHotpathDirectiveSync(t *testing.T) {
@@ -56,6 +58,8 @@ func TestHotpathDirectiveSync(t *testing.T) {
 		{"internal/lbfamily/verify.go", "CubeWalk"},
 		{"internal/graph/delta.go", "ToggleEdge"},
 		{"internal/graph/delta.go", "ToggleArc"},
+		{"internal/algorithms/collect.go", "Round"},
+		{"internal/algorithms/collectstate.go", "learn"},
 	}
 	for _, tgt := range targets {
 		path := filepath.Join("..", "..", filepath.FromSlash(tgt.file))
